@@ -28,7 +28,7 @@ pub enum Delta {
     /// Advisory only: no schedule structure changes, nothing to invalidate.
     ServiceAlert { route: RouteId, message: String },
     /// A new weekday bus route calling at `stops` in order with the given
-    /// peak headway — the former `AddBusRoute` scenario edit as a delta.
+    /// peak headway — the bus-route scenario edit, as a delta.
     AddRoute { stops: Vec<Point>, headway_s: u32 },
 }
 

@@ -1,6 +1,7 @@
 //! Minimal HTTP/1.1 server for the gateway binary.
 //!
-//! A small step up from the obs `/metrics` listener: it parses the
+//! The workspace's one HTTP listener — the gateway's JSON API and the
+//! daemons' `--metrics-addr` scrape port both run on it. It parses the
 //! request line, headers, query string and a `Content-Length` body,
 //! supports keep-alive, and runs a handler on a fixed accept pool. It is
 //! an ops/integration surface, not a performance path — the binary

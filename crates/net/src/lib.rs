@@ -4,15 +4,13 @@
 //! `staq-shard` router:
 //!
 //! - [`poll`]: level-triggered readiness poller (`epoll` on Linux,
-//!   `poll(2)` fallback elsewhere / in tests).
+//!   `poll(2)` everywhere else).
 //! - [`reactor`]: one event-loop thread driving every connection —
 //!   nonblocking framed reads into a protocol handler, per-connection
 //!   outbound queues, generation-checked [`reactor::ConnId`]s, two-phase
 //!   graceful shutdown.
 //! - [`admission`]: deadline/budget admission control for the worker
 //!   pool (EWMA-estimated queue wait, `Overloaded` shedding).
-//! - [`ordered`]: strict in-order response release for pre-v4 protocol
-//!   connections (no request IDs on the wire).
 //! - [`http`] + [`json`]: the minimal HTTP/1.1 + JSON surface behind the
 //!   `staq-gateway` binary.
 //! - [`sys`]: the raw libc declarations all of it stands on (no external
@@ -21,12 +19,10 @@
 pub mod admission;
 pub mod http;
 pub mod json;
-pub mod ordered;
 pub mod poll;
 pub mod reactor;
 pub mod sys;
 
 pub use admission::{Admission, AdmissionConfig, ShedReason};
-pub use ordered::OrderedOut;
-pub use poll::{Backend, Event, Interest, Poller};
+pub use poll::{Event, Interest, Poller};
 pub use reactor::{spawn, ConnHandler, ConnId, ReactorConfig, ReactorHandle, ReplySink};

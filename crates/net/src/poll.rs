@@ -1,9 +1,9 @@
 //! Readiness poller with two interchangeable backends: `epoll` on Linux
-//! (O(ready) wakeups, the production path) and `poll(2)` everywhere else
-//! (O(registered) scans, the portable fallback). Both are level-triggered
+//! (O(ready) wakeups) and `poll(2)` everywhere else (O(registered)
+//! scans). The platform picks; no caller does. Both are level-triggered
 //! and expose the same register/reregister/deregister/wait surface, so
-//! the reactor is backend-agnostic and tests can force the portable path
-//! on Linux to keep it honest.
+//! the reactor is backend-agnostic, and this crate's own tests drive the
+//! portable path on Linux too to keep it honest.
 
 use crate::sys;
 use std::io;
@@ -34,16 +34,6 @@ pub struct Event {
     pub hup: bool,
 }
 
-/// Which backend to use.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Backend {
-    /// epoll where available, otherwise poll.
-    #[default]
-    Auto,
-    /// Force the portable `poll(2)` scan (used by tests and non-Linux).
-    Poll,
-}
-
 pub enum Poller {
     #[cfg(target_os = "linux")]
     Epoll(EpollPoller),
@@ -51,14 +41,19 @@ pub enum Poller {
 }
 
 impl Poller {
-    pub fn new(backend: Backend) -> io::Result<Poller> {
-        match backend {
-            #[cfg(target_os = "linux")]
-            Backend::Auto => Ok(Poller::Epoll(EpollPoller::new()?)),
-            #[cfg(not(target_os = "linux"))]
-            Backend::Auto => Ok(Poller::Poll(PollPoller::new())),
-            Backend::Poll => Ok(Poller::Poll(PollPoller::new())),
-        }
+    /// The platform's poller: epoll on Linux, `poll(2)` elsewhere.
+    pub fn new() -> io::Result<Poller> {
+        #[cfg(target_os = "linux")]
+        return Ok(Poller::Epoll(EpollPoller::new()?));
+        #[cfg(not(target_os = "linux"))]
+        return Ok(Poller::portable());
+    }
+
+    /// The `poll(2)` backend whatever the platform — how this crate's
+    /// tests exercise the non-Linux path on Linux.
+    #[cfg(any(test, not(target_os = "linux")))]
+    pub(crate) fn portable() -> Poller {
+        Poller::Poll(PollPoller::new())
     }
 
     pub fn backend_name(&self) -> &'static str {
@@ -206,6 +201,7 @@ pub struct PollPoller {
 }
 
 impl PollPoller {
+    #[cfg(any(test, not(target_os = "linux")))]
     fn new() -> PollPoller {
         PollPoller { fds: Vec::new(), tokens: Vec::new() }
     }
@@ -294,10 +290,9 @@ mod tests {
         (a, b)
     }
 
-    fn backend_roundtrip(backend: Backend) {
+    fn backend_roundtrip(mut poller: Poller) {
         let (a, mut b) = pair();
         a.set_nonblocking(true).unwrap();
-        let mut poller = Poller::new(backend).unwrap();
         poller.register(a.as_raw_fd(), 7, Interest::READ).unwrap();
 
         // Nothing to read yet: a short wait times out empty.
@@ -335,17 +330,17 @@ mod tests {
 
     #[test]
     fn portable_poll_backend_roundtrip() {
-        backend_roundtrip(Backend::Poll);
+        backend_roundtrip(Poller::portable());
     }
 
     #[test]
-    fn auto_backend_roundtrip() {
-        backend_roundtrip(Backend::Auto);
+    fn platform_backend_roundtrip() {
+        backend_roundtrip(Poller::new().unwrap());
     }
 
     #[cfg(target_os = "linux")]
     #[test]
-    fn auto_backend_is_epoll_on_linux() {
-        assert_eq!(Poller::new(Backend::Auto).unwrap().backend_name(), "epoll");
+    fn platform_backend_is_epoll_on_linux() {
+        assert_eq!(Poller::new().unwrap().backend_name(), "epoll");
     }
 }

@@ -15,7 +15,7 @@
 //! [`ReactorHandle::finish`] flushes every outbound queue (bounded by a
 //! deadline), closes, and joins the loop.
 
-use crate::poll::{Backend, Event, Interest, Poller};
+use crate::poll::{Event, Interest, Poller};
 use bytes::{Bytes, BytesMut};
 use staq_obs::{Counter, Gauge};
 use std::collections::VecDeque;
@@ -143,13 +143,11 @@ pub struct ReactorConfig {
     /// Connections whose input buffer exceeds this after frame-draining
     /// are closed (a single frame larger than this can never complete).
     pub max_frame: usize,
-    /// Poller backend selection (portable `poll` can be forced in tests).
-    pub backend: Backend,
 }
 
 impl Default for ReactorConfig {
     fn default() -> Self {
-        ReactorConfig { name: "staq-net", max_frame: 16 << 20, backend: Backend::Auto }
+        ReactorConfig { name: "staq-net", max_frame: 16 << 20 }
     }
 }
 
@@ -251,9 +249,19 @@ pub fn spawn(
     handler: Box<dyn ConnHandler>,
     cfg: ReactorConfig,
 ) -> io::Result<ReactorHandle> {
+    spawn_on(Poller::new()?, listener, handler, cfg)
+}
+
+/// [`spawn`] over a caller-chosen poller; tests use it to run the
+/// portable backend on Linux.
+fn spawn_on(
+    mut poller: Poller,
+    listener: TcpListener,
+    handler: Box<dyn ConnHandler>,
+    cfg: ReactorConfig,
+) -> io::Result<ReactorHandle> {
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let mut poller = Poller::new(cfg.backend)?;
 
     let (wake_rx, wake_tx) = UnixStream::pair()?;
     wake_rx.set_nonblocking(true)?;
@@ -605,12 +613,13 @@ mod tests {
         }
     }
 
-    fn echo_roundtrip(backend: Backend) {
+    fn echo_roundtrip(poller: Poller) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut handle = spawn(
+        let mut handle = spawn_on(
+            poller,
             listener,
             Box::new(Echo),
-            ReactorConfig { name: "test-echo", max_frame: 1 << 16, backend },
+            ReactorConfig { name: "test-echo", max_frame: 1 << 16 },
         )
         .unwrap();
 
@@ -636,13 +645,13 @@ mod tests {
     }
 
     #[test]
-    fn echo_roundtrip_auto_backend() {
-        echo_roundtrip(Backend::Auto);
+    fn echo_roundtrip_platform_backend() {
+        echo_roundtrip(Poller::new().unwrap());
     }
 
     #[test]
     fn echo_roundtrip_portable_backend() {
-        echo_roundtrip(Backend::Poll);
+        echo_roundtrip(Poller::portable());
     }
 
     /// Echo that reports each decoded frame, so tests can sequence

@@ -19,10 +19,10 @@
 //!   `BENCH_*.json` trajectories and the serve `Stats` frame.
 //! * [`trace`] — staq-trace: per-query spans in a lock-free seqlock ring,
 //!   with a propagatable [`SpanContext`] that crosses threads by value
-//!   and processes via the wire protocol's v3 frame header.
-//! * [`prom`] / [`http`] — the ops scrape surface: Prometheus text
-//!   exposition of a snapshot and the std-only `--metrics-addr`
-//!   listener that serves it.
+//!   and processes via the wire protocol's request frame header.
+//! * [`prom`] — Prometheus text exposition of a snapshot; the daemons'
+//!   `--metrics-addr` and the gateway's `GET /metrics` serve it through
+//!   `staq_net::http`.
 //! * [`window`] / [`slo`] / [`slow`] / [`ops`] — staq-ops: windowed
 //!   snapshot deltas ("p99 *right now*", not since boot), declarative
 //!   per-class SLOs with fast/slow burn rates, tail-sampled slow-trace
@@ -36,7 +36,6 @@
 //! itself is benchmarkable.
 
 pub mod hist;
-pub mod http;
 pub mod ops;
 pub mod prom;
 pub mod registry;
@@ -47,7 +46,6 @@ pub mod trace;
 pub mod window;
 
 pub use hist::{fmt_dur, LatencyHistogram};
-pub use http::{serve_prometheus, ScrapeHandle};
 pub use ops::{BurnWindow, ClassWindow, OpsReport, SloStatus};
 pub use registry::{snapshot, AtomicHistogram, Counter, Gauge, ScopedTimer};
 pub use slo::{SloClass, SloSpec};

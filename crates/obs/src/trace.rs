@@ -30,7 +30,7 @@
 //!
 //! Context crosses threads by value: capture [`current()`] before
 //! spawning, [`attach`] it inside the worker. It crosses processes in
-//! the wire protocol's v3 frame header (see `staq-serve`'s codec).
+//! the wire protocol's request frame header (see `staq-serve`'s codec).
 
 use std::time::Instant;
 

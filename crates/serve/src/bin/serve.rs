@@ -121,7 +121,7 @@ fn main() {
             });
     }
     let _scrape = args.metrics_addr.as_ref().map(|addr| {
-        let h = staq_obs::serve_prometheus(addr).unwrap_or_else(|e| {
+        let h = staq_serve::gateway::serve_metrics(addr).unwrap_or_else(|e| {
             eprintln!("error: cannot bind metrics listener {addr}: {e}");
             std::process::exit(1);
         });

@@ -192,12 +192,11 @@ impl Client {
         }
     }
 
-    /// Scenario edit: add a bus route; returns zones rebuilt.
+    /// Scenario edit: add a bus route (an [`Delta::AddRoute`] at the next
+    /// sequence number); returns zones rebuilt.
     pub fn add_bus_route(&mut self, stops: &[Point], headway_s: u32) -> Result<u32, ClientError> {
-        match self.call(&Request::AddBusRoute { stops: stops.to_vec(), headway_s })? {
-            Response::AddBusRoute { zones_rebuilt } => Ok(zones_rebuilt),
-            other => Err(unexpected(other)),
-        }
+        let route = Delta::AddRoute { stops: stops.to_vec(), headway_s };
+        Ok(self.apply_delta(0, &route)?.zones_rebuilt)
     }
 
     /// Streams one delta at a sequence number (0 = let the server assign
@@ -341,7 +340,6 @@ fn unexpected(resp: Response) -> ClientError {
         Response::Measures(_) => ClientError::Unexpected("measures"),
         Response::Query(_) => ClientError::Unexpected("query answer"),
         Response::AddPoi { .. } => ClientError::Unexpected("add_poi ack"),
-        Response::AddBusRoute { .. } => ClientError::Unexpected("add_bus_route ack"),
         Response::Stats(_) => ClientError::Unexpected("stats"),
         Response::TraceDump(_) => ClientError::Unexpected("trace dump"),
         Response::ApplyDelta(_) => ClientError::Unexpected("apply_delta ack"),

@@ -1,62 +1,44 @@
 //! Length-prefixed binary wire protocol for access-query serving.
 //!
-//! Every frame, request or response, is:
+//! There is one frame layout and one version, [`WIRE_VERSION`]. Every
+//! frame, request or response, is:
 //!
 //! ```text
-//! +----------------+-----------+--------+------------------+
-//! | len: u32 (BE)  | ver: u8   | kind   | payload (len-2 B)|
-//! +----------------+-----------+--------+------------------+
+//! +----------------+-----------+----------+----------------+
+//! | len: u32 (BE)  | ver: u8   | kind: u8 | body (len-2 B) |
+//! +----------------+-----------+----------+----------------+
 //! ```
 //!
 //! `len` counts everything after itself (version byte + kind byte +
-//! payload). Integers and floats are big-endian. Strings are
-//! `u16` length + UTF-8 bytes. The version byte is [`WIRE_VERSION`] or
-//! any accepted older version (≥ [`MIN_WIRE_VERSION`]); a peer speaking
-//! anything else gets an error frame and the connection is closed.
+//! body). Integers and floats are big-endian. Strings are `u16` length +
+//! UTF-8 bytes. A frame whose version byte is not [`WIRE_VERSION`] is
+//! rejected from its first five bytes, whatever length it claims; the
+//! server answers one `BadRequest` error frame and closes the connection.
 //!
-//! Request kinds are `0x01..=0x0B`; response kinds mirror them with the
-//! high bit set (`0x81..=0x8B`), and `0xFF` is the error frame — so a
-//! response can never be confused for a request even if framing slips.
+//! Request kinds are `0x01..=0x0B` (`0x04` is retired); response kinds
+//! mirror them with the high bit set, and `0xFF` is the error frame — so
+//! a response can never be confused for a request even if framing slips.
 //!
-//! ## Versions and trace context
-//!
-//! v3 inserts a 16-byte trace context — `trace id: u64, span id: u64`,
-//! both zero when untraced — between the kind byte and the payload of
-//! every **request** frame; responses are unchanged. [`encode_request`]
-//! stamps the calling thread's current [`SpanContext`] automatically, so
-//! a client running inside a span propagates it without any API change.
-//! v2 frames (no context) still decode — [`decode_request`] reports
-//! which version the peer spoke so servers can reply in kind via
-//! [`encode_response_to`], keeping un-upgraded v2 clients working
-//! against a newer server.
-//!
-//! ## v4: request IDs, deadlines, multiplexing
-//!
-//! v4 gives frames an identity. Requests become
+//! A request body is
 //!
 //! ```text
-//! kind | req id: u64 | trace: u64 | span: u64 | flags: u8
-//!      | [deadline ms: u32 when flags bit 0] | payload
+//! req id: u64 | trace id: u64 | span id: u64 | flags: u8
+//!             | [deadline ms: u32 when flags bit 0] | payload
 //! ```
 //!
-//! and responses gain the echoed request ID right after the kind byte.
-//! The ID makes true multiplexing possible: many requests in flight on
-//! one connection, each response matched by ID rather than by arrival
-//! order, so the server may answer out of order. The optional deadline
-//! is the client's total time budget for the request — the server sheds
-//! the request with [`ErrorCode::Overloaded`] instead of queueing it
-//! past its useful life. Pre-v4 peers keep working: their responses
-//! carry no ID and are answered strictly in request order (the server
-//! re-sequences completions). A v4 client that pipelines MUST use
-//! distinct request IDs; responses to v4 requests arrive in completion
-//! order.
+//! and a response body is the echoed `req id: u64` followed by the
+//! payload. The ID is what makes a connection multiplexable: many
+//! requests in flight, each response matched by ID rather than arrival
+//! order, so the server answers in completion order. Clients that
+//! pipeline MUST use distinct IDs; a strictly sequential client may send
+//! 0 throughout. The trace context (both words zero when untraced) is
+//! the calling thread's current [`SpanContext`] — [`encode_request`]
+//! stamps it automatically, so a client running inside a span propagates
+//! it without any API change. The optional deadline is the client's
+//! total time budget: the server sheds the request with
+//! [`ErrorCode::Overloaded`] instead of queueing it past its useful life.
 //!
-//! v4 also adds the `OpsReport` pair: the fleet-health poll answering
-//! windowed per-class rates, SLO burn status, and retained slow traces
-//! in one frame. It does not exist in older versions — v2/v3 encoders
-//! refuse it and the decoder rejects it on pre-v4 frames.
-//!
-//! ## Streaming frames (v3 only)
+//! ## Streaming frames
 //!
 //! `ApplyDelta` carries one [`Delta`] plus an explicit sequence number
 //! (0 = "assign the next one"); `DeltaBatch` carries a contiguous run of
@@ -65,10 +47,11 @@
 //! delta list) against the live engine and answers one [`AccessQuery`]
 //! per scenario, side by side. A server whose delta log is behind a
 //! claimed sequence number answers an [`ErrorCode::SeqGap`] error frame;
-//! the sender recovers by resending from the gap. `Plan` (also v3-only)
-//! asks for point-to-point journeys: the full Pareto (arrival, transfers)
-//! frontier, or the single fastest journey within a transfer cap. None of
-//! these frames exist in v2 — [`encode_request_v2`] refuses them.
+//! the sender recovers by resending from the gap. `Plan` asks for
+//! point-to-point journeys: the full Pareto (arrival, transfers)
+//! frontier, or the single fastest journey within a transfer cap.
+//! `OpsReport` is the fleet-health poll: windowed per-class rates, SLO
+//! burn status, and retained slow traces in one frame.
 
 use bytes::{Buf, BufMut, BytesMut};
 use staq_access::measures::ZoneMeasures;
@@ -83,17 +66,12 @@ use staq_obs::{BurnWindow, ClassWindow, OpsReport, SloStatus, SlowTrace};
 use staq_synth::{PoiCategory, ZoneId};
 use staq_transit::{Journey, Leg};
 
-/// Protocol version this build emits. v2 extended the `Stats` response
-/// with a full [`MetricsSnapshot`]; v3 added the request trace context,
-/// the `TraceDump` request/response pair, and the streaming frames
-/// (`ApplyDelta`, `DeltaBatch`, `WhatIf`); v4 added request IDs on both
-/// request and response frames (multiplexing) plus the optional
-/// per-request deadline field.
+/// The protocol version this build speaks, on encode and decode alike.
 pub const WIRE_VERSION: u8 = 4;
 
-/// Oldest version still accepted on decode. v2 peers round-trip every
-/// pre-trace request kind; their requests simply carry no span context.
-pub const MIN_WIRE_VERSION: u8 = 2;
+/// Oldest version accepted on decode — the current one; no older peer
+/// is served.
+pub const MIN_WIRE_VERSION: u8 = WIRE_VERSION;
 
 /// Upper bound on `len`; larger frames indicate a desynced or hostile
 /// peer and are rejected before any allocation.
@@ -103,8 +81,8 @@ pub const MAX_FRAME_LEN: usize = 16 << 20;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Full SSR measure vector for one category. `approx` opts into the
-    /// engine's approximate serving mode (v3 frames only: the flag rides
-    /// the high bit of the category byte, which v2 never sets).
+    /// engine's approximate serving mode (the flag rides the high bit of
+    /// the category byte).
     Measures { category: PoiCategory, approx: bool },
     /// An analytical access query against one category; `approx` as on
     /// [`Request::Measures`] — `PointAccess` queries may then be answered
@@ -112,29 +90,27 @@ pub enum Request {
     Query { category: PoiCategory, query: AccessQuery, approx: bool },
     /// Scenario edit: add a POI at a position.
     AddPoi { category: PoiCategory, pos: Point },
-    /// Scenario edit: add a bus route through the given stops.
-    AddBusRoute { stops: Vec<Point>, headway_s: u32 },
     /// Server counters (pipeline runs, cache state, requests served).
     Stats,
     /// Recent completed spans with duration ≥ `min_dur_ns`; optionally
-    /// retunes the server's capture threshold first (v3+).
+    /// retunes the server's capture threshold first.
     TraceDump { min_dur_ns: u64, set_capture_ns: Option<u64> },
     /// Streaming edit: apply one delta at a sequence number (0 = assign
-    /// the next one) to the server's delta log (v3+).
+    /// the next one) to the server's delta log.
     ApplyDelta { seq: u64, delta: Delta },
     /// Streaming catch-up: a contiguous run of deltas starting at
-    /// `first_seq`; already-seen prefixes are skipped idempotently (v3+).
+    /// `first_seq`; already-seen prefixes are skipped idempotently.
     DeltaBatch { first_seq: u64, deltas: Vec<Delta> },
     /// Evaluate each counterfactual scenario (a delta list) against the
-    /// live engine and answer `query` under each, side by side (v3+).
+    /// live engine and answer `query` under each, side by side.
     WhatIf { category: PoiCategory, scenarios: Vec<Vec<Delta>>, query: AccessQuery },
-    /// Point-to-point journey planning against the live timetable (v3+).
+    /// Point-to-point journey planning against the live timetable.
     /// `max_transfers: None` asks for the whole Pareto (arrival,
     /// transfers) frontier; `Some(k)` for the single fastest journey
     /// using at most `k` transfers.
     Plan { origin: Point, dest: Point, depart: Stime, day: DayOfWeek, max_transfers: Option<u8> },
     /// Fleet-health poll: windowed per-class rates and quantiles, SLO
-    /// burn status, and retained slow traces, in one frame (v4 only).
+    /// burn status, and retained slow traces, in one frame.
     OpsReport,
 }
 
@@ -145,7 +121,6 @@ impl Request {
             Request::Measures { .. } => "measures",
             Request::Query { .. } => "query",
             Request::AddPoi { .. } => "add_poi",
-            Request::AddBusRoute { .. } => "add_bus_route",
             Request::Stats => "stats",
             Request::TraceDump { .. } => "trace_dump",
             Request::ApplyDelta { .. } => "apply_delta",
@@ -157,20 +132,19 @@ impl Request {
     }
 }
 
-/// A decoded request plus the frame-header facts a server needs: which
-/// protocol version the peer spoke (to answer in kind) and the trace
-/// context it propagated (`SpanContext::NONE` for v2 or untraced v3).
+/// A decoded request plus the frame-header facts a server needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedRequest {
     pub request: Request,
+    /// The trace context the peer propagated (`SpanContext::NONE` when
+    /// untraced).
     pub ctx: SpanContext,
-    pub version: u8,
-    /// The request ID to echo on the response (0 on pre-v4 frames, and
-    /// for non-multiplexed v4 clients that always send 0).
+    /// The request ID to echo on the response (sequential clients send
+    /// 0 throughout).
     pub req_id: u64,
-    /// The client's total time budget for this request, if it set one
-    /// (v4 frames only). Measured from decode; the server sheds the
-    /// request once the budget cannot be met.
+    /// The client's total time budget for this request, if it set one.
+    /// Measured from decode; the server sheds the request once the
+    /// budget cannot be met.
     pub deadline_ms: Option<u32>,
 }
 
@@ -179,9 +153,8 @@ pub struct DecodedRequest {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedResponse {
     pub response: Response,
-    /// Echoed request ID (0 on pre-v4 frames).
+    /// Echoed request ID.
     pub req_id: u64,
-    pub version: u8,
 }
 
 /// Server counters exposed over the wire; `pipeline_runs` makes the
@@ -229,9 +202,6 @@ pub enum Response {
     Query(QueryAnswer),
     AddPoi {
         poi_id: u32,
-    },
-    AddBusRoute {
-        zones_rebuilt: u32,
     },
     Stats(StatsReply),
     /// Spans matching a `TraceDump` request, oldest first.
@@ -303,7 +273,7 @@ impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CodecError::BadVersion(v) => {
-                write!(f, "unsupported wire version {v} (want {MIN_WIRE_VERSION}..={WIRE_VERSION})")
+                write!(f, "unsupported wire version {v} (want {WIRE_VERSION})")
             }
             CodecError::BadKind(k) => write!(f, "unknown frame kind {k:#04x}"),
             CodecError::BadPayload(why) => write!(f, "malformed payload: {why}"),
@@ -319,7 +289,6 @@ impl std::error::Error for CodecError {}
 const K_MEASURES: u8 = 0x01;
 const K_QUERY: u8 = 0x02;
 const K_ADD_POI: u8 = 0x03;
-const K_ADD_BUS_ROUTE: u8 = 0x04;
 const K_STATS: u8 = 0x05;
 const K_TRACE_DUMP: u8 = 0x06;
 const K_APPLY_DELTA: u8 = 0x07;
@@ -330,7 +299,6 @@ const K_OPS_REPORT: u8 = 0x0B;
 const K_R_MEASURES: u8 = 0x81;
 const K_R_QUERY: u8 = 0x82;
 const K_R_ADD_POI: u8 = 0x83;
-const K_R_ADD_BUS_ROUTE: u8 = 0x84;
 const K_R_STATS: u8 = 0x85;
 const K_R_TRACE_DUMP: u8 = 0x86;
 const K_R_APPLY_DELTA: u8 = 0x87;
@@ -352,8 +320,7 @@ fn category_from(code: u8) -> Result<PoiCategory, CodecError> {
 }
 
 /// High bit of the category byte on `Measures`/`Query` requests: the
-/// approximate-mode opt-in. Category codes stay tiny, so the bit is free;
-/// v2 encoders never set it, which is what makes the flag v3-only.
+/// approximate-mode opt-in. Category codes stay tiny, so the bit is free.
 const APPROX_FLAG: u8 = 0x80;
 
 fn category_byte(c: PoiCategory, approx: bool) -> u8 {
@@ -404,11 +371,13 @@ fn weight_from(code: u8) -> Result<DemographicWeight, CodecError> {
     })
 }
 
+/// Strings longer than the `u16` length prefix allows are truncated at
+/// the last char boundary that fits, so the bytes on the wire are always
+/// valid UTF-8.
 fn put_string(buf: &mut BytesMut, s: &str) {
-    let bytes = s.as_bytes();
-    let n = bytes.len().min(u16::MAX as usize);
+    let n = s.floor_char_boundary(u16::MAX as usize);
     buf.put_u16(n as u16);
-    buf.put_slice(&bytes[..n]);
+    buf.put_slice(&s.as_bytes()[..n]);
 }
 
 fn take_string(buf: &mut &[u8]) -> Result<String, CodecError> {
@@ -914,13 +883,17 @@ fn decode_ops_report(buf: &mut &[u8]) -> Result<OpsReport, CodecError> {
     Ok(OpsReport { interval_ns, windows, generated_unix_ns, classes, slo, slow })
 }
 
-/// Appends one encoded request frame (header included) to `buf`, at
-/// [`WIRE_VERSION`], carrying the calling thread's current span context
-/// — propagation is automatic for any client running inside a span.
-/// Request ID 0 and no deadline: the sequential-client form.
+/// Appends one encoded request frame (header included) to `buf`,
+/// carrying the calling thread's current span context — propagation is
+/// automatic for any client running inside a span. Request ID 0 and no
+/// deadline: the sequential-client form.
 pub fn encode_request(req: &Request, buf: &mut BytesMut) {
-    encode_request_v(req, WIRE_VERSION, trace::current(), 0, None, buf)
+    encode_request_mux(req, 0, None, buf)
 }
+
+/// Bit 0 of the request flags byte: a `deadline ms: u32` field follows.
+/// Remaining bits are reserved (must be zero).
+const FLAG_DEADLINE: u8 = 0x01;
 
 /// [`encode_request`] with an explicit request ID and optional deadline
 /// budget — the multiplexed-client form. IDs on one connection must be
@@ -931,73 +904,18 @@ pub fn encode_request_mux(
     deadline_ms: Option<u32>,
     buf: &mut BytesMut,
 ) {
-    encode_request_v(req, WIRE_VERSION, trace::current(), req_id, deadline_ms, buf)
-}
-
-/// Encodes a v3 (pre-request-ID) frame — what a one-version-old client
-/// sends. Kept callable for compatibility tests. `OpsReport` does not
-/// exist before v4 and panics here.
-pub fn encode_request_v3(req: &Request, buf: &mut BytesMut) {
-    assert!(!matches!(req, Request::OpsReport), "ops_report is a v4 request; v3 cannot encode it");
-    encode_request_v(req, 3, trace::current(), 0, None, buf)
-}
-
-/// Encodes a v2 (pre-trace) request frame — what an un-upgraded client
-/// sends. Kept callable for compatibility tests; `TraceDump` and the
-/// streaming frames do not exist in v2 and panic here.
-pub fn encode_request_v2(req: &Request, buf: &mut BytesMut) {
-    assert!(
-        !matches!(
-            req,
-            Request::TraceDump { .. }
-                | Request::ApplyDelta { .. }
-                | Request::DeltaBatch { .. }
-                | Request::WhatIf { .. }
-                | Request::Plan { .. }
-                | Request::OpsReport
-        ),
-        "{} is a v3+ request; v2 cannot encode it",
-        req.kind_label()
-    );
-    assert!(
-        !matches!(
-            req,
-            Request::Measures { approx: true, .. } | Request::Query { approx: true, .. }
-        ),
-        "approximate mode is a v3 flag; v2 cannot encode it"
-    );
-    encode_request_v(req, 2, SpanContext::NONE, 0, None, buf)
-}
-
-/// Bit 0 of the v4 request flags byte: a `deadline ms: u32` field
-/// follows. Remaining bits are reserved (must be zero).
-const FLAG_DEADLINE: u8 = 0x01;
-
-fn encode_request_v(
-    req: &Request,
-    version: u8,
-    ctx: SpanContext,
-    req_id: u64,
-    deadline_ms: Option<u32>,
-    buf: &mut BytesMut,
-) {
-    let body_start = begin_frame(buf, version);
+    let body_start = begin_frame(buf);
+    let ctx = trace::current();
     let put_ctx = |buf: &mut BytesMut| {
-        if version >= 4 {
-            buf.put_u64(req_id);
-        }
-        if version >= 3 {
-            buf.put_u64(ctx.trace);
-            buf.put_u64(ctx.span);
-        }
-        if version >= 4 {
-            match deadline_ms {
-                Some(ms) => {
-                    buf.put_u8(FLAG_DEADLINE);
-                    buf.put_u32(ms);
-                }
-                None => buf.put_u8(0),
+        buf.put_u64(req_id);
+        buf.put_u64(ctx.trace);
+        buf.put_u64(ctx.span);
+        match deadline_ms {
+            Some(ms) => {
+                buf.put_u8(FLAG_DEADLINE);
+                buf.put_u32(ms);
             }
+            None => buf.put_u8(0),
         }
     };
     match req {
@@ -1018,16 +936,6 @@ fn encode_request_v(
             buf.put_u8(category_code(*category));
             buf.put_f64(pos.x);
             buf.put_f64(pos.y);
-        }
-        Request::AddBusRoute { stops, headway_s } => {
-            buf.put_u8(K_ADD_BUS_ROUTE);
-            put_ctx(buf);
-            buf.put_u32(*headway_s);
-            buf.put_u16(stops.len() as u16);
-            for p in stops {
-                buf.put_f64(p.x);
-                buf.put_f64(p.y);
-            }
         }
         Request::Stats => {
             buf.put_u8(K_STATS);
@@ -1098,26 +1006,18 @@ fn encode_request_v(
     end_frame(buf, body_start);
 }
 
-/// Appends one encoded response frame (header included) to `buf`, at
-/// [`WIRE_VERSION`], echoing request ID 0.
+/// Appends one encoded response frame (header included) to `buf`,
+/// echoing request ID 0 — the reply to a sequential client.
 pub fn encode_response(resp: &Response, buf: &mut BytesMut) {
-    encode_response_to(resp, WIRE_VERSION, 0, buf)
+    encode_response_to(resp, 0, buf)
 }
 
-/// Encodes a response stamped with the version the requester spoke — a
-/// v2 client's `split_frame` hard-rejects any other version byte, so
-/// answering v2 requests at v4 would break exactly the peers the
-/// [`MIN_WIRE_VERSION`] floor is meant to keep alive. The response body
-/// layout is identical across versions; v4 frames additionally echo the
-/// request's ID right after the kind byte (`req_id` is ignored for
-/// older versions).
-pub fn encode_response_to(resp: &Response, version: u8, req_id: u64, buf: &mut BytesMut) {
-    let body_start = begin_frame(buf, version);
-    let put_req_id = |buf: &mut BytesMut| {
-        if version >= 4 {
-            buf.put_u64(req_id);
-        }
-    };
+/// Encodes the response to the request that carried `req_id`; the ID is
+/// echoed right after the kind byte so a multiplexing client can match
+/// it to its caller.
+pub fn encode_response_to(resp: &Response, req_id: u64, buf: &mut BytesMut) {
+    let body_start = begin_frame(buf);
+    let put_req_id = |buf: &mut BytesMut| buf.put_u64(req_id);
     match resp {
         Response::Measures(ms) => {
             buf.put_u8(K_R_MEASURES);
@@ -1138,11 +1038,6 @@ pub fn encode_response_to(resp: &Response, version: u8, req_id: u64, buf: &mut B
             buf.put_u8(K_R_ADD_POI);
             put_req_id(buf);
             buf.put_u32(*poi_id);
-        }
-        Response::AddBusRoute { zones_rebuilt } => {
-            buf.put_u8(K_R_ADD_BUS_ROUTE);
-            put_req_id(buf);
-            buf.put_u32(*zones_rebuilt);
         }
         Response::Stats(s) => {
             buf.put_u8(K_R_STATS);
@@ -1209,10 +1104,10 @@ pub fn encode_response_to(resp: &Response, version: u8, req_id: u64, buf: &mut B
 }
 
 /// Reserves the length prefix; returns the body offset for [`end_frame`].
-fn begin_frame(buf: &mut BytesMut, version: u8) -> usize {
+fn begin_frame(buf: &mut BytesMut) -> usize {
     buf.put_u32(0);
     let body_start = buf.len();
-    buf.put_u8(version);
+    buf.put_u8(WIRE_VERSION);
     body_start
 }
 
@@ -1222,10 +1117,12 @@ fn end_frame(buf: &mut BytesMut, body_start: usize) {
     buf[body_start - 4..body_start].copy_from_slice(&len.to_be_bytes());
 }
 
-/// Pulls one complete frame body (kind + payload) out of `buf` along
-/// with its version byte, or `None` if more bytes are needed. Versions
-/// in `MIN_WIRE_VERSION..=WIRE_VERSION` are accepted.
-fn split_frame(buf: &mut BytesMut) -> Result<Option<(u8, BytesMut)>, CodecError> {
+/// Pulls one complete frame body (kind byte onwards) out of `buf`, or
+/// `None` if more bytes are needed. The version byte is checked as soon
+/// as it is buffered — before the rest of the frame arrives and before
+/// anything is split off — so a peer speaking another version is
+/// rejected from five bytes, not after `len` bytes were accumulated.
+fn split_frame(buf: &mut BytesMut) -> Result<Option<BytesMut>, CodecError> {
     if buf.len() < 4 {
         return Ok(None);
     }
@@ -1236,51 +1133,39 @@ fn split_frame(buf: &mut BytesMut) -> Result<Option<(u8, BytesMut)>, CodecError>
     if len < 2 {
         return Err(CodecError::BadPayload("frame shorter than header"));
     }
+    if buf.len() < 5 {
+        return Ok(None);
+    }
+    if buf[4] != WIRE_VERSION {
+        return Err(CodecError::BadVersion(buf[4]));
+    }
     if buf.len() < 4 + len {
         return Ok(None);
     }
-    buf.advance(4);
-    let mut frame = buf.split_to(len);
-    let version = frame[0];
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-        return Err(CodecError::BadVersion(version));
-    }
-    frame.advance(1);
-    Ok(Some((version, frame)))
+    buf.advance(5);
+    Ok(Some(buf.split_to(len - 1)))
 }
 
 /// Decodes one request from `buf` if a complete frame is buffered,
-/// discarding version and trace context — the form tests and simple
-/// tools want. Servers use [`decode_request_full`].
+/// discarding the frame header — the form tests and simple tools want.
+/// Servers use [`decode_request_full`].
 pub fn decode_request(buf: &mut BytesMut) -> Result<Option<Request>, CodecError> {
     Ok(decode_request_full(buf)?.map(|d| d.request))
 }
 
-/// Decodes one request plus its frame version and propagated trace
-/// context (`SpanContext::NONE` for v2 frames or untraced v3 ones).
+/// Decodes one request plus its request ID, propagated trace context
+/// and deadline budget.
 pub fn decode_request_full(buf: &mut BytesMut) -> Result<Option<DecodedRequest>, CodecError> {
-    let Some((version, frame)) = split_frame(buf)? else { return Ok(None) };
+    let Some(frame) = split_frame(buf)? else { return Ok(None) };
     let mut p: &[u8] = &frame;
     let kind = take_u8(&mut p)?;
-    let req_id = if version >= 4 { take_u64(&mut p)? } else { 0 };
-    let ctx = if version >= 3 {
-        SpanContext { trace: take_u64(&mut p)?, span: take_u64(&mut p)? }
-    } else {
-        SpanContext::NONE
-    };
-    let deadline_ms = if version >= 4 {
-        let flags = take_u8(&mut p)?;
-        if flags & !FLAG_DEADLINE != 0 {
-            return Err(CodecError::BadPayload("unknown request flags"));
-        }
-        if flags & FLAG_DEADLINE != 0 {
-            Some(take_u32(&mut p)?)
-        } else {
-            None
-        }
-    } else {
-        None
-    };
+    let req_id = take_u64(&mut p)?;
+    let ctx = SpanContext { trace: take_u64(&mut p)?, span: take_u64(&mut p)? };
+    let flags = take_u8(&mut p)?;
+    if flags & !FLAG_DEADLINE != 0 {
+        return Err(CodecError::BadPayload("unknown request flags"));
+    }
+    let deadline_ms = if flags & FLAG_DEADLINE != 0 { Some(take_u32(&mut p)?) } else { None };
     let req = match kind {
         K_MEASURES => {
             let (category, approx) = category_and_approx(take_u8(&mut p)?)?;
@@ -1294,15 +1179,6 @@ pub fn decode_request_full(buf: &mut BytesMut) -> Result<Option<DecodedRequest>,
             category: category_from(take_u8(&mut p)?)?,
             pos: Point::new(take_f64(&mut p)?, take_f64(&mut p)?),
         },
-        K_ADD_BUS_ROUTE => {
-            let headway_s = take_u32(&mut p)?;
-            let n = take_u16(&mut p)? as usize;
-            let mut stops = Vec::with_capacity(capped(n, p.remaining(), 16));
-            for _ in 0..n {
-                stops.push(Point::new(take_f64(&mut p)?, take_f64(&mut p)?));
-            }
-            Request::AddBusRoute { stops, headway_s }
-        }
         K_STATS => Request::Stats,
         K_TRACE_DUMP => {
             let min_dur_ns = take_u64(&mut p)?;
@@ -1356,18 +1232,13 @@ pub fn decode_request_full(buf: &mut BytesMut) -> Result<Option<DecodedRequest>,
             };
             Request::Plan { origin, dest, depart, day, max_transfers }
         }
-        K_OPS_REPORT => {
-            if version < 4 {
-                return Err(CodecError::BadPayload("ops_report requires wire v4"));
-            }
-            Request::OpsReport
-        }
+        K_OPS_REPORT => Request::OpsReport,
         other => return Err(CodecError::BadKind(other)),
     };
     if p.remaining() != 0 {
         return Err(CodecError::BadPayload("trailing bytes in frame"));
     }
-    Ok(Some(DecodedRequest { request: req, ctx, version, req_id, deadline_ms }))
+    Ok(Some(DecodedRequest { request: req, ctx, req_id, deadline_ms }))
 }
 
 /// Decodes one response from `buf` if a complete frame is buffered,
@@ -1377,12 +1248,12 @@ pub fn decode_response(buf: &mut BytesMut) -> Result<Option<Response>, CodecErro
     Ok(decode_response_full(buf)?.map(|d| d.response))
 }
 
-/// Decodes one response plus its echoed request ID and frame version.
+/// Decodes one response plus its echoed request ID.
 pub fn decode_response_full(buf: &mut BytesMut) -> Result<Option<DecodedResponse>, CodecError> {
-    let Some((version, frame)) = split_frame(buf)? else { return Ok(None) };
+    let Some(frame) = split_frame(buf)? else { return Ok(None) };
     let mut p: &[u8] = &frame;
     let kind = take_u8(&mut p)?;
-    let req_id = if version >= 4 { take_u64(&mut p)? } else { 0 };
+    let req_id = take_u64(&mut p)?;
     let resp = match kind {
         K_R_MEASURES => {
             let n = take_u32(&mut p)? as usize;
@@ -1398,7 +1269,6 @@ pub fn decode_response_full(buf: &mut BytesMut) -> Result<Option<DecodedResponse
         }
         K_R_QUERY => Response::Query(decode_answer(&mut p)?),
         K_R_ADD_POI => Response::AddPoi { poi_id: take_u32(&mut p)? },
-        K_R_ADD_BUS_ROUTE => Response::AddBusRoute { zones_rebuilt: take_u32(&mut p)? },
         K_R_STATS => {
             let pipeline_runs = take_u64(&mut p)?;
             let requests_served = take_u64(&mut p)?;
@@ -1460,7 +1330,7 @@ pub fn decode_response_full(buf: &mut BytesMut) -> Result<Option<DecodedResponse
     if p.remaining() != 0 {
         return Err(CodecError::BadPayload("trailing bytes in frame"));
     }
-    Ok(Some(DecodedResponse { response: resp, req_id, version }))
+    Ok(Some(DecodedResponse { response: resp, req_id }))
 }
 
 #[cfg(test)]
@@ -1533,10 +1403,6 @@ mod tests {
                 approx: true,
             },
             Request::AddPoi { category: PoiCategory::VaxCenter, pos: Point::new(1234.5, -6.25) },
-            Request::AddBusRoute {
-                stops: vec![Point::new(0.0, 0.0), Point::new(10.0, 20.0)],
-                headway_s: 600,
-            },
             Request::Stats,
         ];
         for r in &reqs {
@@ -1565,7 +1431,6 @@ mod tests {
             Response::Query(QueryAnswer::WorstZones(vec![(ZoneId(5), 99.5)])),
             Response::Query(QueryAnswer::PointAccess { zone: ZoneId(12), mac: 840.5, acsd: 2.5 }),
             Response::AddPoi { poi_id: 41 },
-            Response::AddBusRoute { zones_rebuilt: 17 },
             Response::Stats(StatsReply {
                 pipeline_runs: 3,
                 requests_served: 1000,
@@ -1643,16 +1508,6 @@ mod tests {
             Some(Request::Measures { category: PoiCategory::School, approx: false })
         );
         assert_eq!(decode_request(&mut buf).unwrap(), None);
-    }
-
-    #[test]
-    fn version_outside_accepted_range_is_rejected() {
-        for bad in [0u8, 1, WIRE_VERSION + 1, 0xFF] {
-            let mut buf = BytesMut::new();
-            encode_request(&Request::Stats, &mut buf);
-            buf[4] = bad;
-            assert_eq!(decode_request(&mut buf), Err(CodecError::BadVersion(bad)), "v{bad}");
-        }
     }
 
     #[test]
@@ -1880,52 +1735,6 @@ mod tests {
         assert_eq!(roundtrip_response(&empty), empty);
     }
 
-    #[test]
-    #[should_panic(expected = "v3+ request")]
-    fn v2_cannot_encode_ops_report() {
-        let mut buf = BytesMut::new();
-        encode_request_v2(&Request::OpsReport, &mut buf);
-    }
-
-    #[test]
-    #[should_panic(expected = "v4 request")]
-    fn v3_cannot_encode_ops_report() {
-        let mut buf = BytesMut::new();
-        encode_request_v3(&Request::OpsReport, &mut buf);
-    }
-
-    /// A forged pre-v4 frame claiming the ops-report kind must be
-    /// rejected — the kind does not exist in those versions.
-    #[test]
-    fn pre_v4_ops_report_frame_is_rejected() {
-        let mut buf = BytesMut::new();
-        let body_start = begin_frame(&mut buf, 3);
-        buf.put_u8(K_OPS_REPORT);
-        buf.put_u64(0); // trace
-        buf.put_u64(0); // span
-        end_frame(&mut buf, body_start);
-        assert_eq!(
-            decode_request(&mut buf),
-            Err(CodecError::BadPayload("ops_report requires wire v4"))
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "v3+ request")]
-    fn v2_cannot_encode_plan() {
-        let mut buf = BytesMut::new();
-        encode_request_v2(
-            &Request::Plan {
-                origin: Point::new(0.0, 0.0),
-                dest: Point::new(1.0, 1.0),
-                depart: Stime(0),
-                day: DayOfWeek::Monday,
-                max_transfers: None,
-            },
-            &mut buf,
-        );
-    }
-
     /// Truncating a delta frame mid-payload must be a payload error (or a
     /// wait-for-more on a clean length cut), never a panic.
     #[test]
@@ -1943,86 +1752,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "v3+ request")]
-    fn v2_cannot_encode_apply_delta() {
-        let mut buf = BytesMut::new();
-        encode_request_v2(
-            &Request::ApplyDelta { seq: 0, delta: Delta::TripCancel { trip: TripId(0) } },
-            &mut buf,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "approximate mode is a v3 flag")]
-    fn v2_cannot_encode_approx_requests() {
-        let mut buf = BytesMut::new();
-        encode_request_v2(
-            &Request::Measures { category: PoiCategory::School, approx: true },
-            &mut buf,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "v3+ request")]
-    fn v2_cannot_encode_what_if() {
-        let mut buf = BytesMut::new();
-        encode_request_v2(
-            &Request::WhatIf {
-                category: PoiCategory::School,
-                scenarios: vec![],
-                query: AccessQuery::MeanAccess,
-            },
-            &mut buf,
-        );
-    }
-
-    /// The v2↔v3 compatibility contract: a pre-trace v2 client's frames
-    /// decode on a v3 server (with an empty context), and the server's
-    /// v2-stamped replies carry the version byte that client insists on.
-    #[test]
-    fn v2_request_frames_decode_with_empty_context() {
-        let reqs = [
-            Request::Measures { category: PoiCategory::School, approx: false },
-            Request::Query {
-                category: PoiCategory::Hospital,
-                query: AccessQuery::MeanAccess,
-                approx: false,
-            },
-            Request::AddPoi { category: PoiCategory::VaxCenter, pos: Point::new(3.0, 4.0) },
-            Request::AddBusRoute {
-                stops: vec![Point::new(0.0, 0.0), Point::new(1.0, 1.0)],
-                headway_s: 300,
-            },
-            Request::Stats,
-        ];
-        for r in &reqs {
-            let mut buf = BytesMut::new();
-            encode_request_v2(r, &mut buf);
-            assert_eq!(buf[4], 2, "v2 frames carry version byte 2");
-            let d = decode_request_full(&mut buf).unwrap().expect("complete frame");
-            assert!(buf.is_empty());
-            assert_eq!(&d.request, r);
-            assert_eq!(d.version, 2);
-            assert_eq!(d.ctx, SpanContext::NONE);
-        }
-    }
-
-    #[test]
-    fn responses_stamped_v2_roundtrip_and_carry_v2_byte() {
-        let resp = Response::AddPoi { poi_id: 9 };
-        let mut buf = BytesMut::new();
-        encode_response_to(&resp, 2, 0, &mut buf);
-        assert_eq!(buf[4], 2);
-        assert_eq!(decode_response(&mut buf).unwrap(), Some(resp));
-    }
-
-    #[test]
-    fn v4_requests_roundtrip_request_id_and_deadline() {
+    fn requests_roundtrip_request_id_and_deadline() {
         let mut buf = BytesMut::new();
         encode_request_mux(&Request::Stats, 0xABCD_EF01_2345_6789, Some(1500), &mut buf);
+        assert_eq!(buf[4], WIRE_VERSION);
         let d = decode_request_full(&mut buf).unwrap().expect("complete frame");
         assert!(buf.is_empty());
-        assert_eq!(d.version, WIRE_VERSION);
         assert_eq!(d.req_id, 0xABCD_EF01_2345_6789);
         assert_eq!(d.deadline_ms, Some(1500));
 
@@ -2033,37 +1768,14 @@ mod tests {
     }
 
     #[test]
-    fn v4_responses_echo_the_request_id() {
+    fn responses_echo_the_request_id() {
         let resp = Response::AddPoi { poi_id: 9 };
         let mut buf = BytesMut::new();
-        encode_response_to(&resp, WIRE_VERSION, 42, &mut buf);
+        encode_response_to(&resp, 42, &mut buf);
+        assert_eq!(buf[4], WIRE_VERSION);
         let d = decode_response_full(&mut buf).unwrap().expect("complete frame");
         assert_eq!(d.req_id, 42);
-        assert_eq!(d.version, WIRE_VERSION);
         assert_eq!(d.response, resp);
-
-        // Pre-v4 responses have no ID on the wire and report 0.
-        encode_response_to(&resp, 3, 42, &mut buf);
-        let d = decode_response_full(&mut buf).unwrap().expect("complete frame");
-        assert_eq!(d.req_id, 0);
-        assert_eq!(d.version, 3);
-    }
-
-    #[test]
-    fn v3_request_frames_still_decode_with_zero_request_id() {
-        let req = Request::Query {
-            category: PoiCategory::Hospital,
-            query: AccessQuery::MeanAccess,
-            approx: true,
-        };
-        let mut buf = BytesMut::new();
-        encode_request_v3(&req, &mut buf);
-        assert_eq!(buf[4], 3);
-        let d = decode_request_full(&mut buf).unwrap().expect("complete frame");
-        assert_eq!(d.request, req);
-        assert_eq!(d.version, 3);
-        assert_eq!(d.req_id, 0);
-        assert_eq!(d.deadline_ms, None);
     }
 
     #[test]
@@ -2096,7 +1808,6 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_request(&Request::Stats, &mut buf);
         let d = decode_request_full(&mut buf).unwrap().expect("complete frame");
-        assert_eq!(d.version, WIRE_VERSION);
         // Under obs-off the attach above is a no-op and the frame
         // carries the empty context; the layout is identical either way.
         let want = if staq_obs::obs_enabled() { ctx } else { SpanContext::NONE };
@@ -2127,8 +1838,63 @@ mod tests {
         );
     }
 
+    /// A 70 000-byte message of 3-byte characters: the `u16` cut at
+    /// 65 535 bytes happens to be a boundary (21 845 chars), so shift it
+    /// by one ASCII byte to land the cut mid-character.
+    #[test]
+    fn over_long_strings_truncate_at_a_char_boundary() {
+        let message = format!("x{}", "\u{20AC}".repeat(23_333));
+        assert_eq!(message.len(), 70_000);
+        assert!(!message.is_char_boundary(u16::MAX as usize));
+        let sent = Response::Error { code: ErrorCode::Invalid, message: message.clone() };
+        match roundtrip_response(&sent) {
+            Response::Error { message: got, .. } => {
+                assert_eq!(got.len(), 65_533, "cut at the last whole character that fits");
+                assert!(message.starts_with(&got));
+            }
+            other => panic!("{other:?}"),
+        }
+        let alert = Request::ApplyDelta {
+            seq: 1,
+            delta: Delta::ServiceAlert { route: RouteId(1), message: message.clone() },
+        };
+        match roundtrip_request(&alert) {
+            Request::ApplyDelta { delta: Delta::ServiceAlert { message: got, .. }, .. } => {
+                assert!(message.starts_with(&got) && got.len() == 65_533);
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any version byte other than the current one is `BadVersion`
+        /// from the first five bytes: nothing is consumed, and a claimed
+        /// length the buffer does not hold (up to the 16 MiB cap) is not
+        /// waited for, so nothing is buffered or allocated on its account.
+        #[test]
+        fn any_other_version_byte_is_rejected_from_the_header(
+            offset in 1u8..=255u8,
+            claimed_len in 2u32..=(MAX_FRAME_LEN as u32),
+            kind in 0u8..=255u8,
+        ) {
+            let version = WIRE_VERSION.wrapping_add(offset);
+            let mut buf = BytesMut::new();
+            buf.put_u32(claimed_len);
+            buf.put_u8(version);
+            buf.put_u8(kind);
+            let before = buf.len();
+            prop_assert_eq!(decode_request(&mut buf), Err(CodecError::BadVersion(version)));
+            prop_assert_eq!(decode_response(&mut buf), Err(CodecError::BadVersion(version)));
+            prop_assert_eq!(buf.len(), before);
+
+            // The same byte stamped onto an otherwise valid, complete frame.
+            let mut whole = BytesMut::new();
+            encode_request(&Request::Stats, &mut whole);
+            whole[4] = version;
+            prop_assert_eq!(decode_request(&mut whole), Err(CodecError::BadVersion(version)));
+        }
 
         #[test]
         fn arbitrary_query_requests_roundtrip(

@@ -87,6 +87,24 @@ pub fn gateway(backend: SocketAddr, cfg: &GatewayConfig) -> std::io::Result<Http
     serve_http(&cfg.addr, cfg.threads.max(1), handler)
 }
 
+/// The scrape listener behind `--metrics-addr` on the `serve` and
+/// `shard` daemons: `GET /metrics` answers this process's registry in
+/// Prometheus text form, exactly as the gateway's own `/metrics` route
+/// does; other paths get 404, other methods 405. One thread — scrapes
+/// are rare and small.
+pub fn serve_metrics(addr: &str) -> std::io::Result<HttpHandle> {
+    let handler: Handler = Arc::new(|req| match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/metrics") => metrics_page(),
+        (_, "/metrics") => error_response(405, "method not allowed on this route"),
+        _ => error_response(404, "no such route"),
+    });
+    serve_http(addr, 1, handler)
+}
+
+fn metrics_page() -> HttpResponse {
+    HttpResponse::text(200, &staq_obs::prom::render(&staq_obs::snapshot()))
+}
+
 struct GatewayState {
     backend: SocketAddr,
     /// One multiplexed connection shared by every HTTP worker. A
@@ -146,9 +164,7 @@ fn dispatch(state: &GatewayState, req: &HttpRequest) -> HttpResponse {
         ("POST", "/v1/query") => query(state, req),
         ("POST", "/v1/plan") => plan(state, req),
         ("POST", "/v1/poi") => add_poi(state, req),
-        ("GET", "/metrics") => {
-            HttpResponse::text(200, &staq_obs::prom::render(&staq_obs::snapshot()))
-        }
+        ("GET", "/metrics") => metrics_page(),
         ("GET", "/v1/ops/health") => ops_health(state, req),
         ("GET", "/v1/ops/slo") => ops_slo(state, req),
         ("GET", "/v1/ops/windows") => ops_windows(state, req),
@@ -674,6 +690,33 @@ fn leg_json(leg: &Leg) -> Json {
 mod tests {
     use super::*;
     use staq_synth::ZoneId;
+
+    #[test]
+    fn metrics_listener_scrapes_and_rejects_other_paths() {
+        use std::io::{Read, Write};
+        static PROBE: Counter = Counter::new("test.gateway.scrape_probe");
+        PROBE.add(5);
+        let mut handle = serve_metrics("127.0.0.1:0").unwrap();
+        let fetch = |method: &str, path: &str| {
+            let mut s = std::net::TcpStream::connect(handle.addr()).unwrap();
+            let head = format!("{method} {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+            s.write_all(head.as_bytes()).unwrap();
+            let mut out = String::new();
+            s.read_to_string(&mut out).unwrap();
+            out
+        };
+        let ok = fetch("GET", "/metrics");
+        assert!(ok.starts_with("HTTP/1.1 200 OK"), "{ok}");
+        if staq_obs::obs_enabled() {
+            assert!(ok.contains("staq_test_gateway_scrape_probe"), "{ok}");
+        }
+        let missing = fetch("GET", "/nope");
+        assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+        let post = fetch("POST", "/metrics");
+        assert!(post.starts_with("HTTP/1.1 405"), "{post}");
+        handle.shutdown();
+        handle.shutdown(); // idempotent
+    }
 
     #[test]
     fn access_queries_parse_from_json() {

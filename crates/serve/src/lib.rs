@@ -14,13 +14,15 @@
 //! Layers, bottom up:
 //!
 //! * [`codec`] — hand-rolled length-prefixed binary wire protocol
-//!   (versioned header, request/response frames, error frames).
-//! * [`pool`] — fixed worker threads over a bounded job queue; the only
-//!   place engine methods are called.
-//! * [`server`] — TCP accept loop and per-connection framing threads,
-//!   with graceful shutdown.
-//! * [`client`] — blocking client used by tests, the load generator and
-//!   external tools.
+//!   (one versioned frame layout, request/response frames, error frames).
+//! * [`pool`] — fixed worker threads over a bounded job queue, and the
+//!   backend's executor: the only place engine methods are called.
+//! * [`server`] — the front end: a reactor decoding frames, gating
+//!   admission and queueing jobs, with graceful shutdown. The shard
+//!   router runs the same front end over its own executor.
+//! * [`client`] / [`mux`] — blocking one-request-at-a-time client, and
+//!   the multiplexed one-socket-many-callers client.
+//! * [`gateway`] — HTTP/JSON in front of any of the above.
 //!
 //! Binaries: `serve` (the daemon). The open-loop load generator
 //! `staq-serve-bench` lives in `staq-shard` (it can drive either a single
@@ -39,5 +41,7 @@ pub mod server;
 pub use client::{Client, ClientConfig, ClientError};
 pub use codec::{DeltaAck, Request, Response, StatsReply, WhatIfAnswer, WIRE_VERSION};
 pub use mux::MuxClient;
-pub use pool::{Reply, WorkerPool};
-pub use server::{serve, serve_rt, serve_shared, serve_threaded, ServerConfig, ServerHandle};
+pub use pool::InFlight;
+pub use server::{
+    serve, serve_front, serve_rt, serve_shared, FrontNames, ServerConfig, ServerHandle,
+};

@@ -1,6 +1,6 @@
 //! Multiplexed client: one socket, many concurrent callers.
 //!
-//! A [`MuxClient`] exploits the v4 wire protocol's request IDs to keep
+//! A [`MuxClient`] exploits the wire protocol's request IDs to keep
 //! any number of requests in flight over a single TCP connection. Each
 //! call stamps a fresh ID into its frame, registers a reply slot, and
 //! writes under a brief writer lock; a dedicated reader thread decodes
@@ -236,7 +236,7 @@ mod tests {
                         message: format!("echo {}", d.req_id),
                     };
                     let mut out = BytesMut::new();
-                    codec::encode_response_to(&resp, d.version, d.req_id, &mut out);
+                    codec::encode_response_to(&resp, d.req_id, &mut out);
                     if s.write_all(&out).is_err() {
                         return;
                     }

@@ -1,21 +1,25 @@
-//! Fixed-size worker pool over a bounded request queue.
+//! Fixed-size worker pool over a bounded request queue, and the
+//! backend's request executor.
 //!
-//! Connection threads enqueue [`Job`]s; `N` workers execute them against
-//! the shared [`RtEngine`] (a sequenced delta log wrapping the
-//! [`AccessEngine`]) and send the [`Response`] back through the job's
-//! reply channel. Every schedule edit — the legacy `AddBusRoute` frame
-//! included — flows through the delta log, so replicas can replay a
-//! server's edits deterministically. The queue is bounded, so a flood of
-//! requests exerts backpressure on connection threads instead of growing
-//! memory without limit. Dropping the pool (or calling
-//! [`WorkerPool::shutdown`]) closes the queue; workers drain what is left
-//! and exit.
+//! The front end ([`crate::server`]) enqueues [`Job`]s; `N` workers run
+//! each admitted one through the pool's executor and hand the
+//! [`Response`] to the job's reply callback. The pool is the same for
+//! every front end — what differs is the executor: a backend runs
+//! [`backend_executor`] ([`execute`] against the shared [`RtEngine`], a
+//! sequenced delta log wrapping the [`AccessEngine`], so replicas can
+//! replay a server's edits deterministically); the shard router plugs in
+//! its dispatch. The queue is bounded, so a flood of requests is shed at
+//! the front instead of growing memory without limit.
+//! [`WorkerPool::shutdown`] (or dropping the pool) revokes the queue's
+//! sender; workers drain what is left and exit.
 
 use crate::codec::{DeltaAck, ErrorCode, Request, Response, StatsReply, WhatIfAnswer};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crate::server::FrontNames;
+use crossbeam::channel::{bounded, Sender};
+use parking_lot::Mutex;
 use staq_core::AccessEngine;
-use staq_gtfs::Delta;
-use staq_net::admission::{Admission, AdmissionConfig, ShedReason};
+use staq_net::admission::{Admission, ShedReason};
+use staq_obs::trace::Span;
 use staq_obs::{slo, slow, trace, AtomicHistogram, Counter, SloClass, SpanContext};
 use staq_rt::{RtEngine, RtError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,7 +35,6 @@ static REQUESTS: Counter = Counter::new("serve.requests");
 static H_MEASURES: AtomicHistogram = AtomicHistogram::new("serve.request.measures");
 static H_QUERY: AtomicHistogram = AtomicHistogram::new("serve.request.query");
 static H_ADD_POI: AtomicHistogram = AtomicHistogram::new("serve.request.add_poi");
-static H_ADD_BUS_ROUTE: AtomicHistogram = AtomicHistogram::new("serve.request.add_bus_route");
 static H_STATS: AtomicHistogram = AtomicHistogram::new("serve.request.stats");
 static H_TRACE_DUMP: AtomicHistogram = AtomicHistogram::new("serve.request.trace_dump");
 static H_APPLY_DELTA: AtomicHistogram = AtomicHistogram::new("serve.request.apply_delta");
@@ -47,7 +50,6 @@ fn kind_histogram(request: &Request) -> &'static AtomicHistogram {
         Request::Measures { .. } => &H_MEASURES,
         Request::Query { .. } => &H_QUERY,
         Request::AddPoi { .. } => &H_ADD_POI,
-        Request::AddBusRoute { .. } => &H_ADD_BUS_ROUTE,
         Request::Stats => &H_STATS,
         Request::TraceDump { .. } => &H_TRACE_DUMP,
         Request::ApplyDelta { .. } => &H_APPLY_DELTA,
@@ -66,10 +68,9 @@ pub fn slo_class(request: &Request) -> Option<SloClass> {
         Request::Query { .. } => Some(SloClass::Query),
         Request::Plan { .. } => Some(SloClass::Plan),
         Request::Measures { .. } => Some(SloClass::Measures),
-        Request::AddPoi { .. }
-        | Request::AddBusRoute { .. }
-        | Request::ApplyDelta { .. }
-        | Request::DeltaBatch { .. } => Some(SloClass::Edits),
+        Request::AddPoi { .. } | Request::ApplyDelta { .. } | Request::DeltaBatch { .. } => {
+            Some(SloClass::Edits)
+        }
         Request::Stats
         | Request::TraceDump { .. }
         | Request::WhatIf { .. }
@@ -77,54 +78,44 @@ pub fn slo_class(request: &Request) -> Option<SloClass> {
     }
 }
 
-/// Where a job's answer goes: a blocking channel (threaded connection
-/// handlers, tests) or a callback (the reactor's event-loop path, which
-/// encodes the frame and pushes it onto the connection's outbound
-/// queue without parking a thread).
-pub enum Reply {
-    Channel(Sender<Response>),
-    Callback(Box<dyn FnOnce(Response) + Send>),
-}
-
-impl Reply {
-    /// Delivers the response; a dropped channel receiver (dead
-    /// connection) is silently fine.
-    pub fn send(self, response: Response) {
-        match self {
-            Reply::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            Reply::Callback(f) => f(response),
-        }
+/// The `Overloaded` answer for a shed request, counted against the
+/// reason and the request's SLO class.
+pub(crate) fn shed(reason: ShedReason, request: &Request) -> Response {
+    reason.count();
+    if let Some(class) = slo_class(request) {
+        slo::shed(class);
     }
+    Response::Error { code: ErrorCode::Overloaded, message: reason.message().into() }
 }
 
 /// One queued request plus where its answer goes back.
-pub struct Job {
+pub(crate) struct Job {
     pub request: Request,
-    pub reply: Reply,
+    /// Delivers the answer: the front end's callback encodes the frame
+    /// and pushes it onto the connection's outbound queue without
+    /// parking a thread.
+    pub reply: Box<dyn FnOnce(Response) + Send>,
     /// The peer's propagated span context; the worker re-attaches it so
     /// engine spans land in the caller's trace (or roots a new one).
     pub ctx: SpanContext,
-    /// When the job entered the queue — priced as `serve.queue_wait`.
+    /// When the job entered the queue — priced as the queue-wait span.
     pub enqueued: Instant,
     /// Absolute shed point: a worker that dequeues the job after this
     /// instant answers `Overloaded` without executing.
     pub deadline: Option<Instant>,
 }
 
-impl Job {
-    /// A job carrying the current thread's span context, enqueued now,
-    /// with no deadline.
-    pub fn new(request: Request, reply: Sender<Response>) -> Job {
-        Job {
-            request,
-            reply: Reply::Channel(reply),
-            ctx: trace::current(),
-            enqueued: Instant::now(),
-            deadline: None,
-        }
-    }
+/// An admitted request as its executor receives it: on a worker thread,
+/// inside the request span.
+pub struct InFlight {
+    pub request: Request,
+    /// When the request was decoded and queued; the request span is
+    /// backdated to it.
+    pub enqueued: Instant,
+    /// The open request span. It is recorded when dropped — at the
+    /// latest when the executor returns; an executor that needs the
+    /// finished span in the ring drops it sooner.
+    pub span: Span,
 }
 
 /// Shared counters the pool maintains for `Stats` requests.
@@ -139,92 +130,65 @@ impl PoolStats {
     }
 }
 
-/// Fixed worker threads executing requests against one shared engine.
-pub struct WorkerPool {
-    tx: Option<Sender<Job>>,
+/// The queue's sender, shared between the pool and the front end's
+/// handler and revocable by the pool: taking it at shutdown is what lets
+/// the workers observe channel disconnect and exit (the handler lives
+/// inside the reactor thread until the reactor finishes, so a plain
+/// `Sender` clone there would hold the channel open and deadlock the
+/// worker join).
+pub(crate) type JobSender = Arc<Mutex<Option<Sender<Job>>>>;
+
+/// Fixed worker threads running one executor over a bounded job queue.
+pub(crate) struct WorkerPool {
+    jobs: JobSender,
     workers: Vec<JoinHandle<()>>,
-    stats: Arc<PoolStats>,
-    admission: Arc<Admission>,
-    size: usize,
 }
 
 impl WorkerPool {
     /// Spawns `workers` threads with a queue of `queue_depth` jobs. The
-    /// engine is wrapped in a fresh (empty) delta log; servers that must
-    /// keep a log across restarts use [`WorkerPool::spawn_rt`].
-    pub fn spawn(engine: Arc<AccessEngine>, workers: usize, queue_depth: usize) -> Self {
-        Self::spawn_rt(Arc::new(RtEngine::new(engine)), workers, queue_depth)
-    }
-
-    /// Spawns the pool over an existing [`RtEngine`], preserving its delta
-    /// log (sequence numbers keep counting from where the log stands).
-    /// Admission uses the default queue budget; servers with their own
-    /// budget use [`WorkerPool::spawn_rt_with`].
-    pub fn spawn_rt(rt: Arc<RtEngine>, workers: usize, queue_depth: usize) -> Self {
-        let admission =
-            Arc::new(Admission::new(AdmissionConfig { workers, ..AdmissionConfig::default() }));
-        Self::spawn_rt_with(rt, workers, queue_depth, admission)
-    }
-
-    /// Spawns the pool with an externally shared [`Admission`] gate —
-    /// the server front end consults the same gate at decode time, the
-    /// workers feed it execution samples and apply the dequeue-side
-    /// deadline shed.
-    pub fn spawn_rt_with(
-        rt: Arc<RtEngine>,
+    /// front end consults `admission` at decode time; the workers feed
+    /// it execution samples and apply the dequeue-side deadline shed.
+    pub fn spawn<E>(
+        names: FrontNames,
         workers: usize,
         queue_depth: usize,
         admission: Arc<Admission>,
-    ) -> Self {
+        exec: E,
+    ) -> Self
+    where
+        E: Fn(InFlight) -> Response + Send + Sync + 'static,
+    {
         assert!(workers >= 1, "a pool needs at least one worker");
         assert!(queue_depth >= 1, "the queue must hold at least one job");
-        let (tx, rx): (Sender<Job>, Receiver<Job>) = bounded(queue_depth);
-        let stats = Arc::new(PoolStats::default());
+        let (tx, rx) = bounded::<Job>(queue_depth);
+        let exec = Arc::new(exec);
         let handles = (0..workers)
             .map(|i| {
                 let rx = rx.clone();
-                let rt = Arc::clone(&rt);
-                let stats = Arc::clone(&stats);
                 let admission = Arc::clone(&admission);
-                let size = workers;
+                let exec = Arc::clone(&exec);
                 std::thread::Builder::new()
-                    .name(format!("staq-worker-{i}"))
-                    .spawn(move || worker_loop(rx, rt, stats, admission, size))
+                    .name(format!("{}-worker-{i}", names.reactor))
+                    .spawn(move || {
+                        while let Ok(job) = rx.recv() {
+                            run_job(job, names, &admission, &*exec);
+                        }
+                    })
                     .expect("spawning worker thread")
             })
             .collect();
-        WorkerPool { tx: Some(tx), workers: handles, stats, admission, size: workers }
+        WorkerPool { jobs: Arc::new(Mutex::new(Some(tx))), workers: handles }
     }
 
-    /// Queue sender for connection threads. Cloning is cheap.
-    pub fn sender(&self) -> Sender<Job> {
-        self.tx.as_ref().expect("pool is running").clone()
+    /// The revocable queue sender, for the front end's handler.
+    pub fn jobs(&self) -> JobSender {
+        Arc::clone(&self.jobs)
     }
 
-    /// Pool-wide counters.
-    pub fn stats(&self) -> Arc<PoolStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// The admission gate shared with the server front end.
-    pub fn admission(&self) -> Arc<Admission> {
-        Arc::clone(&self.admission)
-    }
-
-    /// Jobs currently waiting in the queue.
-    pub fn queue_len(&self) -> usize {
-        self.tx.as_ref().map_or(0, |tx| tx.len())
-    }
-
-    /// Number of worker threads.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Closes the queue and joins every worker; pending jobs are drained
-    /// first. Idempotent.
+    /// Revokes the sender and joins every worker; queued jobs are run
+    /// (and answered) first. Idempotent.
     pub fn shutdown(&mut self) {
-        self.tx.take();
+        self.jobs.lock().take();
         for h in self.workers.drain(..) {
             h.join().expect("worker thread panicked");
         }
@@ -237,48 +201,54 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(
-    rx: Receiver<Job>,
-    rt: Arc<RtEngine>,
-    stats: Arc<PoolStats>,
-    admission: Arc<Admission>,
-    pool_size: usize,
+/// One dequeued job, start to reply.
+fn run_job(
+    job: Job,
+    names: FrontNames,
+    admission: &Admission,
+    exec: &impl Fn(InFlight) -> Response,
 ) {
-    while let Ok(job) = rx.recv() {
-        // Adopt the peer's trace on this worker thread (or root a new
-        // one when serving directly): the request span is backdated to
-        // enqueue time, the queue wait priced as its first child.
-        let _ctx = trace::attach(job.ctx);
-        let span = if job.ctx.is_some() {
-            trace::span_at("serve.request", job.enqueued)
-        } else {
-            trace::root_span_at("serve.request", job.enqueued)
-        };
-        drop(trace::span_at("serve.queue_wait", job.enqueued));
-        // Dequeue-side shed: the deadline lapsed while the job waited,
-        // so executing it would only burn a worker on a dead answer.
-        if job.deadline.is_some_and(|d| Instant::now() > d) {
-            ShedReason::Expired.count();
-            if let Some(class) = slo_class(&job.request) {
-                slo::shed(class);
-            }
-            drop(span);
-            job.reply.send(Response::Error {
-                code: ErrorCode::Overloaded,
-                message: ShedReason::Expired.message().into(),
-            });
-            continue;
-        }
-        let t0 = Instant::now();
+    // Adopt the peer's trace on this worker thread, or root a new one
+    // when this front end is the edge: the request span is backdated to
+    // enqueue time, the queue wait priced as its first child.
+    let _ctx = trace::attach(job.ctx);
+    let span = if job.ctx.is_some() {
+        trace::span_at(names.request_span, job.enqueued)
+    } else {
+        trace::root_span_at(names.request_span, job.enqueued)
+    };
+    drop(trace::span_at(names.queue_wait_span, job.enqueued));
+    // Dequeue-side shed: the deadline lapsed while the job waited, so
+    // executing it would only burn a worker on a dead answer.
+    if job.deadline.is_some_and(|d| Instant::now() > d) {
+        let refusal = shed(ShedReason::Expired, &job.request);
+        drop(span);
+        (job.reply)(refusal);
+        return;
+    }
+    let t0 = Instant::now();
+    let response = exec(InFlight { request: job.request, enqueued: job.enqueued, span });
+    admission.observe_exec(t0.elapsed());
+    (job.reply)(response);
+}
+
+/// What a backend's workers run: [`execute`] against `rt`, the pool's
+/// request count, and — once the request span has closed — slow-trace
+/// promotion.
+pub(crate) fn backend_executor(
+    rt: Arc<RtEngine>,
+    pool_size: usize,
+) -> impl Fn(InFlight) -> Response + Send + Sync + 'static {
+    let stats = PoolStats::default();
+    move |job: InFlight| {
         let response = execute(&rt, &stats, pool_size, &job.request);
-        admission.observe_exec(t0.elapsed());
         stats.requests_served.fetch_add(1, Ordering::Relaxed);
         // The worker is the one place the request's class, outcome and
         // full duration coexist with a ring that still holds its spans:
-        // drop the root span so it lands in the ring, then decide
+        // drop the request span so it lands in the ring, then decide
         // whether the completed trace earns slow-capture retention.
         let trace_id = trace::current().trace;
-        drop(span);
+        drop(job.span);
         if let Some(class) = slo_class(&job.request) {
             let is_error = matches!(response, Response::Error { .. });
             slow::maybe_promote(
@@ -288,7 +258,7 @@ fn worker_loop(
                 is_error,
             );
         }
-        job.reply.send(response);
+        response
     }
 }
 
@@ -344,17 +314,6 @@ fn execute_inner(
                 };
             }
             Response::AddPoi { poi_id: engine.add_poi(*category, *pos).0 }
-        }
-        // The legacy edit frame, kept as an alias: it is sequenced into
-        // the delta log exactly like an `ApplyDelta` carrying `AddRoute`,
-        // so v2 clients' edits replay on replicas too.
-        Request::AddBusRoute { stops, headway_s } => {
-            match rt.apply(Delta::AddRoute { stops: stops.clone(), headway_s: *headway_s }) {
-                Ok(a) => Response::AddBusRoute {
-                    zones_rebuilt: a.receipt.map_or(0, |r| r.zones_rebuilt as u32),
-                },
-                Err(e) => rt_error(e),
-            }
         }
         Request::ApplyDelta { seq, delta } => match rt.apply_at(*seq, delta.clone()) {
             Ok(a) => Response::ApplyDelta(DeltaAck {
@@ -429,8 +388,11 @@ fn execute_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::SERVE_NAMES;
     use staq_core::PipelineConfig;
+    use staq_gtfs::Delta;
     use staq_ml::ModelKind;
+    use staq_net::admission::AdmissionConfig;
     use staq_synth::{City, CityConfig, PoiCategory};
     use staq_todam::TodamSpec;
 
@@ -447,9 +409,27 @@ mod tests {
         ))
     }
 
+    /// A backend pool with no socket in front of it.
+    fn spawn(engine: Arc<AccessEngine>, workers: usize, queue_depth: usize) -> WorkerPool {
+        let admission =
+            Arc::new(Admission::new(AdmissionConfig { workers, ..AdmissionConfig::default() }));
+        let exec = backend_executor(Arc::new(RtEngine::new(engine)), workers);
+        WorkerPool::spawn(SERVE_NAMES, workers, queue_depth, admission, exec)
+    }
+
     fn roundtrip(pool: &WorkerPool, request: Request) -> Response {
         let (reply_tx, reply_rx) = bounded(1);
-        pool.sender().send(Job::new(request, reply_tx)).unwrap();
+        let job = Job {
+            request,
+            reply: Box::new(move |response| {
+                let _ = reply_tx.send(response);
+            }),
+            ctx: trace::current(),
+            enqueued: Instant::now(),
+            deadline: None,
+        };
+        let sent = pool.jobs().lock().as_ref().expect("pool is running").send(job);
+        assert!(sent.is_ok(), "workers hold the queue open");
         reply_rx.recv().unwrap()
     }
 
@@ -458,7 +438,7 @@ mod tests {
     /// returns exactly the frontier's best ≤1-transfer point.
     #[test]
     fn plan_answers_pareto_and_capped_queries() {
-        let pool = WorkerPool::spawn(engine(), 2, 8);
+        let pool = spawn(engine(), 2, 8);
         let city = City::generate(&CityConfig::small(42));
         let o = city.zones[3].centroid;
         let d = city.zones[city.zones.len() - 4].centroid;
@@ -503,7 +483,7 @@ mod tests {
 
     #[test]
     fn pool_answers_and_counts_requests() {
-        let pool = WorkerPool::spawn(engine(), 2, 8);
+        let pool = spawn(engine(), 2, 8);
         match roundtrip(&pool, Request::Measures { category: PoiCategory::School, approx: false }) {
             Response::Measures(ms) => assert!(!ms.is_empty()),
             other => panic!("{other:?}"),
@@ -528,11 +508,10 @@ mod tests {
 
     #[test]
     fn invalid_edits_become_error_frames_not_panics() {
-        let pool = WorkerPool::spawn(engine(), 1, 4);
-        match roundtrip(
-            &pool,
-            Request::AddBusRoute { stops: vec![staq_geom::Point::new(0.0, 0.0)], headway_s: 600 },
-        ) {
+        let pool = spawn(engine(), 1, 4);
+        let one_stop =
+            Delta::AddRoute { stops: vec![staq_geom::Point::new(0.0, 0.0)], headway_s: 600 };
+        match roundtrip(&pool, Request::ApplyDelta { seq: 0, delta: one_stop }) {
             Response::Error { code, .. } => assert_eq!(code, ErrorCode::Invalid),
             other => panic!("{other:?}"),
         }
@@ -545,7 +524,7 @@ mod tests {
 
     #[test]
     fn shutdown_joins_workers() {
-        let mut pool = WorkerPool::spawn(engine(), 3, 4);
+        let mut pool = spawn(engine(), 3, 4);
         pool.shutdown();
         pool.shutdown(); // idempotent
     }
@@ -554,14 +533,15 @@ mod tests {
     fn edits_and_deltas_share_one_sequenced_log() {
         use staq_gtfs::model::TripId;
 
-        let pool = WorkerPool::spawn(engine(), 1, 4);
-        // The legacy frame takes seq 1...
+        let pool = spawn(engine(), 1, 4);
+        // A route edit takes seq 1...
         let stops = vec![staq_geom::Point::new(100.0, 100.0), staq_geom::Point::new(900.0, 900.0)];
-        match roundtrip(&pool, Request::AddBusRoute { stops, headway_s: 600 }) {
-            Response::AddBusRoute { .. } => {}
+        let route = Delta::AddRoute { stops, headway_s: 600 };
+        match roundtrip(&pool, Request::ApplyDelta { seq: 0, delta: route }) {
+            Response::ApplyDelta(ack) => assert_eq!(ack.seq, 1),
             other => panic!("{other:?}"),
         }
-        // ...so the first explicit delta gets seq 2.
+        // ...so the next delta gets seq 2.
         let delta = Delta::TripDelay { trip: TripId(0), delay_secs: 60 };
         match roundtrip(&pool, Request::ApplyDelta { seq: 0, delta: delta.clone() }) {
             Response::ApplyDelta(ack) => {
@@ -586,7 +566,7 @@ mod tests {
         use staq_access::AccessQuery;
         use staq_synth::PoiCategory;
 
-        let pool = WorkerPool::spawn(engine(), 2, 8);
+        let pool = spawn(engine(), 2, 8);
         let query = AccessQuery::MeanAccess;
         let base = match roundtrip(
             &pool,

@@ -1,6 +1,6 @@
-//! TCP server: a readiness reactor feeding the shared worker pool.
+//! The serving front end: a readiness reactor feeding a worker pool.
 //!
-//! Default (reactor) model — one event-loop thread owns every socket:
+//! One event-loop thread owns every socket:
 //!
 //! ```text
 //! reactor thread ── decode frame ── admission gate ──► bounded job queue
@@ -10,10 +10,8 @@
 //!      └────────────── waker ◄──────────────────────── (callback)
 //! ```
 //!
-//! Workers complete in any order. v4 connections carry request IDs, so
-//! their responses are written in completion order and the client
-//! matches by ID; pre-v4 connections get strict request-order responses
-//! via [`OrderedOut`] (early completions park until the gap fills).
+//! Workers complete in any order; every response echoes its request's ID
+//! and is written in completion order, the client matching by ID.
 //!
 //! Admission control happens at decode time, before a queue slot is
 //! consumed: the gate estimates queue wait from an EWMA of execution
@@ -21,25 +19,20 @@
 //! exceeds the server budget or the request's own deadline. Workers
 //! shed once more at dequeue if the deadline lapsed while queued.
 //!
-//! The legacy thread-per-connection model ([`serve_threaded`]) is kept
-//! as the benchmark baseline the reactor is measured against.
+//! There is one front end. A backend ([`serve_rt`]) runs it over the
+//! engine; the shard router runs the same code over its dispatch, via
+//! [`serve_front`] — the executor, the span names and the thread name
+//! are all that differ.
 
-use crate::codec::{self, CodecError, ErrorCode, Request, Response, MAX_FRAME_LEN};
-use crate::pool::{self, Job, Reply, WorkerPool};
-use bytes::BytesMut;
-use crossbeam::channel::{bounded, Sender, TrySendError};
-use parking_lot::Mutex;
+use crate::codec::{self, DecodedRequest, ErrorCode, Response, MAX_FRAME_LEN};
+use crate::pool::{self, InFlight, Job, JobSender, WorkerPool};
+use bytes::{Bytes, BytesMut};
+use crossbeam::channel::TrySendError;
 use staq_core::AccessEngine;
 use staq_net::admission::{Admission, AdmissionConfig, ShedReason, ADMITTED};
 use staq_net::reactor::{self, ConnHandler, ConnId, ReactorConfig, ReactorHandle, ReplySink};
-use staq_net::{Backend, OrderedOut};
-use staq_obs::SpanContext;
-use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Server tunables.
@@ -54,8 +47,6 @@ pub struct ServerConfig {
     /// Admission budget: requests whose estimated queue wait exceeds
     /// this are shed with `Overloaded` instead of queued.
     pub queue_budget: Duration,
-    /// Poller backend for the reactor (tests force the portable one).
-    pub backend: Backend,
     /// How long shutdown waits for outbound queues to flush.
     pub flush_timeout: Duration,
 }
@@ -67,39 +58,35 @@ impl Default for ServerConfig {
             workers: 4,
             queue_depth: 256,
             queue_budget: Duration::from_millis(500),
-            backend: Backend::Auto,
             flush_timeout: Duration::from_secs(1),
         }
     }
 }
 
-/// Handle to a running server; dropping it shuts the server down.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    inner: Inner,
+/// What tells one front end's threads and spans from another's.
+#[derive(Debug, Clone, Copy)]
+pub struct FrontNames {
+    /// Event-loop thread name; workers are `<reactor>-worker-<i>`.
+    pub reactor: &'static str,
+    /// Span covering a request from decode to reply.
+    pub request_span: &'static str,
+    /// Its first child: time spent queued for a worker.
+    pub queue_wait_span: &'static str,
 }
 
-/// The reactor handler's job sender, revocable from the handle: taking it
-/// at shutdown is what lets the pool's workers observe channel disconnect
-/// and exit (the handler itself lives inside the reactor thread until
-/// `finish`, so a plain `Sender` clone there would hold the channel open
-/// and deadlock the worker join).
-type SharedJobSender = Arc<Mutex<Option<Sender<Job>>>>;
+/// A backend's names.
+pub(crate) const SERVE_NAMES: FrontNames = FrontNames {
+    reactor: "staq-serve",
+    request_span: "serve.request",
+    queue_wait_span: "serve.queue_wait",
+};
 
-enum Inner {
-    Reactor {
-        reactor: ReactorHandle,
-        pool: Option<WorkerPool>,
-        jobs: SharedJobSender,
-        flush: Duration,
-        done: bool,
-    },
-    Threaded {
-        shutdown: Arc<AtomicBool>,
-        acceptor: Option<JoinHandle<()>>,
-        pool: Option<WorkerPool>,
-        conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    },
+/// Handle to a running front end; dropping it shuts it down.
+pub struct ServerHandle {
+    addr: SocketAddr,
+    reactor: ReactorHandle,
+    pool: WorkerPool,
+    flush: Duration,
 }
 
 impl ServerHandle {
@@ -108,53 +95,21 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Live client connections (reactor model only; the threaded
-    /// baseline reports 0).
+    /// Live client connections.
     pub fn conn_count(&self) -> usize {
-        match &self.inner {
-            Inner::Reactor { reactor, .. } => reactor.conn_count(),
-            Inner::Threaded { .. } => 0,
-        }
+        self.reactor.conn_count()
     }
 
     /// Graceful shutdown: stop accepting and reading, let in-flight
     /// requests finish, flush every outbound queue, then join all
-    /// threads. Idempotent.
+    /// threads. Idempotent (each step is).
     pub fn shutdown(&mut self) {
-        match &mut self.inner {
-            Inner::Reactor { reactor, pool, jobs, flush, done } => {
-                if std::mem::replace(done, true) {
-                    return;
-                }
-                // Drain order matters: stop intake first, revoke the
-                // handler's sender so the channel can disconnect, then
-                // run the queue dry (joining workers fires every reply
-                // callback), and only then flush + close the sockets.
-                reactor.begin_drain();
-                jobs.lock().take();
-                if let Some(mut p) = pool.take() {
-                    p.shutdown();
-                }
-                reactor.finish(*flush);
-            }
-            Inner::Threaded { shutdown, acceptor, pool, conns } => {
-                if shutdown.swap(true, Ordering::SeqCst) {
-                    return;
-                }
-                // Nudge the blocking accept() awake.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(h) = acceptor.take() {
-                    h.join().expect("acceptor thread panicked");
-                }
-                let conns = std::mem::take(&mut *conns.lock());
-                for c in conns {
-                    c.join().expect("connection thread panicked");
-                }
-                if let Some(mut p) = pool.take() {
-                    p.shutdown();
-                }
-            }
-        }
+        // Drain order matters: stop intake first, then revoke the queue
+        // and run it dry (joining workers fires every reply callback),
+        // and only then flush + close the sockets.
+        self.reactor.begin_drain();
+        self.pool.shutdown();
+        self.reactor.finish(self.flush);
     }
 }
 
@@ -186,294 +141,159 @@ pub fn serve_shared(
 ///
 /// [`RtEngine`]: staq_rt::RtEngine
 pub fn serve_rt(rt: Arc<staq_rt::RtEngine>, cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
+    serve_front(cfg, SERVE_NAMES, pool::backend_executor(rt, cfg.workers))
+}
+
+/// Binds `cfg.addr` and runs the front end over `exec`: every admitted
+/// request is handed to it on one of `cfg.workers` threads, and what it
+/// returns is the reply.
+pub fn serve_front<E>(
+    cfg: &ServerConfig,
+    names: FrontNames,
+    exec: E,
+) -> std::io::Result<ServerHandle>
+where
+    E: Fn(InFlight) -> Response + Send + Sync + 'static,
+{
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     let admission = Arc::new(Admission::new(AdmissionConfig {
         queue_budget: cfg.queue_budget,
         workers: cfg.workers,
     }));
-    let pool = WorkerPool::spawn_rt_with(rt, cfg.workers, cfg.queue_depth, Arc::clone(&admission));
-    let jobs: SharedJobSender = Arc::new(Mutex::new(Some(pool.sender())));
-    let handler = ServeHandler { jobs: Arc::clone(&jobs), admission, conns: HashMap::new() };
+    let pool = WorkerPool::spawn(names, cfg.workers, cfg.queue_depth, Arc::clone(&admission), exec);
+    let handler = FrontHandler { jobs: pool.jobs(), admission };
     let reactor = reactor::spawn(
         listener,
         Box::new(handler),
-        ReactorConfig { name: "staq-serve", max_frame: MAX_FRAME_LEN, backend: cfg.backend },
+        ReactorConfig { name: names.reactor, max_frame: MAX_FRAME_LEN },
     )?;
-    Ok(ServerHandle {
-        addr,
-        inner: Inner::Reactor {
-            reactor,
-            pool: Some(pool),
-            jobs,
-            flush: cfg.flush_timeout,
-            done: false,
-        },
-    })
+    Ok(ServerHandle { addr, reactor, pool, flush: cfg.flush_timeout })
 }
+
+fn encode_reply(response: &Response, req_id: u64) -> Bytes {
+    let mut buf = BytesMut::with_capacity(256);
+    codec::encode_response_to(response, req_id, &mut buf);
+    buf.freeze()
+}
+
+fn error_reply(code: ErrorCode, message: &str, req_id: u64) -> Bytes {
+    encode_reply(&Response::Error { code, message: message.into() }, req_id)
+}
+
+const SHUTTING_DOWN: &str = "server is shutting down";
 
 /// The reactor's protocol handler: decodes frames, gates admission,
-/// dispatches jobs whose reply callback encodes straight onto the
+/// queues jobs whose reply callback encodes straight onto the
 /// connection's outbound queue.
-struct ServeHandler {
-    jobs: SharedJobSender,
+struct FrontHandler {
+    jobs: JobSender,
     admission: Arc<Admission>,
-    /// Per-connection response sequencer, keyed by slot index (the
-    /// reactor guarantees on_close before the index is reused).
-    conns: HashMap<u32, Arc<OrderedOut>>,
 }
 
-impl ServeHandler {
-    /// Emits an already-decided error frame through the connection's
-    /// response ordering.
-    fn emit_error(
-        ordered: &OrderedOut,
-        version: u8,
-        req_id: u64,
-        seq: Option<u64>,
-        code: ErrorCode,
-        message: &str,
-    ) {
-        let response = Response::Error { code, message: message.into() };
-        let mut buf = BytesMut::with_capacity(64);
-        codec::encode_response_to(&response, version, req_id, &mut buf);
-        match seq {
-            Some(s) => ordered.submit(s, buf.freeze()),
-            None => ordered.submit_unordered(buf.freeze()),
+impl FrontHandler {
+    /// Every decoded frame leaves here with exactly one reply owed: sent
+    /// on the spot when refused, by the job's callback when queued.
+    fn submit(&self, conn: ConnId, out: &ReplySink, decoded: DecodedRequest) {
+        reactor::FRAMES_IN.inc();
+        let enqueued = Instant::now();
+        let DecodedRequest { request, ctx, req_id, deadline_ms } = decoded;
+        let budget = deadline_ms.map(|ms| Duration::from_millis(ms.into()));
+        // One lock per frame: the queue whose length the gate judges is
+        // the queue the job then enters.
+        let jobs = self.jobs.lock();
+        let Some(tx) = jobs.as_ref() else {
+            // Decoded in the window between shutdown revoking the queue
+            // and the reactor going deaf.
+            out.send(conn, error_reply(ErrorCode::Unavailable, SHUTTING_DOWN, req_id));
+            return;
+        };
+        if let Err(reason) = self.admission.admit(tx.len(), budget) {
+            out.send(conn, encode_reply(&pool::shed(reason, &request), req_id));
+            return;
+        }
+        let sink = out.clone();
+        let job = Job {
+            request,
+            reply: Box::new(move |response| sink.send(conn, encode_reply(&response, req_id))),
+            ctx,
+            enqueued,
+            deadline: budget.map(|b| enqueued + b),
+        };
+        match tx.try_send(job) {
+            Ok(()) => ADMITTED.inc(),
+            Err(TrySendError::Full(job)) => {
+                (job.reply)(pool::shed(ShedReason::QueueFull, &job.request))
+            }
+            Err(TrySendError::Disconnected(job)) => (job.reply)(Response::Error {
+                code: ErrorCode::Unavailable,
+                message: SHUTTING_DOWN.into(),
+            }),
         }
     }
 }
 
-impl ConnHandler for ServeHandler {
+impl ConnHandler for FrontHandler {
     fn on_data(&mut self, conn: ConnId, buf: &mut BytesMut, out: &ReplySink) -> bool {
-        let ordered = Arc::clone(
-            self.conns.entry(conn.index()).or_insert_with(|| OrderedOut::new(conn, out.clone())),
-        );
         loop {
             match codec::decode_request_full(buf) {
-                Ok(Some(decoded)) => {
-                    reactor::FRAMES_IN.inc();
-                    let now = Instant::now();
-                    let version = decoded.version;
-                    let req_id = decoded.req_id;
-                    let deadline =
-                        decoded.deadline_ms.map(|ms| now + Duration::from_millis(ms.into()));
-                    // Pre-v4 clients match responses by order, so even a
-                    // shed must occupy its slot in the sequence.
-                    let seq = (version < codec::WIRE_VERSION).then(|| ordered.assign());
-                    let remaining = deadline.map(|d| d.saturating_duration_since(now));
-                    let queue_len = self.jobs.lock().as_ref().map_or(0, |tx| tx.len());
-                    if let Err(reason) = self.admission.admit(queue_len, remaining) {
-                        reason.count();
-                        if let Some(class) = pool::slo_class(&decoded.request) {
-                            staq_obs::slo::shed(class);
-                        }
-                        Self::emit_error(
-                            &ordered,
-                            version,
-                            req_id,
-                            seq,
-                            ErrorCode::Overloaded,
-                            reason.message(),
-                        );
-                        continue;
-                    }
-                    let reply_ordered = Arc::clone(&ordered);
-                    let reply = Reply::Callback(Box::new(move |response: Response| {
-                        let mut buf = BytesMut::with_capacity(256);
-                        codec::encode_response_to(&response, version, req_id, &mut buf);
-                        match seq {
-                            Some(s) => reply_ordered.submit(s, buf.freeze()),
-                            None => reply_ordered.submit_unordered(buf.freeze()),
-                        }
-                    }));
-                    let job = Job {
-                        request: decoded.request,
-                        reply,
-                        ctx: decoded.ctx,
-                        enqueued: now,
-                        deadline,
-                    };
-                    let sent = match self.jobs.lock().as_ref() {
-                        Some(tx) => tx.try_send(job),
-                        None => Err(TrySendError::Disconnected(job)),
-                    };
-                    match sent {
-                        Ok(()) => ADMITTED.inc(),
-                        Err(TrySendError::Full(job)) => {
-                            ShedReason::QueueFull.count();
-                            if let Some(class) = pool::slo_class(&job.request) {
-                                staq_obs::slo::shed(class);
-                            }
-                            job.reply.send(Response::Error {
-                                code: ErrorCode::Overloaded,
-                                message: ShedReason::QueueFull.message().into(),
-                            });
-                        }
-                        Err(TrySendError::Disconnected(job)) => {
-                            job.reply.send(Response::Error {
-                                code: ErrorCode::Unavailable,
-                                message: "server is shutting down".into(),
-                            });
-                        }
-                    }
-                }
+                Ok(Some(decoded)) => self.submit(conn, out, decoded),
                 Ok(None) => return true,
                 Err(e) => {
                     // Framing is gone; tell the client why and hang up
                     // (the reactor flushes the queue before closing).
-                    Self::emit_error(
-                        &ordered,
-                        codec::WIRE_VERSION,
-                        0,
-                        None,
-                        ErrorCode::BadRequest,
-                        &e.to_string(),
-                    );
+                    out.send(conn, error_reply(ErrorCode::BadRequest, &e.to_string(), 0));
                     return false;
                 }
             }
         }
     }
-
-    fn on_close(&mut self, conn: ConnId) {
-        self.conns.remove(&conn.index());
-    }
 }
 
-/// The pre-reactor serving model: one OS thread per client connection,
-/// blocking reads, strictly sequential request handling per connection.
-/// Kept as the baseline `net_bench` measures the reactor against (and
-/// as a correctness cross-check — both models share codec and pool).
-pub fn serve_threaded(
-    rt: Arc<staq_rt::RtEngine>,
-    cfg: &ServerConfig,
-) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&cfg.addr)?;
-    let addr = listener.local_addr()?;
-    let pool = WorkerPool::spawn_rt(rt, cfg.workers, cfg.queue_depth);
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::Request;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
 
-    let acceptor = {
-        let shutdown = Arc::clone(&shutdown);
-        let conns = Arc::clone(&conns);
-        let jobs = pool.sender();
-        std::thread::Builder::new()
-            .name("staq-acceptor".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let shutdown = Arc::clone(&shutdown);
-                    let jobs = jobs.clone();
-                    let handle = std::thread::Builder::new()
-                        .name("staq-conn".into())
-                        .spawn(move || {
-                            let _ = handle_connection(stream, jobs, shutdown);
-                        })
-                        .expect("spawning connection thread");
-                    conns.lock().push(handle);
-                }
+    /// The state `shutdown` leaves the handler in between revoking the
+    /// queue and the reactor going deaf, held open: every frame decoded
+    /// in it is answered `Unavailable`, once, under its own request ID,
+    /// and the connection is not dropped.
+    #[test]
+    fn frames_decoded_after_the_queue_is_revoked_get_one_unavailable_each() {
+        let mut front =
+            serve_front(&ServerConfig::default(), SERVE_NAMES, |_: InFlight| -> Response {
+                panic!("nothing may reach a worker once the queue is revoked")
             })
-            .expect("spawning acceptor thread")
-    };
+            .unwrap();
+        front.pool.jobs().lock().take();
 
-    Ok(ServerHandle {
-        addr,
-        inner: Inner::Threaded { shutdown, acceptor: Some(acceptor), pool: Some(pool), conns },
-    })
-}
+        let mut stream = TcpStream::connect(front.addr()).unwrap();
+        let mut frames = BytesMut::new();
+        for req_id in [7, 8, 9] {
+            codec::encode_request_mux(&Request::Stats, req_id, Some(0), &mut frames);
+        }
+        stream.write_all(&frames).unwrap();
 
-/// Serves one client until it disconnects, the protocol desyncs, or the
-/// server shuts down. (Threaded baseline only.)
-fn handle_connection(
-    mut stream: TcpStream,
-    jobs: Sender<Job>,
-    shutdown: Arc<AtomicBool>,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    // Periodic read timeouts let the thread notice shutdown while idle.
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let mut buf = BytesMut::with_capacity(4096);
-    let mut scratch = [0u8; 16 * 1024];
-    let mut out = BytesMut::with_capacity(4096);
-
-    loop {
-        // Drain every complete frame already buffered.
-        loop {
-            match codec::decode_request_full(&mut buf) {
-                Ok(Some(decoded)) => {
-                    let deadline = decoded
-                        .deadline_ms
-                        .map(|ms| Instant::now() + Duration::from_millis(ms.into()));
-                    let response = match dispatch(&jobs, decoded.request, decoded.ctx, deadline) {
-                        Some(r) => r,
-                        None => Response::Error {
-                            code: ErrorCode::Unavailable,
-                            message: "server is shutting down".into(),
-                        },
-                    };
-                    out.clear();
-                    // Answer in whichever version the client spoke.
-                    codec::encode_response_to(&response, decoded.version, decoded.req_id, &mut out);
-                    stream.write_all(&out)?;
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // Framing is gone; tell the client why and hang up.
-                    out.clear();
-                    codec::encode_response(
-                        &Response::Error { code: ErrorCode::BadRequest, message: e.to_string() },
-                        &mut out,
-                    );
-                    let _ = stream.write_all(&out);
-                    return Ok(());
+        let mut buf = BytesMut::new();
+        let mut scratch = [0u8; 1024];
+        let mut answered = Vec::new();
+        while answered.len() < 3 {
+            let n = stream.read(&mut scratch).unwrap();
+            assert!(n > 0, "the connection must stay open");
+            buf.extend_from_slice(&scratch[..n]);
+            while let Some(d) = codec::decode_response_full(&mut buf).unwrap() {
+                match d.response {
+                    Response::Error { code: ErrorCode::Unavailable, .. } => answered.push(d.req_id),
+                    other => panic!("{other:?}"),
                 }
             }
         }
-        if shutdown.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        match stream.read(&mut scratch) {
-            Ok(0) => return Ok(()), // client closed
-            Ok(n) => {
-                if buf.len() + n > MAX_FRAME_LEN + 4 {
-                    return Err(std::io::Error::new(
-                        ErrorKind::InvalidData,
-                        CodecError::FrameTooLarge(buf.len() + n),
-                    ));
-                }
-                buf.extend_from_slice(&scratch[..n]);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                continue; // idle tick: loop to re-check the shutdown flag
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
+        assert_eq!(answered, [7, 8, 9]);
+        front.shutdown();
+        // Nothing more was owed: the stream ends without another frame.
+        assert_eq!(stream.read(&mut scratch).unwrap(), 0);
     }
-}
-
-/// Runs one request through the pool; `None` if the queue is closed.
-/// `ctx` is the peer's propagated span context (the worker roots or
-/// continues the trace).
-fn dispatch(
-    jobs: &Sender<Job>,
-    request: Request,
-    ctx: SpanContext,
-    deadline: Option<Instant>,
-) -> Option<Response> {
-    let (reply_tx, reply_rx) = bounded(1);
-    jobs.send(Job {
-        request,
-        reply: Reply::Channel(reply_tx),
-        ctx,
-        enqueued: Instant::now(),
-        deadline,
-    })
-    .ok()?;
-    reply_rx.recv().ok()
 }

@@ -12,10 +12,11 @@ use proptest::prelude::*;
 use staq_access::measures::ZoneMeasures;
 use staq_access::{AccessClass, AccessQuery, DemographicWeight, QueryAnswer};
 use staq_geom::Point;
+use staq_gtfs::Delta;
 use staq_obs::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
 use staq_serve::codec::{
-    decode_request, decode_response, encode_request, encode_response, ErrorCode, Request, Response,
-    StatsReply,
+    decode_request, decode_response, encode_request, encode_response, DeltaAck, ErrorCode, Request,
+    Response, StatsReply,
 };
 use staq_synth::{PoiCategory, ZoneId};
 
@@ -55,9 +56,12 @@ fn request_catalogue() -> Vec<Request> {
             approx: true,
         },
         Request::AddPoi { category: PoiCategory::Hospital, pos: Point::new(-12.5, 99.0) },
-        Request::AddBusRoute {
-            stops: vec![Point::new(0.0, 0.0), Point::new(100.0, 50.0), Point::new(10.0, 1.0)],
-            headway_s: 450,
+        Request::ApplyDelta {
+            seq: 0,
+            delta: Delta::AddRoute {
+                stops: vec![Point::new(0.0, 0.0), Point::new(100.0, 50.0), Point::new(10.0, 1.0)],
+                headway_s: 450,
+            },
         },
         Request::Stats,
     ]
@@ -99,7 +103,7 @@ fn response_catalogue() -> Vec<Response> {
         Response::Query(QueryAnswer::Fairness(0.5)),
         Response::Query(QueryAnswer::WorstZones(vec![(ZoneId(2), 80.0), (ZoneId(4), 70.0)])),
         Response::AddPoi { poi_id: 17 },
-        Response::AddBusRoute { zones_rebuilt: 4 },
+        Response::ApplyDelta(DeltaAck { seq: 3, zones_rebuilt: 4, replayed: false }),
         Response::Stats(StatsReply {
             pipeline_runs: 2,
             requests_served: 99,
@@ -205,31 +209,41 @@ fn truncations_of_every_response_fail_cleanly() {
 /// caps its pre-allocation by the bytes actually present).
 #[test]
 fn lying_element_counts_do_not_allocate() {
+    use staq_serve::codec::CodecError;
+
     // Measures response claiming u32::MAX zones, 0 carried.
     let mut b = BytesMut::new();
-    b.put_u32(2 + 4); // version + kind + count
+    b.put_u32(2 + 8 + 4); // version + kind + req id + count
     b.put_u8(staq_serve::WIRE_VERSION);
     b.put_u8(0x81); // K_R_MEASURES
+    b.put_u64(7);
     b.put_u32(u32::MAX);
-    assert!(decode_response(&mut b).is_err());
+    assert_eq!(decode_response(&mut b), Err(CodecError::BadPayload("truncated frame")));
 
     // Classification answer claiming u32::MAX entries.
     let mut b = BytesMut::new();
-    b.put_u32(2 + 1 + 4); // version + kind + tag + count
+    b.put_u32(2 + 8 + 1 + 4); // version + kind + req id + tag + count
     b.put_u8(staq_serve::WIRE_VERSION);
     b.put_u8(0x82); // K_R_QUERY
+    b.put_u64(7);
     b.put_u8(1); // Classification tag
     b.put_u32(u32::MAX);
-    assert!(decode_response(&mut b).is_err());
+    assert_eq!(decode_response(&mut b), Err(CodecError::BadPayload("truncated frame")));
 
-    // AddBusRoute request claiming u16::MAX stops.
+    // ApplyDelta request whose AddRoute delta claims u16::MAX stops.
     let mut b = BytesMut::new();
-    b.put_u32(2 + 4 + 2); // version + kind + headway + count
+    b.put_u32(2 + 8 + 16 + 1 + 8 + 1 + 4 + 2);
     b.put_u8(staq_serve::WIRE_VERSION);
-    b.put_u8(0x04); // K_ADD_BUS_ROUTE
-    b.put_u32(600);
+    b.put_u8(0x07); // K_APPLY_DELTA
+    b.put_u64(7); // req id
+    b.put_u64(0); // trace
+    b.put_u64(0); // span
+    b.put_u8(0); // flags
+    b.put_u64(0); // seq
+    b.put_u8(4); // AddRoute tag
+    b.put_u32(600); // headway
     b.put_u16(u16::MAX);
-    assert!(decode_request(&mut b).is_err());
+    assert_eq!(decode_request(&mut b), Err(CodecError::BadPayload("truncated frame")));
 }
 
 /// Drains a buffer the way a connection loop does; returns how many

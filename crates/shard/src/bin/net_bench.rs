@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! net-bench [--conns N] [--duration secs] [--workers N] [--seed N]
-//!           [--quick] [--threaded-compare] [--emit-json path]
-//!           [--baseline path]
+//!           [--quick] [--emit-json path] [--baseline path]
 //! ```
 //!
 //! Three measurements, one report (`BENCH_net.json`):
@@ -19,8 +18,7 @@
 //!    and hard-fails unless a scripted query mix answers bit-identically
 //!    over both transports (the mux must be a pure wire optimisation).
 //! 3. **Mass connections.** `--conns` simultaneous connections (default
-//!    10000, `--quick` 512) against the single reactor thread — the run
-//!    a thread-per-connection server degrades on or fails outright.
+//!    10000, `--quick` 512) against the single reactor thread.
 //!    Every connection answers one warm query; sustained throughput,
 //!    connect time, and the `net.conns` peak are reported. The held
 //!    count is clamped to the process fd limit (two fds per loopback
@@ -28,17 +26,13 @@
 //!    is churned through connect-query-close so the *served* total
 //!    always reaches `--conns`.
 //!
-//! `--threaded-compare` additionally drives min(conns, 1024)
-//! connections against the legacy thread-per-connection server to put a
-//! number on what the reactor replaced (one OS thread per idle
-//! connection vs one event loop).
-//!
 //! `--baseline` compares against a committed report and *warns* on
 //! regression — it never fails the run (shared-runner timing is noisy;
 //! the artifact is the trend record).
 
 use bytes::BytesMut;
 use staq_access::AccessQuery;
+use staq_gtfs::Delta;
 use staq_serve::codec::encode_response;
 use staq_serve::presets::CityPreset;
 use staq_serve::{Client, MuxClient, Request, Response, ServerConfig, ServerHandle};
@@ -52,7 +46,6 @@ struct Args {
     workers: usize,
     seed: u64,
     quick: bool,
-    threaded_compare: bool,
     emit_json: Option<String>,
     baseline: Option<String>,
 }
@@ -64,7 +57,6 @@ fn parse_args() -> Args {
         workers: 2,
         seed: 42,
         quick: false,
-        threaded_compare: false,
         emit_json: None,
         baseline: None,
     };
@@ -76,7 +68,6 @@ fn parse_args() -> Args {
             "--workers" => args.workers = parse(&mut it, "--workers"),
             "--seed" => args.seed = parse(&mut it, "--seed"),
             "--quick" => args.quick = true,
-            "--threaded-compare" => args.threaded_compare = true,
             "--emit-json" => args.emit_json = Some(need(&mut it, "--emit-json")),
             "--baseline" => args.baseline = Some(need(&mut it, "--baseline")),
             "--help" | "-h" => usage(""),
@@ -104,7 +95,7 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: net-bench [--conns N] [--duration secs] [--workers N] [--seed N] \
-         [--quick] [--threaded-compare] [--emit-json path] [--baseline path]"
+         [--quick] [--emit-json path] [--baseline path]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 })
 }
@@ -133,7 +124,7 @@ fn fd_limit() -> usize {
         .unwrap_or(1 << 20)
 }
 
-fn start_server(args: &Args, threaded: bool) -> ServerHandle {
+fn start_server(args: &Args) -> ServerHandle {
     let engine = CityPreset::Test.engine(0.05, args.seed);
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -141,13 +132,7 @@ fn start_server(args: &Args, threaded: bool) -> ServerHandle {
         queue_depth: 1024,
         ..Default::default()
     };
-    let handle = if threaded {
-        let rt = std::sync::Arc::new(staq_rt::RtEngine::new(std::sync::Arc::new(engine)));
-        staq_serve::serve_threaded(rt, &cfg)
-    } else {
-        staq_serve::serve(engine, &cfg)
-    }
-    .expect("bind loopback server");
+    let handle = staq_serve::serve(engine, &cfg).expect("bind loopback server");
     // Warm the School cache so every later query is the cheap path.
     let mut c = Client::connect(handle.addr()).expect("connect");
     c.call(&warm_query()).expect("warm-up query");
@@ -231,7 +216,10 @@ fn equivalence_script() -> Vec<Request> {
             approx: false,
         },
         Request::Measures { category: PoiCategory::School, approx: false },
-        Request::AddBusRoute { stops: vec![staq_geom::Point::new(0.0, 0.0)], headway_s: 600 },
+        Request::ApplyDelta {
+            seq: 0,
+            delta: Delta::AddRoute { stops: vec![staq_geom::Point::new(0.0, 0.0)], headway_s: 600 },
+        },
     ]
 }
 
@@ -322,7 +310,7 @@ fn main() {
     let args = parse_args();
 
     println!("building test city (seed {}) and warming the cache...", args.seed);
-    let mut server = start_server(&args, false);
+    let mut server = start_server(&args);
     let addr = server.addr();
 
     let warm = bench_warm_latency(addr, args.duration);
@@ -351,30 +339,11 @@ fn main() {
     );
     server.shutdown();
 
-    let threaded = args.threaded_compare.then(|| {
-        let conns = args.conns.min(1024);
-        println!("threaded comparison: {} connections against thread-per-conn server...", conns);
-        let mut server = start_server(&args, true);
-        let run = bench_mass(server.addr(), conns);
-        println!(
-            "thread-per-conn: {} held = {} OS threads on the server; {:.0} req/s sustained",
-            run.held, run.held, run.sustained_rps
-        );
-        server.shutdown();
-        run
-    });
-
     if let Some(path) = &args.baseline {
         compare_baseline(path, warm.p50_ns, mux.mux_rps);
     }
 
     if let Some(path) = &args.emit_json {
-        let threaded_json = threaded.map_or("null".to_string(), |t| {
-            format!(
-                "{{\"held\":{},\"served\":{},\"sustained_rps\":{:.0}}}",
-                t.held, t.served, t.sustained_rps
-            )
-        });
         let json = format!(
             "{{\"bench\":\"net-bench\",\"seed\":{},\"quick\":{},\"workers\":{},\
              \"warm\":{{\"calls\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{}}},\
@@ -382,7 +351,6 @@ fn main() {
              \"ratio\":{:.3},\"bit_identical\":true}},\
              \"mass\":{{\"requested\":{},\"held\":{},\"served\":{},\"connect_s\":{:.3},\
              \"sustained_rps\":{:.0},\"peak_conns\":{}}},\
-             \"threaded\":{threaded_json},\
              \"metrics\":{}}}",
             args.seed,
             args.quick,
@@ -412,7 +380,8 @@ fn main() {
 
 /// Warn-only gate: warm p50 within ±6% of the committed baseline, mux
 /// throughput within 25% (throughput is noisier than latency on shared
-/// runners). Prints, never exits non-zero.
+/// runners). Prints, never exits non-zero. Only those two keys are read,
+/// so a baseline written before a report key was dropped still compares.
 fn compare_baseline(path: &str, p50_ns: u64, mux_rps: f64) {
     let Ok(text) = std::fs::read_to_string(path) else {
         println!("baseline: cannot read {path}, skipping comparison");

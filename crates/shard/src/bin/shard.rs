@@ -9,7 +9,7 @@
 //! Boots `--shards` backend engines — each one a spawned `serve` daemon
 //! in `process` mode (the default), or an in-process server per shard in
 //! `thread` mode — waits until every one answers its readiness probe,
-//! then serves the v2 wire protocol on `--addr` until SIGINT/EOF on
+//! then serves the wire protocol on `--addr` until SIGINT/EOF on
 //! stdin. Backends that crash are respawned automatically; their
 //! categories answer `Unavailable` in the meantime.
 
@@ -173,7 +173,7 @@ fn main() {
     // Router-side registry: shard.* counters, backend latency banks, and
     // (in thread mode) the in-process backends' own metrics too.
     let _scrape = args.metrics_addr.as_ref().map(|addr| {
-        let h = staq_obs::serve_prometheus(addr).unwrap_or_else(|e| {
+        let h = staq_serve::gateway::serve_metrics(addr).unwrap_or_else(|e| {
             eprintln!("error: cannot bind metrics listener {addr}: {e}");
             std::process::exit(1);
         });

@@ -514,7 +514,7 @@ fn write_json(path: &str, json: &str) {
 fn phase_json(p: &PhaseReport, args: &Args, workers: u64) -> String {
     let m = &p.stats1.metrics;
     let mut kinds = String::new();
-    for (i, kind) in ["measures", "query", "add_poi", "add_bus_route", "stats"].iter().enumerate() {
+    for (i, kind) in ["measures", "query", "add_poi", "stats"].iter().enumerate() {
         if i > 0 {
             kinds.push(',');
         }

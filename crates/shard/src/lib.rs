@@ -9,7 +9,7 @@
 //!
 //! ```text
 //!                          ┌────────────┐
-//!   clients ──wire v2────► │   router   │  shard = rendezvous(category)
+//!   clients ──wire v4────► │   router   │  shard = rendezvous(category)
 //!                          └─────┬──────┘
 //!              ┌───────────┬─────┴─────┬───────────┐
 //!         conn pool    conn pool   conn pool   conn pool
@@ -33,9 +33,10 @@
 //!   admitting traffic, monitors liveness, respawns crashed backends
 //!   after a backoff, and owns the per-shard call path (retries for
 //!   idempotent reads, fail-fast `Unavailable` while a shard is down).
-//! * [`router`] — the front TCP server: routed single-shard paths for
-//!   `Measures`/`Query`/`AddPoi`, broadcast for `AddBusRoute`,
-//!   scatter-gather merge for `Stats`.
+//! * [`router`] — the front TCP server (`staq-serve`'s front end over a
+//!   routing executor): single-shard paths for `Measures`/`Query`/
+//!   `AddPoi`, broadcast for schedule deltas, scatter-gather merge for
+//!   `Stats`.
 //!
 //! Binaries: `shard` (the router daemon) and `staq-serve-bench` (the
 //! load generator, moved here so `--shards N` can drive the router and

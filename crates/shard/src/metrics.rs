@@ -13,7 +13,6 @@ use staq_obs::{AtomicHistogram, Counter};
 static ROUTE_MEASURES: Counter = Counter::new("shard.route.measures");
 static ROUTE_QUERY: Counter = Counter::new("shard.route.query");
 static ROUTE_ADD_POI: Counter = Counter::new("shard.route.add_poi");
-static ROUTE_ADD_BUS_ROUTE: Counter = Counter::new("shard.route.add_bus_route");
 static ROUTE_STATS: Counter = Counter::new("shard.route.stats");
 static ROUTE_TRACE_DUMP: Counter = Counter::new("shard.route.trace_dump");
 
@@ -30,7 +29,6 @@ pub(crate) fn route_counter(kind: &'static str) -> &'static Counter {
         "measures" => &ROUTE_MEASURES,
         "query" => &ROUTE_QUERY,
         "add_poi" => &ROUTE_ADD_POI,
-        "add_bus_route" => &ROUTE_ADD_BUS_ROUTE,
         "trace_dump" => &ROUTE_TRACE_DUMP,
         _ => &ROUTE_STATS,
     }

@@ -1,8 +1,8 @@
 //! Per-backend connection pool: shared multiplexed streams, bounded
 //! in-flight, generations.
 //!
-//! One [`BackendPool`] fronts one shard. Since the v4 wire protocol
-//! carries request IDs, the pool no longer checks connections out
+//! One [`BackendPool`] fronts one shard. The wire protocol carries
+//! request IDs, so the pool does not check connections out
 //! exclusively: it keeps a small, fixed set of [`MuxClient`] streams per
 //! backend and round-robins concurrent calls across them, so N router
 //! workers hitting the same shard coalesce into pipelined frames on a
@@ -274,7 +274,7 @@ mod tests {
                             let resp =
                                 Response::Error { code: ErrorCode::Invalid, message: "ok".into() };
                             let mut out = BytesMut::new();
-                            codec::encode_response_to(&resp, d.version, d.req_id, &mut out);
+                            codec::encode_response_to(&resp, d.req_id, &mut out);
                             if s.write_all(&out).is_err() {
                                 return;
                             }

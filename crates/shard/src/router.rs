@@ -7,44 +7,34 @@
 //! * `Measures` / `Query` / `AddPoi` / `WhatIf` carry a category →
 //!   routed to the one shard that [`shard_for`] assigns it (what-if
 //!   overlays are read-only, so any replica answers them).
-//! * `AddBusRoute` / `ApplyDelta` / `DeltaBatch` change the transit
-//!   schedule for every category → the router is the fleet's sequencing
-//!   authority: the supervisor appends the delta to its edit log under
-//!   the next fleet sequence number (a client's `ApplyDelta` seq is
-//!   advisory and ignored; `DeltaBatch` seqs are honored idempotently)
-//!   and broadcasts it, gating OK on every shard acking. See
-//!   `supervisor` module docs for catch-up and partial-failure behavior.
+//! * `ApplyDelta` / `DeltaBatch` change the transit schedule for every
+//!   category → the router is the fleet's sequencing authority: the
+//!   supervisor appends the delta to its edit log under the next fleet
+//!   sequence number (a client's `ApplyDelta` seq is advisory and
+//!   ignored; `DeltaBatch` seqs are honored idempotently) and broadcasts
+//!   it, gating OK on every shard acking. See `supervisor` module docs
+//!   for catch-up and partial-failure behavior.
 //! * `Stats` scatter-gathers: every live shard's [`StatsReply`] merges
 //!   into one — engine fields sum, cached categories union, and metrics
 //!   snapshots fold together via [`MetricsSnapshot::merge`] (or, when the
 //!   backends share this process's registry, one snapshot stands for all
 //!   to avoid double-counting).
 //!
-//! Threading mirrors `staq-serve`'s reactor model: one event-loop thread
-//! owns every front socket, decodes frames and gates admission; a small
-//! routing worker pool blocks on the backend round-trips (which the
-//! per-shard mux pools coalesce onto shared streams) and answers through
-//! per-connection [`OrderedOut`] sequencers — completion order for v4
-//! clients, strict request order for pre-v4 ones.
+//! The socket side is `staq-serve`'s front end, unchanged
+//! ([`staq_serve::serve_front`]): one event-loop thread owns every front
+//! socket, decodes frames and gates admission; the worker pool runs
+//! [`dispatch`], each worker blocking on one backend round-trip at a time
+//! (which the per-shard mux pools coalesce onto shared streams).
 
 use crate::hash::{shard_for, shard_for_key};
 use crate::metrics;
 use crate::supervisor::ShardSupervisor;
-use bytes::BytesMut;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use parking_lot::Mutex;
-use staq_gtfs::Delta;
-use staq_net::admission::{Admission, AdmissionConfig, ShedReason, ADMITTED};
-use staq_net::reactor::{self, ConnHandler, ConnId, ReactorConfig, ReactorHandle, ReplySink};
-use staq_net::{Backend, OrderedOut};
-use staq_obs::{slo, trace, MetricsSnapshot, OpsReport, OwnedSpan, SpanContext};
-use staq_serve::codec::{self, ErrorCode, Request, Response, StatsReply, MAX_FRAME_LEN};
-use staq_serve::pool::slo_class;
-use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener};
+use staq_obs::{trace, MetricsSnapshot, OpsReport, OwnedSpan};
+use staq_serve::codec::{ErrorCode, Request, Response, StatsReply};
+use staq_serve::{serve_front, FrontNames, ServerConfig, ServerHandle};
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Router front-end tunables.
 #[derive(Debug, Clone)]
@@ -59,8 +49,6 @@ pub struct RouterConfig {
     /// Admission budget: requests whose estimated queue wait exceeds
     /// this are shed with `Overloaded` instead of queued.
     pub queue_budget: Duration,
-    /// Poller backend for the reactor (tests force the portable one).
-    pub backend: Backend,
     /// How long shutdown waits for outbound queues to flush.
     pub flush_timeout: Duration,
 }
@@ -72,50 +60,27 @@ impl Default for RouterConfig {
             workers: 8,
             queue_depth: 256,
             queue_budget: Duration::from_millis(500),
-            backend: Backend::Auto,
             flush_timeout: Duration::from_secs(1),
         }
     }
 }
 
-/// One decoded front request on its way through the routing queue; the
-/// reply callback encodes onto the connection's outbound sequencer.
-struct RouterJob {
-    request: Request,
-    reply: Box<dyn FnOnce(Response) + Send>,
-    ctx: SpanContext,
-    enqueued: Instant,
-    deadline: Option<Instant>,
-}
-
-/// The reactor handler's job sender, revocable from the handle: taking
-/// it at shutdown is what lets the routing workers observe channel
-/// disconnect and exit (the handler lives inside the reactor thread
-/// until `finish`, so a plain `Sender` clone there would hold the
-/// channel open and deadlock the worker join).
-type SharedJobSender = Arc<Mutex<Option<Sender<RouterJob>>>>;
-
 /// Handle to a running router; dropping it shuts down the front end and
 /// the supervised backend fleet.
 pub struct RouterHandle {
-    addr: SocketAddr,
+    front: ServerHandle,
     sup: Arc<ShardSupervisor>,
-    reactor: ReactorHandle,
-    jobs: SharedJobSender,
-    workers: Vec<JoinHandle<()>>,
-    flush: Duration,
-    done: bool,
 }
 
 impl RouterHandle {
     /// The bound front address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// Live front connections.
     pub fn conn_count(&self) -> usize {
-        self.reactor.conn_count()
+        self.front.conn_count()
     }
 
     /// The supervised fleet behind this router (test hooks: kill a
@@ -124,23 +89,11 @@ impl RouterHandle {
         &self.sup
     }
 
-    /// Graceful shutdown: stop accepting and reading, let queued
-    /// requests finish routing, flush every outbound queue, then take
-    /// the fleet down. Idempotent.
+    /// Graceful shutdown: drain the front end (queued requests finish
+    /// routing, every outbound queue is flushed), and only then stop the
+    /// backends those replies needed. Idempotent.
     pub fn shutdown(&mut self) {
-        if std::mem::replace(&mut self.done, true) {
-            return;
-        }
-        // Drain order mirrors `staq-serve`: stop intake, revoke the
-        // handler's sender so the channel can disconnect, run the queue
-        // dry (joining workers fires every reply callback), flush the
-        // sockets, and only then stop the backends the replies needed.
-        self.reactor.begin_drain();
-        self.jobs.lock().take();
-        for w in self.workers.drain(..) {
-            w.join().expect("router worker panicked");
-        }
-        self.reactor.finish(self.flush);
+        self.front.shutdown();
         self.sup.shutdown();
     }
 }
@@ -151,198 +104,26 @@ impl Drop for RouterHandle {
     }
 }
 
-/// Binds the front end over an already-started fleet.
+/// Binds the front end over an already-started fleet. The router is the
+/// fleet's edge: its request span continues a traced client's context,
+/// or mints the TraceId here.
 pub fn route(sup: ShardSupervisor, cfg: &RouterConfig) -> std::io::Result<RouterHandle> {
-    let listener = TcpListener::bind(&cfg.addr)?;
-    let addr = listener.local_addr()?;
     let sup = Arc::new(sup);
-    let n_workers = cfg.workers.max(1);
-    let admission = Arc::new(Admission::new(AdmissionConfig {
+    let front_cfg = ServerConfig {
+        addr: cfg.addr.clone(),
+        workers: cfg.workers.max(1),
+        queue_depth: cfg.queue_depth,
         queue_budget: cfg.queue_budget,
-        workers: n_workers,
-    }));
-    let (tx, rx): (Sender<RouterJob>, Receiver<RouterJob>) = bounded(cfg.queue_depth);
-    let workers = (0..n_workers)
-        .map(|i| {
-            let rx = rx.clone();
-            let sup = Arc::clone(&sup);
-            let admission = Arc::clone(&admission);
-            std::thread::Builder::new()
-                .name(format!("staq-shard-worker-{i}"))
-                .spawn(move || worker_loop(rx, &sup, &admission))
-                .expect("spawning router worker")
-        })
-        .collect();
-    let jobs: SharedJobSender = Arc::new(Mutex::new(Some(tx)));
-    let handler = RouterHandler { jobs: Arc::clone(&jobs), admission, conns: HashMap::new() };
-    let reactor = reactor::spawn(
-        listener,
-        Box::new(handler),
-        ReactorConfig { name: "staq-shard", max_frame: MAX_FRAME_LEN, backend: cfg.backend },
-    )?;
-    Ok(RouterHandle { addr, sup, reactor, jobs, workers, flush: cfg.flush_timeout, done: false })
-}
-
-/// Routing worker: pops jobs, sheds the ones whose deadline lapsed while
-/// queued, and runs the rest through [`dispatch`].
-fn worker_loop(rx: Receiver<RouterJob>, sup: &ShardSupervisor, admission: &Admission) {
-    while let Ok(job) = rx.recv() {
-        // The router is the fleet's edge: continue a traced client's
-        // context, or mint the TraceId here.
-        let _ctx = trace::attach(job.ctx);
-        let span = if job.ctx.is_some() {
-            trace::span_at("shard.request", job.enqueued)
-        } else {
-            trace::root_span_at("shard.request", job.enqueued)
-        };
-        drop(trace::span_at("shard.queue_wait", job.enqueued));
-        if job.deadline.is_some_and(|d| Instant::now() > d) {
-            ShedReason::Expired.count();
-            if let Some(class) = slo_class(&job.request) {
-                slo::shed(class);
-            }
-            drop(span);
-            (job.reply)(Response::Error {
-                code: ErrorCode::Overloaded,
-                message: ShedReason::Expired.message().into(),
-            });
-            continue;
-        }
-        let t0 = Instant::now();
-        let response = dispatch(sup, job.request);
-        admission.observe_exec(t0.elapsed());
-        drop(span);
-        (job.reply)(response);
-    }
-}
-
-/// The reactor's protocol handler: decodes frames, gates admission,
-/// queues routing jobs whose reply callback encodes straight onto the
-/// connection's outbound queue.
-struct RouterHandler {
-    jobs: SharedJobSender,
-    admission: Arc<Admission>,
-    /// Per-connection response sequencer, keyed by slot index (the
-    /// reactor guarantees on_close before the index is reused).
-    conns: HashMap<u32, Arc<OrderedOut>>,
-}
-
-impl RouterHandler {
-    /// Emits an already-decided error frame through the connection's
-    /// response ordering.
-    fn emit_error(
-        ordered: &OrderedOut,
-        version: u8,
-        req_id: u64,
-        seq: Option<u64>,
-        code: ErrorCode,
-        message: &str,
-    ) {
-        let response = Response::Error { code, message: message.into() };
-        let mut buf = BytesMut::with_capacity(64);
-        codec::encode_response_to(&response, version, req_id, &mut buf);
-        match seq {
-            Some(s) => ordered.submit(s, buf.freeze()),
-            None => ordered.submit_unordered(buf.freeze()),
-        }
-    }
-}
-
-impl ConnHandler for RouterHandler {
-    fn on_data(&mut self, conn: ConnId, buf: &mut BytesMut, out: &ReplySink) -> bool {
-        let ordered = Arc::clone(
-            self.conns.entry(conn.index()).or_insert_with(|| OrderedOut::new(conn, out.clone())),
-        );
-        loop {
-            match codec::decode_request_full(buf) {
-                Ok(Some(decoded)) => {
-                    reactor::FRAMES_IN.inc();
-                    let now = Instant::now();
-                    let version = decoded.version;
-                    let req_id = decoded.req_id;
-                    let deadline =
-                        decoded.deadline_ms.map(|ms| now + Duration::from_millis(ms.into()));
-                    // Pre-v4 clients match responses by order, so even a
-                    // shed must occupy its slot in the sequence.
-                    let seq = (version < codec::WIRE_VERSION).then(|| ordered.assign());
-                    let remaining = deadline.map(|d| d.saturating_duration_since(now));
-                    let queue_len = self.jobs.lock().as_ref().map_or(0, |tx| tx.len());
-                    if let Err(reason) = self.admission.admit(queue_len, remaining) {
-                        reason.count();
-                        if let Some(class) = slo_class(&decoded.request) {
-                            slo::shed(class);
-                        }
-                        Self::emit_error(
-                            &ordered,
-                            version,
-                            req_id,
-                            seq,
-                            ErrorCode::Overloaded,
-                            reason.message(),
-                        );
-                        continue;
-                    }
-                    let reply_ordered = Arc::clone(&ordered);
-                    let reply = Box::new(move |response: Response| {
-                        let mut buf = BytesMut::with_capacity(256);
-                        codec::encode_response_to(&response, version, req_id, &mut buf);
-                        match seq {
-                            Some(s) => reply_ordered.submit(s, buf.freeze()),
-                            None => reply_ordered.submit_unordered(buf.freeze()),
-                        }
-                    });
-                    let job = RouterJob {
-                        request: decoded.request,
-                        reply,
-                        ctx: decoded.ctx,
-                        enqueued: now,
-                        deadline,
-                    };
-                    let sent = match self.jobs.lock().as_ref() {
-                        Some(tx) => tx.try_send(job),
-                        None => Err(TrySendError::Disconnected(job)),
-                    };
-                    match sent {
-                        Ok(()) => ADMITTED.inc(),
-                        Err(TrySendError::Full(job)) => {
-                            ShedReason::QueueFull.count();
-                            if let Some(class) = slo_class(&job.request) {
-                                slo::shed(class);
-                            }
-                            (job.reply)(Response::Error {
-                                code: ErrorCode::Overloaded,
-                                message: ShedReason::QueueFull.message().into(),
-                            });
-                        }
-                        Err(TrySendError::Disconnected(job)) => {
-                            (job.reply)(Response::Error {
-                                code: ErrorCode::Unavailable,
-                                message: "router is shutting down".into(),
-                            });
-                        }
-                    }
-                }
-                Ok(None) => return true,
-                Err(e) => {
-                    // Framing is gone; tell the client why and hang up
-                    // (the reactor flushes the queue before closing).
-                    Self::emit_error(
-                        &ordered,
-                        codec::WIRE_VERSION,
-                        0,
-                        None,
-                        ErrorCode::BadRequest,
-                        &e.to_string(),
-                    );
-                    return false;
-                }
-            }
-        }
-    }
-
-    fn on_close(&mut self, conn: ConnId) {
-        self.conns.remove(&conn.index());
-    }
+        flush_timeout: cfg.flush_timeout,
+    };
+    let names = FrontNames {
+        reactor: "staq-shard",
+        request_span: "shard.request",
+        queue_wait_span: "shard.queue_wait",
+    };
+    let fleet = Arc::clone(&sup);
+    let front = serve_front(&front_cfg, names, move |job| dispatch(&fleet, job.request))?;
+    Ok(RouterHandle { front, sup })
 }
 
 /// Routes one decoded request to the fleet and produces its response.
@@ -360,13 +141,6 @@ pub fn dispatch(sup: &ShardSupervisor, request: Request) -> Response {
         }
         // Schedule edits: the supervisor sequences them into the fleet
         // log and broadcasts, replying OK only once every shard acked.
-        Request::AddBusRoute { stops, headway_s } => {
-            let delta = Delta::AddRoute { stops: stops.clone(), headway_s: *headway_s };
-            match sup.broadcast_delta(delta) {
-                Ok(ack) => Response::AddBusRoute { zones_rebuilt: ack.zones_rebuilt },
-                Err(e) => e,
-            }
-        }
         // The router assigns fleet sequence numbers; a client's own seq
         // is advisory and ignored (0 already means "assign for me").
         Request::ApplyDelta { delta, .. } => match sup.broadcast_delta(delta.clone()) {

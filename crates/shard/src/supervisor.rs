@@ -18,7 +18,7 @@
 //!   and retried once on a *fresh* stream (a multiplexed connection that
 //!   failed mid-frame is poisoned and discarded — even with request ids,
 //!   a desynced stream cannot be reused).
-//! * **Edits** (`AddPoi`, `AddBusRoute`, `ApplyDelta`) are not retried:
+//! * **Edits** (`AddPoi`, `ApplyDelta`) are not retried:
 //!   the backend may have applied the edit before the connection died,
 //!   and replaying it would double-apply. The caller gets `Unavailable`
 //!   and decides. `DeltaBatch` carries explicit sequence numbers, so the
@@ -272,10 +272,7 @@ impl ShardSupervisor {
 /// the monitor thread and the broadcast fan-out can use it too.
 fn call_inner(inner: &Inner, shard: usize, request: &Request) -> Response {
     let slot = &inner.slots[shard];
-    let retryable = !matches!(
-        request,
-        Request::AddPoi { .. } | Request::AddBusRoute { .. } | Request::ApplyDelta { .. }
-    );
+    let retryable = !matches!(request, Request::AddPoi { .. } | Request::ApplyDelta { .. });
     let attempts = if retryable { 2 } else { 1 };
 
     for attempt in 0..attempts {

@@ -6,6 +6,7 @@
 //! contract.
 
 use bytes::BytesMut;
+use staq_repro::gtfs::Delta;
 use staq_repro::prelude::*;
 use staq_serve::codec::encode_response;
 use staq_serve::presets::CityPreset;
@@ -42,9 +43,12 @@ fn script() -> Vec<Request> {
             approx: false,
         },
         Request::Measures { category: PoiCategory::School, approx: false },
-        Request::AddBusRoute {
-            stops: vec![staq_repro::geom::Point::new(0.0, 0.0)],
-            headway_s: 600,
+        Request::ApplyDelta {
+            seq: 0,
+            delta: Delta::AddRoute {
+                stops: vec![staq_repro::geom::Point::new(0.0, 0.0)],
+                headway_s: 600,
+            },
         },
         Request::Query {
             category: PoiCategory::School,

@@ -3,14 +3,24 @@
 //! whose deadline expired while queued are shed *before* execution, and
 //! the admission/connection metrics account for every outcome.
 //!
-//! Everything lives in ONE `#[test]` because the admission counters are
+//! The same body runs against a backend's front end and against the
+//! shard router's — one implementation, two instantiations. Everything
+//! lives in ONE `#[test]` because the admission counters are
 //! process-global: a second test running in a parallel harness thread
 //! would corrupt the accounting.
 
+use bytes::BytesMut;
 use staq_net::admission::{ADMITTED, SHED, SHED_EXPIRED};
 use staq_repro::prelude::*;
+use staq_repro::rt::RtEngine;
+use staq_serve::codec;
+use staq_serve::pool::{execute, PoolStats};
 use staq_serve::presets::CityPreset;
 use staq_serve::{MuxClient, Request, Response, ServerConfig};
+use staq_shard::{route, Backend, RouterConfig, ShardSupervisor, SupervisorConfig};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn query(category: PoiCategory) -> Request {
@@ -39,14 +49,14 @@ fn stats_eventually(mux: &MuxClient, sent: &mut u64) -> staq_serve::StatsReply {
     panic!("the queue never drained");
 }
 
-#[test]
-fn saturation_sheds_fast_and_every_outcome_is_accounted_for() {
-    let admitted0 = ADMITTED.get();
-    let shed0 = SHED.get();
-    let expired0 = SHED_EXPIRED.get();
-    let mut sent = 0u64; // valid requests that reached the server
-    let mut expected_runs = 0u64; // pipeline runs we deliberately caused
+/// The front end under test — one worker, queue depth one — and how to
+/// stop it.
+struct Front {
+    addr: SocketAddr,
+    shutdown: Box<dyn FnOnce()>,
+}
 
+fn backend_front() -> Front {
     let engine = CityPreset::Test.engine(0.05, 42);
     let mut server = staq_serve::serve(
         engine,
@@ -58,7 +68,86 @@ fn saturation_sheds_fast_and_every_outcome_is_accounted_for() {
         },
     )
     .expect("bind server");
-    let mux = MuxClient::connect(server.addr()).expect("connect");
+    Front { addr: server.addr(), shutdown: Box::new(move || server.shutdown()) }
+}
+
+/// A shard with no front end of its own: each connection's frames run
+/// straight through `execute` on the connection's thread. Behind the
+/// router under test, a real backend would pass every request through a
+/// second admission gate feeding the same process-global counters; this
+/// one leaves them to the router alone.
+struct BareBackend;
+
+impl BareBackend {
+    fn serve_conn(mut stream: TcpStream, rt: &RtEngine, stats: &PoolStats) {
+        let mut buf = BytesMut::new();
+        let mut scratch = [0u8; 4096];
+        let mut out = BytesMut::new();
+        loop {
+            while let Ok(Some(d)) = codec::decode_request_full(&mut buf) {
+                out.clear();
+                codec::encode_response_to(&execute(rt, stats, 1, &d.request), d.req_id, &mut out);
+                if stream.write_all(&out).is_err() {
+                    return;
+                }
+            }
+            match stream.read(&mut scratch) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => buf.extend_from_slice(&scratch[..n]),
+            }
+        }
+    }
+}
+
+impl Backend for BareBackend {
+    fn start(&mut self) -> std::io::Result<SocketAddr> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let addr = listener.local_addr()?;
+        let rt = Arc::new(RtEngine::new(Arc::new(CityPreset::Test.engine(0.05, 42))));
+        let stats = Arc::new(PoolStats::default());
+        std::thread::spawn(move || {
+            for stream in listener.incoming().flatten() {
+                let (rt, stats) = (Arc::clone(&rt), Arc::clone(&stats));
+                std::thread::spawn(move || Self::serve_conn(stream, &rt, &stats));
+            }
+        });
+        Ok(addr)
+    }
+
+    fn is_alive(&mut self) -> bool {
+        true
+    }
+
+    fn kill(&mut self) {}
+
+    fn in_process(&self) -> bool {
+        true
+    }
+}
+
+fn router_front() -> Front {
+    let sup = ShardSupervisor::start(vec![Box::new(BareBackend)], SupervisorConfig::default())
+        .expect("fleet up");
+    let mut router = route(sup, &RouterConfig { workers: 1, queue_depth: 1, ..Default::default() })
+        .expect("bind router");
+    Front { addr: router.addr(), shutdown: Box::new(move || router.shutdown()) }
+}
+
+#[test]
+fn saturation_sheds_fast_and_every_outcome_is_accounted_for() {
+    saturation(backend_front());
+    saturation(router_front());
+}
+
+fn saturation(front: Front) {
+    let admitted0 = ADMITTED.get();
+    let shed0 = SHED.get();
+    let expired0 = SHED_EXPIRED.get();
+    let frames0 = staq_obs::snapshot();
+    let mut sent = 0u64; // valid requests that reached the server
+    let mut expected_runs = 0u64; // pipeline runs we deliberately caused
+
+    let mux = MuxClient::connect(front.addr).expect("connect");
 
     let stats0 = stats_eventually(&mux, &mut sent);
 
@@ -198,13 +287,20 @@ fn saturation_sheds_fast_and_every_outcome_is_accounted_for() {
         "every Overloaded answer stems from a recorded shed ({shed} < {bounced}+{expired_shed})"
     );
 
+    // Every request the front end decoded was answered exactly once:
+    // the one reactor in play queued as many frames as it was sent (the
+    // deadline call's reply counts even though its caller had given up).
+    let live = staq_obs::snapshot();
+    let grew = |name: &str| live.counter(name).unwrap_or(0) - frames0.counter(name).unwrap_or(0);
+    assert_eq!(grew("net.frames_in"), sent, "every request reached the front end");
+    assert_eq!(grew("net.frames_out"), sent, "every req_id is answered exactly once");
+
     // Connection accounting: our one mux connection is the only one
     // live; after shutdown the gauge returns to zero and every accepted
     // connection has a matching close.
-    let live = staq_obs::snapshot();
     assert_eq!(live.gauge("net.conns"), Some(1), "one live client connection");
     drop(mux);
-    server.shutdown();
+    (front.shutdown)();
     let settled = staq_obs::snapshot();
     assert_eq!(settled.gauge("net.conns"), Some(0), "shutdown must close every connection");
     assert_eq!(

@@ -4,10 +4,12 @@
 //! wire, protocol error handling, and graceful shutdown.
 
 use staq_repro::prelude::*;
-use staq_serve::codec::ErrorCode;
+use staq_serve::codec::{self, ErrorCode};
 use staq_serve::presets::CityPreset;
-use staq_serve::{Client, ClientError, ServerConfig, ServerHandle};
+use staq_serve::{Client, ClientError, Response, ServerConfig, ServerHandle};
+use staq_shard::{route, Backend, RouterConfig, ShardSupervisor, SupervisorConfig, ThreadBackend};
 use std::net::SocketAddr;
+use std::sync::Arc;
 
 fn start_server(workers: usize) -> ServerHandle {
     let engine = CityPreset::Test.engine(0.05, 42);
@@ -156,6 +158,50 @@ fn malformed_frames_get_an_error_and_a_hangup() {
     c.stats().expect("stats");
 
     server.shutdown();
+}
+
+/// A well-formed frame of the previous wire version (v3: no request ID,
+/// no flags byte) draws exactly one `BadRequest` error frame and then
+/// EOF; the next connection is served normally.
+fn old_version_frame_gets_one_error_frame_then_eof(addr: SocketAddr) {
+    use std::io::{Read, Write};
+
+    let mut v3_stats = vec![0, 0, 0, 18, 3, 0x05];
+    v3_stats.extend_from_slice(&[0u8; 16]); // trace id + span id, untraced
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    raw.write_all(&v3_stats).expect("write");
+    let mut reply = Vec::new();
+    raw.read_to_end(&mut reply).expect("read until server hangup");
+
+    let mut buf = bytes::BytesMut::new();
+    buf.extend_from_slice(&reply);
+    match codec::decode_response(&mut buf).expect("a well-formed reply") {
+        Some(Response::Error { code: ErrorCode::BadRequest, message }) => {
+            assert!(message.contains("unsupported wire version 3"), "{message}")
+        }
+        other => panic!("expected one BadRequest error frame, got {other:?}"),
+    }
+    assert!(buf.is_empty(), "exactly one frame precedes the hangup: {buf:?}");
+
+    let mut c = Client::connect(addr).expect("connect");
+    c.stats().expect("the next connection is served normally");
+}
+
+#[test]
+fn old_version_frames_are_refused_by_the_server() {
+    let mut server = start_server(2);
+    old_version_frame_gets_one_error_frame_then_eof(server.addr());
+    server.shutdown();
+}
+
+#[test]
+fn old_version_frames_are_refused_by_the_router() {
+    let backend: Box<dyn Backend> =
+        Box::new(ThreadBackend::new(2, || Arc::new(CityPreset::Test.engine(0.05, 42))));
+    let sup = ShardSupervisor::start(vec![backend], SupervisorConfig::default()).expect("fleet up");
+    let mut router = route(sup, &RouterConfig::default()).expect("bind router");
+    old_version_frame_gets_one_error_frame_then_eof(router.addr());
+    router.shutdown();
 }
 
 #[test]
