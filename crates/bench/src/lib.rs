@@ -9,6 +9,7 @@
 //! | `fig3`   | Fig. 3 — JT MAE vs β for every model × POI type × city |
 //! | `fig4`   | Fig. 4 — GAC: MAC corr, ACSD corr, accuracy, FIE vs β |
 //! | `fig5`   | Fig. 5 — predicted MAC choropleth (ASCII + CSV) |
+//! | `ablation` | sampling-strategy / feature-set / fairness ablations |
 //!
 //! Every binary takes `--scale <f>` (fraction of the paper's city sizes;
 //! default keeps a run in minutes on a laptop core), `--seed <u64>`, and
@@ -19,15 +20,9 @@
 //! component costs the paper discusses: SPQ latency (§IV's 0.018 s/query),
 //! hop-tree construction, per-pair feature generation (§IV-E), labeling
 //! throughput, model fit times, and the end-to-end pipeline.
-
-/// Latency histogram machinery now lives in `staq-obs` (shared with the
-/// serving metrics layer); re-exported here so bench-side callers keep
-/// their import paths.
-pub mod hist {
-    pub use staq_obs::hist::{fmt_dur, LatencyHistogram};
-}
-
-pub use hist::{fmt_dur, LatencyHistogram};
+//!
+//! Serving and per-layer performance is not measured here: `staq-e2e`
+//! (the `benchmark/` package) is the one harness for that.
 
 use staq_synth::{City, CityConfig};
 use std::path::PathBuf;

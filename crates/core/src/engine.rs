@@ -156,8 +156,9 @@ impl Default for ApproxConfig {
 pub struct EngineOptions {
     /// When false (the default, and what [`AccessEngine::new`] uses), one
     /// [`SharedAccessCache`] backs every labeling worker and `plan` call;
-    /// when true each router warms a private cache (the pre-sharing
-    /// behaviour, kept for A/B measurement).
+    /// when true each router warms a private cache — the reference
+    /// `tests/shared_cache_equivalence.rs` holds the shared cache to, bit
+    /// for bit.
     pub private_access_caches: bool,
     pub approx: ApproxConfig,
 }
@@ -337,7 +338,8 @@ impl AccessEngine {
     }
 
     /// The fleet-shared access cache, when sharing is enabled. Exposed so
-    /// benches and tests can watch its epoch and size.
+    /// `tests/shared_cache_equivalence.rs` can watch its epoch and size
+    /// across invalidations.
     pub fn shared_access_cache(&self) -> Option<&Arc<SharedAccessCache>> {
         self.access_cache.as_ref()
     }

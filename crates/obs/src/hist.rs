@@ -146,19 +146,6 @@ impl LatencyHistogram {
         self.sum_ns += other.sum_ns;
         self.max_ns = self.max_ns.max(other.max_ns);
     }
-
-    /// One-line report: `n=... mean=... p50=... p95=... p99=... max=...`.
-    pub fn summary(&self) -> String {
-        format!(
-            "n={} mean={} p50={} p95={} p99={} max={}",
-            self.total,
-            fmt_dur(self.mean()),
-            fmt_dur(self.percentile(50.0)),
-            fmt_dur(self.percentile(95.0)),
-            fmt_dur(self.percentile(99.0)),
-            fmt_dur(self.max()),
-        )
-    }
 }
 
 /// Human-scaled duration: exact `0ns`, whole ns under 1 µs, then

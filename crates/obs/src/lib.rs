@@ -11,9 +11,8 @@
 //!   concurrent [`AtomicHistogram`]s that self-register on first touch.
 //!   Recording is relaxed atomics only; [`snapshot()`] assembles the
 //!   registry's state on demand without blocking writers.
-//! * [`hist`] — the log-bucketed mergeable [`LatencyHistogram`]
-//!   (previously in `staq-bench`, re-exported there for compatibility)
-//!   plus the bucket math shared with the atomic variant.
+//! * [`hist`] — the log-bucketed mergeable [`LatencyHistogram`] plus
+//!   the bucket math shared with the atomic variant.
 //! * [`snapshot`] — [`MetricsSnapshot`], the serde-typed interchange view
 //!   with a hand-rolled JSON codec (`to_json`/`from_json`) for
 //!   `BENCH_*.json` trajectories and the serve `Stats` frame.

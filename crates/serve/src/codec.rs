@@ -246,19 +246,6 @@ pub enum ErrorCode {
     Overloaded = 5,
 }
 
-impl ErrorCode {
-    fn from_u8(v: u8) -> Option<ErrorCode> {
-        match v {
-            1 => Some(ErrorCode::BadRequest),
-            2 => Some(ErrorCode::Invalid),
-            3 => Some(ErrorCode::Unavailable),
-            4 => Some(ErrorCode::SeqGap),
-            5 => Some(ErrorCode::Overloaded),
-            _ => None,
-        }
-    }
-}
-
 /// Decode-side failure. `Incomplete` is not an error — the caller reads
 /// more bytes; everything else means the stream is no longer trustworthy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -308,6 +295,269 @@ const K_R_PLAN: u8 = 0x8A;
 const K_R_OPS_REPORT: u8 = 0x8B;
 const K_R_ERROR: u8 = 0xFF;
 
+/// One type's wire form, stated once: how a value is written, how it is
+/// read back, and the fewest bytes it can occupy. A frame body is a
+/// sequence of `Wire` values.
+trait Wire: Sized {
+    /// Lower bound on one encoded value — what [`take_list`] divides the
+    /// bytes left by to bound its reservation. Records sum their fields
+    /// (`wire_record!`); a tagged union states its shortest variant.
+    const MIN_BYTES: usize;
+    fn put(&self, buf: &mut BytesMut);
+    fn take(buf: &mut &[u8]) -> Result<Self, CodecError>;
+}
+
+/// Big-endian fixed-width primitives.
+macro_rules! wire_fixed {
+    ($($ty:ty: $put:ident / $get:ident),*) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = std::mem::size_of::<$ty>();
+            fn put(&self, buf: &mut BytesMut) {
+                buf.$put(*self)
+            }
+            fn take(buf: &mut &[u8]) -> Result<Self, CodecError> {
+                if buf.remaining() < Self::MIN_BYTES {
+                    return Err(CodecError::BadPayload("truncated frame"));
+                }
+                Ok(buf.$get())
+            }
+        }
+    )*};
+}
+
+wire_fixed!(u8: put_u8 / get_u8, u16: put_u16 / get_u16, u32: put_u32 / get_u32);
+wire_fixed!(u64: put_u64 / get_u64, f64: put_f64 / get_f64);
+
+/// The one strict flag byte: 0 or 1, anything else is a corrupt frame.
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(*self as u8)
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        match u8::take(buf)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CodecError::BadPayload("flag byte is neither 0 nor 1")),
+        }
+    }
+}
+
+/// A presence flag, then the value when present.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = bool::MIN_BYTES;
+    fn put(&self, buf: &mut BytesMut) {
+        self.is_some().put(buf);
+        if let Some(v) = self {
+            v.put(buf);
+        }
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(if bool::take(buf)? { Some(T::take(buf)?) } else { None })
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn put(&self, buf: &mut BytesMut) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok((A::take(buf)?, B::take(buf)?))
+    }
+}
+
+/// `u16` length + UTF-8 bytes. A string longer than the prefix allows is
+/// truncated at the last char boundary that fits, so the bytes on the
+/// wire are always valid UTF-8.
+impl Wire for String {
+    const MIN_BYTES: usize = u16::MIN_BYTES;
+    fn put(&self, buf: &mut BytesMut) {
+        let n = self.floor_char_boundary(u16::MAX as usize);
+        buf.put_u16(n as u16);
+        buf.put_slice(&self.as_bytes()[..n]);
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        let n = u16::take(buf)? as usize;
+        if buf.remaining() < n {
+            return Err(CodecError::BadPayload("truncated string"));
+        }
+        let s = std::str::from_utf8(&buf.chunk()[..n])
+            .map_err(|_| CodecError::BadPayload("non-UTF-8 string"))?
+            .to_owned();
+        buf.advance(n);
+        Ok(s)
+    }
+}
+
+/// The width of a list's count prefix.
+trait Count: Wire + Copy {
+    /// `len` as a count, saturated at what the prefix can carry.
+    fn saturating(len: usize) -> Self;
+    fn get(self) -> usize;
+}
+
+macro_rules! wire_count {
+    ($($ty:ty),*) => {$(
+        impl Count for $ty {
+            fn saturating(len: usize) -> Self {
+                <$ty>::try_from(len).unwrap_or(<$ty>::MAX)
+            }
+            fn get(self) -> usize {
+                self as usize
+            }
+        }
+    )*};
+}
+
+wire_count!(u8, u16, u32);
+
+/// Writes `items` behind a `C`-wide count. A list with more items than
+/// `C` can count is cut to the count written, never the other way round.
+fn put_list<C: Count, T: Wire>(buf: &mut BytesMut, items: &[T]) {
+    let n = C::saturating(items.len());
+    n.put(buf);
+    for item in &items[..n.get()] {
+        item.put(buf);
+    }
+}
+
+/// Capacity to pre-reserve for a counted list: trust the claimed count
+/// only up to what the remaining bytes could actually hold. A frame that
+/// lies about its count (arbitrary bytes from a desynced or hostile peer)
+/// must fail on the per-element reads, not get a multi-gigabyte
+/// allocation first.
+fn capped(claimed: usize, remaining: usize, elem_bytes: usize) -> usize {
+    claimed.min(remaining / elem_bytes.max(1))
+}
+
+fn take_list<C: Count, T: Wire>(buf: &mut &[u8]) -> Result<Vec<T>, CodecError> {
+    let n = C::take(buf)?.get();
+    let mut items = Vec::with_capacity(capped(n, buf.remaining(), T::MIN_BYTES));
+    for _ in 0..n {
+        items.push(T::take(buf)?);
+    }
+    Ok(items)
+}
+
+/// Lists are `u16`-counted; the few that are not call [`put_list`] /
+/// [`take_list`] with their width.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = u16::MIN_BYTES;
+    fn put(&self, buf: &mut BytesMut) {
+        put_list::<u16, T>(buf, self)
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        take_list::<u16, T>(buf)
+    }
+}
+
+/// A record is its fields in the order listed — the wire order, which
+/// need not be the declaration order. Tuple newtypes name their field `0`.
+macro_rules! wire_record {
+    ($($ty:ident { $($field:tt: $fty:ty),* })*) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$fty>::MIN_BYTES)*;
+            fn put(&self, buf: &mut BytesMut) {
+                $(self.$field.put(buf);)*
+            }
+            fn take(buf: &mut &[u8]) -> Result<Self, CodecError> {
+                Ok($ty { $($field: <$fty>::take(buf)?),* })
+            }
+        }
+    )*};
+}
+
+wire_record! {
+    ZoneId { 0: u32 }
+    TripId { 0: u32 }
+    RouteId { 0: u32 }
+    StopId { 0: u32 }
+    Stime { 0: u32 }
+    Point { x: f64, y: f64 }
+    ZoneMeasures { zone: ZoneId, mac: f64, acsd: f64 }
+    Journey { depart: Stime, arrive: Stime, legs: Vec<Leg> }
+    WhatIfAnswer { answer: QueryAnswer, overlay_bytes: u64 }
+    DeltaAck { seq: u64, zones_rebuilt: u32, replayed: bool }
+    CounterSample { name: String, value: u64 }
+    GaugeSample { name: String, value: u64 }
+    HistogramSample {
+        name: String,
+        count: u64,
+        sum_ns: u64,
+        max_ns: u64,
+        p50_ns: u64,
+        p95_ns: u64,
+        p99_ns: u64,
+        buckets: Vec<(u32, u64)>
+    }
+    MetricsSnapshot {
+        counters: Vec<CounterSample>,
+        gauges: Vec<GaugeSample>,
+        histograms: Vec<HistogramSample>
+    }
+    ClassWindow {
+        class: String,
+        span_ns: u64,
+        count: u64,
+        sum_ns: u64,
+        max_ns: u64,
+        shed: u64,
+        buckets: Vec<(u32, u64)>
+    }
+    BurnWindow { span_ns: u64, total: u64, bad: u64 }
+    SloStatus {
+        class: String,
+        objective_milli: u32,
+        threshold_ns: u64,
+        fast: BurnWindow,
+        slow: BurnWindow,
+        shed_total: u64
+    }
+    SlowTrace {
+        trace: u64,
+        class: String,
+        root_dur_ns: u64,
+        is_error: bool,
+        captured_unix_ns: u64,
+        spans: Vec<OwnedSpan>
+    }
+    OpsReport {
+        interval_ns: u64,
+        windows: u32,
+        generated_unix_ns: u64,
+        classes: Vec<ClassWindow>,
+        slo: Vec<SloStatus>,
+        slow: Vec<SlowTrace>
+    }
+}
+
+/// One completed span: a record but for its `u8`-counted attribute list.
+impl Wire for OwnedSpan {
+    const MIN_BYTES: usize = 5 * u64::MIN_BYTES + String::MIN_BYTES + u8::MIN_BYTES;
+    fn put(&self, buf: &mut BytesMut) {
+        self.trace.put(buf);
+        self.span.put(buf);
+        self.parent.put(buf);
+        self.name.put(buf);
+        self.start_unix_ns.put(buf);
+        self.dur_ns.put(buf);
+        put_list::<u8, _>(buf, &self.attrs);
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(OwnedSpan {
+            trace: Wire::take(buf)?,
+            span: Wire::take(buf)?,
+            parent: Wire::take(buf)?,
+            name: Wire::take(buf)?,
+            start_unix_ns: Wire::take(buf)?,
+            dur_ns: Wire::take(buf)?,
+            attrs: take_list::<u8, _>(buf)?,
+        })
+    }
+}
+
 fn category_code(c: PoiCategory) -> u8 {
     PoiCategory::ALL.iter().position(|k| *k == c).expect("category in ALL") as u8
 }
@@ -317,6 +567,16 @@ fn category_from(code: u8) -> Result<PoiCategory, CodecError> {
         .get(code as usize)
         .copied()
         .ok_or(CodecError::BadPayload("unknown POI category"))
+}
+
+impl Wire for PoiCategory {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(category_code(*self))
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        category_from(u8::take(buf)?)
+    }
 }
 
 /// High bit of the category byte on `Measures`/`Query` requests: the
@@ -331,556 +591,227 @@ fn category_and_approx(raw: u8) -> Result<(PoiCategory, bool), CodecError> {
     Ok((category_from(raw & !APPROX_FLAG)?, raw & APPROX_FLAG != 0))
 }
 
-fn class_code(c: AccessClass) -> u8 {
-    match c {
-        AccessClass::Best => 0,
-        AccessClass::MostlyGood => 1,
-        AccessClass::MostlyBad => 2,
-        AccessClass::Worst => 3,
+/// A fieldless enum as one code byte, each code stated once. `put`'s
+/// match has no wildcard arm, so a new variant does not compile until it
+/// is given a code.
+macro_rules! wire_codes {
+    ($($ty:ident, $unknown:literal: { $($variant:ident = $code:literal),* })*) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 1;
+            fn put(&self, buf: &mut BytesMut) {
+                buf.put_u8(match self { $($ty::$variant => $code),* })
+            }
+            fn take(buf: &mut &[u8]) -> Result<Self, CodecError> {
+                Ok(match u8::take(buf)? {
+                    $($code => $ty::$variant,)*
+                    _ => return Err(CodecError::BadPayload($unknown)),
+                })
+            }
+        }
+    )*};
+}
+
+wire_codes! {
+    AccessClass, "unknown access class": { Best = 0, MostlyGood = 1, MostlyBad = 2, Worst = 3 }
+    DemographicWeight, "unknown demographic weight": {
+        Uniform = 0, Population = 1, Unemployed = 2, Vulnerable = 3, Children = 4
+    }
+    ErrorCode, "unknown error code": {
+        BadRequest = 1, Invalid = 2, Unavailable = 3, SeqGap = 4, Overloaded = 5
     }
 }
 
-fn class_from(code: u8) -> Result<AccessClass, CodecError> {
-    Ok(match code {
-        0 => AccessClass::Best,
-        1 => AccessClass::MostlyGood,
-        2 => AccessClass::MostlyBad,
-        3 => AccessClass::Worst,
-        _ => return Err(CodecError::BadPayload("unknown access class")),
-    })
-}
-
-fn weight_code(w: DemographicWeight) -> u8 {
-    match w {
-        DemographicWeight::Uniform => 0,
-        DemographicWeight::Population => 1,
-        DemographicWeight::Unemployed => 2,
-        DemographicWeight::Vulnerable => 3,
-        DemographicWeight::Children => 4,
+impl Wire for DayOfWeek {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(self.index() as u8)
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        DayOfWeek::ALL
+            .get(u8::take(buf)? as usize)
+            .copied()
+            .ok_or(CodecError::BadPayload("unknown day of week"))
     }
 }
 
-fn weight_from(code: u8) -> Result<DemographicWeight, CodecError> {
-    Ok(match code {
-        0 => DemographicWeight::Uniform,
-        1 => DemographicWeight::Population,
-        2 => DemographicWeight::Unemployed,
-        3 => DemographicWeight::Vulnerable,
-        4 => DemographicWeight::Children,
-        _ => return Err(CodecError::BadPayload("unknown demographic weight")),
-    })
-}
-
-/// Strings longer than the `u16` length prefix allows are truncated at
-/// the last char boundary that fits, so the bytes on the wire are always
-/// valid UTF-8.
-fn put_string(buf: &mut BytesMut, s: &str) {
-    let n = s.floor_char_boundary(u16::MAX as usize);
-    buf.put_u16(n as u16);
-    buf.put_slice(&s.as_bytes()[..n]);
-}
-
-fn take_string(buf: &mut &[u8]) -> Result<String, CodecError> {
-    let n = take_u16(buf)? as usize;
-    if buf.remaining() < n {
-        return Err(CodecError::BadPayload("truncated string"));
-    }
-    let s = std::str::from_utf8(&buf.chunk()[..n])
-        .map_err(|_| CodecError::BadPayload("non-UTF-8 string"))?
-        .to_owned();
-    buf.advance(n);
-    Ok(s)
-}
-
-macro_rules! take_fixed {
-    ($name:ident, $ty:ty, $get:ident, $width:expr) => {
-        fn $name(buf: &mut &[u8]) -> Result<$ty, CodecError> {
-            if buf.remaining() < $width {
-                return Err(CodecError::BadPayload("truncated frame"));
+/// A tag byte then the variant's fields, as for every tagged union below.
+impl Wire for AccessQuery {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            AccessQuery::MeanAccess => buf.put_u8(0),
+            AccessQuery::Classification => buf.put_u8(1),
+            AccessQuery::AtRisk { threshold_factor } => {
+                buf.put_u8(2);
+                threshold_factor.put(buf);
             }
-            Ok(buf.$get())
-        }
-    };
-}
-
-take_fixed!(take_u8, u8, get_u8, 1);
-take_fixed!(take_u16, u16, get_u16, 2);
-take_fixed!(take_u32, u32, get_u32, 4);
-take_fixed!(take_u64, u64, get_u64, 8);
-take_fixed!(take_f64, f64, get_f64, 8);
-
-/// Capacity to pre-reserve for a counted list: trust the claimed count
-/// only up to what the remaining bytes could actually hold. A frame that
-/// lies about its count (arbitrary bytes from a desynced or hostile peer)
-/// must fail on the per-element reads, not get a multi-gigabyte
-/// allocation first.
-fn capped(claimed: usize, remaining: usize, elem_bytes: usize) -> usize {
-    claimed.min(remaining / elem_bytes.max(1))
-}
-
-fn encode_query(buf: &mut BytesMut, q: &AccessQuery) {
-    match q {
-        AccessQuery::MeanAccess => buf.put_u8(0),
-        AccessQuery::Classification => buf.put_u8(1),
-        AccessQuery::AtRisk { threshold_factor } => {
-            buf.put_u8(2);
-            buf.put_f64(*threshold_factor);
-        }
-        AccessQuery::Fairness { weight } => {
-            buf.put_u8(3);
-            buf.put_u8(weight_code(*weight));
-        }
-        AccessQuery::WorstZones { k } => {
-            buf.put_u8(4);
-            buf.put_u32(*k as u32);
-        }
-        AccessQuery::PointAccess { x, y } => {
-            buf.put_u8(5);
-            buf.put_f64(*x);
-            buf.put_f64(*y);
-        }
-    }
-}
-
-fn decode_query(buf: &mut &[u8]) -> Result<AccessQuery, CodecError> {
-    Ok(match take_u8(buf)? {
-        0 => AccessQuery::MeanAccess,
-        1 => AccessQuery::Classification,
-        2 => AccessQuery::AtRisk { threshold_factor: take_f64(buf)? },
-        3 => AccessQuery::Fairness { weight: weight_from(take_u8(buf)?)? },
-        4 => AccessQuery::WorstZones { k: take_u32(buf)? as usize },
-        5 => AccessQuery::PointAccess { x: take_f64(buf)?, y: take_f64(buf)? },
-        _ => return Err(CodecError::BadPayload("unknown query tag")),
-    })
-}
-
-fn encode_answer(buf: &mut BytesMut, a: &QueryAnswer) {
-    match a {
-        QueryAnswer::MeanAccess { mean_mac, mean_acsd, n_zones } => {
-            buf.put_u8(0);
-            buf.put_f64(*mean_mac);
-            buf.put_f64(*mean_acsd);
-            buf.put_u32(*n_zones as u32);
-        }
-        QueryAnswer::Classification(cs) => {
-            buf.put_u8(1);
-            buf.put_u32(cs.len() as u32);
-            for (z, c) in cs {
-                buf.put_u32(z.0);
-                buf.put_u8(class_code(*c));
+            AccessQuery::Fairness { weight } => {
+                buf.put_u8(3);
+                weight.put(buf);
             }
-        }
-        QueryAnswer::AtRisk(zs) => {
-            buf.put_u8(2);
-            buf.put_u32(zs.len() as u32);
-            for z in zs {
-                buf.put_u32(z.0);
+            AccessQuery::WorstZones { k } => {
+                buf.put_u8(4);
+                (*k as u32).put(buf);
             }
-        }
-        QueryAnswer::Fairness(j) => {
-            buf.put_u8(3);
-            buf.put_f64(*j);
-        }
-        QueryAnswer::WorstZones(zs) => {
-            buf.put_u8(4);
-            buf.put_u32(zs.len() as u32);
-            for (z, mac) in zs {
-                buf.put_u32(z.0);
-                buf.put_f64(*mac);
-            }
-        }
-        QueryAnswer::PointAccess { zone, mac, acsd } => {
-            buf.put_u8(5);
-            buf.put_u32(zone.0);
-            buf.put_f64(*mac);
-            buf.put_f64(*acsd);
-        }
-    }
-}
-
-fn decode_answer(buf: &mut &[u8]) -> Result<QueryAnswer, CodecError> {
-    Ok(match take_u8(buf)? {
-        0 => QueryAnswer::MeanAccess {
-            mean_mac: take_f64(buf)?,
-            mean_acsd: take_f64(buf)?,
-            n_zones: take_u32(buf)? as usize,
-        },
-        1 => {
-            let n = take_u32(buf)? as usize;
-            let mut cs = Vec::with_capacity(capped(n, buf.remaining(), 5));
-            for _ in 0..n {
-                cs.push((ZoneId(take_u32(buf)?), class_from(take_u8(buf)?)?));
-            }
-            QueryAnswer::Classification(cs)
-        }
-        2 => {
-            let n = take_u32(buf)? as usize;
-            let mut zs = Vec::with_capacity(capped(n, buf.remaining(), 4));
-            for _ in 0..n {
-                zs.push(ZoneId(take_u32(buf)?));
-            }
-            QueryAnswer::AtRisk(zs)
-        }
-        3 => QueryAnswer::Fairness(take_f64(buf)?),
-        4 => {
-            let n = take_u32(buf)? as usize;
-            let mut zs = Vec::with_capacity(capped(n, buf.remaining(), 12));
-            for _ in 0..n {
-                zs.push((ZoneId(take_u32(buf)?), take_f64(buf)?));
-            }
-            QueryAnswer::WorstZones(zs)
-        }
-        5 => QueryAnswer::PointAccess {
-            zone: ZoneId(take_u32(buf)?),
-            mac: take_f64(buf)?,
-            acsd: take_f64(buf)?,
-        },
-        _ => return Err(CodecError::BadPayload("unknown answer tag")),
-    })
-}
-
-/// Wire form of one [`Delta`]: a tag byte then the variant's fields.
-fn encode_delta(buf: &mut BytesMut, d: &Delta) {
-    match d {
-        Delta::TripDelay { trip, delay_secs } => {
-            buf.put_u8(0);
-            buf.put_u32(trip.0);
-            buf.put_u32(*delay_secs);
-        }
-        Delta::TripCancel { trip } => {
-            buf.put_u8(1);
-            buf.put_u32(trip.0);
-        }
-        Delta::RouteRemove { route } => {
-            buf.put_u8(2);
-            buf.put_u32(route.0);
-        }
-        Delta::ServiceAlert { route, message } => {
-            buf.put_u8(3);
-            buf.put_u32(route.0);
-            put_string(buf, message);
-        }
-        Delta::AddRoute { stops, headway_s } => {
-            buf.put_u8(4);
-            buf.put_u32(*headway_s);
-            buf.put_u16(stops.len().min(u16::MAX as usize) as u16);
-            for p in stops.iter().take(u16::MAX as usize) {
-                buf.put_f64(p.x);
-                buf.put_f64(p.y);
+            AccessQuery::PointAccess { x, y } => {
+                buf.put_u8(5);
+                x.put(buf);
+                y.put(buf);
             }
         }
     }
+    fn take(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(match u8::take(buf)? {
+            0 => AccessQuery::MeanAccess,
+            1 => AccessQuery::Classification,
+            2 => AccessQuery::AtRisk { threshold_factor: Wire::take(buf)? },
+            3 => AccessQuery::Fairness { weight: Wire::take(buf)? },
+            4 => AccessQuery::WorstZones { k: u32::take(buf)? as usize },
+            5 => AccessQuery::PointAccess { x: Wire::take(buf)?, y: Wire::take(buf)? },
+            _ => return Err(CodecError::BadPayload("unknown query tag")),
+        })
+    }
 }
 
-fn decode_delta(buf: &mut &[u8]) -> Result<Delta, CodecError> {
-    Ok(match take_u8(buf)? {
-        0 => Delta::TripDelay { trip: TripId(take_u32(buf)?), delay_secs: take_u32(buf)? },
-        1 => Delta::TripCancel { trip: TripId(take_u32(buf)?) },
-        2 => Delta::RouteRemove { route: RouteId(take_u32(buf)?) },
-        3 => Delta::ServiceAlert { route: RouteId(take_u32(buf)?), message: take_string(buf)? },
-        4 => {
-            let headway_s = take_u32(buf)?;
-            let n = take_u16(buf)? as usize;
-            let mut stops = Vec::with_capacity(capped(n, buf.remaining(), 16));
-            for _ in 0..n {
-                stops.push(Point::new(take_f64(buf)?, take_f64(buf)?));
+/// The list-valued answers are `u32`-counted.
+impl Wire for QueryAnswer {
+    const MIN_BYTES: usize = 1 + u32::MIN_BYTES;
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            QueryAnswer::MeanAccess { mean_mac, mean_acsd, n_zones } => {
+                buf.put_u8(0);
+                mean_mac.put(buf);
+                mean_acsd.put(buf);
+                (*n_zones as u32).put(buf);
             }
-            Delta::AddRoute { stops, headway_s }
-        }
-        _ => return Err(CodecError::BadPayload("unknown delta tag")),
-    })
-}
-
-/// Wire form of a [`MetricsSnapshot`]: three `u16`-counted sample lists.
-/// Binary rather than the snapshot's JSON text — a busy server's registry
-/// serializes to tens of KiB of JSON, and the stats frame should stay a
-/// cheap request to poll.
-fn encode_snapshot(buf: &mut BytesMut, m: &MetricsSnapshot) {
-    buf.put_u16(m.counters.len().min(u16::MAX as usize) as u16);
-    for c in m.counters.iter().take(u16::MAX as usize) {
-        put_string(buf, &c.name);
-        buf.put_u64(c.value);
-    }
-    buf.put_u16(m.gauges.len().min(u16::MAX as usize) as u16);
-    for g in m.gauges.iter().take(u16::MAX as usize) {
-        put_string(buf, &g.name);
-        buf.put_u64(g.value);
-    }
-    buf.put_u16(m.histograms.len().min(u16::MAX as usize) as u16);
-    for h in m.histograms.iter().take(u16::MAX as usize) {
-        put_string(buf, &h.name);
-        buf.put_u64(h.count);
-        buf.put_u64(h.sum_ns);
-        buf.put_u64(h.max_ns);
-        buf.put_u64(h.p50_ns);
-        buf.put_u64(h.p95_ns);
-        buf.put_u64(h.p99_ns);
-        buf.put_u16(h.buckets.len().min(u16::MAX as usize) as u16);
-        for &(idx, n) in h.buckets.iter().take(u16::MAX as usize) {
-            buf.put_u32(idx);
-            buf.put_u64(n);
-        }
-    }
-}
-
-fn decode_snapshot(buf: &mut &[u8]) -> Result<MetricsSnapshot, CodecError> {
-    let mut m = MetricsSnapshot::default();
-    let n = take_u16(buf)? as usize;
-    m.counters.reserve(capped(n, buf.remaining(), 10));
-    for _ in 0..n {
-        m.counters.push(CounterSample { name: take_string(buf)?, value: take_u64(buf)? });
-    }
-    let n = take_u16(buf)? as usize;
-    m.gauges.reserve(capped(n, buf.remaining(), 10));
-    for _ in 0..n {
-        m.gauges.push(GaugeSample { name: take_string(buf)?, value: take_u64(buf)? });
-    }
-    let n = take_u16(buf)? as usize;
-    m.histograms.reserve(capped(n, buf.remaining(), 52));
-    for _ in 0..n {
-        let name = take_string(buf)?;
-        let count = take_u64(buf)?;
-        let sum_ns = take_u64(buf)?;
-        let max_ns = take_u64(buf)?;
-        let p50_ns = take_u64(buf)?;
-        let p95_ns = take_u64(buf)?;
-        let p99_ns = take_u64(buf)?;
-        let n_buckets = take_u16(buf)? as usize;
-        let mut buckets = Vec::with_capacity(capped(n_buckets, buf.remaining(), 12));
-        for _ in 0..n_buckets {
-            buckets.push((take_u32(buf)?, take_u64(buf)?));
-        }
-        m.histograms.push(HistogramSample {
-            name,
-            count,
-            sum_ns,
-            max_ns,
-            p50_ns,
-            p95_ns,
-            p99_ns,
-            buckets,
-        });
-    }
-    Ok(m)
-}
-
-/// Wire form of one completed span inside a `TraceDump` response.
-fn encode_span(buf: &mut BytesMut, s: &OwnedSpan) {
-    buf.put_u64(s.trace);
-    buf.put_u64(s.span);
-    buf.put_u64(s.parent);
-    put_string(buf, &s.name);
-    buf.put_u64(s.start_unix_ns);
-    buf.put_u64(s.dur_ns);
-    buf.put_u8(s.attrs.len().min(u8::MAX as usize) as u8);
-    for (k, v) in s.attrs.iter().take(u8::MAX as usize) {
-        put_string(buf, k);
-        buf.put_u64(*v);
-    }
-}
-
-fn decode_span(buf: &mut &[u8]) -> Result<OwnedSpan, CodecError> {
-    let trace = take_u64(buf)?;
-    let span = take_u64(buf)?;
-    let parent = take_u64(buf)?;
-    let name = take_string(buf)?;
-    let start_unix_ns = take_u64(buf)?;
-    let dur_ns = take_u64(buf)?;
-    let n = take_u8(buf)? as usize;
-    let mut attrs = Vec::with_capacity(capped(n, buf.remaining(), 10));
-    for _ in 0..n {
-        attrs.push((take_string(buf)?, take_u64(buf)?));
-    }
-    Ok(OwnedSpan { trace, span, parent, name, start_unix_ns, dur_ns, attrs })
-}
-
-/// Wire form of one journey leg: a tag byte then the variant's fields.
-fn encode_leg(buf: &mut BytesMut, leg: &Leg) {
-    match *leg {
-        Leg::Walk { secs, to_stop } => {
-            buf.put_u8(0);
-            buf.put_u32(secs);
-            match to_stop {
-                Some(s) => {
-                    buf.put_u8(1);
-                    buf.put_u32(s.0);
-                }
-                None => buf.put_u8(0),
+            QueryAnswer::Classification(cs) => {
+                buf.put_u8(1);
+                put_list::<u32, _>(buf, cs);
+            }
+            QueryAnswer::AtRisk(zs) => {
+                buf.put_u8(2);
+                put_list::<u32, _>(buf, zs);
+            }
+            QueryAnswer::Fairness(j) => {
+                buf.put_u8(3);
+                j.put(buf);
+            }
+            QueryAnswer::WorstZones(zs) => {
+                buf.put_u8(4);
+                put_list::<u32, _>(buf, zs);
+            }
+            QueryAnswer::PointAccess { zone, mac, acsd } => {
+                buf.put_u8(5);
+                zone.put(buf);
+                mac.put(buf);
+                acsd.put(buf);
             }
         }
-        Leg::Wait { secs, at_stop } => {
-            buf.put_u8(1);
-            buf.put_u32(secs);
-            buf.put_u32(at_stop.0);
-        }
-        Leg::Ride { trip, route, from_stop, to_stop, board, alight } => {
-            buf.put_u8(2);
-            buf.put_u32(trip.0);
-            buf.put_u32(route.0);
-            buf.put_u32(from_stop.0);
-            buf.put_u32(to_stop.0);
-            buf.put_u32(board.0);
-            buf.put_u32(alight.0);
-        }
+    }
+    fn take(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(match u8::take(buf)? {
+            0 => QueryAnswer::MeanAccess {
+                mean_mac: Wire::take(buf)?,
+                mean_acsd: Wire::take(buf)?,
+                n_zones: u32::take(buf)? as usize,
+            },
+            1 => QueryAnswer::Classification(take_list::<u32, _>(buf)?),
+            2 => QueryAnswer::AtRisk(take_list::<u32, _>(buf)?),
+            3 => QueryAnswer::Fairness(Wire::take(buf)?),
+            4 => QueryAnswer::WorstZones(take_list::<u32, _>(buf)?),
+            5 => QueryAnswer::PointAccess {
+                zone: Wire::take(buf)?,
+                mac: Wire::take(buf)?,
+                acsd: Wire::take(buf)?,
+            },
+            _ => return Err(CodecError::BadPayload("unknown answer tag")),
+        })
     }
 }
 
-fn decode_leg(buf: &mut &[u8]) -> Result<Leg, CodecError> {
-    Ok(match take_u8(buf)? {
-        0 => {
-            let secs = take_u32(buf)?;
-            let to_stop = match take_u8(buf)? {
-                0 => None,
-                1 => Some(StopId(take_u32(buf)?)),
-                _ => return Err(CodecError::BadPayload("bad walk-stop flag")),
-            };
-            Leg::Walk { secs, to_stop }
-        }
-        1 => Leg::Wait { secs: take_u32(buf)?, at_stop: StopId(take_u32(buf)?) },
-        2 => Leg::Ride {
-            trip: TripId(take_u32(buf)?),
-            route: RouteId(take_u32(buf)?),
-            from_stop: StopId(take_u32(buf)?),
-            to_stop: StopId(take_u32(buf)?),
-            board: Stime(take_u32(buf)?),
-            alight: Stime(take_u32(buf)?),
-        },
-        _ => return Err(CodecError::BadPayload("unknown leg tag")),
-    })
-}
-
-/// Wire form of one journey inside a `Plan` response.
-fn encode_journey(buf: &mut BytesMut, j: &Journey) {
-    buf.put_u32(j.depart.0);
-    buf.put_u32(j.arrive.0);
-    buf.put_u16(j.legs.len().min(u16::MAX as usize) as u16);
-    for leg in j.legs.iter().take(u16::MAX as usize) {
-        encode_leg(buf, leg);
-    }
-}
-
-fn decode_journey(buf: &mut &[u8]) -> Result<Journey, CodecError> {
-    let depart = Stime(take_u32(buf)?);
-    let arrive = Stime(take_u32(buf)?);
-    let n = take_u16(buf)? as usize;
-    let mut legs = Vec::with_capacity(capped(n, buf.remaining(), 6));
-    for _ in 0..n {
-        legs.push(decode_leg(buf)?);
-    }
-    Ok(Journey { depart, arrive, legs })
-}
-
-/// Wire form of an [`OpsReport`]: fixed header, then three `u16`-counted
-/// lists — per-class windows (sparse buckets like the stats snapshot),
-/// SLO statuses (two raw burn windows each, so the poller recomputes
-/// rates from exact integers), and retained slow traces (each a span
-/// list reusing the `TraceDump` span codec).
-fn encode_ops_report(buf: &mut BytesMut, r: &OpsReport) {
-    buf.put_u64(r.interval_ns);
-    buf.put_u32(r.windows);
-    buf.put_u64(r.generated_unix_ns);
-    buf.put_u16(r.classes.len().min(u16::MAX as usize) as u16);
-    for c in r.classes.iter().take(u16::MAX as usize) {
-        put_string(buf, &c.class);
-        buf.put_u64(c.span_ns);
-        buf.put_u64(c.count);
-        buf.put_u64(c.sum_ns);
-        buf.put_u64(c.max_ns);
-        buf.put_u64(c.shed);
-        buf.put_u16(c.buckets.len().min(u16::MAX as usize) as u16);
-        for &(idx, n) in c.buckets.iter().take(u16::MAX as usize) {
-            buf.put_u32(idx);
-            buf.put_u64(n);
+impl Wire for Delta {
+    /// `TripCancel`: tag + trip.
+    const MIN_BYTES: usize = 1 + TripId::MIN_BYTES;
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Delta::TripDelay { trip, delay_secs } => {
+                buf.put_u8(0);
+                trip.put(buf);
+                delay_secs.put(buf);
+            }
+            Delta::TripCancel { trip } => {
+                buf.put_u8(1);
+                trip.put(buf);
+            }
+            Delta::RouteRemove { route } => {
+                buf.put_u8(2);
+                route.put(buf);
+            }
+            Delta::ServiceAlert { route, message } => {
+                buf.put_u8(3);
+                route.put(buf);
+                message.put(buf);
+            }
+            Delta::AddRoute { stops, headway_s } => {
+                buf.put_u8(4);
+                headway_s.put(buf);
+                stops.put(buf);
+            }
         }
     }
-    buf.put_u16(r.slo.len().min(u16::MAX as usize) as u16);
-    for s in r.slo.iter().take(u16::MAX as usize) {
-        put_string(buf, &s.class);
-        buf.put_u32(s.objective_milli);
-        buf.put_u64(s.threshold_ns);
-        for w in [&s.fast, &s.slow] {
-            buf.put_u64(w.span_ns);
-            buf.put_u64(w.total);
-            buf.put_u64(w.bad);
-        }
-        buf.put_u64(s.shed_total);
-    }
-    buf.put_u16(r.slow.len().min(u16::MAX as usize) as u16);
-    for t in r.slow.iter().take(u16::MAX as usize) {
-        buf.put_u64(t.trace);
-        put_string(buf, &t.class);
-        buf.put_u64(t.root_dur_ns);
-        buf.put_u8(t.is_error as u8);
-        buf.put_u64(t.captured_unix_ns);
-        buf.put_u16(t.spans.len().min(u16::MAX as usize) as u16);
-        for s in t.spans.iter().take(u16::MAX as usize) {
-            encode_span(buf, s);
-        }
+    fn take(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(match u8::take(buf)? {
+            0 => Delta::TripDelay { trip: Wire::take(buf)?, delay_secs: Wire::take(buf)? },
+            1 => Delta::TripCancel { trip: Wire::take(buf)? },
+            2 => Delta::RouteRemove { route: Wire::take(buf)? },
+            3 => Delta::ServiceAlert { route: Wire::take(buf)?, message: Wire::take(buf)? },
+            4 => Delta::AddRoute { headway_s: Wire::take(buf)?, stops: Wire::take(buf)? },
+            _ => return Err(CodecError::BadPayload("unknown delta tag")),
+        })
     }
 }
 
-fn decode_ops_report(buf: &mut &[u8]) -> Result<OpsReport, CodecError> {
-    let interval_ns = take_u64(buf)?;
-    let windows = take_u32(buf)?;
-    let generated_unix_ns = take_u64(buf)?;
-    let n = take_u16(buf)? as usize;
-    let mut classes = Vec::with_capacity(capped(n, buf.remaining(), 44));
-    for _ in 0..n {
-        let class = take_string(buf)?;
-        let span_ns = take_u64(buf)?;
-        let count = take_u64(buf)?;
-        let sum_ns = take_u64(buf)?;
-        let max_ns = take_u64(buf)?;
-        let shed = take_u64(buf)?;
-        let nb = take_u16(buf)? as usize;
-        let mut buckets = Vec::with_capacity(capped(nb, buf.remaining(), 12));
-        for _ in 0..nb {
-            buckets.push((take_u32(buf)?, take_u64(buf)?));
+impl Wire for Leg {
+    /// `Walk` to no stop: tag + secs + absent flag.
+    const MIN_BYTES: usize = 1 + u32::MIN_BYTES + Option::<StopId>::MIN_BYTES;
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Leg::Walk { secs, to_stop } => {
+                buf.put_u8(0);
+                secs.put(buf);
+                to_stop.put(buf);
+            }
+            Leg::Wait { secs, at_stop } => {
+                buf.put_u8(1);
+                secs.put(buf);
+                at_stop.put(buf);
+            }
+            Leg::Ride { trip, route, from_stop, to_stop, board, alight } => {
+                buf.put_u8(2);
+                trip.put(buf);
+                route.put(buf);
+                from_stop.put(buf);
+                to_stop.put(buf);
+                board.put(buf);
+                alight.put(buf);
+            }
         }
-        classes.push(ClassWindow { class, span_ns, count, sum_ns, max_ns, buckets, shed });
     }
-    let n = take_u16(buf)? as usize;
-    let mut slo = Vec::with_capacity(capped(n, buf.remaining(), 70));
-    for _ in 0..n {
-        let class = take_string(buf)?;
-        let objective_milli = take_u32(buf)?;
-        let threshold_ns = take_u64(buf)?;
-        let mut burns = [BurnWindow::default(); 2];
-        for w in burns.iter_mut() {
-            w.span_ns = take_u64(buf)?;
-            w.total = take_u64(buf)?;
-            w.bad = take_u64(buf)?;
-        }
-        let shed_total = take_u64(buf)?;
-        slo.push(SloStatus {
-            class,
-            objective_milli,
-            threshold_ns,
-            fast: burns[0],
-            slow: burns[1],
-            shed_total,
-        });
+    fn take(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(match u8::take(buf)? {
+            0 => Leg::Walk { secs: Wire::take(buf)?, to_stop: Wire::take(buf)? },
+            1 => Leg::Wait { secs: Wire::take(buf)?, at_stop: Wire::take(buf)? },
+            2 => Leg::Ride {
+                trip: Wire::take(buf)?,
+                route: Wire::take(buf)?,
+                from_stop: Wire::take(buf)?,
+                to_stop: Wire::take(buf)?,
+                board: Wire::take(buf)?,
+                alight: Wire::take(buf)?,
+            },
+            _ => return Err(CodecError::BadPayload("unknown leg tag")),
+        })
     }
-    let n = take_u16(buf)? as usize;
-    let mut slow = Vec::with_capacity(capped(n, buf.remaining(), 37));
-    for _ in 0..n {
-        let trace = take_u64(buf)?;
-        let class = take_string(buf)?;
-        let root_dur_ns = take_u64(buf)?;
-        let is_error = match take_u8(buf)? {
-            0 => false,
-            1 => true,
-            _ => return Err(CodecError::BadPayload("bad is-error flag")),
-        };
-        let captured_unix_ns = take_u64(buf)?;
-        let ns = take_u16(buf)? as usize;
-        let mut spans = Vec::with_capacity(capped(ns, buf.remaining(), 43));
-        for _ in 0..ns {
-            spans.push(decode_span(buf)?);
-        }
-        slow.push(SlowTrace { trace, class, root_dur_ns, is_error, captured_unix_ns, spans });
-    }
-    Ok(OpsReport { interval_ns, windows, generated_unix_ns, classes, slo, slow })
 }
 
 /// Appends one encoded request frame (header included) to `buf`,
@@ -906,7 +837,8 @@ pub fn encode_request_mux(
 ) {
     let body_start = begin_frame(buf);
     let ctx = trace::current();
-    let put_ctx = |buf: &mut BytesMut| {
+    let head = |buf: &mut BytesMut, kind: u8| {
+        buf.put_u8(kind);
         buf.put_u64(req_id);
         buf.put_u64(ctx.trace);
         buf.put_u64(ctx.span);
@@ -920,88 +852,50 @@ pub fn encode_request_mux(
     };
     match req {
         Request::Measures { category, approx } => {
-            buf.put_u8(K_MEASURES);
-            put_ctx(buf);
+            head(buf, K_MEASURES);
             buf.put_u8(category_byte(*category, *approx));
         }
         Request::Query { category, query, approx } => {
-            buf.put_u8(K_QUERY);
-            put_ctx(buf);
+            head(buf, K_QUERY);
             buf.put_u8(category_byte(*category, *approx));
-            encode_query(buf, query);
+            query.put(buf);
         }
         Request::AddPoi { category, pos } => {
-            buf.put_u8(K_ADD_POI);
-            put_ctx(buf);
-            buf.put_u8(category_code(*category));
-            buf.put_f64(pos.x);
-            buf.put_f64(pos.y);
+            head(buf, K_ADD_POI);
+            category.put(buf);
+            pos.put(buf);
         }
-        Request::Stats => {
-            buf.put_u8(K_STATS);
-            put_ctx(buf);
-        }
+        Request::Stats => head(buf, K_STATS),
         Request::TraceDump { min_dur_ns, set_capture_ns } => {
-            buf.put_u8(K_TRACE_DUMP);
-            put_ctx(buf);
-            buf.put_u64(*min_dur_ns);
-            match set_capture_ns {
-                Some(ns) => {
-                    buf.put_u8(1);
-                    buf.put_u64(*ns);
-                }
-                None => buf.put_u8(0),
-            }
+            head(buf, K_TRACE_DUMP);
+            min_dur_ns.put(buf);
+            set_capture_ns.put(buf);
         }
         Request::ApplyDelta { seq, delta } => {
-            buf.put_u8(K_APPLY_DELTA);
-            put_ctx(buf);
-            buf.put_u64(*seq);
-            encode_delta(buf, delta);
+            head(buf, K_APPLY_DELTA);
+            seq.put(buf);
+            delta.put(buf);
         }
         Request::DeltaBatch { first_seq, deltas } => {
-            buf.put_u8(K_DELTA_BATCH);
-            put_ctx(buf);
-            buf.put_u64(*first_seq);
-            buf.put_u16(deltas.len().min(u16::MAX as usize) as u16);
-            for d in deltas.iter().take(u16::MAX as usize) {
-                encode_delta(buf, d);
-            }
+            head(buf, K_DELTA_BATCH);
+            first_seq.put(buf);
+            deltas.put(buf);
         }
         Request::WhatIf { category, scenarios, query } => {
-            buf.put_u8(K_WHAT_IF);
-            put_ctx(buf);
-            buf.put_u8(category_code(*category));
-            encode_query(buf, query);
-            buf.put_u16(scenarios.len().min(u16::MAX as usize) as u16);
-            for scenario in scenarios.iter().take(u16::MAX as usize) {
-                buf.put_u16(scenario.len().min(u16::MAX as usize) as u16);
-                for d in scenario.iter().take(u16::MAX as usize) {
-                    encode_delta(buf, d);
-                }
-            }
+            head(buf, K_WHAT_IF);
+            category.put(buf);
+            query.put(buf);
+            scenarios.put(buf);
         }
         Request::Plan { origin, dest, depart, day, max_transfers } => {
-            buf.put_u8(K_PLAN);
-            put_ctx(buf);
-            buf.put_f64(origin.x);
-            buf.put_f64(origin.y);
-            buf.put_f64(dest.x);
-            buf.put_f64(dest.y);
-            buf.put_u32(depart.0);
-            buf.put_u8(day.index() as u8);
-            match max_transfers {
-                Some(k) => {
-                    buf.put_u8(1);
-                    buf.put_u8(*k);
-                }
-                None => buf.put_u8(0),
-            }
+            head(buf, K_PLAN);
+            origin.put(buf);
+            dest.put(buf);
+            depart.put(buf);
+            day.put(buf);
+            max_transfers.put(buf);
         }
-        Request::OpsReport => {
-            buf.put_u8(K_OPS_REPORT);
-            put_ctx(buf);
-        }
+        Request::OpsReport => head(buf, K_OPS_REPORT),
     }
     end_frame(buf, body_start);
 }
@@ -1017,87 +911,59 @@ pub fn encode_response(resp: &Response, buf: &mut BytesMut) {
 /// it to its caller.
 pub fn encode_response_to(resp: &Response, req_id: u64, buf: &mut BytesMut) {
     let body_start = begin_frame(buf);
-    let put_req_id = |buf: &mut BytesMut| buf.put_u64(req_id);
+    let head = |buf: &mut BytesMut, kind: u8| {
+        buf.put_u8(kind);
+        buf.put_u64(req_id);
+    };
     match resp {
         Response::Measures(ms) => {
-            buf.put_u8(K_R_MEASURES);
-            put_req_id(buf);
-            buf.put_u32(ms.len() as u32);
-            for m in ms {
-                buf.put_u32(m.zone.0);
-                buf.put_f64(m.mac);
-                buf.put_f64(m.acsd);
-            }
+            head(buf, K_R_MEASURES);
+            put_list::<u32, _>(buf, ms);
         }
         Response::Query(a) => {
-            buf.put_u8(K_R_QUERY);
-            put_req_id(buf);
-            encode_answer(buf, a);
+            head(buf, K_R_QUERY);
+            a.put(buf);
         }
         Response::AddPoi { poi_id } => {
-            buf.put_u8(K_R_ADD_POI);
-            put_req_id(buf);
-            buf.put_u32(*poi_id);
+            head(buf, K_R_ADD_POI);
+            poi_id.put(buf);
         }
         Response::Stats(s) => {
-            buf.put_u8(K_R_STATS);
-            put_req_id(buf);
-            buf.put_u64(s.pipeline_runs);
-            buf.put_u64(s.requests_served);
-            buf.put_u16(s.workers);
-            buf.put_u8(s.cached.len() as u8);
-            for c in &s.cached {
-                buf.put_u8(category_code(*c));
-            }
-            encode_snapshot(buf, &s.metrics);
+            head(buf, K_R_STATS);
+            s.pipeline_runs.put(buf);
+            s.requests_served.put(buf);
+            s.workers.put(buf);
+            put_list::<u8, _>(buf, &s.cached);
+            s.metrics.put(buf);
         }
         Response::TraceDump(spans) => {
-            buf.put_u8(K_R_TRACE_DUMP);
-            put_req_id(buf);
-            buf.put_u32(spans.len() as u32);
-            for s in spans {
-                encode_span(buf, s);
-            }
+            head(buf, K_R_TRACE_DUMP);
+            put_list::<u32, _>(buf, spans);
         }
         Response::ApplyDelta(ack) => {
-            buf.put_u8(K_R_APPLY_DELTA);
-            put_req_id(buf);
-            buf.put_u64(ack.seq);
-            buf.put_u32(ack.zones_rebuilt);
-            buf.put_u8(ack.replayed as u8);
+            head(buf, K_R_APPLY_DELTA);
+            ack.put(buf);
         }
         Response::DeltaBatch { last_seq } => {
-            buf.put_u8(K_R_DELTA_BATCH);
-            put_req_id(buf);
-            buf.put_u64(*last_seq);
+            head(buf, K_R_DELTA_BATCH);
+            last_seq.put(buf);
         }
         Response::WhatIf(answers) => {
-            buf.put_u8(K_R_WHAT_IF);
-            put_req_id(buf);
-            buf.put_u16(answers.len().min(u16::MAX as usize) as u16);
-            for a in answers.iter().take(u16::MAX as usize) {
-                encode_answer(buf, &a.answer);
-                buf.put_u64(a.overlay_bytes);
-            }
+            head(buf, K_R_WHAT_IF);
+            answers.put(buf);
         }
         Response::Plan(journeys) => {
-            buf.put_u8(K_R_PLAN);
-            put_req_id(buf);
-            buf.put_u16(journeys.len().min(u16::MAX as usize) as u16);
-            for j in journeys.iter().take(u16::MAX as usize) {
-                encode_journey(buf, j);
-            }
+            head(buf, K_R_PLAN);
+            journeys.put(buf);
         }
         Response::OpsReport(report) => {
-            buf.put_u8(K_R_OPS_REPORT);
-            put_req_id(buf);
-            encode_ops_report(buf, report);
+            head(buf, K_R_OPS_REPORT);
+            report.put(buf);
         }
         Response::Error { code, message } => {
-            buf.put_u8(K_R_ERROR);
-            put_req_id(buf);
-            buf.put_u8(*code as u8);
-            put_string(buf, message);
+            head(buf, K_R_ERROR);
+            code.put(buf);
+            message.put(buf);
         }
     }
     end_frame(buf, body_start);
@@ -1157,88 +1023,50 @@ pub fn decode_request(buf: &mut BytesMut) -> Result<Option<Request>, CodecError>
 /// and deadline budget.
 pub fn decode_request_full(buf: &mut BytesMut) -> Result<Option<DecodedRequest>, CodecError> {
     let Some(frame) = split_frame(buf)? else { return Ok(None) };
-    let mut p: &[u8] = &frame;
-    let kind = take_u8(&mut p)?;
-    let req_id = take_u64(&mut p)?;
-    let ctx = SpanContext { trace: take_u64(&mut p)?, span: take_u64(&mut p)? };
-    let flags = take_u8(&mut p)?;
+    let p = &mut &frame[..];
+    let kind = u8::take(p)?;
+    let req_id = u64::take(p)?;
+    let ctx = SpanContext { trace: Wire::take(p)?, span: Wire::take(p)? };
+    let flags = u8::take(p)?;
     if flags & !FLAG_DEADLINE != 0 {
         return Err(CodecError::BadPayload("unknown request flags"));
     }
-    let deadline_ms = if flags & FLAG_DEADLINE != 0 { Some(take_u32(&mut p)?) } else { None };
-    let req = match kind {
+    let deadline_ms = if flags & FLAG_DEADLINE != 0 { Some(u32::take(p)?) } else { None };
+    let request = match kind {
         K_MEASURES => {
-            let (category, approx) = category_and_approx(take_u8(&mut p)?)?;
+            let (category, approx) = category_and_approx(u8::take(p)?)?;
             Request::Measures { category, approx }
         }
         K_QUERY => {
-            let (category, approx) = category_and_approx(take_u8(&mut p)?)?;
-            Request::Query { category, query: decode_query(&mut p)?, approx }
+            let (category, approx) = category_and_approx(u8::take(p)?)?;
+            Request::Query { category, query: Wire::take(p)?, approx }
         }
-        K_ADD_POI => Request::AddPoi {
-            category: category_from(take_u8(&mut p)?)?,
-            pos: Point::new(take_f64(&mut p)?, take_f64(&mut p)?),
-        },
+        K_ADD_POI => Request::AddPoi { category: Wire::take(p)?, pos: Wire::take(p)? },
         K_STATS => Request::Stats,
         K_TRACE_DUMP => {
-            let min_dur_ns = take_u64(&mut p)?;
-            let set_capture_ns = match take_u8(&mut p)? {
-                0 => None,
-                1 => Some(take_u64(&mut p)?),
-                _ => return Err(CodecError::BadPayload("bad set-capture flag")),
-            };
-            Request::TraceDump { min_dur_ns, set_capture_ns }
+            Request::TraceDump { min_dur_ns: Wire::take(p)?, set_capture_ns: Wire::take(p)? }
         }
-        K_APPLY_DELTA => {
-            let seq = take_u64(&mut p)?;
-            let delta = decode_delta(&mut p)?;
-            Request::ApplyDelta { seq, delta }
-        }
-        K_DELTA_BATCH => {
-            let first_seq = take_u64(&mut p)?;
-            let n = take_u16(&mut p)? as usize;
-            let mut deltas = Vec::with_capacity(capped(n, p.remaining(), 5));
-            for _ in 0..n {
-                deltas.push(decode_delta(&mut p)?);
-            }
-            Request::DeltaBatch { first_seq, deltas }
-        }
-        K_WHAT_IF => {
-            let category = category_from(take_u8(&mut p)?)?;
-            let query = decode_query(&mut p)?;
-            let k = take_u16(&mut p)? as usize;
-            let mut scenarios = Vec::with_capacity(capped(k, p.remaining(), 2));
-            for _ in 0..k {
-                let n = take_u16(&mut p)? as usize;
-                let mut deltas = Vec::with_capacity(capped(n, p.remaining(), 5));
-                for _ in 0..n {
-                    deltas.push(decode_delta(&mut p)?);
-                }
-                scenarios.push(deltas);
-            }
-            Request::WhatIf { category, scenarios, query }
-        }
-        K_PLAN => {
-            let origin = Point::new(take_f64(&mut p)?, take_f64(&mut p)?);
-            let dest = Point::new(take_f64(&mut p)?, take_f64(&mut p)?);
-            let depart = Stime(take_u32(&mut p)?);
-            let day = *DayOfWeek::ALL
-                .get(take_u8(&mut p)? as usize)
-                .ok_or(CodecError::BadPayload("unknown day of week"))?;
-            let max_transfers = match take_u8(&mut p)? {
-                0 => None,
-                1 => Some(take_u8(&mut p)?),
-                _ => return Err(CodecError::BadPayload("bad max-transfers flag")),
-            };
-            Request::Plan { origin, dest, depart, day, max_transfers }
-        }
+        K_APPLY_DELTA => Request::ApplyDelta { seq: Wire::take(p)?, delta: Wire::take(p)? },
+        K_DELTA_BATCH => Request::DeltaBatch { first_seq: Wire::take(p)?, deltas: Wire::take(p)? },
+        K_WHAT_IF => Request::WhatIf {
+            category: Wire::take(p)?,
+            query: Wire::take(p)?,
+            scenarios: Wire::take(p)?,
+        },
+        K_PLAN => Request::Plan {
+            origin: Wire::take(p)?,
+            dest: Wire::take(p)?,
+            depart: Wire::take(p)?,
+            day: Wire::take(p)?,
+            max_transfers: Wire::take(p)?,
+        },
         K_OPS_REPORT => Request::OpsReport,
         other => return Err(CodecError::BadKind(other)),
     };
     if p.remaining() != 0 {
         return Err(CodecError::BadPayload("trailing bytes in frame"));
     }
-    Ok(Some(DecodedRequest { request: req, ctx, req_id, deadline_ms }))
+    Ok(Some(DecodedRequest { request, ctx, req_id, deadline_ms }))
 }
 
 /// Decodes one response from `buf` if a complete frame is buffered,
@@ -1251,86 +1079,33 @@ pub fn decode_response(buf: &mut BytesMut) -> Result<Option<Response>, CodecErro
 /// Decodes one response plus its echoed request ID.
 pub fn decode_response_full(buf: &mut BytesMut) -> Result<Option<DecodedResponse>, CodecError> {
     let Some(frame) = split_frame(buf)? else { return Ok(None) };
-    let mut p: &[u8] = &frame;
-    let kind = take_u8(&mut p)?;
-    let req_id = take_u64(&mut p)?;
-    let resp = match kind {
-        K_R_MEASURES => {
-            let n = take_u32(&mut p)? as usize;
-            let mut ms = Vec::with_capacity(capped(n, p.remaining(), 20));
-            for _ in 0..n {
-                ms.push(ZoneMeasures {
-                    zone: ZoneId(take_u32(&mut p)?),
-                    mac: take_f64(&mut p)?,
-                    acsd: take_f64(&mut p)?,
-                });
-            }
-            Response::Measures(ms)
-        }
-        K_R_QUERY => Response::Query(decode_answer(&mut p)?),
-        K_R_ADD_POI => Response::AddPoi { poi_id: take_u32(&mut p)? },
-        K_R_STATS => {
-            let pipeline_runs = take_u64(&mut p)?;
-            let requests_served = take_u64(&mut p)?;
-            let workers = take_u16(&mut p)?;
-            let n = take_u8(&mut p)? as usize;
-            let mut cached = Vec::with_capacity(n);
-            for _ in 0..n {
-                cached.push(category_from(take_u8(&mut p)?)?);
-            }
-            let metrics = decode_snapshot(&mut p)?;
-            Response::Stats(StatsReply { pipeline_runs, requests_served, cached, workers, metrics })
-        }
-        K_R_TRACE_DUMP => {
-            let n = take_u32(&mut p)? as usize;
-            let mut spans = Vec::with_capacity(capped(n, p.remaining(), 43));
-            for _ in 0..n {
-                spans.push(decode_span(&mut p)?);
-            }
-            Response::TraceDump(spans)
-        }
-        K_R_APPLY_DELTA => {
-            let seq = take_u64(&mut p)?;
-            let zones_rebuilt = take_u32(&mut p)?;
-            let replayed = match take_u8(&mut p)? {
-                0 => false,
-                1 => true,
-                _ => return Err(CodecError::BadPayload("bad replayed flag")),
-            };
-            Response::ApplyDelta(DeltaAck { seq, zones_rebuilt, replayed })
-        }
-        K_R_DELTA_BATCH => Response::DeltaBatch { last_seq: take_u64(&mut p)? },
-        K_R_WHAT_IF => {
-            let n = take_u16(&mut p)? as usize;
-            let mut answers = Vec::with_capacity(capped(n, p.remaining(), 9));
-            for _ in 0..n {
-                let answer = decode_answer(&mut p)?;
-                let overlay_bytes = take_u64(&mut p)?;
-                answers.push(WhatIfAnswer { answer, overlay_bytes });
-            }
-            Response::WhatIf(answers)
-        }
-        K_R_PLAN => {
-            let n = take_u16(&mut p)? as usize;
-            let mut journeys = Vec::with_capacity(capped(n, p.remaining(), 10));
-            for _ in 0..n {
-                journeys.push(decode_journey(&mut p)?);
-            }
-            Response::Plan(journeys)
-        }
-        K_R_OPS_REPORT => Response::OpsReport(decode_ops_report(&mut p)?),
-        K_R_ERROR => {
-            let code = ErrorCode::from_u8(take_u8(&mut p)?)
-                .ok_or(CodecError::BadPayload("unknown error code"))?;
-            let message = take_string(&mut p)?;
-            Response::Error { code, message }
-        }
+    let p = &mut &frame[..];
+    let kind = u8::take(p)?;
+    let req_id = u64::take(p)?;
+    let response = match kind {
+        K_R_MEASURES => Response::Measures(take_list::<u32, _>(p)?),
+        K_R_QUERY => Response::Query(Wire::take(p)?),
+        K_R_ADD_POI => Response::AddPoi { poi_id: Wire::take(p)? },
+        K_R_STATS => Response::Stats(StatsReply {
+            pipeline_runs: Wire::take(p)?,
+            requests_served: Wire::take(p)?,
+            workers: Wire::take(p)?,
+            cached: take_list::<u8, _>(p)?,
+            metrics: Wire::take(p)?,
+        }),
+        K_R_TRACE_DUMP => Response::TraceDump(take_list::<u32, _>(p)?),
+        K_R_APPLY_DELTA => Response::ApplyDelta(Wire::take(p)?),
+        K_R_DELTA_BATCH => Response::DeltaBatch { last_seq: Wire::take(p)? },
+        K_R_WHAT_IF => Response::WhatIf(Wire::take(p)?),
+        K_R_PLAN => Response::Plan(Wire::take(p)?),
+        K_R_OPS_REPORT => Response::OpsReport(Wire::take(p)?),
+        K_R_ERROR => Response::Error { code: Wire::take(p)?, message: Wire::take(p)? },
         other => return Err(CodecError::BadKind(other)),
     };
     if p.remaining() != 0 {
         return Err(CodecError::BadPayload("trailing bytes in frame"));
     }
-    Ok(Some(DecodedResponse { response: resp, req_id }))
+    Ok(Some(DecodedResponse { response, req_id }))
 }
 
 #[cfg(test)]
@@ -1864,6 +1639,99 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// Each value's encoding is at least `MIN_BYTES` long and reads back.
+    fn holds_min_bytes<T: Wire + PartialEq + std::fmt::Debug>(values: &[T]) {
+        for v in values {
+            let mut buf = BytesMut::new();
+            v.put(&mut buf);
+            assert!(
+                (1..=buf.len()).contains(&T::MIN_BYTES),
+                "{v:?} takes {} bytes, MIN_BYTES says {}",
+                buf.len(),
+                T::MIN_BYTES
+            );
+            let p = &mut &buf[..];
+            assert_eq!(T::take(p).as_ref(), Ok(v));
+            assert!(p.is_empty());
+        }
+    }
+
+    /// `MIN_BYTES` only sizes a reservation, so nothing else would notice
+    /// one that overstates: hold every wire type to it on its shortest
+    /// values (empty strings and lists, absent options, every variant).
+    /// Fixed-width primitives and the ID newtypes are their own size and
+    /// are held to it through every record that sums them.
+    #[test]
+    fn min_bytes_never_exceeds_an_encoding() {
+        holds_min_bytes(&[false, true]);
+        holds_min_bytes(&[None, Some(3u64)]);
+        holds_min_bytes(&[(7u32, 9u64)]);
+        holds_min_bytes(&[String::new(), "x".to_owned()]);
+        holds_min_bytes(&[Vec::<u64>::new(), vec![1]]);
+        holds_min_bytes(&[Point::new(0.0, 0.0)]);
+        holds_min_bytes(&PoiCategory::ALL);
+        holds_min_bytes(&DayOfWeek::ALL);
+        holds_min_bytes(&[AccessClass::Best, AccessClass::Worst]);
+        holds_min_bytes(&[DemographicWeight::Uniform, DemographicWeight::Children]);
+        holds_min_bytes(&[ErrorCode::BadRequest, ErrorCode::Overloaded]);
+        holds_min_bytes(&[ZoneMeasures { zone: ZoneId(0), mac: 0.0, acsd: 0.0 }]);
+        holds_min_bytes(&[
+            AccessQuery::MeanAccess,
+            AccessQuery::Classification,
+            AccessQuery::AtRisk { threshold_factor: 1.0 },
+            AccessQuery::Fairness { weight: DemographicWeight::Uniform },
+            AccessQuery::WorstZones { k: 0 },
+            AccessQuery::PointAccess { x: 0.0, y: 0.0 },
+        ]);
+        let answers = [
+            QueryAnswer::MeanAccess { mean_mac: 0.0, mean_acsd: 0.0, n_zones: 0 },
+            QueryAnswer::Classification(vec![]),
+            QueryAnswer::AtRisk(vec![]),
+            QueryAnswer::Fairness(0.0),
+            QueryAnswer::WorstZones(vec![]),
+            QueryAnswer::PointAccess { zone: ZoneId(0), mac: 0.0, acsd: 0.0 },
+        ];
+        holds_min_bytes(&answers.clone().map(|answer| WhatIfAnswer { answer, overlay_bytes: 0 }));
+        holds_min_bytes(&answers);
+        holds_min_bytes(&sample_deltas());
+        holds_min_bytes(&[
+            Delta::ServiceAlert { route: RouteId(0), message: String::new() },
+            Delta::AddRoute { stops: vec![], headway_s: 0 },
+        ]);
+        holds_min_bytes(&sample_journey().legs);
+        holds_min_bytes(&[Journey { depart: Stime(0), arrive: Stime(0), legs: vec![] }]);
+        holds_min_bytes(&[DeltaAck { seq: 0, zones_rebuilt: 0, replayed: false }]);
+        holds_min_bytes(&[CounterSample { name: String::new(), value: 0 }]);
+        holds_min_bytes(&[GaugeSample { name: String::new(), value: 0 }]);
+        holds_min_bytes(&[MetricsSnapshot::default(), sample_metrics()]);
+        holds_min_bytes(&[BurnWindow::default()]);
+        // The ops-report rows, then each again with its strings and
+        // lists emptied.
+        let report = sample_ops_report();
+        let trace = report.slow[0].clone();
+        holds_min_bytes(&sample_metrics().histograms);
+        holds_min_bytes(&[HistogramSample {
+            name: String::new(),
+            buckets: vec![],
+            ..sample_metrics().histograms[0].clone()
+        }]);
+        holds_min_bytes(&report.classes);
+        holds_min_bytes(&[ClassWindow { class: String::new(), ..report.classes[1].clone() }]);
+        holds_min_bytes(&report.slo);
+        holds_min_bytes(&[SloStatus { class: String::new(), ..report.slo[0].clone() }]);
+        holds_min_bytes(&trace.spans);
+        holds_min_bytes(&[OwnedSpan {
+            name: String::new(),
+            attrs: vec![],
+            ..trace.spans[0].clone()
+        }]);
+        holds_min_bytes(&[
+            SlowTrace { class: String::new(), spans: vec![], ..trace.clone() },
+            trace,
+        ]);
+        holds_min_bytes(&[OpsReport::default(), sample_ops_report()]);
     }
 
     proptest! {

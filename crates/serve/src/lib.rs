@@ -24,9 +24,9 @@
 //!   the multiplexed one-socket-many-callers client.
 //! * [`gateway`] — HTTP/JSON in front of any of the above.
 //!
-//! Binaries: `serve` (the daemon). The open-loop load generator
-//! `staq-serve-bench` lives in `staq-shard` (it can drive either a single
-//! server or the sharded router).
+//! Binaries: `serve` (the daemon), `staq-gateway`, `staq-trace` and
+//! `staq-top`. Load generation and measurement live in `benchmark/`
+//! (`staq-e2e`), which drives this crate only through its sockets.
 //!
 //! [`AccessQuery`]: staq_access::AccessQuery
 

@@ -142,12 +142,18 @@ impl MuxClient {
         deadline_ms: Option<u32>,
     ) -> Result<Response, ClientError> {
         let inner = &self.inner;
-        if inner.poisoned.load(Ordering::Acquire) {
-            return Err(ClientError::Poisoned);
-        }
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = bounded(1);
         inner.pending.lock().insert(id, tx);
+        // Register, then check: `poison_all` sets the flag before it takes
+        // the `pending` lock, so either its drain finds this slot or this
+        // load sees the flag. Checked the other way round, a slot
+        // registered after the drain is never answered and an untimed
+        // `recv` below waits forever.
+        if inner.poisoned.load(Ordering::Acquire) {
+            inner.pending.lock().remove(&id);
+            return Err(ClientError::Poisoned);
+        }
 
         let mut out = BytesMut::with_capacity(256);
         codec::encode_request_mux(request, id, deadline_ms, &mut out);
@@ -289,6 +295,41 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(!mux.is_poisoned(), "a timeout alone must not poison");
+    }
+
+    /// A call racing `poison_all` must fail, not hang: the caller is held
+    /// at its registration (this test owns the `pending` lock) while the
+    /// flag is set and the waiters drained — exactly what `poison_all`
+    /// does — and is then let through to a peer that never answers.
+    #[test]
+    fn a_call_registering_across_poison_all_fails_instead_of_hanging() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let _held = std::thread::spawn(move || listener.accept());
+        let mux = MuxClient::connect(addr).unwrap();
+
+        let mut pending = mux.inner.pending.lock();
+        let first_id = mux.inner.next_id.load(Ordering::Relaxed);
+        let (done_tx, done_rx) = bounded(1);
+        let caller = mux.clone();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(caller.call(&Request::Stats));
+        });
+        // The caller draws its ID before it registers, and it cannot
+        // register while this thread holds the lock.
+        while mux.inner.next_id.load(Ordering::Relaxed) == first_id {
+            std::thread::yield_now();
+        }
+        mux.inner.poisoned.store(true, Ordering::Release);
+        assert!(std::mem::take(&mut *pending).is_empty(), "nothing registered yet");
+        drop(pending);
+
+        match done_rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(Err(ClientError::Poisoned)) => {}
+            Ok(other) => panic!("{other:?}"),
+            Err(_) => panic!("the call registered after the drain and was never answered"),
+        }
+        assert!(mux.inner.pending.lock().is_empty(), "the late slot was withdrawn");
     }
 
     #[test]

@@ -12,15 +12,36 @@ use proptest::prelude::*;
 use staq_access::measures::ZoneMeasures;
 use staq_access::{AccessClass, AccessQuery, DemographicWeight, QueryAnswer};
 use staq_geom::Point;
+use staq_gtfs::model::{RouteId, StopId, TripId};
+use staq_gtfs::time::{DayOfWeek, Stime};
 use staq_gtfs::Delta;
+use staq_obs::{BurnWindow, ClassWindow, OpsReport, OwnedSpan, SloStatus, SlowTrace};
 use staq_obs::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
 use staq_serve::codec::{
-    decode_request, decode_response, encode_request, encode_response, DeltaAck, ErrorCode, Request,
-    Response, StatsReply,
+    decode_request, decode_response, encode_request, encode_request_mux, encode_response,
+    encode_response_to, DeltaAck, ErrorCode, Request, Response, StatsReply, WhatIfAnswer,
 };
 use staq_synth::{PoiCategory, ZoneId};
+use staq_transit::{Journey, Leg};
 
-/// One of every request variant, exercising every encoder branch.
+/// One delta of every variant (they reach the wire inside `DeltaBatch` and
+/// `WhatIf`, through the same per-delta codec `ApplyDelta` uses).
+fn sample_deltas() -> Vec<Delta> {
+    vec![
+        Delta::TripDelay { trip: TripId(7), delay_secs: 300 },
+        Delta::TripCancel { trip: TripId(0) },
+        Delta::RouteRemove { route: RouteId(3) },
+        Delta::ServiceAlert { route: RouteId(1), message: "snow detour".into() },
+        Delta::AddRoute {
+            stops: vec![Point::new(0.5, -1.25), Point::new(900.0, 42.0)],
+            headway_s: 480,
+        },
+    ]
+}
+
+/// One of every request variant and sub-variant, exercising every encoder
+/// branch. New entries go at the end: the corruption proptests below
+/// index the head of the list.
 fn request_catalogue() -> Vec<Request> {
     vec![
         Request::Measures { category: PoiCategory::School, approx: false },
@@ -64,6 +85,29 @@ fn request_catalogue() -> Vec<Request> {
             },
         },
         Request::Stats,
+        Request::TraceDump { min_dur_ns: 0, set_capture_ns: None },
+        Request::TraceDump { min_dur_ns: 50_000, set_capture_ns: Some(25_000) },
+        Request::DeltaBatch { first_seq: 1, deltas: sample_deltas() },
+        Request::WhatIf {
+            category: PoiCategory::Hospital,
+            scenarios: vec![vec![], sample_deltas(), vec![Delta::TripCancel { trip: TripId(9) }]],
+            query: AccessQuery::WorstZones { k: 5 },
+        },
+        Request::Plan {
+            origin: Point::new(100.0, 250.5),
+            dest: Point::new(-3.0, 9000.0),
+            depart: Stime(7 * 3600 + 1800),
+            day: DayOfWeek::Tuesday,
+            max_transfers: Some(1),
+        },
+        Request::Plan {
+            origin: Point::new(0.0, 0.0),
+            dest: Point::new(1.0, 1.0),
+            depart: Stime(0),
+            day: DayOfWeek::Sunday,
+            max_transfers: None,
+        },
+        Request::OpsReport,
     ]
 }
 
@@ -84,8 +128,75 @@ fn sample_metrics() -> MetricsSnapshot {
     }
 }
 
-/// One of every response variant, including every answer tag and error
-/// code.
+fn sample_span() -> OwnedSpan {
+    OwnedSpan {
+        trace: 0xDEAD_BEEF,
+        span: 3,
+        parent: 2,
+        name: "raptor.query".into(),
+        start_unix_ns: 1_700_000_000_000_100_000,
+        dur_ns: 890,
+        attrs: vec![("rounds".into(), 4), ("patterns_scanned".into(), 128)],
+    }
+}
+
+/// A journey with a leg of every variant, and both walk-leg endings.
+fn sample_journey() -> Journey {
+    Journey {
+        depart: Stime(27000),
+        arrive: Stime(29512),
+        legs: vec![
+            Leg::Walk { secs: 120, to_stop: Some(StopId(4)) },
+            Leg::Wait { secs: 80, at_stop: StopId(4) },
+            Leg::Ride {
+                trip: TripId(9),
+                route: RouteId(2),
+                from_stop: StopId(4),
+                to_stop: StopId(11),
+                board: Stime(27200),
+                alight: Stime(29400),
+            },
+            Leg::Walk { secs: 112, to_stop: None },
+        ],
+    }
+}
+
+/// A report with a row of every kind.
+fn sample_ops_report() -> OpsReport {
+    OpsReport {
+        interval_ns: 10_000_000_000,
+        windows: 12,
+        generated_unix_ns: 1_700_000_000_000_000_000,
+        classes: vec![ClassWindow {
+            class: "query".into(),
+            span_ns: 10_000_000_000,
+            count: 900,
+            sum_ns: 45_000_000,
+            max_ns: 2_000_000,
+            buckets: vec![(100, 880), (150, 20)],
+            shed: 3,
+        }],
+        slo: vec![SloStatus {
+            class: "query".into(),
+            objective_milli: 999,
+            threshold_ns: 50_000_000,
+            fast: BurnWindow { span_ns: 300_000_000_000, total: 900, bad: 23 },
+            slow: BurnWindow { span_ns: 3_600_000_000_000, total: 12_000, bad: 24 },
+            shed_total: 3,
+        }],
+        slow: vec![SlowTrace {
+            trace: 0xFEED_F00D,
+            class: "query".into(),
+            root_dur_ns: 77_000_000,
+            is_error: true,
+            captured_unix_ns: 1_700_000_000_000_000_111,
+            spans: vec![sample_span()],
+        }],
+    }
+}
+
+/// One of every response variant, including every answer tag, leg tag and
+/// error code. New entries go at the end, as in [`request_catalogue`].
 fn response_catalogue() -> Vec<Response> {
     vec![
         Response::Measures(vec![
@@ -114,6 +225,28 @@ fn response_catalogue() -> Vec<Response> {
         Response::Error { code: ErrorCode::BadRequest, message: "x".into() },
         Response::Error { code: ErrorCode::Invalid, message: "yy".into() },
         Response::Error { code: ErrorCode::Unavailable, message: String::new() },
+        Response::Error { code: ErrorCode::SeqGap, message: "have 2, got 5".into() },
+        Response::Error { code: ErrorCode::Overloaded, message: "queue budget".into() },
+        Response::Query(QueryAnswer::PointAccess { zone: ZoneId(12), mac: 840.5, acsd: 2.5 }),
+        Response::ApplyDelta(DeltaAck { seq: u64::MAX, zones_rebuilt: 0, replayed: true }),
+        Response::DeltaBatch { last_seq: 12 },
+        Response::TraceDump(vec![]),
+        Response::TraceDump(vec![
+            OwnedSpan { span: 2, parent: 0, attrs: vec![], ..sample_span() },
+            sample_span(),
+        ]),
+        Response::WhatIf(vec![]),
+        Response::WhatIf(vec![
+            WhatIfAnswer {
+                answer: QueryAnswer::MeanAccess { mean_mac: 9.5, mean_acsd: 1.5, n_zones: 3 },
+                overlay_bytes: 4096,
+            },
+            WhatIfAnswer { answer: QueryAnswer::AtRisk(vec![]), overlay_bytes: 0 },
+        ]),
+        Response::Plan(vec![]),
+        Response::Plan(vec![sample_journey(), Journey::walk_only(Stime(27000), 3000)]),
+        Response::OpsReport(sample_ops_report()),
+        Response::OpsReport(OpsReport::default()),
     ]
 }
 
@@ -159,6 +292,31 @@ fn every_response_variant_roundtrips() {
         assert_eq!(got, resp);
         assert!(b.is_empty());
     }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The bytes on the wire are frozen. `golden_frames.hex` holds every frame
+/// of both catalogues as the encoder wrote it before the codec was
+/// rebuilt around one per-type `Wire` trait (multiplexed form: request ID
+/// 7, a 250 ms deadline on requests, no trace context); any difference
+/// here is a wire break, not a fixture to regenerate.
+#[test]
+fn every_frame_matches_its_golden_bytes() {
+    let mut golden = include_str!("golden_frames.hex").lines().filter(|l| !l.starts_with('#'));
+    for req in request_catalogue() {
+        let mut b = BytesMut::new();
+        encode_request_mux(&req, 7, Some(250), &mut b);
+        assert_eq!(Some(hex(&b).as_str()), golden.next(), "{req:?}");
+    }
+    for resp in response_catalogue() {
+        let mut b = BytesMut::new();
+        encode_response_to(&resp, 7, &mut b);
+        assert_eq!(Some(hex(&b).as_str()), golden.next(), "{resp:?}");
+    }
+    assert_eq!(golden.next(), None, "fixture holds frames the catalogues no longer produce");
 }
 
 /// Rewrites the length prefix of `raw[..cut]` so the truncation presents

@@ -5,9 +5,9 @@
 //! * [`ThreadBackend`] — an in-process [`staq_serve`] server over real
 //!   loopback TCP. The wire path is identical to production (frames,
 //!   pools, failover all exercise the same code); only the process
-//!   boundary is missing. Used by the integration tests and the
-//!   self-contained bench, where spawning N city builds in N children
-//!   would be slow and unobservable.
+//!   boundary is missing. Used by the integration tests and `staq-e2e`,
+//!   where spawning N city builds in N children would be slow and
+//!   unobservable.
 //! * [`ProcessBackend`] — a spawned `serve` daemon. The child binds port
 //!   0 and reports the bound address through `--port-file`; the parent
 //!   polls the file. Killing the child is a real SIGKILL, and respawning
@@ -53,8 +53,8 @@ pub trait Backend: Send {
 ///
 /// The factory decides respawn semantics: building a fresh engine per
 /// start models a real crash (cold cache, edits lost); cloning one
-/// `Arc<AccessEngine>` across starts keeps the engine warm and is what
-/// the bench uses to avoid paying N city builds per respawn.
+/// `Arc<AccessEngine>` across starts keeps the engine warm and avoids
+/// paying a city build per respawn.
 ///
 /// Either way, each start wraps the engine in a **fresh `RtEngine`**, so
 /// the backend's sequenced delta log restarts empty across respawns. The
@@ -62,7 +62,7 @@ pub trait Backend: Send {
 /// from sequence 1. That replay is only exact for *fresh-engine*
 /// factories — a warm engine already carries its applied edits, and a
 /// full replay on top would double-apply them. Warm factories are
-/// therefore only safe where backends are never killed (the bench).
+/// therefore only safe where backends are never killed.
 pub struct ThreadBackend {
     factory: Box<dyn Fn() -> Arc<AccessEngine> + Send>,
     cfg: ServerConfig,

@@ -24,7 +24,7 @@
 //!   to shard: adding a shard remaps ~1/N of the keys, and only ever onto
 //!   the new shard.
 //! * [`backend`] — what a shard runs: an in-process server over real TCP
-//!   ([`ThreadBackend`], for tests and the self-contained bench) or a
+//!   ([`ThreadBackend`], for tests and `staq-e2e`) or a
 //!   spawned `serve` daemon ([`ProcessBackend`], port-file discovery).
 //! * [`pool`] — per-backend connection pool: reuse, bounded in-flight,
 //!   retry-with-backoff on connect, generation tags so a respawned
@@ -38,9 +38,7 @@
 //!   `AddPoi`, broadcast for schedule deltas, scatter-gather merge for
 //!   `Stats`.
 //!
-//! Binaries: `shard` (the router daemon) and `staq-serve-bench` (the
-//! load generator, moved here so `--shards N` can drive the router and
-//! measure one-process vs N-process serving in a single run).
+//! Binaries: `shard` (the router daemon).
 //!
 //! [`PoiCategory`]: staq_synth::PoiCategory
 

@@ -18,9 +18,8 @@ use staq_gtfs::time::TimeInterval;
 use staq_obs::{trace, AtomicHistogram, Counter};
 use staq_synth::{City, ZoneId};
 use staq_transit::{AccessCost, Raptor, SharedAccessCache, TransitNetwork};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Zones labeled (attempted — zones without trips count; they cost a map
 /// lookup, not a routing pass).
@@ -30,42 +29,17 @@ static TRIPS_LABELED: Counter = Counter::new("label.trips");
 /// Per-worker wall from the labeling pass's start to that worker's
 /// completion. The max/min spread is the load-balance diagnostic for
 /// §IV-E's dominant cost: a balanced pass has every worker finishing
-/// together (ratio ≈ 1); under skew, static striding leaves early
-/// finishers idle while the overloaded worker runs on alone.
+/// together (ratio ≈ 1); under skew a worker stuck on trip-heavy zones
+/// runs on alone while the early finishers idle.
 static WORKER_WALL: AtomicHistogram = AtomicHistogram::new("label.worker_wall");
-/// Output chunks claimed from the shared cursor by work-stealing workers.
+/// Output chunks claimed from the shared claim point by labeling workers.
 static CHUNKS_CLAIMED: Counter = Counter::new("label.chunks_claimed");
 
 /// Zones handed to a worker per claimed output chunk. Small enough that
 /// claims stay balanced when per-zone trip counts vary, large enough that
-/// a chunk's writes stay on one cache line (and the claim cursor stays off
+/// a chunk's writes stay on one cache line (and the claim point stays off
 /// the per-zone path).
 const LABEL_CHUNK: usize = 4;
-
-/// One worker's claimed chunks: paired input zones and the exclusive
-/// output slice their labels land in.
-type LabelShare<'s> = Vec<(&'s [ZoneId], &'s mut [Option<ZoneStats>])>;
-
-/// How `label_zones` distributes zone chunks across workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LabelSchedule {
-    /// Chunks assigned up front in stride order (worker `w` takes chunks
-    /// `w, w + workers, ...`). Zero coordination, but skewed per-zone trip
-    /// counts leave workers unbalanced — kept as the bench baseline.
-    Static,
-    /// Workers claim the next chunk from a shared atomic cursor as they
-    /// finish the last — one relaxed `fetch_add` per `LABEL_CHUNK` zones.
-    /// Balances skew by construction; the default.
-    WorkStealing,
-}
-
-/// Shared base pointer into the output vector for work-stealing workers.
-///
-/// SAFETY: `Sync` is sound because workers write *disjoint* ranges — the
-/// atomic cursor hands out each chunk index exactly once, and a chunk maps
-/// to a fixed, non-overlapping output range.
-struct OutPtr(*mut Option<ZoneStats>);
-unsafe impl Sync for OutPtr {}
 
 /// Per-zone labeling result: the SSR target vector's components.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -110,8 +84,6 @@ pub struct LabelEngine<'a> {
     interval: TimeInterval,
     /// Worker threads for zone-parallel labeling.
     pub n_workers: usize,
-    /// Chunk-distribution strategy for the worker pool.
-    pub schedule: LabelSchedule,
     /// When set, every worker's router memoizes access isochrones in this
     /// fleet-shared cache instead of a private one. Labels are
     /// bit-identical either way — the cache only changes who computes an
@@ -123,16 +95,7 @@ impl<'a> LabelEngine<'a> {
     /// Creates an engine with the default router config.
     pub fn new(city: &'a City, cost: AccessCost, interval: TimeInterval) -> Self {
         let net = TransitNetwork::with_defaults(&city.road, &city.feed);
-        let n_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        LabelEngine {
-            city,
-            net,
-            cost,
-            interval,
-            n_workers,
-            schedule: LabelSchedule::WorkStealing,
-            shared_cache: None,
-        }
+        Self::with_network(city, net, cost, interval)
     }
 
     /// An engine over a caller-supplied network — the what-if path hands in
@@ -145,15 +108,7 @@ impl<'a> LabelEngine<'a> {
         interval: TimeInterval,
     ) -> Self {
         let n_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        LabelEngine {
-            city,
-            net,
-            cost,
-            interval,
-            n_workers,
-            schedule: LabelSchedule::WorkStealing,
-            shared_cache: None,
-        }
+        LabelEngine { city, net, cost, interval, n_workers, shared_cache: None }
     }
 
     /// Routes access isochrones through a fleet-shared cache. Only sound
@@ -171,11 +126,6 @@ impl<'a> LabelEngine<'a> {
             Some(c) => Raptor::with_shared_cache(&self.net, c),
             None => Raptor::new(&self.net),
         }
-    }
-
-    /// The underlying network (shared with feature extraction).
-    pub fn network(&self) -> &TransitNetwork<'a> {
-        &self.net
     }
 
     /// Labels a single zone: routes every trip, aggregates to mean/std.
@@ -208,9 +158,13 @@ impl<'a> LabelEngine<'a> {
         self.label_zones_timed(m, zones).0
     }
 
-    /// [`label_zones`](Self::label_zones) plus each worker's wall time —
-    /// what the labeling bench uses to measure load balance. The walls are
-    /// also recorded in the `label.worker_wall` histogram.
+    /// [`label_zones`](Self::label_zones) plus each worker's wall time,
+    /// from which callers compute load balance. The walls are also
+    /// recorded in the `label.worker_wall` histogram.
+    ///
+    /// Workers claim the next `LABEL_CHUNK`-zone chunk as they finish the
+    /// last, so a worker stuck on a trip-heavy zone stops accumulating
+    /// chunks it hasn't started.
     pub fn label_zones_timed(
         &self,
         m: &Todam,
@@ -219,139 +173,59 @@ impl<'a> LabelEngine<'a> {
         if zones.is_empty() {
             return (Vec::new(), Vec::new());
         }
-        let workers = self.n_workers.clamp(1, zones.len());
-        if workers == 1 {
-            let t0 = std::time::Instant::now();
-            let mut span = trace::span("label.worker");
-            span.attr("worker", 0);
-            span.attr("chunks", zones.len().div_ceil(LABEL_CHUNK) as u64);
-            let router = self.router();
-            let out = zones.iter().map(|&z| self.label_zone_with(&router, m, z)).collect();
-            drop(span);
-            let elapsed = t0.elapsed();
-            WORKER_WALL.record(elapsed);
-            return (out, vec![elapsed]);
-        }
-        // Either way, every result lands through memory only its worker
-        // touches: the hot loop writes with no lock and no per-zone atomic.
-        // The pre-PR-2 implementation funneled every zone's result through
-        // one `Mutex<Vec>`, serializing workers on the lock (and its cache
-        // line) once per zone.
+        // No more workers than chunks: a worker with nothing to claim
+        // would record a near-zero wall and inflate the max/min spread.
+        let workers = self.n_workers.clamp(1, zones.len().div_ceil(LABEL_CHUNK));
         let mut out = vec![None; zones.len()];
-        let walls = match self.schedule {
-            LabelSchedule::Static => self.run_static(m, zones, &mut out, workers),
-            LabelSchedule::WorkStealing => self.run_stealing(m, zones, &mut out, workers),
+        // Walls are measured from a shared pass start, not each thread's
+        // spawn: finish-time spread is the balance signal, and spawn
+        // jitter on an oversubscribed box would otherwise drown it.
+        let t0 = Instant::now();
+        // Worker threads start with an empty span stack; hand them the
+        // pass's context so their spans join the caller's trace.
+        let ctx = trace::current();
+        let walls: Vec<Duration> = {
+            // The single claim point. Each chunk leaves the iterator once,
+            // as a `&mut` slice its worker alone owns, so results land with
+            // no lock and no per-zone atomic; the lock is taken once per
+            // `LABEL_CHUNK` zones of RAPTOR queries.
+            let chunks =
+                Mutex::new(zones.chunks(LABEL_CHUNK).zip(out.chunks_mut(LABEL_CHUNK)).enumerate());
+            let work = |w: usize| {
+                let _ctx = trace::attach(ctx);
+                let mut worker_span = trace::span("label.worker");
+                worker_span.attr("worker", w as u64);
+                let router = self.router();
+                let mut claimed = 0u64;
+                loop {
+                    // A statement of its own, so the guard is released
+                    // before the chunk is labeled.
+                    let claim =
+                        chunks.lock().expect("advancing the chunk iterator cannot panic").next();
+                    let Some((c, (zone_chunk, out_chunk))) = claim else { break };
+                    claimed += 1;
+                    let mut chunk_span = trace::span("label.chunk");
+                    chunk_span.attr("chunk", c as u64);
+                    chunk_span.attr("zones", zone_chunk.len() as u64);
+                    for (&zone, slot) in zone_chunk.iter().zip(out_chunk) {
+                        *slot = self.label_zone_with(&router, m, zone);
+                    }
+                }
+                worker_span.attr("chunks", claimed);
+                CHUNKS_CLAIMED.add(claimed);
+                t0.elapsed()
+            };
+            crossbeam::scope(|scope| {
+                let work = &work;
+                let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move |_| work(w))).collect();
+                handles.into_iter().map(|h| h.join().expect("labeling worker panicked")).collect()
+            })
+            .expect("labeling worker panicked")
         };
         for &w in &walls {
             WORKER_WALL.record(w);
         }
         (out, walls)
-    }
-
-    /// Static striding: chunk `i` belongs to worker `i % workers`, decided
-    /// before any work runs. Lock-free via per-worker `&mut` sub-slices.
-    fn run_static(
-        &self,
-        m: &Todam,
-        zones: &[ZoneId],
-        out: &mut [Option<ZoneStats>],
-        workers: usize,
-    ) -> Vec<Duration> {
-        let mut shares: Vec<LabelShare<'_>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, (zc, oc)) in zones.chunks(LABEL_CHUNK).zip(out.chunks_mut(LABEL_CHUNK)).enumerate()
-        {
-            shares[i % workers].push((zc, oc));
-        }
-        // Walls are measured from a shared pass start, not each thread's
-        // spawn: finish-time spread is the balance signal, and spawn
-        // jitter on an oversubscribed box would otherwise drown it.
-        let t0 = std::time::Instant::now();
-        // Worker threads start with an empty span stack; hand them the
-        // pass's context so their spans join the caller's trace.
-        let ctx = trace::current();
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = shares
-                .into_iter()
-                .enumerate()
-                .map(|(w, share)| {
-                    scope.spawn(move |_| {
-                        let _ctx = trace::attach(ctx);
-                        let mut span = trace::span("label.worker");
-                        span.attr("worker", w as u64);
-                        span.attr("chunks", share.len() as u64);
-                        let router = self.router();
-                        for (zc, oc) in share {
-                            for (&z, slot) in zc.iter().zip(oc.iter_mut()) {
-                                *slot = self.label_zone_with(&router, m, z);
-                            }
-                        }
-                        drop(span);
-                        t0.elapsed()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("labeling worker panicked")).collect()
-        })
-        .expect("labeling worker panicked")
-    }
-
-    /// Work stealing: workers claim the next `LABEL_CHUNK`-zone chunk from
-    /// a shared cursor as they finish the last, so a worker stuck on a
-    /// trip-heavy zone stops accumulating future chunks it hasn't started.
-    fn run_stealing(
-        &self,
-        m: &Todam,
-        zones: &[ZoneId],
-        out: &mut [Option<ZoneStats>],
-        workers: usize,
-    ) -> Vec<Duration> {
-        let n_chunks = zones.len().div_ceil(LABEL_CHUNK);
-        let cursor = AtomicUsize::new(0);
-        let out_ptr = OutPtr(out.as_mut_ptr());
-        let t0 = std::time::Instant::now();
-        let ctx = trace::current();
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let cursor = &cursor;
-                    let out_ptr = &out_ptr;
-                    scope.spawn(move |_| {
-                        let _ctx = trace::attach(ctx);
-                        let mut worker_span = trace::span("label.worker");
-                        worker_span.attr("worker", w as u64);
-                        let router = self.router();
-                        let mut claimed = 0u64;
-                        loop {
-                            let c = cursor.fetch_add(1, Ordering::Relaxed);
-                            if c >= n_chunks {
-                                break;
-                            }
-                            claimed += 1;
-                            let start = c * LABEL_CHUNK;
-                            let end = (start + LABEL_CHUNK).min(zones.len());
-                            let mut chunk_span = trace::span("label.chunk");
-                            chunk_span.attr("chunk", c as u64);
-                            chunk_span.attr("zones", (end - start) as u64);
-                            for (i, &zone) in zones.iter().enumerate().take(end).skip(start) {
-                                let stats = self.label_zone_with(&router, m, zone);
-                                // SAFETY: the fetch_add handed chunk `c` to
-                                // this worker alone, and `i` stays inside
-                                // the chunk's output range — no two workers
-                                // ever write the same slot, and the scope
-                                // join orders the writes before the main
-                                // thread reads `out`.
-                                unsafe { *out_ptr.0.add(i) = stats };
-                            }
-                        }
-                        worker_span.attr("chunks", claimed);
-                        CHUNKS_CLAIMED.add(claimed);
-                        t0.elapsed()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("labeling worker panicked")).collect()
-        })
-        .expect("labeling worker panicked")
     }
 
     /// Labels every zone of the matrix — the naïve full computation the
@@ -373,10 +247,16 @@ mod tests {
     use crate::build::TodamSpec;
     use staq_synth::{CityConfig, PoiCategory};
 
-    fn setup() -> (City, Todam) {
+    /// `label.zones` is process-global and this module's tests run on
+    /// parallel threads: every test that labels holds this lock (through
+    /// [`setup`]), so `parallel_matches_sequential` reads an exact delta.
+    static LABELING: Mutex<()> = Mutex::new(());
+
+    fn setup() -> (City, Todam, std::sync::MutexGuard<'static, ()>) {
+        let serial = LABELING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         let city = City::generate(&CityConfig::tiny(42));
         let m = TodamSpec { per_hour: 5, ..Default::default() }.build(&city, PoiCategory::School);
-        (city, m)
+        (city, m, serial)
     }
 
     #[test]
@@ -391,7 +271,7 @@ mod tests {
 
     #[test]
     fn labels_are_finite_and_positive() {
-        let (city, m) = setup();
+        let (city, m, _serial) = setup();
         let engine = LabelEngine::new(&city, AccessCost::jt(), TimeInterval::am_peak());
         let all = engine.label_all(&m);
         let labeled: Vec<_> = all.iter().flatten().collect();
@@ -403,17 +283,34 @@ mod tests {
         }
     }
 
+    /// Scheduling is an implementation detail: at every worker count the
+    /// pass produces exactly the zone-at-a-time labeling and labels every
+    /// zone once — over the whole city, over lengths that leave a ragged
+    /// last chunk, and with the trip-heavy zones packed into the first
+    /// chunks.
     #[test]
     fn parallel_matches_sequential() {
-        let (city, m) = setup();
+        let (city, m, _serial) = setup();
         let mut engine = LabelEngine::new(&city, AccessCost::jt(), TimeInterval::am_peak());
-        let zones: Vec<ZoneId> = (0..city.n_zones() as u32).map(ZoneId).collect();
-        engine.n_workers = 1;
-        let seq = engine.label_zones(&m, &zones);
-        for workers in [2, 4, 8] {
-            engine.n_workers = workers;
-            let par = engine.label_zones(&m, &zones);
-            assert_eq!(seq, par, "diverged at {workers} workers");
+        let all: Vec<ZoneId> = (0..city.n_zones() as u32).map(ZoneId).collect();
+        let mut skewed = all.clone();
+        skewed.sort_by_key(|&z| std::cmp::Reverse(m.zone_trips(z).len()));
+        let mut inputs = vec![all.clone(), skewed];
+        for rem in 1..LABEL_CHUNK {
+            inputs.push(all[..2 * LABEL_CHUNK + rem].to_vec());
+        }
+        let zones_labeled = || staq_obs::snapshot().counter("label.zones").unwrap_or(0);
+        for zones in &inputs {
+            let seq: Vec<_> = zones.iter().map(|&z| engine.label_zone(&m, z)).collect();
+            for workers in [1, 2, 3, 4, 8] {
+                engine.n_workers = workers;
+                let before = zones_labeled();
+                let par = engine.label_zones(&m, zones);
+                assert_eq!(seq, par, "{} zones diverged at {workers} workers", zones.len());
+                if staq_obs::obs_enabled() {
+                    assert_eq!(zones_labeled() - before, zones.len() as u64);
+                }
+            }
         }
     }
 
@@ -422,7 +319,7 @@ mod tests {
     /// the shared cache actually warms (later passes reuse it).
     #[test]
     fn shared_cache_labeling_matches_private() {
-        let (city, m) = setup();
+        let (city, m, _serial) = setup();
         let zones: Vec<ZoneId> = (0..city.n_zones() as u32).map(ZoneId).collect();
         let mut private = LabelEngine::new(&city, AccessCost::jt(), TimeInterval::am_peak());
         private.n_workers = 1;
@@ -437,11 +334,11 @@ mod tests {
         assert!(!shared.is_empty(), "labeling must warm the shared cache");
     }
 
-    /// Worker counts above the zone count (1-zone chunks everywhere, some
-    /// workers idle) still produce the exact sequential labeling.
+    /// A worker count far above the chunk count (clamped to it, last chunk
+    /// ragged) still produces the exact sequential labeling.
     #[test]
     fn oversubscribed_workers_match_sequential() {
-        let (city, m) = setup();
+        let (city, m, _serial) = setup();
         let mut engine = LabelEngine::new(&city, AccessCost::jt(), TimeInterval::am_peak());
         let zones: Vec<ZoneId> = (0..5).map(ZoneId).collect();
         engine.n_workers = 1;
@@ -450,41 +347,23 @@ mod tests {
         assert_eq!(seq, engine.label_zones(&m, &zones));
     }
 
-    /// Scheduling is an implementation detail: both strategies produce the
-    /// exact sequential labeling at every worker count.
     #[test]
-    fn schedules_agree_with_each_other_and_sequential() {
-        let (city, m) = setup();
+    fn timed_labeling_reports_one_wall_per_worker() {
+        let (city, m, _serial) = setup();
         let mut engine = LabelEngine::new(&city, AccessCost::jt(), TimeInterval::am_peak());
         let zones: Vec<ZoneId> = (0..city.n_zones() as u32).map(ZoneId).collect();
-        engine.n_workers = 1;
-        let seq = engine.label_zones(&m, &zones);
-        for workers in [3, 8] {
-            engine.n_workers = workers;
-            engine.schedule = LabelSchedule::Static;
-            assert_eq!(seq, engine.label_zones(&m, &zones), "static diverged at {workers}");
-            engine.schedule = LabelSchedule::WorkStealing;
-            assert_eq!(seq, engine.label_zones(&m, &zones), "stealing diverged at {workers}");
+        let n_chunks = zones.len().div_ceil(LABEL_CHUNK);
+        for n_workers in [1, 4, 64] {
+            engine.n_workers = n_workers;
+            let (out, walls) = engine.label_zones_timed(&m, &zones);
+            assert_eq!(out.len(), zones.len());
+            assert_eq!(walls.len(), n_workers.min(n_chunks));
         }
     }
 
     #[test]
-    fn timed_labeling_reports_one_wall_per_worker() {
-        let (city, m) = setup();
-        let mut engine = LabelEngine::new(&city, AccessCost::jt(), TimeInterval::am_peak());
-        let zones: Vec<ZoneId> = (0..city.n_zones() as u32).map(ZoneId).collect();
-        engine.n_workers = 4;
-        let (out, walls) = engine.label_zones_timed(&m, &zones);
-        assert_eq!(out.len(), zones.len());
-        assert_eq!(walls.len(), 4.min(zones.len()));
-        engine.n_workers = 1;
-        let (_, walls) = engine.label_zones_timed(&m, &zones);
-        assert_eq!(walls.len(), 1);
-    }
-
-    #[test]
     fn gac_labels_exceed_jt_labels() {
-        let (city, m) = setup();
+        let (city, m, _serial) = setup();
         let jt = LabelEngine::new(&city, AccessCost::jt(), TimeInterval::am_peak());
         let gac = LabelEngine::new(&city, AccessCost::gac(), TimeInterval::am_peak());
         let z = ZoneId(0);
@@ -495,7 +374,7 @@ mod tests {
 
     #[test]
     fn trip_count_accounts_per_zone() {
-        let (city, m) = setup();
+        let (city, m, _serial) = setup();
         let engine = LabelEngine::new(&city, AccessCost::jt(), TimeInterval::am_peak());
         let zones: Vec<ZoneId> = (0..city.n_zones() as u32).map(ZoneId).collect();
         assert_eq!(engine.trip_count(&m, &zones), m.n_trips());

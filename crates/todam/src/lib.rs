@@ -31,6 +31,6 @@ pub mod stats;
 
 pub use attractiveness::Attractiveness;
 pub use build::TodamSpec;
-pub use label::{LabelEngine, LabelSchedule, ZoneStats};
+pub use label::{LabelEngine, ZoneStats};
 pub use matrix::{Todam, Trip};
 pub use stats::MatrixStats;

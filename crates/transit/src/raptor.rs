@@ -41,7 +41,7 @@
 //! so the bounded road-graph Dijkstra memoizes by (quantized) point.
 //!
 //! [`Raptor::reference`] builds the same router with every pruning rule
-//! disabled — the equivalence oracle for tests and benches.
+//! disabled — the oracle `tests/prune_equivalence.rs` compares against.
 
 use crate::journey::{Journey, Leg};
 use crate::network::{AccessCache, TransitNetwork};
@@ -190,9 +190,10 @@ impl<'n, 'a> Raptor<'n, 'a> {
     }
 
     /// The unpruned reference router: every round scans every touched
-    /// pattern, exactly like the pre-pruning implementation. Exists so
-    /// tests and benches can assert the pruned router returns leg-for-leg
-    /// identical journeys.
+    /// pattern, exactly like the pre-pruning implementation. It is the
+    /// reference `tests/prune_equivalence.rs` holds the pruned router to,
+    /// leg for leg, and the scan count `tests/prune_counters.rs` measures
+    /// the pruning drop against.
     pub fn reference(net: &'n TransitNetwork<'a>) -> Self {
         Self::with_pruning(net, false)
     }

@@ -6,7 +6,7 @@
 //!
 //! ```bash
 //! cargo run --release -p staq-serve --bin serve -- --city test --workers 4
-//! cargo run --release -p staq-serve --bin staq-serve-bench -- --conns 16
+//! cargo run --release -p staq-serve --bin staq-gateway -- --backend 127.0.0.1:7878
 //! ```
 
 use staq_repro::prelude::*;
