@@ -1,8 +1,7 @@
 //! Raw OS interfaces behind the poller: direct `extern "C"` declarations
 //! against the libc that std already links, so no external crate is
 //! needed. Only the handful of calls the reactor uses are declared —
-//! `epoll` (Linux), `poll` (portable fallback) and `RLIMIT_NOFILE`
-//! for the high-connection-count bench.
+//! `epoll` (Linux) and `poll` (portable fallback).
 
 #![allow(non_camel_case_types)]
 
@@ -65,59 +64,4 @@ pub struct pollfd {
 extern "C" {
     pub fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: c_int) -> c_int;
     pub fn close(fd: c_int) -> c_int;
-}
-
-// --------------------------------------------------------------- rlimit
-
-const RLIMIT_NOFILE: c_int = 7;
-
-#[repr(C)]
-struct rlimit {
-    rlim_cur: u64,
-    rlim_max: u64,
-}
-
-extern "C" {
-    fn getrlimit(resource: c_int, rlim: *mut rlimit) -> c_int;
-    fn setrlimit(resource: c_int, rlim: *const rlimit) -> c_int;
-}
-
-/// Current (soft, hard) open-file limits.
-pub fn nofile_limit() -> std::io::Result<(u64, u64)> {
-    let mut r = rlimit { rlim_cur: 0, rlim_max: 0 };
-    if unsafe { getrlimit(RLIMIT_NOFILE, &mut r) } != 0 {
-        return Err(std::io::Error::last_os_error());
-    }
-    Ok((r.rlim_cur, r.rlim_max))
-}
-
-/// Raises the soft open-file limit toward `want` (capped at the hard
-/// limit) and returns the soft limit now in effect. Benchmarks opening
-/// thousands of sockets call this first and scale themselves to the
-/// returned value.
-pub fn raise_nofile_limit(want: u64) -> std::io::Result<u64> {
-    let (soft, hard) = nofile_limit()?;
-    if soft >= want {
-        return Ok(soft);
-    }
-    let target = want.min(hard);
-    let r = rlimit { rlim_cur: target, rlim_max: hard };
-    if unsafe { setrlimit(RLIMIT_NOFILE, &r) } != 0 {
-        return Ok(soft); // leave the old limit in place rather than fail
-    }
-    Ok(target)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn nofile_limit_is_reported_and_raisable_to_itself() {
-        let (soft, hard) = nofile_limit().unwrap();
-        assert!(soft > 0 && hard >= soft);
-        // Asking for what we already have must never lower the limit.
-        let now = raise_nofile_limit(soft).unwrap();
-        assert!(now >= soft);
-    }
 }

@@ -40,6 +40,29 @@ pub(crate) fn bucket_value(idx: usize) -> u64 {
     sub << (pow - SUB_BITS)
 }
 
+/// Adds sparse `(bucket index, count)` pairs into `into`, leaving it
+/// sorted by bucket — how window-local and fleet-wide views sum.
+pub(crate) fn add_sparse(into: &mut Vec<(u32, u64)>, other: &[(u32, u64)]) {
+    for &(idx, n) in other {
+        match into.iter_mut().find(|(i, _)| *i == idx) {
+            Some((_, mine)) => *mine += n,
+            None => into.push((idx, n)),
+        }
+    }
+    into.sort_by_key(|&(i, _)| i);
+}
+
+/// The buckets of `cur` that grew since `prev` (two cumulative views of
+/// one histogram), each with its growth.
+pub(crate) fn sub_sparse(cur: &[(u32, u64)], prev: &[(u32, u64)]) -> Vec<(u32, u64)> {
+    cur.iter()
+        .filter_map(|&(idx, n)| {
+            let before = prev.iter().find(|&&(i, _)| i == idx).map_or(0, |&(_, n)| n);
+            (n > before).then(|| (idx, n - before))
+        })
+        .collect()
+}
+
 /// Latency histogram over nanosecond samples.
 #[derive(Clone)]
 pub struct LatencyHistogram {
@@ -106,14 +129,6 @@ impl LatencyHistogram {
     /// Exact nanosecond sum over all samples.
     pub fn sum_ns(&self) -> u128 {
         self.sum_ns
-    }
-
-    /// Arithmetic mean (exact, not bucketed).
-    pub fn mean(&self) -> Duration {
-        if self.total == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos((self.sum_ns / self.total as u128) as u64)
     }
 
     /// Largest sample (exact, not bucketed).
@@ -215,8 +230,6 @@ mod tests {
         assert!((p50 - 500.0).abs() / 500.0 < 0.1, "p50={p50}");
         assert!((p99 - 990.0).abs() / 990.0 < 0.1, "p99={p99}");
         assert_eq!(h.max(), Duration::from_micros(1000));
-        let mean = h.mean().as_micros() as f64;
-        assert!((mean - 500.5).abs() < 1.0, "mean={mean}");
     }
 
     #[test]
@@ -246,7 +259,6 @@ mod tests {
         let h = LatencyHistogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.percentile(99.0), Duration::ZERO);
-        assert_eq!(h.mean(), Duration::ZERO);
     }
 
     #[test]
@@ -285,6 +297,6 @@ mod tests {
             assert_eq!(back.percentile(p), h.percentile(p));
         }
         assert_eq!(back.max(), h.max());
-        assert_eq!(back.mean(), h.mean());
+        assert_eq!(back.sum_ns(), h.sum_ns());
     }
 }

@@ -1,10 +1,13 @@
 //! The fleet-health report: windows + SLO burn + slow traces, in one
 //! wire-friendly value.
 //!
-//! [`report`] is what the serving layer answers an `OpsReport` request
-//! with. It owns the process-global [`WindowRing`]: windows close
-//! *lazily* — a report call first checks whether at least
-//! [`set_interval`]'s worth of wall time has passed since the last
+//! The registry only ever accumulates — `serve.request.query` is "since
+//! boot", which answers capacity questions but not "what is p99 *right
+//! now*". [`report`], which is what the serving layer answers an
+//! `OpsReport` request with, owns a process-global ring of closed
+//! *windows*: per tick, what each SLO class recorded since the previous
+//! tick. Windows close *lazily* — a report call first checks whether at
+//! least [`set_interval`]'s worth of wall time has passed since the last
 //! close and ticks if so. No background thread; the poller's cadence
 //! (a `staq-top` refresh, a dashboard scrape) drives the ring, and each
 //! window carries its real `span_ns` so uneven polling never skews
@@ -13,16 +16,14 @@
 //!
 //! Burn rates follow the fast/slow multi-window convention (see
 //! [`slo`](crate::slo)): the fast window pages on sudden breakage, the
-//! slow window catches budget leaks. Both are assembled from the same
-//! ring by summing trailing deltas.
-//!
-//! Under `obs-off` everything here still compiles and runs — snapshots
-//! are empty, so reports carry zeroed classes, zero burn and no traces.
+//! slow window catches budget leaks. Both are sums over the same ring's
+//! trailing windows.
 
-use crate::slo::{self, SloClass};
+use crate::hist::{add_sparse, bucket_value, sub_sparse};
+use crate::slo::{self, SloClass, SloSpec};
 use crate::slow::{self, SlowTrace};
 use crate::snapshot::MetricsSnapshot;
-use crate::window::WindowRing;
+use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -56,6 +57,11 @@ pub struct ClassWindow {
 }
 
 impl ClassWindow {
+    fn idle(class: SloClass, span_ns: u64) -> ClassWindow {
+        let class = class.name().to_string();
+        ClassWindow { class, span_ns, count: 0, sum_ns: 0, max_ns: 0, buckets: Vec::new(), shed: 0 }
+    }
+
     /// Completed requests per second over the window.
     pub fn rps(&self) -> f64 {
         if self.span_ns == 0 {
@@ -71,20 +77,18 @@ impl ClassWindow {
             .as_nanos() as u64
     }
 
+    fn add_samples(&mut self, count: u64, sum_ns: u64, max_ns: u64, buckets: &[(u32, u64)]) {
+        self.count += count;
+        self.sum_ns = self.sum_ns.saturating_add(sum_ns);
+        self.max_ns = self.max_ns.max(max_ns);
+        add_sparse(&mut self.buckets, buckets);
+    }
+
     /// Folds another shard's view of the same class and window.
     pub fn merge(&mut self, other: &ClassWindow) {
         debug_assert_eq!(self.class, other.class);
         self.span_ns = self.span_ns.max(other.span_ns);
-        self.count += other.count;
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-        for &(idx, n) in &other.buckets {
-            match self.buckets.iter_mut().find(|(i, _)| *i == idx) {
-                Some((_, mine)) => *mine += n,
-                None => self.buckets.push((idx, n)),
-            }
-        }
-        self.buckets.sort_by_key(|&(i, _)| i);
+        self.add_samples(other.count, other.sum_ns, other.max_ns, &other.buckets);
         self.shed += other.shed;
     }
 }
@@ -180,7 +184,7 @@ impl OpsReport {
     /// Folds another backend's report in: class windows and burn counts
     /// sum, slow traces re-rank into one top-K. Reports from backends
     /// sharing a process (and therefore a registry) must not be merged —
-    /// take one of them instead, exactly like `MetricsSnapshot::merge`.
+    /// take one of them instead, exactly as with snapshot merges.
     pub fn merge(&mut self, other: &OpsReport) {
         self.interval_ns = self.interval_ns.max(other.interval_ns);
         self.windows = self.windows.max(other.windows);
@@ -213,24 +217,116 @@ impl OpsReport {
     }
 }
 
+/// What the ring keeps of a snapshot: the class histograms and shed
+/// counters, nothing else of the registry.
+fn class_sources(mut snap: MetricsSnapshot) -> MetricsSnapshot {
+    snap.gauges = Vec::new();
+    snap.counters.retain(|c| SloClass::ALL.iter().any(|k| k.shed_counter() == c.name));
+    snap.histograms
+        .retain(|h| SloClass::ALL.iter().any(|k| k.hist_names().contains(&h.name.as_str())));
+    snap
+}
+
+/// A bounded ring of closed windows, newest last: per tick, the four
+/// [`ClassWindow`]s (in [`SloClass::ALL`] order) that reports show and
+/// burn rates sum over. Fed cumulative snapshots; plain data.
+struct ClassRing {
+    cap: usize,
+    /// Class sources at the last tick — the next window's subtrahend.
+    prev: MetricsSnapshot,
+    windows: VecDeque<[ClassWindow; 4]>,
+}
+
+impl ClassRing {
+    /// An empty ring of at most `cap` windows. The first tick closes
+    /// against `baseline`: pass the current snapshot and pre-ring
+    /// history stays out of window 1.
+    fn new(cap: usize, baseline: MetricsSnapshot) -> Self {
+        assert!(cap > 0, "a window ring needs at least one slot");
+        ClassRing { cap, prev: class_sources(baseline), windows: VecDeque::new() }
+    }
+
+    /// Closes the current window — what each class recorded between the
+    /// last tick's snapshot and `cur`, over `span_ns` of wall time —
+    /// evicting the oldest at capacity. Each histogram is differenced on
+    /// its own, then summed into its class; one absent from the last
+    /// snapshot (registered mid-window) counts from zero.
+    fn tick(&mut self, cur: MetricsSnapshot, span_ns: u64) {
+        let cur = class_sources(cur);
+        let windows = SloClass::ALL.map(|class| {
+            let mut w = ClassWindow::idle(class, span_ns);
+            let shed = |snap: &MetricsSnapshot| snap.counter(class.shed_counter()).unwrap_or(0);
+            w.shed = shed(&cur).saturating_sub(shed(&self.prev));
+            for h in class.hist_names().iter().filter_map(|name| cur.histogram(name)) {
+                let Some(before) = self.prev.histogram(&h.name) else {
+                    w.add_samples(h.count, h.sum_ns, h.max_ns, &h.buckets);
+                    continue;
+                };
+                let grew = sub_sparse(&h.buckets, &before.buckets);
+                // A window's max is not observable from cumulative
+                // state: take the value of the highest bucket that grew,
+                // clamped to the cumulative max.
+                let max_ns = grew.iter().map(|&(idx, _)| bucket_value(idx as usize)).max();
+                w.add_samples(
+                    grew.iter().map(|&(_, n)| n).sum(),
+                    h.sum_ns.saturating_sub(before.sum_ns),
+                    max_ns.unwrap_or(0).min(h.max_ns),
+                    &grew,
+                );
+            }
+            w
+        });
+        if self.windows.len() == self.cap {
+            self.windows.pop_front();
+        }
+        self.windows.push_back(windows);
+        self.prev = cur;
+    }
+
+    /// The most recently closed window (idle, spanning nothing, before
+    /// the first tick).
+    fn last(&self) -> [ClassWindow; 4] {
+        self.windows
+            .back()
+            .cloned()
+            .unwrap_or_else(|| SloClass::ALL.map(|c| ClassWindow::idle(c, 0)))
+    }
+
+    /// Sums each class's events over the newest windows until at least
+    /// `target_span_ns` of wall time is covered (or the ring runs out) —
+    /// the sliding-window view burn rates are computed from.
+    fn trailing(&self, specs: &[SloSpec; 4], target_span_ns: u64) -> [BurnWindow; 4] {
+        let mut out = [BurnWindow::default(); 4];
+        let mut covered = 0u64;
+        for windows in self.windows.iter().rev() {
+            for spec in specs {
+                let class = spec.class as usize;
+                let (total, bad) = slo::window_events(spec, &windows[class]);
+                out[class].total += total;
+                out[class].bad += bad;
+            }
+            covered = covered.saturating_add(windows[0].span_ns);
+            if covered >= target_span_ns {
+                break;
+            }
+        }
+        out.map(|burn| BurnWindow { span_ns: covered, ..burn })
+    }
+}
+
 struct OpsState {
     interval: Duration,
-    ring: WindowRing,
+    ring: ClassRing,
     last_tick: Instant,
 }
 
 static OPS: Mutex<Option<OpsState>> = Mutex::new(None);
 
-fn unix_now_ns() -> u64 {
-    SystemTime::now().duration_since(SystemTime::UNIX_EPOCH).unwrap_or_default().as_nanos() as u64
-}
-
 fn with_state<R>(f: impl FnOnce(&mut OpsState) -> R) -> R {
     let mut guard = OPS.lock().expect("ops state poisoned");
     let state = guard.get_or_insert_with(|| OpsState {
         interval: DEFAULT_INTERVAL,
-        // Baseline at first touch: pre-ops history stays out of window 1.
-        ring: WindowRing::new(RING_WINDOWS, crate::registry::snapshot()),
+        ring: ClassRing::new(RING_WINDOWS, crate::registry::snapshot()),
         last_tick: Instant::now(),
     });
     f(state)
@@ -245,7 +341,7 @@ pub fn set_interval(interval: Duration) {
 
 fn tick_locked(state: &mut OpsState) {
     let span_ns = state.last_tick.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    state.ring.tick(crate::registry::snapshot(), span_ns, unix_now_ns());
+    state.ring.tick(crate::registry::snapshot(), span_ns);
     state.last_tick = Instant::now();
 }
 
@@ -256,141 +352,57 @@ pub fn force_tick() {
 }
 
 /// Assembles the process-local report, lazily closing a window first if
-/// the interval has elapsed. `slow_limit` caps the traces included.
+/// the interval has elapsed, and refreshes the `obs.slo.*` gauge family
+/// from it. `slow_limit` caps the traces included.
 pub fn report(slow_limit: usize) -> OpsReport {
-    let (interval_ns, windows, classes, slo_status) = with_state(|state| {
+    let specs = slo::specs();
+    let (interval_ns, windows, classes, fast, slow_w) = with_state(|state| {
         if state.last_tick.elapsed() >= state.interval {
             tick_locked(state);
         }
-        let last = state.ring.last();
-        let specs = slo::specs();
-        let classes: Vec<ClassWindow> = specs
-            .iter()
-            .map(|spec| {
-                let (span_ns, delta) = match last {
-                    Some(w) => (w.span_ns, &w.delta),
-                    None => (0, &EMPTY_SNAPSHOT),
-                };
-                class_window(spec.class, span_ns, delta)
-            })
-            .collect();
-        let fast = state.ring.trailing(FAST_WINDOW.as_nanos() as u64);
-        let slow_w = state.ring.trailing(SLOW_WINDOW.as_nanos() as u64);
-        let slo_status: Vec<SloStatus> = specs
-            .iter()
-            .map(|spec| {
-                let (fast_total, fast_bad) = slo::window_events(spec, &fast.1);
-                let (slow_total, slow_bad) = slo::window_events(spec, &slow_w.1);
-                SloStatus {
-                    class: spec.class.name().to_string(),
-                    objective_milli: spec.objective_milli,
-                    threshold_ns: spec.threshold_ns,
-                    fast: BurnWindow { span_ns: fast.0, total: fast_total, bad: fast_bad },
-                    slow: BurnWindow { span_ns: slow_w.0, total: slow_total, bad: slow_bad },
-                    shed_total: shed_total(spec.class),
-                }
-            })
-            .collect();
-        (state.interval.as_nanos() as u64, state.ring.len() as u32, classes, slo_status)
+        let ring = &state.ring;
+        (
+            state.interval.as_nanos() as u64,
+            ring.windows.len() as u32,
+            ring.last(),
+            ring.trailing(&specs, FAST_WINDOW.as_nanos() as u64),
+            ring.trailing(&specs, SLOW_WINDOW.as_nanos() as u64),
+        )
     });
-    publish_gauges(&slo_status);
+    let mut slo_status = Vec::with_capacity(specs.len());
+    for spec in &specs {
+        let st = SloStatus {
+            class: spec.class.name().to_string(),
+            objective_milli: spec.objective_milli,
+            threshold_ns: spec.threshold_ns,
+            fast: fast[spec.class as usize],
+            slow: slow_w[spec.class as usize],
+            shed_total: slo::shed_count(spec.class),
+        };
+        let row = spec.class.row();
+        row.burn_fast_milli.set((st.burn_fast() * 1000.0).min(u64::MAX as f64) as u64);
+        row.burn_slow_milli.set((st.burn_slow() * 1000.0).min(u64::MAX as f64) as u64);
+        row.budget_remaining_milli.set((st.budget_remaining() * 1000.0) as u64);
+        slo_status.push(st);
+    }
     let mut slow_traces = slow::dump();
     slow_traces.truncate(slow_limit);
+    let generated_unix_ns =
+        SystemTime::now().duration_since(SystemTime::UNIX_EPOCH).unwrap_or_default().as_nanos();
     OpsReport {
         interval_ns,
         windows,
-        generated_unix_ns: unix_now_ns(),
-        classes,
+        generated_unix_ns: generated_unix_ns as u64,
+        classes: classes.into(),
         slo: slo_status,
         slow: slow_traces,
-    }
-}
-
-static EMPTY_SNAPSHOT: MetricsSnapshot =
-    MetricsSnapshot { counters: Vec::new(), gauges: Vec::new(), histograms: Vec::new() };
-
-fn class_window(class: SloClass, span_ns: u64, delta: &MetricsSnapshot) -> ClassWindow {
-    let mut out = ClassWindow {
-        class: class.name().to_string(),
-        span_ns,
-        count: 0,
-        sum_ns: 0,
-        max_ns: 0,
-        buckets: Vec::new(),
-        shed: delta.counter(class.shed_counter()).unwrap_or(0),
-    };
-    for hist in class.hist_names() {
-        if let Some(h) = delta.histogram(hist) {
-            out.count += h.count;
-            out.sum_ns = out.sum_ns.saturating_add(h.sum_ns);
-            out.max_ns = out.max_ns.max(h.max_ns);
-            for &(idx, n) in &h.buckets {
-                match out.buckets.iter_mut().find(|(i, _)| *i == idx) {
-                    Some((_, mine)) => *mine += n,
-                    None => out.buckets.push((idx, n)),
-                }
-            }
-        }
-    }
-    out.buckets.sort_by_key(|&(i, _)| i);
-    out
-}
-
-fn shed_total(class: SloClass) -> u64 {
-    slo::shed_count(class)
-}
-
-// The `obs.slo.*` gauge family: burn rates and remaining budget in
-// thousandths, refreshed whenever a report is assembled. A fixed bank,
-// like every other metric family in the workspace.
-static G_QUERY_FAST: crate::registry::Gauge =
-    crate::registry::Gauge::new("obs.slo.query.burn_fast_milli");
-static G_QUERY_SLOW: crate::registry::Gauge =
-    crate::registry::Gauge::new("obs.slo.query.burn_slow_milli");
-static G_QUERY_BUDGET: crate::registry::Gauge =
-    crate::registry::Gauge::new("obs.slo.query.budget_remaining_milli");
-static G_PLAN_FAST: crate::registry::Gauge =
-    crate::registry::Gauge::new("obs.slo.plan.burn_fast_milli");
-static G_PLAN_SLOW: crate::registry::Gauge =
-    crate::registry::Gauge::new("obs.slo.plan.burn_slow_milli");
-static G_PLAN_BUDGET: crate::registry::Gauge =
-    crate::registry::Gauge::new("obs.slo.plan.budget_remaining_milli");
-static G_MEASURES_FAST: crate::registry::Gauge =
-    crate::registry::Gauge::new("obs.slo.measures.burn_fast_milli");
-static G_MEASURES_SLOW: crate::registry::Gauge =
-    crate::registry::Gauge::new("obs.slo.measures.burn_slow_milli");
-static G_MEASURES_BUDGET: crate::registry::Gauge =
-    crate::registry::Gauge::new("obs.slo.measures.budget_remaining_milli");
-static G_EDITS_FAST: crate::registry::Gauge =
-    crate::registry::Gauge::new("obs.slo.edits.burn_fast_milli");
-static G_EDITS_SLOW: crate::registry::Gauge =
-    crate::registry::Gauge::new("obs.slo.edits.burn_slow_milli");
-static G_EDITS_BUDGET: crate::registry::Gauge =
-    crate::registry::Gauge::new("obs.slo.edits.budget_remaining_milli");
-
-fn gauges_for(class: &str) -> Option<[&'static crate::registry::Gauge; 3]> {
-    match class {
-        "query" => Some([&G_QUERY_FAST, &G_QUERY_SLOW, &G_QUERY_BUDGET]),
-        "plan" => Some([&G_PLAN_FAST, &G_PLAN_SLOW, &G_PLAN_BUDGET]),
-        "measures" => Some([&G_MEASURES_FAST, &G_MEASURES_SLOW, &G_MEASURES_BUDGET]),
-        "edits" => Some([&G_EDITS_FAST, &G_EDITS_SLOW, &G_EDITS_BUDGET]),
-        _ => None,
-    }
-}
-
-fn publish_gauges(statuses: &[SloStatus]) {
-    for st in statuses {
-        if let Some([fast, slow_g, budget]) = gauges_for(&st.class) {
-            fast.set((st.burn_fast() * 1000.0).min(u64::MAX as f64) as u64);
-            slow_g.set((st.burn_slow() * 1000.0).min(u64::MAX as f64) as u64);
-            budget.set((st.budget_remaining() * 1000.0) as u64);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn cw(class: &str, count: u64, shed: u64, buckets: Vec<(u32, u64)>) -> ClassWindow {
         ClassWindow {
@@ -497,6 +509,174 @@ mod tests {
         assert!((w.rps() - 50.0).abs() < 1e-9);
         assert!(w.quantile_ns(50.0) <= 1_100);
         assert!(w.quantile_ns(99.9) >= 7_000_000);
+    }
+
+    /// A scripted registry: cumulative histograms and counters by name.
+    #[derive(Default)]
+    struct Script {
+        hists: BTreeMap<&'static str, crate::hist::LatencyHistogram>,
+        counters: BTreeMap<&'static str, u64>,
+    }
+
+    type Records = &'static [(&'static str, &'static [u64])];
+    type Adds = &'static [(&'static str, u64)];
+
+    impl Script {
+        /// Records samples and counter increments; returns the snapshot.
+        fn step(&mut self, hists: Records, counters: Adds) -> MetricsSnapshot {
+            use crate::snapshot::{CounterSample, GaugeSample, HistogramSample};
+            for &(name, samples) in hists {
+                let h = self.hists.entry(name).or_default();
+                samples.iter().for_each(|&ns| h.record_ns(ns));
+            }
+            for &(name, add) in counters {
+                *self.counters.entry(name).or_default() += add;
+            }
+            let counter = |(n, &value): (&&str, &u64)| CounterSample { name: n.to_string(), value };
+            MetricsSnapshot {
+                counters: self.counters.iter().map(counter).collect(),
+                gauges: vec![GaugeSample { name: "serve.workers".into(), value: 8 }],
+                histograms: self
+                    .hists
+                    .iter()
+                    .map(|(n, h)| HistogramSample::from_histogram(n, h))
+                    .collect(),
+            }
+        }
+    }
+
+    /// `(class index, count, sum_ns, max_ns, buckets, shed)` of a class
+    /// that was not idle in the last window.
+    type Busy = (usize, u64, u64, u64, &'static [(u32, u64)], u64);
+    /// Per class `(span_s, total, bad)`.
+    type Burn = [(u64, u64, u64); 4];
+    /// One tick: `(span_s, samples, counter adds)`, then what it must
+    /// leave: `(windows held, busy classes, burn over a trailing 150 s,
+    /// burn over a trailing 3600 s)`.
+    type Tick = (u64, Records, Adds, usize, &'static [Busy], Burn, Burn);
+
+    // Every expected value below was printed by the previous design — a
+    // ring of whole-registry snapshot deltas, merged over the trailing
+    // span and read per class — run on this script at the commit before
+    // the ring held class windows.
+    #[test]
+    fn scripted_series_matches_the_whole_registry_ring() {
+        const Q: &str = "serve.request.query";
+        const PLAN: &str = "serve.request.plan";
+        const MEAS: &str = "serve.request.measures";
+        const ADD_POI: &str = "serve.request.add_poi";
+        const APPLY: &str = "serve.request.apply_delta";
+        const BATCH: &str = "serve.request.delta_batch";
+        const S: u64 = 1_000_000_000;
+        let specs = [
+            SloSpec { class: SloClass::Query, objective_milli: 999, threshold_ns: 50_000_000 },
+            SloSpec { class: SloClass::Plan, objective_milli: 999, threshold_ns: 100_000_000 },
+            SloSpec { class: SloClass::Measures, objective_milli: 999, threshold_ns: 50_000_000 },
+            SloSpec { class: SloClass::Edits, objective_milli: 995, threshold_ns: 250_000_000 },
+        ];
+        let ticks: [Tick; 6] = [
+            // Quiet: nothing moved since the baseline.
+            (60, &[], &[], 1, &[], [(60, 0, 0); 4], [(60, 0, 0); 4]),
+            // Burst: two of five queries over the 50 ms threshold; the
+            // window holds only its own samples, not the 1-2 us history.
+            (
+                60,
+                &[(Q, &[50_000, 50_000, 50_000, 80_000_000, 80_000_000])],
+                &[("serve.requests", 5)],
+                2,
+                &[(0, 5, 160_150_000, 79_691_776, &[(200, 3), (371, 2)], 0)],
+                [(120, 5, 2), (120, 0, 0), (120, 0, 0), (120, 0, 0)],
+                [(120, 5, 2), (120, 0, 0), (120, 0, 0), (120, 0, 0)],
+            ),
+            // Sheds only; plan's counter is first seen here.
+            (
+                120,
+                &[],
+                &[("obs.slo.query.shed", 3), ("obs.slo.plan.shed", 2)],
+                3,
+                &[(0, 0, 0, 0, &[], 3), (1, 0, 0, 0, &[], 2)],
+                [(180, 8, 5), (180, 2, 2), (180, 0, 0), (180, 0, 0)],
+                [(240, 8, 5), (240, 2, 2), (240, 0, 0), (240, 0, 0)],
+            ),
+            // Histograms first seen mid-series count from zero and keep
+            // their exact max.
+            (
+                60,
+                &[(PLAN, &[120_000_000, 1_000_000]), (MEAS, &[1_000, 1_000, 1_000])],
+                &[],
+                4,
+                &[
+                    (1, 2, 121_000_000, 120_000_000, &[(270, 1), (380, 1)], 0),
+                    (2, 3, 3_000, 1_000, &[(111, 3)], 0),
+                ],
+                [(180, 3, 3), (180, 4, 3), (180, 3, 0), (180, 0, 0)],
+                [(300, 8, 5), (300, 4, 3), (300, 3, 0), (300, 0, 0)],
+            ),
+            // More ticks than slots: the quiet window rotates out. A
+            // differenced histogram's max is its highest grown bucket.
+            (
+                60,
+                &[(MEAS, &[8_000_000, 8_000_000, 8_000_000]), (Q, &[1_000])],
+                &[("obs.slo.edits.shed", 1)],
+                4,
+                &[
+                    (0, 1, 1_000, 992, &[(111, 1)], 0),
+                    (2, 3, 24_000_000, 7_864_320, &[(318, 3)], 0),
+                    (3, 0, 0, 0, &[], 1),
+                ],
+                [(240, 4, 3), (240, 4, 3), (240, 6, 0), (240, 1, 1)],
+                [(300, 9, 5), (300, 4, 3), (300, 6, 0), (300, 1, 1)],
+            ),
+            // Edits sums three histograms, two of them new; the burst
+            // window has rotated out of both trailing views.
+            (
+                60,
+                &[
+                    (ADD_POI, &[5_000_000, 400_000_000]),
+                    (BATCH, &[2_000_000]),
+                    (APPLY, &[450_000_000]),
+                    (Q, &[70_000_000]),
+                ],
+                &[],
+                4,
+                &[
+                    (0, 1, 70_000_000, 67_108_864, &[(368, 1)], 0),
+                    (3, 4, 857_000_000, 450_000_000, &[(286, 1), (307, 1), (407, 1), (410, 1)], 0),
+                ],
+                [(180, 2, 1), (180, 2, 1), (180, 6, 0), (180, 5, 3)],
+                [(300, 5, 4), (300, 4, 3), (300, 6, 0), (300, 5, 3)],
+            ),
+        ];
+        let mut script = Script::default();
+        let baseline = script.step(
+            &[(Q, &[1_000, 2_000]), (ADD_POI, &[2_000_000])],
+            &[("obs.slo.query.shed", 10), ("serve.requests", 7)],
+        );
+        let mut ring = ClassRing::new(4, baseline);
+        for (span_s, hists, counters, len, busy, fast, slow) in ticks {
+            ring.tick(script.step(hists, counters), span_s * S);
+            assert_eq!(ring.windows.len(), len);
+            for (i, got) in ring.last().into_iter().enumerate() {
+                let mut want = ClassWindow::idle(SloClass::ALL[i], span_s * S);
+                if let Some(&(_, count, sum_ns, max_ns, buckets, shed)) =
+                    busy.iter().find(|b| b.0 == i)
+                {
+                    want = ClassWindow {
+                        count,
+                        sum_ns,
+                        max_ns,
+                        buckets: buckets.into(),
+                        shed,
+                        ..want
+                    };
+                }
+                assert_eq!(got, want, "last window after the {span_s} s tick at len {len}");
+            }
+            for (target_s, want) in [(150, fast), (3600, slow)] {
+                let got = ring.trailing(&specs, target_s * S);
+                assert_eq!(got.map(|b| (b.span_ns / S, b.total, b.bad)), want, "{target_s} s burn");
+            }
+        }
     }
 
     // The global report path is exercised end-to-end (with real traffic

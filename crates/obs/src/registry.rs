@@ -17,10 +17,6 @@
 //! once per metric per process). [`snapshot`] walks the registry and
 //! assembles a [`MetricsSnapshot`] without disturbing writers.
 //!
-//! With the `obs-off` feature every recording operation compiles to a
-//! no-op and snapshots are empty, so benches can price the
-//! instrumentation itself.
-//!
 //! ## The registry is process-global
 //!
 //! There is exactly one registry per process and no way to reset it:
@@ -35,16 +31,13 @@
 //! sees one registry for the whole fleet (see the router's stats-merge
 //! logic), while out-of-process backends each own one.
 
-#[cfg(not(feature = "obs-off"))]
-use crate::hist::bucket;
-use crate::hist::{LatencyHistogram, N_BUCKETS};
+use crate::hist::{bucket, LatencyHistogram, N_BUCKETS};
 use crate::snapshot::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 /// A registered metric, by reference to its static.
-#[cfg_attr(feature = "obs-off", allow(dead_code))]
 enum Metric {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
@@ -57,7 +50,6 @@ static REGISTRY: Mutex<Vec<Metric>> = Mutex::new(Vec::new());
 /// is only ever taken before the flag flips.
 macro_rules! ensure_registered {
     ($self:ident, $variant:ident) => {
-        #[cfg(not(feature = "obs-off"))]
         if !$self.registered.load(Ordering::Relaxed) {
             let mut reg = REGISTRY.lock().expect("metric registry poisoned");
             if !$self.registered.load(Ordering::Relaxed) {
@@ -73,7 +65,6 @@ macro_rules! ensure_registered {
 pub struct Counter {
     name: &'static str,
     value: AtomicU64,
-    #[cfg_attr(feature = "obs-off", allow(dead_code))]
     registered: AtomicBool,
 }
 
@@ -93,10 +84,7 @@ impl Counter {
     #[inline]
     pub fn add(&'static self, n: u64) {
         ensure_registered!(self, Counter);
-        #[cfg(not(feature = "obs-off"))]
         self.value.fetch_add(n, Ordering::Relaxed);
-        #[cfg(feature = "obs-off")]
-        let _ = n;
     }
 
     /// Current value.
@@ -114,7 +102,6 @@ impl Counter {
 pub struct Gauge {
     name: &'static str,
     value: AtomicU64,
-    #[cfg_attr(feature = "obs-off", allow(dead_code))]
     registered: AtomicBool,
 }
 
@@ -128,10 +115,7 @@ impl Gauge {
     #[inline]
     pub fn set(&'static self, v: u64) {
         ensure_registered!(self, Gauge);
-        #[cfg(not(feature = "obs-off"))]
         self.value.store(v, Ordering::Relaxed);
-        #[cfg(feature = "obs-off")]
-        let _ = v;
     }
 
     /// Current level.
@@ -156,7 +140,6 @@ pub struct AtomicHistogram {
     total: AtomicU64,
     sum_ns: AtomicU64,
     max_ns: AtomicU64,
-    #[cfg_attr(feature = "obs-off", allow(dead_code))]
     registered: AtomicBool,
 }
 
@@ -183,15 +166,10 @@ impl AtomicHistogram {
     #[inline]
     pub fn record_ns(&'static self, ns: u64) {
         ensure_registered!(self, Histogram);
-        #[cfg(not(feature = "obs-off"))]
-        {
-            self.counts[bucket(ns)].fetch_add(1, Ordering::Relaxed);
-            self.total.fetch_add(1, Ordering::Relaxed);
-            self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-            self.max_ns.fetch_max(ns, Ordering::Relaxed);
-        }
-        #[cfg(feature = "obs-off")]
-        let _ = ns;
+        self.counts[bucket(ns)].fetch_add(1, Ordering::Relaxed);
+        self.total.fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
     /// Number of samples so far.
@@ -227,38 +205,6 @@ impl AtomicHistogram {
     }
 }
 
-/// Wall-clock scoped timer recording into a histogram when dropped (or
-/// explicitly [`stop`](ScopedTimer::stop)ped, which also returns the
-/// elapsed time).
-pub struct ScopedTimer {
-    hist: &'static AtomicHistogram,
-    start: std::time::Instant,
-    armed: bool,
-}
-
-impl ScopedTimer {
-    /// Starts timing into `hist`.
-    pub fn new(hist: &'static AtomicHistogram) -> Self {
-        ScopedTimer { hist, start: std::time::Instant::now(), armed: true }
-    }
-
-    /// Stops now, records, and returns the elapsed time.
-    pub fn stop(mut self) -> Duration {
-        let elapsed = self.start.elapsed();
-        self.armed = false;
-        self.hist.record(elapsed);
-        elapsed
-    }
-}
-
-impl Drop for ScopedTimer {
-    fn drop(&mut self) {
-        if self.armed {
-            self.hist.record(self.start.elapsed());
-        }
-    }
-}
-
 /// Assembles a snapshot of every metric touched so far, sorted by name
 /// for deterministic output. Writers are never blocked; values are
 /// relaxed reads.
@@ -290,12 +236,10 @@ mod tests {
     use super::*;
 
     static T_COUNTER: Counter = Counter::new("test.registry.counter");
-    #[cfg_attr(feature = "obs-off", allow(dead_code))]
     static T_GAUGE: Gauge = Gauge::new("test.registry.gauge");
     static T_HIST: AtomicHistogram = AtomicHistogram::new("test.registry.hist");
 
     #[test]
-    #[cfg(not(feature = "obs-off"))]
     fn metrics_register_on_first_touch_and_snapshot() {
         T_COUNTER.add(3);
         T_GAUGE.set(7);
@@ -309,36 +253,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs-off")]
-    fn obs_off_records_nothing() {
-        T_COUNTER.add(3);
-        T_HIST.record(Duration::from_micros(50));
-        assert_eq!(T_COUNTER.get(), 0);
-        assert_eq!(T_HIST.count(), 0);
-        assert!(snapshot().counters.is_empty());
-    }
-
-    #[test]
-    fn scoped_timer_records_once() {
-        static H: AtomicHistogram = AtomicHistogram::new("test.registry.timer");
-        let before = H.count();
-        {
-            let _t = ScopedTimer::new(&H);
-        }
-        let elapsed = ScopedTimer::new(&H).stop();
-        #[cfg(not(feature = "obs-off"))]
-        {
-            assert_eq!(H.count(), before + 2);
-            assert!(elapsed >= Duration::ZERO);
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            assert_eq!(H.count(), before);
-            let _ = elapsed;
-        }
-    }
-
-    #[test]
     fn atomic_histogram_matches_sequential() {
         static H: AtomicHistogram = AtomicHistogram::new("test.registry.hist2");
         let mut reference = LatencyHistogram::new();
@@ -346,14 +260,11 @@ mod tests {
             H.record_ns(i * 1001);
             reference.record_ns(i * 1001);
         }
-        #[cfg(not(feature = "obs-off"))]
-        {
-            let got = H.to_histogram();
-            assert_eq!(got.count(), reference.count());
-            for p in [10.0, 50.0, 90.0, 99.0] {
-                assert_eq!(got.percentile(p), reference.percentile(p));
-            }
-            assert_eq!(got.max(), reference.max());
+        let got = H.to_histogram();
+        assert_eq!(got.count(), reference.count());
+        for p in [10.0, 50.0, 90.0, 99.0] {
+            assert_eq!(got.percentile(p), reference.percentile(p));
         }
+        assert_eq!(got.max(), reference.max());
     }
 }

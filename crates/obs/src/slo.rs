@@ -15,17 +15,18 @@
 //! being spent exactly at the sustainable pace, 10 means the budget
 //! burns ten times too fast. The ops layer evaluates a fast window
 //! (default 5 min, pages on sudden breakage) and a slow window (default
-//! 1 h, catches slow leaks) from the same [`WindowRing`](crate::window::WindowRing).
+//! 1 h, catches slow leaks) from the same ring of per-class windows.
 //!
-//! Everything here keys off the four serving classes; their latency
-//! source histograms are the per-kind `serve.request.*` families the
-//! worker pool already records. Per-class shed counts live in the
-//! `obs.slo.<class>.shed` counter family so window deltas yield
-//! per-window shed counts for free.
+//! Everything here keys off the four serving classes, and everything
+//! keyed by class — its latency histograms (the per-kind
+//! `serve.request.*` families the worker pool records), its
+//! `obs.slo.<class>.shed` counter, its burn gauges, its slow-capture
+//! threshold and its default objective — is one row of the `CLASSES` table.
 
 use crate::hist::bucket_value;
-use crate::registry::Counter;
-use crate::snapshot::MetricsSnapshot;
+use crate::ops::ClassWindow;
+use crate::registry::{Counter, Gauge};
+use std::sync::atomic::AtomicU64;
 
 /// The serving classes objectives are declared over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,77 +41,106 @@ pub enum SloClass {
     Edits,
 }
 
+/// One class's row: the registry takes statics only, so each class gets
+/// declared metrics rather than dynamic names.
+pub(crate) struct ClassRow {
+    name: &'static str,
+    hists: &'static [&'static str],
+    pub(crate) shed: Counter,
+    /// Burn rates and remaining budget in thousandths, refreshed
+    /// whenever a report is assembled.
+    pub(crate) burn_fast_milli: Gauge,
+    pub(crate) burn_slow_milli: Gauge,
+    pub(crate) budget_remaining_milli: Gauge,
+    /// Slow-trace promotion threshold, settable at runtime.
+    pub(crate) slow_threshold_ns: AtomicU64,
+    /// Default objective: good fraction in thousandths, latency bound.
+    objective_milli: u32,
+    threshold_ns: u64,
+}
+
+/// Indexed by `SloClass as usize`.
+static CLASSES: [ClassRow; 4] = [
+    ClassRow {
+        name: "query",
+        hists: &["serve.request.query"],
+        shed: Counter::new("obs.slo.query.shed"),
+        burn_fast_milli: Gauge::new("obs.slo.query.burn_fast_milli"),
+        burn_slow_milli: Gauge::new("obs.slo.query.burn_slow_milli"),
+        budget_remaining_milli: Gauge::new("obs.slo.query.budget_remaining_milli"),
+        slow_threshold_ns: AtomicU64::new(25_000_000),
+        objective_milli: 999,
+        threshold_ns: 50_000_000,
+    },
+    ClassRow {
+        name: "plan",
+        hists: &["serve.request.plan"],
+        shed: Counter::new("obs.slo.plan.shed"),
+        burn_fast_milli: Gauge::new("obs.slo.plan.burn_fast_milli"),
+        burn_slow_milli: Gauge::new("obs.slo.plan.burn_slow_milli"),
+        budget_remaining_milli: Gauge::new("obs.slo.plan.budget_remaining_milli"),
+        slow_threshold_ns: AtomicU64::new(50_000_000),
+        objective_milli: 999,
+        threshold_ns: 100_000_000,
+    },
+    ClassRow {
+        name: "measures",
+        hists: &["serve.request.measures"],
+        shed: Counter::new("obs.slo.measures.shed"),
+        burn_fast_milli: Gauge::new("obs.slo.measures.burn_fast_milli"),
+        burn_slow_milli: Gauge::new("obs.slo.measures.burn_slow_milli"),
+        budget_remaining_milli: Gauge::new("obs.slo.measures.budget_remaining_milli"),
+        slow_threshold_ns: AtomicU64::new(25_000_000),
+        objective_milli: 999,
+        threshold_ns: 50_000_000,
+    },
+    ClassRow {
+        name: "edits",
+        hists: &["serve.request.add_poi", "serve.request.apply_delta", "serve.request.delta_batch"],
+        shed: Counter::new("obs.slo.edits.shed"),
+        burn_fast_milli: Gauge::new("obs.slo.edits.burn_fast_milli"),
+        burn_slow_milli: Gauge::new("obs.slo.edits.burn_slow_milli"),
+        budget_remaining_milli: Gauge::new("obs.slo.edits.budget_remaining_milli"),
+        slow_threshold_ns: AtomicU64::new(100_000_000),
+        objective_milli: 995,
+        threshold_ns: 250_000_000,
+    },
+];
+
 impl SloClass {
     pub const ALL: [SloClass; 4] =
         [SloClass::Query, SloClass::Plan, SloClass::Measures, SloClass::Edits];
 
-    /// Stable wire/JSON name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SloClass::Query => "query",
-            SloClass::Plan => "plan",
-            SloClass::Measures => "measures",
-            SloClass::Edits => "edits",
-        }
+    pub(crate) fn row(self) -> &'static ClassRow {
+        &CLASSES[self as usize]
     }
 
-    /// Inverse of [`name`](Self::name).
-    pub fn from_name(name: &str) -> Option<SloClass> {
-        SloClass::ALL.into_iter().find(|c| c.name() == name)
+    /// Stable wire/JSON name.
+    pub fn name(self) -> &'static str {
+        self.row().name
     }
 
     /// The cumulative latency histograms whose samples this class
     /// aggregates.
     pub fn hist_names(self) -> &'static [&'static str] {
-        match self {
-            SloClass::Query => &["serve.request.query"],
-            SloClass::Plan => &["serve.request.plan"],
-            SloClass::Measures => &["serve.request.measures"],
-            SloClass::Edits => &[
-                "serve.request.add_poi",
-                "serve.request.add_bus_route",
-                "serve.request.apply_delta",
-                "serve.request.delta_batch",
-            ],
-        }
+        self.row().hists
     }
 
     /// The class's shed counter name.
     pub fn shed_counter(self) -> &'static str {
-        match self {
-            SloClass::Query => "obs.slo.query.shed",
-            SloClass::Plan => "obs.slo.plan.shed",
-            SloClass::Measures => "obs.slo.measures.shed",
-            SloClass::Edits => "obs.slo.edits.shed",
-        }
+        self.row().shed.name()
     }
 }
 
-// Fixed bank of shed counters — the registry takes statics only, so the
-// four classes each get a declared counter rather than a dynamic name.
-static SHED_QUERY: Counter = Counter::new("obs.slo.query.shed");
-static SHED_PLAN: Counter = Counter::new("obs.slo.plan.shed");
-static SHED_MEASURES: Counter = Counter::new("obs.slo.measures.shed");
-static SHED_EDITS: Counter = Counter::new("obs.slo.edits.shed");
-
 /// Counts one availability error (admission shed or deadline miss)
-/// against `class`'s error budget. No-op under `obs-off`.
+/// against `class`'s error budget.
 pub fn shed(class: SloClass) {
-    shed_cell(class).inc()
+    class.row().shed.inc()
 }
 
 /// Cumulative shed count for `class` since boot.
 pub fn shed_count(class: SloClass) -> u64 {
-    shed_cell(class).get()
-}
-
-fn shed_cell(class: SloClass) -> &'static Counter {
-    match class {
-        SloClass::Query => &SHED_QUERY,
-        SloClass::Plan => &SHED_PLAN,
-        SloClass::Measures => &SHED_MEASURES,
-        SloClass::Edits => &SHED_EDITS,
-    }
+    class.row().shed.get()
 }
 
 /// One declared objective.
@@ -130,56 +160,46 @@ impl SloSpec {
     }
 }
 
-const DEFAULT_SPECS: [SloSpec; 4] = [
-    SloSpec { class: SloClass::Query, objective_milli: 999, threshold_ns: 50_000_000 },
-    SloSpec { class: SloClass::Plan, objective_milli: 999, threshold_ns: 100_000_000 },
-    SloSpec { class: SloClass::Measures, objective_milli: 999, threshold_ns: 50_000_000 },
-    SloSpec { class: SloClass::Edits, objective_milli: 995, threshold_ns: 250_000_000 },
-];
+fn default_specs() -> [SloSpec; 4] {
+    SloClass::ALL.map(|class| {
+        let row = class.row();
+        SloSpec { class, objective_milli: row.objective_milli, threshold_ns: row.threshold_ns }
+    })
+}
 
 static SPECS: std::sync::Mutex<Option<[SloSpec; 4]>> = std::sync::Mutex::new(None);
 
-/// The active objectives, defaults unless [`configure`]d.
+/// The active objectives in [`SloClass::ALL`] order, defaults unless
+/// [`configure`]d.
 pub fn specs() -> [SloSpec; 4] {
-    SPECS.lock().expect("slo specs poisoned").unwrap_or(DEFAULT_SPECS)
+    SPECS.lock().expect("slo specs poisoned").unwrap_or_else(default_specs)
 }
 
 /// Replaces the objective for each class present in `new` (absent
 /// classes keep their current spec). Process-global, like the registry.
 pub fn configure(new: &[SloSpec]) {
     let mut guard = SPECS.lock().expect("slo specs poisoned");
-    let mut specs = guard.unwrap_or(DEFAULT_SPECS);
+    let mut specs = guard.unwrap_or_else(default_specs);
     for spec in new {
-        if let Some(slot) = specs.iter_mut().find(|s| s.class == spec.class) {
-            *slot = *spec;
-        }
+        specs[spec.class as usize] = *spec;
     }
     *guard = Some(specs);
 }
 
-/// Total and bad event counts for `class` inside one delta snapshot
-/// (a [`Window`](crate::window::Window)'s `delta` or a trailing merge).
+/// Total and bad event counts for `spec`'s class inside one window.
 ///
 /// Returns `(total, bad)`: total = latency samples + sheds; bad =
 /// samples whose bucket's upper edge exceeds the threshold + sheds.
 /// Working at bucket granularity inherits the histogram's ~6% edge
 /// resolution, which is the precision the quantiles already have.
-pub fn window_events(spec: &SloSpec, delta: &MetricsSnapshot) -> (u64, u64) {
-    let mut total = 0u64;
-    let mut bad = 0u64;
-    for hist in spec.class.hist_names() {
-        if let Some(h) = delta.histogram(hist) {
-            total += h.count;
-            bad += h
-                .buckets
-                .iter()
-                .filter(|&&(idx, _)| bucket_value(idx as usize) > spec.threshold_ns)
-                .map(|&(_, n)| n)
-                .sum::<u64>();
-        }
-    }
-    let sheds = delta.counter(spec.class.shed_counter()).unwrap_or(0);
-    (total + sheds, bad + sheds)
+pub fn window_events(spec: &SloSpec, window: &ClassWindow) -> (u64, u64) {
+    let over: u64 = window
+        .buckets
+        .iter()
+        .filter(|&&(idx, _)| bucket_value(idx as usize) > spec.threshold_ns)
+        .map(|&(_, n)| n)
+        .sum();
+    (window.count + window.shed, over + window.shed)
 }
 
 /// Burn rate for `bad` out of `total` events against an objective:
@@ -201,17 +221,20 @@ pub fn burn_rate(total: u64, bad: u64, budget_fraction: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::hist::LatencyHistogram;
-    use crate::snapshot::{CounterSample, HistogramSample};
 
-    fn delta(class: SloClass, latencies_ns: &[u64], sheds: u64) -> MetricsSnapshot {
+    fn window(latencies_ns: &[u64], shed: u64) -> ClassWindow {
         let mut h = LatencyHistogram::new();
         for &ns in latencies_ns {
             h.record_ns(ns);
         }
-        MetricsSnapshot {
-            counters: vec![CounterSample { name: class.shed_counter().into(), value: sheds }],
-            gauges: vec![],
-            histograms: vec![HistogramSample::from_histogram(class.hist_names()[0], &h)],
+        ClassWindow {
+            class: "query".into(),
+            span_ns: 1_000_000_000,
+            count: h.count(),
+            sum_ns: h.sum_ns() as u64,
+            max_ns: h.max().as_nanos() as u64,
+            buckets: h.nonzero_buckets(),
+            shed,
         }
     }
 
@@ -220,8 +243,8 @@ mod tests {
         let spec =
             SloSpec { class: SloClass::Query, objective_milli: 990, threshold_ns: 1_000_000 };
         // 3 fast, 2 slow, 1 shed.
-        let d = delta(SloClass::Query, &[10_000, 10_000, 10_000, 50_000_000, 50_000_000], 1);
-        let (total, bad) = window_events(&spec, &d);
+        let w = window(&[10_000, 10_000, 10_000, 50_000_000, 50_000_000], 1);
+        let (total, bad) = window_events(&spec, &w);
         assert_eq!(total, 6);
         assert_eq!(bad, 3);
         let burn = burn_rate(total, bad, spec.budget_fraction());
@@ -232,25 +255,9 @@ mod tests {
     #[test]
     fn quiet_window_burns_nothing() {
         let spec = specs()[0];
-        let (total, bad) = window_events(&spec, &MetricsSnapshot::default());
+        let (total, bad) = window_events(&spec, &window(&[], 0));
         assert_eq!((total, bad), (0, 0));
         assert_eq!(burn_rate(total, bad, spec.budget_fraction()), 0.0);
-    }
-
-    #[test]
-    fn edits_class_sums_all_edit_histograms() {
-        let spec = SloSpec { class: SloClass::Edits, objective_milli: 990, threshold_ns: 1_000 };
-        let mut h = LatencyHistogram::new();
-        h.record_ns(5_000);
-        let d = MetricsSnapshot {
-            histograms: vec![
-                HistogramSample::from_histogram("serve.request.add_poi", &h.clone()),
-                HistogramSample::from_histogram("serve.request.apply_delta", &h),
-            ],
-            ..Default::default()
-        };
-        let (total, bad) = window_events(&spec, &d);
-        assert_eq!((total, bad), (2, 2));
     }
 
     #[test]
@@ -262,14 +269,15 @@ mod tests {
         assert_eq!(now[0].objective_milli, 900);
         assert_eq!(now[0].threshold_ns, 77);
         assert_eq!(now[1], plan_before, "plan untouched");
-        configure(&[DEFAULT_SPECS[0]]);
+        configure(&[default_specs()[0]]);
     }
 
     #[test]
-    fn class_names_round_trip() {
-        for c in SloClass::ALL {
-            assert_eq!(SloClass::from_name(c.name()), Some(c));
+    fn table_rows_sit_at_their_class_index() {
+        assert_eq!(SloClass::ALL.map(|c| c as usize), [0, 1, 2, 3]);
+        assert_eq!(SloClass::ALL.map(SloClass::name), ["query", "plan", "measures", "edits"]);
+        for class in SloClass::ALL {
+            assert_eq!(class.shed_counter(), format!("obs.slo.{}.shed", class.name()));
         }
-        assert_eq!(SloClass::from_name("telepathy"), None);
     }
 }

@@ -19,7 +19,7 @@
 
 use crate::slo::SloClass;
 use crate::trace::{OwnedSpan, TraceId};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 /// Traces the store retains (per process).
@@ -47,79 +47,56 @@ pub struct SlowTrace {
 }
 
 /// Traces promoted into the store (cumulative).
-#[cfg(not(feature = "obs-off"))]
 static PROMOTED: crate::registry::Counter = crate::registry::Counter::new("obs.slow.promoted");
 
-// Per-class promotion thresholds (fixed bank, same reason as the shed
-// counters: no dynamic metric names, no locks on the completion path
-// until the threshold has actually been crossed).
-static THRESHOLD_QUERY: AtomicU64 = AtomicU64::new(25_000_000);
-static THRESHOLD_PLAN: AtomicU64 = AtomicU64::new(50_000_000);
-static THRESHOLD_MEASURES: AtomicU64 = AtomicU64::new(25_000_000);
-static THRESHOLD_EDITS: AtomicU64 = AtomicU64::new(100_000_000);
-
-fn threshold_cell(class: SloClass) -> &'static AtomicU64 {
-    match class {
-        SloClass::Query => &THRESHOLD_QUERY,
-        SloClass::Plan => &THRESHOLD_PLAN,
-        SloClass::Measures => &THRESHOLD_MEASURES,
-        SloClass::Edits => &THRESHOLD_EDITS,
-    }
-}
-
-/// The promotion threshold for `class`, in nanoseconds.
+/// The promotion threshold for `class`, in nanoseconds (25/50/25/100 ms
+/// by default; an atomic in the class table, so the completion path
+/// takes no lock until the threshold has actually been crossed).
 pub fn threshold_ns(class: SloClass) -> u64 {
-    threshold_cell(class).load(Ordering::Relaxed)
+    class.row().slow_threshold_ns.load(Ordering::Relaxed)
 }
 
 /// Sets the promotion threshold for `class` at runtime.
 pub fn set_threshold_ns(class: SloClass, ns: u64) {
-    threshold_cell(class).store(ns, Ordering::Relaxed);
+    class.row().slow_threshold_ns.store(ns, Ordering::Relaxed);
 }
 
 static STORE: Mutex<Vec<SlowTrace>> = Mutex::new(Vec::new());
 
 /// Considers a just-completed request for promotion. Cheap when the
-/// request was fast and clean: two relaxed loads, no lock. No-op under
-/// `obs-off` and for untraced requests (`trace == 0`).
+/// request was fast and clean: two relaxed loads, no lock. No-op for
+/// untraced requests (`trace == 0`).
 pub fn maybe_promote(class: SloClass, trace: TraceId, root_dur_ns: u64, is_error: bool) {
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = (class, trace, root_dur_ns, is_error);
+    if trace == 0 || (!is_error && root_dur_ns < threshold_ns(class)) {
+        return;
     }
-    #[cfg(not(feature = "obs-off"))]
-    {
-        if trace == 0 || (!is_error && root_dur_ns < threshold_ns(class)) {
-            return;
-        }
-        let mut spans: Vec<OwnedSpan> =
-            crate::trace::dump(0).into_iter().filter(|s| s.trace == trace).collect();
-        if spans.len() > MAX_SPANS_PER_TRACE {
-            // Over the cap, keep the *longest* spans: the root and the
-            // stage spans are what triage needs, and a flood of
-            // microsecond leaves is exactly what the cap is for. (The
-            // root completes last, so a ring-order truncate would drop
-            // it first.)
-            spans.sort_by_key(|s| std::cmp::Reverse(s.dur_ns));
-            spans.truncate(MAX_SPANS_PER_TRACE);
-            spans.sort_by_key(|s| (s.start_unix_ns, s.span));
-        }
-        let captured_unix_ns = std::time::SystemTime::now()
-            .duration_since(std::time::SystemTime::UNIX_EPOCH)
-            .unwrap_or_default()
-            .as_nanos() as u64;
-        let entry = SlowTrace {
-            trace,
-            class: class.name().to_string(),
-            root_dur_ns,
-            is_error,
-            captured_unix_ns,
-            spans,
-        };
-        let mut store = STORE.lock().expect("slow-trace store poisoned");
-        insert_top_k(&mut store, entry, SLOW_KEEP);
-        PROMOTED.inc();
+    let mut spans: Vec<OwnedSpan> =
+        crate::trace::dump(0).into_iter().filter(|s| s.trace == trace).collect();
+    if spans.len() > MAX_SPANS_PER_TRACE {
+        // Over the cap, keep the *longest* spans: the root and the
+        // stage spans are what triage needs, and a flood of
+        // microsecond leaves is exactly what the cap is for. (The
+        // root completes last, so a ring-order truncate would drop
+        // it first.)
+        spans.sort_by_key(|s| std::cmp::Reverse(s.dur_ns));
+        spans.truncate(MAX_SPANS_PER_TRACE);
+        spans.sort_by_key(|s| (s.start_unix_ns, s.span));
     }
+    let captured_unix_ns = std::time::SystemTime::now()
+        .duration_since(std::time::SystemTime::UNIX_EPOCH)
+        .unwrap_or_default()
+        .as_nanos() as u64;
+    let entry = SlowTrace {
+        trace,
+        class: class.name().to_string(),
+        root_dur_ns,
+        is_error,
+        captured_unix_ns,
+        spans,
+    };
+    let mut store = STORE.lock().expect("slow-trace store poisoned");
+    insert_top_k(&mut store, entry, SLOW_KEEP);
+    PROMOTED.inc();
 }
 
 /// Inserts into a duration-descending top-K list, deduping by trace id
@@ -180,7 +157,6 @@ mod tests {
     /// flip the global capture threshold under their own lock, so a
     /// recording attempt can be silently filtered — retry rather than
     /// touching the knob (writing it here would race *their* windows).
-    #[cfg(not(feature = "obs-off"))]
     fn record_tree(root: &'static str, child: &'static str) -> u64 {
         for _ in 0..200 {
             let trace;
@@ -200,7 +176,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "obs-off"))]
     fn promotion_copies_the_span_tree_out_of_the_ring() {
         let trace = record_tree("test.slow.root", "test.slow.child");
         // Below threshold and clean: not promoted.
@@ -219,7 +194,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "obs-off"))]
     fn error_outcomes_promote_regardless_of_duration() {
         let trace = record_tree("test.slow.err", "test.slow.err_child");
         maybe_promote(SloClass::Plan, trace, 1, true);

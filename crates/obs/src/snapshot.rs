@@ -1,12 +1,11 @@
-//! Point-in-time metric snapshots and their interchange format.
+//! Point-in-time metric snapshots.
 //!
-//! [`MetricsSnapshot`] is the serde-derived view of the registry: plain
-//! integer samples, safe to ship over the wire protocol or dump as a
-//! `BENCH_*.json` trajectory point. Since the workspace's serde backend
-//! is the vendored API stand-in (derives compile, no driver), the actual
-//! byte format here is a hand-rolled JSON codec, mirroring how the rest
-//! of the repo treats persistence; the derives keep call sites identical
-//! for the day real serde is swapped back in.
+//! [`MetricsSnapshot`] is the plain-data view of the registry: integer
+//! samples by name, mergeable across processes. It travels in the serve
+//! `Stats` frame (staq-serve's wire codec is its interchange format) and
+//! is exported as text by [`prom::render`](crate::prom::render). The
+//! serde derives are markers on the vendored API stand-in; no serde
+//! driver runs.
 
 use crate::hist::LatencyHistogram;
 use serde::{Deserialize, Serialize};
@@ -124,323 +123,6 @@ impl MetricsSnapshot {
         self.gauges.sort_by(|a, b| a.name.cmp(&b.name));
         self.histograms.sort_by(|a, b| a.name.cmp(&b.name));
     }
-
-    /// Serializes to JSON text (stable field order).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push_str("{\"counters\":[");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{{\"name\":{},\"value\":{}}}", json_str(&c.name), c.value));
-        }
-        s.push_str("],\"gauges\":[");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{{\"name\":{},\"value\":{}}}", json_str(&g.name), g.value));
-        }
-        s.push_str("],\"histograms\":[");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":{},\"count\":{},\"sum_ns\":{},\"max_ns\":{},\
-                 \"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"buckets\":[",
-                json_str(&h.name),
-                h.count,
-                h.sum_ns,
-                h.max_ns,
-                h.p50_ns,
-                h.p95_ns,
-                h.p99_ns
-            ));
-            for (j, (idx, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("[{idx},{n}]"));
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Parses the JSON produced by [`to_json`] (tolerates whitespace and
-    /// reordered object keys).
-    pub fn from_json(text: &str) -> Result<MetricsSnapshot, JsonError> {
-        let value = JsonValue::parse(text)?;
-        let obj = value.as_object()?;
-        let mut snap = MetricsSnapshot::default();
-        for item in obj.get_array("counters")? {
-            let o = item.as_object()?;
-            snap.counters
-                .push(CounterSample { name: o.get_string("name")?, value: o.get_u64("value")? });
-        }
-        for item in obj.get_array("gauges")? {
-            let o = item.as_object()?;
-            snap.gauges
-                .push(GaugeSample { name: o.get_string("name")?, value: o.get_u64("value")? });
-        }
-        for item in obj.get_array("histograms")? {
-            let o = item.as_object()?;
-            let mut buckets = Vec::new();
-            for pair in o.get_array("buckets")? {
-                let JsonValue::Array(xs) = pair else {
-                    return Err(JsonError("bucket pair must be an array"));
-                };
-                if xs.len() != 2 {
-                    return Err(JsonError("bucket pair must have two elements"));
-                }
-                buckets.push((xs[0].as_u64()? as u32, xs[1].as_u64()?));
-            }
-            snap.histograms.push(HistogramSample {
-                name: o.get_string("name")?,
-                count: o.get_u64("count")?,
-                sum_ns: o.get_u64("sum_ns")?,
-                max_ns: o.get_u64("max_ns")?,
-                p50_ns: o.get_u64("p50_ns")?,
-                p95_ns: o.get_u64("p95_ns")?,
-                p99_ns: o.get_u64("p99_ns")?,
-                buckets,
-            });
-        }
-        Ok(snap)
-    }
-}
-
-/// Escapes a string for JSON (metric names are plain, but be safe).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Parse failure: a static description of what went wrong.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JsonError(pub &'static str);
-
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "json: {}", self.0)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Minimal JSON value tree: just enough for the snapshot schema (and the
-/// unsigned-integer-only numbers it uses).
-enum JsonValue {
-    Object(Vec<(String, JsonValue)>),
-    Array(Vec<JsonValue>),
-    String(String),
-    Number(u64),
-}
-
-struct JsonObject<'a>(&'a [(String, JsonValue)]);
-
-impl JsonValue {
-    fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(JsonError("trailing characters"));
-        }
-        Ok(v)
-    }
-
-    fn as_object(&self) -> Result<JsonObject<'_>, JsonError> {
-        match self {
-            JsonValue::Object(fields) => Ok(JsonObject(fields)),
-            _ => Err(JsonError("expected object")),
-        }
-    }
-
-    fn as_u64(&self) -> Result<u64, JsonError> {
-        match self {
-            JsonValue::Number(n) => Ok(*n),
-            _ => Err(JsonError("expected number")),
-        }
-    }
-}
-
-impl<'a> JsonObject<'a> {
-    fn get(&self, key: &str) -> Result<&'a JsonValue, JsonError> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v).ok_or(JsonError("missing object key"))
-    }
-
-    fn get_array(&self, key: &str) -> Result<&'a [JsonValue], JsonError> {
-        match self.get(key)? {
-            JsonValue::Array(xs) => Ok(xs),
-            _ => Err(JsonError("expected array")),
-        }
-    }
-
-    fn get_string(&self, key: &str) -> Result<String, JsonError> {
-        match self.get(key)? {
-            JsonValue::String(s) => Ok(s.clone()),
-            _ => Err(JsonError("expected string")),
-        }
-    }
-
-    fn get_u64(&self, key: &str) -> Result<u64, JsonError> {
-        self.get(key)?.as_u64()
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(JsonError("unexpected character"))
-    }
-}
-
-fn peek(b: &[u8], pos: &mut usize) -> Option<u8> {
-    skip_ws(b, pos);
-    b.get(*pos).copied()
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    match peek(b, pos).ok_or(JsonError("unexpected end of input"))? {
-        b'{' => parse_object(b, pos),
-        b'[' => parse_array(b, pos),
-        b'"' => Ok(JsonValue::String(parse_string(b, pos)?)),
-        b'0'..=b'9' => parse_number(b, pos),
-        _ => Err(JsonError("unsupported value")),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    expect(b, pos, b'{')?;
-    let mut fields = Vec::new();
-    if peek(b, pos) == Some(b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Object(fields));
-    }
-    loop {
-        let key = parse_string(b, pos)?;
-        expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        fields.push((key, value));
-        match peek(b, pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Object(fields));
-            }
-            _ => return Err(JsonError("expected ',' or '}'")),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    expect(b, pos, b'[')?;
-    let mut items = Vec::new();
-    if peek(b, pos) == Some(b']') {
-        *pos += 1;
-        return Ok(JsonValue::Array(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        match peek(b, pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            _ => return Err(JsonError("expected ',' or ']'")),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    while *pos < b.len() {
-        match b[*pos] {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                let esc = *b.get(*pos).ok_or(JsonError("unterminated escape"))?;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'u' => {
-                        if *pos + 4 >= b.len() {
-                            return Err(JsonError("truncated \\u escape"));
-                        }
-                        let hex = std::str::from_utf8(&b[*pos + 1..*pos + 5])
-                            .map_err(|_| JsonError("bad \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| JsonError("bad \\u escape"))?;
-                        out.push(char::from_u32(code).ok_or(JsonError("bad \\u code point"))?);
-                        *pos += 4;
-                    }
-                    _ => return Err(JsonError("unknown escape")),
-                }
-                *pos += 1;
-            }
-            _ => {
-                // Consume one UTF-8 scalar (input is a &str, so this is
-                // always a valid boundary walk).
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(
-                    std::str::from_utf8(&b[start..*pos]).map_err(|_| JsonError("bad UTF-8"))?,
-                );
-            }
-        }
-    }
-    Err(JsonError("unterminated string"))
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    let start = *pos;
-    while *pos < b.len() && b[*pos].is_ascii_digit() {
-        *pos += 1;
-    }
-    if start == *pos {
-        return Err(JsonError("expected digits"));
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).expect("digits are ASCII");
-    text.parse::<u64>().map(JsonValue::Number).map_err(|_| JsonError("number out of range"))
 }
 
 #[cfg(test)]
@@ -464,52 +146,12 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_is_identity() {
-        let snap = sample_snapshot();
-        let json = snap.to_json();
-        let back = MetricsSnapshot::from_json(&json).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn roundtrip_preserves_quantiles_beyond_headline() {
-        let snap = sample_snapshot();
-        let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
-        let a = snap.histograms[0].to_histogram();
-        let b = back.histograms[0].to_histogram();
-        for p in [10.0, 25.0, 75.0, 99.9] {
-            assert_eq!(a.percentile(p), b.percentile(p));
-        }
-    }
-
-    #[test]
     fn lookup_helpers_find_by_name() {
         let snap = sample_snapshot();
         assert_eq!(snap.counter("raptor.queries"), Some(123_456));
         assert_eq!(snap.counter("nope"), None);
         assert_eq!(snap.gauge("serve.workers"), Some(8));
         assert!(snap.histogram("serve.request.query").is_some());
-    }
-
-    #[test]
-    fn parser_tolerates_whitespace_and_key_order() {
-        let text = r#" {
-            "gauges" : [ ] ,
-            "histograms": [],
-            "counters": [ { "value": 7, "name": "x" } ]
-        } "#;
-        let snap = MetricsSnapshot::from_json(text).unwrap();
-        assert_eq!(snap.counter("x"), Some(7));
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(MetricsSnapshot::from_json("").is_err());
-        assert!(MetricsSnapshot::from_json("{").is_err());
-        assert!(MetricsSnapshot::from_json("{\"counters\":[}").is_err());
-        assert!(MetricsSnapshot::from_json("null").is_err());
-        let valid = sample_snapshot().to_json();
-        assert!(MetricsSnapshot::from_json(&format!("{valid}x")).is_err());
     }
 
     #[test]
@@ -534,68 +176,5 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(a.counters[0].name, "aaa.first");
-    }
-
-    #[test]
-    fn empty_snapshot_roundtrips() {
-        // An untouched registry (or an obs-off build) snapshots to three
-        // empty arrays; the codec must not choke on the degenerate form.
-        let snap = MetricsSnapshot::default();
-        let json = snap.to_json();
-        let back = MetricsSnapshot::from_json(&json).unwrap();
-        assert_eq!(back, snap);
-        assert!(back.counters.is_empty() && back.gauges.is_empty() && back.histograms.is_empty());
-    }
-
-    #[test]
-    fn u64_max_values_roundtrip_exactly() {
-        // Counter/gauge values are u64 end to end; the JSON number path
-        // must not round through f64 (2^64 - 1 is not representable).
-        let snap = MetricsSnapshot {
-            counters: vec![CounterSample { name: "c".into(), value: u64::MAX }],
-            gauges: vec![GaugeSample { name: "g".into(), value: u64::MAX }],
-            histograms: Vec::new(),
-        };
-        let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back.counter("c"), Some(u64::MAX));
-        assert_eq!(back.gauge("g"), Some(u64::MAX));
-    }
-
-    #[test]
-    fn overflow_bucket_only_histogram_roundtrips() {
-        // Samples beyond the bucketed range (~18 min) all saturate into
-        // the top bucket; a histogram holding nothing else still has to
-        // survive the wire with count, max and bucket index intact.
-        let mut h = LatencyHistogram::new();
-        for _ in 0..5 {
-            h.record_ns(u64::MAX);
-        }
-        let sample = HistogramSample::from_histogram("overflow", &h);
-        assert_eq!(sample.buckets.len(), 1, "all mass in one bucket");
-        assert_eq!(sample.buckets[0], (crate::hist::N_BUCKETS as u32 - 1, 5));
-
-        let snap = MetricsSnapshot { histograms: vec![sample], ..Default::default() };
-        let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back, snap);
-        let rebuilt = back.histograms[0].to_histogram();
-        assert_eq!(rebuilt.count(), 5);
-        assert_eq!(rebuilt.max(), Duration::from_nanos(u64::MAX));
-        // Percentiles resolve to the overflow bucket's representative
-        // value (the bucketed range tops out well below the true max).
-        let top = Duration::from_nanos(crate::hist::bucket_value(crate::hist::N_BUCKETS - 1));
-        assert_eq!(rebuilt.percentile(99.0), top);
-    }
-
-    #[test]
-    fn string_escapes_roundtrip() {
-        let snap = MetricsSnapshot {
-            counters: vec![CounterSample {
-                name: "weird \"name\"\\with\nescapes".into(),
-                value: 1,
-            }],
-            ..Default::default()
-        };
-        let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back, snap);
     }
 }

@@ -23,16 +23,20 @@
 //!   a `Copy` record (names are `&'static str`, attributes a fixed
 //!   array) — readers retry/skip torn slots; no allocation until a dump
 //!   materialises [`OwnedSpan`]s.
-//! * **Runtime knobs, compile-time kill switch.** [`set_enabled`] turns
-//!   capture off globally; [`set_capture_min_ns`] keeps only slow spans
-//!   (the slow-query flight recorder mode); the `obs-off` feature
-//!   compiles the whole module to no-ops.
+//! * **Runtime knobs.** [`set_enabled`] turns capture off globally — the
+//!   one way to silence spans, and how `staq-e2e` prices them
+//!   (`obs.trace_off_speedup`); [`set_capture_min_ns`] keeps only slow
+//!   spans (the slow-query flight recorder mode).
 //!
 //! Context crosses threads by value: capture [`current()`] before
 //! spawning, [`attach`] it inside the worker. It crosses processes in
 //! the wire protocol's request frame header (see `staq-serve`'s codec).
 
-use std::time::Instant;
+use crate::registry::Counter;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
+use std::time::{Instant, SystemTime};
 
 /// Trace ids are plain u64s; `0` means "not traced".
 pub type TraceId = u64;
@@ -77,241 +81,212 @@ pub const MAX_ATTRS: usize = 4;
 /// Completed spans the ring holds before dropping the oldest.
 pub const RING_SLOTS: usize = 8192;
 
-#[cfg(not(feature = "obs-off"))]
-mod imp {
-    use super::{OwnedSpan, SpanContext, MAX_ATTRS, RING_SLOTS};
-    use crate::registry::Counter;
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::OnceLock;
-    use std::time::{Instant, SystemTime};
+/// Spans lost to ring overwrites or slot-claim races.
+static SPANS_DROPPED: Counter = Counter::new("trace.spans_dropped");
+/// Spans successfully written to the ring.
+static SPANS_RECORDED: Counter = Counter::new("trace.spans_recorded");
 
-    /// Spans lost to ring overwrites or slot-claim races.
-    pub static SPANS_DROPPED: Counter = Counter::new("trace.spans_dropped");
-    /// Spans successfully written to the ring.
-    pub static SPANS_RECORDED: Counter = Counter::new("trace.spans_recorded");
+static ENABLED: AtomicBool = AtomicBool::new(true);
+static CAPTURE_MIN_NS: AtomicU64 = AtomicU64::new(0);
 
-    pub static ENABLED: AtomicBool = AtomicBool::new(true);
-    pub static CAPTURE_MIN_NS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static CURRENT: Cell<SpanContext> = const { Cell::new(SpanContext::NONE) };
+}
 
-    thread_local! {
-        pub static CURRENT: Cell<SpanContext> = const { Cell::new(SpanContext::NONE) };
-    }
+/// Fixed-size span payload: fully `Copy` (names and attribute keys
+/// are `&'static str`) so a torn seqlock read can never observe a
+/// partially-written heap pointer.
+#[derive(Clone, Copy)]
+struct SpanRecord {
+    trace: u64,
+    span: u64,
+    parent: u64,
+    name: &'static str,
+    start_unix_ns: u64,
+    dur_ns: u64,
+    n_attrs: u8,
+    attrs: [(&'static str, u64); MAX_ATTRS],
+}
 
-    /// Fixed-size span payload: fully `Copy` (names and attribute keys
-    /// are `&'static str`) so a torn seqlock read can never observe a
-    /// partially-written heap pointer.
-    #[derive(Clone, Copy)]
-    pub struct SpanRecord {
-        pub trace: u64,
-        pub span: u64,
-        pub parent: u64,
-        pub name: &'static str,
-        pub start_unix_ns: u64,
-        pub dur_ns: u64,
-        pub n_attrs: u8,
-        pub attrs: [(&'static str, u64); MAX_ATTRS],
-    }
+impl SpanRecord {
+    const EMPTY: SpanRecord = SpanRecord {
+        trace: 0,
+        span: 0,
+        parent: 0,
+        name: "",
+        start_unix_ns: 0,
+        dur_ns: 0,
+        n_attrs: 0,
+        attrs: [("", 0); MAX_ATTRS],
+    };
+}
 
-    impl SpanRecord {
-        const EMPTY: SpanRecord = SpanRecord {
-            trace: 0,
-            span: 0,
-            parent: 0,
-            name: "",
-            start_unix_ns: 0,
-            dur_ns: 0,
-            n_attrs: 0,
-            attrs: [("", 0); MAX_ATTRS],
-        };
-    }
+/// One seqlock-guarded ring slot: even sequence = stable, odd =
+/// write in flight. Writers claim via CAS; readers skip odd or
+/// changed sequences.
+struct Slot {
+    seq: AtomicU64,
+    data: std::cell::UnsafeCell<SpanRecord>,
+}
 
-    /// One seqlock-guarded ring slot: even sequence = stable, odd =
-    /// write in flight. Writers claim via CAS; readers skip odd or
-    /// changed sequences.
-    pub struct Slot {
-        seq: AtomicU64,
-        data: std::cell::UnsafeCell<SpanRecord>,
-    }
+// SAFETY: `data` is only accessed under the seqlock protocol —
+// writers hold the odd sequence exclusively (CAS-claimed), readers
+// validate the sequence around a volatile copy of `Copy` data.
+unsafe impl Sync for Slot {}
 
-    // SAFETY: `data` is only accessed under the seqlock protocol —
-    // writers hold the odd sequence exclusively (CAS-claimed), readers
-    // validate the sequence around a volatile copy of `Copy` data.
-    unsafe impl Sync for Slot {}
-
-    impl Slot {
-        const fn new() -> Slot {
-            Slot { seq: AtomicU64::new(0), data: std::cell::UnsafeCell::new(SpanRecord::EMPTY) }
-        }
-    }
-
-    static RING: [Slot; RING_SLOTS] = [const { Slot::new() }; RING_SLOTS];
-    /// Monotone ticket counter; slot = ticket % RING_SLOTS.
-    static HEAD: AtomicU64 = AtomicU64::new(0);
-
-    /// Publishes one completed span into the ring.
-    pub fn push(rec: SpanRecord) {
-        let ticket = HEAD.fetch_add(1, Ordering::Relaxed);
-        let slot = &RING[(ticket % RING_SLOTS as u64) as usize];
-        let seq = slot.seq.load(Ordering::Relaxed);
-        // Odd: another writer is mid-flight on this slot (it lapped us
-        // or we lapped it). Drop rather than spin — tracing must never
-        // add a wait to the serving path.
-        if seq & 1 == 1
-            || slot
-                .seq
-                .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            SPANS_DROPPED.inc();
-            return;
-        }
-        if ticket >= RING_SLOTS as u64 {
-            // This write evicts the span previously in the slot.
-            SPANS_DROPPED.inc();
-        }
-        // SAFETY: the CAS above made the sequence odd, which excludes
-        // every other writer until the release store below.
-        unsafe { std::ptr::write_volatile(slot.data.get(), rec) };
-        slot.seq.store(seq + 2, Ordering::Release);
-        SPANS_RECORDED.inc();
-    }
-
-    /// Reads every stable slot; torn or empty slots are skipped.
-    pub fn read_ring() -> Vec<SpanRecord> {
-        let head = HEAD.load(Ordering::Acquire);
-        let n = head.min(RING_SLOTS as u64);
-        let oldest = head - n;
-        let mut out = Vec::with_capacity(n as usize);
-        for ticket in oldest..head {
-            let slot = &RING[(ticket % RING_SLOTS as u64) as usize];
-            let seq0 = slot.seq.load(Ordering::Acquire);
-            if seq0 & 1 == 1 {
-                continue;
-            }
-            // SAFETY: the record is `Copy`; a torn read is discarded by
-            // the sequence re-check below before the copy is used.
-            let rec = unsafe { std::ptr::read_volatile(slot.data.get()) };
-            if slot.seq.load(Ordering::Acquire) != seq0 || rec.trace == 0 {
-                continue;
-            }
-            out.push(rec);
-        }
-        out
-    }
-
-    pub fn to_owned_span(rec: &SpanRecord) -> OwnedSpan {
-        OwnedSpan {
-            trace: rec.trace,
-            span: rec.span,
-            parent: rec.parent,
-            name: rec.name.to_string(),
-            start_unix_ns: rec.start_unix_ns,
-            dur_ns: rec.dur_ns,
-            attrs: rec.attrs[..rec.n_attrs as usize]
-                .iter()
-                .map(|&(k, v)| (k.to_string(), v))
-                .collect(),
-        }
-    }
-
-    /// splitmix64 finalizer — cheap, well-mixed, no external RNG.
-    fn mix(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    }
-
-    static ID_SEED: OnceLock<u64> = OnceLock::new();
-    static ID_NEXT: AtomicU64 = AtomicU64::new(1);
-
-    /// Process-unique nonzero id: a per-process wall-clock⊕pid seed
-    /// mixed with a monotone counter, so two processes started the same
-    /// nanosecond still diverge.
-    pub fn new_id() -> u64 {
-        let seed = *ID_SEED.get_or_init(|| {
-            let ns = SystemTime::now()
-                .duration_since(SystemTime::UNIX_EPOCH)
-                .unwrap_or_default()
-                .as_nanos() as u64;
-            ns ^ ((std::process::id() as u64) << 32)
-        });
-        let id = mix(seed ^ mix(ID_NEXT.fetch_add(1, Ordering::Relaxed)));
-        if id == 0 {
-            1
-        } else {
-            id
-        }
-    }
-
-    /// `(unix epoch ns, Instant)` captured together once, so monotonic
-    /// span clocks convert to one wall axis consistently per process.
-    static CLOCK_BASE: OnceLock<(u64, Instant)> = OnceLock::new();
-
-    pub fn unix_ns(at: Instant) -> u64 {
-        let &(base_ns, base_instant) = CLOCK_BASE.get_or_init(|| {
-            let ns = SystemTime::now()
-                .duration_since(SystemTime::UNIX_EPOCH)
-                .unwrap_or_default()
-                .as_nanos() as u64;
-            (ns, Instant::now())
-        });
-        if at >= base_instant {
-            base_ns.saturating_add((at - base_instant).as_nanos() as u64)
-        } else {
-            base_ns.saturating_sub((base_instant - at).as_nanos() as u64)
-        }
+impl Slot {
+    const fn new() -> Slot {
+        Slot { seq: AtomicU64::new(0), data: std::cell::UnsafeCell::new(SpanRecord::EMPTY) }
     }
 }
 
-// ---------------------------------------------------------------------
-// Public API — real implementation.
-// ---------------------------------------------------------------------
+static RING: [Slot; RING_SLOTS] = [const { Slot::new() }; RING_SLOTS];
+/// Monotone ticket counter; slot = ticket % RING_SLOTS.
+static HEAD: AtomicU64 = AtomicU64::new(0);
+
+/// Publishes one completed span into the ring.
+fn push(rec: SpanRecord) {
+    let ticket = HEAD.fetch_add(1, Ordering::Relaxed);
+    let slot = &RING[(ticket % RING_SLOTS as u64) as usize];
+    let seq = slot.seq.load(Ordering::Relaxed);
+    // Odd: another writer is mid-flight on this slot (it lapped us
+    // or we lapped it). Drop rather than spin — tracing must never
+    // add a wait to the serving path.
+    if seq & 1 == 1
+        || slot.seq.compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed).is_err()
+    {
+        SPANS_DROPPED.inc();
+        return;
+    }
+    if ticket >= RING_SLOTS as u64 {
+        // This write evicts the span previously in the slot.
+        SPANS_DROPPED.inc();
+    }
+    // SAFETY: the CAS above made the sequence odd, which excludes
+    // every other writer until the release store below.
+    unsafe { std::ptr::write_volatile(slot.data.get(), rec) };
+    slot.seq.store(seq + 2, Ordering::Release);
+    SPANS_RECORDED.inc();
+}
+
+/// Reads every stable slot; torn or empty slots are skipped.
+fn read_ring() -> Vec<SpanRecord> {
+    let head = HEAD.load(Ordering::Acquire);
+    let n = head.min(RING_SLOTS as u64);
+    let oldest = head - n;
+    let mut out = Vec::with_capacity(n as usize);
+    for ticket in oldest..head {
+        let slot = &RING[(ticket % RING_SLOTS as u64) as usize];
+        let seq0 = slot.seq.load(Ordering::Acquire);
+        if seq0 & 1 == 1 {
+            continue;
+        }
+        // SAFETY: the record is `Copy`; a torn read is discarded by
+        // the sequence re-check below before the copy is used.
+        let rec = unsafe { std::ptr::read_volatile(slot.data.get()) };
+        if slot.seq.load(Ordering::Acquire) != seq0 || rec.trace == 0 {
+            continue;
+        }
+        out.push(rec);
+    }
+    out
+}
+
+fn to_owned_span(rec: &SpanRecord) -> OwnedSpan {
+    OwnedSpan {
+        trace: rec.trace,
+        span: rec.span,
+        parent: rec.parent,
+        name: rec.name.to_string(),
+        start_unix_ns: rec.start_unix_ns,
+        dur_ns: rec.dur_ns,
+        attrs: rec.attrs[..rec.n_attrs as usize].iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+    }
+}
+
+/// splitmix64 finalizer — cheap, well-mixed, no external RNG.
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+static ID_SEED: OnceLock<u64> = OnceLock::new();
+static ID_NEXT: AtomicU64 = AtomicU64::new(1);
+
+/// Process-unique nonzero id: a per-process wall-clock⊕pid seed
+/// mixed with a monotone counter, so two processes started the same
+/// nanosecond still diverge.
+fn new_id() -> u64 {
+    let seed = *ID_SEED.get_or_init(|| {
+        let ns =
+            SystemTime::now().duration_since(SystemTime::UNIX_EPOCH).unwrap_or_default().as_nanos()
+                as u64;
+        ns ^ ((std::process::id() as u64) << 32)
+    });
+    let id = mix(seed ^ mix(ID_NEXT.fetch_add(1, Ordering::Relaxed)));
+    if id == 0 {
+        1
+    } else {
+        id
+    }
+}
+
+/// `(unix epoch ns, Instant)` captured together once, so monotonic
+/// span clocks convert to one wall axis consistently per process.
+static CLOCK_BASE: OnceLock<(u64, Instant)> = OnceLock::new();
+
+fn unix_ns(at: Instant) -> u64 {
+    let &(base_ns, base_instant) = CLOCK_BASE.get_or_init(|| {
+        let ns =
+            SystemTime::now().duration_since(SystemTime::UNIX_EPOCH).unwrap_or_default().as_nanos()
+                as u64;
+        (ns, Instant::now())
+    });
+    if at >= base_instant {
+        base_ns.saturating_add((at - base_instant).as_nanos() as u64)
+    } else {
+        base_ns.saturating_sub((base_instant - at).as_nanos() as u64)
+    }
+}
 
 /// Whether span capture is globally on (runtime switch; default on).
-#[cfg(not(feature = "obs-off"))]
 pub fn enabled() -> bool {
-    imp::ENABLED.load(std::sync::atomic::Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turns span capture on/off at runtime (benches price the overhead by
 /// flipping this; ops can silence a flood).
-#[cfg(not(feature = "obs-off"))]
 pub fn set_enabled(on: bool) {
-    imp::ENABLED.store(on, std::sync::atomic::Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Minimum duration a span must reach to enter the ring (slow-query
 /// flight recorder). 0 records everything.
-#[cfg(not(feature = "obs-off"))]
 pub fn capture_min_ns() -> u64 {
-    imp::CAPTURE_MIN_NS.load(std::sync::atomic::Ordering::Relaxed)
+    CAPTURE_MIN_NS.load(Ordering::Relaxed)
 }
 
 /// Sets the capture threshold at runtime (also settable over the wire
 /// via the `TraceDump` request).
-#[cfg(not(feature = "obs-off"))]
 pub fn set_capture_min_ns(ns: u64) {
-    imp::CAPTURE_MIN_NS.store(ns, std::sync::atomic::Ordering::Relaxed);
+    CAPTURE_MIN_NS.store(ns, Ordering::Relaxed);
 }
 
 /// A fresh nonzero trace id. Generated once at the edge; everything
 /// downstream inherits it through [`SpanContext`] propagation.
-#[cfg(not(feature = "obs-off"))]
 pub fn new_trace_id() -> TraceId {
-    imp::new_id()
+    new_id()
 }
 
 /// The calling thread's current span context.
-#[cfg(not(feature = "obs-off"))]
 pub fn current() -> SpanContext {
-    imp::CURRENT.with(|c| c.get())
+    CURRENT.with(|c| c.get())
 }
 
 /// True when the calling thread is inside a live trace and capture is
 /// on — the cheap guard for optional instrumentation work.
-#[cfg(not(feature = "obs-off"))]
 pub fn is_active() -> bool {
     enabled() && current().is_some()
 }
@@ -319,29 +294,25 @@ pub fn is_active() -> bool {
 /// Makes `ctx` the thread's current context until the guard drops
 /// (restoring whatever was there). This is how a context crosses a
 /// thread boundary: capture [`current()`], move it, `attach` it.
-#[cfg(not(feature = "obs-off"))]
 pub fn attach(ctx: SpanContext) -> ContextGuard {
-    let prev = imp::CURRENT.with(|c| c.replace(ctx));
+    let prev = CURRENT.with(|c| c.replace(ctx));
     ContextGuard { prev }
 }
 
 /// Restores the previously attached context on drop.
-#[cfg(not(feature = "obs-off"))]
 pub struct ContextGuard {
     prev: SpanContext,
 }
 
-#[cfg(not(feature = "obs-off"))]
 impl Drop for ContextGuard {
     fn drop(&mut self) {
-        imp::CURRENT.with(|c| c.set(self.prev));
+        CURRENT.with(|c| c.set(self.prev));
     }
 }
 
 /// An in-flight span. Opening one makes it the thread's current
 /// context; dropping it records the span (if capture is on and it beat
 /// the min-duration threshold) and pops back to the parent.
-#[cfg(not(feature = "obs-off"))]
 pub struct Span {
     ctx: SpanContext,
     parent: SpanContext,
@@ -354,7 +325,6 @@ pub struct Span {
 
 /// Opens a child span of the thread's current context. Inert (and
 /// free) when the thread is untraced or capture is off.
-#[cfg(not(feature = "obs-off"))]
 pub fn span(name: &'static str) -> Span {
     span_at(name, Instant::now())
 }
@@ -362,7 +332,6 @@ pub fn span(name: &'static str) -> Span {
 /// Opens a child span whose clock started at `start` — for phases that
 /// began before the tracing code runs (queue wait measured from enqueue
 /// time, a RAPTOR query timed from entry).
-#[cfg(not(feature = "obs-off"))]
 pub fn span_at(name: &'static str, start: Instant) -> Span {
     let parent = current();
     if !enabled() || !parent.is_some() {
@@ -376,14 +345,13 @@ pub fn span_at(name: &'static str, start: Instant) -> Span {
             active: false,
         };
     }
-    let ctx = SpanContext { trace: parent.trace, span: imp::new_id() };
-    imp::CURRENT.with(|c| c.set(ctx));
+    let ctx = SpanContext { trace: parent.trace, span: new_id() };
+    CURRENT.with(|c| c.set(ctx));
     Span { ctx, parent, name, start, attrs: [("", 0); MAX_ATTRS], n_attrs: 0, active: true }
 }
 
 /// Opens a root span under a brand-new trace id (the edge of a trace).
 /// Inert when capture is off.
-#[cfg(not(feature = "obs-off"))]
 pub fn root_span(name: &'static str) -> Span {
     root_span_at(name, Instant::now())
 }
@@ -391,7 +359,6 @@ pub fn root_span(name: &'static str) -> Span {
 /// Like [`root_span`], but backdated to `start` — for request roots
 /// whose wall time began before the tracing thread picked them up
 /// (a job executed by a worker pool is timed from enqueue).
-#[cfg(not(feature = "obs-off"))]
 pub fn root_span_at(name: &'static str, start: Instant) -> Span {
     let parent = current();
     if !enabled() {
@@ -405,8 +372,8 @@ pub fn root_span_at(name: &'static str, start: Instant) -> Span {
             active: false,
         };
     }
-    let ctx = SpanContext { trace: imp::new_id(), span: imp::new_id() };
-    imp::CURRENT.with(|c| c.set(ctx));
+    let ctx = SpanContext { trace: new_id(), span: new_id() };
+    CURRENT.with(|c| c.set(ctx));
     Span {
         ctx,
         parent: SpanContext::NONE,
@@ -418,7 +385,6 @@ pub fn root_span_at(name: &'static str, start: Instant) -> Span {
     }
 }
 
-#[cfg(not(feature = "obs-off"))]
 impl Span {
     /// Attaches a numeric attribute (first [`MAX_ATTRS`] stick).
     #[inline]
@@ -440,24 +406,23 @@ impl Span {
     }
 }
 
-#[cfg(not(feature = "obs-off"))]
 impl Drop for Span {
     fn drop(&mut self) {
         if !self.active {
             return;
         }
-        imp::CURRENT.with(|c| c.set(self.parent));
+        CURRENT.with(|c| c.set(self.parent));
         let dur = self.start.elapsed();
         let dur_ns = dur.as_nanos().min(u64::MAX as u128) as u64;
         if dur_ns < capture_min_ns() {
             return;
         }
-        imp::push(imp::SpanRecord {
+        push(SpanRecord {
             trace: self.ctx.trace,
             span: self.ctx.span,
             parent: self.parent.span,
             name: self.name,
-            start_unix_ns: imp::unix_ns(self.start),
+            start_unix_ns: unix_ns(self.start),
             dur_ns,
             n_attrs: self.n_attrs,
             attrs: self.attrs,
@@ -467,99 +432,11 @@ impl Drop for Span {
 
 /// Recent completed spans with `dur_ns >= min_dur_ns`, oldest first.
 /// Does not drain the ring; concurrent writers keep going.
-#[cfg(not(feature = "obs-off"))]
 pub fn dump(min_dur_ns: u64) -> Vec<OwnedSpan> {
-    imp::read_ring().iter().filter(|r| r.dur_ns >= min_dur_ns).map(imp::to_owned_span).collect()
-}
-
-// ---------------------------------------------------------------------
-// obs-off: the same API surface, compiled to nothing. `SpanContext` and
-// `OwnedSpan` stay real (the wire codec still round-trips them).
-// ---------------------------------------------------------------------
-
-#[cfg(feature = "obs-off")]
-pub fn enabled() -> bool {
-    false
-}
-
-#[cfg(feature = "obs-off")]
-pub fn set_enabled(_on: bool) {}
-
-#[cfg(feature = "obs-off")]
-pub fn capture_min_ns() -> u64 {
-    0
-}
-
-#[cfg(feature = "obs-off")]
-pub fn set_capture_min_ns(_ns: u64) {}
-
-#[cfg(feature = "obs-off")]
-pub fn new_trace_id() -> TraceId {
-    0
-}
-
-#[cfg(feature = "obs-off")]
-pub fn current() -> SpanContext {
-    SpanContext::NONE
-}
-
-#[cfg(feature = "obs-off")]
-pub fn is_active() -> bool {
-    false
-}
-
-#[cfg(feature = "obs-off")]
-pub fn attach(_ctx: SpanContext) -> ContextGuard {
-    ContextGuard { _priv: () }
-}
-
-#[cfg(feature = "obs-off")]
-pub struct ContextGuard {
-    _priv: (),
-}
-
-#[cfg(feature = "obs-off")]
-pub struct Span {
-    _priv: (),
-}
-
-#[cfg(feature = "obs-off")]
-pub fn span(_name: &'static str) -> Span {
-    Span { _priv: () }
-}
-
-#[cfg(feature = "obs-off")]
-pub fn span_at(_name: &'static str, _start: Instant) -> Span {
-    Span { _priv: () }
-}
-
-#[cfg(feature = "obs-off")]
-pub fn root_span(_name: &'static str) -> Span {
-    Span { _priv: () }
-}
-
-#[cfg(feature = "obs-off")]
-pub fn root_span_at(_name: &'static str, _start: Instant) -> Span {
-    Span { _priv: () }
-}
-
-#[cfg(feature = "obs-off")]
-impl Span {
-    #[inline]
-    pub fn attr(&mut self, _key: &'static str, _value: u64) {}
-
-    pub fn context(&self) -> SpanContext {
-        SpanContext::NONE
-    }
-}
-
-#[cfg(feature = "obs-off")]
-pub fn dump(_min_dur_ns: u64) -> Vec<OwnedSpan> {
-    Vec::new()
+    read_ring().iter().filter(|r| r.dur_ns >= min_dur_ns).map(to_owned_span).collect()
 }
 
 #[cfg(test)]
-#[cfg(not(feature = "obs-off"))]
 mod tests {
     use super::*;
     use std::sync::Mutex;

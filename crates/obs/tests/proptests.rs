@@ -1,17 +1,11 @@
 //! Property tests for the metrics layer: concurrent counter soundness,
-//! histogram merge/quantile invariants, snapshot JSON round-trips.
+//! histogram merge/quantile invariants.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use proptest::string::string_regex;
-#[cfg(not(feature = "obs-off"))]
-use staq_obs::AtomicHistogram;
-use staq_obs::{Counter, CounterSample, GaugeSample};
-use staq_obs::{HistogramSample, LatencyHistogram, MetricsSnapshot};
-use std::time::Duration;
+use staq_obs::{AtomicHistogram, Counter, LatencyHistogram};
 
 #[test]
-#[cfg(not(feature = "obs-off"))]
 fn counter_is_exact_under_concurrent_increment() {
     static C: Counter = Counter::new("test.concurrent.counter");
     const THREADS: u64 = 8;
@@ -37,7 +31,6 @@ fn counter_is_exact_under_concurrent_increment() {
 }
 
 #[test]
-#[cfg(not(feature = "obs-off"))]
 fn atomic_histogram_total_is_exact_under_concurrent_record() {
     static H: AtomicHistogram = AtomicHistogram::new("test.concurrent.hist");
     const THREADS: usize = 8;
@@ -74,11 +67,7 @@ proptest! {
             C.add(a);
             let now = C.get();
             prop_assert!(now >= last, "counter went backwards: {last} -> {now}");
-            // With obs-off the add compiles to a no-op; only the full build
-            // guarantees the delta.
-            if cfg!(not(feature = "obs-off")) {
-                prop_assert!(now - last >= a);
-            }
+            prop_assert!(now - last >= a);
             last = now;
         }
     }
@@ -101,7 +90,7 @@ proptest! {
         a.merge(&b);
         prop_assert_eq!(a.count(), whole.count());
         prop_assert_eq!(a.max(), whole.max());
-        prop_assert_eq!(a.mean(), whole.mean());
+        prop_assert_eq!(a.sum_ns(), whole.sum_ns());
         for p in [1.0, 10.0, 50.0, 90.0, 99.0, 99.99] {
             prop_assert_eq!(a.percentile(p), whole.percentile(p));
         }
@@ -127,33 +116,5 @@ proptest! {
             q as f64 >= min as f64 * 0.93,
             "quantile {q} below min {min} beyond bucket resolution"
         );
-    }
-
-    /// Snapshots survive the JSON round-trip bit-for-bit, including
-    /// histogram bucket structure.
-    #[test]
-    fn snapshot_roundtrips_through_serde_json(
-        counters in vec(
-            (string_regex("[a-zA-Z0-9._ \\\"\\\\-]{0,24}").unwrap(), 0u64..u64::MAX),
-            0..8,
-        ),
-        gauges in vec((string_regex("[a-z.]{1,16}").unwrap(), 0u64..u64::MAX), 0..4),
-        samples in vec(1u64..10_000_000, 0..64),
-    ) {
-        let mut h = LatencyHistogram::new();
-        for &ns in &samples { h.record(Duration::from_nanos(ns)); }
-        let snap = MetricsSnapshot {
-            counters: counters
-                .into_iter()
-                .map(|(name, value)| CounterSample { name, value })
-                .collect(),
-            gauges: gauges
-                .into_iter()
-                .map(|(name, value)| GaugeSample { name, value })
-                .collect(),
-            histograms: vec![HistogramSample::from_histogram("h", &h)],
-        };
-        let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
-        prop_assert_eq!(back, snap);
     }
 }

@@ -135,7 +135,7 @@ fn main() {
         eprintln!("capture threshold set to {us}us");
     }
     if spans.is_empty() {
-        println!("no spans (ring empty, filtered out, or server built with obs-off)");
+        println!("no spans (ring empty, filtered out, or capture switched off)");
         return;
     }
     print_traces(&spans, &args);

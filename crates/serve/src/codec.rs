@@ -1223,16 +1223,37 @@ mod tests {
         }
     }
 
+    /// The snapshot's degenerate forms survive the wire: an untouched
+    /// registry (three empty lists), `u64::MAX` values (u64 end to end,
+    /// never through f64), and a histogram whose samples all lie beyond
+    /// the bucketed range (~18 min) and so saturate into the top bucket.
     #[test]
-    fn stats_with_empty_metrics_roundtrips() {
-        let resp = Response::Stats(StatsReply {
-            pipeline_runs: 0,
-            requests_served: 0,
-            cached: Vec::new(),
-            workers: 1,
-            metrics: MetricsSnapshot::default(),
-        });
-        assert_eq!(roundtrip_response(&resp), resp);
+    fn stats_with_degenerate_metrics_roundtrip() {
+        let mut overflow = staq_obs::LatencyHistogram::new();
+        for _ in 0..5 {
+            overflow.record_ns(u64::MAX);
+        }
+        let overflow = HistogramSample::from_histogram("overflow", &overflow);
+        assert_eq!(overflow.buckets.len(), 1, "all mass in one bucket");
+        let snapshots = [
+            MetricsSnapshot::default(),
+            MetricsSnapshot {
+                counters: vec![CounterSample { name: "c".into(), value: u64::MAX }],
+                gauges: vec![GaugeSample { name: "g".into(), value: u64::MAX }],
+                histograms: Vec::new(),
+            },
+            MetricsSnapshot { histograms: vec![overflow], ..Default::default() },
+        ];
+        for metrics in snapshots {
+            let resp = Response::Stats(StatsReply {
+                pipeline_runs: 0,
+                requests_served: 0,
+                cached: Vec::new(),
+                workers: 1,
+                metrics,
+            });
+            assert_eq!(roundtrip_response(&resp), resp);
+        }
     }
 
     /// Chopping bytes out of the embedded snapshot must surface as a
@@ -1583,10 +1604,7 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_request(&Request::Stats, &mut buf);
         let d = decode_request_full(&mut buf).unwrap().expect("complete frame");
-        // Under obs-off the attach above is a no-op and the frame
-        // carries the empty context; the layout is identical either way.
-        let want = if staq_obs::obs_enabled() { ctx } else { SpanContext::NONE };
-        assert_eq!(d.ctx, want);
+        assert_eq!(d.ctx, ctx);
     }
 
     #[test]

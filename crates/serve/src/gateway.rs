@@ -707,9 +707,7 @@ mod tests {
         };
         let ok = fetch("GET", "/metrics");
         assert!(ok.starts_with("HTTP/1.1 200 OK"), "{ok}");
-        if staq_obs::obs_enabled() {
-            assert!(ok.contains("staq_test_gateway_scrape_probe"), "{ok}");
-        }
+        assert!(ok.contains("staq_test_gateway_scrape_probe"), "{ok}");
         let missing = fetch("GET", "/nope");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
         let post = fetch("POST", "/metrics");

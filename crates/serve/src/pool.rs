@@ -433,6 +433,54 @@ mod tests {
         reply_rx.recv().unwrap()
     }
 
+    /// staq-obs names each SLO class's latency histograms; this module
+    /// declares them. The two must agree or a class's windows go quiet.
+    #[test]
+    fn slo_classes_name_the_histograms_their_kinds_record_into() {
+        use staq_access::AccessQuery;
+        use staq_gtfs::model::TripId;
+        let p = staq_geom::Point::new(0.0, 0.0);
+        let (category, query) = (PoiCategory::School, AccessQuery::MeanAccess);
+        let delta = Delta::TripDelay { trip: TripId(0), delay_secs: 60 };
+        let one_of_every_kind = [
+            Request::Measures { category, approx: false },
+            Request::Query { category, query: query.clone(), approx: false },
+            Request::AddPoi { category, pos: p },
+            Request::Stats,
+            Request::TraceDump { min_dur_ns: 0, set_capture_ns: None },
+            Request::ApplyDelta { seq: 0, delta: delta.clone() },
+            Request::DeltaBatch { first_seq: 1, deltas: vec![delta] },
+            Request::WhatIf { category, scenarios: vec![], query },
+            Request::Plan {
+                origin: p,
+                dest: p,
+                depart: staq_gtfs::time::Stime::hms(7, 30, 0),
+                day: staq_gtfs::time::DayOfWeek::Tuesday,
+                max_transfers: None,
+            },
+            Request::OpsReport,
+        ];
+        let mut labels: Vec<_> = one_of_every_kind.iter().map(Request::kind_label).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), one_of_every_kind.len(), "one request per kind");
+        for r in &one_of_every_kind {
+            let hist = kind_histogram(r).name();
+            assert_eq!(hist, format!("serve.request.{}", r.kind_label()));
+            if let Some(class) = slo_class(r) {
+                assert!(class.hist_names().contains(&hist), "{class:?} omits {hist}");
+            }
+        }
+        for class in SloClass::ALL {
+            for name in class.hist_names() {
+                let recorded = one_of_every_kind
+                    .iter()
+                    .any(|r| slo_class(r) == Some(class) && kind_histogram(r).name() == *name);
+                assert!(recorded, "no {class:?} request kind records into {name}");
+            }
+        }
+    }
+
     /// "Fastest with ≤1 transfer" end-to-end: a `Plan` frame through the
     /// pool answers with the Pareto frontier, and the capped variant
     /// returns exactly the frontier's best ≤1-transfer point.

@@ -68,10 +68,22 @@ impl Default for PoolConfig {
 pub enum PoolError {
     /// The backend is marked down (crashed, or connects are failing).
     Down,
-    /// The in-flight cap held for the whole acquire timeout.
+    /// The in-flight cap, or another caller's dial of the picked
+    /// stream, held for the whole acquire timeout.
     Overloaded,
     /// The stream died mid-request under this pool generation.
     Io { gen: u64 },
+}
+
+/// One shared-stream slot.
+enum Slot {
+    /// No stream: before first use, after poisoning, after a failed dial
+    /// and after every `bring_up` / down-marking.
+    Empty,
+    /// One caller is connecting. Later arrivals wait for it rather than
+    /// each opening a socket (and a reader thread) of their own.
+    Dialing,
+    Ready(MuxClient),
 }
 
 struct PoolState {
@@ -79,8 +91,8 @@ struct PoolState {
     addr: Option<SocketAddr>,
     /// Bumped on every `bring_up`; stale-generation events are ignored.
     gen: u64,
-    /// The shared streams; `None` until first use and after poisoning.
-    conns: Vec<Option<MuxClient>>,
+    /// The shared streams.
+    conns: Vec<Slot>,
     /// Round-robin cursor over `conns`.
     next: usize,
     inflight: usize,
@@ -103,7 +115,7 @@ impl BackendPool {
             state: Mutex::new(PoolState {
                 addr: None,
                 gen: 0,
-                conns: (0..n).map(|_| None).collect(),
+                conns: (0..n).map(|_| Slot::Empty).collect(),
                 next: 0,
                 inflight: 0,
             }),
@@ -127,9 +139,7 @@ impl BackendPool {
         let mut s = self.state.lock();
         s.addr = Some(addr);
         s.gen += 1;
-        for c in &mut s.conns {
-            *c = None;
-        }
+        s.conns.fill_with(|| Slot::Empty);
         drop(s);
         self.permit_freed.notify_all();
     }
@@ -144,9 +154,7 @@ impl BackendPool {
             return false;
         }
         s.addr = None;
-        for c in &mut s.conns {
-            *c = None;
-        }
+        s.conns.fill_with(|| Slot::Empty);
         drop(s);
         // Waiters should fail fast with Down rather than ride out the
         // acquire timeout.
@@ -163,30 +171,31 @@ impl BackendPool {
 
     /// Sends one request over a shared multiplexed stream, dialing lazily
     /// (with `connect_retries` × `connect_backoff`) when the picked slot
-    /// has no healthy stream. Fails fast with [`PoolError::Down`] while
-    /// the backend is down — no dialing, no waiting — and with
-    /// [`PoolError::Overloaded`] when the in-flight cap held for the
-    /// whole acquire timeout.
+    /// has no healthy stream; callers that pick a slot while another is
+    /// dialing it wait for that one dial. Fails fast with
+    /// [`PoolError::Down`] while the backend is down — no dialing, no
+    /// waiting — and with [`PoolError::Overloaded`] when the in-flight
+    /// cap (or a dial) held for the whole acquire timeout.
     pub fn call(&self, request: &Request) -> Result<Response, PoolError> {
         let (client, gen) = {
             let mut s = self.state.lock();
             loop {
                 let Some(addr) = s.addr else { return Err(PoolError::Down) };
-                if s.inflight < self.cfg.max_inflight {
+                let slot = s.next % s.conns.len();
+                if s.inflight < self.cfg.max_inflight && !matches!(s.conns[slot], Slot::Dialing) {
                     s.inflight += 1;
-                    let slot = s.next % s.conns.len();
                     s.next = s.next.wrapping_add(1);
-                    // Drop a stream that died since its last use; the
-                    // dial below replaces it.
-                    if s.conns[slot].as_ref().is_some_and(|c| c.is_poisoned()) {
-                        s.conns[slot] = None;
+                    match &s.conns[slot] {
+                        // A stream that died since its last use is not
+                        // reused; the dial below replaces it.
+                        Slot::Ready(c) if !c.is_poisoned() => break (c.clone(), s.gen),
+                        _ => {
+                            s.conns[slot] = Slot::Dialing;
+                            let gen = s.gen;
+                            drop(s);
+                            break (self.dial(addr, gen, slot)?, gen);
+                        }
                     }
-                    if let Some(c) = &s.conns[slot] {
-                        break (c.clone(), s.gen);
-                    }
-                    let gen = s.gen;
-                    drop(s);
-                    break (self.dial(addr, gen, slot)?, gen);
                 }
                 if self.permit_freed.wait_for(&mut s, self.cfg.acquire_timeout).timed_out() {
                     return Err(PoolError::Overloaded);
@@ -199,12 +208,15 @@ impl BackendPool {
         result.map_err(|_| PoolError::Io { gen })
     }
 
-    /// Dials one stream for `slot` outside the state lock; connects can
-    /// take milliseconds. On success the stream is parked in `conns[slot]`
-    /// for sharing — unless the generation moved mid-dial (respawn), in
-    /// which case the old incarnation must not be talked to. On final
-    /// failure the backend is marked down. Either way the caller's
-    /// in-flight permit is released on error.
+    /// Dials one stream for `slot`, which the caller marked
+    /// [`Slot::Dialing`], outside the state lock; connects can take
+    /// milliseconds. On success the stream is parked in `conns[slot]`
+    /// for sharing and the callers waiting on the dial are woken —
+    /// unless the generation moved mid-dial (respawn), in which case the
+    /// old incarnation must not be talked to and the slot, emptied by
+    /// `bring_up`, belongs to the new one. On final failure the backend
+    /// is marked down, which empties the slot and wakes the waiters.
+    /// Either way the caller's in-flight permit is released on error.
     fn dial(&self, addr: SocketAddr, gen: u64, slot: usize) -> Result<MuxClient, PoolError> {
         let mut attempt = 0;
         loop {
@@ -212,7 +224,9 @@ impl BackendPool {
                 Ok(client) => {
                     let mut s = self.state.lock();
                     if s.gen == gen && s.addr.is_some() {
-                        s.conns[slot] = Some(client.clone());
+                        s.conns[slot] = Slot::Ready(client.clone());
+                        drop(s);
+                        self.permit_freed.notify_all();
                         return Ok(client);
                     }
                     drop(s);
@@ -299,25 +313,29 @@ mod tests {
 
     #[test]
     fn concurrent_calls_share_one_multiplexed_stream() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let accepts = backend(listener, Duration::from_millis(10));
-        let pool = Arc::new(BackendPool::new(PoolConfig { mux_conns: 1, ..PoolConfig::default() }));
-        pool.bring_up(addr);
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let pool = Arc::clone(&pool);
-                std::thread::spawn(move || pool.call(&Request::Stats))
-            })
-            .collect();
-        for h in handles {
-            assert!(matches!(h.join().unwrap(), Ok(Response::Error { .. })));
+        // Fresh pools, so every round races eight *first* calls: all
+        // pick the one empty slot while the first of them is dialing.
+        for round in 0..20 {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let accepts = backend(listener, Duration::from_millis(1));
+            let pool = BackendPool::new(PoolConfig { mux_conns: 1, ..PoolConfig::default() });
+            pool.bring_up(addr);
+            let start = std::sync::Barrier::new(8);
+            std::thread::scope(|scope| {
+                for _ in 0..8 {
+                    scope.spawn(|| {
+                        start.wait();
+                        assert!(matches!(pool.call(&Request::Stats), Ok(Response::Error { .. })));
+                    });
+                }
+            });
+            assert_eq!(
+                accepts.load(Ordering::SeqCst),
+                1,
+                "round {round}: eight concurrent calls must coalesce onto one socket"
+            );
         }
-        assert_eq!(
-            accepts.load(Ordering::SeqCst),
-            1,
-            "eight concurrent calls must coalesce onto one socket"
-        );
     }
 
     #[test]

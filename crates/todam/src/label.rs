@@ -307,9 +307,7 @@ mod tests {
                 let before = zones_labeled();
                 let par = engine.label_zones(&m, zones);
                 assert_eq!(seq, par, "{} zones diverged at {workers} workers", zones.len());
-                if staq_obs::obs_enabled() {
-                    assert_eq!(zones_labeled() - before, zones.len() as u64);
-                }
+                assert_eq!(zones_labeled() - before, zones.len() as u64);
             }
         }
     }

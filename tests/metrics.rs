@@ -9,7 +9,6 @@
 //! between a baseline stats frame and one taken after the burst — an
 //! absolute assertion would race any other test touching the same
 //! metric (see the registry module docs in staq-obs).
-#![cfg(not(feature = "obs-off"))]
 
 use staq_obs::MetricsSnapshot;
 use staq_repro::prelude::*;
@@ -88,11 +87,6 @@ fn stats_frame_carries_server_side_latency_histograms() {
     assert!(hist_count(m, "pipeline.stage.artifacts") >= 1);
     assert!(counter(m, "raptor.queries") > counter(&before, "raptor.queries"));
     assert!(counter(m, "label.zones") > counter(&before, "label.zones"));
-
-    // The snapshot survives its JSON interchange form intact.
-    let reparsed =
-        staq_obs::MetricsSnapshot::from_json(&m.to_json()).expect("snapshot JSON parses back");
-    assert_eq!(&reparsed, m);
 
     server.shutdown();
 }

@@ -9,9 +9,7 @@
 //!   TraceId the wire-level report carries;
 //! - the burst window's p99 exceeds the all-time cumulative p50 (the
 //!   cumulative registry is dominated by the warm phase, the window is
-//!   not);
-//! - under `obs-off` the whole surface still answers 200 with zeroed
-//!   shapes (assertions on counts are gated on `obs_enabled`).
+//!   not).
 //!
 //! Everything lives in ONE `#[test]`: the window ring, the SLO specs
 //! and the slow store are process-global, and a second test in a
@@ -92,8 +90,6 @@ fn ops_report(mux: &MuxClient) -> staq_obs::OpsReport {
 
 #[test]
 fn burst_with_slow_queries_and_sheds_shows_up_on_the_ops_surface() {
-    let obs = staq_obs::obs_enabled();
-
     // Deterministic windows: no lazy ticks mid-test, boundaries are ours.
     staq_obs::ops::set_interval(Duration::from_secs(3600));
     // A 5 ms query SLO so a cold pipeline run is a threshold violation
@@ -176,12 +172,10 @@ fn burst_with_slow_queries_and_sheds_shows_up_on_the_ops_surface() {
     }
     staq_obs::ops::force_tick(); // window 2: the burst
 
-    if obs {
-        assert!(
-            staq_obs::slo::shed_count(SloClass::Query) > shed0,
-            "an Overloaded bounce must be recorded as a query-class shed"
-        );
-    }
+    assert!(
+        staq_obs::slo::shed_count(SloClass::Query) > shed0,
+        "an Overloaded bounce must be recorded as a query-class shed"
+    );
 
     // ---- wire-level report (scatter-gathered by the router) -----------
     let report = ops_report(&mux);
@@ -190,95 +184,82 @@ fn burst_with_slow_queries_and_sheds_shows_up_on_the_ops_surface() {
 
     let qw = report.class("query").expect("query window");
     let cum = staq_obs::snapshot();
-    if obs {
-        // Burst-window p99 vs all-time cumulative p50: the burst window
-        // holds the slow pipeline runs, the cumulative histogram is
-        // drowned in warm-phase microseconds.
-        let h = cum.histogram("serve.request.query").expect("cumulative query histogram");
-        let cum_p50 = LatencyHistogram::from_sparse(&h.buckets, h.sum_ns as u128, h.max_ns)
-            .percentile(50.0)
-            .as_nanos() as u64;
-        let win_p99 = qw.quantile_ns(99.0);
-        assert!(
-            win_p99 > cum_p50,
-            "burst-window p99 ({win_p99} ns) must exceed cumulative p50 ({cum_p50} ns)"
-        );
-        assert!(win_p99 >= SLOW_NS, "the burst window must contain a slow pipeline run");
+    // Burst-window p99 vs all-time cumulative p50: the burst window
+    // holds the slow pipeline runs, the cumulative histogram is
+    // drowned in warm-phase microseconds.
+    let h = cum.histogram("serve.request.query").expect("cumulative query histogram");
+    let cum_p50 = LatencyHistogram::from_sparse(&h.buckets, h.sum_ns as u128, h.max_ns)
+        .percentile(50.0)
+        .as_nanos() as u64;
+    let win_p99 = qw.quantile_ns(99.0);
+    assert!(
+        win_p99 > cum_p50,
+        "burst-window p99 ({win_p99} ns) must exceed cumulative p50 ({cum_p50} ns)"
+    );
+    assert!(win_p99 >= SLOW_NS, "the burst window must contain a slow pipeline run");
 
-        let qs = report.slo_for("query").expect("query slo");
-        assert!(qs.fast.bad > 0, "violations + sheds must count as bad: {qs:?}");
-        assert!(qs.burn_fast() > 0.0, "query burn must be non-zero: {qs:?}");
-        assert!(qs.shed_total > 0, "sheds must accumulate: {qs:?}");
-        let ps = report.slo_for("plan").expect("plan slo");
-        assert_eq!((ps.fast.total, ps.fast.bad), (0, 0), "plan was never driven: {ps:?}");
-        assert_eq!(ps.burn_fast(), 0.0, "untouched class must burn nothing");
+    let qs = report.slo_for("query").expect("query slo");
+    assert!(qs.fast.bad > 0, "violations + sheds must count as bad: {qs:?}");
+    assert!(qs.burn_fast() > 0.0, "query burn must be non-zero: {qs:?}");
+    assert!(qs.shed_total > 0, "sheds must accumulate: {qs:?}");
+    let ps = report.slo_for("plan").expect("plan slo");
+    assert_eq!((ps.fast.total, ps.fast.bad), (0, 0), "plan was never driven: {ps:?}");
+    assert_eq!(ps.burn_fast(), 0.0, "untouched class must burn nothing");
 
-        // The slow store holds the blocker's trace with its span tree.
-        let slow = report.slow.iter().find(|t| t.class == "query").expect("a promoted query trace");
-        assert!(slow.root_dur_ns >= SLOW_NS, "{slow:?}");
-        assert!(!slow.spans.is_empty(), "a promoted trace carries its spans");
-        assert!(slow.spans.iter().all(|s| s.trace == slow.trace), "spans belong to the trace");
-        assert!(
-            slow.spans.iter().any(|s| s.name == "serve.request"),
-            "the request root span must be retained: {:?}",
-            slow.spans.iter().map(|s| &s.name).collect::<Vec<_>>()
-        );
+    // The slow store holds the blocker's trace with its span tree.
+    let slow = report.slow.iter().find(|t| t.class == "query").expect("a promoted query trace");
+    assert!(slow.root_dur_ns >= SLOW_NS, "{slow:?}");
+    assert!(!slow.spans.is_empty(), "a promoted trace carries its spans");
+    assert!(slow.spans.iter().all(|s| s.trace == slow.trace), "spans belong to the trace");
+    assert!(
+        slow.spans.iter().any(|s| s.name == "serve.request"),
+        "the request root span must be retained: {:?}",
+        slow.spans.iter().map(|s| &s.name).collect::<Vec<_>>()
+    );
 
-        // ---- HTTP surface over the same data --------------------------
-        let slo_page = get_json(gw_addr, "/v1/ops/slo");
-        let classes = slo_page.get("classes").and_then(Json::as_arr).expect("classes array");
-        let q = class_entry(classes, "query");
-        assert!(f64_field(q.get("fast").expect("fast"), "bad") > 0.0, "{q:?}");
-        assert!(f64_field(q.get("fast").expect("fast"), "burn") > 0.0, "{q:?}");
-        let p = class_entry(classes, "plan");
-        assert_eq!(f64_field(p.get("fast").expect("fast"), "bad"), 0.0, "{p:?}");
-        assert_eq!(f64_field(p.get("fast").expect("fast"), "burn"), 0.0, "{p:?}");
+    // ---- HTTP surface over the same data --------------------------
+    let slo_page = get_json(gw_addr, "/v1/ops/slo");
+    let classes = slo_page.get("classes").and_then(Json::as_arr).expect("classes array");
+    let q = class_entry(classes, "query");
+    assert!(f64_field(q.get("fast").expect("fast"), "bad") > 0.0, "{q:?}");
+    assert!(f64_field(q.get("fast").expect("fast"), "burn") > 0.0, "{q:?}");
+    let p = class_entry(classes, "plan");
+    assert_eq!(f64_field(p.get("fast").expect("fast"), "bad"), 0.0, "{p:?}");
+    assert_eq!(f64_field(p.get("fast").expect("fast"), "burn"), 0.0, "{p:?}");
 
-        let slow_page = get_json(gw_addr, "/v1/ops/slow");
-        let traces = slow_page.get("traces").and_then(Json::as_arr).expect("traces array");
-        let want = format!("{:016x}", slow.trace);
-        let entry = traces
-            .iter()
-            .find(|t| t.get("trace").and_then(Json::as_str) == Some(want.as_str()))
-            .unwrap_or_else(|| panic!("trace {want} missing from /v1/ops/slow: {traces:?}"));
-        let spans = entry.get("spans").and_then(Json::as_arr).expect("spans array");
-        assert_eq!(spans.len(), slow.spans.len(), "the full span tree is served");
-        assert!(
-            spans.iter().any(|s| s.get("name").and_then(Json::as_str) == Some("serve.request")),
-            "{spans:?}"
-        );
+    let slow_page = get_json(gw_addr, "/v1/ops/slow");
+    let traces = slow_page.get("traces").and_then(Json::as_arr).expect("traces array");
+    let want = format!("{:016x}", slow.trace);
+    let entry = traces
+        .iter()
+        .find(|t| t.get("trace").and_then(Json::as_str) == Some(want.as_str()))
+        .unwrap_or_else(|| panic!("trace {want} missing from /v1/ops/slow: {traces:?}"));
+    let spans = entry.get("spans").and_then(Json::as_arr).expect("spans array");
+    assert_eq!(spans.len(), slow.spans.len(), "the full span tree is served");
+    assert!(
+        spans.iter().any(|s| s.get("name").and_then(Json::as_str) == Some("serve.request")),
+        "{spans:?}"
+    );
 
-        let windows_page = get_json(gw_addr, "/v1/ops/windows");
-        let wq = class_entry(
-            windows_page.get("classes").and_then(Json::as_arr).expect("classes"),
-            "query",
-        );
-        assert!(f64_field(wq, "p99_ms") > 0.0, "{wq:?}");
+    let windows_page = get_json(gw_addr, "/v1/ops/windows");
+    let wq =
+        class_entry(windows_page.get("classes").and_then(Json::as_arr).expect("classes"), "query");
+    assert!(f64_field(wq, "p99_ms") > 0.0, "{wq:?}");
 
-        let health = get_json(gw_addr, "/v1/ops/health");
-        assert!(health.get("ok").and_then(Json::as_bool).is_some(), "{health:?}");
-        assert!(f64_field(&health, "windows") >= 2.0, "both ticked windows: {health:?}");
+    let health = get_json(gw_addr, "/v1/ops/health");
+    assert!(health.get("ok").and_then(Json::as_bool).is_some(), "{health:?}");
+    assert!(f64_field(&health, "windows") >= 2.0, "both ticked windows: {health:?}");
 
-        // The gateway's own Prometheus page: its process registry is the
-        // fleet's (in-process test), so serving metrics appear too.
-        let (status, page) = http(gw_addr, "/metrics");
-        assert_eq!(status, 200);
-        assert!(
-            page.contains("# TYPE staq_serve_request_query histogram"),
-            "{}",
-            &page[..400.min(page.len())]
-        );
-        assert!(page.contains("staq_obs_slo_query_burn_fast_milli"), "slo gauges are exported");
-    } else {
-        // obs-off: the surface must still answer, with zeroed shapes.
-        assert_eq!(qw.count, 0);
-        for path in ["/v1/ops/health", "/v1/ops/slo", "/v1/ops/windows", "/v1/ops/slow"] {
-            let _ = get_json(gw_addr, path);
-        }
-        let (status, _) = http(gw_addr, "/metrics");
-        assert_eq!(status, 200);
-        assert!(report.slow.is_empty(), "no slow capture under obs-off");
-    }
+    // The gateway's own Prometheus page: its process registry is the
+    // fleet's (in-process test), so serving metrics appear too.
+    let (status, page) = http(gw_addr, "/metrics");
+    assert_eq!(status, 200);
+    assert!(
+        page.contains("# TYPE staq_serve_request_query histogram"),
+        "{}",
+        &page[..400.min(page.len())]
+    );
+    assert!(page.contains("staq_obs_slo_query_burn_fast_milli"), "slo gauges are exported");
 
     drop(mux);
     router.shutdown();

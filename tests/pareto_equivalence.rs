@@ -1,9 +1,7 @@
 //! End-to-end Pareto serving: `Plan` frames over real loopback TCP must
 //! return the same (arrival, transfers) frontier a local router computes
 //! on the identical city, and the transfer-capped variant must equal the
-//! frontier filtered to the cap. Runs in both the release matrix and the
-//! obs-off serving suite — the frontier math must not depend on metrics
-//! being compiled in.
+//! frontier filtered to the cap.
 
 use staq_gtfs::time::{DayOfWeek, Stime};
 use staq_serve::codec::ErrorCode;

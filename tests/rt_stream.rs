@@ -154,7 +154,6 @@ fn what_if_answers_match_the_committed_future() {
     server.shutdown();
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn approx_answers_fall_back_to_exact_after_a_delta_until_rewarmed() {
     let mut server = start_server(42);
@@ -221,7 +220,6 @@ fn approx_answers_fall_back_to_exact_after_a_delta_until_rewarmed() {
     server.shutdown();
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn streaming_counters_are_visible_through_stats() {
     let mut server = start_server(42);

@@ -10,7 +10,6 @@
 //! per labeling chunk); the test first raises the runtime capture
 //! threshold over the wire so the 8192-slot ring keeps the structural
 //! millisecond-scale spans instead of drowning them.
-#![cfg(not(feature = "obs-off"))]
 
 use staq_obs::trace;
 use staq_obs::OwnedSpan;
