@@ -17,7 +17,7 @@ pub struct ZoneMeasures {
 
 impl ZoneMeasures {
     /// From a labeling result.
-    pub fn from_stats(zone: ZoneId, stats: &ZoneStats) -> Self {
+    fn from_stats(zone: ZoneId, stats: &ZoneStats) -> Self {
         ZoneMeasures { zone, mac: stats.mac, acsd: stats.acsd }
     }
 

@@ -16,11 +16,6 @@
 //! `--out <path>` (CSV dump). `--scale 1.0` reproduces the full
 //! Birmingham/Coventry dimensions.
 //!
-//! Criterion micro-benchmarks (`cargo bench -p staq-bench`) cover the
-//! component costs the paper discusses: SPQ latency (§IV's 0.018 s/query),
-//! hop-tree construction, per-pair feature generation (§IV-E), labeling
-//! throughput, model fit times, and the end-to-end pipeline.
-//!
 //! Serving and per-layer performance is not measured here: `staq-e2e`
 //! (the `benchmark/` package) is the one harness for that.
 

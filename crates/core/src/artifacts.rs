@@ -35,46 +35,12 @@ impl OfflineArtifacts {
         STAGE_ARTIFACTS.record(t0.elapsed());
         OfflineArtifacts { store, adjacency, build_secs: t0.elapsed().as_secs_f64() }
     }
-
-    /// Persists the expensive part (hop trees) to `path`; see
-    /// [`staq_hoptree::persist`].
-    pub fn save_trees(&self, path: &std::path::Path) -> Result<(), String> {
-        staq_hoptree::persist::save(&self.store, path)
-    }
-
-    /// Loads previously saved trees instead of regenerating them; the
-    /// adjacency and isochrones are rebuilt from the city (cheap).
-    pub fn load_trees(city: &City, path: &std::path::Path) -> Result<Self, String> {
-        let t0 = Instant::now();
-        let store = staq_hoptree::persist::load(path, city)?;
-        let coords: Vec<(f64, f64)> =
-            city.zones.iter().map(|z| (z.centroid.x, z.centroid.y)).collect();
-        let adjacency = SparseAdj::gaussian_threshold(&coords, 12, 1e-4, None);
-        Ok(OfflineArtifacts { store, adjacency, build_secs: t0.elapsed().as_secs_f64() })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use staq_synth::CityConfig;
-
-    #[test]
-    fn trees_roundtrip_through_disk() {
-        let city = City::generate(&CityConfig::tiny(8));
-        let a =
-            OfflineArtifacts::build(&city, &TimeInterval::am_peak(), &IsochroneParams::default());
-        let path = std::env::temp_dir().join(format!("staq_art_{}.txt", std::process::id()));
-        a.save_trees(&path).unwrap();
-        let b = OfflineArtifacts::load_trees(&city, &path).unwrap();
-        for z in 0..city.n_zones() as u32 {
-            let zid = staq_synth::ZoneId(z);
-            assert_eq!(a.store.outbound(zid), b.store.outbound(zid));
-            assert_eq!(a.store.inbound(zid), b.store.inbound(zid));
-        }
-        assert_eq!(a.adjacency, b.adjacency);
-        std::fs::remove_file(&path).ok();
-    }
 
     #[test]
     fn builds_for_small_city() {

@@ -80,26 +80,6 @@ impl PipelineConfig {
     pub const BETA_SWEEP: [f64; 6] = [0.03, 0.05, 0.07, 0.10, 0.20, 0.30];
 }
 
-/// Serializable summary of a config (for experiment logs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ConfigSummary {
-    pub beta: f64,
-    pub model: String,
-    pub cost: String,
-    pub seed: u64,
-}
-
-impl From<&PipelineConfig> for ConfigSummary {
-    fn from(c: &PipelineConfig) -> Self {
-        ConfigSummary {
-            beta: c.beta,
-            model: c.model.label().to_string(),
-            cost: c.cost.to_string(),
-            seed: c.seed,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,12 +104,5 @@ mod tests {
         assert_eq!(PipelineConfig::BETA_SWEEP.len(), 6);
         assert_eq!(PipelineConfig::BETA_SWEEP[0], 0.03);
         assert_eq!(PipelineConfig::BETA_SWEEP[5], 0.30);
-    }
-
-    #[test]
-    fn summary_captures_fields() {
-        let s = ConfigSummary::from(&PipelineConfig::default());
-        assert_eq!(s.model, "MLP");
-        assert_eq!(s.cost, "JT");
     }
 }

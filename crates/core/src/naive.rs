@@ -44,14 +44,6 @@ impl NaiveResult {
         let n_trips = matrix.n_trips();
         NaiveResult { matrix, stats, measures, label_secs, n_trips }
     }
-
-    /// Estimated seconds per SPQ (Table II scaling).
-    pub fn secs_per_trip(&self) -> f64 {
-        if self.n_trips == 0 {
-            return 0.0;
-        }
-        self.label_secs / self.n_trips as f64
-    }
 }
 
 #[cfg(test)]
@@ -67,7 +59,6 @@ mod tests {
         assert!(r.n_trips > 0);
         assert!(!r.measures.is_empty());
         assert!(r.label_secs > 0.0);
-        assert!(r.secs_per_trip() > 0.0);
         for m in &r.measures {
             assert!(m.mac.is_finite() && m.mac > 0.0);
         }

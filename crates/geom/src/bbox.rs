@@ -83,18 +83,6 @@ impl BBox {
             && other.min_y <= self.max_y
     }
 
-    /// Width (x extent); 0 for an empty box.
-    #[inline]
-    pub fn width(&self) -> f64 {
-        (self.max_x - self.min_x).max(0.0)
-    }
-
-    /// Height (y extent); 0 for an empty box.
-    #[inline]
-    pub fn height(&self) -> f64 {
-        (self.max_y - self.min_y).max(0.0)
-    }
-
     /// Center of the box. Meaningless (NaN) for an empty box.
     #[inline]
     pub fn center(&self) -> Point {
@@ -108,16 +96,6 @@ impl BBox {
         let dx = (self.min_x - p.x).max(0.0).max(p.x - self.max_x);
         let dy = (self.min_y - p.y).max(0.0).max(p.y - self.max_y);
         dx * dx + dy * dy
-    }
-
-    /// Box expanded by `margin` meters on every side.
-    pub fn expanded(&self, margin: f64) -> BBox {
-        BBox {
-            min_x: self.min_x - margin,
-            min_y: self.min_y - margin,
-            max_x: self.max_x + margin,
-            max_y: self.max_y + margin,
-        }
     }
 }
 
@@ -136,8 +114,6 @@ mod tests {
         let b = BBox::empty();
         assert!(b.is_empty());
         assert!(!b.contains(&Point::new(0.0, 0.0)));
-        assert_eq!(b.width(), 0.0);
-        assert_eq!(b.height(), 0.0);
     }
 
     #[test]
@@ -146,7 +122,7 @@ mod tests {
         b.extend(Point::new(3.0, -1.0));
         assert!(!b.is_empty());
         assert!(b.contains(&Point::new(3.0, -1.0)));
-        assert_eq!(b.width(), 0.0);
+        assert_eq!((b.min_x, b.min_y), (b.max_x, b.max_y));
     }
 
     #[test]
@@ -186,12 +162,5 @@ mod tests {
         a.union(&b);
         assert!(a.contains(&Point::new(6.0, -3.0)));
         assert!(a.contains(&Point::new(0.0, 1.0)));
-    }
-
-    #[test]
-    fn expanded_grows_margins() {
-        let b = BBox::from_corners(Point::new(0.0, 0.0), Point::new(1.0, 1.0)).expanded(0.5);
-        assert!(b.contains(&Point::new(-0.5, 1.5)));
-        assert!(!b.contains(&Point::new(-0.6, 0.0)));
     }
 }

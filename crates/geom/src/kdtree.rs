@@ -26,14 +26,14 @@ struct Node {
 /// A static kd-tree mapping 2-d points to `u32` payloads.
 ///
 /// Duplicated points are allowed; all duplicates are retrievable through
-/// radius and k-NN queries.
+/// radius queries.
 #[derive(Debug, Clone, Default)]
 pub struct KdTree {
     nodes: Vec<Node>,
     root: u32,
 }
 
-/// A single k-NN / nearest query hit.
+/// A single nearest / radius query hit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
     /// Payload of the matched point.
@@ -164,43 +164,6 @@ impl KdTree {
         }
     }
 
-    /// The `k` nearest indexed points to `query`, ascending by distance.
-    /// Returns fewer than `k` when the tree is smaller than `k`.
-    pub fn k_nearest(&self, query: &Point, k: usize) -> Vec<Neighbor> {
-        if k == 0 || self.root == NONE {
-            return Vec::new();
-        }
-        // A simple sorted vec outperforms a heap for the small `k` used in
-        // practice (k = 1 for interchange identification).
-        let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
-        self.k_nearest_rec(self.root, query, k, &mut best);
-        best
-    }
-
-    fn k_nearest_rec(&self, idx: u32, query: &Point, k: usize, best: &mut Vec<Neighbor>) {
-        let node = &self.nodes[idx as usize];
-        let worst = if best.len() == k { best[k - 1].dist2 } else { f64::INFINITY };
-        if node.bounds.dist2_to(query) >= worst {
-            return;
-        }
-        let d2 = node.point.dist2(query);
-        if d2 < worst || best.len() < k {
-            let nb = Neighbor { item: node.item, point: node.point, dist2: d2 };
-            let pos = best.partition_point(|b| b.dist2 <= d2);
-            best.insert(pos, nb);
-            if best.len() > k {
-                best.pop();
-            }
-        }
-        let (first, second) = self.ordered_children(node, query);
-        if first != NONE {
-            self.k_nearest_rec(first, query, k, best);
-        }
-        if second != NONE {
-            self.k_nearest_rec(second, query, k, best);
-        }
-    }
-
     /// All indexed points within `radius` meters of `query` (inclusive),
     /// in arbitrary order.
     pub fn within_radius(&self, query: &Point, radius: f64) -> Vec<Neighbor> {
@@ -248,7 +211,6 @@ mod tests {
         let t = KdTree::build(&[]);
         assert!(t.is_empty());
         assert!(t.nearest(&Point::new(0.0, 0.0)).is_none());
-        assert!(t.k_nearest(&Point::new(0.0, 0.0), 3).is_empty());
         assert!(t.within_radius(&Point::new(0.0, 0.0), 100.0).is_empty());
     }
 
@@ -265,26 +227,6 @@ mod tests {
         let t = KdTree::build(&grid_points(5));
         let n = t.nearest(&Point::new(11.0, 12.0)).unwrap();
         assert_eq!(n.point, Point::new(10.0, 10.0));
-    }
-
-    #[test]
-    fn k_nearest_sorted_and_correct_count() {
-        let t = KdTree::build(&grid_points(4));
-        let q = Point::new(0.0, 0.0);
-        let ns = t.k_nearest(&q, 5);
-        assert_eq!(ns.len(), 5);
-        for w in ns.windows(2) {
-            assert!(w[0].dist2 <= w[1].dist2);
-        }
-        assert_eq!(ns[0].point, q);
-    }
-
-    #[test]
-    fn k_nearest_larger_than_tree() {
-        let items = grid_points(2);
-        let t = KdTree::build(&items);
-        let ns = t.k_nearest(&Point::new(0.0, 0.0), 100);
-        assert_eq!(ns.len(), items.len());
     }
 
     #[test]

@@ -36,12 +36,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Manhattan (L1) distance to `other` in meters.
-    #[inline]
-    pub fn manhattan(&self, other: &Point) -> f64 {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
-
     /// Midpoint between `self` and `other`.
     #[inline]
     pub fn midpoint(&self, other: &Point) -> Point {
@@ -52,19 +46,6 @@ impl Point {
     #[inline]
     pub fn lerp(&self, other: &Point, t: f64) -> Point {
         Point::new(self.x + (other.x - self.x) * t, self.y + (other.y - self.y) * t)
-    }
-
-    /// Bearing from `self` to `other` in radians, measured counter-clockwise
-    /// from the positive x axis. Returns 0 for coincident points.
-    #[inline]
-    pub fn bearing(&self, other: &Point) -> f64 {
-        let dy = other.y - self.y;
-        let dx = other.x - self.x;
-        if dx == 0.0 && dy == 0.0 {
-            0.0
-        } else {
-            dy.atan2(dx)
-        }
     }
 
     /// Returns the point displaced by `(dx, dy)` meters.
@@ -81,7 +62,7 @@ impl Point {
 }
 
 /// Mean radius of the Earth in meters (IUGG).
-pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
+const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
 /// Great-circle (haversine) distance between two WGS-84 coordinates, in
 /// meters. `lat`/`lon` are in decimal degrees.
@@ -129,13 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn manhattan_upper_bounds_euclidean() {
-        let a = Point::new(1.0, 2.0);
-        let b = Point::new(-4.0, 9.0);
-        assert!(a.manhattan(&b) >= a.dist(&b));
-    }
-
-    #[test]
     fn midpoint_is_equidistant() {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(10.0, 6.0);
@@ -151,16 +125,6 @@ mod tests {
         assert_eq!(a.lerp(&b, 1.0), b);
         let mid = a.lerp(&b, 0.5);
         assert_eq!(mid, a.midpoint(&b));
-    }
-
-    #[test]
-    fn bearing_cardinal_directions() {
-        let o = Point::new(0.0, 0.0);
-        assert!((o.bearing(&Point::new(1.0, 0.0)) - 0.0).abs() < 1e-12);
-        let north = o.bearing(&Point::new(0.0, 1.0));
-        assert!((north - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
-        // Coincident points define bearing 0 rather than NaN.
-        assert_eq!(o.bearing(&o), 0.0);
     }
 
     #[test]

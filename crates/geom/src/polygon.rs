@@ -65,20 +65,6 @@ impl Polygon {
         inside
     }
 
-    /// Unsigned area (shoelace formula), in square meters.
-    pub fn area(&self) -> f64 {
-        let n = self.ring.len();
-        let mut acc = 0.0;
-        let mut j = n - 1;
-        for i in 0..n {
-            let a = self.ring[j];
-            let b = self.ring[i];
-            acc += (a.x * b.y) - (b.x * a.y);
-            j = i;
-        }
-        acc.abs() * 0.5
-    }
-
     /// Area centroid. Falls back to the vertex mean for (near-)zero-area
     /// rings, where the area-weighted formula is numerically undefined.
     pub fn centroid(&self) -> Point {
@@ -135,18 +121,6 @@ impl Polygon {
             Point::new(c.x - r, c.y + r),
         ])
     }
-
-    /// Regular `n`-gon of radius `r` centered at `c` (approximates a disc).
-    pub fn regular(c: Point, r: f64, n: usize) -> Polygon {
-        assert!(n >= 3);
-        let ring = (0..n)
-            .map(|i| {
-                let th = i as f64 / n as f64 * std::f64::consts::TAU;
-                Point::new(c.x + r * th.cos(), c.y + r * th.sin())
-            })
-            .collect();
-        Polygon::new(ring)
-    }
 }
 
 #[cfg(test)]
@@ -169,19 +143,6 @@ mod tests {
         assert!(!sq.contains(&Point::new(1.5, 0.5)));
         assert!(!sq.contains(&Point::new(-0.1, 0.5)));
         assert!(!sq.contains(&Point::new(0.5, 2.0)));
-    }
-
-    #[test]
-    fn area_of_unit_square() {
-        assert!((unit_square().area() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn area_is_orientation_independent() {
-        let mut ring = unit_square().ring().to_vec();
-        ring.reverse();
-        let rev = Polygon::new(ring);
-        assert!((rev.area() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -233,12 +194,6 @@ mod tests {
         let small = Polygon::square(Point::new(1.0, 1.0), 0.5);
         assert!(big.intersects_approx(&small));
         assert!(small.intersects_approx(&big));
-    }
-
-    #[test]
-    fn regular_polygon_approximates_disc_area() {
-        let p = Polygon::regular(Point::new(0.0, 0.0), 1.0, 256);
-        assert!((p.area() - std::f64::consts::PI).abs() < 1e-3);
     }
 
     #[test]

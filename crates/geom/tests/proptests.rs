@@ -30,21 +30,6 @@ proptest! {
     }
 
     #[test]
-    fn kdtree_knn_matches_brute_force(points in pts(120), q in pt(), k in 1usize..12) {
-        let items: Vec<(Point, u32)> =
-            points.iter().enumerate().map(|(i, &p)| (p, i as u32)).collect();
-        let tree = KdTree::build(&items);
-        let got = tree.k_nearest(&q, k);
-        let mut d2s: Vec<f64> = points.iter().map(|p| p.dist2(&q)).collect();
-        d2s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let want = &d2s[..k.min(d2s.len())];
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(want) {
-            prop_assert!((g.dist2 - w).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn kdtree_radius_matches_brute_force(points in pts(150), q in pt(), r in 0.0f64..500.0) {
         let items: Vec<(Point, u32)> =
             points.iter().enumerate().map(|(i, &p)| (p, i as u32)).collect();

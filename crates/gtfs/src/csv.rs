@@ -23,20 +23,16 @@ impl Table {
             .position(|h| h == name)
             .ok_or_else(|| format!("missing column {name:?} (have {:?})", self.header))
     }
-
-    /// Index of the column named `name`, or `None` when absent (optional
-    /// GTFS columns).
-    pub fn col_opt(&self, name: &str) -> Option<usize> {
-        self.header.iter().position(|h| h == name)
-    }
 }
 
 /// Parses CSV text into a [`Table`].
 ///
 /// Errors on: empty input, unterminated quotes, or rows whose field count
-/// differs from the header's.
+/// differs from the header's. One leading UTF-8 byte-order mark, which the
+/// GTFS reference permits, is skipped so it cannot become part of the first
+/// column name.
 pub fn parse(text: &str) -> Result<Table, String> {
-    let mut records = parse_records(text)?;
+    let mut records = parse_records(text.strip_prefix('\u{feff}').unwrap_or(text))?;
     if records.is_empty() {
         return Err("empty CSV: no header row".into());
     }
@@ -201,8 +197,6 @@ mod tests {
         let t = parse("x,y\n1,2\n").unwrap();
         assert_eq!(t.col("y").unwrap(), 1);
         assert!(t.col("z").is_err());
-        assert_eq!(t.col_opt("x"), Some(0));
-        assert_eq!(t.col_opt("nope"), None);
     }
 
     #[test]
@@ -224,8 +218,11 @@ mod tests {
             vec!["2".to_string(), "".to_string()],
         ];
         let text = write(&["id", "note"], &rows);
-        let t = parse(&text).unwrap();
-        assert_eq!(t.rows, rows);
+        for text in [text.clone(), format!("\u{feff}{text}")] {
+            let t = parse(&text).unwrap();
+            assert_eq!(t.header, vec!["id", "note"]);
+            assert_eq!(t.rows, rows);
+        }
     }
 
     #[test]

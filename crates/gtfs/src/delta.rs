@@ -52,7 +52,7 @@ impl Delta {
 }
 
 /// The synthetic timetable convention every dynamic route follows, shared
-/// by the feed-mutating path ([`crate::FeedIndex::append_route`]) and the
+/// by the feed-mutating path ([`crate::FeedIndex::apply_delta`]) and the
 /// copy-on-write network overlay so both produce the *same* schedule:
 /// weekday service, departures 6:00–22:00 at the (≥120 s) headway, 15 s
 /// dwell at every stop but the last, run times from stop geometry at

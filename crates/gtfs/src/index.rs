@@ -132,12 +132,6 @@ impl FeedIndex {
         self.feed.services[self.trip_service[trip.idx()].idx()].runs_on(day)
     }
 
-    /// All departures from `stop` (any day), sorted by time.
-    #[inline]
-    pub fn all_departures_at(&self, stop: StopId) -> &[Departure] {
-        &self.stop_departures[stop.idx()]
-    }
-
     /// Departures from `stop` within the interval `v`, filtered to services
     /// operating on `v.day` — the paper's `F_trips` retrieval.
     pub fn departures_at<'a>(
@@ -152,14 +146,6 @@ impl FeedIndex {
             .take_while(move |d| d.departure < v.end)
             .filter(move |d| self.trip_runs_on(d.trip, v.day))
             .copied()
-    }
-
-    /// First departure from `stop` of `trip_filtered` kind at or after `t`
-    /// on `day` — the router's "next vehicle" primitive.
-    pub fn next_departure(&self, stop: StopId, t: Stime, day: DayOfWeek) -> Option<Departure> {
-        let deps = &self.stop_departures[stop.idx()];
-        let lo = deps.partition_point(|d| d.departure < t);
-        deps[lo..].iter().find(|d| self.trip_runs_on(d.trip, day)).copied()
     }
 
     /// Mean scheduled headway (seconds between consecutive departures) at
@@ -207,7 +193,7 @@ impl FeedIndex {
 
     /// Shifts every call of `trip` `delay_secs` later (uniform holding
     /// delay). Returns the positions of the touched stops.
-    pub fn delay_trip(&mut self, trip: TripId, delay_secs: u32) -> Result<Vec<Point>, String> {
+    fn delay_trip(&mut self, trip: TripId, delay_secs: u32) -> Result<Vec<Point>, String> {
         let (a, b) =
             *self.trip_ranges.get(trip.idx()).ok_or_else(|| format!("unknown trip #{}", trip.0))?;
         if a == b {
@@ -241,7 +227,7 @@ impl FeedIndex {
     /// departure row. A trip that already makes no calls is a no-op (so
     /// replaying a delta log is idempotent per entry). The trip record
     /// itself remains — dense ids stay stable.
-    pub fn cancel_trip(&mut self, trip: TripId) -> Result<Vec<Point>, String> {
+    fn cancel_trip(&mut self, trip: TripId) -> Result<Vec<Point>, String> {
         let (a, b) =
             *self.trip_ranges.get(trip.idx()).ok_or_else(|| format!("unknown trip #{}", trip.0))?;
         if a == b {
@@ -272,7 +258,7 @@ impl FeedIndex {
 
     /// Cancels every trip of `route`. The route (and its trips/services)
     /// stay as records; only calls disappear.
-    pub fn remove_route(&mut self, route: RouteId) -> Result<Vec<Point>, String> {
+    fn remove_route(&mut self, route: RouteId) -> Result<Vec<Point>, String> {
         if route.idx() >= self.feed.routes.len() {
             return Err(format!("unknown route #{}", route.0));
         }
@@ -289,7 +275,7 @@ impl FeedIndex {
     /// the given peak headway, extending the index incrementally: new trips
     /// get fresh (maximal) ids, so their stop_times append in canonical
     /// order and no existing departure row is touched.
-    pub fn append_route(
+    fn append_route(
         &mut self,
         stops_at: &[Point],
         peak_headway_s: u32,
@@ -436,15 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn next_departure_respects_time_and_day() {
-        let ix = index();
-        let d = ix.next_departure(StopId(0), Stime::hours(7), DayOfWeek::Tuesday).unwrap();
-        assert_eq!(d.departure, Stime::hms(7, 0, 30));
-        assert!(ix.next_departure(StopId(0), Stime::hours(8), DayOfWeek::Tuesday).is_none());
-        assert!(ix.next_departure(StopId(0), Stime::hours(7), DayOfWeek::Sunday).is_none());
-    }
-
-    #[test]
     fn mean_headway_requires_two_departures() {
         let ix = index();
         assert!(ix.mean_headway(StopId(0), &TimeInterval::am_peak()).is_none());
@@ -471,12 +448,8 @@ mod tests {
     /// dynamic route (several trips over fresh stops).
     fn mutable_index() -> FeedIndex {
         let mut ix = index();
-        ix.append_route(
-            &[Point::new(0.0, 0.0), Point::new(900.0, 0.0), Point::new(1800.0, 600.0)],
-            1800,
-            8.0,
-        )
-        .unwrap();
+        let stops = vec![Point::new(0.0, 0.0), Point::new(900.0, 0.0), Point::new(1800.0, 600.0)];
+        ix.apply_delta(&Delta::AddRoute { stops, headway_s: 1800 }, 8.0).unwrap();
         ix
     }
 
@@ -503,8 +476,8 @@ mod tests {
         let mut ix = mutable_index();
         let trip = TripId(2); // first appended trip
         let before: Vec<Stime> = ix.trip_calls(trip).iter().map(|c| c.departure).collect();
-        let touched = ix.delay_trip(trip, 420).unwrap();
-        assert_eq!(touched.len(), 3);
+        let out = ix.apply_delta(&Delta::TripDelay { trip, delay_secs: 420 }, 8.0).unwrap();
+        assert_eq!(out.touched_stops.len(), 3);
         let after: Vec<Stime> = ix.trip_calls(trip).iter().map(|c| c.departure).collect();
         for (b, a) in before.iter().zip(&after) {
             assert_eq!(b.plus(420), *a);
@@ -518,15 +491,15 @@ mod tests {
         let mut ix = mutable_index();
         let trip = TripId(3);
         let stop = ix.trip_calls(trip)[0].stop;
-        let deps_before = ix.all_departures_at(stop).len();
-        let touched = ix.cancel_trip(trip).unwrap();
-        assert_eq!(touched.len(), 3);
+        let deps_before = ix.stop_departures[stop.idx()].len();
+        let out = ix.apply_delta(&Delta::TripCancel { trip }, 8.0).unwrap();
+        assert_eq!(out.touched_stops.len(), 3);
         assert!(ix.trip_calls(trip).is_empty());
-        assert_eq!(ix.all_departures_at(stop).len(), deps_before - 1);
+        assert_eq!(ix.stop_departures[stop.idx()].len(), deps_before - 1);
         assert_matches_rebuild(&ix);
         crate::validate::assert_valid(ix.feed());
         // Cancelling again is a structural no-op.
-        assert!(ix.cancel_trip(trip).unwrap().is_empty());
+        assert!(ix.apply_delta(&Delta::TripCancel { trip }, 8.0).unwrap().touched_stops.is_empty());
         assert_matches_rebuild(&ix);
     }
 
@@ -534,7 +507,7 @@ mod tests {
     fn remove_route_cancels_every_trip_and_matches_rebuild() {
         let mut ix = mutable_index();
         let route = ix.feed().routes.last().unwrap().id;
-        ix.remove_route(route).unwrap();
+        ix.apply_delta(&Delta::RouteRemove { route }, 8.0).unwrap();
         for t in ix.feed().trips.iter().filter(|t| t.route == route) {
             assert!(ix.trip_calls(t.id).is_empty());
         }
@@ -562,13 +535,18 @@ mod tests {
     #[test]
     fn mutations_reject_unknown_ids_and_bad_geometry() {
         let mut ix = index();
-        assert!(ix.delay_trip(TripId(99), 60).is_err());
-        assert!(ix.cancel_trip(TripId(99)).is_err());
-        assert!(ix.remove_route(RouteId(99)).is_err());
-        assert!(ix.append_route(&[Point::new(0.0, 0.0)], 600, 8.0).is_err());
-        assert!(ix
-            .append_route(&[Point::new(0.0, 0.0), Point::new(f64::NAN, 0.0)], 600, 8.0)
-            .is_err());
+        for bad in [
+            Delta::TripDelay { trip: TripId(99), delay_secs: 60 },
+            Delta::TripCancel { trip: TripId(99) },
+            Delta::RouteRemove { route: RouteId(99) },
+            Delta::AddRoute { stops: vec![Point::new(0.0, 0.0)], headway_s: 600 },
+            Delta::AddRoute {
+                stops: vec![Point::new(0.0, 0.0), Point::new(f64::NAN, 0.0)],
+                headway_s: 600,
+            },
+        ] {
+            assert!(ix.apply_delta(&bad, 8.0).is_err(), "{bad:?} must be rejected");
+        }
         // Failed mutations leave the index untouched.
         assert_eq!(ix, index());
     }

@@ -231,15 +231,20 @@ pub(crate) mod tests {
 
     #[test]
     fn parses_tiny_feed() {
-        let feed = tiny_feed_text().parse().unwrap();
-        assert_eq!(feed.agencies.len(), 1);
-        assert_eq!(feed.stops.len(), 2);
-        assert_eq!(feed.routes.len(), 1);
-        assert_eq!(feed.trips.len(), 1);
-        assert_eq!(feed.stop_times.len(), 2);
-        assert_eq!(feed.stops[0].pos, staq_geom::Point::new(2000.0, 1000.0));
-        assert_eq!(feed.stop_times[0].departure, Stime::hms(7, 0, 30));
-        assert!(feed.is_normalized());
+        // The GTFS reference permits a leading byte-order mark on any file.
+        let mut with_bom = tiny_feed_text();
+        with_bom.stops.insert(0, '\u{feff}');
+        for text in [tiny_feed_text(), with_bom] {
+            let feed = text.parse().unwrap();
+            assert_eq!(feed.agencies.len(), 1);
+            assert_eq!(feed.stops.len(), 2);
+            assert_eq!(feed.routes.len(), 1);
+            assert_eq!(feed.trips.len(), 1);
+            assert_eq!(feed.stop_times.len(), 2);
+            assert_eq!(feed.stops[0].pos, staq_geom::Point::new(2000.0, 1000.0));
+            assert_eq!(feed.stop_times[0].departure, Stime::hms(7, 0, 30));
+            assert!(feed.is_normalized());
+        }
     }
 
     #[test]

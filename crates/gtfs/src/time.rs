@@ -14,9 +14,6 @@ use std::fmt;
 pub struct Stime(pub u32);
 
 impl Stime {
-    /// Seconds in a standard day.
-    pub const DAY: u32 = 86_400;
-
     /// From hours/minutes/seconds. Hours may exceed 23 per GTFS.
     pub const fn hms(h: u32, m: u32, s: u32) -> Self {
         Stime(h * 3600 + m * 60 + s)
@@ -33,22 +30,10 @@ impl Stime {
         self.0
     }
 
-    /// Fractional minutes since midnight.
-    #[inline]
-    pub fn minutes(self) -> f64 {
-        self.0 as f64 / 60.0
-    }
-
     /// `self + dur` seconds, saturating.
     #[inline]
     pub fn plus(self, dur: u32) -> Stime {
         Stime(self.0.saturating_add(dur))
-    }
-
-    /// `self - dur` seconds, saturating at midnight.
-    #[inline]
-    pub fn minus(self, dur: u32) -> Stime {
-        Stime(self.0.saturating_sub(dur))
     }
 
     /// Seconds from `self` to `later`; 0 when `later` precedes `self`.
@@ -70,7 +55,10 @@ impl Stime {
         if m > 59 || sec > 59 {
             return Err(format!("minutes/seconds out of range in {s:?}"));
         }
-        Ok(Stime::hms(h, m, sec))
+        h.checked_mul(3600)
+            .and_then(|hs| hs.checked_add(m * 60 + sec))
+            .map(Stime)
+            .ok_or_else(|| format!("hours out of range in {s:?}"))
     }
 }
 
@@ -115,11 +103,6 @@ impl DayOfWeek {
             DayOfWeek::Saturday => 5,
             DayOfWeek::Sunday => 6,
         }
-    }
-
-    /// True Monday–Friday.
-    pub const fn is_weekday(self) -> bool {
-        (self.index()) < 5
     }
 }
 
@@ -189,16 +172,10 @@ impl TimeInterval {
         t >= self.start && t < self.end
     }
 
-    /// Window length in seconds.
-    #[inline]
-    pub fn duration_secs(&self) -> u32 {
-        self.end.0 - self.start.0
-    }
-
     /// Window length in fractional hours.
     #[inline]
     pub fn duration_hours(&self) -> f64 {
-        self.duration_secs() as f64 / 3600.0
+        (self.end.0 - self.start.0) as f64 / 3600.0
     }
 }
 
@@ -215,7 +192,7 @@ mod tests {
     #[test]
     fn hms_and_secs() {
         assert_eq!(Stime::hms(7, 30, 15).secs(), 7 * 3600 + 30 * 60 + 15);
-        assert_eq!(Stime::hours(24).secs(), Stime::DAY);
+        assert_eq!(Stime::hours(24).secs(), 86_400);
     }
 
     #[test]
@@ -233,11 +210,12 @@ mod tests {
         assert!(Stime::parse("07:61:00").is_err());
         assert!(Stime::parse("07:00:75").is_err());
         assert!(Stime::parse("07:00:00:00").is_err());
+        // 1193047 h * 3600 overflows u32: an error, never a wrapped small time.
+        assert!(Stime::parse("1193047:00:00").unwrap_err().contains("hours out of range"));
     }
 
     #[test]
     fn arithmetic_saturates() {
-        assert_eq!(Stime(10).minus(20), Stime(0));
         assert_eq!(Stime(u32::MAX).plus(10), Stime(u32::MAX));
         assert_eq!(Stime(100).until(Stime(40)), 0);
         assert_eq!(Stime(40).until(Stime(100)), 60);
@@ -246,16 +224,14 @@ mod tests {
     #[test]
     fn over_midnight_times_are_legal() {
         let t = Stime::parse("26:15:00").unwrap();
-        assert!(t.secs() > Stime::DAY);
+        assert!(t.secs() > 86_400);
         assert_eq!(t.to_string(), "26:15:00");
     }
 
     #[test]
-    fn day_index_and_weekday() {
+    fn day_index() {
         assert_eq!(DayOfWeek::Monday.index(), 0);
         assert_eq!(DayOfWeek::Sunday.index(), 6);
-        assert!(DayOfWeek::Friday.is_weekday());
-        assert!(!DayOfWeek::Saturday.is_weekday());
         assert_eq!(DayOfWeek::ALL.len(), 7);
     }
 
@@ -271,7 +247,6 @@ mod tests {
     #[test]
     fn interval_durations() {
         let v = TimeInterval::am_peak();
-        assert_eq!(v.duration_secs(), 7200);
         assert!((v.duration_hours() - 2.0).abs() < 1e-12);
     }
 
@@ -279,10 +254,5 @@ mod tests {
     #[should_panic(expected = "end must be after start")]
     fn zero_length_interval_rejected() {
         TimeInterval::new(Stime::hours(7), Stime::hours(7), DayOfWeek::Monday, "bad");
-    }
-
-    #[test]
-    fn minutes_conversion() {
-        assert!((Stime::hms(0, 30, 0).minutes() - 30.0).abs() < 1e-12);
     }
 }

@@ -11,7 +11,7 @@ use staq_todam::Todam;
 
 /// α-weighted mean of a zone's OD feature vectors over its (nonzero-α)
 /// POIs. `None` when the zone has no attracted POIs.
-pub fn origin_features(
+fn origin_features(
     fx: &FeatureExtractor<'_>,
     city: &City,
     m: &Todam,

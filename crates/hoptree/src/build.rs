@@ -43,7 +43,7 @@ impl<'a> BuildContext<'a> {
 
     /// Stops inside the walking isochrone `w` (grid pre-filter by radius,
     /// exact polygon test after).
-    pub fn stops_in_isochrone(&self, w: &Isochrone, max_radius_m: f64) -> Vec<StopId> {
+    fn stops_in_isochrone(&self, w: &Isochrone, max_radius_m: f64) -> Vec<StopId> {
         let mut out = Vec::new();
         self.stop_grid.for_each_within(&w.origin, max_radius_m, |stop, _| {
             let pos = self.feed.stop_pos(StopId(stop));

@@ -164,11 +164,6 @@ impl<'a> FeatureExtractor<'a> {
         f[18] = ib.n_leaves() as f64;
         f
     }
-
-    /// Sentinel distance used for missing witnesses.
-    pub fn max_dist(&self) -> f64 {
-        self.max_dist
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +232,7 @@ mod tests {
         let poi = city.pois_of(PoiCategory::School)[0];
         let f = fx.features(core, &poi.pos, poi.zone);
         assert!(f[17] > 0.0, "core zone has outbound leaves");
-        assert!(f[4] < fx.max_dist(), "closest OB leaf distance is a real value");
+        assert!(f[4] < fx.max_dist, "closest OB leaf distance is a real value");
     }
 
     #[test]
@@ -249,8 +244,8 @@ mod tests {
         let core = ZoneId(store.zone_tree().nearest(&city.cores[0]).unwrap().item);
         let f = fx.features(core, &poi.pos, poi.zone);
         assert_eq!(f[10], 0.0, "no interchanges counted");
-        assert_eq!(f[11], fx.max_dist(), "sentinel distances");
-        assert_eq!(f[12], fx.max_dist());
+        assert_eq!(f[11], fx.max_dist, "sentinel distances");
+        assert_eq!(f[12], fx.max_dist);
         assert_eq!(f[14], 0.0);
         // Non-interchange features still live.
         assert!(f[17] > 0.0);

@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn empty_trees_give_no_interchanges() {
         let (_, store, centroids) = setup();
-        let empty = HopTree::empty(ZoneId(0), crate::tree::Direction::Outbound);
+        let empty = HopTree::from_accum(ZoneId(0), crate::tree::Direction::Outbound, Vec::new());
         let ib = store.inbound(ZoneId(1));
         assert!(find_interchanges(&store, &empty, ib, &centroids).is_empty());
     }

@@ -32,7 +32,6 @@ pub mod aggregate;
 pub mod build;
 pub mod features;
 pub mod interchange;
-pub mod persist;
 pub mod store;
 pub mod tree;
 

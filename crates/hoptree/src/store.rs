@@ -29,7 +29,7 @@ impl HopTreeStore {
     ///
     /// Cost is the paper's offline pre-processing step; it is linear in
     /// |Z| x (isochrone size + departures scanned), and far cheaper than
-    /// labeling (measured by the `hoptree` bench).
+    /// labeling (`hoptree.build_s` beside `todam.label_s` in `staq-e2e`).
     pub fn build(city: &City, interval: &TimeInterval, params: &IsochroneParams) -> Self {
         let zone_tree = KdTree::build(&city.zone_points());
         let snapper = NodeSnapper::new(&city.road);
@@ -56,43 +56,6 @@ impl HopTreeStore {
         HopTreeStore {
             interval: interval.clone(),
             params: *params,
-            outbound,
-            inbound,
-            isochrones,
-            zone_tree,
-            n_zones: city.n_zones(),
-        }
-    }
-
-    /// Reassembles a store from externally supplied trees (the persistence
-    /// path): isochrones and the zone index are rebuilt from the city, the
-    /// trees are taken as-is. Panics when tree counts don't match the city.
-    pub fn from_parts(
-        city: &City,
-        interval: TimeInterval,
-        params: IsochroneParams,
-        outbound: Vec<HopTree>,
-        inbound: Vec<HopTree>,
-    ) -> Self {
-        assert_eq!(outbound.len(), city.n_zones(), "outbound tree count mismatch");
-        assert_eq!(inbound.len(), city.n_zones(), "inbound tree count mismatch");
-        let zone_tree = KdTree::build(&city.zone_points());
-        let snapper = NodeSnapper::new(&city.road);
-        let isochrones = city
-            .zones
-            .iter()
-            .map(|z| {
-                Isochrone::grow(
-                    &city.road,
-                    z.centroid,
-                    snapper.snap_unchecked(&z.centroid),
-                    &params,
-                )
-            })
-            .collect();
-        HopTreeStore {
-            interval,
-            params,
             outbound,
             inbound,
             isochrones,

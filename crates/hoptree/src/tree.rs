@@ -34,12 +34,6 @@ impl Leaf {
     pub fn jt_avg(&self) -> f64 {
         self.jt_sum / self.count.max(1) as f64
     }
-
-    /// Sum of observed in-vehicle journey times (persistence format).
-    #[inline]
-    pub fn jt_sum(&self) -> f64 {
-        self.jt_sum
-    }
 }
 
 /// A transit-hop tree: root zone plus one [`Leaf`] per reachable zone.
@@ -52,11 +46,6 @@ pub struct HopTree {
 }
 
 impl HopTree {
-    /// An empty tree (zone with no transit within reach).
-    pub fn empty(root: ZoneId, direction: Direction) -> Self {
-        HopTree { root, direction, leaves: Vec::new() }
-    }
-
     /// Builds from an *unsorted* accumulation map of `(zone, count, jt_sum,
     /// jt_min)`.
     pub(crate) fn from_accum(
@@ -159,7 +148,7 @@ mod tests {
 
     #[test]
     fn empty_tree_behaviour() {
-        let t = HopTree::empty(ZoneId(3), Direction::Inbound);
+        let t = HopTree::from_accum(ZoneId(3), Direction::Inbound, Vec::new());
         assert_eq!(t.n_leaves(), 0);
         assert!(!t.reaches(ZoneId(0)));
         assert!(t.high_frequency_leaves(0.5).is_empty());

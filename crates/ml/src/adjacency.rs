@@ -115,11 +115,6 @@ impl SparseAdj {
         }
         out
     }
-
-    /// Total stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.rows.iter().map(|r| r.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -196,7 +191,7 @@ mod tests {
     #[test]
     fn spmm_averages_over_neighbors() {
         let adj = SparseAdj::gaussian_threshold(&grid_coords(3), 8, 1e-6, None);
-        let x = Matrix::from_vec(9, 1, vec![1.0; 9]);
+        let x = Matrix::column(&[1.0; 9]);
         let y = adj.spmm(&x);
         // With constant input the output is each row's weight sum: positive
         // and near 1 (see `weights_are_positive_and_row_sums_bounded`).

@@ -44,26 +44,13 @@ impl Coreg {
         let mut delta = 0.0;
         // Compare neighbourhood reconstruction before/after the addition.
         for &i in &nb {
-            // Access training rows through a probe prediction: the stored
-            // example's own features/targets.
-            let (xi, yi) = (h_train_x(h, i), h_train_y(h, i));
+            let (xi, yi) = (h.train_x(i), h.train_y(i));
             let before = sq_err(&h.predict_one(xi), yi);
             let after = sq_err(&with.predict_one(xi), yi);
             delta += before - after;
         }
         delta
     }
-}
-
-// KnnRegressor exposes training rows only through prediction; for COREG's
-// criterion we need direct access. Small crate-internal accessors keep the
-// public kNN API minimal.
-fn h_train_x(h: &KnnRegressor, i: usize) -> &[f64] {
-    h.train_x(i)
-}
-
-fn h_train_y(h: &KnnRegressor, i: usize) -> &[f64] {
-    h.train_y(i)
 }
 
 fn sq_err(a: &[f64], b: &[f64]) -> f64 {

@@ -184,9 +184,9 @@ mod tests {
             seed: 3,
         };
         let pred = Gcn::default().fit_predict(&task);
-        let err = mae(&yu.col_vec(0), &pred.col_vec(0));
-        let mean = yl.col_vec(0).iter().sum::<f64>() / yl.rows() as f64;
-        let base = mae(&yu.col_vec(0), &vec![mean; yu.rows()]);
+        let err = mae(yu.transpose().row(0), pred.transpose().row(0));
+        let mean = yl.transpose().row(0).iter().sum::<f64>() / yl.rows() as f64;
+        let base = mae(yu.transpose().row(0), &vec![mean; yu.rows()]);
         assert!(err < base * 0.6, "GNN {err} vs baseline {base}");
     }
 

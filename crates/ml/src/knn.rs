@@ -38,11 +38,6 @@ impl KnnRegressor {
         self.y.push(y.to_vec());
     }
 
-    /// Number of stored training rows.
-    pub fn n_train(&self) -> usize {
-        self.x.len()
-    }
-
     /// Features of stored training row `i` (used by COREG's selection
     /// criterion, which re-evaluates a candidate's labeled neighbourhood).
     pub fn train_x(&self, i: usize) -> &[f64] {
@@ -154,7 +149,7 @@ mod tests {
     fn push_extends_training_set() {
         let mut knn = fit_line(1, 2.0);
         knn.push(&[10.0], &[100.0]);
-        assert_eq!(knn.n_train(), 5);
+        assert_eq!(knn.x.len(), 5);
         assert_eq!(knn.predict_one(&[9.0]), vec![100.0]);
     }
 

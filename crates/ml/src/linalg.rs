@@ -16,12 +16,6 @@ impl Matrix {
         Matrix { rows, cols, data: vec![0.0; rows * cols] }
     }
 
-    /// Builds from a row-major vec. Panics when the length mismatches.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "matrix data length mismatch");
-        Matrix { rows, cols, data }
-    }
-
     /// Builds from row slices. All rows must share a length.
     pub fn from_rows(rows: &[Vec<f64>]) -> Self {
         if rows.is_empty() {
@@ -34,15 +28,6 @@ impl Matrix {
             data.extend_from_slice(r);
         }
         Matrix { rows: rows.len(), cols, data }
-    }
-
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
     }
 
     /// Single-column matrix from a slice.
@@ -84,11 +69,6 @@ impl Matrix {
     #[inline]
     pub fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Column `j` copied out.
-    pub fn col_vec(&self, j: usize) -> Vec<f64> {
-        (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
     /// Matrix product `self * other`.
@@ -235,11 +215,6 @@ impl Matrix {
         }
         Some(x)
     }
-
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -274,7 +249,7 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let a = Matrix::from_rows(&[vec![1.5, -2.0, 3.0], vec![0.0, 4.0, 5.0]]);
-        let i = Matrix::identity(3);
+        let i = Matrix::from_rows(&[vec![1.0, 0.0, 0.0], vec![0.0, 1.0, 0.0], vec![0.0, 0.0, 1.0]]);
         assert_eq!(a.matmul(&i), a);
     }
 
@@ -315,19 +290,19 @@ mod tests {
     fn solve_verifies_by_multiplication() {
         // Moderately sized random-ish SPD system.
         let n = 12;
-        let mut a = Matrix::identity(n);
+        let mut a = Matrix::zeros(n, n);
         let mut s = 1u64;
         for i in 0..n {
             for j in 0..n {
                 s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
                 a[(i, j)] += ((s >> 33) as f64 / u32::MAX as f64 - 0.5) * 0.3;
             }
-            a[(i, i)] += 3.0;
+            a[(i, i)] += 4.0;
         }
-        let b = Matrix::from_vec(n, 1, (0..n).map(|i| i as f64).collect());
+        let b = Matrix::column(&(0..n).map(|i| i as f64).collect::<Vec<_>>());
         let x = a.solve(&b).unwrap();
         let r = a.matmul(&x).add_scaled(&b, -1.0);
-        assert!(r.frobenius() < 1e-9, "residual {}", r.frobenius());
+        assert!(r.data().iter().all(|v| v.abs() < 1e-9), "residual {r:?}");
     }
 
     #[test]

@@ -8,13 +8,6 @@ pub fn mae(truth: &[f64], pred: &[f64]) -> f64 {
     truth.iter().zip(pred).map(|(t, p)| (t - p).abs()).sum::<f64>() / truth.len() as f64
 }
 
-/// Root mean squared error.
-pub fn rmse(truth: &[f64], pred: &[f64]) -> f64 {
-    assert_eq!(truth.len(), pred.len(), "rmse length mismatch");
-    assert!(!truth.is_empty(), "rmse of empty slice");
-    (truth.iter().zip(pred).map(|(t, p)| (t - p).powi(2)).sum::<f64>() / truth.len() as f64).sqrt()
-}
-
 /// Pearson correlation coefficient. Returns 0 when either side has zero
 /// variance (the correlation is undefined; 0 is the conservative report for
 /// a model that predicted a constant).
@@ -55,13 +48,6 @@ mod tests {
     fn mae_known() {
         assert_eq!(mae(&[1.0, 2.0, 3.0], &[1.0, 4.0, 0.0]), (0.0 + 2.0 + 3.0) / 3.0);
         assert_eq!(mae(&[5.0], &[5.0]), 0.0);
-    }
-
-    #[test]
-    fn rmse_upper_bounds_mae() {
-        let t = [1.0, 2.0, 10.0];
-        let p = [2.0, 0.0, 3.0];
-        assert!(rmse(&t, &p) >= mae(&t, &p));
     }
 
     #[test]

@@ -254,8 +254,8 @@ mod tests {
             SsrTask { x_labeled: &xl, y_labeled: &yl, x_unlabeled: &xu, adjacency: None, seed: 6 };
         let mlp_pred = MlpRegressor::default().fit_predict(&task);
         let ols_pred = crate::ols::Ols::default().fit_predict(&task);
-        let mlp_err = crate::metrics::mae(&yu.col_vec(1), &mlp_pred.col_vec(1));
-        let ols_err = crate::metrics::mae(&yu.col_vec(1), &ols_pred.col_vec(1));
+        let mlp_err = crate::metrics::mae(yu.transpose().row(1), mlp_pred.transpose().row(1));
+        let ols_err = crate::metrics::mae(yu.transpose().row(1), ols_pred.transpose().row(1));
         assert!(
             mlp_err < ols_err * 0.8,
             "MLP {mlp_err} should beat OLS {ols_err} on the quadratic target"

@@ -73,7 +73,8 @@ mod tests {
         let s = StandardScaler::fit(&x);
         let z = s.transform(&x);
         for j in 0..2 {
-            let col = z.col_vec(j);
+            let zt = z.transpose();
+            let col = zt.row(j);
             let mean: f64 = col.iter().sum::<f64>() / col.len() as f64;
             let var: f64 = col.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / col.len() as f64;
             assert!(mean.abs() < 1e-12);

@@ -138,15 +138,15 @@ pub(crate) mod fixtures {
         let pred = model.fit_predict(&task);
         assert_eq!(pred.rows(), n_u);
         assert_eq!(pred.cols(), 2);
-        crate::metrics::mae(&yu.col_vec(0), &pred.col_vec(0))
+        crate::metrics::mae(yu.transpose().row(0), pred.transpose().row(0))
     }
 
     /// Baseline MAE of predicting the labeled mean.
     pub fn mean_baseline_mae(n_l: usize, n_u: usize, seed: u64) -> f64 {
         let (_, yl, _, yu) = synthetic(n_l, n_u, seed);
-        let mean = yl.col_vec(0).iter().sum::<f64>() / n_l as f64;
+        let mean = yl.transpose().row(0).iter().sum::<f64>() / n_l as f64;
         let preds = vec![mean; n_u];
-        crate::metrics::mae(&yu.col_vec(0), &preds)
+        crate::metrics::mae(yu.transpose().row(0), &preds)
     }
 }
 

@@ -3,12 +3,15 @@
 
 use proptest::prelude::*;
 use staq_ml::linalg::Matrix;
-use staq_ml::metrics::{mae, pearson, rmse};
+use staq_ml::metrics::{mae, pearson};
 use staq_ml::scaler::StandardScaler;
 
 fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
-    proptest::collection::vec(-100.0f64..100.0, rows * cols)
-        .prop_map(move |v| Matrix::from_vec(rows, cols, v))
+    proptest::collection::vec(-100.0f64..100.0, rows * cols).prop_map(move |v| {
+        let mut m = Matrix::zeros(rows, cols);
+        m.data_mut().copy_from_slice(&v);
+        m
+    })
 }
 
 proptest! {
@@ -41,7 +44,7 @@ proptest! {
         }
         let x = a.solve(&b).expect("diagonally dominant");
         let residual = a.matmul(&x).add_scaled(&b, -1.0);
-        prop_assert!(residual.frobenius() < 1e-6, "residual {}", residual.frobenius());
+        prop_assert!(residual.data().iter().all(|v| v.abs() < 1e-6), "residual {residual:?}");
     }
 
     #[test]
@@ -61,13 +64,11 @@ proptest! {
     }
 
     #[test]
-    fn mae_rmse_relations(pairs in proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 1..30)) {
+    fn mae_is_nonnegative_and_zero_on_identity(pairs in proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 1..30)) {
         let t: Vec<f64> = pairs.iter().map(|p| p.0).collect();
         let p: Vec<f64> = pairs.iter().map(|p| p.1).collect();
         let m = mae(&t, &p);
-        let r = rmse(&t, &p);
         prop_assert!(m >= 0.0);
-        prop_assert!(r + 1e-12 >= m, "rmse {r} < mae {m}");
         // Identity: zero error on identical inputs.
         prop_assert_eq!(mae(&t, &t), 0.0);
     }

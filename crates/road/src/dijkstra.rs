@@ -171,32 +171,6 @@ pub fn bounded_walk_times_into(
     }
 }
 
-/// One-to-many: shortest times from `src` to each of `targets`, early-exiting
-/// once all targets are settled. `INFINITY` marks unreachable targets.
-pub fn walk_times_to_targets(g: &RoadGraph, src: NodeId, targets: &[NodeId]) -> Vec<f64> {
-    let mut remaining: std::collections::HashSet<u32> = targets.iter().map(|t| t.0).collect();
-    let mut dist = vec![f64::INFINITY; g.n_nodes()];
-    let mut heap = BinaryHeap::new();
-    dist[src.idx()] = 0.0;
-    heap.push(HeapItem { cost: 0.0, node: src.0 });
-    while let Some(HeapItem { cost, node }) = heap.pop() {
-        if cost > dist[node as usize] {
-            continue;
-        }
-        if remaining.remove(&node) && remaining.is_empty() {
-            break;
-        }
-        for (t, w) in g.out_edges(NodeId(node)) {
-            let nc = cost + w as f64;
-            if nc < dist[t.idx()] {
-                dist[t.idx()] = nc;
-                heap.push(HeapItem { cost: nc, node: t.0 });
-            }
-        }
-    }
-    targets.iter().map(|t| dist[t.idx()]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,23 +241,5 @@ mod tests {
         let g = line_graph();
         // Shortcut 0->4 exists; 4->0 must use the chain.
         assert_eq!(walk_time(&g, NodeId(4), NodeId(0)), Some(240.0));
-    }
-
-    #[test]
-    fn targets_variant_matches_full() {
-        let g = line_graph();
-        let ts = [NodeId(1), NodeId(4)];
-        let got = walk_times_to_targets(&g, NodeId(0), &ts);
-        assert_eq!(got, vec![60.0, 240.0]);
-    }
-
-    #[test]
-    fn targets_variant_handles_unreachable() {
-        let mut b = RoadGraphBuilder::new();
-        let a = b.add_node(Point::new(0.0, 0.0));
-        let island = b.add_node(Point::new(1000.0, 0.0));
-        let g = b.build();
-        let got = walk_times_to_targets(&g, a, &[island]);
-        assert!(got[0].is_infinite());
     }
 }

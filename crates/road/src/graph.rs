@@ -21,10 +21,6 @@ impl NodeId {
     }
 }
 
-/// Dense id of a directed edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct EdgeId(pub u32);
-
 /// An immutable CSR road graph.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RoadGraph {
@@ -54,24 +50,12 @@ impl RoadGraph {
         self.positions[n.idx()]
     }
 
-    /// All node positions, indexable by `NodeId`.
-    #[inline]
-    pub fn positions(&self) -> &[Point] {
-        &self.positions
-    }
-
     /// Out-edges of `n` as `(target, cost_secs)` pairs.
     #[inline]
     pub fn out_edges(&self, n: NodeId) -> impl Iterator<Item = (NodeId, f32)> + '_ {
         let lo = self.adj_offsets[n.idx()] as usize;
         let hi = self.adj_offsets[n.idx() + 1] as usize;
         self.adj_targets[lo..hi].iter().zip(&self.adj_costs[lo..hi]).map(|(&t, &c)| (NodeId(t), c))
-    }
-
-    /// Out-degree of `n`.
-    #[inline]
-    pub fn degree(&self, n: NodeId) -> usize {
-        (self.adj_offsets[n.idx() + 1] - self.adj_offsets[n.idx()]) as usize
     }
 
     /// `(position, raw node id)` pairs for building spatial indexes.
@@ -138,7 +122,7 @@ impl RoadGraphBuilder {
     }
 
     /// Adds edges in both directions (roads and footpaths are two-way).
-    pub fn add_bidirectional(&mut self, a: NodeId, b: NodeId, cost_secs: f32) {
+    pub(crate) fn add_bidirectional(&mut self, a: NodeId, b: NodeId, cost_secs: f32) {
         self.add_edge(a, b, cost_secs);
         self.add_edge(b, a, cost_secs);
     }
@@ -211,7 +195,7 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert!(out.contains(&(NodeId(1), 80.0)));
         assert!(out.contains(&(NodeId(2), 300.0)));
-        assert_eq!(g.degree(NodeId(2)), 1);
+        assert_eq!(g.out_edges(NodeId(2)).count(), 1);
     }
 
     #[test]

@@ -83,17 +83,6 @@ impl Isochrone {
     pub fn overlaps(&self, other: &Isochrone) -> bool {
         self.shape.intersects_approx(&other.shape)
     }
-
-    /// Walking seconds to `node` if it is inside the isochrone.
-    pub fn time_to(&self, node: NodeId) -> Option<f64> {
-        self.reachable.iter().find(|&&(n, _)| n == node).map(|&(_, t)| t)
-    }
-
-    /// Number of reachable road nodes.
-    #[inline]
-    pub fn n_reachable(&self) -> usize {
-        self.reachable.len()
-    }
 }
 
 #[cfg(test)]
@@ -132,10 +121,11 @@ mod tests {
         let origin = g.pos(NodeId(12));
         let iso = Isochrone::grow(&g, origin, NodeId(12), &params);
         // Two hops = 160s fits; three hops = 240s doesn't.
-        assert!(iso.time_to(NodeId(12)).unwrap() == 0.0);
-        assert!(iso.time_to(NodeId(10)).is_some(), "two hops west reachable");
-        assert!(iso.time_to(NodeId(0)).is_none(), "corner is 4 hops away");
-        assert!(iso.n_reachable() >= 5);
+        let reached = |n| iso.reachable.iter().any(|&(m, _)| m == n);
+        assert_eq!(iso.reachable[0], (NodeId(12), 0.0));
+        assert!(reached(NodeId(10)), "two hops west reachable");
+        assert!(!reached(NodeId(0)), "corner is 4 hops away");
+        assert!(iso.reachable.len() >= 5);
         assert!(iso.contains(&origin));
     }
 
@@ -146,7 +136,7 @@ mod tests {
         // Origin 100m from the root: 80s entry cost leaves only 20s.
         let origin = g.pos(NodeId(12)).offset(100.0, 0.0);
         let iso = Isochrone::grow(&g, origin, NodeId(12), &params);
-        assert_eq!(iso.n_reachable(), 1, "only the root itself fits");
+        assert_eq!(iso.reachable.len(), 1, "only the root itself fits");
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod isochrone;
 pub mod snap;
 
 pub use dijkstra::{bounded_walk_times, walk_time, walk_times_from};
-pub use graph::{EdgeId, NodeId, RoadGraph, RoadGraphBuilder};
+pub use graph::{NodeId, RoadGraph, RoadGraphBuilder};
 pub use isochrone::{Isochrone, IsochroneParams};
 pub use snap::NodeSnapper;
 

@@ -30,11 +30,6 @@ impl NodeSnapper {
     pub fn snap_unchecked(&self, p: &Point) -> NodeId {
         self.snap(p).expect("snapping against an empty road graph").0
     }
-
-    /// Snaps a batch of points.
-    pub fn snap_all(&self, pts: &[Point]) -> Vec<NodeId> {
-        pts.iter().map(|p| self.snap_unchecked(p)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -66,14 +61,6 @@ mod tests {
         let (n, d) = s.snap(&Point::new(0.0, 100.0)).unwrap();
         assert_eq!(n, NodeId(2));
         assert_eq!(d, 0.0);
-    }
-
-    #[test]
-    fn batch_snap() {
-        let g = graph();
-        let s = NodeSnapper::new(&g);
-        let out = s.snap_all(&[Point::new(1.0, 1.0), Point::new(99.0, 1.0)]);
-        assert_eq!(out, vec![NodeId(0), NodeId(1)]);
     }
 
     #[test]

@@ -171,11 +171,6 @@ impl City {
     pub fn zone_points(&self) -> Vec<(Point, u32)> {
         self.zones.iter().map(|z| (z.centroid, z.id.0)).collect()
     }
-
-    /// Total population.
-    pub fn total_population(&self) -> f64 {
-        self.zones.iter().map(|z| z.population).sum()
-    }
 }
 
 /// Lays zones out on a jittered grid with density-weighted population.
@@ -282,7 +277,7 @@ mod tests {
     fn population_sums_to_config_total() {
         let cfg = CityConfig::small(3);
         let city = City::generate(&cfg);
-        let total = city.total_population();
+        let total: f64 = city.zones.iter().map(|z| z.population).sum();
         assert!((total - cfg.population as f64).abs() / (cfg.population as f64) < 1e-9);
     }
 

@@ -30,7 +30,6 @@
 
 pub mod city;
 pub mod config;
-pub mod io;
 pub mod pois;
 pub mod roads;
 pub mod transit_gen;

@@ -59,7 +59,7 @@ pub struct ZoneStats {
 impl ZoneStats {
     /// Stats over a cost/walk-flag list. Returns `None` for an empty list
     /// (zones without trips cannot be labeled).
-    pub fn from_costs(costs: &[(f64, bool)]) -> Option<ZoneStats> {
+    fn from_costs(costs: &[(f64, bool)]) -> Option<ZoneStats> {
         if costs.is_empty() {
             return None;
         }
@@ -129,15 +129,9 @@ impl<'a> LabelEngine<'a> {
     }
 
     /// Labels a single zone: routes every trip, aggregates to mean/std.
-    /// `None` when the zone has no trips in `m`.
-    pub fn label_zone(&self, m: &Todam, zone: ZoneId) -> Option<ZoneStats> {
-        let router = self.router();
-        self.label_zone_with(&router, m, zone)
-    }
-
-    /// [`label_zone`](Self::label_zone) against a caller-owned router, so
-    /// workers amortize one `Raptor` (and its query scratch) across their
-    /// whole share of zones instead of rebuilding it per zone.
+    /// `None` when the zone has no trips in `m`. The router is the calling
+    /// worker's, so one `Raptor` (and its query scratch) is amortized across
+    /// its whole share of zones instead of being rebuilt per zone.
     fn label_zone_with(&self, router: &Raptor, m: &Todam, zone: ZoneId) -> Option<ZoneStats> {
         let trips = m.zone_trips(zone);
         let mut costs = Vec::with_capacity(trips.len());
@@ -284,7 +278,7 @@ mod tests {
     }
 
     /// Scheduling is an implementation detail: at every worker count the
-    /// pass produces exactly the zone-at-a-time labeling and labels every
+    /// pass produces exactly the one-worker labeling and labels every
     /// zone once — over the whole city, over lengths that leave a ragged
     /// last chunk, and with the trip-heavy zones packed into the first
     /// chunks.
@@ -301,7 +295,8 @@ mod tests {
         }
         let zones_labeled = || staq_obs::snapshot().counter("label.zones").unwrap_or(0);
         for zones in &inputs {
-            let seq: Vec<_> = zones.iter().map(|&z| engine.label_zone(&m, z)).collect();
+            engine.n_workers = 1;
+            let seq = engine.label_zones(&m, zones);
             for workers in [1, 2, 3, 4, 8] {
                 engine.n_workers = workers;
                 let before = zones_labeled();
@@ -364,8 +359,8 @@ mod tests {
         let (city, m, _serial) = setup();
         let jt = LabelEngine::new(&city, AccessCost::jt(), TimeInterval::am_peak());
         let gac = LabelEngine::new(&city, AccessCost::gac(), TimeInterval::am_peak());
-        let z = ZoneId(0);
-        if let (Some(a), Some(b)) = (jt.label_zone(&m, z), gac.label_zone(&m, z)) {
+        let z = [ZoneId(0)];
+        if let (Some(a), Some(b)) = (&jt.label_zones(&m, &z)[0], &gac.label_zones(&m, &z)[0]) {
             assert!(b.mac >= a.mac * 0.99, "GAC MAC {} below JT MAC {}", b.mac, a.mac);
         }
     }

@@ -31,7 +31,7 @@ pub fn draw_start_times(v: &TimeInterval, per_hour: u32, seed: u64) -> Vec<Stime
 /// `gamma` is the trip-budget multiplier — larger values sample more of `R`
 /// per unit attractiveness.
 #[inline]
-pub fn keep_probability(alpha: f64, gamma: f64) -> f64 {
+fn keep_probability(alpha: f64, gamma: f64) -> f64 {
     (gamma * alpha).clamp(0.0, 1.0)
 }
 

@@ -26,11 +26,6 @@ impl FareModel {
     pub fn fare(&self, n_rides: usize) -> f64 {
         (self.per_ride * n_rides as f64).min(self.day_cap)
     }
-
-    /// A free-fare model (used to ablate the monetary term of the GAC).
-    pub fn free() -> Self {
-        FareModel { per_ride: 0.0, day_cap: 0.0 }
-    }
 }
 
 #[cfg(test)]
@@ -45,10 +40,5 @@ mod tests {
         assert!((f.fare(2) - 3.40).abs() < 1e-12);
         assert!((f.fare(3) - 4.00).abs() < 1e-12, "capped");
         assert!((f.fare(10) - 4.00).abs() < 1e-12);
-    }
-
-    #[test]
-    fn free_model_charges_nothing() {
-        assert_eq!(FareModel::free().fare(5), 0.0);
     }
 }

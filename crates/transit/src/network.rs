@@ -189,9 +189,7 @@ pub struct Transfer {
 struct Topology {
     /// For each stop: `(pattern index, position within pattern)` pairs.
     patterns_at_stop: Vec<Vec<(u32, u32)>>,
-    /// Road node each stop snaps to.
-    stop_node: Vec<NodeId>,
-    /// Stops at a given road node (reverse of `stop_node`).
+    /// Stops snapped to a given road node.
     node_stops: HashMap<u32, Vec<StopId>>,
     /// Foot transfers per stop.
     transfers: Vec<Vec<Transfer>>,
@@ -210,7 +208,6 @@ struct OverlayExt {
     transfers_at: HashMap<u32, Vec<Transfer>>,
     /// Scenario-added stops, indexed by `id - n_base_stops`.
     new_stop_pos: Vec<Point>,
-    new_stop_node: Vec<NodeId>,
     new_patterns_at: Vec<Vec<(u32, u32)>>,
     new_transfers: Vec<Vec<Transfer>>,
     /// Scenario-added stops at a road node, consulted *alongside* the base
@@ -291,11 +288,9 @@ impl<'a> TransitNetwork<'a> {
         }
 
         let snapper = NodeSnapper::new(road);
-        let mut stop_node = Vec::with_capacity(n_stops);
         let mut node_stops: HashMap<u32, Vec<StopId>> = HashMap::new();
         for s in 0..n_stops {
             let node = snapper.snap_unchecked(&feed.stop_pos(StopId(s as u32)));
-            stop_node.push(node);
             node_stops.entry(node.0).or_default().push(StopId(s as u32));
         }
 
@@ -319,13 +314,7 @@ impl<'a> TransitNetwork<'a> {
             feed,
             cfg,
             patterns: patterns.into_iter().map(Arc::new).collect(),
-            topo: Arc::new(Topology {
-                patterns_at_stop,
-                stop_node,
-                node_stops,
-                transfers,
-                snapper,
-            }),
+            topo: Arc::new(Topology { patterns_at_stop, node_stops, transfers, snapper }),
             ext: None,
         })
     }
@@ -344,13 +333,7 @@ impl<'a> TransitNetwork<'a> {
     /// Total stops: base feed stops plus scenario-added ones.
     #[inline]
     pub fn n_stops(&self) -> usize {
-        self.topo.stop_node.len() + self.ext.as_ref().map_or(0, |e| e.new_stop_pos.len())
-    }
-
-    /// True for a network produced by [`overlay`](Self::overlay).
-    #[inline]
-    pub fn is_overlay(&self) -> bool {
-        self.ext.is_some()
+        self.topo.patterns_at_stop.len() + self.ext.as_ref().map_or(0, |e| e.new_stop_pos.len())
     }
 
     /// Patterns serving `stop` with the position of `stop` in each.
@@ -381,18 +364,6 @@ impl<'a> TransitNetwork<'a> {
             }
         }
         &self.topo.transfers[stop.idx()]
-    }
-
-    /// Road node `stop` snaps to.
-    #[inline]
-    pub fn stop_node(&self, stop: StopId) -> NodeId {
-        if let Some(ext) = &self.ext {
-            let i = stop.idx();
-            if i >= ext.n_base_stops {
-                return ext.new_stop_node[i - ext.n_base_stops];
-            }
-        }
-        self.topo.stop_node[stop.idx()]
     }
 
     /// Stops reachable on foot from `point` within the access budget, as
@@ -515,11 +486,10 @@ impl<'a> TransitNetwork<'a> {
         }
         let mut patterns = self.patterns.clone();
         let mut ext = OverlayExt {
-            n_base_stops: self.topo.stop_node.len(),
+            n_base_stops: self.topo.patterns_at_stop.len(),
             patterns_at: HashMap::new(),
             transfers_at: HashMap::new(),
             new_stop_pos: Vec::new(),
-            new_stop_node: Vec::new(),
             new_patterns_at: Vec::new(),
             new_transfers: Vec::new(),
             node_new_stops: HashMap::new(),
@@ -628,7 +598,6 @@ impl<'a> TransitNetwork<'a> {
         for (&sid, p) in new_stops.iter().zip(stops) {
             let node = self.topo.snapper.snap_unchecked(p);
             ext.new_stop_pos.push(*p);
-            ext.new_stop_node.push(node);
             ext.new_patterns_at.push(Vec::new());
             ext.new_transfers.push(Vec::new());
             ext.node_new_stops.entry(node.0).or_default().push(sid);
@@ -761,7 +730,7 @@ fn pattern_row<'e>(
 
 /// Overlay a cancellation: splice the trip out of its pattern. A trip that
 /// already makes no calls (cancelled twice, or empty in the base feed) is a
-/// no-op, matching [`FeedIndex::cancel_trip`].
+/// no-op, as `Delta::TripCancel` is on the feed index.
 fn ov_cancel(patterns: &mut [Arc<Pattern>], ext: &OverlayExt, trip: TripId) -> Result<(), String> {
     match find_trip(patterns, trip) {
         Some((pi, k)) => {
@@ -1357,7 +1326,6 @@ mod tests {
         let city = city();
         let net = TransitNetwork::with_defaults(&city.road, &city.feed);
         let (ov, stats) = net.overlay(&[], 8.0).expect("empty overlay");
-        assert!(ov.is_overlay());
         assert_eq!(stats, OverlayStats::default());
         assert_eq!(ov.n_stops(), net.n_stops());
         for (a, b) in ov.patterns().iter().zip(net.patterns()) {
@@ -1373,11 +1341,11 @@ mod tests {
         let stops = vec![city.zones[2].centroid, city.cores[0], city.zones[9].centroid];
         let speed = 8.0;
 
+        let delta = Delta::AddRoute { stops, headway_s: 600 };
         let mut mutated = city.feed.clone();
-        mutated.append_route(&stops, 600, speed).expect("incremental append");
+        mutated.apply_delta(&delta, speed).expect("incremental append");
         let rebuilt = TransitNetwork::with_defaults(&city.road, &mutated);
 
-        let delta = Delta::AddRoute { stops, headway_s: 600 };
         let (ov, stats) = net.overlay(std::slice::from_ref(&delta), speed).expect("overlay");
 
         // Same ids, same schedules, same pattern order: field-for-field.
@@ -1394,7 +1362,6 @@ mod tests {
             x.sort_by_key(|t| (t.to, t.walk_secs));
             y.sort_by_key(|t| (t.to, t.walk_secs));
             assert_eq!(x, y, "transfers at stop {s} diverged");
-            assert_eq!(ov.stop_node(sid), rebuilt.stop_node(sid));
         }
         assert_eq!(stats.patterns_added, 2);
         assert_eq!(stats.stops_added, 3);

@@ -72,30 +72,6 @@ impl Bag {
     pub fn contains(&self, label: &ParetoLabel) -> bool {
         self.labels.contains(label)
     }
-
-    /// The undominated labels, in insertion order.
-    pub fn labels(&self) -> &[ParetoLabel] {
-        &self.labels
-    }
-
-    /// The earliest-arriving label using at most `max_transfers` transfers.
-    pub fn best_within(&self, max_transfers: u8) -> Option<ParetoLabel> {
-        self.labels
-            .iter()
-            .filter(|l| l.transfers <= max_transfers)
-            .min_by_key(|l| (l.arrival, l.transfers))
-            .copied()
-    }
-
-    /// Number of frontier points held.
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// True when no label has been kept.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +89,7 @@ mod tests {
         assert!(!bag.insert(l(1000, 2)), "exact duplicate is dominated");
         assert!(!bag.insert(l(1100, 2)), "later same-transfers is dominated");
         assert!(!bag.insert(l(1100, 3)), "later with more transfers is dominated");
-        assert_eq!(bag.len(), 1);
+        assert_eq!(bag.labels.len(), 1);
     }
 
     #[test]
@@ -121,9 +97,9 @@ mod tests {
         let mut bag = Bag::new();
         bag.insert(l(1200, 0));
         bag.insert(l(1000, 2));
-        assert_eq!(bag.len(), 2, "incomparable labels coexist");
+        assert_eq!(bag.labels.len(), 2, "incomparable labels coexist");
         assert!(bag.insert(l(900, 0)), "dominates both");
-        assert_eq!(bag.labels(), &[l(900, 0)]);
+        assert_eq!(bag.labels, &[l(900, 0)]);
         assert!(!bag.contains(&l(1200, 0)));
     }
 
@@ -133,21 +109,11 @@ mod tests {
         for lab in [l(1500, 0), l(1200, 1), l(1100, 2), l(1300, 1), l(1050, 3)] {
             bag.insert(lab);
         }
-        let f = bag.labels();
+        let f = &bag.labels;
         for a in f {
             for b in f {
                 assert!(a == b || !a.dominates(b), "{a:?} dominates {b:?} in frontier");
             }
         }
-        assert_eq!(bag.best_within(0), Some(l(1500, 0)));
-        assert_eq!(bag.best_within(1), Some(l(1200, 1)));
-        assert_eq!(bag.best_within(9), Some(l(1050, 3)));
-    }
-
-    #[test]
-    fn empty_bag_has_no_best() {
-        let bag = Bag::new();
-        assert!(bag.is_empty());
-        assert_eq!(bag.best_within(4), None);
     }
 }

@@ -864,7 +864,7 @@ mod tests {
             let j1 = router.query(&o, &d, Stime::hms(7, 0, 0), DayOfWeek::Tuesday);
             let j2 = router.query(&o, &d, Stime::hms(7, 20, 0), DayOfWeek::Tuesday);
             assert!(
-                j2.arrive >= j1.arrive.minus(1),
+                j2.arrive.plus(1) >= j1.arrive,
                 "FIFO violated: {:?} vs {:?}",
                 j1.arrive,
                 j2.arrive
