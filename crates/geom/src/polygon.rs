@@ -95,9 +95,13 @@ impl Polygon {
     /// their bounding boxes overlap and either centroid is contained.
     ///
     /// This is the cheap intersection predicate used for isochrone overlap
-    /// (paper §IV-B1): isochrones are convex-ish blobs around a centroid, so
-    /// vertex/centroid containment detects every practically relevant
-    /// overlap without a full segment-intersection sweep.
+    /// (paper §IV-B1). It never reports a disjoint pair, but it misses
+    /// pairs whose edges cross with no vertex or centroid of either inside
+    /// the other: against an exact separating-axis test on the (convex)
+    /// isochrone hulls it missed 230 of 4 741 overlapping ordered zone
+    /// pairs (self-pairs included) on the `staq-e2e` city (Coventry ×0.18)
+    /// and 136 of 2 074 on `CityConfig::small(42)`. Hop-tree features are defined by it, so an
+    /// exact test is a feature change (ROADMAP item 8), not a fix here.
     pub fn intersects_approx(&self, other: &Polygon) -> bool {
         if !self.bounds.intersects(&other.bounds) {
             return false;

@@ -4,15 +4,17 @@
 //! aggregated to the origin-level using a mean function weighted by α_ij,
 //! which applies the same weighting factor as the gravity-based access
 //! measures."
+//!
+//! One `FeaturePass` serves every zone, in id order, and each OD in α order.
 
-use crate::features::{FeatureExtractor, FEATURE_DIM};
+use crate::features::{FeatureExtractor, FeaturePass, FEATURE_DIM};
 use staq_synth::{City, ZoneId};
 use staq_todam::Todam;
 
 /// α-weighted mean of a zone's OD feature vectors over its (nonzero-α)
 /// POIs. `None` when the zone has no attracted POIs.
 fn origin_features(
-    fx: &FeatureExtractor<'_>,
+    pass: &mut FeaturePass<'_>,
     city: &City,
     m: &Todam,
     zone: ZoneId,
@@ -25,7 +27,7 @@ fn origin_features(
     let mut wsum = 0.0;
     for &(poi_idx, a) in alpha {
         let poi = &city.pois[m.pois[poi_idx as usize].idx()];
-        let f = fx.features(zone, &poi.pos, poi.zone);
+        let f = pass.features(zone, &poi.pos, poi.zone);
         for (dst, v) in acc.iter_mut().zip(f) {
             *dst += a * v;
         }
@@ -44,22 +46,19 @@ pub fn all_origin_features(
     city: &City,
     m: &Todam,
 ) -> Vec<Option<[f64; FEATURE_DIM]>> {
-    (0..city.n_zones() as u32).map(|z| origin_features(fx, city, m, ZoneId(z))).collect()
+    let mut pass = FeaturePass::new(fx);
+    (0..city.n_zones() as u32).map(|z| origin_features(&mut pass, city, m, ZoneId(z))).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::HopTreeStore;
-    use staq_gtfs::time::TimeInterval;
-    use staq_road::IsochroneParams;
-    use staq_synth::{CityConfig, PoiCategory};
+    use crate::store::{small_city, HopTreeStore};
+    use staq_synth::PoiCategory;
     use staq_todam::TodamSpec;
 
     fn setup() -> (City, HopTreeStore, Todam) {
-        let city = City::generate(&CityConfig::small(42));
-        let store =
-            HopTreeStore::build(&city, &TimeInterval::am_peak(), &IsochroneParams::default());
+        let (city, store, _) = small_city();
         let m = TodamSpec::default().build(&city, PoiCategory::School);
         (city, store, m)
     }
@@ -81,8 +80,9 @@ mod tests {
     fn weighted_mean_lies_within_od_range() {
         let (city, store, m) = setup();
         let fx = FeatureExtractor::new(&city, &store);
+        let mut pass = FeaturePass::new(&fx);
         let z = ZoneId(0);
-        let Some(agg) = origin_features(&fx, &city, &m, z) else {
+        let Some(agg) = origin_features(&mut pass, &city, &m, z) else {
             panic!("zone 0 should attract POIs");
         };
         // Bounds: the α-weighted mean of each column must lie within the
@@ -91,7 +91,7 @@ mod tests {
         let mut hi = [f64::NEG_INFINITY; FEATURE_DIM];
         for &(poi_idx, _) in m.zone_alpha(z) {
             let poi = &city.pois[m.pois[poi_idx as usize].idx()];
-            let f = fx.features(z, &poi.pos, poi.zone);
+            let f = pass.features(z, &poi.pos, poi.zone);
             for k in 0..FEATURE_DIM {
                 lo[k] = lo[k].min(f[k]);
                 hi[k] = hi[k].max(f[k]);
@@ -114,13 +114,14 @@ mod tests {
         // Job centers: tiny category — many zones attract exactly one.
         let m = TodamSpec::default().build(&city, PoiCategory::JobCenter);
         let fx = FeatureExtractor::new(&city, &store);
+        let mut pass = FeaturePass::new(&fx);
         for z in 0..city.n_zones() {
             let zid = ZoneId(z as u32);
             let alpha = m.zone_alpha(zid);
             if alpha.len() == 1 {
                 let poi = &city.pois[m.pois[alpha[0].0 as usize].idx()];
-                let od = fx.features(zid, &poi.pos, poi.zone);
-                let agg = origin_features(&fx, &city, &m, zid).unwrap();
+                let od = pass.features(zid, &poi.pos, poi.zone);
+                let agg = origin_features(&mut pass, &city, &m, zid).unwrap();
                 for k in 0..FEATURE_DIM {
                     assert!((od[k] - agg[k]).abs() < 1e-9);
                 }

@@ -55,10 +55,9 @@ impl<'a> BuildContext<'a> {
     }
 }
 
-/// Builds one hop tree for `zone` over interval `v`.
+/// Builds one hop tree over interval `v` for the zone whose walkshed is `w`.
 pub fn build_tree(
     ctx: &BuildContext<'_>,
-    zone: ZoneId,
     w: &Isochrone,
     max_radius_m: f64,
     v: &TimeInterval,
@@ -94,7 +93,7 @@ pub fn build_tree(
     }
     let accum: Vec<(ZoneId, u32, f64, f64)> =
         accum.into_iter().map(|(z, (c, sum, min))| (z, c, sum, min)).collect();
-    HopTree::from_accum(zone, direction, accum)
+    HopTree::from_accum(accum)
 }
 
 #[inline]
@@ -134,7 +133,6 @@ mod tests {
         let w = iso(&city, core_zone, &params);
         let t = build_tree(
             &ctx,
-            core_zone,
             &w,
             params.max_radius_m(),
             &TimeInterval::am_peak(),
@@ -155,8 +153,8 @@ mod tests {
         let core_zone = ZoneId(ztree.nearest(&city.cores[0]).unwrap().item);
         let w = iso(&city, core_zone, &params);
         let v = TimeInterval::am_peak();
-        let ob = build_tree(&ctx, core_zone, &w, params.max_radius_m(), &v, Direction::Outbound);
-        let ib = build_tree(&ctx, core_zone, &w, params.max_radius_m(), &v, Direction::Inbound);
+        let ob = build_tree(&ctx, &w, params.max_radius_m(), &v, Direction::Outbound);
+        let ib = build_tree(&ctx, &w, params.max_radius_m(), &v, Direction::Inbound);
         assert!(ob.n_leaves() > 0 && ib.n_leaves() > 0);
         // Bidirectional routes make most zones appear in both.
         let shared = ob.leaves().iter().filter(|l| ib.reaches(l.zone)).count();
@@ -176,7 +174,7 @@ mod tests {
             staq_gtfs::DayOfWeek::Sunday,
             "sun",
         );
-        let t = build_tree(&ctx, z, &w, params.max_radius_m(), &sunday, Direction::Outbound);
+        let t = build_tree(&ctx, &w, params.max_radius_m(), &sunday, Direction::Outbound);
         assert_eq!(t.n_leaves(), 0);
     }
 
@@ -204,8 +202,8 @@ mod tests {
         let ctx = BuildContext::new(&city.feed, &ztree, loose.max_radius_m());
         let wl = iso(&city, core_zone, &loose);
         let wt = iso(&city, core_zone, &tight);
-        let tl = build_tree(&ctx, core_zone, &wl, loose.max_radius_m(), &v, Direction::Outbound);
-        let tt = build_tree(&ctx, core_zone, &wt, tight.max_radius_m(), &v, Direction::Outbound);
+        let tl = build_tree(&ctx, &wl, loose.max_radius_m(), &v, Direction::Outbound);
+        let tt = build_tree(&ctx, &wt, tight.max_radius_m(), &v, Direction::Outbound);
         assert!(tt.n_leaves() <= tl.n_leaves());
     }
 }

@@ -28,9 +28,14 @@
 //! Distances that have no witness (empty trees) take the sentinel
 //! `max_dist` (the city diagonal): "unreachably far" stays ordinal for the
 //! models rather than NaN.
+//!
+//! A `FeaturePass` computes origin-only terms (reach, high-frequency
+//! leaves) once per origin and memoises interchange terms pass-wide, so
+//! each OD costs two nearest-leaf scans and one join, O(|OB| + |IB|).
 
-use crate::interchange::find_interchanges;
+use crate::interchange::Interchanges;
 use crate::store::HopTreeStore;
+use crate::tree::Leaf;
 use staq_geom::Point;
 use staq_synth::{City, ZoneId};
 
@@ -60,10 +65,11 @@ pub const FEATURE_NAMES: [&str; FEATURE_DIM] = [
     "ib_n_leaves",
 ];
 
-/// Computes OD feature vectors against one store.
+/// The settings and shared inputs of a feature pass over one store
+/// (`aggregate::all_origin_features` runs the pass).
 pub struct FeatureExtractor<'a> {
-    store: &'a HopTreeStore,
-    centroids: Vec<Point>,
+    pub(crate) store: &'a HopTreeStore,
+    pub(crate) centroids: Vec<Point>,
     /// Sentinel distance for "no witness" (city diagonal).
     max_dist: f64,
     /// Walkable threshold in meters (τ·ω).
@@ -94,72 +100,120 @@ impl<'a> FeatureExtractor<'a> {
         }
     }
 
+    /// `(distance, average JT, count)` of the first leaf closest to `p`,
+    /// or the no-witness sentinel for an empty tree.
+    fn closest(&self, leaves: &[Leaf], p: &Point) -> (f64, f64, f64) {
+        let mut best: Option<(f64, f64, u32)> = None;
+        for leaf in leaves {
+            let dist = self.centroids[leaf.zone.idx()].dist(p);
+            if best.is_none_or(|(bd, _, _)| dist < bd) {
+                best = Some((dist, leaf.jt_avg(), leaf.count));
+            }
+        }
+        best.map_or((self.max_dist, 0.0, 0.0), |(d, jt, n)| (d, jt, n as f64))
+    }
+}
+
+/// One pass's state: the current origin's terms and the interchange
+/// memos, dropped with the pass (so never stale after a store edit).
+pub(crate) struct FeaturePass<'x> {
+    fx: &'x FeatureExtractor<'x>,
+    ints: Interchanges<'x>,
+    origin: Option<ZoneId>,
+    /// The origin's `max_hops` reach: a table over zones, reset through
+    /// `reached`, which lists the marked zones in BFS order.
+    in_reach: Vec<bool>,
+    reached: Vec<ZoneId>,
+    /// Centroids of the origin's high-frequency OB leaves, in leaf order.
+    hf: Vec<Point>,
+    hf_threshold: u32,
+}
+
+impl<'x> FeaturePass<'x> {
+    pub(crate) fn new(fx: &'x FeatureExtractor<'x>) -> Self {
+        FeaturePass {
+            fx,
+            ints: Interchanges::new(fx),
+            origin: None,
+            in_reach: vec![false; fx.store.n_zones()],
+            reached: Vec::new(),
+            hf: Vec::new(),
+            hf_threshold: u32::MAX,
+        }
+    }
+
+    /// Computes the origin-only terms of `zi`. The reach chains trees
+    /// (paper: "they can also be chained easily to provide information
+    /// after multiple (h) hops"), one BFS layer per hop.
+    fn set_origin(&mut self, zi: ZoneId) {
+        let fx = self.fx;
+        self.origin = Some(zi);
+        for z in self.reached.drain(..) {
+            self.in_reach[z.idx()] = false;
+        }
+        self.in_reach[zi.idx()] = true;
+        self.reached.push(zi);
+        let mut layer = 0..1;
+        for _ in 0..fx.max_hops {
+            for i in layer.clone() {
+                for leaf in fx.store.outbound(self.reached[i]).leaves() {
+                    if !std::mem::replace(&mut self.in_reach[leaf.zone.idx()], true) {
+                        self.reached.push(leaf.zone);
+                    }
+                }
+            }
+            layer = layer.end..self.reached.len();
+            if layer.is_empty() {
+                break;
+            }
+        }
+        let hf = fx.store.outbound(zi).high_frequency_leaves(fx.hf_quantile);
+        self.hf_threshold = hf.iter().map(|l| l.count).min().unwrap_or(u32::MAX);
+        self.hf.clear();
+        self.hf.extend(hf.iter().map(|l| fx.centroids[l.zone.idx()]));
+    }
+
     /// Features for origin zone `zi` to a destination point `d` associated
-    /// with zone `zj`.
-    pub fn features(&self, zi: ZoneId, d: &Point, zj: ZoneId) -> [f64; FEATURE_DIM] {
-        let o = self.centroids[zi.idx()];
-        let ob = self.store.outbound(zi);
-        let ib = self.store.inbound(zj);
-        let n_zones = self.store.n_zones() as f64;
+    /// with zone `zj`; origin terms are reused while `zi` repeats.
+    pub(crate) fn features(&mut self, zi: ZoneId, d: &Point, zj: ZoneId) -> [f64; FEATURE_DIM] {
+        if self.origin != Some(zi) {
+            self.set_origin(zi);
+        }
+        let fx = self.fx;
+        let c = &fx.centroids;
+        let (o, ob, ib) = (c[zi.idx()], fx.store.outbound(zi), fx.store.inbound(zj));
+        let n_zones = fx.store.n_zones() as f64;
         let mut f = [0.0; FEATURE_DIM];
 
         f[0] = o.dist(d);
-        f[1] = if f[0] <= self.walk_m { 1.0 } else { 0.0 };
+        f[1] = if f[0] <= fx.walk_m { 1.0 } else { 0.0 };
         f[2] = if ob.reaches(zj) { 1.0 } else { 0.0 };
-        let reach2 = self.store.reachable_within(zi, self.max_hops);
-        f[3] = if reach2.contains(&zj) { 1.0 } else { 0.0 };
+        f[3] = if self.in_reach[zj.idx()] { 1.0 } else { 0.0 };
+        (f[4], f[5], f[6]) = fx.closest(ob.leaves(), d);
+        (f[7], f[8], f[9]) = fx.closest(ib.leaves(), &o);
 
-        // Closest OB leaf to the destination point.
-        let mut best: Option<(f64, f64, u32)> = None; // (dist, jt_avg, count)
-        for leaf in ob.leaves() {
-            let dist = self.centroids[leaf.zone.idx()].dist(d);
-            if best.is_none_or(|(bd, _, _)| dist < bd) {
-                best = Some((dist, leaf.jt_avg(), leaf.count));
-            }
+        // Interchanges, folded in OB leaf order.
+        let (mut n, mut to_o, mut to_d, mut n_hf) = (0, fx.max_dist, fx.max_dist, 0);
+        if fx.use_interchanges {
+            let hf_threshold = self.hf_threshold;
+            self.ints.for_each(ob, zj, |a, b| {
+                n += 1;
+                to_o = to_o.min(c[a.zone.idx()].dist(&o));
+                to_d = to_d.min(c[b.zone.idx()].dist(d));
+                // A chain is only as frequent as its rarer half.
+                if a.count.min(b.count) >= hf_threshold {
+                    n_hf += 1;
+                }
+            });
         }
-        let (d4, d5, d6) = best.map_or((self.max_dist, 0.0, 0), |b| b);
-        f[4] = d4;
-        f[5] = d5;
-        f[6] = d6 as f64;
-
-        // Closest IB leaf to the origin point.
-        let mut best: Option<(f64, f64, u32)> = None;
-        for leaf in ib.leaves() {
-            let dist = self.centroids[leaf.zone.idx()].dist(&o);
-            if best.is_none_or(|(bd, _, _)| dist < bd) {
-                best = Some((dist, leaf.jt_avg(), leaf.count));
-            }
-        }
-        let (d7, d8, d9) = best.map_or((self.max_dist, 0.0, 0), |b| b);
-        f[7] = d7;
-        f[8] = d8;
-        f[9] = d9 as f64;
-
-        // Interchanges.
-        let ints = if self.use_interchanges {
-            find_interchanges(self.store, ob, ib, &self.centroids)
-        } else {
-            Vec::new()
-        };
-        f[10] = ints.len() as f64;
-        f[11] = ints
-            .iter()
-            .map(|i| self.centroids[i.ob_zone.idx()].dist(&o))
-            .fold(self.max_dist, f64::min);
-        f[12] = ints
-            .iter()
-            .map(|i| self.centroids[i.ib_zone.idx()].dist(d))
-            .fold(self.max_dist, f64::min);
+        (f[10], f[11], f[12]) = (n as f64, to_o, to_d);
 
         // High-frequency analysis.
-        let hf = ob.high_frequency_leaves(self.hf_quantile);
-        f[13] =
-            hf.iter().map(|l| self.centroids[l.zone.idx()].dist(d)).fold(self.max_dist, f64::min);
-        let hf_threshold = hf.iter().map(|l| l.count).min().unwrap_or(u32::MAX);
-        f[14] = ints.iter().filter(|i| i.frequency >= hf_threshold).count() as f64;
+        f[13] = self.hf.iter().map(|p| p.dist(d)).fold(fx.max_dist, f64::min);
+        f[14] = n_hf as f64;
 
         f[15] = ob.n_leaves() as f64 / n_zones;
-        f[16] = (reach2.len() as f64 - 1.0).max(0.0) / n_zones;
+        f[16] = (self.reached.len() as f64 - 1.0).max(0.0) / n_zones;
         f[17] = ob.n_leaves() as f64;
         f[18] = ib.n_leaves() as f64;
         f
@@ -169,24 +223,17 @@ impl<'a> FeatureExtractor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use staq_gtfs::time::TimeInterval;
-    use staq_road::IsochroneParams;
-    use staq_synth::{CityConfig, PoiCategory};
-
-    fn setup() -> (City, HopTreeStore) {
-        let city = City::generate(&CityConfig::small(42));
-        let store =
-            HopTreeStore::build(&city, &TimeInterval::am_peak(), &IsochroneParams::default());
-        (city, store)
-    }
+    use crate::store::small_city;
+    use staq_synth::{Poi, PoiCategory};
 
     #[test]
     fn feature_vector_is_finite_and_dimensioned() {
-        let (city, store) = setup();
+        let (city, store, _) = small_city();
         let fx = FeatureExtractor::new(&city, &store);
+        let mut pass = FeaturePass::new(&fx);
         let poi = city.pois_of(PoiCategory::School)[0];
         for z in (0..city.n_zones()).step_by(11) {
-            let f = fx.features(ZoneId(z as u32), &poi.pos, poi.zone);
+            let f = pass.features(ZoneId(z as u32), &poi.pos, poi.zone);
             assert_eq!(f.len(), FEATURE_DIM);
             assert!(f.iter().all(|v| v.is_finite()), "{f:?}");
         }
@@ -200,23 +247,47 @@ mod tests {
     }
 
     #[test]
+    fn chaining_is_monotone_in_h() {
+        let (city, store, z) = small_city();
+        let reach = |h| {
+            let mut fx = FeatureExtractor::new(&city, &store);
+            fx.max_hops = h;
+            let mut pass = FeaturePass::new(&fx);
+            // A dirty table first: a new origin must reset what it marked.
+            pass.set_origin(ZoneId(1));
+            pass.set_origin(z);
+            assert_eq!(pass.in_reach.iter().filter(|&&m| m).count(), pass.reached.len());
+            pass.in_reach
+        };
+        let (h0, h1, h2) = (reach(0), reach(1), reach(2));
+        let len = |r: &[bool]| r.iter().filter(|&&m| m).count();
+        assert_eq!(len(&h0), 1);
+        assert!(len(&h1) >= len(&h0));
+        assert!(len(&h2) >= len(&h1));
+        assert!(h1.iter().zip(&h2).all(|(&a, &b)| !a || b), "h1 is a subset of h2");
+        assert!(len(&h2) > len(&h1), "a second hop should reach new zones from the core");
+    }
+
+    #[test]
     fn walkable_flag_matches_distance() {
-        let (city, store) = setup();
+        let (city, store, _) = small_city();
         let fx = FeatureExtractor::new(&city, &store);
+        let mut pass = FeaturePass::new(&fx);
         let poi = city.pois_of(PoiCategory::School)[0];
         for z in 0..city.n_zones() {
-            let f = fx.features(ZoneId(z as u32), &poi.pos, poi.zone);
+            let f = pass.features(ZoneId(z as u32), &poi.pos, poi.zone);
             assert_eq!(f[1] == 1.0, f[0] <= store.params.max_radius_m());
         }
     }
 
     #[test]
     fn reach2_implies_at_least_reach1_superset() {
-        let (city, store) = setup();
+        let (city, store, _) = small_city();
         let fx = FeatureExtractor::new(&city, &store);
+        let mut pass = FeaturePass::new(&fx);
         let poi = city.pois_of(PoiCategory::Hospital)[0];
         for z in 0..city.n_zones() {
-            let f = fx.features(ZoneId(z as u32), &poi.pos, poi.zone);
+            let f = pass.features(ZoneId(z as u32), &poi.pos, poi.zone);
             if f[2] == 1.0 {
                 assert_eq!(f[3], 1.0, "1-hop reachable must be 2-hop reachable");
             }
@@ -226,23 +297,21 @@ mod tests {
 
     #[test]
     fn connected_zone_has_informative_features() {
-        let (city, store) = setup();
+        let (city, store, core) = small_city();
         let fx = FeatureExtractor::new(&city, &store);
-        let core = ZoneId(store.zone_tree().nearest(&city.cores[0]).unwrap().item);
         let poi = city.pois_of(PoiCategory::School)[0];
-        let f = fx.features(core, &poi.pos, poi.zone);
+        let f = FeaturePass::new(&fx).features(core, &poi.pos, poi.zone);
         assert!(f[17] > 0.0, "core zone has outbound leaves");
         assert!(f[4] < fx.max_dist, "closest OB leaf distance is a real value");
     }
 
     #[test]
     fn interchange_ablation_zeroes_those_features() {
-        let (city, store) = setup();
+        let (city, store, core) = small_city();
         let mut fx = FeatureExtractor::new(&city, &store);
         fx.use_interchanges = false;
         let poi = city.pois_of(PoiCategory::School)[0];
-        let core = ZoneId(store.zone_tree().nearest(&city.cores[0]).unwrap().item);
-        let f = fx.features(core, &poi.pos, poi.zone);
+        let f = FeaturePass::new(&fx).features(core, &poi.pos, poi.zone);
         assert_eq!(f[10], 0.0, "no interchanges counted");
         assert_eq!(f[11], fx.max_dist, "sentinel distances");
         assert_eq!(f[12], fx.max_dist);
@@ -253,22 +322,17 @@ mod tests {
 
     #[test]
     fn near_destination_scores_closer_than_far() {
-        let (city, store) = setup();
+        let (city, store, core) = small_city();
         let fx = FeatureExtractor::new(&city, &store);
-        let core = ZoneId(store.zone_tree().nearest(&city.cores[0]).unwrap().item);
+        let mut pass = FeaturePass::new(&fx);
         let o = city.zone_centroid(core);
         // Nearest vs farthest school by crow-flies.
         let schools = city.pois_of(PoiCategory::School);
-        let near = schools
-            .iter()
-            .min_by(|a, b| o.dist(&a.pos).partial_cmp(&o.dist(&b.pos)).unwrap())
-            .unwrap();
-        let far = schools
-            .iter()
-            .max_by(|a, b| o.dist(&a.pos).partial_cmp(&o.dist(&b.pos)).unwrap())
-            .unwrap();
-        let fn_ = fx.features(core, &near.pos, near.zone);
-        let ff = fx.features(core, &far.pos, far.zone);
+        let by_dist = |a: &&&Poi, b: &&&Poi| o.dist(&a.pos).partial_cmp(&o.dist(&b.pos)).unwrap();
+        let near = schools.iter().min_by(by_dist).unwrap();
+        let far = schools.iter().max_by(by_dist).unwrap();
+        let fn_ = pass.features(core, &near.pos, near.zone);
+        let ff = pass.features(core, &far.pos, far.zone);
         assert!(fn_[0] < ff[0]);
         assert!(fn_[4] <= ff[4] + 1e-9, "OB closest approach should not worsen for near POI");
     }

@@ -5,98 +5,113 @@
 //! k-NN (k = 1) search is made for each z_k ∈ OB on IB to retrieve the
 //! nearest-node pairs. For each of these pairs, the walking isochrone for
 //! one is retrieved to test if the other intersects."
+//!
+//! Neither step depends on the origin: the nearest IB leaf of `z_j` to an
+//! OB leaf `a` and the overlap of two isochrones are facts about
+//! `(a, z_j)` and `(a, b)`. `Interchanges` therefore answers each once
+//! per feature pass, however many origins share the OB leaf, and builds
+//! each destination's IB kd-tree once, on first use.
 
-use crate::store::HopTreeStore;
-use crate::tree::HopTree;
-use serde::{Deserialize, Serialize};
-use staq_geom::KdTree;
+use crate::features::FeatureExtractor;
+use crate::tree::{HopTree, Leaf};
+use staq_geom::{KdTree, Point};
 use staq_synth::ZoneId;
 
-/// A feasible transfer point between an outbound and an inbound hop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Interchange {
-    /// Leaf of the origin's outbound tree.
-    pub ob_zone: ZoneId,
-    /// Leaf of the destination's inbound tree.
-    pub ib_zone: ZoneId,
-    /// Distance between the two leaf centroids, meters.
-    pub gap_m: f64,
-    /// Combined hop frequency (min of the two leaf counters — a chain is
-    /// only as frequent as its rarer half).
-    pub frequency: u32,
+/// Nearest-leaf memo slot not yet filled.
+const UNKNOWN: u32 = u32::MAX;
+/// Overlap memo bits per ordered zone pair: known, then value.
+const KNOWN: u8 = 1;
+const OVERLAPS: u8 = 2;
+
+/// Pass-wide interchange memos over one extractor's store.
+pub(crate) struct Interchanges<'s> {
+    fx: &'s FeatureExtractor<'s>,
+    /// Per destination zone, from its first use: a k-NN index over its IB
+    /// leaves and, per OB-leaf zone `a`, the index in `IB.leaves()` of
+    /// the leaf nearest `a`.
+    dest: Vec<Option<(KdTree, Vec<u32>)>>,
+    /// Two bits per ordered pair `(a, b)`: `W_a.overlaps(W_b)`, once known.
+    overlap: Vec<u8>,
 }
 
-/// Finds interchanges between `ob` (outbound from the origin) and `ib`
-/// (inbound to the destination) using the store's zone centroids and
-/// isochrones.
-pub fn find_interchanges(
-    store: &HopTreeStore,
-    ob: &HopTree,
-    ib: &HopTree,
-    centroids: &[staq_geom::Point],
-) -> Vec<Interchange> {
-    if ob.n_leaves() == 0 || ib.n_leaves() == 0 {
-        return Vec::new();
+impl<'s> Interchanges<'s> {
+    pub(crate) fn new(fx: &'s FeatureExtractor<'s>) -> Self {
+        let n = fx.store.n_zones();
+        Interchanges { fx, dest: vec![None; n], overlap: vec![0; (n * n).div_ceil(4)] }
     }
-    // k-NN index over the inbound leaves.
-    let ib_points: Vec<(staq_geom::Point, u32)> =
-        ib.leaves().iter().map(|l| (centroids[l.zone.idx()], l.zone.0)).collect();
-    let ib_tree = KdTree::build(&ib_points);
 
-    let mut out = Vec::new();
-    for ob_leaf in ob.leaves() {
-        let q = centroids[ob_leaf.zone.idx()];
-        let Some(nearest) = ib_tree.nearest(&q) else { continue };
-        let ib_zone = ZoneId(nearest.item);
-        // Isochrone intersection test: can a passenger actually walk the gap?
-        let wa = store.isochrone(ob_leaf.zone);
-        let wb = store.isochrone(ib_zone);
-        if wa.overlaps(wb) {
-            let ib_leaf = ib.leaf(ib_zone).expect("leaf present by construction");
-            out.push(Interchange {
-                ob_zone: ob_leaf.zone,
-                ib_zone,
-                gap_m: nearest.dist(),
-                frequency: ob_leaf.count.min(ib_leaf.count),
-            });
+    /// Calls `f(ob_leaf, ib_leaf)` for every interchange between `ob`
+    /// (outbound from the origin) and `IB_zj`, in OB leaf order: each OB
+    /// leaf paired with its nearest IB leaf, kept when walksheds overlap.
+    pub(crate) fn for_each(&mut self, ob: &HopTree, zj: ZoneId, mut f: impl FnMut(&Leaf, &Leaf)) {
+        let (store, centroids) = (self.fx.store, &self.fx.centroids);
+        let n = store.n_zones();
+        let ib = store.inbound(zj);
+        if ob.n_leaves() == 0 || ib.n_leaves() == 0 {
+            return;
+        }
+        let (tree, nearest) = self.dest[zj.idx()].get_or_insert_with(|| {
+            let points: Vec<(Point, u32)> =
+                ib.leaves().iter().map(|l| (centroids[l.zone.idx()], l.zone.0)).collect();
+            (KdTree::build(&points), vec![UNKNOWN; n])
+        });
+        for a in ob.leaves() {
+            let slot = &mut nearest[a.zone.idx()];
+            if *slot == UNKNOWN {
+                let hit = tree.nearest(&centroids[a.zone.idx()]).expect("IB has leaves");
+                let found = ib.leaves().binary_search_by_key(&hit.item, |l| l.zone.0);
+                *slot = found.expect("leaf present by construction") as u32;
+            }
+            let b = &ib.leaves()[*slot as usize];
+            // Isochrone intersection test: can a passenger walk the gap?
+            let pair = a.zone.idx() * n + b.zone.idx();
+            let (byte, shift) = (pair / 4, (pair % 4) * 2);
+            let mut bits = self.overlap[byte] >> shift;
+            if bits & KNOWN == 0 {
+                let hit = store.isochrone(a.zone).overlaps(store.isochrone(b.zone));
+                bits = KNOWN | if hit { OVERLAPS } else { 0 };
+                self.overlap[byte] |= bits << shift;
+            }
+            if bits & OVERLAPS != 0 {
+                f(a, b);
+            }
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use staq_gtfs::time::TimeInterval;
-    use staq_road::IsochroneParams;
-    use staq_synth::{City, CityConfig};
+    use crate::store::small_city;
 
-    fn setup() -> (City, HopTreeStore, Vec<staq_geom::Point>) {
-        let city = City::generate(&CityConfig::small(42));
-        let store =
-            HopTreeStore::build(&city, &TimeInterval::am_peak(), &IsochroneParams::default());
-        let centroids: Vec<_> = city.zones.iter().map(|z| z.centroid).collect();
-        (city, store, centroids)
+    /// `(ob_zone, ib_zone, frequency)` per interchange.
+    fn collect(
+        ints: &mut Interchanges<'_>,
+        ob: &HopTree,
+        zj: ZoneId,
+    ) -> Vec<(ZoneId, ZoneId, u32)> {
+        let mut out = Vec::new();
+        ints.for_each(ob, zj, |a, b| out.push((a.zone, b.zone, a.count.min(b.count))));
+        out
     }
 
     #[test]
     fn interchanges_exist_for_connected_pairs() {
-        let (city, store, centroids) = setup();
+        let (city, store, core) = small_city();
+        let fx = FeatureExtractor::new(&city, &store);
+        let mut ints = Interchanges::new(&fx);
         // Core zone to a peripheral zone: interchanges should exist in a
         // radial+orbital network.
-        let core = ZoneId(store.zone_tree().nearest(&city.cores[0]).unwrap().item);
         let mut found_any = false;
         for z in 0..city.n_zones() {
             let dest = ZoneId(z as u32);
-            let ints =
-                find_interchanges(&store, store.outbound(core), store.inbound(dest), &centroids);
-            if !ints.is_empty() {
+            let found = collect(&mut ints, store.outbound(core), dest);
+            if !found.is_empty() {
                 found_any = true;
-                for i in &ints {
-                    assert!(i.gap_m >= 0.0);
-                    assert!(i.frequency >= 1);
-                    assert!(store.outbound(core).reaches(i.ob_zone));
-                    assert!(store.inbound(dest).reaches(i.ib_zone));
+                for &(ob_zone, ib_zone, frequency) in &found {
+                    assert!(frequency >= 1);
+                    assert!(store.outbound(core).reaches(ob_zone));
+                    assert!(store.inbound(dest).reaches(ib_zone));
                 }
                 break;
             }
@@ -106,23 +121,23 @@ mod tests {
 
     #[test]
     fn empty_trees_give_no_interchanges() {
-        let (_, store, centroids) = setup();
-        let empty = HopTree::from_accum(ZoneId(0), crate::tree::Direction::Outbound, Vec::new());
-        let ib = store.inbound(ZoneId(1));
-        assert!(find_interchanges(&store, &empty, ib, &centroids).is_empty());
+        let (city, store, _) = small_city();
+        let fx = FeatureExtractor::new(&city, &store);
+        let empty = HopTree::from_accum(Vec::new());
+        let mut ints = Interchanges::new(&fx);
+        assert!(collect(&mut ints, &empty, ZoneId(1)).is_empty());
     }
 
     #[test]
     fn overlapping_walkshed_pairs_only() {
-        let (city, store, centroids) = setup();
-        let core = ZoneId(store.zone_tree().nearest(&city.cores[0]).unwrap().item);
+        let (city, store, core) = small_city();
+        let fx = FeatureExtractor::new(&city, &store);
+        let mut ints = Interchanges::new(&fx);
         for z in (0..city.n_zones()).step_by(7) {
-            let dest = ZoneId(z as u32);
-            for i in
-                find_interchanges(&store, store.outbound(core), store.inbound(dest), &centroids)
+            for (ob_zone, ib_zone, _) in collect(&mut ints, store.outbound(core), ZoneId(z as u32))
             {
                 assert!(
-                    store.isochrone(i.ob_zone).overlaps(store.isochrone(i.ib_zone)),
+                    store.isochrone(ob_zone).overlaps(store.isochrone(ib_zone)),
                     "reported interchange whose walksheds don't overlap"
                 );
             }

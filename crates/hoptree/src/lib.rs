@@ -20,22 +20,21 @@
 //! * [`build`] — generation from isochrones + GTFS (paper's §IV-A
 //!   procedure).
 //! * [`store`] — all trees for one interval, plus isochrones and the zone
-//!   index; supports h-hop chaining and incremental rebuilds after network
-//!   edits.
-//! * [`interchange`] — k-NN + isochrone-overlap interchange identification
-//!   (§IV-B1).
-//! * [`features`] — the OD feature vector (§IV-B2).
+//!   index; supports incremental rebuilds after network edits.
+//! * `interchange` — k-NN + isochrone-overlap interchange identification
+//!   (§IV-B1), memoised per feature pass.
+//! * [`features`] — the OD feature vector (§IV-B2), with h-hop chaining.
 //! * [`aggregate`] — α-weighted aggregation of OD features to the origin
-//!   level (§IV-C).
+//!   level (§IV-C) in one pass: origin terms once per zone, interchange
+//!   terms once per (OB leaf, destination), a join per OD.
 
 pub mod aggregate;
 pub mod build;
 pub mod features;
-pub mod interchange;
+mod interchange;
 pub mod store;
 pub mod tree;
 
 pub use features::{FeatureExtractor, FEATURE_DIM, FEATURE_NAMES};
-pub use interchange::Interchange;
 pub use store::HopTreeStore;
 pub use tree::{Direction, HopTree, Leaf};

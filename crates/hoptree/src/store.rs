@@ -9,7 +9,6 @@ use staq_geom::KdTree;
 use staq_gtfs::time::TimeInterval;
 use staq_road::{Isochrone, IsochroneParams, NodeSnapper};
 use staq_synth::{City, ZoneId};
-use std::collections::HashSet;
 
 /// All per-zone offline artifacts for one `(city, interval)`.
 #[derive(Debug)]
@@ -19,9 +18,8 @@ pub struct HopTreeStore {
     outbound: Vec<HopTree>,
     inbound: Vec<HopTree>,
     isochrones: Vec<Isochrone>,
-    /// kd-tree over zone centroids (shared by interchange search).
+    /// kd-tree over zone centroids (maps stops to zones on rebuilds).
     zone_tree: KdTree,
-    n_zones: usize,
 }
 
 impl HopTreeStore {
@@ -31,43 +29,27 @@ impl HopTreeStore {
     /// |Z| x (isochrone size + departures scanned), and far cheaper than
     /// labeling (`hoptree.build_s` beside `todam.label_s` in `staq-e2e`).
     pub fn build(city: &City, interval: &TimeInterval, params: &IsochroneParams) -> Self {
-        let zone_tree = KdTree::build(&city.zone_points());
-        let snapper = NodeSnapper::new(&city.road);
-        let ctx = BuildContext::new(&city.feed, &zone_tree, params.max_radius_m());
-
-        let mut isochrones = Vec::with_capacity(city.n_zones());
-        let mut outbound = Vec::with_capacity(city.n_zones());
-        let mut inbound = Vec::with_capacity(city.n_zones());
-        for zone in &city.zones {
-            let w = Isochrone::grow(
-                &city.road,
-                zone.centroid,
-                snapper.snap_unchecked(&zone.centroid),
-                params,
-            );
-            let ob =
-                build_tree(&ctx, zone.id, &w, params.max_radius_m(), interval, Direction::Outbound);
-            let ib =
-                build_tree(&ctx, zone.id, &w, params.max_radius_m(), interval, Direction::Inbound);
-            isochrones.push(w);
-            outbound.push(ob);
-            inbound.push(ib);
-        }
-        HopTreeStore {
+        let mut store = HopTreeStore {
             interval: interval.clone(),
             params: *params,
-            outbound,
-            inbound,
-            isochrones,
-            zone_tree,
-            n_zones: city.n_zones(),
+            outbound: Vec::new(),
+            inbound: Vec::new(),
+            isochrones: Vec::new(),
+            zone_tree: KdTree::build(&city.zone_points()),
+        };
+        let zones: Vec<ZoneId> = (0..city.n_zones() as u32).map(ZoneId).collect();
+        for (w, ob, ib) in store.grow(city, &zones) {
+            store.isochrones.push(w);
+            store.outbound.push(ob);
+            store.inbound.push(ib);
         }
+        store
     }
 
     /// Number of zones covered.
     #[inline]
     pub fn n_zones(&self) -> usize {
-        self.n_zones
+        self.outbound.len()
     }
 
     /// Outbound tree `OB_z^v`.
@@ -88,84 +70,50 @@ impl HopTreeStore {
         &self.isochrones[z.idx()]
     }
 
-    /// kd-tree over zone centroids.
-    #[inline]
-    pub fn zone_tree(&self) -> &KdTree {
-        &self.zone_tree
-    }
-
-    /// Zones reachable from `z` within `h` outbound hops (chained trees,
-    /// paper: "they can also be chained easily to provide information after
-    /// multiple (h) hops"). `h = 0` returns just `z`.
-    pub fn reachable_within(&self, z: ZoneId, h: usize) -> HashSet<ZoneId> {
-        let mut seen: HashSet<ZoneId> = HashSet::from([z]);
-        let mut frontier = vec![z];
-        for _ in 0..h {
-            let mut next = Vec::new();
-            for &f in &frontier {
-                for leaf in self.outbound(f).leaves() {
-                    if seen.insert(leaf.zone) {
-                        next.push(leaf.zone);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-        }
-        seen
-    }
-
     /// Rebuilds the trees and isochrone of a subset of zones in place —
     /// the incremental path for dynamic scenario edits (a new bus stop only
     /// affects zones whose walkshed covers it).
     pub fn rebuild_zones(&mut self, city: &City, zones: &[ZoneId]) {
-        let snapper = NodeSnapper::new(&city.road);
-        let ctx = BuildContext::new(&city.feed, &self.zone_tree, self.params.max_radius_m());
-        for &z in zones {
-            let centroid = city.zone_centroid(z);
-            let w = Isochrone::grow(
-                &city.road,
-                centroid,
-                snapper.snap_unchecked(&centroid),
-                &self.params,
-            );
-            self.outbound[z.idx()] = build_tree(
-                &ctx,
-                z,
-                &w,
-                self.params.max_radius_m(),
-                &self.interval,
-                Direction::Outbound,
-            );
-            self.inbound[z.idx()] = build_tree(
-                &ctx,
-                z,
-                &w,
-                self.params.max_radius_m(),
-                &self.interval,
-                Direction::Inbound,
-            );
-            self.isochrones[z.idx()] = w;
+        for (&z, (w, ob, ib)) in zones.iter().zip(self.grow(city, zones)) {
+            (self.isochrones[z.idx()], self.outbound[z.idx()], self.inbound[z.idx()]) = (w, ob, ib);
         }
     }
+
+    /// Grows each zone's walkshed and builds its two trees from it.
+    fn grow(&self, city: &City, zones: &[ZoneId]) -> Vec<(Isochrone, HopTree, HopTree)> {
+        let snapper = NodeSnapper::new(&city.road);
+        let r = self.params.max_radius_m();
+        let ctx = BuildContext::new(&city.feed, &self.zone_tree, r);
+        let tree = |w: &Isochrone, dir| build_tree(&ctx, w, r, &self.interval, dir);
+        zones
+            .iter()
+            .map(|&z| {
+                let c = city.zone_centroid(z);
+                let w = Isochrone::grow(&city.road, c, snapper.snap_unchecked(&c), &self.params);
+                let (ob, ib) = (tree(&w, Direction::Outbound), tree(&w, Direction::Inbound));
+                (w, ob, ib)
+            })
+            .collect()
+    }
+}
+
+/// Test fixture: the small city, its AM-peak store, and the zone nearest
+/// the city's first core (certain to have service).
+#[cfg(test)]
+pub(crate) fn small_city() -> (City, HopTreeStore, ZoneId) {
+    let city = City::generate(&staq_synth::CityConfig::small(42));
+    let store = HopTreeStore::build(&city, &TimeInterval::am_peak(), &IsochroneParams::default());
+    let core = ZoneId(store.zone_tree.nearest(&city.cores[0]).expect("zones").item);
+    (city, store, core)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use staq_synth::CityConfig;
-
-    fn store() -> (City, HopTreeStore) {
-        let city = City::generate(&CityConfig::small(42));
-        let s = HopTreeStore::build(&city, &TimeInterval::am_peak(), &IsochroneParams::default());
-        (city, s)
-    }
 
     #[test]
     fn covers_every_zone() {
-        let (city, s) = store();
+        let (city, s, _) = small_city();
         assert_eq!(s.n_zones(), city.n_zones());
         // Most zones in a city with decent coverage have some connectivity.
         let connected =
@@ -174,32 +122,15 @@ mod tests {
     }
 
     #[test]
-    fn chaining_is_monotone_in_h() {
-        let (city, s) = store();
-        let z = ZoneId(s.zone_tree().nearest(&city.cores[0]).unwrap().item);
-        let h0 = s.reachable_within(z, 0);
-        let h1 = s.reachable_within(z, 1);
-        let h2 = s.reachable_within(z, 2);
-        assert_eq!(h0.len(), 1);
-        assert!(h1.len() >= h0.len());
-        assert!(h2.len() >= h1.len());
-        assert!(h1.is_subset(&h2));
-        assert!(h2.len() > h1.len(), "a second hop should reach new zones from the core");
-    }
-
-    #[test]
     fn trees_are_interval_sensitive() {
         // Evening headways are 3x the peak's, so hop frequencies (leaf
         // counters) must be lower in the evening for a connected zone.
         use staq_gtfs::time::{DayOfWeek, Stime};
-        let city = City::generate(&CityConfig::small(42));
-        let am = TimeInterval::am_peak();
+        let (city, s_am, z) = small_city();
         let evening =
             TimeInterval::new(Stime::hours(19), Stime::hours(21), DayOfWeek::Tuesday, "evening");
         let params = IsochroneParams::default();
-        let s_am = HopTreeStore::build(&city, &am, &params);
         let s_ev = HopTreeStore::build(&city, &evening, &params);
-        let z = ZoneId(s_am.zone_tree().nearest(&city.cores[0]).unwrap().item);
         let count =
             |s: &HopTreeStore| -> u32 { s.outbound(z).leaves().iter().map(|l| l.count).sum() };
         assert!(
@@ -212,7 +143,7 @@ mod tests {
 
     #[test]
     fn rebuild_zones_is_idempotent_without_changes() {
-        let (city, mut s) = store();
+        let (city, mut s, _) = small_city();
         let z = ZoneId(3);
         let before = s.outbound(z).clone();
         s.rebuild_zones(&city, &[z]);
@@ -221,7 +152,7 @@ mod tests {
 
     #[test]
     fn isochrones_contain_their_origin() {
-        let (city, s) = store();
+        let (city, s, _) = small_city();
         for z in 0..s.n_zones() {
             let zid = ZoneId(z as u32);
             let c = city.zone_centroid(zid);

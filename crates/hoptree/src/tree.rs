@@ -36,11 +36,10 @@ impl Leaf {
     }
 }
 
-/// A transit-hop tree: root zone plus one [`Leaf`] per reachable zone.
+/// A transit-hop tree: one [`Leaf`] per zone reachable from (outbound) or
+/// reaching (inbound) its root zone, which the store indexes it by.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HopTree {
-    pub root: ZoneId,
-    pub direction: Direction,
     /// Leaves sorted by zone id (binary-searchable).
     leaves: Vec<Leaf>,
 }
@@ -48,17 +47,13 @@ pub struct HopTree {
 impl HopTree {
     /// Builds from an *unsorted* accumulation map of `(zone, count, jt_sum,
     /// jt_min)`.
-    pub(crate) fn from_accum(
-        root: ZoneId,
-        direction: Direction,
-        mut accum: Vec<(ZoneId, u32, f64, f64)>,
-    ) -> Self {
+    pub(crate) fn from_accum(mut accum: Vec<(ZoneId, u32, f64, f64)>) -> Self {
         accum.sort_unstable_by_key(|e| e.0);
         let leaves = accum
             .into_iter()
             .map(|(zone, count, jt_sum, jt_min)| Leaf { zone, count, jt_sum, jt_min })
             .collect();
-        HopTree { root, direction, leaves }
+        HopTree { leaves }
     }
 
     /// All leaves, ascending by zone id.
@@ -73,15 +68,10 @@ impl HopTree {
         self.leaves.len()
     }
 
-    /// Leaf for `zone`, if reachable in one hop.
-    pub fn leaf(&self, zone: ZoneId) -> Option<&Leaf> {
-        self.leaves.binary_search_by_key(&zone, |l| l.zone).ok().map(|i| &self.leaves[i])
-    }
-
     /// True when `zone` is reachable in one hop.
     #[inline]
     pub fn reaches(&self, zone: ZoneId) -> bool {
-        self.leaf(zone).is_some()
+        self.leaves.binary_search_by_key(&zone, |l| l.zone).is_ok()
     }
 
     /// Leaves with `count` at least the `q`-quantile count — the
@@ -103,15 +93,11 @@ mod tests {
     use super::*;
 
     fn tree() -> HopTree {
-        HopTree::from_accum(
-            ZoneId(0),
-            Direction::Outbound,
-            vec![
-                (ZoneId(5), 4, 2400.0, 500.0),
-                (ZoneId(2), 12, 7200.0, 550.0),
-                (ZoneId(9), 1, 900.0, 900.0),
-            ],
-        )
+        HopTree::from_accum(vec![
+            (ZoneId(5), 4, 2400.0, 500.0),
+            (ZoneId(2), 12, 7200.0, 550.0),
+            (ZoneId(9), 1, 900.0, 900.0),
+        ])
     }
 
     #[test]
@@ -127,7 +113,7 @@ mod tests {
     #[test]
     fn leaf_connectivity_data() {
         let t = tree();
-        let l = t.leaf(ZoneId(2)).unwrap();
+        let l = t.leaves().iter().find(|l| l.zone == ZoneId(2)).unwrap();
         assert_eq!(l.count, 12);
         assert!((l.jt_avg() - 600.0).abs() < 1e-12);
         assert_eq!(l.jt_min, 550.0);
@@ -148,7 +134,7 @@ mod tests {
 
     #[test]
     fn empty_tree_behaviour() {
-        let t = HopTree::from_accum(ZoneId(3), Direction::Inbound, Vec::new());
+        let t = HopTree::from_accum(Vec::new());
         assert_eq!(t.n_leaves(), 0);
         assert!(!t.reaches(ZoneId(0)));
         assert!(t.high_frequency_leaves(0.5).is_empty());
