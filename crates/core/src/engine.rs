@@ -13,8 +13,12 @@
 //! * **scenario edits** — [`AccessEngine::add_poi`] (no network change: hop
 //!   trees stay valid, only that category's TODAM/labels refresh) and
 //!   [`AccessEngine::add_bus_route`] (schedule change: the GTFS feed is
-//!   extended and only the zones whose walkshed touches a new-route stop
-//!   get their hop trees rebuilt).
+//!   extended, only the zones whose walkshed touches a new-route stop
+//!   get their hop trees rebuilt, and the prepared transit network is
+//!   rebuilt once);
+//! * journey planning ([`AccessEngine::plan`]) and counterfactual
+//!   scenarios ([`AccessEngine::what_if`]) over that same prepared
+//!   network, never a per-request copy.
 //!
 //! # Concurrency model
 //!
@@ -50,9 +54,7 @@ use staq_ml::{AnnIndex, KdAnn};
 use staq_obs::{AtomicHistogram, Counter};
 use staq_synth::{City, Poi, PoiCategory, PoiId, ZoneId};
 use staq_todam::{LabelEngine, ZoneStats};
-use staq_transit::{
-    AccessCost, CostKind, Journey, OverlayStats, Raptor, SharedAccessCache, TransitNetwork,
-};
+use staq_transit::{AccessCost, CostKind, Journey, OverlayStats, Raptor, SharedAccessCache};
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,7 +80,12 @@ static APPROX_FALLBACKS: Counter = Counter::new("engine.approx.fallback");
 /// the ns-bucketed histogram).
 static APPROX_RESIDUAL: AtomicHistogram = AtomicHistogram::new("engine.approx.residual");
 
-/// The mutable world state: what scenario edits rewrite.
+/// The mutable world state: what scenario edits rewrite. `artifacts`
+/// always describe `city` as it is now: a structural delta (the one edit
+/// that changes the feed) rebuilds the hop trees of the zones it touched
+/// and re-prepares the transit network under the same write lock, so
+/// every reader's `plan`, labeling pass and what-if overlay routes over
+/// tables that match the feed it reads.
 struct EngineState {
     city: City,
     artifacts: OfflineArtifacts,
@@ -611,11 +618,17 @@ impl AccessEngine {
     /// Invalidation matrix:
     ///
     /// * `ServiceAlert` — advisory; nothing structural changed, no caches
-    ///   touched, no locks taken.
-    /// * All structural deltas — hop trees are rebuilt only for zones whose
-    ///   stored walking isochrone contains a touched stop (crow-flies
-    ///   pre-filter, exact isochrone test), and every category's result
-    ///   epoch is bumped so neither cached nor in-flight results survive.
+    ///   touched, no locks taken, the prepared network kept.
+    /// * All structural deltas — the prepared transit network is rebuilt
+    ///   from the mutated feed (once, under the write lock); hop trees are
+    ///   rebuilt only for zones whose stored walking isochrone contains a
+    ///   touched stop (crow-flies pre-filter, exact isochrone test); and
+    ///   every category's result epoch is bumped so neither cached nor
+    ///   in-flight results survive.
+    /// * `AddRoute` only — the shared access-isochrone cache is also
+    ///   invalidated: it is the one delta that adds stops. A memoised
+    ///   access list depends on the road graph and stop positions alone,
+    ///   and delays, cancellations and route removals keep every stop.
     ///
     /// Rejected deltas (unknown ids, bad geometry) leave the world
     /// untouched.
@@ -630,6 +643,16 @@ impl AccessEngine {
             let state = &mut *state;
             let bus_speed = state.city.config.bus_speed_mps;
             let outcome = state.city.feed.apply_delta(delta, bus_speed)?;
+            // The one place the feed changes: re-prepare the network here
+            // so no reader ever routes over tables of an older feed.
+            state.artifacts.rebuild_network(&state.city);
+            // New stops are the only change a memoised access list can
+            // miss. Bump the shared cache's epoch before readers get the
+            // lock back, so none of them pairs the new network with
+            // pre-edit isochrones and stale in-flight inserts are dropped.
+            if let (Some(cache), Delta::AddRoute { .. }) = (&self.access_cache, delta) {
+                cache.invalidate();
+            }
 
             // Incremental hop-tree rebuild: zones whose walkshed reaches a
             // touched stop (crow-flies pre-filter by max walking radius,
@@ -662,11 +685,6 @@ impl AccessEngine {
             cache.slots.clear();
             invalidated
         };
-        // The network changed under the shared isochrone cache too: bump its
-        // epoch so readers refresh and stale in-flight inserts are dropped.
-        if let Some(cache) = &self.access_cache {
-            cache.invalidate();
-        }
         // Approximate sample stores are dropped eagerly so the query hot
         // path can trust any store it finds (see `ApproxState`).
         self.approx.lock().clear();
@@ -680,10 +698,10 @@ impl AccessEngine {
     /// measures supply the TODAM, the L/U split, and the feature matrices
     /// (demand is POI-driven, so the TODAM is exact under schedule deltas;
     /// reusing base hop-tree features is the documented approximation), and
-    /// one base transit network supplies copy-on-write overlays. Per
-    /// scenario, only labeling `L` over the overlay and retraining the SSR
-    /// model run — the expensive artifacts are never cloned, which is what
-    /// makes K scenarios cheaper than K engines.
+    /// the engine's prepared transit network supplies copy-on-write
+    /// overlays. Per scenario, only labeling `L` over the overlay and
+    /// retraining the SSR model run — the expensive artifacts are never
+    /// cloned, which is what makes K scenarios cheaper than K engines.
     ///
     /// An empty scenario reproduces the base measures bit-for-bit.
     pub fn what_if(
@@ -696,7 +714,7 @@ impl AccessEngine {
         let base = self.measures(category);
         let state = self.state.read();
         let bus_speed = state.city.config.bus_speed_mps;
-        let net = TransitNetwork::with_defaults(&state.city.road, &state.city.feed);
+        let net = state.artifacts.network.view(&state.city.road, &state.city.feed);
         let mut out = Vec::with_capacity(scenarios.len());
         for deltas in scenarios {
             let (overlay, overlay_stats) = net.overlay(deltas, bus_speed)?;
@@ -730,10 +748,11 @@ impl AccessEngine {
     }
 
     /// Point-to-point journey planning against the live timetable (the
-    /// state every applied delta has already rewritten). With a transfer
-    /// cap the answer is the single fastest journey using at most
-    /// `max_transfers` transfers; without one it is the whole Pareto
-    /// (arrival, transfers) frontier, transfers ascending.
+    /// state every applied delta has already rewritten), routed over the
+    /// engine's prepared network. With a transfer cap the answer is the
+    /// single fastest journey using at most `max_transfers` transfers;
+    /// without one it is the whole Pareto (arrival, transfers) frontier,
+    /// transfers ascending.
     pub fn plan(
         &self,
         origin: Point,
@@ -744,7 +763,7 @@ impl AccessEngine {
     ) -> Vec<Journey> {
         let mut span = staq_obs::trace::span("engine.plan");
         let state = self.state.read();
-        let net = TransitNetwork::with_defaults(&state.city.road, &state.city.feed);
+        let net = state.artifacts.network.view(&state.city.road, &state.city.feed);
         let router = match &self.access_cache {
             Some(cache) => Raptor::with_shared_cache(&net, cache),
             None => Raptor::new(&net),
@@ -919,6 +938,19 @@ mod tests {
     fn route_needs_two_stops() {
         let e = engine();
         e.add_bus_route(&[Point::new(0.0, 0.0)], 600);
+    }
+
+    #[test]
+    fn advisories_keep_the_prepared_network_and_structural_deltas_replace_it() {
+        use staq_gtfs::model::{RouteId, TripId};
+        let e = engine();
+        let tables = |e: &AccessEngine| Arc::clone(&e.state.read().artifacts.network);
+        let before = tables(&e);
+        let alert = Delta::ServiceAlert { route: RouteId(0), message: "advisory".into() };
+        e.apply_delta(&alert).expect("advisory applies");
+        assert!(Arc::ptr_eq(&before, &tables(&e)), "an advisory must keep the tables");
+        e.apply_delta(&Delta::TripDelay { trip: TripId(0), delay_secs: 120 }).expect("delay");
+        assert!(!Arc::ptr_eq(&before, &tables(&e)), "a structural delta must rebuild them");
     }
 
     #[test]

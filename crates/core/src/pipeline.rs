@@ -6,7 +6,8 @@
 //! 2. **Feature extraction** — OD features from hop trees, α-aggregated to
 //!    the origin level.
 //! 3. **Sampling** — random β-fraction of zones into the labeled set `L`.
-//! 4. **Labeling** — real SPQs for `L`'s trips only.
+//! 4. **Labeling** — real SPQs for `L`'s trips only, routed over the
+//!    artifacts' prepared transit network.
 //! 5. **SSR** — train on `L`, infer `U`.
 
 use crate::artifacts::OfflineArtifacts;
@@ -194,7 +195,9 @@ impl<'a> SsrPipeline<'a> {
             CostKind::Jt => AccessCost::jt(),
             CostKind::Gac => AccessCost::gac(),
         };
-        let mut engine = LabelEngine::new(self.city, cost_model, cfg.todam.interval.clone());
+        let net = self.artifacts.network.view(&self.city.road, &self.city.feed);
+        let mut engine =
+            LabelEngine::with_network(self.city, net, cost_model, cfg.todam.interval.clone());
         if let Some(cache) = &self.access_cache {
             engine = engine.with_shared_cache(Arc::clone(cache));
         }

@@ -38,8 +38,8 @@ static DELTAS_APPLIED: Counter = Counter::new("rt.deltas_applied");
 static INVAL_ENGINE: Counter = Counter::new("rt.invalidations.engine");
 /// Access-artifact invalidations: zones whose hop trees were rebuilt.
 static INVAL_ACCESS: Counter = Counter::new("rt.invalidations.access");
-/// Pattern invalidations: structural deltas that force the per-run RAPTOR
-/// pattern extraction to see a changed feed.
+/// Pattern invalidations: structural deltas that make the engine rebuild
+/// its prepared RAPTOR network from the changed feed.
 static INVAL_PATTERN: Counter = Counter::new("rt.invalidations.pattern");
 /// Bytes materialized by what-if scenario overlays (vs cloning engines).
 static OVERLAY_BYTES: Counter = Counter::new("rt.scenario.overlay_bytes");

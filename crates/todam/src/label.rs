@@ -92,15 +92,16 @@ pub struct LabelEngine<'a> {
 }
 
 impl<'a> LabelEngine<'a> {
-    /// Creates an engine with the default router config.
+    /// Creates an engine with the default router config, preparing the
+    /// city's network from scratch.
     pub fn new(city: &'a City, cost: AccessCost, interval: TimeInterval) -> Self {
         let net = TransitNetwork::with_defaults(&city.road, &city.feed);
         Self::with_network(city, net, cost, interval)
     }
 
-    /// An engine over a caller-supplied network — the what-if path hands in
-    /// a scenario overlay here so counterfactual labeling reuses all of the
-    /// base engine's machinery.
+    /// An engine over a caller-supplied network: the SSR pipeline hands in
+    /// a view of its prepared tables, the what-if path a scenario overlay,
+    /// so neither rebuilds the network per labeling pass.
     pub fn with_network(
         city: &'a City,
         net: TransitNetwork<'a>,

@@ -23,8 +23,9 @@
 //! * [`mmdijkstra`] — a time-dependent multimodal Dijkstra baseline used for
 //!   cross-validation tests and the router ablation benchmark.
 //!
-//! [`network::TransitNetwork`] precomputes the structures both share: trip
-//! patterns, stop→road-node snapping, stop-to-stop foot transfers.
+//! [`network::NetworkTables`] precomputes the structures both share: trip
+//! patterns, stop→road-node snapping, stop-to-stop foot transfers;
+//! [`network::TransitNetwork`] is the routable view over them.
 
 pub mod cost;
 pub mod fare;
@@ -38,7 +39,7 @@ pub mod shared_cache;
 pub use cost::{AccessCost, CostKind, GacWeights};
 pub use fare::FareModel;
 pub use journey::{Journey, Leg};
-pub use network::{AccessCache, OverlayStats, RouterConfig, TransitNetwork};
+pub use network::{AccessCache, NetworkTables, OverlayStats, RouterConfig, TransitNetwork};
 pub use pareto::{Bag, ParetoLabel};
 pub use raptor::Raptor;
 pub use shared_cache::{QueryCache, SharedAccessCache, SharedCacheHandle};

@@ -5,14 +5,19 @@
 //! their timetables into dense arrival/departure matrices, snaps stops to
 //! road nodes, and precomputes stop-to-stop foot transfers.
 //!
-//! Networks come in two flavors sharing one type. A **base** network owns
-//! its patterns and per-stop topology. An **overlay** ([`TransitNetwork::
-//! overlay`]) evaluates a counterfactual scenario against a base network by
-//! copy-on-write: patterns are `Arc`-shared and only the ones a delta
-//! touches are replaced; per-stop rows (patterns-at-stop, transfers) are
-//! shared wholesale through an `Arc<Topology>` with a small side table of
-//! full replacement rows, so every accessor keeps returning plain slices
-//! and the routers cannot tell the difference.
+//! That feed-derived state lives in [`NetworkTables`]: owned, borrowing
+//! nothing, `Send + Sync`, so an engine prepares it once per feed state and
+//! keeps it across requests behind an `Arc`. A [`TransitNetwork`] is a
+//! **view** pairing shared tables with the road graph and feed they were
+//! built from: [`NetworkTables::view`] costs one `Arc` clone, and
+//! [`TransitNetwork::new`] builds fresh tables for one-shot callers.
+//!
+//! An **overlay** ([`TransitNetwork::overlay`]) evaluates a counterfactual
+//! scenario against a view by copy-on-write: patterns are `Arc`-shared and
+//! only the ones a delta touches are replaced; per-stop rows
+//! (patterns-at-stop, transfers) are shared with the base tables, plus a
+//! small side table of full replacement rows, so every accessor keeps
+//! returning plain slices and the routers cannot tell the difference.
 
 use serde::{Deserialize, Serialize};
 use staq_geom::{KdTree, Point};
@@ -184,8 +189,8 @@ pub struct Transfer {
     pub walk_secs: u32,
 }
 
-/// Per-stop routing topology, shared (copy-on-write via `Arc`) between a
-/// base network and its scenario overlays.
+/// Per-stop routing topology, shared by a base view and its scenario
+/// overlays alike.
 struct Topology {
     /// For each stop: `(pattern index, position within pattern)` pairs.
     patterns_at_stop: Vec<Vec<(u32, u32)>>,
@@ -196,11 +201,15 @@ struct Topology {
     snapper: NodeSnapper,
 }
 
-/// Overlay-only side table: full replacement rows for base stops a scenario
-/// delta touched, plus parallel rows for scenario-added stops (which get
-/// ids `n_base_stops..`). Accessors consult this first and fall through to
-/// the shared [`Topology`], so slices keep coming back either way.
+/// Overlay-only side table: the scenario's pattern list, full replacement
+/// rows for base stops a scenario delta touched, plus parallel rows for
+/// scenario-added stops (which get ids `n_base_stops..`). Accessors consult
+/// this first and fall through to the base [`Topology`], so slices keep
+/// coming back either way.
 struct OverlayExt {
+    /// Base patterns (`Arc`-shared; touched ones replaced) plus appended
+    /// scenario patterns.
+    patterns: Vec<Arc<Pattern>>,
     n_base_stops: usize,
     /// Replacement patterns-at-stop rows for base stops, keyed by raw id.
     patterns_at: HashMap<u32, Vec<(u32, u32)>>,
@@ -232,49 +241,28 @@ pub struct OverlayStats {
     pub overlay_bytes: usize,
 }
 
-/// The prepared multimodal network.
-pub struct TransitNetwork<'a> {
-    pub road: &'a RoadGraph,
-    pub feed: &'a FeedIndex,
-    pub cfg: RouterConfig,
+/// The feed-derived routing tables of one feed state: trip patterns,
+/// per-stop topology (patterns-at-stop, stop snapping, foot transfers) and
+/// the [`RouterConfig`] they were prepared under. Owns everything and
+/// borrows nothing, so a long-lived holder (the engine's artifacts) keeps
+/// one across requests and routes through [`view`](Self::view)s of it.
+pub struct NetworkTables {
+    cfg: RouterConfig,
     /// `Arc` so overlays share untouched patterns with their base.
     patterns: Vec<Arc<Pattern>>,
-    topo: Arc<Topology>,
-    /// Present only on overlay networks.
-    ext: Option<Box<OverlayExt>>,
+    topo: Topology,
 }
 
-impl std::fmt::Debug for TransitNetwork<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TransitNetwork")
-            .field("n_stops", &self.n_stops())
-            .field("n_patterns", &self.patterns.len())
-            .field("overlay", &self.ext.is_some())
-            .finish()
-    }
-}
-
-impl<'a> TransitNetwork<'a> {
-    /// Prepares the network. Panics on genuinely malformed feeds (a trip
-    /// whose own call times run backwards); prefer [`try_new`](Self::try_new)
-    /// on serving paths where the feed has been through live mutation.
+impl NetworkTables {
+    /// Prepares the tables for `feed` over `road`. Errors (instead of
+    /// panicking a serving backend) when the feed is genuinely malformed —
+    /// a trip with non-monotonic call times, which no amount of pattern
+    /// splitting can make scannable.
     ///
     /// Inter-trip overtaking (e.g. a delayed trip passing its successor) is
     /// *not* an error: `build_patterns` splits such trips into separate
     /// non-overtaking patterns, exactly like the overlay delay path does.
-    pub fn new(road: &'a RoadGraph, feed: &'a FeedIndex, cfg: RouterConfig) -> Self {
-        Self::try_new(road, feed, cfg).expect("malformed feed")
-    }
-
-    /// Fallible [`new`](Self::new): errors (instead of panicking a serving
-    /// backend) when the feed is genuinely malformed — a trip with
-    /// non-monotonic call times, which no amount of pattern splitting can
-    /// make scannable.
-    pub fn try_new(
-        road: &'a RoadGraph,
-        feed: &'a FeedIndex,
-        cfg: RouterConfig,
-    ) -> Result<Self, String> {
+    pub fn build(road: &RoadGraph, feed: &FeedIndex, cfg: RouterConfig) -> Result<Self, String> {
         let patterns = build_patterns(feed)?;
         for p in &patterns {
             check_no_overtaking(p)?;
@@ -309,14 +297,63 @@ impl<'a> TransitNetwork<'a> {
             }
         }
 
-        Ok(TransitNetwork {
-            road,
-            feed,
+        Ok(NetworkTables {
             cfg,
             patterns: patterns.into_iter().map(Arc::new).collect(),
-            topo: Arc::new(Topology { patterns_at_stop, node_stops, transfers, snapper }),
-            ext: None,
+            topo: Topology { patterns_at_stop, node_stops, transfers, snapper },
         })
+    }
+
+    /// A routable view of these tables over the road graph and feed they
+    /// were built from. Costs one `Arc` clone; copies no table.
+    pub fn view<'a>(
+        self: &Arc<Self>,
+        road: &'a RoadGraph,
+        feed: &'a FeedIndex,
+    ) -> TransitNetwork<'a> {
+        TransitNetwork { road, feed, cfg: self.cfg, tables: Arc::clone(self), ext: None }
+    }
+}
+
+/// The prepared multimodal network: a view over [`NetworkTables`] plus the
+/// road graph and feed they were built from, optionally with a scenario
+/// overlay on top.
+pub struct TransitNetwork<'a> {
+    pub road: &'a RoadGraph,
+    pub feed: &'a FeedIndex,
+    pub cfg: RouterConfig,
+    /// Shared with a long-lived holder, or built for this view alone.
+    tables: Arc<NetworkTables>,
+    /// Present only on overlay networks.
+    ext: Option<Box<OverlayExt>>,
+}
+
+impl std::fmt::Debug for TransitNetwork<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TransitNetwork")
+            .field("n_stops", &self.n_stops())
+            .field("n_patterns", &self.n_patterns())
+            .field("overlay", &self.ext.is_some())
+            .finish()
+    }
+}
+
+impl<'a> TransitNetwork<'a> {
+    /// Builds fresh tables and returns a view of them. Panics on genuinely
+    /// malformed feeds (a trip whose own call times run backwards); prefer
+    /// [`try_new`](Self::try_new) on serving paths where the feed has been
+    /// through live mutation.
+    pub fn new(road: &'a RoadGraph, feed: &'a FeedIndex, cfg: RouterConfig) -> Self {
+        Self::try_new(road, feed, cfg).expect("malformed feed")
+    }
+
+    /// Fallible [`new`](Self::new); see [`NetworkTables::build`].
+    pub fn try_new(
+        road: &'a RoadGraph,
+        feed: &'a FeedIndex,
+        cfg: RouterConfig,
+    ) -> Result<Self, String> {
+        Ok(Arc::new(NetworkTables::build(road, feed, cfg)?).view(road, feed))
     }
 
     /// With default configuration.
@@ -327,13 +364,17 @@ impl<'a> TransitNetwork<'a> {
     /// All trip patterns (base + any scenario-appended ones).
     #[inline]
     pub fn patterns(&self) -> &[Arc<Pattern>] {
-        &self.patterns
+        match &self.ext {
+            Some(ext) => &ext.patterns,
+            None => &self.tables.patterns,
+        }
     }
 
     /// Total stops: base feed stops plus scenario-added ones.
     #[inline]
     pub fn n_stops(&self) -> usize {
-        self.topo.patterns_at_stop.len() + self.ext.as_ref().map_or(0, |e| e.new_stop_pos.len())
+        self.tables.topo.patterns_at_stop.len()
+            + self.ext.as_ref().map_or(0, |e| e.new_stop_pos.len())
     }
 
     /// Patterns serving `stop` with the position of `stop` in each.
@@ -348,7 +389,7 @@ impl<'a> TransitNetwork<'a> {
                 return row;
             }
         }
-        &self.topo.patterns_at_stop[stop.idx()]
+        &self.tables.topo.patterns_at_stop[stop.idx()]
     }
 
     /// Foot transfers out of `stop`.
@@ -363,7 +404,7 @@ impl<'a> TransitNetwork<'a> {
                 return row;
             }
         }
-        &self.topo.transfers[stop.idx()]
+        &self.tables.topo.transfers[stop.idx()]
     }
 
     /// Stops reachable on foot from `point` within the access budget, as
@@ -386,7 +427,8 @@ impl<'a> TransitNetwork<'a> {
         out: &mut Vec<(StopId, u32)>,
     ) {
         out.clear();
-        let Some((root, gap_m)) = self.topo.snapper.snap(point) else {
+        let topo = &self.tables.topo;
+        let Some((root, gap_m)) = topo.snapper.snap(point) else {
             return;
         };
         let entry = gap_m / self.cfg.omega_mps;
@@ -396,7 +438,7 @@ impl<'a> TransitNetwork<'a> {
         }
         dijkstra::bounded_walk_times_into(self.road, root, remaining, walk, nodes);
         for &(node, t) in nodes.iter() {
-            if let Some(stops) = self.topo.node_stops.get(&node.0) {
+            if let Some(stops) = topo.node_stops.get(&node.0) {
                 for &s in stops {
                     out.push((s, (entry + t).round() as u32));
                 }
@@ -445,24 +487,24 @@ impl<'a> TransitNetwork<'a> {
 
     /// Total number of patterns (diagnostics).
     pub fn n_patterns(&self) -> usize {
-        self.patterns.len()
+        self.patterns().len()
     }
 
     /// Structural summary for logs and reports.
     pub fn stats(&self) -> NetworkStats {
-        let n_trips: usize = self.patterns.iter().map(|p| p.trips.len()).sum();
+        let patterns = self.patterns();
+        let n_trips: usize = patterns.iter().map(|p| p.trips.len()).sum();
         let n_transfers: usize =
             (0..self.n_stops()).map(|s| self.transfers_from(StopId(s as u32)).len()).sum();
         NetworkStats {
             n_stops: self.n_stops(),
-            n_patterns: self.patterns.len(),
+            n_patterns: patterns.len(),
             n_trips,
             n_transfers,
-            mean_pattern_length: if self.patterns.is_empty() {
+            mean_pattern_length: if patterns.is_empty() {
                 0.0
             } else {
-                self.patterns.iter().map(|p| p.stops.len()).sum::<usize>() as f64
-                    / self.patterns.len() as f64
+                patterns.iter().map(|p| p.stops.len()).sum::<usize>() as f64 / patterns.len() as f64
             },
         }
     }
@@ -484,9 +526,11 @@ impl<'a> TransitNetwork<'a> {
         if self.ext.is_some() {
             return Err("overlays do not compose; put all deltas in one scenario".into());
         }
-        let mut patterns = self.patterns.clone();
+        let base = &self.tables.patterns;
+        let mut patterns = base.clone();
         let mut ext = OverlayExt {
-            n_base_stops: self.topo.patterns_at_stop.len(),
+            patterns: Vec::new(),
+            n_base_stops: self.tables.topo.patterns_at_stop.len(),
             patterns_at: HashMap::new(),
             transfers_at: HashMap::new(),
             new_stop_pos: Vec::new(),
@@ -511,13 +555,13 @@ impl<'a> TransitNetwork<'a> {
         }
 
         let mut stats = OverlayStats::default();
-        for (p, base) in patterns.iter().zip(&self.patterns) {
-            if !Arc::ptr_eq(p, base) {
+        for (p, b) in patterns.iter().zip(base) {
+            if !Arc::ptr_eq(p, b) {
                 stats.patterns_touched += 1;
                 stats.overlay_bytes += pattern_bytes(p);
             }
         }
-        for p in &patterns[self.patterns.len()..] {
+        for p in &patterns[base.len()..] {
             stats.patterns_added += 1;
             stats.overlay_bytes += pattern_bytes(p);
         }
@@ -527,14 +571,14 @@ impl<'a> TransitNetwork<'a> {
             + ext.transfers_at.values().map(|r| r.len() * 8).sum::<usize>()
             + ext.new_transfers.iter().map(|r| r.len() * 8).sum::<usize>()
             + ext.new_stop_pos.len() * (std::mem::size_of::<Point>() + 4);
+        ext.patterns = patterns;
 
         Ok((
             TransitNetwork {
                 road: self.road,
                 feed: self.feed,
                 cfg: self.cfg,
-                patterns,
-                topo: Arc::clone(&self.topo),
+                tables: Arc::clone(&self.tables),
                 ext: Some(Box::new(ext)),
             },
             stats,
@@ -569,7 +613,7 @@ impl<'a> TransitNetwork<'a> {
         let pi_new = patterns.len() as u32;
         patterns.push(Arc::new(delayed));
         for (pos, &s) in p.stops.iter().enumerate() {
-            pattern_row(&self.topo, ext, s).push((pi_new, pos as u32));
+            pattern_row(&self.tables.topo, ext, s).push((pi_new, pos as u32));
         }
         Ok(())
     }
@@ -596,7 +640,7 @@ impl<'a> TransitNetwork<'a> {
         let first = (ext.n_base_stops + ext.new_stop_pos.len()) as u32;
         let new_stops: Vec<StopId> = (0..stops.len() as u32).map(|k| StopId(first + k)).collect();
         for (&sid, p) in new_stops.iter().zip(stops) {
-            let node = self.topo.snapper.snap_unchecked(p);
+            let node = self.tables.topo.snapper.snap_unchecked(p);
             ext.new_stop_pos.push(*p);
             ext.new_patterns_at.push(Vec::new());
             ext.new_transfers.push(Vec::new());
@@ -633,7 +677,7 @@ impl<'a> TransitNetwork<'a> {
                 trip_days,
             )));
             for (pos, &s) in ordered.iter().enumerate() {
-                pattern_row(&self.topo, ext, s).push((pi, pos as u32));
+                pattern_row(&self.tables.topo, ext, s).push((pi, pos as u32));
             }
         }
 
@@ -651,7 +695,7 @@ impl<'a> TransitNetwork<'a> {
                     ext.new_transfers[my].push(Transfer { to: StopId(s), walk_secs: secs });
                     ext.transfers_at
                         .entry(s)
-                        .or_insert_with(|| self.topo.transfers[s as usize].clone())
+                        .or_insert_with(|| self.tables.topo.transfers[s as usize].clone())
                         .push(Transfer { to: sid, walk_secs: secs });
                 }
             }
@@ -1319,6 +1363,21 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn a_view_of_held_tables_routes_like_a_one_shot_network() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<NetworkTables>();
+        let city = city();
+        let tables = NetworkTables::build(&city.road, &city.feed, RouterConfig::default())
+            .expect("synth feeds are well-formed");
+        let view = Arc::new(tables).view(&city.road, &city.feed);
+        let fresh = TransitNetwork::with_defaults(&city.road, &city.feed);
+        assert_eq!(view.stats(), fresh.stats());
+        assert_eq!(probe_arrivals(&view, &city), probe_arrivals(&fresh, &city));
+        let (ov, _) = view.overlay(&[], 8.0).expect("empty overlay of a view");
+        assert_eq!(probe_arrivals(&ov, &city), probe_arrivals(&fresh, &city));
     }
 
     #[test]

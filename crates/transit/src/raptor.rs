@@ -243,6 +243,8 @@ impl<'n, 'a> Raptor<'n, 'a> {
         let t_span = staq_obs::trace::is_active().then(std::time::Instant::now);
         let rounds = self.net.cfg.max_boardings;
         let prune = self.pruning;
+        // Resolved once: the round loops below index it per scanned pattern.
+        let patterns = self.net.patterns();
         let mut rounds_run = 0u64;
         let mut patterns_scanned = 0u64;
         let mut patterns_pruned = 0u64;
@@ -377,14 +379,14 @@ impl<'n, 'a> Raptor<'n, 'a> {
                 }
                 for &(p, pos) in self.net.patterns_at(st) {
                     let pi = p as usize;
-                    if prune && !self.net.patterns()[pi].runs_on(day) {
+                    if prune && !patterns[pi].runs_on(day) {
                         // No trip of this pattern runs on the query day:
                         // `earliest_trip` would reject every candidate, so
                         // scanning it is a provable no-op.
                         patterns_day_skipped += 1;
                         continue;
                     }
-                    if prune && pos as usize + 1 >= self.net.patterns()[pi].stops.len() {
+                    if prune && pos as usize + 1 >= patterns[pi].stops.len() {
                         // Boarding at a pattern's last stop can't alight
                         // anywhere: the scan would be a provable no-op.
                         patterns_pruned += 1;
@@ -416,7 +418,7 @@ impl<'n, 'a> Raptor<'n, 'a> {
 
             for &pi in queue_patterns.iter() {
                 let start_pos = queue_pos[pi as usize];
-                let pattern = &self.net.patterns()[pi as usize];
+                let pattern = &patterns[pi as usize];
                 let mut active: Option<(usize, usize)> = None; // (trip_idx, board_pos)
                 for i in start_pos as usize..pattern.stops.len() {
                     let stop = pattern.stops[i];

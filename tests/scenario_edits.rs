@@ -4,10 +4,13 @@
 //! delta log on a fresh engine, or rebuilding an engine from the mutated
 //! feed, lands on bit-identical measures.
 
+use staq_repro::geom::Point;
 use staq_repro::gtfs::model::{RouteId, TripId};
+use staq_repro::gtfs::time::{DayOfWeek, Stime};
 use staq_repro::gtfs::{validate, Delta};
 use staq_repro::prelude::*;
 use staq_repro::rt::RtEngine;
+use staq_repro::transit::{Journey, Raptor, TransitNetwork};
 
 fn engine() -> AccessEngine {
     let city = City::generate(&CityConfig::small(42));
@@ -179,10 +182,24 @@ fn incremental_apply_matches_a_from_scratch_rebuild() {
     let history = sample_history(city.config.side_m);
 
     // Incremental path: an engine built on the pristine city, mutated
-    // delta by delta (partial hop-tree rebuilds, cache invalidation).
+    // delta by delta (partial hop-tree rebuilds, cache invalidation). The
+    // network it holds is never stale: after every delta its plans equal
+    // a router over a network prepared from scratch from its current city.
+    let ods = plan_ods(&city);
     let incremental = AccessEngine::new(city.clone(), config.clone());
-    for d in &history {
-        incremental.apply_delta(d).expect("incremental delta applies");
+    for delta in &history {
+        incremental.apply_delta(delta).expect("incremental delta applies");
+        let expected = {
+            let city = incremental.city();
+            let net = TransitNetwork::with_defaults(&city.road, &city.feed);
+            let router = Raptor::new(&net);
+            plans(&ods, |o, d, cap| match cap {
+                Some(k) => vec![router.query_max_transfers(o, d, PLAN_DEPART, PLAN_DAY, k)],
+                None => router.query_pareto(o, d, PLAN_DEPART, PLAN_DAY),
+            })
+        };
+        let held = plans(&ods, |o, d, cap| incremental.plan(*o, *d, PLAN_DEPART, PLAN_DAY, cap));
+        assert!(held == expected, "plans over the held network went stale after {}", delta.kind());
     }
 
     // Rebuild path: the same deltas mutate the raw feed first, then a
@@ -203,6 +220,29 @@ fn incremental_apply_matches_a_from_scratch_rebuild() {
             "incremental apply diverged from full rebuild for {cat:?}"
         );
     }
+    let at_end =
+        |e: &AccessEngine| plans(&ods, |o, d, cap| e.plan(*o, *d, PLAN_DEPART, PLAN_DAY, cap));
+    assert!(at_end(&incremental) == at_end(&rebuilt), "incremental plans diverged from rebuild");
     let violations = validate::validate(incremental.city().feed.feed());
     assert!(violations.is_empty(), "mutated feed must stay valid: {violations:?}");
+}
+
+const PLAN_DEPART: Stime = Stime(8 * 3600);
+const PLAN_DAY: DayOfWeek = DayOfWeek::Tuesday;
+
+/// 24 fixed OD pairs over zone centroids, spread across the city.
+fn plan_ods(city: &City) -> Vec<(Point, Point)> {
+    let n = city.n_zones();
+    (0..24)
+        .map(|k| (city.zones[k * 5 % n].centroid, city.zones[(k * 37 + 11) % n].centroid))
+        .collect()
+}
+
+/// `plan` answers for every OD pair, uncapped (the Pareto frontier) and
+/// capped at one transfer.
+fn plans(
+    ods: &[(Point, Point)],
+    mut plan: impl FnMut(&Point, &Point, Option<u8>) -> Vec<Journey>,
+) -> Vec<Vec<Journey>> {
+    ods.iter().flat_map(|(o, d)| [None, Some(1)].map(|cap| plan(o, d, cap))).collect()
 }

@@ -5,7 +5,7 @@
 //! worker threads hammer both engines concurrently and structural deltas
 //! invalidate the shared generations mid-stream.
 
-use staq_gtfs::model::TripId;
+use staq_gtfs::model::{RouteId, TripId};
 use staq_gtfs::Delta;
 use staq_repro::prelude::*;
 use std::sync::Arc;
@@ -102,10 +102,40 @@ fn shared_cache_measures_match_private_caches_under_concurrent_invalidation() {
     }
 
     // The shared substrate actually took the traffic: labeling warmed it,
-    // and the structural deltas bumped its epoch once each.
+    // and the stop-adding delta bumped its epoch once.
     let cache = shared.shared_access_cache().expect("shared cache");
     assert!(!cache.is_empty(), "labeling warmed the shared access cache");
-    assert_eq!(cache.epoch(), deltas.len() as u64, "one epoch bump per structural delta");
+    let adds = deltas.iter().filter(|d| matches!(d, Delta::AddRoute { .. })).count();
+    assert_eq!(cache.epoch(), adds as u64, "one epoch bump per stop-adding delta");
+}
+
+/// A memoised access list depends on the road graph and stop positions
+/// only. A delay or a route removal keeps every stop, so it must leave the
+/// shared cache's epoch alone, and answers must still match private caches
+/// bit for bit.
+#[test]
+fn delays_and_route_removals_keep_the_shared_access_cache() {
+    let city = City::generate(&CityConfig::small(21));
+    let shared = AccessEngine::new(city.clone(), config());
+    let private = AccessEngine::with_options(
+        city,
+        config(),
+        EngineOptions { private_access_caches: true, ..Default::default() },
+    );
+    assert_bit_identical(&shared, &private, "cold");
+    let cache = shared.shared_access_cache().expect("shared cache");
+    let epoch = cache.epoch();
+    assert!(!cache.is_empty(), "labeling warmed the shared access cache");
+
+    for delta in [
+        Delta::TripDelay { trip: TripId(0), delay_secs: 300 },
+        Delta::RouteRemove { route: RouteId(1) },
+    ] {
+        shared.apply_delta(&delta).expect("delta applies to shared-cache engine");
+        private.apply_delta(&delta).expect("delta applies to private-cache engine");
+        assert_eq!(cache.epoch(), epoch, "{} adds no stop: the epoch must not move", delta.kind());
+        assert_bit_identical(&shared, &private, &format!("after {}", delta.kind()));
+    }
 }
 
 #[test]
