@@ -50,16 +50,14 @@ use staq_access::{AccessQuery, QueryAnswer, ZoneMeasures};
 use staq_geom::{KdTree, Point};
 use staq_gtfs::time::{DayOfWeek, Stime};
 use staq_gtfs::Delta;
-use staq_ml::{AnnIndex, KdAnn};
-use staq_obs::{AtomicHistogram, Counter};
+use staq_obs::Counter;
 use staq_synth::{City, Poi, PoiCategory, PoiId, ZoneId};
 use staq_todam::{LabelEngine, ZoneStats};
 use staq_transit::{AccessCost, CostKind, Journey, OverlayStats, Raptor, SharedAccessCache};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Warm reads: a published result served straight from the cache.
 static CACHE_HITS: Counter = Counter::new("engine.cache.hits");
@@ -69,16 +67,6 @@ static CACHE_MISSES: Counter = Counter::new("engine.cache.misses");
 static CACHE_JOINS: Counter = Counter::new("engine.cache.joins");
 /// Category invalidations from scenario edits (epoch bumps).
 static CACHE_INVALIDATIONS: Counter = Counter::new("engine.cache.invalidations");
-/// Approximate-mode answers served by interpolation (no exact compute).
-static APPROX_HITS: Counter = Counter::new("engine.approx.hit");
-/// Approximate-mode requests answered by the exact path (cold sample
-/// store, nearest sample outside the confidence radius, a store dropped
-/// by an edit, or a query shape with no interpolated form).
-static APPROX_FALLBACKS: Counter = Counter::new("engine.approx.fallback");
-/// |interpolated − exact| MAC residual observed on each fallback that
-/// could score one, stored ×1000 (a 60 s residual records as 60_000 in
-/// the ns-bucketed histogram).
-static APPROX_RESIDUAL: AtomicHistogram = AtomicHistogram::new("engine.approx.residual");
 
 /// The mutable world state: what scenario edits rewrite. `artifacts`
 /// always describe `city` as it is now: a structural delta (the one edit
@@ -134,28 +122,14 @@ struct Cache {
     epochs: HashMap<PoiCategory, u64>,
 }
 
-/// Tuning for the approximate access-query path.
+/// What [`AccessEngine::approx_config`] reports. Kept only because the
+/// `staq-e2e` benchmark (`benchmark/src/workload.rs`) reads its one field
+/// as the tolerance of its point-answer check.
 #[derive(Debug, Clone)]
 pub struct ApproxConfig {
-    /// Acceptable |interpolated − exact| MAC error, in cost-model units
-    /// (seconds under JT). Residuals above this shrink the confidence
-    /// radius; residuals within it let the radius grow.
+    /// Acceptable |served − exact| MAC error, in cost-model units
+    /// (seconds under JT).
     pub error_bound: f64,
-    /// Cached samples interpolated over per answer.
-    pub k: usize,
-    /// Starting confidence radius in meters: a query interpolates only
-    /// when its nearest cached sample is at most this far away.
-    pub initial_radius_m: f64,
-    /// Coordinate quantization grid in meters. Samples are stored at cell
-    /// centers, one per cell, so repeat-heavy workloads don't balloon the
-    /// index.
-    pub quant_m: f64,
-}
-
-impl Default for ApproxConfig {
-    fn default() -> Self {
-        ApproxConfig { error_bound: 60.0, k: 3, initial_radius_m: 150.0, quant_m: 25.0 }
-    }
 }
 
 /// Construction-time switches for [`AccessEngine`].
@@ -167,125 +141,6 @@ pub struct EngineOptions {
     /// `tests/shared_cache_equivalence.rs` holds the shared cache to, bit
     /// for bit.
     pub private_access_caches: bool,
-    pub approx: ApproxConfig,
-}
-
-/// One cached exact PointAccess answer, stored at a quantized grid cell.
-struct ApproxSample {
-    zone: ZoneId,
-    /// SSR feature row of `zone`; empty when the zone wasn't eligible.
-    feat: Vec<f64>,
-    /// Euclidean norm of `feat`, precomputed off the interpolation path.
-    norm: f64,
-    mac: f64,
-    acsd: f64,
-}
-
-/// Per-category approximate-answer store: an ANN index over quantized
-/// sample coordinates plus a self-tuned confidence radius.
-///
-/// Scenario edits remove the store *eagerly* (under the store lock), so a
-/// present store always reflects the current epoch and the interpolation
-/// hot path never has to read the engine's epoch table.
-struct ApproxState {
-    /// Cache epoch the samples were computed under; edits clear stores
-    /// eagerly, so this only backstops the re-warm path against an edit
-    /// racing a fallback's sample insert.
-    epoch: u64,
-    index: KdAnn,
-    samples: Vec<ApproxSample>,
-    cells: HashSet<(i64, i64)>,
-    /// Confidence radius in meters, tuned against observed residuals.
-    radius: f64,
-}
-
-fn cell_of(p: &[f64; 2], cfg: &ApproxConfig) -> (i64, i64) {
-    ((p[0] / cfg.quant_m).round() as i64, (p[1] / cfg.quant_m).round() as i64)
-}
-
-impl ApproxState {
-    fn new(epoch: u64, cfg: &ApproxConfig) -> Self {
-        ApproxState {
-            epoch,
-            index: KdAnn::new(),
-            samples: Vec::new(),
-            cells: HashSet::new(),
-            radius: cfg.initial_radius_m,
-        }
-    }
-
-    /// Interpolated answer for `q`, or `None` when the nearest sample sits
-    /// outside the confidence radius (caller must fall back to exact).
-    fn interpolate(&self, q: &[f64; 2], cfg: &ApproxConfig) -> Option<QueryAnswer> {
-        let (zone, mac, acsd, d0) = self.blend(q, cfg)?;
-        (d0 <= self.radius).then_some(QueryAnswer::PointAccess { zone, mac, acsd })
-    }
-
-    /// Inverse-distance-weighted blend over the k nearest samples. The
-    /// weight combines squared normalized coordinate distance with the
-    /// normalized *feature* distance to the nearest sample's zone, so a
-    /// spatially close sample from a structurally different zone (e.g.
-    /// across a river with no bridge) contributes less. Returns the
-    /// nearest sample's zone, blended (mac, acsd), and the nearest
-    /// coordinate distance.
-    fn blend(&self, q: &[f64; 2], cfg: &ApproxConfig) -> Option<(ZoneId, f64, f64, f64)> {
-        let nn = self.index.nearest(q, cfg.k.max(1));
-        let &(id0, d0) = nn.first()?;
-        let feat0 = &self.samples[id0].feat;
-        let norm0 = self.samples[id0].norm;
-        let (mut mac, mut acsd, mut wsum) = (0.0, 0.0, 0.0);
-        for &(id, d) in &nn {
-            let s = &self.samples[id];
-            let dn = d / cfg.quant_m;
-            let fd = if !feat0.is_empty() && feat0.len() == s.feat.len() {
-                let fd2: f64 = feat0.iter().zip(&s.feat).map(|(a, b)| (a - b) * (a - b)).sum();
-                fd2.sqrt() / (norm0 + 1e-9)
-            } else {
-                0.0
-            };
-            let w = 1.0 / (0.05 + dn * dn + fd);
-            mac += w * s.mac;
-            acsd += w * s.acsd;
-            wsum += w;
-        }
-        Some((self.samples[id0].zone, mac / wsum, acsd / wsum, d0))
-    }
-
-    /// Feeds one exact answer back into the store: scores the would-be
-    /// interpolation against it (residual histogram + radius tuning), then
-    /// records the sample at its quantized cell (first write per cell wins;
-    /// same-epoch exact answers are deterministic, so later writes would be
-    /// identical).
-    fn observe(
-        &mut self,
-        p: [f64; 2],
-        zone: ZoneId,
-        mac: f64,
-        acsd: f64,
-        feat: Vec<f64>,
-        cfg: &ApproxConfig,
-    ) {
-        if let Some((_, imac, _, d0)) = self.blend(&p, cfg) {
-            let residual = (imac - mac).abs();
-            APPROX_RESIDUAL.record(Duration::from_nanos((residual * 1e3) as u64));
-            if residual <= cfg.error_bound {
-                // The interpolation would have been good at distance d0:
-                // extend trust toward it (capped at doubling per step).
-                self.radius = (self.radius * 1.2).max(d0.min(self.radius * 2.0));
-            } else if d0 <= self.radius * 2.0 {
-                // A nearby violation: contract.
-                self.radius *= 0.5;
-            }
-            self.radius = self.radius.clamp(cfg.quant_m, cfg.initial_radius_m * 16.0);
-        }
-        let cell = cell_of(&p, cfg);
-        if self.cells.insert(cell) {
-            let qp = [cell.0 as f64 * cfg.quant_m, cell.1 as f64 * cfg.quant_m];
-            self.index.push(&qp);
-            let norm = feat.iter().map(|v| v * v).sum::<f64>().sqrt();
-            self.samples.push(ApproxSample { zone, feat, norm, mac, acsd });
-        }
-    }
 }
 
 /// Read guard over the engine's city. Derefs to [`City`]; holding it blocks
@@ -312,9 +167,6 @@ pub struct AccessEngine {
     /// Fleet-shared walking-isochrone cache behind the labeling routers and
     /// `plan`; `None` reverts to per-router private caches.
     access_cache: Option<Arc<SharedAccessCache>>,
-    approx_cfg: ApproxConfig,
-    /// Per-category approximate-answer stores (see [`ApproxState`]).
-    approx: Mutex<HashMap<PoiCategory, ApproxState>>,
     pipeline_runs: AtomicU64,
 }
 
@@ -338,8 +190,6 @@ impl AccessEngine {
             state: RwLock::new(EngineState { city, artifacts }),
             cache: Mutex::new(Cache::default()),
             access_cache,
-            approx_cfg: opts.approx,
-            approx: Mutex::new(HashMap::new()),
             pipeline_runs: AtomicU64::new(0),
         }
     }
@@ -351,9 +201,11 @@ impl AccessEngine {
         self.access_cache.as_ref()
     }
 
-    /// The approximate-query tuning in effect.
-    pub fn approx_config(&self) -> &ApproxConfig {
-        &self.approx_cfg
+    /// The tolerance of an approx-flagged point answer: zero, because the
+    /// flag is answered exactly. Kept only while `benchmark/src/workload.rs`
+    /// reads it.
+    pub fn approx_config(&self) -> ApproxConfig {
+        ApproxConfig { error_bound: 0.0 }
     }
 
     /// The current city state, behind a read guard.
@@ -455,111 +307,10 @@ impl AccessEngine {
         q.answer(&predicted.predicted, &state.city.zones)
     }
 
-    /// Answers `q` in **approximate mode**: a [`AccessQuery::PointAccess`]
-    /// query whose nearest cached exact answer lies within the confidence
-    /// radius is interpolated instead of resolved exactly — no measure-set
-    /// scan, no state lock. Everything else (cold sample store, nearest
-    /// sample too far, a store dropped by a scenario edit, or a query
-    /// shape with no interpolated form) falls back to [`Self::query`], and
-    /// each exact PointAccess answer produced that way re-warms the store.
-    ///
-    /// Counted by `engine.approx.hit` / `engine.approx.fallback`; residuals
-    /// of would-be interpolations land in `engine.approx.residual`.
+    /// [`Self::query`] under its old name. Kept only while
+    /// `benchmark/src/layers.rs` times it as `core.query_approx_ns`.
     pub fn query_approx(&self, q: &AccessQuery, category: PoiCategory) -> QueryAnswer {
-        let mut span = staq_obs::trace::span("engine.approx");
-        let (x, y) = match q {
-            AccessQuery::PointAccess { x, y } => (*x, *y),
-            _ => {
-                APPROX_FALLBACKS.inc();
-                span.attr("fallback", 1);
-                return self.query(q, category);
-            }
-        };
-
-        // Edits clear sample stores eagerly, so a present store is always
-        // current — the hot path takes one lock and reads no epochs.
-        {
-            let approx = self.approx.lock();
-            if let Some(st) = approx.get(&category) {
-                if let Some(ans) = st.interpolate(&[x, y], &self.approx_cfg) {
-                    APPROX_HITS.inc();
-                    span.attr("hit", 1);
-                    return ans;
-                }
-            }
-        }
-
-        // Exact fallback, then feed the sample store so the next nearby
-        // query can interpolate. The epoch is captured *before* the exact
-        // compute so an edit landing mid-compute voids the sample.
-        APPROX_FALLBACKS.inc();
-        span.attr("fallback", 1);
-        let epoch = self.category_epoch(category);
-        let predicted = self.measures(category);
-        let answer = {
-            let state = self.state.read();
-            q.answer(&predicted.predicted, &state.city.zones)
-        };
-        if let QueryAnswer::PointAccess { zone, mac, acsd } = answer {
-            if mac.is_finite() {
-                self.record_approx_sample(category, epoch, [x, y], zone, mac, acsd, &predicted);
-            }
-        }
-        answer
-    }
-
-    /// [`Self::measures`] with approximate-mode accounting: a warm cached
-    /// result counts as an approx hit (the memoized exact result is the
-    /// zero-residual best case of interpolation), anything that must run
-    /// or join a pipeline counts as a fallback — which is what makes
-    /// post-edit staleness observable through `engine.approx.fallback`.
-    pub fn measures_approx(&self, category: PoiCategory) -> Arc<PipelineResult> {
-        let mut span = staq_obs::trace::span("engine.approx");
-        let warm = matches!(self.cache.lock().slots.get(&category), Some(Slot::Ready(_)));
-        if warm {
-            APPROX_HITS.inc();
-            span.attr("hit", 1);
-        } else {
-            APPROX_FALLBACKS.inc();
-            span.attr("fallback", 1);
-        }
-        self.measures(category)
-    }
-
-    /// Current invalidation epoch of `category`'s result cache.
-    fn category_epoch(&self, category: PoiCategory) -> u64 {
-        self.cache.lock().epochs.get(&category).copied().unwrap_or(0)
-    }
-
-    /// Feeds one exact PointAccess answer into the approximate store,
-    /// unless an edit landed since the query began (stale samples must
-    /// never seed a fresh-epoch store). The epoch re-check happens *while
-    /// holding the store lock*: edits clear stores under that same lock
-    /// after bumping the epoch, so either this insert sees the bump and
-    /// aborts, or the edit's clear sweeps the insert away — a stale sample
-    /// can never survive into a current store.
-    #[allow(clippy::too_many_arguments)]
-    fn record_approx_sample(
-        &self,
-        category: PoiCategory,
-        epoch: u64,
-        point: [f64; 2],
-        zone: ZoneId,
-        mac: f64,
-        acsd: f64,
-        predicted: &PipelineResult,
-    ) {
-        let feat = predicted.feature_row(zone).map(<[f64]>::to_vec).unwrap_or_default();
-        let cfg = &self.approx_cfg;
-        let mut approx = self.approx.lock();
-        if self.category_epoch(category) != epoch {
-            return;
-        }
-        let st = approx.entry(category).or_insert_with(|| ApproxState::new(epoch, cfg));
-        if st.epoch != epoch {
-            *st = ApproxState::new(epoch, cfg);
-        }
-        st.observe(point, zone, mac, acsd, feat, cfg);
+        self.query(q, category)
     }
 
     /// Answers `q` against an externally supplied measure vector (e.g. one
@@ -589,10 +340,6 @@ impl AccessEngine {
             cache.slots.remove(&category);
             CACHE_INVALIDATIONS.inc();
         }
-        // Eager approx-store drop (see `ApproxState`): a present store must
-        // always be current. After the epoch bump above, a racing sample
-        // insert either sees the bump or is swept away here.
-        self.approx.lock().remove(&category);
         id
     }
 
@@ -685,9 +432,6 @@ impl AccessEngine {
             cache.slots.clear();
             invalidated
         };
-        // Approximate sample stores are dropped eagerly so the query hot
-        // path can trust any store it finds (see `ApproxState`).
-        self.approx.lock().clear();
         Ok(DeltaApplied { structural: true, zones_rebuilt, invalidated })
     }
 
@@ -972,84 +716,13 @@ mod tests {
             ..Default::default()
         };
         let shared = AccessEngine::new(city.clone(), config.clone());
-        let private = AccessEngine::with_options(
-            city,
-            config,
-            EngineOptions { private_access_caches: true, ..Default::default() },
-        );
+        let private =
+            AccessEngine::with_options(city, config, EngineOptions { private_access_caches: true });
         assert!(private.shared_access_cache().is_none());
         let a = shared.measures(PoiCategory::School);
         let b = private.measures(PoiCategory::School);
         assert_eq!(a.predicted, b.predicted, "cache sharing must not change any answer");
         assert_eq!(a.labeled, b.labeled);
         assert_eq!(a.labeled_stats, b.labeled_stats);
-    }
-
-    #[test]
-    fn approx_point_query_interpolates_repeats_within_error_bound() {
-        let e = engine();
-        let p = {
-            let city = e.city();
-            city.zones[3].centroid
-        };
-        let q = AccessQuery::PointAccess { x: p.x + 2.0, y: p.y - 2.0 };
-        let exact = match e.query(&q, PoiCategory::School) {
-            QueryAnswer::PointAccess { zone, mac, .. } => (zone, mac),
-            other => panic!("{other:?}"),
-        };
-        // First approx call is a fallback (cold store) that seeds a sample;
-        // it must return the exact answer.
-        let first = e.query_approx(&q, PoiCategory::School);
-        match first {
-            QueryAnswer::PointAccess { zone, mac, .. } => {
-                assert_eq!((zone, mac), exact, "fallback path must be exact");
-            }
-            other => panic!("{other:?}"),
-        }
-        let runs = e.pipeline_runs();
-        // The repeat lands within the confidence radius of the seeded
-        // sample: interpolated, no pipeline work, within the error bound.
-        let second = e.query_approx(&q, PoiCategory::School);
-        assert_eq!(e.pipeline_runs(), runs);
-        match second {
-            QueryAnswer::PointAccess { zone, mac, .. } => {
-                assert_eq!(zone, exact.0, "nearest sample shares the zone");
-                assert!(
-                    (mac - exact.1).abs() <= e.approx_config().error_bound,
-                    "interpolated {} vs exact {} exceeds the error bound",
-                    mac,
-                    exact.1
-                );
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn approx_falls_back_to_exact_after_a_structural_edit() {
-        let e = engine();
-        let (p, a, b) = {
-            let city = e.city();
-            (city.zones[1].centroid, city.zones[0].centroid, city.cores[0])
-        };
-        let q = AccessQuery::PointAccess { x: p.x, y: p.y };
-        let _ = e.query_approx(&q, PoiCategory::School); // seed
-        let _ = e.query_approx(&q, PoiCategory::School); // warm hit
-        let shared_epoch = e.shared_access_cache().unwrap().epoch();
-
-        let mid = a.midpoint(&b);
-        e.add_bus_route(&[a, mid, b], 600);
-        assert!(
-            e.shared_access_cache().unwrap().epoch() > shared_epoch,
-            "structural edits must bump the shared access-cache epoch"
-        );
-
-        // The store's epoch is stale: the same point must recompute exactly
-        // (one more pipeline run) instead of serving the old interpolation.
-        let runs = e.pipeline_runs();
-        let post = e.query_approx(&q, PoiCategory::School);
-        assert_eq!(e.pipeline_runs(), runs + 1, "stale approx store must fall back to exact");
-        let exact = e.query(&q, PoiCategory::School);
-        assert_eq!(post, exact, "post-edit fallback answer is the exact answer");
     }
 }

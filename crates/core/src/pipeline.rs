@@ -77,16 +77,6 @@ pub struct PipelineResult {
 }
 
 impl PipelineResult {
-    /// Feature row of `zone` (labeled or unlabeled), if it was eligible.
-    /// Linear scan over the id lists — callers are off the hot path (the
-    /// approximate-query fallback records one sample per exact compute).
-    pub fn feature_row(&self, zone: ZoneId) -> Option<&[f64]> {
-        if let Some(i) = self.labeled.iter().position(|&z| z == zone) {
-            return Some(self.x_labeled.row(i));
-        }
-        self.unlabeled.iter().position(|&z| z == zone).map(|i| self.x_unlabeled.row(i))
-    }
-
     /// Predicted measures of the unlabeled zones only (evaluation set).
     pub fn predicted_unlabeled(&self) -> Vec<ZoneMeasures> {
         // Two-pointer merge: `predicted` is sorted by zone and `unlabeled`

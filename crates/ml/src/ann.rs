@@ -1,22 +1,20 @@
-//! Nearest-neighbour indexes behind one trait — the machinery the serving
-//! layer's approximate access-query path probes.
+//! Nearest-neighbour indexes behind one trait: sub-microsecond k-NN over a
+//! small, incrementally grown point set.
 //!
-//! The engine interpolates an answer from the k nearest *cached exact
-//! answers* in feature space (see `staq-core`'s approximate query mode), so
-//! it needs sub-microsecond k-NN over a small, incrementally grown point
-//! set. [`AnnIndex`] abstracts the index; two implementations ship:
+//! Its only caller outside this module's tests is the `staq-e2e`
+//! benchmark's `ml.ann_query_ns` probe (`benchmark/src/layers.rs`); the
+//! engine's point queries are an exact scan and use no index. The module
+//! goes when that probe does. [`AnnIndex`] abstracts the index; two
+//! implementations ship:
 //!
 //! * [`LinearAnn`] — brute-force scan. Exact, trivially correct, and the
 //!   oracle the kd-tree is property-tested against.
 //! * [`KdAnn`] — a kd-tree with amortized incremental insert (points buffer
 //!   until the tree doubles, then it rebuilds by median splits), pruned
-//!   exact k-NN search. The "approximate" in ANN lives in how the *caller*
-//!   uses the neighbours (interpolation within a confidence radius), not in
-//!   the search, which returns true nearest neighbours.
+//!   exact k-NN search: it returns true nearest neighbours.
 //!
 //! Distances are Euclidean. [`KnnRegressor`](crate::knn::KnnRegressor)
-//! remains the Minkowski-general regressor for COREG; these indexes serve
-//! the latency-critical path where p = 2 and targets live outside the index.
+//! remains the Minkowski-general regressor for COREG.
 
 /// An incremental k-nearest-neighbour index over fixed-dimension points.
 pub trait AnnIndex {
@@ -118,10 +116,9 @@ struct KdNode {
 /// search the tree with hypersphere/hyperplane pruning and scan the
 /// (short) tail linearly, so results are always exact regardless of
 /// rebuild timing. Coordinates live in one flat row-major buffer, and the
-/// tail is just the id range `tree_n..n` of that buffer: the serving layer
-/// probes this index on its approximate-query hot path, and both the
+/// tail is just the id range `tree_n..n` of that buffer: both the
 /// pointer-chase of a `Vec<Vec<f64>>` and a long tail of scattered ids
-/// cost more there than the tree search itself.
+/// cost more than the tree search itself.
 #[derive(Default)]
 pub struct KdAnn {
     /// Point coordinates, flattened row-major (`dim` values per point).

@@ -16,7 +16,7 @@
 //! * [`ols`] — ridge-stabilized ordinary least squares.
 //! * [`knn`] — Minkowski k-NN regressor (COREG's base learner).
 //! * [`ann`] — incremental k-NN indexes ([`AnnIndex`]: kd-tree + linear
-//!   scan) for the serving layer's approximate-query interpolation.
+//!   scan), timed by the `staq-e2e` benchmark and used by nothing else.
 //! * [`coreg`] — COREG co-training with two k-NN regressors (Zhou & Li 2005).
 //! * [`mlp`] — multi-layer perceptron with ReLU and Adam.
 //! * [`mean_teacher`] — consistency-regularized MLP with EMA teacher

@@ -64,10 +64,12 @@ impl Json {
         }
     }
 
+    /// Parses one JSON document. Arrays and objects may nest at most 128
+    /// deep; deeper input is an `Err`, never a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -141,8 +143,17 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, and a request body reaches it straight off a socket, so without
+/// a bound a 10 KB run of `[` overflows an HTTP worker's stack and aborts
+/// the process. Gateway bodies nest at most 3 deep.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!("nesting too deep at offset {pos} (limit {MAX_DEPTH})"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
@@ -158,7 +169,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -186,7 +197,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at offset {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -279,6 +290,8 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrips_nested_values() {
@@ -310,5 +323,79 @@ mod tests {
     fn unicode_escapes_parse() {
         let v = Json::parse(r#""café ☃""#).unwrap();
         assert_eq!(v, Json::Str("café ☃".into()));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // A default-stack thread, like the HTTP workers that parse bodies.
+        let deep = std::thread::spawn(|| Json::parse(&"[".repeat(100_000)));
+        let err = deep.join().expect("the parsing thread survives").expect_err("too deep");
+        assert!(err.contains("nesting too deep"), "{err}");
+
+        let nested = |n: usize| format!("{}1{}", r#"[{"a":"#.repeat(n), "}]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH / 2)).is_ok(), "the limit itself parses");
+        assert!(Json::parse(&nested(MAX_DEPTH / 2 + 1)).is_err());
+    }
+
+    /// Bytes the grammar branches on, so random input gets past the first
+    /// byte instead of failing there.
+    const TOKENS: &[u8] = b"[]{}\",:0123456789.eE-+nulltruefalse\\/u ";
+
+    fn lossy(picks: Vec<(u8, u8)>) -> String {
+        let bytes: Vec<u8> = picks
+            .into_iter()
+            .map(|(kind, b)| if kind == 0 { b } else { TOKENS[b as usize % TOKENS.len()] })
+            .collect();
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// One node of a generated tree: (kind, width, number, text).
+    type Op = (u8, usize, f64, String);
+
+    /// Builds a tree top-down from a flat op list, at most 6 containers
+    /// deep; ops running out mid-container fill the rest with `null`.
+    fn build(ops: &mut std::slice::Iter<'_, Op>, depth: usize) -> Json {
+        let Some((kind, width, num, text)) = ops.next() else { return Json::Null };
+        match kind {
+            0 => Json::Null,
+            1 => Json::Bool(*num > 0.0),
+            2 => Json::Num(*num),
+            3 => Json::Num((num % 1e15).trunc()),
+            4 => Json::Str(text.clone()),
+            5 if depth < 6 => Json::Arr((0..*width).map(|_| build(ops, depth + 1)).collect()),
+            6 if depth < 6 => {
+                Json::Obj((0..*width).map(|_| (text.clone(), build(ops, depth + 1))).collect())
+            }
+            _ => Json::Str(String::new()),
+        }
+    }
+
+    fn text() -> impl Strategy<Value = String> {
+        // Control characters, quotes, backslashes, multi-byte and astral
+        // characters all appear.
+        vec(0u32..0x800, 0..6).prop_map(|cs| {
+            cs.into_iter()
+                .filter_map(|c| char::from_u32(if c >= 0x7f0 { 0x1f600 + c - 0x7f0 } else { c }))
+                .collect()
+        })
+    }
+
+    fn finite() -> impl Strategy<Value = f64> {
+        (-1.0f64..1.0, -300i32..300).prop_map(|(m, e)| m * 10f64.powi(e))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic(picks in vec((0u8..4, 0u8..=255), 0..512)) {
+            let _ = Json::parse(&lossy(picks));
+        }
+
+        #[test]
+        fn finite_trees_round_trip(ops in vec((0u8..8, 0usize..5, finite(), text()), 1..48)) {
+            let v = build(&mut ops.iter(), 0);
+            prop_assert_eq!(Json::parse(&v.to_string()), Ok(v));
+        }
     }
 }

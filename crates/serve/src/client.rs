@@ -145,19 +145,6 @@ impl Client {
         }
     }
 
-    /// [`Self::measures`] with the approximate-mode flag set: the server
-    /// may answer from its warm cache and counts the request against its
-    /// `engine.approx.*` metrics.
-    pub fn measures_approx(
-        &mut self,
-        category: PoiCategory,
-    ) -> Result<Vec<ZoneMeasures>, ClientError> {
-        match self.call(&Request::Measures { category, approx: true })? {
-            Response::Measures(ms) => Ok(ms),
-            other => Err(unexpected(other)),
-        }
-    }
-
     /// An analytical access query for one category.
     pub fn query(
         &mut self,
@@ -165,20 +152,6 @@ impl Client {
         category: PoiCategory,
     ) -> Result<QueryAnswer, ClientError> {
         match self.call(&Request::Query { category, query: query.clone(), approx: false })? {
-            Response::Query(a) => Ok(a),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// [`Self::query`] in approximate mode: `PointAccess` queries may be
-    /// answered by server-side interpolation within its configured error
-    /// bound (exact fallback otherwise — the answer shape is identical).
-    pub fn query_approx(
-        &mut self,
-        query: &AccessQuery,
-        category: PoiCategory,
-    ) -> Result<QueryAnswer, ClientError> {
-        match self.call(&Request::Query { category, query: query.clone(), approx: true })? {
             Response::Query(a) => Ok(a),
             other => Err(unexpected(other)),
         }

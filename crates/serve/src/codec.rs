@@ -80,13 +80,11 @@ pub const MAX_FRAME_LEN: usize = 16 << 20;
 /// A request frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Full SSR measure vector for one category. `approx` opts into the
-    /// engine's approximate serving mode (the flag rides the high bit of
-    /// the category byte).
+    /// Full SSR measure vector for one category. `approx` (the high bit of
+    /// the category byte) is accepted, ignored: answers are exact.
     Measures { category: PoiCategory, approx: bool },
     /// An analytical access query against one category; `approx` as on
-    /// [`Request::Measures`] — `PointAccess` queries may then be answered
-    /// by interpolation within the server's error bound.
+    /// [`Request::Measures`]: accepted, ignored, answers are exact.
     Query { category: PoiCategory, query: AccessQuery, approx: bool },
     /// Scenario edit: add a POI at a position.
     AddPoi { category: PoiCategory, pos: Point },
@@ -580,7 +578,8 @@ impl Wire for PoiCategory {
 }
 
 /// High bit of the category byte on `Measures`/`Query` requests: the
-/// approximate-mode opt-in. Category codes stay tiny, so the bit is free.
+/// approx flag, still carried so existing frames decode unchanged, and
+/// ignored by the server. Category codes stay tiny, so the bit is free.
 const APPROX_FLAG: u8 = 0x80;
 
 fn category_byte(c: PoiCategory, approx: bool) -> u8 {

@@ -15,8 +15,8 @@
 //! |--------|----------------|-------------------------------------------|
 //! | GET    | `/healthz`     | — (gateway liveness only)                 |
 //! | GET    | `/v1/stats`    | —                                         |
-//! | GET    | `/v1/measures` | `?category=school[&approx=true]`          |
-//! | POST   | `/v1/query`    | `{category, query:{kind,...}, approx?}`   |
+//! | GET    | `/v1/measures` | `?category=school`                        |
+//! | POST   | `/v1/query`    | `{category, query:{kind,...}}`            |
 //! | POST   | `/v1/plan`     | `{origin:{x,y}, dest:{x,y}, depart, ...}` |
 //! | POST   | `/v1/poi`      | `{category, x, y}`                        |
 //! | GET    | `/metrics`     | — (gateway-process Prometheus exposition) |
@@ -199,8 +199,7 @@ fn measures(state: &GatewayState, req: &HttpRequest) -> HttpResponse {
     let Some(category) = req.param("category").and_then(parse_category) else {
         return error_response(400, "category must be school|hospital|vax_center|job_center");
     };
-    let approx = req.param("approx").is_some_and(|v| v == "true" || v == "1");
-    forward(state, &Request::Measures { category, approx }, deadline, |resp| match resp {
+    forward(state, &Request::Measures { category, approx: false }, deadline, |resp| match resp {
         Response::Measures(zones) => Some(Json::Arr(zones.iter().map(measures_json).collect())),
         _ => None,
     })
@@ -220,8 +219,7 @@ fn query(state: &GatewayState, req: &HttpRequest) -> HttpResponse {
         Some(Err(msg)) => return error_response(400, &msg),
         None => return error_response(400, "missing query object"),
     };
-    let approx = body.get("approx").and_then(Json::as_bool).unwrap_or(false);
-    let request = Request::Query { category, query, approx };
+    let request = Request::Query { category, query, approx: false };
     forward(state, &request, body_deadline(&body), |resp| match resp {
         Response::Query(answer) => Some(answer_json(&answer)),
         _ => None,

@@ -17,6 +17,7 @@ use crate::codec::{DeltaAck, ErrorCode, Request, Response, StatsReply, WhatIfAns
 use crate::server::FrontNames;
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
+use staq_access::AccessQuery;
 use staq_core::AccessEngine;
 use staq_net::admission::{Admission, ShedReason};
 use staq_obs::trace::Span;
@@ -292,20 +293,21 @@ fn execute_inner(
     request: &Request,
 ) -> Response {
     let engine: &AccessEngine = rt.engine();
+    // The approx flag on `Measures` / `Query` is accepted and ignored:
+    // every answer is exact.
     match request {
-        Request::Measures { category, approx } => {
-            let measures = if *approx {
-                engine.measures_approx(*category)
-            } else {
-                engine.measures(*category)
-            };
-            Response::Measures(measures.predicted.clone())
+        Request::Measures { category, .. } => {
+            Response::Measures(engine.measures(*category).predicted.clone())
         }
-        Request::Query { category, query, approx } => Response::Query(if *approx {
-            engine.query_approx(query, *category)
-        } else {
-            engine.query(query, *category)
-        }),
+        Request::Query { query: AccessQuery::PointAccess { x, y }, .. }
+            if !x.is_finite() || !y.is_finite() =>
+        {
+            Response::Error {
+                code: ErrorCode::Invalid,
+                message: "point_access coordinates must be finite".into(),
+            }
+        }
+        Request::Query { category, query, .. } => Response::Query(engine.query(query, *category)),
         Request::AddPoi { category, pos } => {
             if !pos.x.is_finite() || !pos.y.is_finite() {
                 return Response::Error {
@@ -437,7 +439,6 @@ mod tests {
     /// declares them. The two must agree or a class's windows go quiet.
     #[test]
     fn slo_classes_name_the_histograms_their_kinds_record_into() {
-        use staq_access::AccessQuery;
         use staq_gtfs::model::TripId;
         let p = staq_geom::Point::new(0.0, 0.0);
         let (category, query) = (PoiCategory::School, AccessQuery::MeanAccess);
@@ -611,7 +612,6 @@ mod tests {
 
     #[test]
     fn what_if_empty_scenario_reproduces_the_base_answer() {
-        use staq_access::AccessQuery;
         use staq_synth::PoiCategory;
 
         let pool = spawn(engine(), 2, 8);

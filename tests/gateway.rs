@@ -131,3 +131,45 @@ fn queries_round_trip_through_http_json() {
         "dead backend must surface as a 5xx, got {status}: {body}"
     );
 }
+
+#[test]
+fn hostile_bodies_are_400s_and_approx_changes_no_answer() {
+    let engine = CityPreset::Test.engine(0.05, 42);
+    let mut server = staq_serve::serve(
+        engine,
+        &ServerConfig { addr: "127.0.0.1:0".into(), workers: 2, ..Default::default() },
+    )
+    .expect("bind backend");
+    let gw = gateway(server.addr(), &GatewayConfig::default()).expect("bind gateway");
+    let addr = gw.addr();
+
+    // 100 000 nested arrays: one parser frame per level would overflow
+    // the HTTP worker's stack and abort every thread in this process.
+    let (status, body) = http(addr, "POST", "/v1/query", Some(&"[".repeat(100_000)));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting too deep"), "{body}");
+    assert_eq!(http(addr, "GET", "/healthz", None).0, 200, "the gateway outlives the body");
+
+    // `1e999` parses to infinity, and no zone is nearest to it.
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/v1/query",
+        Some(r#"{"category":"school","query":{"kind":"point_access","x":1e999,"y":300}}"#),
+    );
+    assert_eq!(status, 400, "{body}");
+
+    // The approx key is accepted and changes no byte of the answer.
+    let point = r#""query":{"kind":"point_access","x":1234.5,"y":2345.5}"#;
+    let plain =
+        http(addr, "POST", "/v1/query", Some(&format!(r#"{{"category":"school",{point}}}"#)));
+    let flagged = http(
+        addr,
+        "POST",
+        "/v1/query",
+        Some(&format!(r#"{{"category":"school",{point},"approx":true}}"#)),
+    );
+    assert_eq!(plain.0, 200, "{}", plain.1);
+    assert_eq!(flagged, plain);
+    server.shutdown();
+}

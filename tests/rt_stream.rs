@@ -9,7 +9,7 @@ use staq_gtfs::Delta;
 use staq_repro::prelude::*;
 use staq_serve::codec::ErrorCode;
 use staq_serve::presets::CityPreset;
-use staq_serve::{Client, ClientError, ServerConfig, ServerHandle};
+use staq_serve::{Client, ClientError, Request, Response, ServerConfig, ServerHandle};
 
 fn start_server(seed: u64) -> ServerHandle {
     let engine = CityPreset::Test.engine(0.05, seed);
@@ -154,69 +154,41 @@ fn what_if_answers_match_the_committed_future() {
     server.shutdown();
 }
 
-#[test]
-fn approx_answers_fall_back_to_exact_after_a_delta_until_rewarmed() {
-    let mut server = start_server(42);
-    let mut c = Client::connect(server.addr()).expect("connect");
-    let counter = |m: &staq_obs::MetricsSnapshot, name: &str| m.counter(name).unwrap_or(0);
-
-    let q = AccessQuery::PointAccess { x: 400.0, y: 300.0 };
-    let cat = PoiCategory::School;
-    let exact = c.query(&q, cat).expect("exact point answer");
-
-    // Cold approx store: the first approximate query must fall back to the
-    // exact path (and seed an interpolation sample from its answer).
-    let baseline = c.stats().expect("baseline").metrics;
-    let first = c.query_approx(&q, cat).expect("cold approx");
-    assert_eq!(first, exact, "the fallback path IS the exact path");
-    let warmed = c.stats().expect("after cold approx").metrics;
-    assert!(
-        counter(&warmed, "engine.approx.fallback") > counter(&baseline, "engine.approx.fallback"),
-        "a cold approximate query is a counted fallback"
-    );
-
-    // Re-asking at the same point interpolates from the seeded sample:
-    // same zone, value within the engine's error bound, hit counted.
-    let (zone, mac) = match exact {
-        QueryAnswer::PointAccess { zone, mac, .. } => (zone, mac),
-        other => panic!("{other:?}"),
-    };
-    let second = c.query_approx(&q, cat).expect("warm approx");
-    match second {
-        QueryAnswer::PointAccess { zone: z2, mac: m2, .. } => {
-            assert_eq!(z2, zone, "interpolation stays in the exact answer's zone");
-            assert!((m2 - mac).abs() <= 60.0, "within the error bound: {m2} vs {mac}");
+/// The served `PointAccess` answer at `p`, its measures as raw bits so
+/// that comparisons are bit for bit rather than float equality.
+fn point_bits(c: &mut Client, p: Point, approx: bool) -> (ZoneId, u64, u64) {
+    let query = AccessQuery::PointAccess { x: p.x, y: p.y };
+    let request = Request::Query { category: PoiCategory::School, query, approx };
+    match c.call(&request).expect("point answer") {
+        Response::Query(QueryAnswer::PointAccess { zone, mac, acsd }) => {
+            assert!(mac.is_finite(), "a measured zone answers at {p:?}");
+            (zone, mac.to_bits(), acsd.to_bits())
         }
         other => panic!("{other:?}"),
     }
-    let hit = c.stats().expect("after warm approx").metrics;
-    assert!(
-        counter(&hit, "engine.approx.hit") > counter(&warmed, "engine.approx.hit"),
-        "a warm approximate query is a counted hit"
-    );
+}
 
-    // A structural delta bumps the epoch: every approximate answer falls
-    // back to exact until the store is re-warmed, and the fallback counter
-    // says so.
+#[test]
+fn approx_flagged_point_queries_answer_exactly_across_a_delta() {
+    let mut server = start_server(42);
+    let mut c = Client::connect(server.addr()).expect("connect");
+    let centroids: Vec<Point> =
+        CityPreset::Test.generate(0.05, 42).zones.iter().map(|z| z.centroid).collect();
+    let midpoints = centroids.windows(2).map(|w| w[0].midpoint(&w[1]));
+    let points: Vec<Point> =
+        centroids.iter().copied().chain(midpoints).chain([Point::new(400.0, 300.0)]).collect();
+    let check = |c: &mut Client, when: &str| {
+        for &p in &points {
+            let (flagged, plain) = (point_bits(c, p, true), point_bits(c, p, false));
+            assert_eq!(flagged, plain, "{when}: the approx-flagged reply differs at {p:?}");
+        }
+    };
+
+    check(&mut c, "before the delta");
+    // The delta recomputes the measures; a flagged reply follows them at
+    // once, with nothing of its own to refresh.
     c.apply_delta(0, &Delta::TripDelay { trip: TripId(0), delay_secs: 300 }).expect("delta");
-    let post_delta = c.stats().expect("post delta").metrics;
-    let after = c.query_approx(&q, cat).expect("approx after delta");
-    let exact_after = c.query(&q, cat).expect("exact after delta");
-    assert_eq!(after, exact_after, "stale samples are never served: fallback answers exactly");
-    let fell_back = c.stats().expect("after stale approx").metrics;
-    assert!(
-        counter(&fell_back, "engine.approx.fallback")
-            > counter(&post_delta, "engine.approx.fallback"),
-        "engine.approx.fallback must count the post-delta miss"
-    );
-
-    // That fallback re-warmed the store under the new epoch.
-    c.query_approx(&q, cat).expect("re-warmed approx");
-    let rewarmed = c.stats().expect("after re-warm").metrics;
-    assert!(
-        counter(&rewarmed, "engine.approx.hit") > counter(&fell_back, "engine.approx.hit"),
-        "the store re-warms under the new epoch"
-    );
+    check(&mut c, "after the delta");
     server.shutdown();
 }
 

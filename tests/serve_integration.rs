@@ -138,6 +138,34 @@ fn semantic_errors_keep_the_connection_usable() {
 }
 
 #[test]
+fn non_finite_point_coordinates_are_rejected_not_answered() {
+    let mut server = start_server(2);
+    let mut c = Client::connect(server.addr()).expect("connect");
+    // Every distance to a NaN or infinite point is NaN or infinite, so a
+    // nearest-centroid scan would keep its first candidate and answer
+    // with that zone's measures.
+    let payload_nan = f64::from_bits(0x7ff8_dead_beef_0001);
+    let bad = [
+        (f64::NAN, 300.0),
+        (400.0, payload_nan),
+        (f64::INFINITY, 0.0),
+        (f64::NEG_INFINITY, f64::NAN),
+    ];
+    for (x, y) in bad {
+        match c.query(&AccessQuery::PointAccess { x, y }, PoiCategory::School) {
+            Err(ClientError::Server { code, message }) => {
+                assert_eq!(code, ErrorCode::Invalid);
+                assert!(message.contains("finite"), "{message}");
+            }
+            other => panic!("({x}, {y}) must be refused, got {other:?}"),
+        }
+    }
+    let ok = c.query(&AccessQuery::PointAccess { x: 400.0, y: 300.0 }, PoiCategory::School);
+    assert!(matches!(ok, Ok(QueryAnswer::PointAccess { .. })), "{ok:?}");
+    server.shutdown();
+}
+
+#[test]
 fn malformed_frames_get_an_error_and_a_hangup() {
     use std::io::{Read, Write};
 

@@ -54,7 +54,7 @@ fn shared_cache_measures_match_private_caches_under_concurrent_invalidation() {
     let private = Arc::new(AccessEngine::with_options(
         city,
         config(),
-        EngineOptions { private_access_caches: true, ..Default::default() },
+        EngineOptions { private_access_caches: true },
     ));
     assert!(shared.shared_access_cache().is_some(), "default engine shares its access cache");
     assert!(private.shared_access_cache().is_none(), "opted-out engine keeps private caches");
@@ -117,11 +117,8 @@ fn shared_cache_measures_match_private_caches_under_concurrent_invalidation() {
 fn delays_and_route_removals_keep_the_shared_access_cache() {
     let city = City::generate(&CityConfig::small(21));
     let shared = AccessEngine::new(city.clone(), config());
-    let private = AccessEngine::with_options(
-        city,
-        config(),
-        EngineOptions { private_access_caches: true, ..Default::default() },
-    );
+    let private =
+        AccessEngine::with_options(city, config(), EngineOptions { private_access_caches: true });
     assert_bit_identical(&shared, &private, "cold");
     let cache = shared.shared_access_cache().expect("shared cache");
     let epoch = cache.epoch();
@@ -143,11 +140,8 @@ fn scenario_edits_keep_shared_and_private_engines_in_lockstep() {
     let city = City::generate(&CityConfig::small(33));
     let side = city.config.side_m;
     let shared = AccessEngine::new(city.clone(), config());
-    let private = AccessEngine::with_options(
-        city,
-        config(),
-        EngineOptions { private_access_caches: true, ..Default::default() },
-    );
+    let private =
+        AccessEngine::with_options(city, config(), EngineOptions { private_access_caches: true });
 
     assert_bit_identical(&shared, &private, "cold");
 
