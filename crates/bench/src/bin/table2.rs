@@ -7,10 +7,12 @@
 //! ```
 //!
 //! Paper shape to verify: savings of ~96–97 % at β = 3 % falling to ~77 %
-//! at β = 30 %. At `--scale 0.25` Birmingham holds it (92–96 % falling to
-//! 61–68 %). At the default 0.06 so little is labeled that fixed costs
-//! (TODAM, features, training) dominate the small categories and their
-//! saving goes negative at higher β.
+//! at β = 30 %. At `--scale 0.25` every row falls monotonically in β, but
+//! from a lower level (Birmingham 78–93 % at β = 3 % to 42–53 % at 30 %):
+//! labeling is cheap next to the fixed costs (TODAM, features, training).
+//! At the default 0.06 so little is labeled that those fixed costs
+//! dominate the small categories and their saving goes negative at
+//! higher β.
 
 use staq_bench::{birmingham, coventry, BenchArgs, CsvOut};
 use staq_core::{NaiveResult, OfflineArtifacts, PipelineConfig, SsrPipeline};

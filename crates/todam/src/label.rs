@@ -7,9 +7,11 @@
 //! vector."
 //!
 //! Labeling dominates end-to-end runtime (§IV-E), so it parallelizes across
-//! zones with a crossbeam worker pool. On the evaluation box every run is
-//! still deterministic: costs depend only on (city, matrix, router config),
-//! never on scheduling.
+//! zones with a crossbeam worker pool, and within a zone answers all trips
+//! sharing a start time with one one-to-many RAPTOR pass rather than one
+//! SPQ each. Every trip's cost equals what the per-trip reference router
+//! gives it, and every run is deterministic: costs depend only on (city,
+//! matrix, router config), never on scheduling.
 
 use crate::build::{trip_origin, trip_poi_pos};
 use crate::matrix::Todam;
@@ -133,14 +135,25 @@ impl<'a> LabelEngine<'a> {
     /// `None` when the zone has no trips in `m`. The router is the calling
     /// worker's, so one `Raptor` (and its query scratch) is amortized across
     /// its whole share of zones instead of being rebuilt per zone.
+    ///
+    /// Every trip of a zone leaves its centroid, so the trips sharing a
+    /// start time form one [`Raptor::query_many`] pass. Costs land at each
+    /// trip's own index, so the aggregate sums in trip order.
     fn label_zone_with(&self, router: &Raptor, m: &Todam, zone: ZoneId) -> Option<ZoneStats> {
         let trips = m.zone_trips(zone);
-        let mut costs = Vec::with_capacity(trips.len());
-        for trip in trips {
-            let o = trip_origin(self.city, trip);
-            let d = trip_poi_pos(self.city, m, trip);
-            let j = router.query(&o, &d, trip.start, self.interval.day);
-            costs.push((self.cost.cost(&j), j.is_walk_only()));
+        let mut order: Vec<usize> = (0..trips.len()).collect();
+        order.sort_by_key(|&i| trips[i].start);
+        let mut costs = vec![(0.0, false); trips.len()];
+        let (mut dests, mut journeys) = (Vec::new(), Vec::new());
+        for group in order.chunk_by(|&a, &b| trips[a].start == trips[b].start) {
+            let first = &trips[group[0]];
+            dests.clear();
+            dests.extend(group.iter().map(|&i| trip_poi_pos(self.city, m, &trips[i])));
+            let o = trip_origin(self.city, first);
+            router.query_many(&o, &dests, first.start, self.interval.day, &mut journeys);
+            for (&i, j) in group.iter().zip(&journeys) {
+                costs[i] = (self.cost.cost(j), j.is_walk_only());
+            }
         }
         ZONES_LABELED.inc();
         TRIPS_LABELED.add(trips.len() as u64);
@@ -262,6 +275,71 @@ mod tests {
         assert_eq!(s.n_trips, 3);
         assert!((s.walk_only_frac - 1.0 / 3.0).abs() < 1e-12);
         assert!(ZoneStats::from_costs(&[]).is_none());
+    }
+
+    /// `ZoneStats` as raw bits, so equality is bit-for-bit.
+    fn bits(labels: &[Option<ZoneStats>]) -> Vec<Option<(u64, u64, u32, u64)>> {
+        labels
+            .iter()
+            .map(|l| {
+                l.map(|s| {
+                    (s.mac.to_bits(), s.acsd.to_bits(), s.n_trips, s.walk_only_frac.to_bits())
+                })
+            })
+            .collect()
+    }
+
+    /// Grouped labeling equals labeling every trip on its own with the
+    /// unpruned reference router, bit for bit: for JT and GAC, through a
+    /// private and a shared access cache, at one and four workers. The
+    /// VaxCenter matrix of `small(42)` holds trips on which the pruned
+    /// per-trip router once arrived later than the reference.
+    #[test]
+    fn labels_equal_per_trip_reference_labeling() {
+        let _serial = LABELING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let city = City::generate(&CityConfig::small(42));
+        let spec = TodamSpec::default();
+        let m = spec.build(&city, PoiCategory::VaxCenter);
+        let zones: Vec<ZoneId> = (0..city.n_zones() as u32).map(ZoneId).collect();
+        let net = TransitNetwork::with_defaults(&city.road, &city.feed);
+        let reference = Raptor::reference(&net);
+        let journeys: Vec<Vec<_>> = zones
+            .iter()
+            .map(|&z| {
+                let trips = m.zone_trips(z);
+                trips
+                    .iter()
+                    .map(|t| {
+                        let (o, d) = (trip_origin(&city, t), trip_poi_pos(&city, &m, t));
+                        reference.query(&o, &d, t.start, spec.interval.day)
+                    })
+                    .collect()
+            })
+            .collect();
+        for cost in [AccessCost::jt(), AccessCost::gac()] {
+            let expected: Vec<Option<ZoneStats>> = journeys
+                .iter()
+                .map(|js| {
+                    let costs: Vec<(f64, bool)> =
+                        js.iter().map(|j| (cost.cost(j), j.is_walk_only())).collect();
+                    ZoneStats::from_costs(&costs)
+                })
+                .collect();
+            assert!(expected.iter().any(Option::is_some));
+            let private = LabelEngine::new(&city, cost, spec.interval.clone());
+            let shared = LabelEngine::new(&city, cost, spec.interval.clone())
+                .with_shared_cache(Arc::new(SharedAccessCache::new()));
+            for (cache, mut engine) in [("private", private), ("shared", shared)] {
+                for workers in [1, 4] {
+                    engine.n_workers = workers;
+                    assert_eq!(
+                        bits(&engine.label_zones(&m, &zones)),
+                        bits(&expected),
+                        "{cache} cache, {workers} workers"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

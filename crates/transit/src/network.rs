@@ -837,10 +837,11 @@ pub type AccessRange = (u32, u32);
 /// is needed. Eviction is **second-chance** (a clock over insertion order):
 /// [`begin_query`](Self::begin_query) pops the oldest entries whose
 /// referenced bit is clear — a hit since the last sweep earns one reprieve —
-/// until the query's (up to two) inserts fit the budget, then compacts the
-/// arena. Because eviction happens only between queries, ranges handed out
-/// within one query are never invalidated mid-query. Evictions are counted
-/// in `transit.access_cache.evictions`.
+/// until the window's (up to two) inserts fit the budget, then compacts the
+/// arena. A window is a point query's origin and egress lookups, or one
+/// egress lookup of a one-to-many pass. Because eviction happens only
+/// between windows, ranges handed out within one are never invalidated
+/// mid-window. Evictions are counted in `transit.access_cache.evictions`.
 pub struct AccessCache {
     map: HashMap<(i64, i64), CacheEntry>,
     /// Insertion-ordered key queue the clock hand sweeps. Keys are unique:
@@ -889,9 +890,9 @@ impl AccessCache {
         ((point.x * 1000.0).round() as i64, (point.y * 1000.0).round() as i64)
     }
 
-    /// Call once per query, before its lookups: second-chance-evicts until
-    /// the query's (up to two) inserts fit the budget, so ranges returned
-    /// within a single query always stay valid.
+    /// Call before each window of at most two lookups: second-chance-evicts
+    /// until the window's inserts fit the budget, so ranges returned within
+    /// a window always stay valid.
     pub fn begin_query(&mut self) {
         let mut evicted = 0u64;
         while self.map.len() + 2 > self.max_entries {

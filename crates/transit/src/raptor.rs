@@ -6,13 +6,27 @@
 //! (access walk, wait, in-vehicle, egress, transfers) fall out directly.
 //!
 //! This is the workhorse behind every shortest-path query (SPQ) in the
-//! paper: TODAM labeling (§IV-D) calls [`Raptor::query`] once per sampled
-//! trip.
+//! paper. TODAM labeling (§IV-D) runs one [`Raptor::query_many`] pass per
+//! (zone, start time): every trip of the group leaves the same centroid at
+//! the same time, so one unpruned round loop answers all of them and only
+//! the egress scan and reconstruction run per trip. Point queries, Pareto
+//! plans and the reference oracle run the same round loop; they differ
+//! only in which pruning rules are on.
+//!
+//! ## Foot transfers
+//!
+//! After each round's pattern scans, foot transfers are swept in stop-id
+//! order from the stops riding improved. A stop a transfer improves ahead
+//! of the sweep joins it, so a walk chains on through any stop improved
+//! earlier in the same sweep. Which stops sweep, and in what order, depends
+//! only on which stops improved, never on the order the scans reached them.
 //!
 //! ## Pruning
 //!
-//! The router prunes **exactly** — the returned journey is leg-for-leg
-//! identical to the unpruned scan (see `tests/prune_equivalence.rs`):
+//! A pruned query is **exact**: its journey is leg-for-leg identical to
+//! the [`Raptor::reference`] journey for the same query (see
+//! `tests/prune_equivalence.rs`, which checks every TODAM trip of the test
+//! cities):
 //!
 //! * **Target pruning.** The egress stop set is computed *before* the
 //!   rounds loop and a best-known-arrival bound, seeded by the direct-walk
@@ -22,7 +36,10 @@
 //!   optimal total, which the bound never undercuts), so it is skipped.
 //!   The comparison is strict (`>`): arrivals that tie the bound are kept,
 //!   which is what makes the journeys — not just the arrival times —
-//!   identical.
+//!   identical. The foot sweep is what keeps this sound: the reference
+//!   also sweeps the stops whose improvements the bound suppressed, but
+//!   from arrivals past the bound, so nothing it reaches from them can
+//!   complete a journey that beats or ties the bound.
 //! * **Local pruning.** A single per-stop best-arrival array (`tau_star`)
 //!   replaces the former `(max_boardings + 1) × n_stops` arrival matrix and
 //!   its per-round copy-forward; boarding reads `tau_prev`, last round's
@@ -42,9 +59,13 @@
 //!
 //! [`Raptor::reference`] builds the same router with every pruning rule
 //! disabled — the oracle `tests/prune_equivalence.rs` compares against.
+//! [`Raptor::query_many`] runs with target pruning off (there is no single
+//! target to bound against) but keeps the two skips that do not depend on
+//! the destination — patterns idle on the query day, boarding at a
+//! pattern's last stop — so its journeys equal the reference's too.
 
 use crate::journey::{Journey, Leg};
-use crate::network::{AccessCache, TransitNetwork};
+use crate::network::{AccessCache, AccessRange, TransitNetwork};
 use crate::pareto::{Bag, ParetoLabel};
 use crate::shared_cache::{QueryCache, SharedAccessCache};
 use staq_geom::Point;
@@ -57,7 +78,8 @@ use std::cell::RefCell;
 
 const INF: u32 = u32::MAX;
 
-/// Queries answered across all routers in the process.
+/// Round-loop passes run across all routers in the process: one per point
+/// query, one per [`Raptor::query_many`] group.
 static QUERIES: Counter = Counter::new("raptor.queries");
 /// RAPTOR rounds that scanned patterns (rounds skipped because no stop was
 /// marked don't count — they do no routing work).
@@ -115,8 +137,9 @@ struct Scratch {
     labels: Vec<Vec<Label>>,
     /// Stops improved in the current round (deduplicated).
     marked: Vec<StopId>,
-    /// Ride-improved stops, snapshotted before the foot-transfer relaxation.
-    ride_marked: Vec<StopId>,
+    /// Stops the foot phase still has to sweep, one bit per stop; empty
+    /// between rounds.
+    sweep: Vec<u64>,
     /// Membership bitmask for `marked`: a stop improved twice in one round
     /// is processed once.
     stop_marked: Vec<bool>,
@@ -153,7 +176,7 @@ impl Scratch {
             tau_prev: vec![INF; n_stops],
             labels: vec![vec![Label::None; n_stops]; rounds + 1],
             marked: Vec::new(),
-            ride_marked: Vec::new(),
+            sweep: vec![0; n_stops.div_ceil(64)],
             stop_marked: vec![false; n_stops],
             queue_pos: vec![0; n_patterns],
             queue_gen: vec![0; n_patterns],
@@ -167,6 +190,12 @@ impl Scratch {
             access_tmp: Vec::new(),
             cache,
         }
+    }
+
+    /// The memoized isochrone of `point`; valid until the next
+    /// `begin_query`.
+    fn lookup(&mut self, net: &TransitNetwork<'_>, point: &Point) -> AccessRange {
+        self.cache.lookup(net, point, &mut self.walk, &mut self.walk_nodes, &mut self.access_tmp)
     }
 }
 
@@ -227,22 +256,89 @@ impl<'n, 'a> Raptor<'n, 'a> {
     /// `depart` on `day`. Always returns a journey: the walk-only fallback
     /// guarantees finiteness even across a severed network.
     pub fn query(&self, origin: &Point, dest: &Point, depart: Stime, day: DayOfWeek) -> Journey {
-        self.query_inner(origin, dest, depart, day, None)
+        self.query_one(origin, dest, depart, day, None)
     }
 
-    fn query_inner(
+    /// Earliest-arriving journeys from `origin` to every point of `dests`,
+    /// departing at `depart` on `day`: `out` is cleared and receives one
+    /// journey per destination, in order.
+    ///
+    /// One round loop serves the whole group. It runs without target
+    /// pruning (there is no single target to bound against), so each
+    /// journey is leg for leg the one [`Raptor::reference`] returns for its
+    /// destination; only the egress scan and the reconstruction run per
+    /// destination. `raptor.queries` counts the pass once.
+    pub fn query_many(
+        &self,
+        origin: &Point,
+        dests: &[Point],
+        depart: Stime,
+        day: DayOfWeek,
+        out: &mut Vec<Journey>,
+    ) {
+        out.clear();
+        let mut guard = self.scratch.borrow_mut();
+        let s = &mut *guard;
+        s.cache.begin_query();
+        let origin_acc = s.lookup(self.net, origin);
+        let final_k = self.rounds(s, origin_acc, None, INF, depart, day, None);
+        for dest in dests {
+            // The origin's range is dead once the rounds are done, so each
+            // egress lookup opens a cache window of its own.
+            s.cache.begin_query();
+            let egress = s.lookup(self.net, dest);
+            let direct = depart.0.saturating_add(self.net.direct_walk_secs(origin, dest));
+            out.push(self.finish(s, egress, final_k, depart, direct));
+        }
+    }
+
+    /// [`query`](Self::query), optionally recording each round's best
+    /// completed journey for [`query_pareto`](Self::query_pareto).
+    fn query_one(
         &self,
         origin: &Point,
         dest: &Point,
         depart: Stime,
         day: DayOfWeek,
-        mut round_best: Option<&mut Vec<RoundBest>>,
+        round_best: Option<&mut Vec<RoundBest>>,
     ) -> Journey {
+        let mut guard = self.scratch.borrow_mut();
+        let s = &mut *guard;
+        // Both isochrones up front: the egress set drives the pruning
+        // bound through every round. `begin_query` guarantees neither
+        // lookup evicts the other's range.
+        s.cache.begin_query();
+        let egress = s.lookup(self.net, dest);
+        let origin_acc = s.lookup(self.net, origin);
+        let direct = depart.0.saturating_add(self.net.direct_walk_secs(origin, dest));
+        let bound = if self.pruning { direct } else { INF };
+        let final_k = self.rounds(s, origin_acc, Some(egress), bound, depart, day, round_best);
+        self.finish(s, egress, final_k, depart, direct)
+    }
+
+    /// The round loop every query shares; returns the last round whose
+    /// labels row is valid. `egress` is the target's isochrone when the
+    /// query has one target. A finite `bound` (the direct-walk arrival)
+    /// switches on target pruning against it and the early exit; at `INF`
+    /// nothing is ever suppressed. `round_best` records each round's best
+    /// completion over `egress`.
+    #[allow(clippy::too_many_arguments)]
+    fn rounds(
+        &self,
+        s: &mut Scratch,
+        origin_acc: AccessRange,
+        egress: Option<AccessRange>,
+        mut bound: u32,
+        depart: Stime,
+        day: DayOfWeek,
+        mut round_best: Option<&mut Vec<RoundBest>>,
+    ) -> usize {
         // Deferred span: only sample the clock when a trace is live, so
         // the untraced hot path stays a thread-local read.
         let t_span = staq_obs::trace::is_active().then(std::time::Instant::now);
         let rounds = self.net.cfg.max_boardings;
-        let prune = self.pruning;
+        // The destination-independent skips (day filter, last stop).
+        let skips = self.pruning;
         // Resolved once: the round loops below index it per scanned pattern.
         let patterns = self.net.patterns();
         let mut rounds_run = 0u64;
@@ -251,13 +347,12 @@ impl<'n, 'a> Raptor<'n, 'a> {
         let mut patterns_day_skipped = 0u64;
         let mut rounds_cut = 0u64;
 
-        let mut s = self.scratch.borrow_mut();
         let Scratch {
             tau_star,
             tau_prev,
             labels,
             marked,
-            ride_marked,
+            sweep,
             stop_marked,
             queue_pos,
             queue_gen,
@@ -266,11 +361,9 @@ impl<'n, 'a> Raptor<'n, 'a> {
             egress_walk,
             egress_gen,
             egress_round,
-            walk,
-            walk_nodes,
-            access_tmp,
             cache,
-        } = &mut *s;
+            ..
+        } = s;
 
         // A cut query can leave its last round's marks unconsumed.
         for &st in marked.iter() {
@@ -280,13 +373,7 @@ impl<'n, 'a> Raptor<'n, 'a> {
         tau_star.fill(INF);
         labels[0].fill(Label::None);
 
-        // Both isochrones up front: the egress set drives the pruning
-        // bound through every round. `begin_query` guarantees neither
-        // lookup evicts the other's range.
-        cache.begin_query();
-        let egress = cache.lookup(self.net, dest, walk, walk_nodes, access_tmp);
-        let origin_acc = cache.lookup(self.net, origin, walk, walk_nodes, access_tmp);
-
+        // Bumped even without a target, so last query's stamps go stale.
         *egress_round = egress_round.wrapping_add(1);
         if *egress_round == 0 {
             egress_gen.fill(0);
@@ -299,20 +386,22 @@ impl<'n, 'a> Raptor<'n, 'a> {
         // An empty egress set leaves it saturating — no transit journey can
         // complete, so with pruning on everything collapses to the walk
         // fallback (which the reference also returns).
-        let mut min_eg = INF;
-        for &(st, w) in cache.slice(egress) {
-            egress_walk[st.idx()] = w;
-            egress_gen[st.idx()] = *egress_round;
-            min_eg = min_eg.min(w);
+        //
+        // `bound` is the upper bound on any total arrival worth recording,
+        // seeded by the walk-only fallback. Invariant: never below the
+        // optimal total, so pruning arrivals whose completion must be
+        // strictly later is exact (ties are kept — that is what makes the
+        // *journeys*, not just the arrival times, identical to the
+        // reference). At `INF` target pruning is off: `x > INF` never holds.
+        let mut min_eg = 0;
+        if let Some(eg) = egress.filter(|_| bound < INF) {
+            min_eg = INF;
+            for &(st, w) in cache.slice(eg) {
+                egress_walk[st.idx()] = w;
+                egress_gen[st.idx()] = *egress_round;
+                min_eg = min_eg.min(w);
+            }
         }
-
-        // Upper bound on any total arrival worth recording, seeded by the
-        // walk-only fallback. Invariant: never below the optimal total, so
-        // pruning arrivals whose completion must be strictly later is
-        // exact (ties are kept — that is what makes the *journeys*, not
-        // just the arrival times, identical to the reference).
-        let direct = depart.0.saturating_add(self.net.direct_walk_secs(origin, dest));
-        let mut bound = direct;
 
         // Whether pruning suppressed any would-be improvement or marked
         // stop in the round just processed; decides whether an empty
@@ -324,7 +413,7 @@ impl<'n, 'a> Raptor<'n, 'a> {
             let t = depart.0.saturating_add(w);
             let idx = st.idx();
             if t < tau_star[idx] {
-                if prune && t.saturating_add(min_eg) > bound {
+                if t.saturating_add(min_eg) > bound {
                     suppressed_prev = true;
                     continue;
                 }
@@ -339,8 +428,8 @@ impl<'n, 'a> Raptor<'n, 'a> {
                 }
             }
         }
-        if let Some(rb) = round_best.as_deref_mut() {
-            record_round_best(rb, 0, cache.slice(egress), tau_star);
+        if let (Some(rb), Some(eg)) = (round_best.as_deref_mut(), egress) {
+            record_round_best(rb, 0, cache.slice(eg), tau_star);
         }
 
         // Last round whose labels row is valid; reconstruction starts here.
@@ -367,7 +456,7 @@ impl<'n, 'a> Raptor<'n, 'a> {
             for &st in marked.iter() {
                 let idx = st.idx();
                 stop_marked[idx] = false;
-                if prune && tau_star[idx].saturating_add(min_eg) > bound {
+                if tau_star[idx].saturating_add(min_eg) > bound {
                     // Boarding here departs no earlier than an arrival
                     // that — after paying the cheapest possible egress —
                     // already trails the bound: nothing downstream can beat
@@ -379,14 +468,14 @@ impl<'n, 'a> Raptor<'n, 'a> {
                 }
                 for &(p, pos) in self.net.patterns_at(st) {
                     let pi = p as usize;
-                    if prune && !patterns[pi].runs_on(day) {
+                    if skips && !patterns[pi].runs_on(day) {
                         // No trip of this pattern runs on the query day:
                         // `earliest_trip` would reject every candidate, so
                         // scanning it is a provable no-op.
                         patterns_day_skipped += 1;
                         continue;
                     }
-                    if prune && pos as usize + 1 >= patterns[pi].stops.len() {
+                    if skips && pos as usize + 1 >= patterns[pi].stops.len() {
                         // Boarding at a pattern's last stop can't alight
                         // anywhere: the scan would be a provable no-op.
                         patterns_pruned += 1;
@@ -426,7 +515,7 @@ impl<'n, 'a> Raptor<'n, 'a> {
                     if let Some((t, b)) = active {
                         let at = pattern.arrival(t, i).0;
                         if at < tau_star[idx] {
-                            if prune && at.saturating_add(min_eg) > bound {
+                            if at.saturating_add(min_eg) > bound {
                                 suppressed_prev = true;
                             } else {
                                 tau_star[idx] = at;
@@ -489,23 +578,35 @@ impl<'n, 'a> Raptor<'n, 'a> {
                 }
             }
 
-            // Foot transfers from stops improved by riding this round.
-            // Sorted so relaxation order — which chained foot transfers
-            // within one round are sensitive to — depends only on *which*
-            // stops improved, never on the order pattern scans marked
-            // them. The pruned and reference routers mark the same
-            // chain-relevant stops in different sequences; without the
-            // sort their foot phases could interleave differently.
-            ride_marked.clear();
-            ride_marked.extend_from_slice(marked);
-            ride_marked.sort_unstable();
-            for &st in ride_marked.iter() {
+            // Foot transfers, swept in stop-id order (see the module doc):
+            // the stops riding improved, plus every stop a transfer improves
+            // ahead of the sweep. Stops the bound suppressed never enter it;
+            // the reference sweeps them from arrivals past the bound, which
+            // complete nothing that beats or ties it.
+            let mut w = usize::MAX;
+            for &st in marked.iter() {
+                sweep[st.idx() / 64] |= 1 << (st.idx() % 64);
+                w = w.min(st.idx() / 64);
+            }
+            while w < sweep.len() {
+                let bits = sweep[w];
+                if bits == 0 {
+                    w += 1;
+                    continue;
+                }
+                sweep[w] = bits & (bits - 1);
+                let st = StopId((w * 64) as u32 + bits.trailing_zeros());
                 let base = tau_star[st.idx()];
+                if base.saturating_add(min_eg) > bound {
+                    // Every transfer out of here completes past the bound.
+                    suppressed_prev = true;
+                    continue;
+                }
                 for tr in self.net.transfers_from(st) {
                     let t = base.saturating_add(tr.walk_secs);
                     let idx = tr.to.idx();
                     if t < tau_star[idx] {
-                        if prune && t.saturating_add(min_eg) > bound {
+                        if t.saturating_add(min_eg) > bound {
                             suppressed_prev = true;
                             continue;
                         }
@@ -515,31 +616,21 @@ impl<'n, 'a> Raptor<'n, 'a> {
                             stop_marked[idx] = true;
                             marked.push(tr.to);
                         }
+                        if tr.to > st {
+                            sweep[idx / 64] |= 1 << (idx % 64);
+                        }
                         if egress_gen[idx] == *egress_round {
                             bound = bound.min(t.saturating_add(egress_walk[idx]));
                         }
                     }
                 }
             }
-            if let Some(rb) = round_best.as_deref_mut() {
-                record_round_best(rb, k, cache.slice(egress), tau_star);
+            if let (Some(rb), Some(eg)) = (round_best.as_deref_mut(), egress) {
+                record_round_best(rb, k, cache.slice(eg), tau_star);
             }
         }
 
-        // Egress: best total over the walkable stops around the destination.
-        let mut best: Option<(u32, StopId, u32)> = None; // (total, stop, egress_walk)
-        for &(st, w) in cache.slice(egress) {
-            let at = tau_star[st.idx()];
-            if at == INF {
-                continue;
-            }
-            let total = at.saturating_add(w);
-            if best.is_none_or(|(bt, _, _)| total < bt) {
-                best = Some((total, st, w));
-            }
-        }
-
-        // One batched registry update per query: eight labeling workers
+        // One batched registry update per pass: eight labeling workers
         // bumping shared counters per round/pattern would contend on the
         // counters' cache lines inside the inner loop.
         QUERIES.inc();
@@ -553,9 +644,23 @@ impl<'n, 'a> Raptor<'n, 'a> {
             span.attr("rounds", rounds_run);
             span.attr("patterns_scanned", patterns_scanned);
         }
-        match best {
+        final_k
+    }
+
+    /// The journey to the target whose isochrone is `egress`, read off the
+    /// labels the round loop left: the earliest completion over the
+    /// walkable stops around it, or the direct walk when that is no later.
+    fn finish(
+        &self,
+        s: &Scratch,
+        egress: AccessRange,
+        final_k: usize,
+        depart: Stime,
+        direct: u32,
+    ) -> Journey {
+        match best_exit(s.cache.slice(egress), &s.tau_star) {
             Some((total, stop, egress_w)) if total < direct => {
-                self.reconstruct(&labels[..=final_k], depart, stop, egress_w, Stime(total))
+                self.reconstruct(&s.labels[..=final_k], depart, stop, egress_w, Stime(total))
             }
             _ => Journey::walk_only(depart, direct - depart.0),
         }
@@ -598,11 +703,11 @@ impl<'n, 'a> Raptor<'n, 'a> {
         day: DayOfWeek,
     ) -> Vec<Journey> {
         let mut rounds_best: Vec<RoundBest> = Vec::new();
-        let _ = self.query_inner(origin, dest, depart, day, Some(&mut rounds_best));
+        let _ = self.query_one(origin, dest, depart, day, Some(&mut rounds_best));
 
         let mut candidates: Vec<Journey> = Vec::new();
         {
-            // The labels rows survive `query_inner` untouched; reconstruct
+            // The labels rows survive `query_one` untouched; reconstruct
             // each improving round's journey from its prefix of rounds.
             let s = self.scratch.borrow();
             for rb in &rounds_best {
@@ -749,17 +854,10 @@ impl<'n, 'a> Raptor<'n, 'a> {
     }
 }
 
-/// Best completed journey over the egress set as of now, appended to `out`
-/// when it strictly improves on the last recorded round (the frontier only
-/// cares about rounds that buy an earlier arrival). Tie-break matches the
-/// final egress scan: first stop in slice order with a strictly smaller
-/// total wins.
-fn record_round_best(
-    out: &mut Vec<RoundBest>,
-    round: usize,
-    egress: &[(StopId, u32)],
-    tau_star: &[u32],
-) {
+/// The earliest completion `(total, stop, egress_walk)` over the egress
+/// set as of `tau_star`: the first stop in slice order with a strictly
+/// smaller total wins.
+fn best_exit(egress: &[(StopId, u32)], tau_star: &[u32]) -> Option<(u32, StopId, u32)> {
     let mut best: Option<(u32, StopId, u32)> = None;
     for &(st, w) in egress {
         let at = tau_star[st.idx()];
@@ -771,7 +869,19 @@ fn record_round_best(
             best = Some((total, st, w));
         }
     }
-    if let Some((total, stop, egress_walk)) = best {
+    best
+}
+
+/// Best completed journey over the egress set as of now, appended to `out`
+/// when it strictly improves on the last recorded round (the frontier only
+/// cares about rounds that buy an earlier arrival).
+fn record_round_best(
+    out: &mut Vec<RoundBest>,
+    round: usize,
+    egress: &[(StopId, u32)],
+    tau_star: &[u32],
+) {
+    if let Some((total, stop, egress_walk)) = best_exit(egress, tau_star) {
         if out.last().is_none_or(|p| total < p.total) {
             out.push(RoundBest { round, total, stop, egress_walk });
         }

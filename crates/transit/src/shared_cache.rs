@@ -184,9 +184,10 @@ pub struct SharedCacheHandle {
 }
 
 impl SharedCacheHandle {
-    /// Call once per query: revalidates the snapshot (one relaxed load on
-    /// the no-change path) and resets the local arena. Ranges handed out
-    /// after this call stay valid until the next one.
+    /// Call before each window of lookups (see
+    /// [`AccessCache::begin_query`]): revalidates the snapshot (one relaxed
+    /// load on the no-change path) and resets the local arena. Ranges
+    /// handed out after this call stay valid until the next one.
     pub fn begin_query(&mut self) {
         let v = self.shared.version.load(Ordering::Relaxed);
         if v != self.seen_version {
@@ -238,7 +239,8 @@ pub enum QueryCache {
 }
 
 impl QueryCache {
-    /// Call once per query before any lookup.
+    /// Call before each window of at most two lookups (see
+    /// [`AccessCache::begin_query`]).
     pub fn begin_query(&mut self) {
         match self {
             QueryCache::Private(c) => c.begin_query(),

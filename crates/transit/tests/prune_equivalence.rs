@@ -4,11 +4,15 @@
 //!
 //! This is the contract that makes the pruning safe to ship: target
 //! pruning keeps arrivals that *tie* the bound (strict `>` comparison), so
-//! the winning label chain survives byte-identical.
+//! the winning label chain survives byte-identical. The one-to-many pass
+//! labeling runs is held to the same reference, one call per (zone, start)
+//! group of real TODAM trips.
 
 use staq_geom::Point;
 use staq_gtfs::time::{DayOfWeek, Stime};
-use staq_synth::{City, CityConfig};
+use staq_synth::{City, CityConfig, PoiCategory, ZoneId};
+use staq_todam::build::{trip_origin, trip_poi_pos};
+use staq_todam::TodamSpec;
 use staq_transit::{mmdijkstra, Raptor, TransitNetwork};
 
 fn od_pairs(city: &City, n: usize) -> Vec<(Point, Point)> {
@@ -50,6 +54,60 @@ fn pruned_journeys_identical_to_reference() {
                 }
             }
         }
+    }
+}
+
+/// Every TODAM trip of every category (centroid → POI, the default spec's
+/// Tuesday AM peak): `query`, `reference` and `query_many` return the same
+/// journey, leg for leg. This is the labeling workload itself — the pruned
+/// router's bound interacts with chained foot transfers on real trips in
+/// ways the zone-to-zone pairs above never reach.
+#[test]
+fn todam_trips_agree_across_query_reference_and_query_many() {
+    let spec = TodamSpec::default();
+    let day = spec.interval.day;
+    for seed in SEEDS {
+        let city = City::generate(&CityConfig::small(seed));
+        let net = TransitNetwork::with_defaults(&city.road, &city.feed);
+        let pruned = Raptor::new(&net);
+        let reference = Raptor::reference(&net);
+        let (mut journeys, mut mismatches, mut trips) = (Vec::new(), Vec::new(), 0usize);
+        for category in PoiCategory::ALL {
+            let m = spec.build(&city, category);
+            for z in 0..city.n_zones() as u32 {
+                let zone_trips = m.zone_trips(ZoneId(z));
+                let mut starts: Vec<Stime> = zone_trips.iter().map(|t| t.start).collect();
+                starts.sort_unstable();
+                starts.dedup();
+                for start in starts {
+                    let group: Vec<_> = zone_trips.iter().filter(|t| t.start == start).collect();
+                    let o = trip_origin(&city, group[0]);
+                    let dests: Vec<Point> =
+                        group.iter().map(|t| trip_poi_pos(&city, &m, t)).collect();
+                    pruned.query_many(&o, &dests, start, day, &mut journeys);
+                    assert_eq!(journeys.len(), dests.len());
+                    for (d, jm) in dests.iter().zip(&journeys) {
+                        trips += 1;
+                        let jr = reference.query(&o, d, start, day);
+                        let jp = pruned.query(&o, d, start, day);
+                        if *jm != jr || jp != jr {
+                            mismatches.push(format!(
+                                "{category} zone={z} start={start:?} d={d:?}: reference \
+                                 arrives {:?}, query {:?}, query_many {:?}",
+                                jr.arrive, jp.arrive, jm.arrive
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(trips > 0);
+        assert!(
+            mismatches.is_empty(),
+            "seed {seed}: {} of {trips} trips diverge from the reference, first: {:#?}",
+            mismatches.len(),
+            &mismatches[..mismatches.len().min(5)]
+        );
     }
 }
 
