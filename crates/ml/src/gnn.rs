@@ -93,16 +93,23 @@ impl SsrModel for Gcn {
         // Â X is training-constant: hoist it out of the loop.
         let ax = adj.spmm(&x);
 
+        let mut h1 = Matrix::zeros(0, 0);
+        let mut out = Matrix::zeros(0, 0);
+        let mut dout = Matrix::zeros(adj.n(), m);
+        let mut g_w1 = Matrix::zeros(0, 0);
+        let mut g_w2 = Matrix::zeros(0, 0);
+        let mut dah1 = Matrix::zeros(0, 0);
         for _ in 0..self.epochs {
             // Forward.
-            let z1 = ax.matmul(&w1);
-            let h1 = z1.map(|v| v.max(0.0));
+            ax.matmul_into(&w1, &mut h1);
+            for v in h1.data_mut() {
+                *v = v.max(0.0);
+            }
             let ah1 = adj.spmm(&h1);
-            let out = ah1.matmul(&w2);
+            ah1.matmul_into(&w2, &mut out);
 
-            // Loss on labeled rows only.
+            // Loss on labeled rows only (the unlabeled rows of `dout` stay 0).
             let scale = 2.0 / (n_l.max(1) * m) as f64;
-            let mut dout = Matrix::zeros(adj.n(), m);
             for i in 0..n_l {
                 for j in 0..m {
                     dout[(i, j)] = (out[(i, j)] - yl[(i, j)]) * scale;
@@ -110,10 +117,9 @@ impl SsrModel for Gcn {
             }
 
             // Backward. Â is symmetric, so Âᵀ·G = Â·G via spmm.
-            let g_w2 = ah1.transpose().matmul(&dout);
-            let dah1 = dout.matmul(&w2.transpose());
-            let dh1 = adj.spmm(&dah1);
-            let mut dz1 = dh1;
+            ah1.matmul_at_b_into(&dout, &mut g_w2);
+            dout.matmul_a_bt_into(&w2, &mut dah1);
+            let mut dz1 = adj.spmm(&dah1);
             for i in 0..dz1.rows() {
                 for (g, &a) in dz1.row_mut(i).iter_mut().zip(h1.row(i)) {
                     if a <= 0.0 {
@@ -121,14 +127,14 @@ impl SsrModel for Gcn {
                     }
                 }
             }
-            let g_w1 = ax.transpose().matmul(&dz1);
+            ax.matmul_at_b_into(&dz1, &mut g_w1);
 
             adam1.step(&mut w1, &g_w1, self.lr);
             adam2.step(&mut w2, &g_w2, self.lr);
         }
 
         // Final forward; return the unlabeled block.
-        let h1 = adj.spmm(&x).matmul(&w1).map(|v| v.max(0.0));
+        let h1 = ax.matmul(&w1).map(|v| v.max(0.0));
         let out = adj.spmm(&h1).matmul(&w2);
         let idx: Vec<usize> = (n_l..n_l + n_u).collect();
         ys.inverse_transform(&out.select_rows(&idx))

@@ -1,6 +1,24 @@
 //! Dense row-major matrices and the small set of operations the models need.
+//!
+//! Every product — [`Matrix::matmul`], [`Matrix::matmul_into`],
+//! [`Matrix::matmul_at_b_into`] and [`Matrix::matmul_a_bt_into`] — runs
+//! one kernel, and that kernel keeps one summation-order invariant: output
+//! element `(i, j)` is `+0.0` plus `a(i, k) · b(k, j)` for every `k` in
+//! ascending order whose left entry is not `== 0.0`, added one at a time.
+//! A zero left entry contributes nothing even when its right partner is
+//! NaN or ±inf; a NaN left entry is kept. That is the i-k-j loop the
+//! models were first trained with, so a faster kernel may change how the
+//! terms are scheduled but never which terms are added or in what order:
+//! weights and predictions stay bit for bit. No fused multiply-add, no
+//! reassociation.
 
 use serde::{Deserialize, Serialize};
+
+/// Output columns the kernel accumulates in registers at once.
+const BLOCK: usize = 16;
+/// Left entries compacted per pass over a row. A longer row takes several
+/// passes, each resuming from the partial sums the previous one stored.
+const CHUNK: usize = 128;
 
 /// A dense `rows x cols` matrix of `f64`, row-major.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -71,40 +89,52 @@ impl Matrix {
         &mut self.data
     }
 
+    /// Reshapes to `rows x cols` of zeros, keeping the allocation.
+    pub(crate) fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Matrix product `self * other`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        // i-k-j loop order: streams over `other`'s rows, cache-friendly.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = other.row(k);
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(orow) {
-                    *o += a * b;
-                }
-            }
-        }
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_into(other, &mut out);
         out
+    }
+
+    /// `out = self * b`. `out` is overwritten and reshaped, reusing its
+    /// allocation.
+    pub fn matmul_into(&self, b: &Matrix, out: &mut Matrix) {
+        product(Op::<false>(self), Op::<false>(b), out);
+    }
+
+    /// `out = selfᵀ * b`, reading `self` in place instead of transposing it.
+    pub fn matmul_at_b_into(&self, b: &Matrix, out: &mut Matrix) {
+        product(Op::<true>(self), Op::<false>(b), out);
+    }
+
+    /// `out = self * bᵀ`, reading `b` in place instead of transposing it.
+    pub fn matmul_a_bt_into(&self, b: &Matrix, out: &mut Matrix) {
+        product(Op::<false>(self), Op::<true>(b), out);
     }
 
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        let mut out = Matrix::zeros(0, 0);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// `out = selfᵀ`, reusing `out`'s allocation.
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
+        out.reset(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
                 out[(j, i)] = self[(i, j)];
             }
         }
-        out
     }
 
     /// `self + alpha * other`, shapes must match.
@@ -129,11 +159,27 @@ impl Matrix {
 
     /// New matrix of selected rows.
     pub fn select_rows(&self, idx: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(idx.len(), self.cols);
-        for (k, &i) in idx.iter().enumerate() {
-            out.row_mut(k).copy_from_slice(self.row(i));
-        }
+        let mut out = Matrix::zeros(0, 0);
+        self.select_rows_into(idx, &mut out);
         out
+    }
+
+    /// `out` = the selected rows, reusing `out`'s allocation.
+    pub(crate) fn select_rows_into(&self, idx: &[usize], out: &mut Matrix) {
+        out.rows = idx.len();
+        out.cols = self.cols;
+        out.data.clear();
+        out.data.reserve(idx.len() * self.cols);
+        for &i in idx {
+            out.data.extend_from_slice(self.row(i));
+        }
+    }
+
+    /// `out` = a copy of `self`, reusing `out`'s allocation.
+    pub(crate) fn copy_into(&self, out: &mut Matrix) {
+        out.rows = self.rows;
+        out.cols = self.cols;
+        out.data.clone_from(&self.data);
     }
 
     /// Appends a constant-1 bias column on the right.
@@ -230,6 +276,86 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     #[inline]
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
         &mut self.data[i * self.cols + j]
+    }
+}
+
+/// A product operand as the kernel reads it: the matrix itself or, with
+/// `T`, its transpose, indexed in place.
+#[derive(Clone, Copy)]
+struct Op<'a, const T: bool>(&'a Matrix);
+
+impl<const T: bool> Op<'_, T> {
+    /// `(rows, cols)` as read.
+    fn shape(self) -> (usize, usize) {
+        let m = self.0;
+        if T {
+            (m.cols, m.rows)
+        } else {
+            (m.rows, m.cols)
+        }
+    }
+
+    #[inline(always)]
+    fn at(self, r: usize, c: usize) -> f64 {
+        if T {
+            self.0[(c, r)]
+        } else {
+            self.0[(r, c)]
+        }
+    }
+
+    /// Columns `j0..j0 + BLOCK` of row `k`.
+    #[inline(always)]
+    fn block(self, k: usize, j0: usize) -> [f64; BLOCK] {
+        if T {
+            std::array::from_fn(|t| self.0[(j0 + t, k)])
+        } else {
+            self.0.row(k)[j0..j0 + BLOCK].try_into().expect("a BLOCK-wide slice")
+        }
+    }
+}
+
+/// The one product kernel: `out = a * b` in the module's summation order.
+/// Per output row, the left entries that are not `== 0.0` are compacted in
+/// ascending `k` (branch-free, so ReLU-sparse rows cost no mispredicts);
+/// then each `1 x BLOCK` column block is summed in registers over them,
+/// and the leftover columns by a scalar loop.
+fn product<const TA: bool, const TB: bool>(a: Op<'_, TA>, b: Op<'_, TB>, out: &mut Matrix) {
+    let ((n, depth), (b_rows, m)) = (a.shape(), b.shape());
+    assert_eq!(depth, b_rows, "matmul shape {n}x{depth} * {b_rows}x{m}");
+    out.reset(n, m);
+    let mut vals = [0.0; CHUNK];
+    let mut ks = [0usize; CHUNK];
+    for i in 0..n {
+        let out_row = out.row_mut(i);
+        for k0 in (0..depth).step_by(CHUNK) {
+            let mut nnz = 0;
+            for k in k0..depth.min(k0 + CHUNK) {
+                let v = a.at(i, k);
+                vals[nnz] = v;
+                ks[nnz] = k;
+                nnz += usize::from(v != 0.0);
+            }
+            let (vals, ks) = (&vals[..nnz], &ks[..nnz]);
+            let mut blocks = out_row.chunks_exact_mut(BLOCK);
+            for (jb, o) in (&mut blocks).enumerate() {
+                let mut acc: [f64; BLOCK] = (*o).try_into().expect("a BLOCK-wide chunk");
+                for (&v, &k) in vals.iter().zip(ks) {
+                    let r = b.block(k, jb * BLOCK);
+                    for t in 0..BLOCK {
+                        acc[t] += v * r[t];
+                    }
+                }
+                o.copy_from_slice(&acc);
+            }
+            let tail = blocks.into_remainder();
+            let j0 = m - tail.len();
+            for (j, o) in (j0..).zip(tail) {
+                for (&v, &k) in vals.iter().zip(ks) {
+                    *o += v * b.at(k, j);
+                }
+            }
+        }
     }
 }
 

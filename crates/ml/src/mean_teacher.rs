@@ -77,9 +77,7 @@ impl SsrModel for MeanTeacher {
             let mut u_cursor = 0usize;
             for chunk in order_l.chunks(self.batch.max(1)) {
                 // Supervised step.
-                let bx = xl.select_rows(chunk);
-                let by = yl.select_rows(chunk);
-                student.train_step(&bx, &by, self.lr, 1.0);
+                student.train_rows(&xl, &yl, chunk, self.lr, 1.0);
 
                 // Consistency step on an unlabeled slice.
                 if n_u > 0 && cons_w > 0.0 {
@@ -89,16 +87,16 @@ impl SsrModel for MeanTeacher {
                     let ux = xu.select_rows(&uid);
                     // Teacher targets on clean inputs; student sees noise.
                     let target = teacher.predict(&ux);
-                    let mut noisy = ux.clone();
+                    let mut noisy = ux;
                     for v in noisy.data_mut() {
                         *v += rng.random_range(-self.noise..self.noise);
                     }
-                    student.train_step(&noisy, &target, self.lr, cons_w);
+                    student.train_step(&noisy, target, self.lr, cons_w);
                 }
                 teacher.ema_from(&student, self.ema_decay);
             }
         }
-        ys.inverse_transform(&teacher.predict(&xu))
+        ys.inverse_transform(teacher.predict(&xu))
     }
 }
 

@@ -14,8 +14,105 @@ fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// The product loop every model was first trained with, kept verbatim as
+/// the kernel's reference: i-k-j, a left entry `== 0.0` skipped, each term
+/// added straight into the output row.
+fn ikj_reference(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for k in 0..a.cols() {
+            let v = a[(i, k)];
+            if v == 0.0 {
+                continue;
+            }
+            for (o, &bv) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                *o += v * bv;
+            }
+        }
+    }
+    out
+}
+
+/// About half exact zeros and a twentieth `-0.0`; the rest finite, over
+/// 40 binary orders of magnitude so that any change of summation order
+/// shows in the low bits.
+fn kernel_matrix(rows: usize, cols: usize, s: &mut u64) -> Matrix {
+    let mut next = || {
+        *s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        *s >> 11
+    };
+    let mut m = Matrix::zeros(rows, cols);
+    for v in m.data_mut() {
+        *v = match next() % 20 {
+            0..=9 => 0.0,
+            10 => -0.0,
+            _ => {
+                let unit = (next() % (1 << 40)) as f64 / (1u64 << 40) as f64 - 0.5;
+                unit * 2f64.powi((next() % 41) as i32 - 20)
+            }
+        };
+    }
+    m
+}
+
+/// Equal bit for bit, except that any NaN matches any NaN: Rust leaves NaN
+/// payloads unspecified, so two compilations of one sum may differ there.
+fn same_bits(got: &Matrix, want: &Matrix) -> bool {
+    (got.rows(), got.cols()) == (want.rows(), want.cols())
+        && got
+            .data()
+            .iter()
+            .zip(want.data())
+            .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+}
+
+/// Output widths around the kernel's 16-column register block.
+const KERNEL_COLS: [usize; 7] = [1, 2, 15, 16, 17, 33, 64];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `matmul` and the three `_into` products equal the i-k-j loop bit for
+    /// bit, including a zero left entry facing NaN / ±inf and depths that
+    /// need more than one compaction pass.
+    #[test]
+    fn products_match_the_ikj_loop_bit_for_bit(
+        seed in 0u64..u64::MAX,
+        rows in 1usize..6,
+        depth in 0usize..300,
+        specials in 0usize..4,
+    ) {
+        let mut s = seed;
+        for cols in KERNEL_COLS {
+            let a = kernel_matrix(rows, depth, &mut s);
+            let mut b = kernel_matrix(depth, cols, &mut s);
+            for t in 0..specials {
+                if depth > 0 {
+                    let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][t % 3];
+                    let k = (s.rotate_left(7 * t as u32) as usize) % depth;
+                    b[(k, (t * 5) % cols)] = special;
+                }
+            }
+            let want = ikj_reference(&a, &b);
+            // A dirty, wrongly shaped output buffer must not leak through.
+            let dirty = || {
+                let mut m = Matrix::zeros(cols + 1, rows + 2);
+                m.data_mut().fill(f64::NAN);
+                m
+            };
+
+            prop_assert!(same_bits(&a.matmul(&b), &want), "matmul {rows}x{depth}x{cols}");
+            let mut out = dirty();
+            a.matmul_into(&b, &mut out);
+            prop_assert!(same_bits(&out, &want), "matmul_into {rows}x{depth}x{cols}");
+            let mut out = dirty();
+            a.transpose().matmul_at_b_into(&b, &mut out);
+            prop_assert!(same_bits(&out, &want), "matmul_at_b_into {rows}x{depth}x{cols}");
+            let mut out = dirty();
+            a.matmul_a_bt_into(&b.transpose(), &mut out);
+            prop_assert!(same_bits(&out, &want), "matmul_a_bt_into {rows}x{depth}x{cols}");
+        }
+    }
 
     #[test]
     fn matmul_associates(a in small_matrix(3, 4), b in small_matrix(4, 2), c in small_matrix(2, 5)) {
