@@ -12,10 +12,17 @@
 //!   caching per (category, cost);
 //! * **scenario edits** — [`AccessEngine::add_poi`] (no network change: hop
 //!   trees stay valid, only that category's TODAM/labels refresh) and
-//!   [`AccessEngine::add_bus_route`] (schedule change: the GTFS feed is
-//!   extended, only the zones whose walkshed touches a new-route stop
-//!   get their hop trees rebuilt, and the prepared transit network is
-//!   rebuilt once);
+//!   [`AccessEngine::apply_delta`] (schedule change: the GTFS feed is
+//!   mutated, only the zones whose walkshed holds a touched stop whose
+//!   in-interval hops changed get their hop trees rebuilt, and the
+//!   prepared transit network is rebuilt once);
+//! * **kept pipeline stages** — each category's TODAM and origin feature
+//!   rows (stages 1–2, [`crate::pipeline::Prepared`]) outlive its result.
+//!   The TODAM depends only on zones and POIs, so only `add_poi` of that
+//!   category drops it. The feature rows also depend on the hop trees, so
+//!   a delta drops them only when a rebuilt tree changed. A cold read
+//!   after a tree-preserving `TripDelay` then only samples, labels and
+//!   trains;
 //! * journey planning ([`AccessEngine::plan`]) and counterfactual
 //!   scenarios ([`AccessEngine::what_if`]) over that same prepared
 //!   network, never a per-request copy.
@@ -26,7 +33,10 @@
 //! server's worker pool:
 //!
 //! * City + artifacts live under a [`RwLock`]: queries take the read path
-//!   and run concurrently; scenario edits take the write path.
+//!   and run concurrently; scenario edits take the write path. The kept
+//!   stages live in the same state: a cold run fills them under the read
+//!   lock, and an edit drops what it invalidates under the write lock, so
+//!   no reader pairs kept stages with a world they were not built from.
 //! * The per-category result cache is **single-flight**: when N threads ask
 //!   for an uncached category at once, exactly one runs the SSR pipeline
 //!   while the rest wait on a per-category latch and share the
@@ -44,7 +54,9 @@
 
 use crate::artifacts::OfflineArtifacts;
 use crate::config::PipelineConfig;
-use crate::pipeline::{ssr_train_infer, PipelineResult, SsrPipeline};
+use crate::pipeline::{
+    ssr_train_infer, FeatureRows, PipelineResult, Prepared, SsrPipeline, StageTimings,
+};
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
 use staq_access::{AccessQuery, QueryAnswer, ZoneMeasures};
 use staq_geom::{KdTree, Point};
@@ -52,7 +64,7 @@ use staq_gtfs::time::{DayOfWeek, Stime};
 use staq_gtfs::Delta;
 use staq_obs::Counter;
 use staq_synth::{City, Poi, PoiCategory, PoiId, ZoneId};
-use staq_todam::{LabelEngine, ZoneStats};
+use staq_todam::{LabelEngine, Todam, ZoneStats};
 use staq_transit::{AccessCost, CostKind, Journey, OverlayStats, Raptor, SharedAccessCache};
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -77,6 +89,43 @@ static CACHE_INVALIDATIONS: Counter = Counter::new("engine.cache.invalidations")
 struct EngineState {
     city: City,
     artifacts: OfflineArtifacts,
+    /// Stages 1–2 per category, built from `city` and `artifacts` as they
+    /// are now. A `Mutex` so a cold run can fill it under the read lock.
+    kept: Mutex<Kept>,
+}
+
+/// What a category keeps between pipeline runs. A feature row entry is
+/// only ever present beside its TODAM entry, which it was built from.
+#[derive(Default)]
+struct Kept {
+    todams: HashMap<PoiCategory, Arc<Todam>>,
+    features: HashMap<PoiCategory, Arc<FeatureRows>>,
+}
+
+impl EngineState {
+    /// Stages 1–2 for `category`: what `kept` still holds, plus the stages
+    /// it does not, built now and kept. A kept stage reports 0 s.
+    fn prepare(&self, pipeline: &SsrPipeline<'_>, category: PoiCategory) -> Prepared {
+        let (matrix, features) = {
+            let kept = self.kept.lock();
+            (kept.todams.get(&category).cloned(), kept.features.get(&category).cloned())
+        };
+        let mut timings = StageTimings::default();
+        let matrix = matrix.unwrap_or_else(|| {
+            let (matrix, secs) = pipeline.todam(category);
+            timings.todam_secs = secs;
+            matrix
+        });
+        let features = features.unwrap_or_else(|| {
+            let (features, secs) = pipeline.features(&matrix);
+            timings.feature_secs = secs;
+            features
+        });
+        let mut kept = self.kept.lock();
+        kept.todams.insert(category, Arc::clone(&matrix));
+        kept.features.insert(category, Arc::clone(&features));
+        Prepared { matrix, features, timings }
+    }
 }
 
 /// Latch for one in-flight pipeline run. The computing thread publishes
@@ -187,7 +236,7 @@ impl AccessEngine {
         AccessEngine {
             config,
             zone_tree,
-            state: RwLock::new(EngineState { city, artifacts }),
+            state: RwLock::new(EngineState { city, artifacts, kept: Mutex::default() }),
             cache: Mutex::new(Cache::default()),
             access_cache,
             pipeline_runs: AtomicU64::new(0),
@@ -218,7 +267,8 @@ impl AccessEngine {
         &self.config
     }
 
-    /// Number of SSR pipeline executions so far. Single-flight means this
+    /// Number of SSR pipeline executions so far (one per solve, whether or
+    /// not its TODAM and features were kept). Single-flight means this
     /// advances once per (category, edit-generation), no matter how many
     /// threads demand the result concurrently.
     pub fn pipeline_runs(&self) -> u64 {
@@ -271,14 +321,17 @@ impl AccessEngine {
         };
 
         // We own the compute. Run the pipeline under the state *read* lock
-        // so edits queue behind it but other queries proceed.
+        // so edits queue behind it but other queries proceed; stages 1–2
+        // come from what the category kept where they still hold.
         let result = {
             let state = self.state.read();
             let mut pipeline = SsrPipeline::new(&state.city, &state.artifacts, self.config.clone());
             if let Some(cache) = &self.access_cache {
                 pipeline = pipeline.with_access_cache(Arc::clone(cache));
             }
-            Arc::new(pipeline.run(category))
+            let _run_span = staq_obs::trace::span("pipeline.run");
+            let prepared = state.prepare(&pipeline, category);
+            Arc::new(pipeline.solve(&prepared))
         };
         self.pipeline_runs.fetch_add(1, Ordering::Relaxed);
         flight.publish(Arc::clone(&result));
@@ -322,14 +375,17 @@ impl AccessEngine {
     }
 
     /// Adds a POI (e.g. a candidate vaccination site). No transit change:
-    /// only the category's cached result is invalidated. Returns the new
-    /// POI's id.
+    /// only the category's cached result, TODAM and feature rows are
+    /// dropped. Returns the new POI's id.
     pub fn add_poi(&self, category: PoiCategory, pos: Point) -> PoiId {
         let zone = ZoneId(self.zone_tree.nearest(&pos).expect("city has zones").item);
         let id = {
             let mut state = self.state.write();
             let id = PoiId(state.city.pois.len() as u32);
             state.city.pois.push(Poi { id, category, pos, zone });
+            let kept = state.kept.get_mut();
+            kept.todams.remove(&category);
+            kept.features.remove(&category);
             id
         };
         // Invalidate after the state change so no reader can cache the
@@ -367,11 +423,13 @@ impl AccessEngine {
     /// * `ServiceAlert` — advisory; nothing structural changed, no caches
     ///   touched, no locks taken, the prepared network kept.
     /// * All structural deltas — the prepared transit network is rebuilt
-    ///   from the mutated feed (once, under the write lock); hop trees are
-    ///   rebuilt only for zones whose stored walking isochrone contains a
-    ///   touched stop (crow-flies pre-filter, exact isochrone test); and
-    ///   every category's result epoch is bumped so neither cached nor
-    ///   in-flight results survive.
+    ///   from the mutated feed (once, under the write lock); each touched
+    ///   stop's hops in the interval are rescanned, and hop trees are
+    ///   rebuilt only for zones whose walkshed holds a stop whose hops
+    ///   changed; and every category's result epoch is bumped so neither
+    ///   cached nor in-flight results survive. Every kept TODAM survives
+    ///   (demand is POI-driven); the kept feature rows are dropped only
+    ///   when a rebuilt hop tree differs from the one it replaced.
     /// * `AddRoute` only — the shared access-isochrone cache is also
     ///   invalidated: it is the one delta that adds stops. A memoised
     ///   access list depends on the road graph and stop positions alone,
@@ -401,23 +459,13 @@ impl AccessEngine {
                 cache.invalidate();
             }
 
-            // Incremental hop-tree rebuild: zones whose walkshed reaches a
-            // touched stop (crow-flies pre-filter by max walking radius,
-            // exact test via the stored isochrone).
-            let radius = self.config.isochrone.max_radius_m();
-            let mut affected: Vec<ZoneId> = Vec::new();
-            for z in 0..state.city.n_zones() {
-                let zid = ZoneId(z as u32);
-                let iso = state.artifacts.store.isochrone(zid);
-                let touched = outcome.touched_stops.iter().any(|p| {
-                    state.city.zone_centroid(zid).dist(p) <= radius * 1.5 && iso.contains(p)
-                });
-                if touched {
-                    affected.push(zid);
-                }
+            // Incremental hop-tree rebuild: only the trees of zones whose
+            // walkshed holds a touched stop whose hops changed.
+            let rebuilt = state.artifacts.store.rebuild_stops(&state.city, &outcome.touched_stops);
+            if rebuilt.changed {
+                state.kept.get_mut().features.clear();
             }
-            state.artifacts.store.rebuild_zones(&state.city, &affected);
-            affected.len()
+            rebuilt.zones
         };
         // Schedule changed: every category is stale. Bump all known epochs
         // so no in-flight compute gets promoted either.
@@ -695,6 +743,66 @@ mod tests {
         assert!(Arc::ptr_eq(&before, &tables(&e)), "an advisory must keep the tables");
         e.apply_delta(&Delta::TripDelay { trip: TripId(0), delay_secs: 120 }).expect("delay");
         assert!(!Arc::ptr_eq(&before, &tables(&e)), "a structural delta must rebuild them");
+    }
+
+    /// Each category's measured TODAM and its kept feature rows.
+    fn kept_stages(e: &AccessEngine) -> Vec<(Arc<Todam>, Arc<FeatureRows>)> {
+        PoiCategory::ALL
+            .iter()
+            .map(|c| {
+                let matrix = Arc::clone(&e.measures(*c).matrix);
+                (matrix, Arc::clone(&e.state.read().kept.lock().features[c]))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn deltas_keep_every_todam_and_drop_features_only_when_a_tree_changed() {
+        use staq_gtfs::model::TripId;
+        let e = engine();
+        let before = kept_stages(&e);
+        // A Saturday trip counts in no tree of the Tuesday AM peak.
+        let trip = {
+            let feed = &e.city().feed;
+            (0..feed.feed().trips.len() as u32)
+                .map(TripId)
+                .find(|&t| !feed.trip_runs_on(t, DayOfWeek::Tuesday))
+                .expect("a Saturday-only trip")
+        };
+        e.apply_delta(&Delta::TripDelay { trip, delay_secs: 30 }).expect("delay");
+        let after_delay = kept_stages(&e);
+        for (c, (b, a)) in PoiCategory::ALL.iter().zip(before.iter().zip(&after_delay)) {
+            assert!(Arc::ptr_eq(&b.0, &a.0), "a TripDelay must keep {c}'s TODAM");
+            assert!(Arc::ptr_eq(&b.1, &a.1), "a tree-preserving delay must keep {c}'s features");
+            let t = e.measures(*c).timings;
+            assert_eq!((t.todam_secs, t.feature_secs), (0.0, 0.0), "{c} reran a kept stage");
+        }
+
+        let (a, b) = (e.city().zones[0].centroid, e.city().cores[0]);
+        e.apply_delta(&Delta::AddRoute { stops: vec![a, a.midpoint(&b), b], headway_s: 600 })
+            .expect("route");
+        let after_route = kept_stages(&e);
+        for (c, (b, a)) in PoiCategory::ALL.iter().zip(after_delay.iter().zip(&after_route)) {
+            assert!(Arc::ptr_eq(&b.0, &a.0), "an AddRoute must keep {c}'s TODAM");
+            assert!(!Arc::ptr_eq(&b.1, &a.1), "an AddRoute must rebuild {c}'s features");
+            let t = e.measures(*c).timings;
+            assert!(t.todam_secs == 0.0 && t.feature_secs > 0.0, "{c}: {t:?}");
+        }
+    }
+
+    #[test]
+    fn add_poi_replaces_only_its_own_categorys_todam() {
+        let e = engine();
+        let school = Arc::clone(&e.measures(PoiCategory::School).matrix);
+        let hospital = Arc::clone(&e.measures(PoiCategory::Hospital).matrix);
+        let center = e.city().cores[0];
+        e.add_poi(PoiCategory::School, center);
+        let school_after = e.measures(PoiCategory::School);
+        assert!(!Arc::ptr_eq(&school, &school_after.matrix), "School's TODAM must be rebuilt");
+        assert_eq!(school_after.matrix.pois.len(), school.pois.len() + 1);
+        assert!(school_after.timings.todam_secs > 0.0 && school_after.timings.feature_secs > 0.0);
+        let kept_hospital = Arc::clone(&e.state.read().kept.lock().todams[&PoiCategory::Hospital]);
+        assert!(Arc::ptr_eq(&hospital, &kept_hospital), "Hospital's TODAM must be kept");
     }
 
     #[test]

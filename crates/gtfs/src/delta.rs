@@ -8,7 +8,7 @@
 //! scenario edit — adding a bus route — recast as a delta so every edit
 //! flows through one path.
 
-use crate::model::{RouteId, TripId};
+use crate::model::{RouteId, StopId, TripId};
 use serde::{Deserialize, Serialize};
 use staq_geom::Point;
 
@@ -118,10 +118,10 @@ pub fn dyn_route_timetable(
 /// stop get their hop trees rebuilt).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeltaOutcome {
-    /// Positions of every stop whose departure board changed (call stops of
+    /// Every stop whose departure board changed (call stops of
     /// delayed/cancelled trips, stops of an added route). Empty for
     /// advisory deltas.
-    pub touched_stops: Vec<Point>,
+    pub touched_stops: Vec<StopId>,
     /// False only for advisory deltas: nothing structural changed.
     pub structural: bool,
 }

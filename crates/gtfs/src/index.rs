@@ -192,8 +192,8 @@ impl FeedIndex {
     }
 
     /// Shifts every call of `trip` `delay_secs` later (uniform holding
-    /// delay). Returns the positions of the touched stops.
-    fn delay_trip(&mut self, trip: TripId, delay_secs: u32) -> Result<Vec<Point>, String> {
+    /// delay). Returns the touched stops.
+    fn delay_trip(&mut self, trip: TripId, delay_secs: u32) -> Result<Vec<StopId>, String> {
         let (a, b) =
             *self.trip_ranges.get(trip.idx()).ok_or_else(|| format!("unknown trip #{}", trip.0))?;
         if a == b {
@@ -218,7 +218,7 @@ impl FeedIndex {
             let stm = &mut self.feed.stop_times[i];
             stm.arrival = stm.arrival.plus(delay_secs);
             stm.departure = stm.departure.plus(delay_secs);
-            touched.push(self.feed.stops[st.stop.idx()].pos);
+            touched.push(st.stop);
         }
         Ok(touched)
     }
@@ -227,7 +227,7 @@ impl FeedIndex {
     /// departure row. A trip that already makes no calls is a no-op (so
     /// replaying a delta log is idempotent per entry). The trip record
     /// itself remains — dense ids stay stable.
-    fn cancel_trip(&mut self, trip: TripId) -> Result<Vec<Point>, String> {
+    fn cancel_trip(&mut self, trip: TripId) -> Result<Vec<StopId>, String> {
         let (a, b) =
             *self.trip_ranges.get(trip.idx()).ok_or_else(|| format!("unknown trip #{}", trip.0))?;
         if a == b {
@@ -242,7 +242,7 @@ impl FeedIndex {
                 .position(|d| d.trip == trip && d.seq == st.seq)
                 .expect("departure rows track the feed");
             row.remove(pos);
-            touched.push(self.feed.stops[st.stop.idx()].pos);
+            touched.push(st.stop);
         }
         self.feed.stop_times.drain(a as usize..b as usize);
         let removed = b - a;
@@ -258,7 +258,7 @@ impl FeedIndex {
 
     /// Cancels every trip of `route`. The route (and its trips/services)
     /// stay as records; only calls disappear.
-    fn remove_route(&mut self, route: RouteId) -> Result<Vec<Point>, String> {
+    fn remove_route(&mut self, route: RouteId) -> Result<Vec<StopId>, String> {
         if route.idx() >= self.feed.routes.len() {
             return Err(format!("unknown route #{}", route.0));
         }
@@ -280,7 +280,7 @@ impl FeedIndex {
         stops_at: &[Point],
         peak_headway_s: u32,
         bus_speed_mps: f64,
-    ) -> Result<Vec<Point>, String> {
+    ) -> Result<Vec<StopId>, String> {
         if stops_at.iter().any(|p| !p.is_finite()) {
             return Err("route stops must be finite".into());
         }
@@ -381,7 +381,7 @@ impl FeedIndex {
             row.sort_by_key(|d| (d.departure, d.trip, d.seq));
         }
         debug_assert!(self.feed.is_normalized());
-        Ok(stops_at.to_vec())
+        Ok(new_stops)
     }
 }
 

@@ -17,8 +17,8 @@
 //! vector describes the pair without running a single shortest-path query.
 //!
 //! * [`tree`] — the tree structure and leaf connectivity data.
-//! * [`build`] — generation from isochrones + GTFS (paper's §IV-A
-//!   procedure).
+//! * `build` — generation from isochrones + GTFS (paper's §IV-A
+//!   procedure), one scan per stop.
 //! * [`store`] — all trees for one interval, plus isochrones and the zone
 //!   index; supports incremental rebuilds after network edits.
 //! * `interchange` — k-NN + isochrone-overlap interchange identification
@@ -29,12 +29,12 @@
 //!   terms once per (OB leaf, destination), a join per OD.
 
 pub mod aggregate;
-pub mod build;
+mod build;
 pub mod features;
 mod interchange;
 pub mod store;
 pub mod tree;
 
 pub use features::{FeatureExtractor, FEATURE_DIM, FEATURE_NAMES};
-pub use store::HopTreeStore;
+pub use store::{HopTreeStore, TreeRebuild};
 pub use tree::{Direction, HopTree, Leaf};

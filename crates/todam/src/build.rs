@@ -73,12 +73,6 @@ impl TodamSpec {
         debug_assert!(m.check_invariants().is_ok());
         m
     }
-
-    /// Size of the *full* matrix `M_f` for one category without building it.
-    pub fn full_size(&self, city: &City, category: PoiCategory) -> u64 {
-        let n_r = (self.interval.duration_hours() * self.per_hour as f64).round() as u64;
-        city.n_zones() as u64 * city.pois_of(category).len() as u64 * n_r.max(1)
-    }
 }
 
 /// Resolves a trip's POI position (matrices store category-local indices).
@@ -107,7 +101,9 @@ mod tests {
         m.check_invariants().unwrap();
         assert_eq!(m.n_zones(), city.n_zones());
         assert!(m.n_trips() > 0);
-        assert_eq!(m.full_size, TodamSpec::default().full_size(&city, PoiCategory::School));
+        // |M_f| = |Z|·|P|·|R|, with |R| = 60 starts (2 h at 30/h).
+        let n_p = city.pois_of(PoiCategory::School).len();
+        assert_eq!(m.full_size, (city.n_zones() * n_p * 60) as u64);
     }
 
     #[test]

@@ -227,6 +227,85 @@ fn incremental_apply_matches_a_from_scratch_rebuild() {
     assert!(violations.is_empty(), "mutated feed must stay valid: {violations:?}");
 }
 
+/// One step of an edit history: a streamed delta or a new POI.
+enum Edit {
+    Delta(Delta),
+    Poi(PoiCategory, Point),
+}
+
+/// A Tuesday trip running wholly inside the 07:00–09:00 AM peak, and how
+/// many 30 s delays push its last departure to 09:00 or later: the trip
+/// ending latest among those at least three steps short of it.
+fn late_peak_trip(city: &City) -> (TripId, u32) {
+    let (start, end) = (Stime::hours(7), Stime::hours(9));
+    let feed = &city.feed;
+    let (last, trip) = (0..feed.feed().trips.len() as u32)
+        .map(TripId)
+        .filter(|&t| feed.trip_runs_on(t, DayOfWeek::Tuesday))
+        .filter_map(|t| {
+            let calls = feed.trip_calls(t);
+            let (first, last) = (calls.first()?.departure, calls.last()?.departure);
+            (first >= start && last.0 + 90 < end.0).then_some((last, t))
+        })
+        .max()
+        .expect("an AM-peak trip");
+    (trip, (end.0 - last.0).div_ceil(30))
+}
+
+#[test]
+fn every_category_stays_exact_after_every_edit() {
+    let e = engine();
+    let (trip, steps) = late_peak_trip(&e.city());
+    // Delays that keep every departure inside the peak change no hop tree;
+    // the last one pushes a departure past 09:00. Then a cancellation, a
+    // POI, a new route and a route removal.
+    let [cancel, route, remove] =
+        [2, 3, 4].map(|i| sample_history(e.city().config.side_m)[i].clone());
+    let mut edits: Vec<Edit> =
+        (0..steps).map(|_| Edit::Delta(Delta::TripDelay { trip, delay_secs: 30 })).collect();
+    edits.push(Edit::Delta(cancel));
+    edits.push(Edit::Poi(PoiCategory::School, e.city().cores[0].offset(120.0, -80.0)));
+    edits.extend([route, remove].map(Edit::Delta));
+
+    for c in PoiCategory::ALL {
+        e.measures(c);
+    }
+    let (mut reused, mut rebuilt) = (0, 0);
+    for (step, edit) in edits.iter().enumerate() {
+        let new_poi = match edit {
+            Edit::Delta(d) => {
+                e.apply_delta(d).expect("delta applies");
+                None
+            }
+            Edit::Poi(c, p) => {
+                e.add_poi(*c, *p);
+                Some(*c)
+            }
+        };
+        // A from-scratch engine on the edited city is the reference.
+        let fresh = AccessEngine::new(e.city().clone(), e.config().clone());
+        for c in PoiCategory::ALL {
+            let ours = e.measures(c);
+            assert_eq!(
+                ours.predicted,
+                fresh.measures(c).predicted,
+                "{c:?} diverged from a fresh engine after edit {step}"
+            );
+            assert_eq!(
+                ours.timings.todam_secs > 0.0,
+                new_poi == Some(c),
+                "only a new POI rebuilds a TODAM ({c:?}, edit {step})"
+            );
+            if ours.timings.feature_secs == 0.0 {
+                reused += 1;
+            } else {
+                rebuilt += 1;
+            }
+        }
+    }
+    assert!(reused > 0 && rebuilt > 0, "reused {reused}, rebuilt {rebuilt} feature rows");
+}
+
 const PLAN_DEPART: Stime = Stime(8 * 3600);
 const PLAN_DAY: DayOfWeek = DayOfWeek::Tuesday;
 
