@@ -30,34 +30,36 @@
 //! # Concurrency model
 //!
 //! Every method takes `&self`, so one engine can be shared (`Arc`) across a
-//! server's worker pool:
+//! server's worker pool. One [`RwLock`] guards the world (city + artifacts)
+//! and everything derived from it:
 //!
-//! * City + artifacts live under a [`RwLock`]: queries take the read path
-//!   and run concurrently; scenario edits take the write path. The kept
-//!   stages live in the same state: a cold run fills them under the read
-//!   lock, and an edit drops what it invalidates under the write lock, so
-//!   no reader pairs kept stages with a world they were not built from.
-//! * The per-category result cache is **single-flight**: when N threads ask
-//!   for an uncached category at once, exactly one runs the SSR pipeline
-//!   while the rest wait on a per-category latch and share the
-//!   `Arc<PipelineResult>` it publishes. [`AccessEngine::pipeline_runs`]
-//!   counts actual pipeline executions so this is assertable.
-//! * Edits mutate state first, then invalidate: each category carries an
-//!   epoch, bumped on invalidation. An in-flight compute that started
-//!   before an edit still unblocks its waiters (they observe the pre-edit
-//!   snapshot, which is linearizable for reads concurrent with the edit)
-//!   but is *not* promoted into the cache, so no post-edit reader can see
-//!   a stale result.
+//! * Reads take the read lock and run concurrently; scenario edits take
+//!   the write lock.
+//! * Each category's TODAM, feature rows and published result are cells
+//!   in the world, each filled at most once per world state. A cold read
+//!   fills them under the read lock, and no edit can land while it holds
+//!   it, so a filled cell always describes the world it sits in.
+//! * The cells make reads **single-flight**: when N threads ask for an
+//!   uncached category at once, exactly one runs the SSR pipeline while
+//!   the rest block on the cell and share the `Arc<PipelineResult>` it
+//!   publishes. [`AccessEngine::pipeline_runs`] counts actual pipeline
+//!   executions so this is assertable. A run that panics leaves its cell
+//!   empty, and the next reader runs it again.
+//! * Edits reset the cells they invalidate through the write guard (see
+//!   [`AccessEngine::apply_delta`]), so the invalidation matrix lives in
+//!   one place, under the one lock.
 //!
-//! Lock order: the cache mutex is never held across a pipeline run or while
-//! acquiring the state lock.
+//! A read holds one guard from start to finish, so every answer describes
+//! one world. No method takes the read lock while it holds a guard: the
+//! std `RwLock` behind the `parking_lot` stand-in prefers writers, so a
+//! nested read deadlocks once an edit waits.
 
 use crate::artifacts::OfflineArtifacts;
 use crate::config::PipelineConfig;
 use crate::pipeline::{
     ssr_train_infer, FeatureRows, PipelineResult, Prepared, SsrPipeline, StageTimings,
 };
-use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
+use parking_lot::{RwLock, RwLockReadGuard};
 use staq_access::{AccessQuery, QueryAnswer, ZoneMeasures};
 use staq_geom::{KdTree, Point};
 use staq_gtfs::time::{DayOfWeek, Stime};
@@ -66,10 +68,9 @@ use staq_obs::Counter;
 use staq_synth::{City, Poi, PoiCategory, PoiId, ZoneId};
 use staq_todam::{LabelEngine, Todam, ZoneStats};
 use staq_transit::{AccessCost, CostKind, Journey, OverlayStats, Raptor, SharedAccessCache};
-use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Warm reads: a published result served straight from the cache.
 static CACHE_HITS: Counter = Counter::new("engine.cache.hits");
@@ -77,7 +78,7 @@ static CACHE_HITS: Counter = Counter::new("engine.cache.hits");
 static CACHE_MISSES: Counter = Counter::new("engine.cache.misses");
 /// Reads that joined another thread's in-flight compute (single-flight).
 static CACHE_JOINS: Counter = Counter::new("engine.cache.joins");
-/// Category invalidations from scenario edits (epoch bumps).
+/// Published category results dropped by scenario edits.
 static CACHE_INVALIDATIONS: Counter = Counter::new("engine.cache.invalidations");
 
 /// The mutable world state: what scenario edits rewrite. `artifacts`
@@ -89,86 +90,19 @@ static CACHE_INVALIDATIONS: Counter = Counter::new("engine.cache.invalidations")
 struct EngineState {
     city: City,
     artifacts: OfflineArtifacts,
-    /// Stages 1–2 per category, built from `city` and `artifacts` as they
-    /// are now. A `Mutex` so a cold run can fill it under the read lock.
-    kept: Mutex<Kept>,
+    /// What each category derives from `city` and `artifacts` as they are
+    /// now, indexed by `PoiCategory as usize`.
+    derived: [Derived; PoiCategory::ALL.len()],
 }
 
-/// What a category keeps between pipeline runs. A feature row entry is
-/// only ever present beside its TODAM entry, which it was built from.
+/// One category's pipeline stages 1–2 and its published result. Cells
+/// are filled only inside `result`'s initializer, so a feature row cell
+/// is only ever full beside the TODAM cell it was built from.
 #[derive(Default)]
-struct Kept {
-    todams: HashMap<PoiCategory, Arc<Todam>>,
-    features: HashMap<PoiCategory, Arc<FeatureRows>>,
-}
-
-impl EngineState {
-    /// Stages 1–2 for `category`: what `kept` still holds, plus the stages
-    /// it does not, built now and kept. A kept stage reports 0 s.
-    fn prepare(&self, pipeline: &SsrPipeline<'_>, category: PoiCategory) -> Prepared {
-        let (matrix, features) = {
-            let kept = self.kept.lock();
-            (kept.todams.get(&category).cloned(), kept.features.get(&category).cloned())
-        };
-        let mut timings = StageTimings::default();
-        let matrix = matrix.unwrap_or_else(|| {
-            let (matrix, secs) = pipeline.todam(category);
-            timings.todam_secs = secs;
-            matrix
-        });
-        let features = features.unwrap_or_else(|| {
-            let (features, secs) = pipeline.features(&matrix);
-            timings.feature_secs = secs;
-            features
-        });
-        let mut kept = self.kept.lock();
-        kept.todams.insert(category, Arc::clone(&matrix));
-        kept.features.insert(category, Arc::clone(&features));
-        Prepared { matrix, features, timings }
-    }
-}
-
-/// Latch for one in-flight pipeline run. The computing thread publishes
-/// the shared result and wakes every waiter.
-struct Flight {
-    result: Mutex<Option<Arc<PipelineResult>>>,
-    done: Condvar,
-}
-
-impl Flight {
-    fn new() -> Arc<Self> {
-        Arc::new(Flight { result: Mutex::new(None), done: Condvar::new() })
-    }
-
-    fn publish(&self, result: Arc<PipelineResult>) {
-        *self.result.lock() = Some(result);
-        self.done.notify_all();
-    }
-
-    fn wait(&self) -> Arc<PipelineResult> {
-        let mut slot = self.result.lock();
-        loop {
-            if let Some(r) = slot.as_ref() {
-                return Arc::clone(r);
-            }
-            self.done.wait(&mut slot);
-        }
-    }
-}
-
-/// Cache slot per category: either a published result or a compute in
-/// flight that late arrivals should join instead of duplicating.
-enum Slot {
-    Ready(Arc<PipelineResult>),
-    Pending(Arc<Flight>),
-}
-
-#[derive(Default)]
-struct Cache {
-    slots: HashMap<PoiCategory, Slot>,
-    /// Bumped on every invalidation of the category; a compute is only
-    /// promoted to `Ready` if the epoch it started under is still current.
-    epochs: HashMap<PoiCategory, u64>,
+struct Derived {
+    todam: OnceLock<Arc<Todam>>,
+    features: OnceLock<Arc<FeatureRows>>,
+    result: OnceLock<Arc<PipelineResult>>,
 }
 
 /// What [`AccessEngine::approx_config`] reports. Kept only because the
@@ -212,7 +146,6 @@ pub struct AccessEngine {
     /// so the zone lookup tree is built once here instead of per `add_poi`.
     zone_tree: KdTree,
     state: RwLock<EngineState>,
-    cache: Mutex<Cache>,
     /// Fleet-shared walking-isochrone cache behind the labeling routers and
     /// `plan`; `None` reverts to per-router private caches.
     access_cache: Option<Arc<SharedAccessCache>>,
@@ -236,8 +169,7 @@ impl AccessEngine {
         AccessEngine {
             config,
             zone_tree,
-            state: RwLock::new(EngineState { city, artifacts, kept: Mutex::default() }),
-            cache: Mutex::new(Cache::default()),
+            state: RwLock::new(EngineState { city, artifacts, derived: Default::default() }),
             access_cache,
             pipeline_runs: AtomicU64::new(0),
         }
@@ -277,14 +209,11 @@ impl AccessEngine {
 
     /// Categories with a published (warm) cache entry.
     pub fn cached_categories(&self) -> Vec<PoiCategory> {
-        let cache = self.cache.lock();
-        let mut cats: Vec<PoiCategory> = cache
-            .slots
-            .iter()
-            .filter_map(|(c, s)| matches!(s, Slot::Ready(_)).then_some(*c))
-            .collect();
-        cats.sort_by_key(|c| *c as u32);
-        cats
+        let state = self.state.read();
+        PoiCategory::ALL
+            .into_iter()
+            .filter(|&c| state.derived[c as usize].result.get().is_some())
+            .collect()
     }
 
     /// SSR measures for one category, cached until the next scenario edit.
@@ -292,71 +221,59 @@ impl AccessEngine {
     /// Concurrent callers for a cold category coalesce into one pipeline
     /// run; everyone gets the same shared result.
     pub fn measures(&self, category: PoiCategory) -> Arc<PipelineResult> {
-        let mut span = staq_obs::trace::span("engine.measures");
-        // Fast path / join path under the cache lock.
-        let (flight, start_epoch) = {
-            let mut cache = self.cache.lock();
-            match cache.slots.get(&category) {
-                Some(Slot::Ready(r)) => {
-                    CACHE_HITS.inc();
-                    span.attr("cache_hit", 1);
-                    return Arc::clone(r);
-                }
-                Some(Slot::Pending(f)) => {
-                    let f = Arc::clone(f);
-                    drop(cache);
-                    CACHE_JOINS.inc();
-                    span.attr("cache_join", 1);
-                    return f.wait();
-                }
-                None => {
-                    CACHE_MISSES.inc();
-                    span.attr("cache_miss", 1);
-                    let epoch = *cache.epochs.entry(category).or_insert(0);
-                    let flight = Flight::new();
-                    cache.slots.insert(category, Slot::Pending(Arc::clone(&flight)));
-                    (flight, epoch)
-                }
-            }
-        };
+        self.measures_in(&self.state.read(), category)
+    }
 
-        // We own the compute. Run the pipeline under the state *read* lock
-        // so edits queue behind it but other queries proceed; stages 1–2
-        // come from what the category kept where they still hold.
-        let result = {
-            let state = self.state.read();
+    /// [`Self::measures`] in the world `state` pins. A cold read runs the
+    /// pipeline inside the result cell's initializer, taking stages 1–2
+    /// from their cells where they are still full (a kept stage reports
+    /// 0 s); a caller whose initializer did not run joined another's.
+    fn measures_in(&self, state: &EngineState, category: PoiCategory) -> Arc<PipelineResult> {
+        let mut span = staq_obs::trace::span("engine.measures");
+        let derived = &state.derived[category as usize];
+        if let Some(result) = derived.result.get() {
+            CACHE_HITS.inc();
+            span.attr("cache_hit", 1);
+            return Arc::clone(result);
+        }
+        let mut ran = false;
+        let result = derived.result.get_or_init(|| {
+            ran = true;
             let mut pipeline = SsrPipeline::new(&state.city, &state.artifacts, self.config.clone());
             if let Some(cache) = &self.access_cache {
                 pipeline = pipeline.with_access_cache(Arc::clone(cache));
             }
             let _run_span = staq_obs::trace::span("pipeline.run");
-            let prepared = state.prepare(&pipeline, category);
-            Arc::new(pipeline.solve(&prepared))
-        };
-        self.pipeline_runs.fetch_add(1, Ordering::Relaxed);
-        flight.publish(Arc::clone(&result));
-
-        // Promote to Ready only if no edit invalidated us mid-run.
-        let mut cache = self.cache.lock();
-        let current = cache.epochs.get(&category).copied().unwrap_or(0);
-        let ours = matches!(
-            cache.slots.get(&category),
-            Some(Slot::Pending(f)) if Arc::ptr_eq(f, &flight)
-        );
-        if ours {
-            if current == start_epoch {
-                cache.slots.insert(category, Slot::Ready(Arc::clone(&result)));
-            } else {
-                cache.slots.remove(&category);
-            }
+            let mut timings = StageTimings::default();
+            let matrix = derived.todam.get_or_init(|| {
+                let (matrix, secs) = pipeline.todam(category);
+                timings.todam_secs = secs;
+                matrix
+            });
+            let features = derived.features.get_or_init(|| {
+                let (features, secs) = pipeline.features(matrix);
+                timings.feature_secs = secs;
+                features
+            });
+            let (matrix, features) = (Arc::clone(matrix), Arc::clone(features));
+            let result = Arc::new(pipeline.solve(&Prepared { matrix, features, timings }));
+            self.pipeline_runs.fetch_add(1, Ordering::Relaxed);
+            result
+        });
+        if ran {
+            CACHE_MISSES.inc();
+            span.attr("cache_miss", 1);
+        } else {
+            CACHE_JOINS.inc();
+            span.attr("cache_join", 1);
         }
-        result
+        Arc::clone(result)
     }
 
     /// Answers an access query for one category via SSR measures.
     pub fn query(&self, q: &AccessQuery, category: PoiCategory) -> QueryAnswer {
-        let predicted = self.measures(category);
         let state = self.state.read();
+        let predicted = self.measures_in(&state, category);
         q.answer(&predicted.predicted, &state.city.zones)
     }
 
@@ -379,21 +296,11 @@ impl AccessEngine {
     /// dropped. Returns the new POI's id.
     pub fn add_poi(&self, category: PoiCategory, pos: Point) -> PoiId {
         let zone = ZoneId(self.zone_tree.nearest(&pos).expect("city has zones").item);
-        let id = {
-            let mut state = self.state.write();
-            let id = PoiId(state.city.pois.len() as u32);
-            state.city.pois.push(Poi { id, category, pos, zone });
-            let kept = state.kept.get_mut();
-            kept.todams.remove(&category);
-            kept.features.remove(&category);
-            id
-        };
-        // Invalidate after the state change so no reader can cache the
-        // pre-edit world under the post-edit epoch.
-        {
-            let mut cache = self.cache.lock();
-            *cache.epochs.entry(category).or_insert(0) += 1;
-            cache.slots.remove(&category);
+        let mut state = self.state.write();
+        let id = PoiId(state.city.pois.len() as u32);
+        state.city.pois.push(Poi { id, category, pos, zone });
+        let dropped = std::mem::take(&mut state.derived[category as usize]);
+        if dropped.result.get().is_some() {
             CACHE_INVALIDATIONS.inc();
         }
         id
@@ -426,14 +333,16 @@ impl AccessEngine {
     ///   from the mutated feed (once, under the write lock); each touched
     ///   stop's hops in the interval are rescanned, and hop trees are
     ///   rebuilt only for zones whose walkshed holds a stop whose hops
-    ///   changed; and every category's result epoch is bumped so neither
-    ///   cached nor in-flight results survive. Every kept TODAM survives
-    ///   (demand is POI-driven); the kept feature rows are dropped only
-    ///   when a rebuilt hop tree differs from the one it replaced.
+    ///   changed; and every category's published result is dropped. Every
+    ///   kept TODAM survives (demand is POI-driven); the kept feature rows
+    ///   are dropped only when a rebuilt hop tree differs from the one it
+    ///   replaced.
     /// * `AddRoute` only — the shared access-isochrone cache is also
     ///   invalidated: it is the one delta that adds stops. A memoised
     ///   access list depends on the road graph and stop positions alone,
     ///   and delays, cancellations and route removals keep every stop.
+    /// * `add_poi(c)` (not a delta) drops `c`'s result, TODAM and feature
+    ///   rows, and nothing else.
     ///
     /// Rejected deltas (unknown ids, bad geometry) leave the world
     /// untouched.
@@ -443,44 +352,33 @@ impl AccessEngine {
         if !delta.is_structural() {
             return Ok(DeltaApplied { structural: false, zones_rebuilt: 0, invalidated: 0 });
         }
-        let zones_rebuilt = {
-            let mut state = self.state.write();
-            let state = &mut *state;
-            let bus_speed = state.city.config.bus_speed_mps;
-            let outcome = state.city.feed.apply_delta(delta, bus_speed)?;
-            // The one place the feed changes: re-prepare the network here
-            // so no reader ever routes over tables of an older feed.
-            state.artifacts.rebuild_network(&state.city);
-            // New stops are the only change a memoised access list can
-            // miss. Bump the shared cache's epoch before readers get the
-            // lock back, so none of them pairs the new network with
-            // pre-edit isochrones and stale in-flight inserts are dropped.
-            if let (Some(cache), Delta::AddRoute { .. }) = (&self.access_cache, delta) {
-                cache.invalidate();
-            }
+        let mut state = self.state.write();
+        let state = &mut *state;
+        let bus_speed = state.city.config.bus_speed_mps;
+        let outcome = state.city.feed.apply_delta(delta, bus_speed)?;
+        // The one place the feed changes: re-prepare the network here
+        // so no reader ever routes over tables of an older feed.
+        state.artifacts.rebuild_network(&state.city);
+        // New stops are the only change a memoised access list can
+        // miss. Bump the shared cache's epoch before readers get the
+        // lock back, so none of them pairs the new network with
+        // pre-edit isochrones and stale in-flight inserts are dropped.
+        if let (Some(cache), Delta::AddRoute { .. }) = (&self.access_cache, delta) {
+            cache.invalidate();
+        }
 
-            // Incremental hop-tree rebuild: only the trees of zones whose
-            // walkshed holds a touched stop whose hops changed.
-            let rebuilt = state.artifacts.store.rebuild_stops(&state.city, &outcome.touched_stops);
+        // Incremental hop-tree rebuild: only the trees of zones whose
+        // walkshed holds a touched stop whose hops changed.
+        let rebuilt = state.artifacts.store.rebuild_stops(&state.city, &outcome.touched_stops);
+        let mut invalidated = 0;
+        for derived in &mut state.derived {
+            invalidated += derived.result.take().is_some() as usize;
             if rebuilt.changed {
-                state.kept.get_mut().features.clear();
+                derived.features.take();
             }
-            rebuilt.zones
-        };
-        // Schedule changed: every category is stale. Bump all known epochs
-        // so no in-flight compute gets promoted either.
-        let invalidated = {
-            let mut cache = self.cache.lock();
-            let mut invalidated = 0usize;
-            for epoch in cache.epochs.values_mut() {
-                *epoch += 1;
-                invalidated += 1;
-                CACHE_INVALIDATIONS.inc();
-            }
-            cache.slots.clear();
-            invalidated
-        };
-        Ok(DeltaApplied { structural: true, zones_rebuilt, invalidated })
+        }
+        CACHE_INVALIDATIONS.add(invalidated as u64);
+        Ok(DeltaApplied { structural: true, zones_rebuilt: rebuilt.zones, invalidated })
     }
 
     /// Evaluates `scenarios` (each a list of deltas) against the current
@@ -503,8 +401,8 @@ impl AccessEngine {
     ) -> Result<Vec<ScenarioOutcome>, String> {
         let mut span = staq_obs::trace::span("engine.what_if");
         span.attr("scenarios", scenarios.len() as u64);
-        let base = self.measures(category);
         let state = self.state.read();
+        let base = self.measures_in(&state, category);
         let bus_speed = state.city.config.bus_speed_mps;
         let net = state.artifacts.network.view(&state.city.road, &state.city.feed);
         let mut out = Vec::with_capacity(scenarios.len());
@@ -576,7 +474,9 @@ pub struct DeltaApplied {
     pub structural: bool,
     /// Zones whose hop trees were incrementally rebuilt.
     pub zones_rebuilt: usize,
-    /// Categories whose cached/in-flight results were invalidated.
+    /// Categories whose published result was dropped. A category no read
+    /// measured since the last edit counts 0, and no run can be in flight:
+    /// it would hold the read lock the edit waited for.
     pub invalidated: usize,
 }
 
@@ -751,7 +651,8 @@ mod tests {
             .iter()
             .map(|c| {
                 let matrix = Arc::clone(&e.measures(*c).matrix);
-                (matrix, Arc::clone(&e.state.read().kept.lock().features[c]))
+                let features = e.state.read().derived[*c as usize].features.get().cloned();
+                (matrix, features.expect("a measured category keeps its feature rows"))
             })
             .collect()
     }
@@ -801,7 +702,9 @@ mod tests {
         assert!(!Arc::ptr_eq(&school, &school_after.matrix), "School's TODAM must be rebuilt");
         assert_eq!(school_after.matrix.pois.len(), school.pois.len() + 1);
         assert!(school_after.timings.todam_secs > 0.0 && school_after.timings.feature_secs > 0.0);
-        let kept_hospital = Arc::clone(&e.state.read().kept.lock().todams[&PoiCategory::Hospital]);
+        let kept_hospital =
+            e.state.read().derived[PoiCategory::Hospital as usize].todam.get().cloned();
+        let kept_hospital = kept_hospital.expect("Hospital keeps its TODAM");
         assert!(Arc::ptr_eq(&hospital, &kept_hospital), "Hospital's TODAM must be kept");
     }
 

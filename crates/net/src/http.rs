@@ -17,7 +17,7 @@ use std::time::Duration;
 const MAX_HEAD: usize = 16 * 1024;
 const MAX_BODY: usize = 4 << 20;
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct HttpRequest {
     pub method: String,
     /// Path without the query string.
@@ -152,7 +152,7 @@ fn serve_conn(mut stream: TcpStream, handler: &Handler, stop: &AtomicBool) -> io
 /// Reads one request (head + body). `None` on clean EOF before any byte
 /// of a new request.
 fn read_request(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     buf: &mut Vec<u8>,
 ) -> io::Result<Option<(HttpRequest, bool)>> {
     let mut scratch = [0u8; 4096];
@@ -259,6 +259,8 @@ fn percent_decode(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn echo_handler() -> Handler {
         Arc::new(|req: &HttpRequest| {
@@ -300,5 +302,172 @@ mod tests {
         let closes = out.matches("HTTP/1.1 200 OK").count();
         assert_eq!(closes, 2, "{out}");
         h.shutdown();
+    }
+
+    /// A stream that hands out `data` in reads of the given sizes (cycled),
+    /// as a socket may split a request anywhere.
+    struct Chunked {
+        data: Vec<u8>,
+        sizes: Vec<usize>,
+        reads: usize,
+    }
+
+    impl Read for Chunked {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let size = self.sizes[self.reads % self.sizes.len()];
+            self.reads += 1;
+            let n = size.min(self.data.len()).min(out.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data.drain(..n);
+            Ok(n)
+        }
+    }
+
+    /// Strings the head grammar branches on, so random input reaches the
+    /// header and body paths instead of failing on the first line.
+    const TOKENS: &[&str] = &[
+        "GET ",
+        "POST ",
+        "/v1/q",
+        "?",
+        "&",
+        "=",
+        "%",
+        "%2",
+        "%4A",
+        "+",
+        " ",
+        "\r\n",
+        "\r\n\r\n",
+        "HTTP/1.1",
+        "HTTP/1.0",
+        ":",
+        "Content-Length: ",
+        "Connection: close",
+        "1",
+        "7",
+        "99999999",
+        "-3",
+    ];
+
+    fn lossy(picks: Vec<(u8, u8)>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for (kind, b) in picks {
+            match kind {
+                0 => bytes.push(b),
+                _ => bytes.extend_from_slice(TOKENS[b as usize % TOKENS.len()].as_bytes()),
+            }
+        }
+        bytes
+    }
+
+    /// Percent-encodes every byte outside the unreserved set, and a space
+    /// as `+` half the time, so both decodings are exercised.
+    fn encode(s: &str, plus: bool) -> String {
+        s.bytes()
+            .map(|b| match b {
+                b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
+                    (b as char).to_string()
+                }
+                b' ' if plus => "+".to_string(),
+                _ => format!("%{b:02X}"),
+            })
+            .collect()
+    }
+
+    fn text() -> impl Strategy<Value = String> {
+        // ASCII, separators the query grammar uses, and multi-byte chars.
+        vec(0u32..0x300, 0..6).prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    /// (method, path segments, query pairs, body, close, plus-for-space).
+    type Parts = (u8, Vec<u8>, Vec<(String, String)>, Vec<u8>, bool, bool);
+
+    fn parts() -> impl Strategy<Value = Parts> {
+        (
+            0u8..4,
+            vec(0u8..=255, 0..4),
+            vec((text(), text()), 0..4),
+            vec(0u8..=255, 0..48),
+            0u8..2,
+            0u8..2,
+        )
+            .prop_map(|(m, path, query, body, close, plus)| {
+                (m, path, query, body, close == 1, plus == 1)
+            })
+    }
+
+    /// Renders `parts` as wire bytes, with the request and keep-alive flag
+    /// they should parse to.
+    fn render((m, segs, query, body, close, plus): Parts) -> (Vec<u8>, (HttpRequest, bool)) {
+        let method = ["GET", "POST", "PUT", "DELETE"][m as usize].to_string();
+        let path: String = segs.iter().map(|s| format!("/s{s}")).collect();
+        let path = if path.is_empty() { "/".to_string() } else { path };
+        let target = if query.is_empty() {
+            path.clone()
+        } else {
+            let pairs: Vec<String> = query
+                .iter()
+                .map(|(k, v)| format!("{}={}", encode(k, plus), encode(v, plus)))
+                .collect();
+            format!("{path}?{}", pairs.join("&"))
+        };
+        let connection = if close { "Connection: close\r\n" } else { "" };
+        let mut wire = format!(
+            "{method} {target} HTTP/1.1\r\nHost: x\r\n{connection}Content-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        wire.extend_from_slice(&body);
+        (wire, (HttpRequest { method, path, query, body }, !close))
+    }
+
+    fn parse_next(stream: &mut Chunked, buf: &mut Vec<u8>) -> Option<(HttpRequest, bool)> {
+        read_request(stream, buf).expect("in-memory reads never fail")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_chunked_bytes_never_panic(
+            picks in vec((0u8..3, 0u8..=255), 0..256),
+            sizes in vec(1usize..32, 1..8),
+        ) {
+            let data = lossy(picks);
+            let max_requests = data.len() / 4 + 1; // each parsed request eats ≥ 4 bytes
+            let mut stream = Chunked { data, sizes, reads: 0 };
+            let mut buf = Vec::new();
+            let mut parsed = 0;
+            while parse_next(&mut stream, &mut buf).is_some() {
+                parsed += 1;
+                prop_assert!(parsed <= max_requests, "the parser made no progress");
+            }
+        }
+
+        #[test]
+        fn generated_requests_round_trip(p in parts(), sizes in vec(1usize..64, 1..8)) {
+            let (data, want) = render(p);
+            let mut stream = Chunked { data, sizes, reads: 0 };
+            let mut buf = Vec::new();
+            prop_assert_eq!(parse_next(&mut stream, &mut buf), Some(want));
+            prop_assert!(parse_next(&mut stream, &mut buf).is_none(), "nothing after the request");
+        }
+
+        #[test]
+        fn pipelined_requests_split_at_the_right_byte(
+            first in parts(),
+            second in parts(),
+            sizes in vec(1usize..64, 1..8),
+        ) {
+            let (mut data, want_first) = render(first);
+            let (tail, want_second) = render(second);
+            data.extend_from_slice(&tail);
+            let mut stream = Chunked { data, sizes, reads: 0 };
+            let mut buf = Vec::new();
+            prop_assert_eq!(parse_next(&mut stream, &mut buf), Some(want_first));
+            prop_assert_eq!(parse_next(&mut stream, &mut buf), Some(want_second));
+            prop_assert!(buf.is_empty(), "the second request consumed every byte");
+        }
     }
 }

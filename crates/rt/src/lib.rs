@@ -34,7 +34,7 @@ use std::sync::Arc;
 /// Deltas accepted into the log (origin or replica side).
 static DELTAS_APPLIED: Counter = Counter::new("rt.deltas_applied");
 /// Engine result-cache invalidations caused by streamed deltas
-/// (category epochs bumped).
+/// (published category results dropped).
 static INVAL_ENGINE: Counter = Counter::new("rt.invalidations.engine");
 /// Access-artifact invalidations: zones whose hop trees were rebuilt.
 static INVAL_ACCESS: Counter = Counter::new("rt.invalidations.access");

@@ -8,9 +8,20 @@
 //! edits to *other* categories interleave. Each category gets exactly one
 //! editor thread, so every category's edit subsequence is deterministic
 //! even though the global interleaving is not.
+//!
+//! Two more properties of the shared engine: a cold run that panics does
+//! not wedge its category, and every answer read while deltas land
+//! describes exactly one of the worlds the engine passed through.
 
+use staq_repro::gtfs::model::TripId;
+use staq_repro::gtfs::time::{DayOfWeek, Stime};
+use staq_repro::gtfs::Delta;
 use staq_repro::prelude::*;
+use staq_repro::synth::PoiId;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn config() -> PipelineConfig {
     PipelineConfig {
@@ -120,4 +131,132 @@ fn hammering_one_cold_category_from_many_threads_is_single_flight() {
     })
     .unwrap();
     assert_eq!(engine.pipeline_runs(), 1, "12 concurrent cold reads, one pipeline run");
+}
+
+/// Reads `category`'s measures on a new thread and joins it. Fails the
+/// test if the read has neither returned nor panicked within 30 s.
+fn read_within_30s(
+    engine: &Arc<AccessEngine>,
+    category: PoiCategory,
+) -> std::thread::Result<usize> {
+    let (done_tx, done) = mpsc::channel::<()>();
+    let e = Arc::clone(engine);
+    let reader = std::thread::spawn(move || {
+        let _done = done_tx; // dropped when the read returns or unwinds
+        e.measures(category).predicted.len()
+    });
+    match done.recv_timeout(Duration::from_secs(30)) {
+        Err(RecvTimeoutError::Timeout) => panic!("a {category} read blocked for 30 s"),
+        _ => reader.join(),
+    }
+}
+
+#[test]
+fn a_panicking_cold_run_does_not_wedge_its_category() {
+    let mut city = City::generate(&CityConfig::small(42));
+    city.pois.retain(|p| p.category != PoiCategory::Hospital);
+    for (i, poi) in city.pois.iter_mut().enumerate() {
+        poi.id = PoiId(i as u32);
+    }
+    let side = city.config.side_m;
+    let engine = Arc::new(AccessEngine::new(city, config()));
+
+    // With no Hospital POIs the TODAM build asserts, so the run panics.
+    assert!(read_within_30s(&engine, PoiCategory::Hospital).is_err(), "no hospitals to reach");
+    // The failed run left nothing behind to wait on: the next read runs
+    // the pipeline again (and panics again) instead of blocking.
+    assert!(read_within_30s(&engine, PoiCategory::Hospital).is_err(), "still no hospitals");
+
+    for k in 0..EDITS_PER_CATEGORY {
+        engine.add_poi(PoiCategory::Hospital, poi_pos(side, 1, k));
+    }
+    let zones = read_within_30s(&engine, PoiCategory::Hospital).expect("hospitals now exist");
+    assert!(zones > 0);
+    assert_eq!(engine.pipeline_runs(), 1, "only the last read finished a run");
+}
+
+/// `n` delays of distinct Tuesday trips that run wholly inside the
+/// 07:00–09:00 AM peak and stay inside it when delayed.
+fn in_interval_delays(city: &City, n: usize) -> Vec<Delta> {
+    const DELAY_SECS: u32 = 120;
+    let (start, end) = (Stime::hours(7), Stime::hours(9));
+    let feed = &city.feed;
+    let delays: Vec<Delta> = (0..feed.feed().trips.len() as u32)
+        .map(TripId)
+        .filter(|&t| feed.trip_runs_on(t, DayOfWeek::Tuesday))
+        .filter(|&t| {
+            let calls = feed.trip_calls(t);
+            calls.first().is_some_and(|c| c.departure >= start)
+                && calls.last().is_some_and(|c| c.departure.0 + DELAY_SECS + 60 < end.0)
+        })
+        .take(n)
+        .map(|trip| Delta::TripDelay { trip, delay_secs: DELAY_SECS })
+        .collect();
+    assert_eq!(delays.len(), n, "not enough AM-peak trips");
+    delays
+}
+
+/// Calls `read` until `edited` is set, then once more, so the last world
+/// is read too.
+fn read_until<T>(edited: &AtomicBool, read: impl Fn() -> T) -> Vec<T> {
+    let mut seen = Vec::new();
+    loop {
+        let last = edited.load(Ordering::SeqCst);
+        seen.push(read());
+        if last {
+            return seen;
+        }
+    }
+}
+
+#[test]
+fn every_answer_comes_from_exactly_one_world() {
+    let city = City::generate(&CityConfig::small(42));
+    let deltas = in_interval_delays(&city, 4);
+    let (cat, q) = (PoiCategory::School, AccessQuery::MeanAccess);
+
+    // What each world the live engine passes through answers: a fresh
+    // engine on every prefix of the deltas.
+    let worlds: Vec<(Vec<ZoneMeasures>, QueryAnswer)> = (0..=deltas.len())
+        .map(|k| {
+            let e = AccessEngine::new(city.clone(), config());
+            for d in &deltas[..k] {
+                e.apply_delta(d).expect("delay applies");
+            }
+            (e.measures(cat).predicted.clone(), e.query(&q, cat))
+        })
+        .collect();
+    assert!(worlds.windows(2).any(|w| w[0].1 != w[1].1), "the deltas must move the answer");
+
+    let live = AccessEngine::new(city, config());
+    let edited = AtomicBool::new(false);
+    let (predicted, answers) = std::thread::scope(|s| {
+        s.spawn(|| {
+            for d in &deltas {
+                std::thread::sleep(Duration::from_millis(10));
+                live.apply_delta(d).expect("delay applies");
+            }
+            edited.store(true, Ordering::SeqCst);
+        });
+        let what_ifs = s.spawn(|| {
+            // The empty scenario reproduces the base bit for bit.
+            read_until(&edited, || live.what_if(cat, &[vec![]]).expect("empty").remove(0).predicted)
+        });
+        let queries = s.spawn(|| read_until(&edited, || live.query(&q, cat)));
+        (what_ifs.join().unwrap(), queries.join().unwrap())
+    });
+
+    for (i, p) in predicted.iter().enumerate() {
+        assert!(worlds.iter().any(|(w, _)| w == p), "what-if read {i} matches no single world");
+    }
+    for (i, a) in answers.iter().enumerate() {
+        assert!(
+            worlds.iter().any(|(_, w)| w == a),
+            "query read {i} matches no single world: {a:?}"
+        );
+    }
+    assert_eq!(predicted.last(), Some(&worlds[deltas.len()].0), "the last read sees every delta");
+    let runs = live.pipeline_runs() as usize;
+    assert!(runs <= deltas.len() + 1, "{runs} pipeline runs over {} worlds", deltas.len() + 1);
+    assert!(runs <= predicted.len() + answers.len(), "more runs than reads");
 }

@@ -25,13 +25,10 @@ use staq_shard::{route, Backend, RouterConfig, ShardSupervisor, SupervisorConfig
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SHARDS: usize = 2;
 const SEED: u64 = 42;
-/// Anything over this is a "bad" request for the query class in this
-/// test — far below a cold pipeline run, far above a warm cache hit.
-const SLOW_NS: u64 = 5_000_000;
 
 fn query(category: PoiCategory) -> Request {
     Request::Query { category, query: AccessQuery::MeanAccess, approx: false }
@@ -39,6 +36,29 @@ fn query(category: PoiCategory) -> Request {
 
 fn add_poi(category: PoiCategory, x: f64) -> Request {
     Request::AddPoi { category, pos: staq_repro::geom::Point::new(x, x) }
+}
+
+/// The "bad request" threshold of the query class in this test: half the
+/// fastest of three cold School runs on a shard's engine, each after the
+/// same `AddPoi` chill the burst uses. Every blocker runs such a pipeline
+/// plus the hops around it, so it is slow by construction on any machine,
+/// while a warm cache hit stays far below.
+fn calibrate_slow_ns() -> u64 {
+    let engine = CityPreset::Test.engine(0.05, SEED);
+    engine.measures(PoiCategory::School); // warms the access cache, as the warm phase does
+    let fastest = (1..=3)
+        .map(|k| {
+            engine.add_poi(
+                PoiCategory::School,
+                staq_repro::geom::Point::new(1500.0 + k as f64, 1500.0),
+            );
+            let start = Instant::now();
+            engine.measures(PoiCategory::School);
+            start.elapsed().as_nanos() as u64
+        })
+        .min()
+        .expect("three runs");
+    fastest / 2
 }
 
 fn is_overloaded(resp: &Response) -> bool {
@@ -92,14 +112,16 @@ fn ops_report(mux: &MuxClient) -> staq_obs::OpsReport {
 fn burst_with_slow_queries_and_sheds_shows_up_on_the_ops_surface() {
     // Deterministic windows: no lazy ticks mid-test, boundaries are ours.
     staq_obs::ops::set_interval(Duration::from_secs(3600));
-    // A 5 ms query SLO so a cold pipeline run is a threshold violation
-    // and a slow-trace promotion; plan keeps its default and stays idle.
+    // A query SLO under a cold pipeline run, so one is a threshold
+    // violation and a slow-trace promotion; plan keeps its default and
+    // stays idle.
+    let slow_ns = calibrate_slow_ns();
     staq_obs::slo::configure(&[SloSpec {
         class: SloClass::Query,
         objective_milli: 999,
-        threshold_ns: SLOW_NS,
+        threshold_ns: slow_ns,
     }]);
-    staq_obs::slow::set_threshold_ns(SloClass::Query, SLOW_NS);
+    staq_obs::slow::set_threshold_ns(SloClass::Query, slow_ns);
 
     // Fleet: two in-process shards, a deliberately narrow router (one
     // routing worker, queue depth one — the shed point), a gateway.
@@ -196,7 +218,7 @@ fn burst_with_slow_queries_and_sheds_shows_up_on_the_ops_surface() {
         win_p99 > cum_p50,
         "burst-window p99 ({win_p99} ns) must exceed cumulative p50 ({cum_p50} ns)"
     );
-    assert!(win_p99 >= SLOW_NS, "the burst window must contain a slow pipeline run");
+    assert!(win_p99 >= slow_ns, "the burst window must contain a slow pipeline run");
 
     let qs = report.slo_for("query").expect("query slo");
     assert!(qs.fast.bad > 0, "violations + sheds must count as bad: {qs:?}");
@@ -208,7 +230,7 @@ fn burst_with_slow_queries_and_sheds_shows_up_on_the_ops_surface() {
 
     // The slow store holds the blocker's trace with its span tree.
     let slow = report.slow.iter().find(|t| t.class == "query").expect("a promoted query trace");
-    assert!(slow.root_dur_ns >= SLOW_NS, "{slow:?}");
+    assert!(slow.root_dur_ns >= slow_ns, "{slow:?}");
     assert!(!slow.spans.is_empty(), "a promoted trace carries its spans");
     assert!(slow.spans.iter().all(|s| s.trace == slow.trace), "spans belong to the trace");
     assert!(

@@ -198,7 +198,7 @@ fn streaming_counters_are_visible_through_stats() {
     let mut c = Client::connect(server.addr()).expect("connect");
 
     // Warm one category first: engine-cache invalidation only counts
-    // epochs that exist, so a delta on a cold server invalidates nothing.
+    // published results, so a delta on a cold server invalidates nothing.
     c.query(&AccessQuery::MeanAccess, PoiCategory::School).expect("warm the cache");
 
     // The obs registry is process-global and shared across tests in this
