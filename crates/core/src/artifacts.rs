@@ -2,9 +2,10 @@
 //! every pipeline run and by the engine.
 
 use staq_gtfs::time::TimeInterval;
+use staq_gtfs::FeedIndex;
 use staq_hoptree::HopTreeStore;
 use staq_obs::AtomicHistogram;
-use staq_road::IsochroneParams;
+use staq_road::{IsochroneParams, RoadGraph};
 use staq_synth::City;
 use staq_transit::{NetworkTables, RouterConfig};
 use std::sync::Arc;
@@ -20,8 +21,8 @@ pub struct OfflineArtifacts {
     /// Hop trees + isochrones + zone index.
     pub store: HopTreeStore,
     /// The city's prepared transit network (trip patterns, stop snapping,
-    /// foot transfers): every plan, labeling pass and what-if overlay
-    /// routes over a view of it.
+    /// foot transfers): every plan and labeling pass routes over a view of
+    /// it.
     pub network: Arc<NetworkTables>,
 }
 
@@ -30,7 +31,7 @@ impl OfflineArtifacts {
     pub fn build(city: &City, interval: &TimeInterval, params: &IsochroneParams) -> Self {
         let t0 = Instant::now();
         let store = HopTreeStore::build(city, interval, params);
-        let network = prepare_network(city);
+        let network = prepare_network(&city.road, &city.feed);
         STAGE_ARTIFACTS.record(t0.elapsed());
         OfflineArtifacts { store, network }
     }
@@ -38,15 +39,17 @@ impl OfflineArtifacts {
     /// Rebuilds the prepared network from `city`'s current feed — called
     /// once per structural delta, right after the feed changed.
     pub(crate) fn rebuild_network(&mut self, city: &City) {
-        self.network = prepare_network(city);
+        self.network = prepare_network(&city.road, &city.feed);
     }
 }
 
-/// `city`'s transit network under the default router config. Panics on a
-/// trip whose call times run backwards; neither `City::generate` nor
-/// `FeedIndex::apply_delta` produces one.
-fn prepare_network(city: &City) -> Arc<NetworkTables> {
-    let tables = NetworkTables::build(&city.road, &city.feed, RouterConfig::default());
+/// The transit network of `feed` over `road` under the default router
+/// config: what a commit routes over after its deltas land, and what a
+/// what-if scenario routes over after its deltas land on a copy of the
+/// feed. Panics on a trip whose call times run backwards; neither
+/// `City::generate` nor `FeedIndex::apply_delta` produces one.
+pub(crate) fn prepare_network(road: &RoadGraph, feed: &FeedIndex) -> Arc<NetworkTables> {
+    let tables = NetworkTables::build(road, feed, RouterConfig::default());
     Arc::new(tables.expect("malformed feed"))
 }
 

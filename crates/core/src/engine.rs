@@ -23,9 +23,11 @@
 //!   a delta drops them only when a rebuilt tree changed. A cold read
 //!   after a tree-preserving `TripDelay` then only samples, labels and
 //!   trains;
-//! * journey planning ([`AccessEngine::plan`]) and counterfactual
-//!   scenarios ([`AccessEngine::what_if`]) over that same prepared
-//!   network, never a per-request copy.
+//! * journey planning ([`AccessEngine::plan`]) over that same prepared
+//!   network, never a per-request copy;
+//! * counterfactual scenarios ([`AccessEngine::what_if`]), each routed
+//!   over a network built from a copy of the feed with its deltas
+//!   applied — the way a commit builds one.
 //!
 //! # Concurrency model
 //!
@@ -54,7 +56,7 @@
 //! std `RwLock` behind the `parking_lot` stand-in prefers writers, so a
 //! nested read deadlocks once an edit waits.
 
-use crate::artifacts::OfflineArtifacts;
+use crate::artifacts::{prepare_network, OfflineArtifacts};
 use crate::config::PipelineConfig;
 use crate::pipeline::{
     ssr_train_infer, FeatureRows, PipelineResult, Prepared, SsrPipeline, StageTimings,
@@ -67,7 +69,7 @@ use staq_gtfs::Delta;
 use staq_obs::Counter;
 use staq_synth::{City, Poi, PoiCategory, PoiId, ZoneId};
 use staq_todam::{LabelEngine, Todam, ZoneStats};
-use staq_transit::{AccessCost, CostKind, Journey, OverlayStats, Raptor, SharedAccessCache};
+use staq_transit::{AccessCost, CostKind, Journey, Raptor, SharedAccessCache};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -85,8 +87,8 @@ static CACHE_INVALIDATIONS: Counter = Counter::new("engine.cache.invalidations")
 /// always describe `city` as it is now: a structural delta (the one edit
 /// that changes the feed) rebuilds the hop trees of the zones it touched
 /// and re-prepares the transit network under the same write lock, so
-/// every reader's `plan`, labeling pass and what-if overlay routes over
-/// tables that match the feed it reads.
+/// every reader's `plan` and labeling pass routes over tables that match
+/// the feed it reads.
 struct EngineState {
     city: City,
     artifacts: OfflineArtifacts,
@@ -384,16 +386,20 @@ impl AccessEngine {
     /// Evaluates `scenarios` (each a list of deltas) against the current
     /// world for one category, side by side, **without mutating anything**.
     ///
-    /// One immutable base is shared by all scenarios: the cached base
-    /// measures supply the TODAM, the L/U split, and the feature matrices
+    /// A scenario's network is built the way a commit builds it: the
+    /// deltas land on a copy of the feed through [`FeedIndex::apply_delta`]
+    /// (so they are accepted, rejected and scheduled exactly as a commit
+    /// would), and the scenario routes over tables prepared from that copy.
+    /// Everything else comes from the one shared base: the cached base
+    /// measures supply the TODAM, the L/U split and the feature matrices
     /// (demand is POI-driven, so the TODAM is exact under schedule deltas;
-    /// reusing base hop-tree features is the documented approximation), and
-    /// the engine's prepared transit network supplies copy-on-write
-    /// overlays. Per scenario, only labeling `L` over the overlay and
-    /// retraining the SSR model run — the expensive artifacts are never
-    /// cloned, which is what makes K scenarios cheaper than K engines.
+    /// reusing base hop-tree features is the documented approximation).
+    /// Per scenario, only labeling `L` over its network, with a private
+    /// access cache, and retraining the SSR model run.
     ///
     /// An empty scenario reproduces the base measures bit-for-bit.
+    ///
+    /// [`FeedIndex::apply_delta`]: staq_gtfs::FeedIndex::apply_delta
     pub fn what_if(
         &self,
         category: PoiCategory,
@@ -404,24 +410,27 @@ impl AccessEngine {
         let state = self.state.read();
         let base = self.measures_in(&state, category);
         let bus_speed = state.city.config.bus_speed_mps;
-        let net = state.artifacts.network.view(&state.city.road, &state.city.feed);
+        let cost_model = match self.config.cost {
+            CostKind::Jt => AccessCost::jt(),
+            CostKind::Gac => AccessCost::gac(),
+        };
         let mut out = Vec::with_capacity(scenarios.len());
         for deltas in scenarios {
-            let (overlay, overlay_stats) = net.overlay(deltas, bus_speed)?;
-            let cost_model = match self.config.cost {
-                CostKind::Jt => AccessCost::jt(),
-                CostKind::Gac => AccessCost::gac(),
-            };
+            let mut feed = state.city.feed.clone();
+            for delta in deltas {
+                feed.apply_delta(delta, bus_speed)?;
+            }
+            let net = prepare_network(&state.city.road, &feed).view(&state.city.road, &feed);
             let labeler = LabelEngine::with_network(
                 &state.city,
-                overlay,
+                net,
                 cost_model,
                 self.config.todam.interval.clone(),
             );
             let labeled_stats: Vec<ZoneStats> = labeler
                 .label_zones(&base.matrix, &base.labeled)
                 .into_iter()
-                .map(|s| s.expect("base-labeled zone must relabel under the overlay"))
+                .map(|s| s.expect("base-labeled zone must relabel under the scenario"))
                 .collect();
             let predicted = ssr_train_infer(
                 &state.city,
@@ -432,7 +441,7 @@ impl AccessEngine {
                 &base.x_unlabeled,
                 &labeled_stats,
             );
-            out.push(ScenarioOutcome { predicted, labeled_stats, overlay: overlay_stats });
+            out.push(ScenarioOutcome { predicted, labeled_stats });
         }
         Ok(out)
     }
@@ -488,8 +497,6 @@ pub struct ScenarioOutcome {
     pub predicted: Vec<ZoneMeasures>,
     /// Counterfactual ground-truth stats for the labeled zones.
     pub labeled_stats: Vec<ZoneStats>,
-    /// What the copy-on-write overlay materialized.
-    pub overlay: OverlayStats,
 }
 
 #[cfg(test)]
@@ -643,6 +650,44 @@ mod tests {
         assert!(Arc::ptr_eq(&before, &tables(&e)), "an advisory must keep the tables");
         e.apply_delta(&Delta::TripDelay { trip: TripId(0), delay_secs: 120 }).expect("delay");
         assert!(!Arc::ptr_eq(&before, &tables(&e)), "a structural delta must rebuild them");
+    }
+
+    #[test]
+    fn bad_scenarios_are_rejected_and_leave_the_engine_as_it_was() {
+        use staq_gtfs::model::{RouteId, TripId};
+        let e = engine();
+        let mean_bits =
+            |e: &AccessEngine| match e.query(&AccessQuery::MeanAccess, PoiCategory::School) {
+                QueryAnswer::MeanAccess { mean_mac, .. } => mean_mac.to_bits(),
+                other => panic!("{other:?}"),
+            };
+        let before = mean_bits(&e);
+        let runs = e.pipeline_runs();
+        let (n_trips, n_routes) = {
+            let city = e.city();
+            (city.feed.feed().trips.len() as u32, city.feed.feed().routes.len() as u32)
+        };
+        let (a, b) = (Point::new(0.0, 0.0), Point::new(800.0, 0.0));
+        let route = |stops: Vec<Point>| Delta::AddRoute { stops, headway_s: 600 };
+        let bad = [
+            (Delta::TripCancel { trip: TripId(n_trips + 7) }, "unknown trip"),
+            (Delta::TripDelay { trip: TripId(n_trips), delay_secs: 60 }, "unknown trip"),
+            (Delta::RouteRemove { route: RouteId(n_routes) }, "unknown route"),
+            (route(vec![a]), "two stops"),
+            (route(vec![a, a, b]), "coincide"),
+            (route(vec![a, Point::new(f64::NAN, 0.0)]), "finite"),
+        ];
+        for (delta, why) in bad {
+            // A valid delta first: a rejected scenario must leave no trace
+            // of the deltas that did apply to its copy of the feed.
+            let scenario = vec![Delta::TripDelay { trip: TripId(0), delay_secs: 300 }, delta];
+            let err = e.what_if(PoiCategory::School, &[vec![], scenario]).expect_err(why);
+            assert!(err.contains(why), "{why}: {err}");
+            assert_eq!(e.pipeline_runs(), runs, "{why}: a rejected scenario reran the pipeline");
+            assert_eq!(mean_bits(&e), before, "{why}: a rejected scenario moved the answer");
+        }
+        let out = e.what_if(PoiCategory::School, &[vec![]]).expect("the next what-if answers");
+        assert_eq!(out[0].predicted, e.measures(PoiCategory::School).predicted);
     }
 
     /// Each category's measured TODAM and its kept feature rows.

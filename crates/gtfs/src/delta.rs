@@ -1,6 +1,7 @@
-//! Streaming schedule deltas — the GTFS-RT-shaped mutations the live
-//! update path ([`crate::FeedIndex::apply_delta`]) and the what-if overlay
-//! engine share.
+//! Streaming schedule deltas — the GTFS-RT-shaped mutations applied by
+//! [`crate::FeedIndex::apply_delta`], the one place that decides what a
+//! delta means: a commit applies them to the live feed, a what-if scenario
+//! to a copy of it.
 //!
 //! A [`Delta`] is one self-contained edit to the transit world. The kinds
 //! mirror the real-time feeds agencies publish (trip delays, cancellations,
@@ -12,9 +13,8 @@ use crate::model::{RouteId, StopId, TripId};
 use serde::{Deserialize, Serialize};
 use staq_geom::Point;
 
-/// One schedule edit, applicable incrementally to a [`crate::FeedIndex`]
-/// (mutating the live world) or overlaid copy-on-write onto a prepared
-/// transit network (evaluating a counterfactual without mutating anything).
+/// One schedule edit, applied incrementally to a [`crate::FeedIndex`]: the
+/// live one (a commit) or a copy (a what-if scenario).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Delta {
     /// Every call of `trip` shifts `delay_secs` later (a uniform holding
@@ -51,14 +51,13 @@ impl Delta {
     }
 }
 
-/// The synthetic timetable convention every dynamic route follows, shared
-/// by the feed-mutating path ([`crate::FeedIndex::apply_delta`]) and the
-/// copy-on-write network overlay so both produce the *same* schedule:
-/// weekday service, departures 6:00–22:00 at the (≥120 s) headway, 15 s
-/// dwell at every stop but the last, run times from stop geometry at
-/// `1.25 × crow-flies / bus_speed` (min 30 s per hop).
+/// The synthetic timetable convention every dynamic route
+/// ([`Delta::AddRoute`]) follows: weekday service, departures 6:00–22:00
+/// at the (≥120 s) headway, 15 s dwell at every stop but the last, run
+/// times from stop geometry at `1.25 × crow-flies / bus_speed` (min 30 s
+/// per hop).
 #[derive(Debug, Clone, PartialEq)]
-pub struct DynTimetable {
+pub(crate) struct DynTimetable {
     /// Trip start times (seconds since midnight), shared by both directions.
     pub starts: Vec<u32>,
     /// Per-direction `(arrival, departure)` offsets from the trip start, in
@@ -72,7 +71,7 @@ pub struct DynTimetable {
 /// or a zero-length hop (two consecutive stops at the same position) —
 /// matching [`crate::FeedIndex::apply_delta`]'s contract of rejecting bad
 /// input with an error instead of emitting a degenerate route.
-pub fn dyn_route_timetable(
+pub(crate) fn dyn_route_timetable(
     stops: &[Point],
     headway_s: u32,
     bus_speed_mps: f64,

@@ -322,9 +322,8 @@ impl FeedIndex {
         });
 
         // All-day service at the peak headway (scenario routes are
-        // what-ifs; a flat headway keeps the experiment interpretable).
-        // The schedule convention lives in `dyn_route_timetable` so the
-        // what-if overlay produces bit-identical trips.
+        // what-ifs; a flat headway keeps the experiment interpretable),
+        // on the schedule convention of `dyn_route_timetable`.
         for dir in 0..2usize {
             let ordered: Vec<StopId> = if dir == 0 {
                 new_stops.clone()

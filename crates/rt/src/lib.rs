@@ -20,8 +20,8 @@
 //!   payload (`DeltaBatch` on the wire).
 //!
 //! The what-if half ([`RtEngine::what_if`]) forwards to
-//! [`AccessEngine::what_if`] and accounts the copy-on-write overlay cost in
-//! `rt.scenario.overlay_bytes`.
+//! [`AccessEngine::what_if`], which evaluates each scenario over a copy of
+//! the feed and leaves the log untouched.
 
 use parking_lot::Mutex;
 use staq_core::engine::{DeltaApplied, ScenarioOutcome};
@@ -41,8 +41,6 @@ static INVAL_ACCESS: Counter = Counter::new("rt.invalidations.access");
 /// Pattern invalidations: structural deltas that make the engine rebuild
 /// its prepared RAPTOR network from the changed feed.
 static INVAL_PATTERN: Counter = Counter::new("rt.invalidations.pattern");
-/// Bytes materialized by what-if scenario overlays (vs cloning engines).
-static OVERLAY_BYTES: Counter = Counter::new("rt.scenario.overlay_bytes");
 
 /// Why a streamed delta was not applied.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,8 +157,7 @@ impl RtEngine {
     }
 
     /// Evaluates counterfactual scenarios against the live engine — see
-    /// [`AccessEngine::what_if`]. Overlay materialization is accounted in
-    /// `rt.scenario.overlay_bytes`.
+    /// [`AccessEngine::what_if`].
     pub fn what_if(
         &self,
         category: PoiCategory,
@@ -168,11 +165,7 @@ impl RtEngine {
     ) -> Result<Vec<ScenarioOutcome>, RtError> {
         let mut span = staq_obs::trace::span("rt.whatif");
         span.attr("scenarios", scenarios.len() as u64);
-        let out = self.engine.what_if(category, scenarios).map_err(RtError::Rejected)?;
-        let bytes: u64 = out.iter().map(|s| s.overlay.overlay_bytes as u64).sum();
-        OVERLAY_BYTES.add(bytes);
-        span.attr("overlay_bytes", bytes);
-        Ok(out)
+        self.engine.what_if(category, scenarios).map_err(RtError::Rejected)
     }
 }
 

@@ -187,9 +187,11 @@ pub struct DeltaAck {
 /// One scenario's answer inside a `WhatIf` response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WhatIfAnswer {
-    /// The request's query answered under this scenario's overlay.
+    /// The request's query answered under this scenario.
     pub answer: QueryAnswer,
-    /// Bytes the copy-on-write overlay materialized for this scenario.
+    /// Retired: always 0. It reported what a copy-on-write scenario overlay
+    /// materialized; scenarios now build their network from a copy of the
+    /// feed. Still carried so v4 frames keep their layout.
     pub overlay_bytes: u64,
 }
 

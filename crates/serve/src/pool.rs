@@ -344,7 +344,7 @@ fn execute_inner(
                     .iter()
                     .map(|o| WhatIfAnswer {
                         answer: engine.answer_with(&o.predicted, query),
-                        overlay_bytes: o.overlay.overlay_bytes as u64,
+                        overlay_bytes: 0,
                     })
                     .collect(),
             ),

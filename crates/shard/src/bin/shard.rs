@@ -164,7 +164,8 @@ fn main() {
     });
     eprintln!("fleet ready in {:.1}s", t0.elapsed().as_secs_f64());
 
-    let router_cfg = RouterConfig { addr: args.addr.clone(), ..RouterConfig::default() };
+    let router_cfg =
+        RouterConfig { addr: args.addr.clone(), workers: 8, ..RouterConfig::default() };
     let mut handle = route(sup, &router_cfg).unwrap_or_else(|e| {
         eprintln!("error: cannot bind {}: {e}", args.addr);
         std::process::exit(1);

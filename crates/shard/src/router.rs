@@ -6,7 +6,7 @@
 //!
 //! * `Measures` / `Query` / `AddPoi` / `WhatIf` carry a category →
 //!   routed to the one shard that [`shard_for`] assigns it (what-if
-//!   overlays are read-only, so any replica answers them).
+//!   scenarios are read-only, so any replica answers them).
 //! * `ApplyDelta` / `DeltaBatch` change the transit schedule for every
 //!   category → the router is the fleet's sequencing authority: the
 //!   supervisor appends the delta to its edit log under the next fleet
@@ -31,39 +31,14 @@ use crate::metrics;
 use crate::supervisor::ShardSupervisor;
 use staq_obs::{trace, MetricsSnapshot, OpsReport, OwnedSpan};
 use staq_serve::codec::{ErrorCode, Request, Response, StatsReply};
-use staq_serve::{serve_front, FrontNames, ServerConfig, ServerHandle};
+use staq_serve::{serve_front, FrontNames, ServerHandle};
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Router front-end tunables.
-#[derive(Debug, Clone)]
-pub struct RouterConfig {
-    /// Bind address; port 0 picks a free port.
-    pub addr: String,
-    /// Routing worker threads (each blocks on one backend round-trip at
-    /// a time; shard-side concurrency is what they fan into).
-    pub workers: usize,
-    /// Bounded routing-queue depth (backpressure point).
-    pub queue_depth: usize,
-    /// Admission budget: requests whose estimated queue wait exceeds
-    /// this are shed with `Overloaded` instead of queued.
-    pub queue_budget: Duration,
-    /// How long shutdown waits for outbound queues to flush.
-    pub flush_timeout: Duration,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 8,
-            queue_depth: 256,
-            queue_budget: Duration::from_millis(500),
-            flush_timeout: Duration::from_secs(1),
-        }
-    }
-}
+/// Router front-end tunables: the same settings as a backend's front end.
+/// `workers` counts routing threads, each blocking on one backend
+/// round-trip at a time (shard-side concurrency is what they fan into).
+pub use staq_serve::ServerConfig as RouterConfig;
 
 /// Handle to a running router; dropping it shuts down the front end and
 /// the supervised backend fleet.
@@ -109,20 +84,13 @@ impl Drop for RouterHandle {
 /// or mints the TraceId here.
 pub fn route(sup: ShardSupervisor, cfg: &RouterConfig) -> std::io::Result<RouterHandle> {
     let sup = Arc::new(sup);
-    let front_cfg = ServerConfig {
-        addr: cfg.addr.clone(),
-        workers: cfg.workers.max(1),
-        queue_depth: cfg.queue_depth,
-        queue_budget: cfg.queue_budget,
-        flush_timeout: cfg.flush_timeout,
-    };
     let names = FrontNames {
         reactor: "staq-shard",
         request_span: "shard.request",
         queue_wait_span: "shard.queue_wait",
     };
     let fleet = Arc::clone(&sup);
-    let front = serve_front(&front_cfg, names, move |job| dispatch(&fleet, job.request))?;
+    let front = serve_front(cfg, names, move |job| dispatch(&fleet, job.request))?;
     Ok(RouterHandle { front, sup })
 }
 

@@ -102,8 +102,9 @@ impl<'a> LabelEngine<'a> {
     }
 
     /// An engine over a caller-supplied network: the SSR pipeline hands in
-    /// a view of its prepared tables, the what-if path a scenario overlay,
-    /// so neither rebuilds the network per labeling pass.
+    /// a view of its prepared tables, so it does not rebuild the network
+    /// per labeling pass; the what-if path a view of tables built from the
+    /// scenario's copy of the feed.
     pub fn with_network(
         city: &'a City,
         net: TransitNetwork<'a>,
@@ -115,8 +116,8 @@ impl<'a> LabelEngine<'a> {
     }
 
     /// Routes access isochrones through a fleet-shared cache. Only sound
-    /// for the network the cache was warmed against — what-if overlays
-    /// must keep private caches (their stop sets differ from the base).
+    /// for the network the cache was warmed against — a what-if scenario
+    /// keeps a private cache (an added route changes its stop set).
     pub fn with_shared_cache(mut self, cache: Arc<SharedAccessCache>) -> Self {
         self.shared_cache = Some(cache);
         self

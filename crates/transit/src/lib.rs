@@ -39,7 +39,7 @@ pub mod shared_cache;
 pub use cost::{AccessCost, CostKind, GacWeights};
 pub use fare::FareModel;
 pub use journey::{Journey, Leg};
-pub use network::{AccessCache, NetworkTables, OverlayStats, RouterConfig, TransitNetwork};
+pub use network::{AccessCache, NetworkTables, RouterConfig, TransitNetwork};
 pub use pareto::{Bag, ParetoLabel};
 pub use raptor::Raptor;
 pub use shared_cache::{QueryCache, SharedAccessCache, SharedCacheHandle};

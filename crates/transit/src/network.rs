@@ -11,26 +11,16 @@
 //! **view** pairing shared tables with the road graph and feed they were
 //! built from: [`NetworkTables::view`] costs one `Arc` clone, and
 //! [`TransitNetwork::new`] builds fresh tables for one-shot callers.
-//!
-//! An **overlay** ([`TransitNetwork::overlay`]) evaluates a counterfactual
-//! scenario against a view by copy-on-write: patterns are `Arc`-shared and
-//! only the ones a delta touches are replaced; per-stop rows
-//! (patterns-at-stop, transfers) are shared with the base tables, plus a
-//! small side table of full replacement rows, so every accessor keeps
-//! returning plain slices and the routers cannot tell the difference.
 
 use serde::{Deserialize, Serialize};
 use staq_geom::{KdTree, Point};
 use staq_gtfs::model::{RouteId, StopId, TripId};
 use staq_gtfs::time::{DayOfWeek, Stime};
-use staq_gtfs::{Delta, FeedIndex};
+use staq_gtfs::FeedIndex;
 use staq_obs::Counter;
 use staq_road::{dijkstra, NodeId, NodeSnapper, RoadGraph};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Service-day bitmask for scenario-added weekday routes (Mon..Fri).
-const WEEKDAY_MASK: u8 = 0b0001_1111;
 
 /// Access-isochrone memo lookups answered from the cache.
 pub(crate) static ACCESS_CACHE_HIT: Counter = Counter::new("transit.access_cache.hit");
@@ -70,9 +60,8 @@ impl Default for RouterConfig {
 
 /// A trip pattern: trips of one route sharing an exact stop sequence.
 ///
-/// Patterns are fully self-contained (per-trip service days live here, not
-/// in the feed) so overlay patterns carrying synthetic scenario trips need
-/// no feed record behind them.
+/// Patterns are fully self-contained: per-trip service days live here, so
+/// the scan never consults the feed.
 ///
 /// Timetable layout: arrivals are **trip-major** (`arrivals[t * n_stops +
 /// i]` — reconstruction walks positions of one fixed trip), departures are
@@ -189,58 +178,6 @@ pub struct Transfer {
     pub walk_secs: u32,
 }
 
-/// Per-stop routing topology, shared by a base view and its scenario
-/// overlays alike.
-struct Topology {
-    /// For each stop: `(pattern index, position within pattern)` pairs.
-    patterns_at_stop: Vec<Vec<(u32, u32)>>,
-    /// Stops snapped to a given road node.
-    node_stops: HashMap<u32, Vec<StopId>>,
-    /// Foot transfers per stop.
-    transfers: Vec<Vec<Transfer>>,
-    snapper: NodeSnapper,
-}
-
-/// Overlay-only side table: the scenario's pattern list, full replacement
-/// rows for base stops a scenario delta touched, plus parallel rows for
-/// scenario-added stops (which get ids `n_base_stops..`). Accessors consult
-/// this first and fall through to the base [`Topology`], so slices keep
-/// coming back either way.
-struct OverlayExt {
-    /// Base patterns (`Arc`-shared; touched ones replaced) plus appended
-    /// scenario patterns.
-    patterns: Vec<Arc<Pattern>>,
-    n_base_stops: usize,
-    /// Replacement patterns-at-stop rows for base stops, keyed by raw id.
-    patterns_at: HashMap<u32, Vec<(u32, u32)>>,
-    /// Replacement transfer rows for base stops, keyed by raw id.
-    transfers_at: HashMap<u32, Vec<Transfer>>,
-    /// Scenario-added stops, indexed by `id - n_base_stops`.
-    new_stop_pos: Vec<Point>,
-    new_patterns_at: Vec<Vec<(u32, u32)>>,
-    new_transfers: Vec<Vec<Transfer>>,
-    /// Scenario-added stops at a road node, consulted *alongside* the base
-    /// `node_stops` map during access walks.
-    node_new_stops: HashMap<u32, Vec<StopId>>,
-    /// Next synthetic trip/route ids (continuing the base feed's dense id
-    /// spaces, exactly like the feed-mutating path would).
-    next_trip: u32,
-    next_route: u32,
-}
-
-/// What a scenario overlay materialized, for `rt.scenario.*` metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OverlayStats {
-    /// Base patterns replaced by a copy-on-write edit.
-    pub patterns_touched: usize,
-    /// Patterns appended by the scenario (delayed-trip splits, new routes).
-    pub patterns_added: usize,
-    /// Stops added by the scenario.
-    pub stops_added: usize,
-    /// Approximate bytes the overlay materialized (vs cloning the network).
-    pub overlay_bytes: usize,
-}
-
 /// The feed-derived routing tables of one feed state: trip patterns,
 /// per-stop topology (patterns-at-stop, stop snapping, foot transfers) and
 /// the [`RouterConfig`] they were prepared under. Owns everything and
@@ -248,9 +185,14 @@ pub struct OverlayStats {
 /// one across requests and routes through [`view`](Self::view)s of it.
 pub struct NetworkTables {
     cfg: RouterConfig,
-    /// `Arc` so overlays share untouched patterns with their base.
-    patterns: Vec<Arc<Pattern>>,
-    topo: Topology,
+    patterns: Vec<Pattern>,
+    /// For each stop: `(pattern index, position within pattern)` pairs.
+    patterns_at_stop: Vec<Vec<(u32, u32)>>,
+    /// Stops snapped to a given road node.
+    node_stops: HashMap<u32, Vec<StopId>>,
+    /// Foot transfers per stop.
+    transfers: Vec<Vec<Transfer>>,
+    snapper: NodeSnapper,
 }
 
 impl NetworkTables {
@@ -261,7 +203,7 @@ impl NetworkTables {
     ///
     /// Inter-trip overtaking (e.g. a delayed trip passing its successor) is
     /// *not* an error: `build_patterns` splits such trips into separate
-    /// non-overtaking patterns, exactly like the overlay delay path does.
+    /// non-overtaking patterns.
     pub fn build(road: &RoadGraph, feed: &FeedIndex, cfg: RouterConfig) -> Result<Self, String> {
         let patterns = build_patterns(feed)?;
         for p in &patterns {
@@ -297,11 +239,7 @@ impl NetworkTables {
             }
         }
 
-        Ok(NetworkTables {
-            cfg,
-            patterns: patterns.into_iter().map(Arc::new).collect(),
-            topo: Topology { patterns_at_stop, node_stops, transfers, snapper },
-        })
+        Ok(NetworkTables { cfg, patterns, patterns_at_stop, node_stops, transfers, snapper })
     }
 
     /// A routable view of these tables over the road graph and feed they
@@ -311,21 +249,18 @@ impl NetworkTables {
         road: &'a RoadGraph,
         feed: &'a FeedIndex,
     ) -> TransitNetwork<'a> {
-        TransitNetwork { road, feed, cfg: self.cfg, tables: Arc::clone(self), ext: None }
+        TransitNetwork { road, feed, cfg: self.cfg, tables: Arc::clone(self) }
     }
 }
 
 /// The prepared multimodal network: a view over [`NetworkTables`] plus the
-/// road graph and feed they were built from, optionally with a scenario
-/// overlay on top.
+/// road graph and feed they were built from.
 pub struct TransitNetwork<'a> {
     pub road: &'a RoadGraph,
     pub feed: &'a FeedIndex,
     pub cfg: RouterConfig,
     /// Shared with a long-lived holder, or built for this view alone.
     tables: Arc<NetworkTables>,
-    /// Present only on overlay networks.
-    ext: Option<Box<OverlayExt>>,
 }
 
 impl std::fmt::Debug for TransitNetwork<'_> {
@@ -333,7 +268,6 @@ impl std::fmt::Debug for TransitNetwork<'_> {
         f.debug_struct("TransitNetwork")
             .field("n_stops", &self.n_stops())
             .field("n_patterns", &self.n_patterns())
-            .field("overlay", &self.ext.is_some())
             .finish()
     }
 }
@@ -361,50 +295,28 @@ impl<'a> TransitNetwork<'a> {
         Self::new(road, feed, RouterConfig::default())
     }
 
-    /// All trip patterns (base + any scenario-appended ones).
+    /// All trip patterns.
     #[inline]
-    pub fn patterns(&self) -> &[Arc<Pattern>] {
-        match &self.ext {
-            Some(ext) => &ext.patterns,
-            None => &self.tables.patterns,
-        }
+    pub fn patterns(&self) -> &[Pattern] {
+        &self.tables.patterns
     }
 
-    /// Total stops: base feed stops plus scenario-added ones.
+    /// Number of stops in the feed.
     #[inline]
     pub fn n_stops(&self) -> usize {
-        self.tables.topo.patterns_at_stop.len()
-            + self.ext.as_ref().map_or(0, |e| e.new_stop_pos.len())
+        self.tables.patterns_at_stop.len()
     }
 
     /// Patterns serving `stop` with the position of `stop` in each.
     #[inline]
     pub fn patterns_at(&self, stop: StopId) -> &[(u32, u32)] {
-        if let Some(ext) = &self.ext {
-            let i = stop.idx();
-            if i >= ext.n_base_stops {
-                return &ext.new_patterns_at[i - ext.n_base_stops];
-            }
-            if let Some(row) = ext.patterns_at.get(&stop.0) {
-                return row;
-            }
-        }
-        &self.tables.topo.patterns_at_stop[stop.idx()]
+        &self.tables.patterns_at_stop[stop.idx()]
     }
 
     /// Foot transfers out of `stop`.
     #[inline]
     pub fn transfers_from(&self, stop: StopId) -> &[Transfer] {
-        if let Some(ext) = &self.ext {
-            let i = stop.idx();
-            if i >= ext.n_base_stops {
-                return &ext.new_transfers[i - ext.n_base_stops];
-            }
-            if let Some(row) = ext.transfers_at.get(&stop.0) {
-                return row;
-            }
-        }
-        &self.tables.topo.transfers[stop.idx()]
+        &self.tables.transfers[stop.idx()]
     }
 
     /// Stops reachable on foot from `point` within the access budget, as
@@ -427,8 +339,8 @@ impl<'a> TransitNetwork<'a> {
         out: &mut Vec<(StopId, u32)>,
     ) {
         out.clear();
-        let topo = &self.tables.topo;
-        let Some((root, gap_m)) = topo.snapper.snap(point) else {
+        let tables = &self.tables;
+        let Some((root, gap_m)) = tables.snapper.snap(point) else {
             return;
         };
         let entry = gap_m / self.cfg.omega_mps;
@@ -438,16 +350,9 @@ impl<'a> TransitNetwork<'a> {
         }
         dijkstra::bounded_walk_times_into(self.road, root, remaining, walk, nodes);
         for &(node, t) in nodes.iter() {
-            if let Some(stops) = topo.node_stops.get(&node.0) {
+            if let Some(stops) = tables.node_stops.get(&node.0) {
                 for &s in stops {
                     out.push((s, (entry + t).round() as u32));
-                }
-            }
-            if let Some(ext) = &self.ext {
-                if let Some(stops) = ext.node_new_stops.get(&node.0) {
-                    for &s in stops {
-                        out.push((s, (entry + t).round() as u32));
-                    }
                 }
             }
         }
@@ -508,315 +413,6 @@ impl<'a> TransitNetwork<'a> {
             },
         }
     }
-
-    /// A copy-on-write counterfactual view of this network with `deltas`
-    /// applied, plus what it cost to materialize. The base network is not
-    /// mutated and untouched patterns/rows are shared, so K scenarios cost
-    /// K small overlays rather than K network clones.
-    ///
-    /// Scenario edits follow exactly the semantics of the feed-mutating
-    /// path ([`FeedIndex::apply_delta`]): same schedules, same ids, same
-    /// no-op/error cases — routing over an overlay and routing over a
-    /// network rebuilt from a mutated feed agree on every arrival time.
-    pub fn overlay(
-        &self,
-        deltas: &[Delta],
-        bus_speed_mps: f64,
-    ) -> Result<(TransitNetwork<'a>, OverlayStats), String> {
-        if self.ext.is_some() {
-            return Err("overlays do not compose; put all deltas in one scenario".into());
-        }
-        let base = &self.tables.patterns;
-        let mut patterns = base.clone();
-        let mut ext = OverlayExt {
-            patterns: Vec::new(),
-            n_base_stops: self.tables.topo.patterns_at_stop.len(),
-            patterns_at: HashMap::new(),
-            transfers_at: HashMap::new(),
-            new_stop_pos: Vec::new(),
-            new_patterns_at: Vec::new(),
-            new_transfers: Vec::new(),
-            node_new_stops: HashMap::new(),
-            next_trip: self.feed.feed().trips.len() as u32,
-            next_route: self.feed.feed().routes.len() as u32,
-        };
-        for delta in deltas {
-            match delta {
-                Delta::TripDelay { trip, delay_secs } => {
-                    self.ov_delay(&mut patterns, &mut ext, *trip, *delay_secs)?
-                }
-                Delta::TripCancel { trip } => ov_cancel(&mut patterns, &ext, *trip)?,
-                Delta::RouteRemove { route } => ov_remove_route(&mut patterns, &ext, *route)?,
-                Delta::ServiceAlert { .. } => {}
-                Delta::AddRoute { stops, headway_s } => {
-                    self.ov_add_route(&mut patterns, &mut ext, stops, *headway_s, bus_speed_mps)?
-                }
-            }
-        }
-
-        let mut stats = OverlayStats::default();
-        for (p, b) in patterns.iter().zip(base) {
-            if !Arc::ptr_eq(p, b) {
-                stats.patterns_touched += 1;
-                stats.overlay_bytes += pattern_bytes(p);
-            }
-        }
-        for p in &patterns[base.len()..] {
-            stats.patterns_added += 1;
-            stats.overlay_bytes += pattern_bytes(p);
-        }
-        stats.stops_added = ext.new_stop_pos.len();
-        stats.overlay_bytes += ext.patterns_at.values().map(|r| r.len() * 8).sum::<usize>()
-            + ext.new_patterns_at.iter().map(|r| r.len() * 8).sum::<usize>()
-            + ext.transfers_at.values().map(|r| r.len() * 8).sum::<usize>()
-            + ext.new_transfers.iter().map(|r| r.len() * 8).sum::<usize>()
-            + ext.new_stop_pos.len() * (std::mem::size_of::<Point>() + 4);
-        ext.patterns = patterns;
-
-        Ok((
-            TransitNetwork {
-                road: self.road,
-                feed: self.feed,
-                cfg: self.cfg,
-                tables: Arc::clone(&self.tables),
-                ext: Some(Box::new(ext)),
-            },
-            stats,
-        ))
-    }
-
-    /// Overlay a uniform holding delay: the trip is split out of its
-    /// pattern into an appended single-trip pattern shifted by the delay
-    /// (so the reduced original and the new pattern each trivially keep the
-    /// no-overtaking invariant), and every call stop gains a row entry for
-    /// the new pattern.
-    fn ov_delay(
-        &self,
-        patterns: &mut Vec<Arc<Pattern>>,
-        ext: &mut OverlayExt,
-        trip: TripId,
-        delay_secs: u32,
-    ) -> Result<(), String> {
-        let (pi, k) =
-            find_trip(patterns, trip).ok_or_else(|| format!("trip #{} makes no calls", trip.0))?;
-        let p = Arc::clone(&patterns[pi]);
-        let ns = p.stops.len();
-        let delayed = Pattern::from_trip_major(
-            p.route,
-            p.stops.clone(),
-            vec![trip],
-            p.arrivals[k * ns..(k + 1) * ns].iter().map(|t| t.plus(delay_secs)).collect(),
-            (0..ns).map(|i| p.departure(k, i).plus(delay_secs)).collect(),
-            vec![p.trip_days[k]],
-        );
-        patterns[pi] = Arc::new(without_trip(&p, k));
-        let pi_new = patterns.len() as u32;
-        patterns.push(Arc::new(delayed));
-        for (pos, &s) in p.stops.iter().enumerate() {
-            pattern_row(&self.tables.topo, ext, s).push((pi_new, pos as u32));
-        }
-        Ok(())
-    }
-
-    /// Overlay a new dynamic route: scenario stops get fresh ids past the
-    /// base feed, two appended patterns carry the [`dyn_route_timetable`]
-    /// schedule with synthetic trip ids continuing the feed's id space, and
-    /// foot transfers to/from the new stops replace the touched base rows.
-    fn ov_add_route(
-        &self,
-        patterns: &mut Vec<Arc<Pattern>>,
-        ext: &mut OverlayExt,
-        stops: &[Point],
-        headway_s: u32,
-        bus_speed_mps: f64,
-    ) -> Result<(), String> {
-        if stops.iter().any(|p| !p.is_finite()) {
-            return Err("route stops must be finite".into());
-        }
-        let tt = staq_gtfs::delta::dyn_route_timetable(stops, headway_s, bus_speed_mps)?;
-        let route = RouteId(ext.next_route);
-        ext.next_route += 1;
-
-        let first = (ext.n_base_stops + ext.new_stop_pos.len()) as u32;
-        let new_stops: Vec<StopId> = (0..stops.len() as u32).map(|k| StopId(first + k)).collect();
-        for (&sid, p) in new_stops.iter().zip(stops) {
-            let node = self.tables.topo.snapper.snap_unchecked(p);
-            ext.new_stop_pos.push(*p);
-            ext.new_patterns_at.push(Vec::new());
-            ext.new_transfers.push(Vec::new());
-            ext.node_new_stops.entry(node.0).or_default().push(sid);
-        }
-
-        for dir in 0..2usize {
-            let ordered: Vec<StopId> = if dir == 0 {
-                new_stops.clone()
-            } else {
-                new_stops.iter().rev().copied().collect()
-            };
-            let n = ordered.len();
-            let mut trips = Vec::with_capacity(tt.starts.len());
-            let mut arrivals = Vec::with_capacity(tt.starts.len() * n);
-            let mut departures = Vec::with_capacity(tt.starts.len() * n);
-            for &start in &tt.starts {
-                trips.push(TripId(ext.next_trip));
-                ext.next_trip += 1;
-                for i in 0..n {
-                    let (arr, dep) = tt.offsets[dir][i];
-                    arrivals.push(Stime(start + arr));
-                    departures.push(Stime(start + dep));
-                }
-            }
-            let trip_days = vec![WEEKDAY_MASK; trips.len()];
-            let pi = patterns.len() as u32;
-            patterns.push(Arc::new(Pattern::from_trip_major(
-                route,
-                ordered.clone(),
-                trips,
-                arrivals,
-                departures,
-                trip_days,
-            )));
-            for (pos, &s) in ordered.iter().enumerate() {
-                pattern_row(&self.tables.topo, ext, s).push((pi, pos as u32));
-            }
-        }
-
-        // Foot transfers for the new stops: a linear scan over base stops
-        // (scenario routes have a handful of stops, so no tree needed),
-        // with the same radius/cost convention as the base KdTree build.
-        let max_walk_m = self.cfg.transfer_walk_secs * self.cfg.omega_mps / self.cfg.walk_detour;
-        for (k, &sid) in new_stops.iter().enumerate() {
-            let pos = stops[k];
-            let my = sid.idx() - ext.n_base_stops;
-            for s in 0..ext.n_base_stops as u32 {
-                let d = pos.dist(&self.feed.stop_pos(StopId(s)));
-                if d <= max_walk_m {
-                    let secs = (d * self.cfg.walk_detour / self.cfg.omega_mps).round() as u32;
-                    ext.new_transfers[my].push(Transfer { to: StopId(s), walk_secs: secs });
-                    ext.transfers_at
-                        .entry(s)
-                        .or_insert_with(|| self.tables.topo.transfers[s as usize].clone())
-                        .push(Transfer { to: sid, walk_secs: secs });
-                }
-            }
-            // Earlier scenario-added stops (previous routes and this
-            // route's earlier stops).
-            for j in 0..my {
-                let d = pos.dist(&ext.new_stop_pos[j]);
-                if d <= max_walk_m {
-                    let secs = (d * self.cfg.walk_detour / self.cfg.omega_mps).round() as u32;
-                    let other = StopId((ext.n_base_stops + j) as u32);
-                    ext.new_transfers[my].push(Transfer { to: other, walk_secs: secs });
-                    ext.new_transfers[j].push(Transfer { to: sid, walk_secs: secs });
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Locates `trip` as `(pattern index, trip index within pattern)`.
-fn find_trip(patterns: &[Arc<Pattern>], trip: TripId) -> Option<(usize, usize)> {
-    patterns
-        .iter()
-        .enumerate()
-        .find_map(|(pi, p)| p.trips.iter().position(|&t| t == trip).map(|k| (pi, k)))
-}
-
-/// `p` with trip index `k` spliced out (an emptied pattern keeps its stop
-/// sequence; with no service days it is skipped before ever being scanned).
-fn without_trip(p: &Pattern, k: usize) -> Pattern {
-    let ns = p.stops.len();
-    let nt = p.trips.len();
-    let mut trips = p.trips.clone();
-    trips.remove(k);
-    let mut arrivals = p.arrivals.clone();
-    arrivals.drain(k * ns..(k + 1) * ns);
-    // Departures are position-major: drop trip `k`'s element from every
-    // position column.
-    let mut departures = Vec::with_capacity((nt - 1) * ns);
-    for i in 0..ns {
-        for t in 0..nt {
-            if t != k {
-                departures.push(p.departure(t, i));
-            }
-        }
-    }
-    let mut trip_days = p.trip_days.clone();
-    trip_days.remove(k);
-    let service_days = trip_days.iter().fold(0u8, |a, &b| a | b);
-    Pattern {
-        route: p.route,
-        stops: p.stops.clone(),
-        trips,
-        arrivals,
-        departures,
-        trip_days,
-        service_days,
-    }
-}
-
-/// The mutable patterns-at-stop row for `stop` inside an overlay: the
-/// parallel row for scenario-added stops, else the replacement row for the
-/// base stop (cloned from the shared topology on first touch).
-fn pattern_row<'e>(
-    topo: &Topology,
-    ext: &'e mut OverlayExt,
-    stop: StopId,
-) -> &'e mut Vec<(u32, u32)> {
-    let i = stop.idx();
-    if i >= ext.n_base_stops {
-        &mut ext.new_patterns_at[i - ext.n_base_stops]
-    } else {
-        ext.patterns_at.entry(stop.0).or_insert_with(|| topo.patterns_at_stop[i].clone())
-    }
-}
-
-/// Overlay a cancellation: splice the trip out of its pattern. A trip that
-/// already makes no calls (cancelled twice, or empty in the base feed) is a
-/// no-op, as `Delta::TripCancel` is on the feed index.
-fn ov_cancel(patterns: &mut [Arc<Pattern>], ext: &OverlayExt, trip: TripId) -> Result<(), String> {
-    match find_trip(patterns, trip) {
-        Some((pi, k)) => {
-            patterns[pi] = Arc::new(without_trip(&patterns[pi], k));
-            Ok(())
-        }
-        None if trip.0 < ext.next_trip => Ok(()),
-        None => Err(format!("unknown trip #{}", trip.0)),
-    }
-}
-
-/// Overlay a route removal: every pattern of the route is emptied (the
-/// route/stop records conceptually remain, exactly like the feed path).
-fn ov_remove_route(
-    patterns: &mut [Arc<Pattern>],
-    ext: &OverlayExt,
-    route: RouteId,
-) -> Result<(), String> {
-    if route.0 >= ext.next_route {
-        return Err(format!("unknown route #{}", route.0));
-    }
-    for p in patterns.iter_mut() {
-        if p.route == route && !p.trips.is_empty() {
-            *p = Arc::new(Pattern {
-                route,
-                stops: p.stops.clone(),
-                trips: Vec::new(),
-                arrivals: Vec::new(),
-                departures: Vec::new(),
-                trip_days: Vec::new(),
-                service_days: 0,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Approximate heap bytes of one pattern (for overlay accounting).
-fn pattern_bytes(p: &Pattern) -> usize {
-    p.stops.len() * std::mem::size_of::<StopId>()
-        + p.trips.len() * (std::mem::size_of::<TripId>() + 1)
-        + (p.arrivals.len() + p.departures.len()) * std::mem::size_of::<Stime>()
 }
 
 /// An entry handle into an [`AccessCache`] arena: `(start, len)`.
@@ -1347,11 +943,7 @@ mod tests {
         assert!(cache.len() <= 5 && !cache.is_empty());
     }
 
-    /// Earliest arrivals over a grid of probe queries — the overlay
-    /// equivalence tests compare these rather than leg sequences, because
-    /// transfer-row relaxation *order* (which differs between an overlay
-    /// and a rebuilt network) can tie-break label chains differently while
-    /// RAPTOR's arrival times stay relaxation-order independent.
+    /// Earliest arrivals over a grid of probe queries.
     fn probe_arrivals(net: &TransitNetwork<'_>, city: &City) -> Vec<u32> {
         let r = crate::Raptor::new(net);
         let day = DayOfWeek::Tuesday;
@@ -1377,108 +969,6 @@ mod tests {
         let fresh = TransitNetwork::with_defaults(&city.road, &city.feed);
         assert_eq!(view.stats(), fresh.stats());
         assert_eq!(probe_arrivals(&view, &city), probe_arrivals(&fresh, &city));
-        let (ov, _) = view.overlay(&[], 8.0).expect("empty overlay of a view");
-        assert_eq!(probe_arrivals(&ov, &city), probe_arrivals(&fresh, &city));
-    }
-
-    #[test]
-    fn overlay_empty_scenario_is_identity() {
-        let city = city();
-        let net = TransitNetwork::with_defaults(&city.road, &city.feed);
-        let (ov, stats) = net.overlay(&[], 8.0).expect("empty overlay");
-        assert_eq!(stats, OverlayStats::default());
-        assert_eq!(ov.n_stops(), net.n_stops());
-        for (a, b) in ov.patterns().iter().zip(net.patterns()) {
-            assert!(Arc::ptr_eq(a, b), "empty scenario must share every pattern");
-        }
-        assert_eq!(probe_arrivals(&ov, &city), probe_arrivals(&net, &city));
-    }
-
-    #[test]
-    fn overlay_add_route_is_bit_identical_to_incremental_feed() {
-        let city = city();
-        let net = TransitNetwork::with_defaults(&city.road, &city.feed);
-        let stops = vec![city.zones[2].centroid, city.cores[0], city.zones[9].centroid];
-        let speed = 8.0;
-
-        let delta = Delta::AddRoute { stops, headway_s: 600 };
-        let mut mutated = city.feed.clone();
-        mutated.apply_delta(&delta, speed).expect("incremental append");
-        let rebuilt = TransitNetwork::with_defaults(&city.road, &mutated);
-
-        let (ov, stats) = net.overlay(std::slice::from_ref(&delta), speed).expect("overlay");
-
-        // Same ids, same schedules, same pattern order: field-for-field.
-        assert_eq!(ov.n_stops(), rebuilt.n_stops());
-        assert_eq!(ov.patterns().len(), rebuilt.patterns().len());
-        for (a, b) in ov.patterns().iter().zip(rebuilt.patterns()) {
-            assert_eq!(**a, **b, "overlay pattern diverged from rebuilt pattern");
-        }
-        for s in 0..ov.n_stops() {
-            let sid = StopId(s as u32);
-            assert_eq!(ov.patterns_at(sid), rebuilt.patterns_at(sid));
-            let mut x: Vec<_> = ov.transfers_from(sid).to_vec();
-            let mut y: Vec<_> = rebuilt.transfers_from(sid).to_vec();
-            x.sort_by_key(|t| (t.to, t.walk_secs));
-            y.sort_by_key(|t| (t.to, t.walk_secs));
-            assert_eq!(x, y, "transfers at stop {s} diverged");
-        }
-        assert_eq!(stats.patterns_added, 2);
-        assert_eq!(stats.stops_added, 3);
-        assert!(stats.overlay_bytes > 0);
-        assert_eq!(probe_arrivals(&ov, &city), probe_arrivals(&rebuilt, &city));
-    }
-
-    #[test]
-    fn overlay_delay_cancel_remove_match_rebuilt_feeds() {
-        let city = city();
-        let net = TransitNetwork::with_defaults(&city.road, &city.feed);
-        let victim = net.patterns()[0].trips[0];
-        let route = net.patterns()[net.patterns().len() / 2].route;
-        let scenarios: Vec<Vec<Delta>> = vec![
-            vec![Delta::TripDelay { trip: victim, delay_secs: 900 }],
-            vec![Delta::TripCancel { trip: victim }],
-            vec![Delta::RouteRemove { route }],
-            vec![
-                Delta::TripDelay { trip: victim, delay_secs: 300 },
-                Delta::ServiceAlert { route, message: "advisory".into() },
-                Delta::RouteRemove { route },
-            ],
-        ];
-        for deltas in &scenarios {
-            let mut mutated = city.feed.clone();
-            for d in deltas {
-                mutated.apply_delta(d, 8.0).expect("incremental apply");
-            }
-            let rebuilt = TransitNetwork::with_defaults(&city.road, &mutated);
-            let (ov, _) = net.overlay(deltas, 8.0).expect("overlay");
-            assert_eq!(
-                probe_arrivals(&ov, &city),
-                probe_arrivals(&rebuilt, &city),
-                "scenario {deltas:?} diverged from the rebuilt feed"
-            );
-        }
-        // The base network is untouched by all of the above.
-        let fresh = TransitNetwork::with_defaults(&city.road, &city.feed);
-        assert_eq!(probe_arrivals(&net, &city), probe_arrivals(&fresh, &city));
-    }
-
-    #[test]
-    fn overlay_rejects_bad_scenarios() {
-        let city = city();
-        let net = TransitNetwork::with_defaults(&city.road, &city.feed);
-        let n_trips = city.feed.feed().trips.len() as u32;
-        let err = net
-            .overlay(&[Delta::TripCancel { trip: TripId(n_trips + 7) }], 8.0)
-            .expect_err("unknown trip must be rejected");
-        assert!(err.contains("unknown trip"), "{err}");
-        let err = net
-            .overlay(&[Delta::AddRoute { stops: vec![Point::new(0.0, 0.0)], headway_s: 600 }], 8.0)
-            .expect_err("one-stop route must be rejected");
-        assert!(err.contains("two stops"), "{err}");
-        let (ov, _) = net.overlay(&[], 8.0).unwrap();
-        let err = ov.overlay(&[], 8.0).expect_err("overlays must not compose");
-        assert!(err.contains("compose"), "{err}");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! `assert!` and panic a serving backend; the boarding binary search also
 //! leaned on departure columns being sorted, which only arrivals were ever
 //! checked for. The fix splits overtaking trips into separate
-//! non-overtaking patterns at build time (mirroring what the overlay delay
-//! path always did) and reserves errors for genuinely malformed trips.
+//! non-overtaking patterns at build time and reserves errors for genuinely
+//! malformed trips.
 
 use staq_geom::Point;
 use staq_gtfs::model::{
@@ -104,38 +104,6 @@ fn live_overtaking_delay_builds_and_splits_instead_of_panicking() {
     let off_bus = Stime(8 * 3600 + CROSSING_DELAY + 2 * 600);
     let trip1_arrival = Stime(8 * 3600 + 300 + 2 * 1200);
     assert!(j.arrive >= off_bus && j.arrive < trip1_arrival, "must ride the delayed trip: {j:?}");
-}
-
-#[test]
-fn overlay_and_rebuilt_feed_agree_on_overtaking_delay() {
-    let city = City::generate(&CityConfig::small(42));
-    let stops = [city.zones[2].centroid, city.cores[0], city.zones[9].centroid];
-    let base_ix = FeedIndex::build(crossing_feed(stops));
-    let base = TransitNetwork::with_defaults(&city.road, &base_ix);
-    assert_eq!(base.patterns().len(), 1, "undelayed trips share one pattern");
-
-    let delta = Delta::TripDelay { trip: TripId(0), delay_secs: CROSSING_DELAY };
-
-    // Live path: mutate a copy of the feed, rebuild from scratch.
-    let mut mutated = base_ix.clone();
-    mutated.apply_delta(&delta, 8.0).expect("delay applies");
-    let rebuilt = TransitNetwork::with_defaults(&city.road, &mutated);
-
-    // Overlay path: copy-on-write split on the base network.
-    let (overlay, stats) = base.overlay(std::slice::from_ref(&delta), 8.0).expect("overlay");
-    assert_eq!(stats.patterns_added, 1);
-
-    // Identical journeys from both views, across probe ODs and times.
-    let r_rebuilt = Raptor::new(&rebuilt);
-    let r_overlay = Raptor::new(&overlay);
-    for (o, d) in [(stops[0], stops[2]), (stops[0], stops[1]), (stops[1], stops[2])] {
-        for t in [Stime::hms(7, 55, 0), Stime::hms(8, 2, 0), Stime::hms(8, 6, 0)] {
-            let a = r_rebuilt.query(&o, &d, t, DayOfWeek::Tuesday);
-            let b = r_overlay.query(&o, &d, t, DayOfWeek::Tuesday);
-            assert_eq!(a.arrive, b.arrive, "o={o:?} d={d:?} t={t:?}");
-            assert_eq!(a.n_transfers(), b.n_transfers(), "o={o:?} d={d:?} t={t:?}");
-        }
-    }
 }
 
 #[test]

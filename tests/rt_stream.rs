@@ -130,7 +130,6 @@ fn what_if_answers_match_the_committed_future() {
     assert_eq!(answers.len(), 2, "one answer per scenario, in request order");
     assert_eq!(answers[0].answer, base, "the empty scenario is the present");
     assert_ne!(answers[1].answer, base, "the counterfactual must differ");
-    assert!(answers[1].overlay_bytes > 0, "a structural overlay holds rebuilt state");
 
     // The base engine is untouched by evaluating scenarios.
     assert_eq!(c.query(&query, PoiCategory::School).expect("still base"), base);
@@ -222,10 +221,6 @@ fn streaming_counters_are_visible_through_stats() {
     assert!(
         counter(&m, "rt.invalidations.engine") > counter(&baseline, "rt.invalidations.engine"),
         "a structural delta invalidates engine caches"
-    );
-    assert!(
-        counter(&m, "rt.scenario.overlay_bytes") > counter(&baseline, "rt.scenario.overlay_bytes"),
-        "what-if overlays report their footprint"
     );
     server.shutdown();
 }
