@@ -23,6 +23,13 @@
 //!   a delta drops them only when a rebuilt tree changed. A cold read
 //!   after a tree-preserving `TripDelay` then only samples, labels and
 //!   trains;
+//! * **retired results** — a delta moves each category's published result
+//!   to `previous` instead of dropping it. The next cold read still labels
+//!   `L`, but when its fit inputs (L, U, features, targets) equal the
+//!   retired result's bit for bit it takes that result's measures instead
+//!   of training ([`SsrPipeline::solve`]). A label-preserving delay then
+//!   costs sampling and labeling only. The check compares values, so the
+//!   answer still depends only on the world, never on which reads ran;
 //! * journey planning ([`AccessEngine::plan`]) over that same prepared
 //!   network, never a per-request copy;
 //! * counterfactual scenarios ([`AccessEngine::what_if`]), each routed
@@ -80,7 +87,8 @@ static CACHE_HITS: Counter = Counter::new("engine.cache.hits");
 static CACHE_MISSES: Counter = Counter::new("engine.cache.misses");
 /// Reads that joined another thread's in-flight compute (single-flight).
 static CACHE_JOINS: Counter = Counter::new("engine.cache.joins");
-/// Published category results dropped by scenario edits.
+/// Published category results retired (deltas) or dropped (`add_poi`)
+/// by scenario edits.
 static CACHE_INVALIDATIONS: Counter = Counter::new("engine.cache.invalidations");
 
 /// The mutable world state: what scenario edits rewrite. `artifacts`
@@ -105,6 +113,10 @@ struct Derived {
     todam: OnceLock<Arc<Todam>>,
     features: OnceLock<Arc<FeatureRows>>,
     result: OnceLock<Arc<PipelineResult>>,
+    /// The last result a delta retired from `result`: a fit the next cold
+    /// read reuses when its inputs match bit for bit. It may describe an
+    /// older world; the check compares values, not provenance.
+    previous: Option<Arc<PipelineResult>>,
 }
 
 /// What [`AccessEngine::approx_config`] reports. Kept only because the
@@ -258,7 +270,8 @@ impl AccessEngine {
                 features
             });
             let (matrix, features) = (Arc::clone(matrix), Arc::clone(features));
-            let result = Arc::new(pipeline.solve(&Prepared { matrix, features, timings }));
+            let prepared = Prepared { matrix, features, timings };
+            let result = Arc::new(pipeline.solve(&prepared, derived.previous.as_deref()));
             self.pipeline_runs.fetch_add(1, Ordering::Relaxed);
             result
         });
@@ -294,8 +307,8 @@ impl AccessEngine {
     }
 
     /// Adds a POI (e.g. a candidate vaccination site). No transit change:
-    /// only the category's cached result, TODAM and feature rows are
-    /// dropped. Returns the new POI's id.
+    /// only the category's cached and retired results, TODAM and feature
+    /// rows are dropped. Returns the new POI's id.
     pub fn add_poi(&self, category: PoiCategory, pos: Point) -> PoiId {
         let zone = ZoneId(self.zone_tree.nearest(&pos).expect("city has zones").item);
         let mut state = self.state.write();
@@ -335,16 +348,17 @@ impl AccessEngine {
     ///   from the mutated feed (once, under the write lock); each touched
     ///   stop's hops in the interval are rescanned, and hop trees are
     ///   rebuilt only for zones whose walkshed holds a stop whose hops
-    ///   changed; and every category's published result is dropped. Every
-    ///   kept TODAM survives (demand is POI-driven); the kept feature rows
-    ///   are dropped only when a rebuilt hop tree differs from the one it
-    ///   replaced.
+    ///   changed; and every category's published result is retired to
+    ///   `previous` (the next cold read reuses its fit when the fit inputs
+    ///   match bit for bit). Every kept TODAM survives (demand is
+    ///   POI-driven); the kept feature rows are dropped only when a rebuilt
+    ///   hop tree differs from the one it replaced.
     /// * `AddRoute` only — the shared access-isochrone cache is also
     ///   invalidated: it is the one delta that adds stops. A memoised
     ///   access list depends on the road graph and stop positions alone,
     ///   and delays, cancellations and route removals keep every stop.
-    /// * `add_poi(c)` (not a delta) drops `c`'s result, TODAM and feature
-    ///   rows, and nothing else.
+    /// * `add_poi(c)` (not a delta) drops `c`'s result, retired result,
+    ///   TODAM and feature rows, and nothing else.
     ///
     /// Rejected deltas (unknown ids, bad geometry) leave the world
     /// untouched.
@@ -374,7 +388,10 @@ impl AccessEngine {
         let rebuilt = state.artifacts.store.rebuild_stops(&state.city, &outcome.touched_stops);
         let mut invalidated = 0;
         for derived in &mut state.derived {
-            invalidated += derived.result.take().is_some() as usize;
+            if let Some(result) = derived.result.take() {
+                derived.previous = Some(result);
+                invalidated += 1;
+            }
             if rebuilt.changed {
                 derived.features.take();
             }
@@ -395,7 +412,10 @@ impl AccessEngine {
     /// (demand is POI-driven, so the TODAM is exact under schedule deltas;
     /// reusing base hop-tree features is the documented approximation).
     /// Per scenario, only labeling `L` over its network, with a private
-    /// access cache, and retraining the SSR model run.
+    /// access cache, and retraining the SSR model run. Retraining is
+    /// skipped when the scenario's targets equal the base's bit for bit
+    /// (its L, U and features are the base's): the base fit is what it
+    /// would return.
     ///
     /// An empty scenario reproduces the base measures bit-for-bit.
     ///
@@ -432,15 +452,11 @@ impl AccessEngine {
                 .into_iter()
                 .map(|s| s.expect("base-labeled zone must relabel under the scenario"))
                 .collect();
-            let predicted = ssr_train_infer(
-                &state.city,
-                &self.config,
-                &base.labeled,
-                &base.unlabeled,
-                &base.x_labeled,
-                &base.x_unlabeled,
-                &labeled_stats,
-            );
+            let (l, u, x_l, x_u) =
+                (&base.labeled, &base.unlabeled, &base.x_labeled, &base.x_unlabeled);
+            let predicted = base.reuse_fit(l, u, x_l, x_u, &labeled_stats).unwrap_or_else(|| {
+                ssr_train_infer(&state.city, &self.config, l, u, x_l, x_u, &labeled_stats)
+            });
             out.push(ScenarioOutcome { predicted, labeled_stats });
         }
         Ok(out)
@@ -483,7 +499,7 @@ pub struct DeltaApplied {
     pub structural: bool,
     /// Zones whose hop trees were incrementally rebuilt.
     pub zones_rebuilt: usize,
-    /// Categories whose published result was dropped. A category no read
+    /// Categories whose published result was retired. A category no read
     /// measured since the last edit counts 0, and no run can be in flight:
     /// it would hold the read lock the edit waited for.
     pub invalidated: usize,

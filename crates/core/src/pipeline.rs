@@ -17,6 +17,11 @@
 //! its feature rows until a hop tree changes, so a cold read after a
 //! tree-preserving edit only samples, labels and trains, and reports 0 s
 //! (and records no stage sample) for the stages it skipped.
+//!
+//! The fit is a deterministic function of `(L, U, X_L, X_U, y_L)` and the
+//! config, so `solve` also takes the result an edit retired: when the new
+//! run's fit inputs equal that result's bit for bit, its `predicted` is
+//! what training would return, and stage 5 is skipped the same way.
 
 use crate::artifacts::OfflineArtifacts;
 use crate::config::PipelineConfig;
@@ -42,6 +47,9 @@ static STAGE_FEATURES: AtomicHistogram = AtomicHistogram::new("pipeline.stage.fe
 static STAGE_SAMPLING: AtomicHistogram = AtomicHistogram::new("pipeline.stage.sampling");
 static STAGE_LABELING: AtomicHistogram = AtomicHistogram::new("pipeline.stage.labeling");
 static STAGE_TRAIN: AtomicHistogram = AtomicHistogram::new("pipeline.stage.train");
+/// Fits taken from an earlier result whose fit inputs matched bit for bit
+/// (stage 5 skipped), by `solve` or by a what-if scenario.
+static FITS_REUSED: Counter = Counter::new("pipeline.fits_reused");
 
 /// Wall-clock seconds per stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -101,6 +109,39 @@ pub struct PipelineResult {
 }
 
 impl PipelineResult {
+    /// This result's `predicted` when a fit on the given inputs would
+    /// reproduce it: the same `L` and `U`, and the same features and
+    /// targets (`mac`, `acsd`) compared by `f64::to_bits`. Comparing
+    /// values rather than provenance means no invalidation rule has to be
+    /// right for the reuse to be exact.
+    pub(crate) fn reuse_fit(
+        &self,
+        labeled: &[ZoneId],
+        unlabeled: &[ZoneId],
+        x_labeled: &Matrix,
+        x_unlabeled: &Matrix,
+        labeled_stats: &[ZoneStats],
+    ) -> Option<Vec<ZoneMeasures>> {
+        let same_bits = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        let same_matrix = |a: &Matrix, b: &Matrix| {
+            (a.rows(), a.cols()) == (b.rows(), b.cols()) && same_bits(a.data(), b.data())
+        };
+        let targets = |stats: &[ZoneStats]| -> Vec<f64> {
+            stats.iter().flat_map(|s| [s.mac, s.acsd]).collect()
+        };
+        let matches = self.labeled == labeled
+            && self.unlabeled == unlabeled
+            && same_matrix(&self.x_labeled, x_labeled)
+            && same_matrix(&self.x_unlabeled, x_unlabeled)
+            && same_bits(&targets(&self.labeled_stats), &targets(labeled_stats));
+        matches.then(|| {
+            FITS_REUSED.inc();
+            self.predicted.clone()
+        })
+    }
+
     /// Predicted measures of the unlabeled zones only (evaluation set).
     pub fn predicted_unlabeled(&self) -> Vec<ZoneMeasures> {
         // Two-pointer merge: `predicted` is sorted by zone and `unlabeled`
@@ -147,10 +188,11 @@ impl<'a> SsrPipeline<'a> {
     }
 
     /// Runs the full pipeline for one POI category: [`Self::prepare`], then
-    /// [`Self::solve`], so every stage is charged to the run.
+    /// [`Self::solve`] with no earlier result, so every stage is charged to
+    /// the run.
     pub fn run(&self, category: PoiCategory) -> PipelineResult {
         let _run_span = trace::span("pipeline.run");
-        self.solve(&self.prepare(category))
+        self.solve(&self.prepare(category), None)
     }
 
     /// Stages 1–2: the category's TODAM and its origin feature rows.
@@ -181,7 +223,12 @@ impl<'a> SsrPipeline<'a> {
 
     /// Stages 3–5 on a prepared state: sample `L`, label it, train and
     /// infer. `prepared` must describe this pipeline's city and store.
-    pub fn solve(&self, prepared: &Prepared) -> PipelineResult {
+    ///
+    /// `previous` is an earlier result for the same category, from any
+    /// world. Labeling always runs; when the fit inputs then equal
+    /// `previous`'s bit for bit (see [`PipelineResult::reuse_fit`]), its
+    /// `predicted` is taken instead of training, and `train_secs` is 0.
+    pub fn solve(&self, prepared: &Prepared, previous: Option<&PipelineResult>) -> PipelineResult {
         let cfg = &self.config;
         let (matrix, feats) = (&prepared.matrix, &prepared.features);
 
@@ -239,12 +286,16 @@ impl<'a> SsrPipeline<'a> {
         let labeled_stats: Vec<ZoneStats> =
             stats.into_iter().map(|s| s.expect("eligible zone must label")).collect();
 
-        // 5. SSR train + infer.
-        let ((x_labeled, x_unlabeled, predicted), train_secs) =
-            stage(&STAGE_TRAIN, "pipeline.stage.train", || {
-                let x_labeled = feature_matrix(feats, &labeled);
-                let x_unlabeled = feature_matrix(feats, &unlabeled);
-                let predicted = ssr_train_infer(
+        // 5. SSR train + infer, unless `previous` already holds this fit.
+        let x_labeled = feature_matrix(feats, &labeled);
+        let x_unlabeled = feature_matrix(feats, &unlabeled);
+        let reused = previous.and_then(|p| {
+            p.reuse_fit(&labeled, &unlabeled, &x_labeled, &x_unlabeled, &labeled_stats)
+        });
+        let (predicted, train_secs) = match reused {
+            Some(predicted) => (predicted, 0.0),
+            None => stage(&STAGE_TRAIN, "pipeline.stage.train", || {
+                ssr_train_infer(
                     self.city,
                     cfg,
                     &labeled,
@@ -252,9 +303,9 @@ impl<'a> SsrPipeline<'a> {
                     &x_labeled,
                     &x_unlabeled,
                     &labeled_stats,
-                );
-                (x_labeled, x_unlabeled, predicted)
-            });
+                )
+            }),
+        };
         PIPELINE_RUNS.inc();
 
         PipelineResult {
@@ -510,6 +561,57 @@ mod tests {
         let a = SsrPipeline::new(&city, &artifacts, cfg.clone()).run(PoiCategory::School);
         let b = SsrPipeline::new(&city, &artifacts, cfg).run(PoiCategory::School);
         assert_eq!(a.labeled, b.labeled);
+    }
+
+    /// Measures as raw bits, so equality is bit for bit.
+    fn bits(measures: &[ZoneMeasures]) -> Vec<(u32, u64, u64)> {
+        measures.iter().map(|m| (m.zone.0, m.mac.to_bits(), m.acsd.to_bits())).collect()
+    }
+
+    /// `r`'s fit inputs with every measure poisoned, so a wrongful reuse
+    /// shows in the output.
+    fn poisoned_copy(r: &PipelineResult) -> PipelineResult {
+        PipelineResult {
+            matrix: Arc::clone(&r.matrix),
+            labeled: r.labeled.clone(),
+            unlabeled: r.unlabeled.clone(),
+            labeled_stats: r.labeled_stats.clone(),
+            predicted: r.predicted.iter().map(|m| ZoneMeasures { mac: -1.0, ..*m }).collect(),
+            x_labeled: r.x_labeled.clone(),
+            x_unlabeled: r.x_unlabeled.clone(),
+            labeled_trips: r.labeled_trips,
+            timings: r.timings,
+        }
+    }
+
+    /// For every model: a previous result with bit-identical fit inputs is
+    /// reused (no training) and equals a fresh solve, while one flipped low
+    /// bit in a label or a feature forces a refit that equals it too, so
+    /// the fit is a function of exactly the inputs the check compares.
+    #[test]
+    fn solve_reuses_a_previous_fit_only_on_bit_identical_inputs() {
+        let (city, artifacts) = setup();
+        let flip = |x: &mut f64| *x = f64::from_bits(x.to_bits() ^ 1);
+        for model in ModelKind::ALL {
+            let p = SsrPipeline::new(&city, &artifacts, quick_config(0.2, model));
+            let prepared = p.prepare(PoiCategory::VaxCenter);
+            let fresh = p.solve(&prepared, None);
+            assert!(fresh.timings.train_secs > 0.0, "{model}");
+
+            let reused = p.solve(&prepared, Some(&fresh));
+            assert_eq!(reused.timings.train_secs, 0.0, "{model}: a matching fit was retrained");
+            assert_eq!(bits(&reused.predicted), bits(&fresh.predicted), "{model}");
+
+            let mut label = poisoned_copy(&fresh);
+            flip(&mut label.labeled_stats[0].acsd);
+            let mut feature = poisoned_copy(&fresh);
+            flip(&mut feature.x_unlabeled.data_mut()[3]);
+            for (what, previous) in [("label", label), ("feature", feature)] {
+                let refit = p.solve(&prepared, Some(&previous));
+                assert!(refit.timings.train_secs > 0.0, "{model}: a changed {what} was reused");
+                assert_eq!(bits(&refit.predicted), bits(&fresh.predicted), "{model}: {what}");
+            }
+        }
     }
 
     #[test]

@@ -256,17 +256,41 @@ impl FeedIndex {
         Ok(touched)
     }
 
-    /// Cancels every trip of `route`. The route (and its trips/services)
-    /// stay as records; only calls disappear.
+    /// Cancels every trip of `route` in one pass: one retain over
+    /// `stop_times` and over each touched departure row, then one walk of
+    /// the trip ranges. Equal to cancelling the trips one by one in id
+    /// order, touched-stop list included. The route (and its
+    /// trips/services) stay as records; only calls disappear.
     fn remove_route(&mut self, route: RouteId) -> Result<Vec<StopId>, String> {
         if route.idx() >= self.feed.routes.len() {
             return Err(format!("unknown route #{}", route.0));
         }
-        let trips: Vec<TripId> =
-            self.feed.trips.iter().filter(|t| t.route == route).map(|t| t.id).collect();
+        let removed: Vec<bool> = self.trip_route.iter().map(|&r| r == route).collect();
         let mut touched = Vec::new();
-        for t in trips {
-            touched.extend(self.cancel_trip(t)?);
+        for (t, _) in removed.iter().enumerate().filter(|(_, &gone)| gone) {
+            touched.extend(self.trip_calls(TripId(t as u32)).iter().map(|st| st.stop));
+        }
+        if touched.is_empty() {
+            return Ok(touched);
+        }
+        self.feed.stop_times.retain(|st| !removed[st.trip.idx()]);
+        let mut rows = touched.clone();
+        rows.sort_unstable();
+        rows.dedup();
+        for stop in rows {
+            self.stop_departures[stop.idx()].retain(|d| !removed[d.trip.idx()]);
+        }
+        // `stop_times` is trip-sorted, so ranges ascend with the trip id:
+        // each kept range moves down by the calls removed before it.
+        let mut shift = 0;
+        for (r, &gone) in self.trip_ranges.iter_mut().zip(&removed) {
+            if gone {
+                shift += r.1 - r.0;
+                *r = (0, 0);
+            } else if r.0 != r.1 {
+                r.0 -= shift;
+                r.1 -= shift;
+            }
         }
         Ok(touched)
     }

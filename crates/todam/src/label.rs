@@ -138,22 +138,21 @@ impl<'a> LabelEngine<'a> {
     /// its whole share of zones instead of being rebuilt per zone.
     ///
     /// Every trip of a zone leaves its centroid, so the trips sharing a
-    /// start time form one [`Raptor::query_many`] pass. Costs land at each
-    /// trip's own index, so the aggregate sums in trip order.
+    /// start time (the matrix's [`Todam::zone_start_groups`]) form one
+    /// [`Raptor::query_many`] pass. Costs land at each trip's own index, so
+    /// the aggregate sums in trip order.
     fn label_zone_with(&self, router: &Raptor, m: &Todam, zone: ZoneId) -> Option<ZoneStats> {
         let trips = m.zone_trips(zone);
-        let mut order: Vec<usize> = (0..trips.len()).collect();
-        order.sort_by_key(|&i| trips[i].start);
         let mut costs = vec![(0.0, false); trips.len()];
         let (mut dests, mut journeys) = (Vec::new(), Vec::new());
-        for group in order.chunk_by(|&a, &b| trips[a].start == trips[b].start) {
-            let first = &trips[group[0]];
+        for group in m.zone_start_groups(zone) {
+            let first = &trips[group[0] as usize];
             dests.clear();
-            dests.extend(group.iter().map(|&i| trip_poi_pos(self.city, m, &trips[i])));
+            dests.extend(group.iter().map(|&i| trip_poi_pos(self.city, m, &trips[i as usize])));
             let o = trip_origin(self.city, first);
             router.query_many(&o, &dests, first.start, self.interval.day, &mut journeys);
             for (&i, j) in group.iter().zip(&journeys) {
-                costs[i] = (self.cost.cost(j), j.is_walk_only());
+                costs[i as usize] = (self.cost.cost(j), j.is_walk_only());
             }
         }
         ZONES_LABELED.inc();

@@ -27,6 +27,10 @@ pub struct Todam {
     trips: Vec<Trip>,
     /// `zone_offsets[z]..zone_offsets[z+1]` indexes `trips` of zone `z`.
     zone_offsets: Vec<u32>,
+    /// Per zone, at the zone's offsets: the indices into its trip slice
+    /// ordered by start time, ties by index ascending. Built once so
+    /// labeling groups a zone's trips by start without sorting per pass.
+    by_start: Vec<u32>,
     /// Sparse per-zone attractiveness: `(poi_idx, α_ij)` with `α_ij > 0`.
     alpha: Vec<Vec<(u32, f64)>>,
     /// Size of the *full* matrix `|Z| x |P| x |R|` this gravity matrix was
@@ -43,17 +47,28 @@ impl Todam {
         full_size: u64,
     ) -> Self {
         assert_eq!(per_zone_trips.len(), alpha.len());
-        let mut trips = Vec::with_capacity(per_zone_trips.iter().map(Vec::len).sum());
+        let n_trips = per_zone_trips.iter().map(Vec::len).sum();
+        let mut trips = Vec::with_capacity(n_trips);
+        let mut by_start = Vec::with_capacity(n_trips);
         let mut zone_offsets = Vec::with_capacity(per_zone_trips.len() + 1);
         zone_offsets.push(0u32);
+        let mut keys: Vec<u64> = Vec::new();
         for (z, zone_trips) in per_zone_trips.into_iter().enumerate() {
             for t in &zone_trips {
                 debug_assert_eq!(t.zone.idx(), z);
             }
+            // (start, index) packed in one word: distinct keys, so the
+            // unstable sort leaves trips sharing a start in index order.
+            keys.clear();
+            keys.extend(
+                zone_trips.iter().enumerate().map(|(i, t)| (u64::from(t.start.0) << 32) | i as u64),
+            );
+            keys.sort_unstable();
+            by_start.extend(keys.iter().map(|&k| k as u32));
             trips.extend(zone_trips);
             zone_offsets.push(trips.len() as u32);
         }
-        Todam { pois, trips, zone_offsets, alpha, full_size }
+        Todam { pois, trips, zone_offsets, by_start, alpha, full_size }
     }
 
     /// Number of zones.
@@ -74,6 +89,17 @@ impl Todam {
         let lo = self.zone_offsets[z.idx()] as usize;
         let hi = self.zone_offsets[z.idx() + 1] as usize;
         &self.trips[lo..hi]
+    }
+
+    /// Trips of zone `z` grouped by start time: one slice of indices into
+    /// [`Self::zone_trips`] per distinct start, starts ascending, indices
+    /// ascending within a group.
+    pub(crate) fn zone_start_groups(&self, z: ZoneId) -> impl Iterator<Item = &[u32]> {
+        let lo = self.zone_offsets[z.idx()] as usize;
+        let hi = self.zone_offsets[z.idx() + 1] as usize;
+        let trips = &self.trips[lo..hi];
+        self.by_start[lo..hi]
+            .chunk_by(move |&a, &b| trips[a as usize].start == trips[b as usize].start)
     }
 
     /// All trips, zone-sorted.
@@ -112,6 +138,15 @@ impl Todam {
                 if t.poi_idx as usize >= self.pois.len() {
                     return Err("trip references out-of-range poi".into());
                 }
+            }
+            let trips = self.zone_trips(ZoneId(z as u32));
+            let lo = self.zone_offsets[z] as usize;
+            let order = &self.by_start[lo..lo + trips.len()];
+            let key = |i: u32| (trips[i as usize].start, i);
+            if order.iter().any(|&i| i as usize >= trips.len())
+                || order.windows(2).any(|w| key(w[0]) >= key(w[1]))
+            {
+                return Err(format!("zone {z} start order is not a sorted permutation"));
             }
             let sum: f64 = self.alpha[z].iter().map(|&(_, a)| a).sum();
             if !(0.0..=1.0 + 1e-9).contains(&sum) {
@@ -154,6 +189,21 @@ mod tests {
         assert_eq!(m.zone_trips(ZoneId(0)).len(), 2);
         assert_eq!(m.zone_trips(ZoneId(1)).len(), 0);
         assert_eq!(m.zone_trips(ZoneId(2))[0].start, Stime(50));
+    }
+
+    #[test]
+    fn start_groups_ascend_and_keep_index_order() {
+        let trip = |start| Trip { zone: ZoneId(0), poi_idx: 0, start: Stime(start) };
+        let m = Todam::from_parts(
+            vec![PoiId(1)],
+            vec![vec![trip(300), trip(100), trip(300), trip(200), trip(100)], vec![]],
+            vec![vec![(0, 1.0)], vec![]],
+            10,
+        );
+        m.check_invariants().unwrap();
+        let groups: Vec<&[u32]> = m.zone_start_groups(ZoneId(0)).collect();
+        assert_eq!(groups, [&[1, 4][..], &[3], &[0, 2]]);
+        assert_eq!(m.zone_start_groups(ZoneId(1)).count(), 0);
     }
 
     #[test]

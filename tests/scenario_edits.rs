@@ -7,18 +7,22 @@
 use staq_repro::geom::Point;
 use staq_repro::gtfs::model::{RouteId, TripId};
 use staq_repro::gtfs::time::{DayOfWeek, Stime};
-use staq_repro::gtfs::{validate, Delta};
+use staq_repro::gtfs::{validate, Delta, FeedIndex};
 use staq_repro::prelude::*;
 use staq_repro::rt::RtEngine;
 use staq_repro::transit::{Journey, Raptor, TransitNetwork};
 
 fn engine() -> AccessEngine {
+    engine_with(ModelKind::Ols)
+}
+
+fn engine_with(model: ModelKind) -> AccessEngine {
     let city = City::generate(&CityConfig::small(42));
     AccessEngine::new(
         city,
         PipelineConfig {
             beta: 0.2,
-            model: ModelKind::Ols,
+            model,
             todam: TodamSpec { per_hour: 3, ..Default::default() },
             ..Default::default()
         },
@@ -227,6 +231,39 @@ fn incremental_apply_matches_a_from_scratch_rebuild() {
     assert!(violations.is_empty(), "mutated feed must stay valid: {violations:?}");
 }
 
+/// Removing a route in one pass lands on the index that cancelling its
+/// trips one by one (in id order) gives, with the same touched-stop list,
+/// for every route of the city — after one of its trips was already
+/// cancelled, so a removal also walks past empty ranges.
+#[test]
+fn route_removal_equals_cancelling_its_trips_one_by_one() {
+    let city = City::generate(&CityConfig::small(42));
+    let speed = city.config.bus_speed_mps;
+    let feed = city.feed.feed();
+    for route in feed.routes.iter().map(|r| r.id) {
+        let trips: Vec<TripId> =
+            feed.trips.iter().filter(|t| t.route == route).map(|t| t.id).collect();
+        let mut base = city.feed.clone();
+        if let Some(&first) = trips.get(1) {
+            base.apply_delta(&Delta::TripCancel { trip: first }, speed).expect("cancel applies");
+        }
+        let mut one_pass = base.clone();
+        let touched = one_pass
+            .apply_delta(&Delta::RouteRemove { route }, speed)
+            .expect("removal applies")
+            .touched_stops;
+        let mut by_trip = base;
+        let mut expected = Vec::new();
+        for &trip in &trips {
+            let out = by_trip.apply_delta(&Delta::TripCancel { trip }, speed);
+            expected.extend(out.expect("cancel applies").touched_stops);
+        }
+        assert_eq!(touched, expected, "touched stops of route {}", route.0);
+        assert!(one_pass == by_trip, "route {} removal diverged from per-trip cancels", route.0);
+        assert!(one_pass == FeedIndex::build(one_pass.feed().clone()), "diverged from a rebuild");
+    }
+}
+
 /// One step of an edit history: a streamed delta or a new POI.
 enum Edit {
     Delta(Delta),
@@ -252,58 +289,80 @@ fn late_peak_trip(city: &City) -> (TripId, u32) {
     (trip, (end.0 - last.0).div_ceil(30))
 }
 
+/// Measures as raw bits: `==` on f64 would hide a sign-of-zero difference
+/// (the clamp `max(0.0)` can produce one).
+fn measure_bits(measures: &[ZoneMeasures]) -> Vec<(u32, u64, u64)> {
+    measures.iter().map(|m| (m.zone.0, m.mac.to_bits(), m.acsd.to_bits())).collect()
+}
+
+/// After every edit, each category's served measures equal a from-scratch
+/// engine's bit for bit, under a linear and a neural model. The fresh
+/// engine has no kept stage and no retired fit, so it is an oracle
+/// independent of both reuse paths, and the history takes every path:
+/// kept and rebuilt feature rows, reused fits and refits.
 #[test]
 fn every_category_stays_exact_after_every_edit() {
-    let e = engine();
-    let (trip, steps) = late_peak_trip(&e.city());
-    // Delays that keep every departure inside the peak change no hop tree;
-    // the last one pushes a departure past 09:00. Then a cancellation, a
-    // POI, a new route and a route removal.
-    let [cancel, route, remove] =
-        [2, 3, 4].map(|i| sample_history(e.city().config.side_m)[i].clone());
-    let mut edits: Vec<Edit> =
-        (0..steps).map(|_| Edit::Delta(Delta::TripDelay { trip, delay_secs: 30 })).collect();
-    edits.push(Edit::Delta(cancel));
-    edits.push(Edit::Poi(PoiCategory::School, e.city().cores[0].offset(120.0, -80.0)));
-    edits.extend([route, remove].map(Edit::Delta));
+    for model in [ModelKind::Ols, ModelKind::Mlp] {
+        let e = engine_with(model);
+        let (trip, steps) = late_peak_trip(&e.city());
+        // Delays that keep every departure inside the peak change no hop
+        // tree; the last one pushes a departure past 09:00. Then a
+        // cancellation, a POI, a new route and a route removal.
+        let [cancel, route, remove] =
+            [2, 3, 4].map(|i| sample_history(e.city().config.side_m)[i].clone());
+        let mut edits: Vec<Edit> =
+            (0..steps).map(|_| Edit::Delta(Delta::TripDelay { trip, delay_secs: 30 })).collect();
+        edits.push(Edit::Delta(cancel));
+        edits.push(Edit::Poi(PoiCategory::School, e.city().cores[0].offset(120.0, -80.0)));
+        edits.extend([route, remove].map(Edit::Delta));
 
-    for c in PoiCategory::ALL {
-        e.measures(c);
-    }
-    let (mut reused, mut rebuilt) = (0, 0);
-    for (step, edit) in edits.iter().enumerate() {
-        let new_poi = match edit {
-            Edit::Delta(d) => {
-                e.apply_delta(d).expect("delta applies");
-                None
-            }
-            Edit::Poi(c, p) => {
-                e.add_poi(*c, *p);
-                Some(*c)
-            }
-        };
-        // A from-scratch engine on the edited city is the reference.
-        let fresh = AccessEngine::new(e.city().clone(), e.config().clone());
         for c in PoiCategory::ALL {
-            let ours = e.measures(c);
-            assert_eq!(
-                ours.predicted,
-                fresh.measures(c).predicted,
-                "{c:?} diverged from a fresh engine after edit {step}"
-            );
-            assert_eq!(
-                ours.timings.todam_secs > 0.0,
-                new_poi == Some(c),
-                "only a new POI rebuilds a TODAM ({c:?}, edit {step})"
-            );
-            if ours.timings.feature_secs == 0.0 {
-                reused += 1;
-            } else {
-                rebuilt += 1;
+            e.measures(c);
+        }
+        let (mut kept, mut rebuilt, mut reused_fits, mut refits) = (0, 0, 0, 0);
+        for (step, edit) in edits.iter().enumerate() {
+            let new_poi = match edit {
+                Edit::Delta(d) => {
+                    e.apply_delta(d).expect("delta applies");
+                    None
+                }
+                Edit::Poi(c, p) => {
+                    e.add_poi(*c, *p);
+                    Some(*c)
+                }
+            };
+            // A from-scratch engine on the edited city is the reference.
+            let fresh = AccessEngine::new(e.city().clone(), e.config().clone());
+            for c in PoiCategory::ALL {
+                let ours = e.measures(c);
+                assert_eq!(
+                    measure_bits(&ours.predicted),
+                    measure_bits(&fresh.measures(c).predicted),
+                    "{c:?} diverged from a fresh engine after edit {step} under {model}"
+                );
+                assert_eq!(
+                    ours.timings.todam_secs > 0.0,
+                    new_poi == Some(c),
+                    "only a new POI rebuilds a TODAM ({c:?}, edit {step}, {model})"
+                );
+                if ours.timings.feature_secs == 0.0 {
+                    kept += 1;
+                } else {
+                    rebuilt += 1;
+                }
+                if ours.timings.train_secs == 0.0 {
+                    reused_fits += 1;
+                } else {
+                    refits += 1;
+                }
             }
         }
+        assert!(kept > 0 && rebuilt > 0, "{model}: kept {kept}, rebuilt {rebuilt} feature rows");
+        assert!(
+            reused_fits > 0 && refits > 0,
+            "{model}: reused {reused_fits} fits, refit {refits}"
+        );
     }
-    assert!(reused > 0 && rebuilt > 0, "reused {reused}, rebuilt {rebuilt} feature rows");
 }
 
 const PLAN_DEPART: Stime = Stime(8 * 3600);
