@@ -76,7 +76,7 @@ use staq_gtfs::Delta;
 use staq_obs::Counter;
 use staq_synth::{City, Poi, PoiCategory, PoiId, ZoneId};
 use staq_todam::{LabelEngine, Todam, ZoneStats};
-use staq_transit::{AccessCost, CostKind, Journey, Raptor, SharedAccessCache};
+use staq_transit::{AccessCost, CostKind, Journey, Raptor, StopTables};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -129,17 +129,6 @@ pub struct ApproxConfig {
     pub error_bound: f64,
 }
 
-/// Construction-time switches for [`AccessEngine`].
-#[derive(Debug, Clone, Default)]
-pub struct EngineOptions {
-    /// When false (the default, and what [`AccessEngine::new`] uses), one
-    /// [`SharedAccessCache`] backs every labeling worker and `plan` call;
-    /// when true each router warms a private cache — the reference
-    /// `tests/shared_cache_equivalence.rs` holds the shared cache to, bit
-    /// for bit.
-    pub private_access_caches: bool,
-}
-
 /// Read guard over the engine's city. Derefs to [`City`]; holding it blocks
 /// scenario edits, so keep it short-lived.
 pub struct CityRef<'a> {
@@ -160,40 +149,29 @@ pub struct AccessEngine {
     /// so the zone lookup tree is built once here instead of per `add_poi`.
     zone_tree: KdTree,
     state: RwLock<EngineState>,
-    /// Fleet-shared walking-isochrone cache behind the labeling routers and
-    /// `plan`; `None` reverts to per-router private caches.
-    access_cache: Option<Arc<SharedAccessCache>>,
     pipeline_runs: AtomicU64,
 }
 
 impl AccessEngine {
     /// Builds offline artifacts for `city` (the expensive, once-per-interval
-    /// step) with default options: shared access cache on.
+    /// step).
     pub fn new(city: City, config: PipelineConfig) -> Self {
-        Self::with_options(city, config, EngineOptions::default())
-    }
-
-    /// [`Self::new`] with explicit [`EngineOptions`].
-    pub fn with_options(city: City, config: PipelineConfig, opts: EngineOptions) -> Self {
         config.validate().expect("invalid engine config");
         let artifacts = OfflineArtifacts::build(&city, &config.todam.interval, &config.isochrone);
         let zone_tree = KdTree::build(&city.zone_points());
-        let access_cache =
-            (!opts.private_access_caches).then(|| Arc::new(SharedAccessCache::new()));
         AccessEngine {
             config,
             zone_tree,
             state: RwLock::new(EngineState { city, artifacts, derived: Default::default() }),
-            access_cache,
             pipeline_runs: AtomicU64::new(0),
         }
     }
 
-    /// The fleet-shared access cache, when sharing is enabled. Exposed so
-    /// `tests/shared_cache_equivalence.rs` can watch its epoch and size
-    /// across invalidations.
-    pub fn shared_access_cache(&self) -> Option<&Arc<SharedAccessCache>> {
-        self.access_cache.as_ref()
+    /// The stop tables of the live network, with the access cache every
+    /// labeling worker, `plan` and what-if scenario over those stops
+    /// shares. A delta replaces them only when it moves the stop set.
+    pub fn stop_tables(&self) -> Arc<StopTables> {
+        Arc::clone(self.state.read().artifacts.network.stops())
     }
 
     /// The tolerance of an approx-flagged point answer: zero, because the
@@ -253,10 +231,7 @@ impl AccessEngine {
         let mut ran = false;
         let result = derived.result.get_or_init(|| {
             ran = true;
-            let mut pipeline = SsrPipeline::new(&state.city, &state.artifacts, self.config.clone());
-            if let Some(cache) = &self.access_cache {
-                pipeline = pipeline.with_access_cache(Arc::clone(cache));
-            }
+            let pipeline = SsrPipeline::new(&state.city, &state.artifacts, self.config.clone());
             let _run_span = staq_obs::trace::span("pipeline.run");
             let mut timings = StageTimings::default();
             let matrix = derived.todam.get_or_init(|| {
@@ -344,8 +319,10 @@ impl AccessEngine {
     ///
     /// * `ServiceAlert` — advisory; nothing structural changed, no caches
     ///   touched, no locks taken, the prepared network kept.
-    /// * All structural deltas — the prepared transit network is rebuilt
-    ///   from the mutated feed (once, under the write lock); each touched
+    /// * All structural deltas — the prepared transit network's trip
+    ///   patterns are rebuilt from the mutated feed (once, under the write
+    ///   lock), and its stop tables and access cache are kept unless the
+    ///   stop positions changed (see `prepare_network`); each touched
     ///   stop's hops in the interval are rescanned, and hop trees are
     ///   rebuilt only for zones whose walkshed holds a stop whose hops
     ///   changed; and every category's published result is retired to
@@ -353,10 +330,10 @@ impl AccessEngine {
     ///   match bit for bit). Every kept TODAM survives (demand is
     ///   POI-driven); the kept feature rows are dropped only when a rebuilt
     ///   hop tree differs from the one it replaced.
-    /// * `AddRoute` only — the shared access-isochrone cache is also
-    ///   invalidated: it is the one delta that adds stops. A memoised
-    ///   access list depends on the road graph and stop positions alone,
-    ///   and delays, cancellations and route removals keep every stop.
+    /// * `AddRoute` only — as the one delta that adds stops, it gets new
+    ///   stop tables with a fresh, empty access cache. Delays,
+    ///   cancellations and route removals keep every stop, so they keep
+    ///   the stop tables and the warm cache.
     /// * `add_poi(c)` (not a delta) drops `c`'s result, retired result,
     ///   TODAM and feature rows, and nothing else.
     ///
@@ -375,13 +352,6 @@ impl AccessEngine {
         // The one place the feed changes: re-prepare the network here
         // so no reader ever routes over tables of an older feed.
         state.artifacts.rebuild_network(&state.city);
-        // New stops are the only change a memoised access list can
-        // miss. Bump the shared cache's epoch before readers get the
-        // lock back, so none of them pairs the new network with
-        // pre-edit isochrones and stale in-flight inserts are dropped.
-        if let (Some(cache), Delta::AddRoute { .. }) = (&self.access_cache, delta) {
-            cache.invalidate();
-        }
 
         // Incremental hop-tree rebuild: only the trees of zones whose
         // walkshed holds a touched stop whose hops changed.
@@ -406,16 +376,16 @@ impl AccessEngine {
     /// A scenario's network is built the way a commit builds it: the
     /// deltas land on a copy of the feed through [`FeedIndex::apply_delta`]
     /// (so they are accepted, rejected and scheduled exactly as a commit
-    /// would), and the scenario routes over tables prepared from that copy.
-    /// Everything else comes from the one shared base: the cached base
-    /// measures supply the TODAM, the L/U split and the feature matrices
-    /// (demand is POI-driven, so the TODAM is exact under schedule deltas;
-    /// reusing base hop-tree features is the documented approximation).
-    /// Per scenario, only labeling `L` over its network, with a private
-    /// access cache, and retraining the SSR model run. Retraining is
-    /// skipped when the scenario's targets equal the base's bit for bit
-    /// (its L, U and features are the base's): the base fit is what it
-    /// would return.
+    /// would), and the scenario routes over tables prepared from that copy,
+    /// sharing the live network's stop tables and warm access cache unless
+    /// its deltas moved the stops. Everything else comes from the one
+    /// shared base: the cached base measures supply the TODAM, the L/U
+    /// split and the feature matrices (demand is POI-driven, so the TODAM
+    /// is exact under schedule deltas; reusing base hop-tree features is
+    /// the documented approximation). Per scenario, only labeling `L` over
+    /// its network and retraining the SSR model run. Retraining is skipped
+    /// when the scenario's targets equal the base's bit for bit (its L, U
+    /// and features are the base's): the base fit is what it would return.
     ///
     /// An empty scenario reproduces the base measures bit-for-bit.
     ///
@@ -440,7 +410,8 @@ impl AccessEngine {
             for delta in deltas {
                 feed.apply_delta(delta, bus_speed)?;
             }
-            let net = prepare_network(&state.city.road, &feed).view(&state.city.road, &feed);
+            let tables = prepare_network(&state.city.road, &feed, Some(&state.artifacts.network));
+            let net = tables.view(&state.city.road, &feed);
             let labeler = LabelEngine::with_network(
                 &state.city,
                 net,
@@ -479,10 +450,7 @@ impl AccessEngine {
         let mut span = staq_obs::trace::span("engine.plan");
         let state = self.state.read();
         let net = state.artifacts.network.view(&state.city.road, &state.city.feed);
-        let router = match &self.access_cache {
-            Some(cache) => Raptor::with_shared_cache(&net, cache),
-            None => Raptor::new(&net),
-        };
+        let router = Raptor::new(&net);
         let journeys = match max_transfers {
             Some(k) => vec![router.query_max_transfers(&origin, &dest, depart, day, k)],
             None => router.query_pareto(&origin, &dest, depart, day),
@@ -665,7 +633,9 @@ mod tests {
         e.apply_delta(&alert).expect("advisory applies");
         assert!(Arc::ptr_eq(&before, &tables(&e)), "an advisory must keep the tables");
         e.apply_delta(&Delta::TripDelay { trip: TripId(0), delay_secs: 120 }).expect("delay");
-        assert!(!Arc::ptr_eq(&before, &tables(&e)), "a structural delta must rebuild them");
+        let after = tables(&e);
+        assert!(!Arc::ptr_eq(&before, &after), "a structural delta must rebuild them");
+        assert!(Arc::ptr_eq(before.stops(), after.stops()), "a delay must keep the stop tables");
     }
 
     #[test]
@@ -770,31 +740,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_backs_labeling_and_fills_on_measures() {
+    fn labeling_fills_the_stop_tables_access_cache() {
         let e = engine();
-        let shared = Arc::clone(e.shared_access_cache().expect("shared cache on by default"));
-        assert!(shared.is_empty());
+        let stops = e.stop_tables();
+        assert!(stops.access_cache().is_empty());
         let _ = e.measures(PoiCategory::School);
-        assert!(!shared.is_empty(), "labeling must publish isochrones into the shared cache");
-    }
-
-    #[test]
-    fn shared_and_private_cache_measures_are_bit_identical() {
-        let city = City::generate(&CityConfig::small(43));
-        let config = PipelineConfig {
-            beta: 0.25,
-            model: ModelKind::Ols,
-            todam: TodamSpec { per_hour: 3, ..Default::default() },
-            ..Default::default()
-        };
-        let shared = AccessEngine::new(city.clone(), config.clone());
-        let private =
-            AccessEngine::with_options(city, config, EngineOptions { private_access_caches: true });
-        assert!(private.shared_access_cache().is_none());
-        let a = shared.measures(PoiCategory::School);
-        let b = private.measures(PoiCategory::School);
-        assert_eq!(a.predicted, b.predicted, "cache sharing must not change any answer");
-        assert_eq!(a.labeled, b.labeled);
-        assert_eq!(a.labeled_stats, b.labeled_stats);
+        assert!(!stops.access_cache().is_empty(), "labeling must fill the access cache");
     }
 }

@@ -35,7 +35,7 @@ pub mod report;
 
 pub use artifacts::OfflineArtifacts;
 pub use config::{PipelineConfig, SamplingStrategy};
-pub use engine::{AccessEngine, ApproxConfig, DeltaApplied, EngineOptions, ScenarioOutcome};
+pub use engine::{AccessEngine, ApproxConfig, DeltaApplied, ScenarioOutcome};
 pub use naive::NaiveResult;
 pub use pipeline::{PipelineResult, SsrPipeline};
 pub use report::{evaluate, EvalReport};

@@ -34,7 +34,7 @@ use staq_ml::{Matrix, SparseAdj, SsrTask};
 use staq_obs::{trace, AtomicHistogram, Counter};
 use staq_synth::{City, PoiCategory, ZoneId};
 use staq_todam::{LabelEngine, Todam, ZoneStats};
-use staq_transit::{AccessCost, CostKind, SharedAccessCache};
+use staq_transit::{AccessCost, CostKind};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -167,24 +167,13 @@ pub struct SsrPipeline<'a> {
     pub city: &'a City,
     pub artifacts: &'a OfflineArtifacts,
     pub config: PipelineConfig,
-    /// Fleet-shared isochrone cache for the labeling stage's routers; when
-    /// absent every labeling worker warms a private cache from scratch.
-    access_cache: Option<Arc<SharedAccessCache>>,
 }
 
 impl<'a> SsrPipeline<'a> {
     /// Creates a pipeline; validates the configuration.
     pub fn new(city: &'a City, artifacts: &'a OfflineArtifacts, config: PipelineConfig) -> Self {
         config.validate().expect("invalid pipeline config");
-        SsrPipeline { city, artifacts, config, access_cache: None }
-    }
-
-    /// Labels `L` through routers that share `cache` instead of warming
-    /// private per-worker access caches. The caller owns invalidation: the
-    /// cache must be epoch-bumped whenever the city's network changes.
-    pub fn with_access_cache(mut self, cache: Arc<SharedAccessCache>) -> Self {
-        self.access_cache = Some(cache);
-        self
+        SsrPipeline { city, artifacts, config }
     }
 
     /// Runs the full pipeline for one POI category: [`Self::prepare`], then
@@ -273,11 +262,8 @@ impl<'a> SsrPipeline<'a> {
             CostKind::Gac => AccessCost::gac(),
         };
         let net = self.artifacts.network.view(&self.city.road, &self.city.feed);
-        let mut engine =
+        let engine =
             LabelEngine::with_network(self.city, net, cost_model, cfg.todam.interval.clone());
-        if let Some(cache) = &self.access_cache {
-            engine = engine.with_shared_cache(Arc::clone(cache));
-        }
         let (stats, label_secs) = stage(&STAGE_LABELING, "pipeline.stage.labeling", || {
             engine.label_zones(matrix, &labeled)
         });

@@ -12,7 +12,7 @@ use crate::point::Point;
 /// Index of a node inside the tree's arena; `u32::MAX` encodes "no child".
 const NONE: u32 = u32::MAX;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Node {
     point: Point,
     /// Payload index supplied at construction (e.g. a `ZoneId`'s raw value).
@@ -27,7 +27,7 @@ struct Node {
 ///
 /// Duplicated points are allowed; all duplicates are retrievable through
 /// radius queries.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KdTree {
     nodes: Vec<Node>,
     root: u32,

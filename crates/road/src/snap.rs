@@ -8,7 +8,7 @@ use crate::graph::{NodeId, RoadGraph};
 use staq_geom::{KdTree, Point};
 
 /// A reusable point→node snapper for one graph.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSnapper {
     tree: KdTree,
 }

@@ -19,8 +19,8 @@ use serde::{Deserialize, Serialize};
 use staq_gtfs::time::TimeInterval;
 use staq_obs::{trace, AtomicHistogram, Counter};
 use staq_synth::{City, ZoneId};
-use staq_transit::{AccessCost, Raptor, SharedAccessCache, TransitNetwork};
-use std::sync::{Arc, Mutex};
+use staq_transit::{AccessCost, Raptor, TransitNetwork};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Zones labeled (attempted — zones without trips count; they cost a map
@@ -84,13 +84,9 @@ pub struct LabelEngine<'a> {
     net: TransitNetwork<'a>,
     cost: AccessCost,
     interval: TimeInterval,
-    /// Worker threads for zone-parallel labeling.
+    /// Worker threads for zone-parallel labeling. Every worker's router
+    /// shares the access cache of `net`'s stop tables.
     pub n_workers: usize,
-    /// When set, every worker's router memoizes access isochrones in this
-    /// fleet-shared cache instead of a private one. Labels are
-    /// bit-identical either way — the cache only changes who computes an
-    /// isochrone.
-    shared_cache: Option<Arc<SharedAccessCache>>,
 }
 
 impl<'a> LabelEngine<'a> {
@@ -112,24 +108,7 @@ impl<'a> LabelEngine<'a> {
         interval: TimeInterval,
     ) -> Self {
         let n_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        LabelEngine { city, net, cost, interval, n_workers, shared_cache: None }
-    }
-
-    /// Routes access isochrones through a fleet-shared cache. Only sound
-    /// for the network the cache was warmed against — a what-if scenario
-    /// keeps a private cache (an added route changes its stop set).
-    pub fn with_shared_cache(mut self, cache: Arc<SharedAccessCache>) -> Self {
-        self.shared_cache = Some(cache);
-        self
-    }
-
-    /// One router per worker: shared-cache handle when configured,
-    /// private arena otherwise.
-    fn router(&self) -> Raptor<'_, 'a> {
-        match &self.shared_cache {
-            Some(c) => Raptor::with_shared_cache(&self.net, c),
-            None => Raptor::new(&self.net),
-        }
+        LabelEngine { city, net, cost, interval, n_workers }
     }
 
     /// Labels a single zone: routes every trip, aggregates to mean/std.
@@ -203,7 +182,7 @@ impl<'a> LabelEngine<'a> {
                 let _ctx = trace::attach(ctx);
                 let mut worker_span = trace::span("label.worker");
                 worker_span.attr("worker", w as u64);
-                let router = self.router();
+                let router = Raptor::new(&self.net);
                 let mut claimed = 0u64;
                 loop {
                     // A statement of its own, so the guard is released
@@ -290,10 +269,11 @@ mod tests {
     }
 
     /// Grouped labeling equals labeling every trip on its own with the
-    /// unpruned reference router, bit for bit: for JT and GAC, through a
-    /// private and a shared access cache, at one and four workers. The
-    /// VaxCenter matrix of `small(42)` holds trips on which the pruned
-    /// per-trip router once arrived later than the reference.
+    /// unpruned reference router, bit for bit: for JT and GAC, at one and
+    /// four workers, whose routers share one access cache (the second pass
+    /// reads the cache the first one warmed). The VaxCenter matrix of
+    /// `small(42)` holds trips on which the pruned per-trip router once
+    /// arrived later than the reference.
     #[test]
     fn labels_equal_per_trip_reference_labeling() {
         let _serial = LABELING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -326,18 +306,14 @@ mod tests {
                 })
                 .collect();
             assert!(expected.iter().any(Option::is_some));
-            let private = LabelEngine::new(&city, cost, spec.interval.clone());
-            let shared = LabelEngine::new(&city, cost, spec.interval.clone())
-                .with_shared_cache(Arc::new(SharedAccessCache::new()));
-            for (cache, mut engine) in [("private", private), ("shared", shared)] {
-                for workers in [1, 4] {
-                    engine.n_workers = workers;
-                    assert_eq!(
-                        bits(&engine.label_zones(&m, &zones)),
-                        bits(&expected),
-                        "{cache} cache, {workers} workers"
-                    );
-                }
+            let mut engine = LabelEngine::new(&city, cost, spec.interval.clone());
+            for workers in [1, 4] {
+                engine.n_workers = workers;
+                assert_eq!(
+                    bits(&engine.label_zones(&m, &zones)),
+                    bits(&expected),
+                    "{workers} workers"
+                );
             }
         }
     }
@@ -384,26 +360,6 @@ mod tests {
                 assert_eq!(zones_labeled() - before, zones.len() as u64);
             }
         }
-    }
-
-    /// The fleet-shared access cache must not perturb labels: shared-cache
-    /// parallel labeling is bit-identical to private-cache sequential, and
-    /// the shared cache actually warms (later passes reuse it).
-    #[test]
-    fn shared_cache_labeling_matches_private() {
-        let (city, m, _serial) = setup();
-        let zones: Vec<ZoneId> = (0..city.n_zones() as u32).map(ZoneId).collect();
-        let mut private = LabelEngine::new(&city, AccessCost::jt(), TimeInterval::am_peak());
-        private.n_workers = 1;
-        let seq = private.label_zones(&m, &zones);
-        let shared = Arc::new(SharedAccessCache::new());
-        let mut engine = LabelEngine::new(&city, AccessCost::jt(), TimeInterval::am_peak())
-            .with_shared_cache(Arc::clone(&shared));
-        for workers in [1, 4] {
-            engine.n_workers = workers;
-            assert_eq!(seq, engine.label_zones(&m, &zones), "diverged at {workers} workers");
-        }
-        assert!(!shared.is_empty(), "labeling must warm the shared cache");
     }
 
     /// A worker count far above the chunk count (clamped to it, last chunk

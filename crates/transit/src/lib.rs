@@ -25,8 +25,11 @@
 //!
 //! [`network::NetworkTables`] precomputes the structures both share: trip
 //! patterns, stop→road-node snapping, stop-to-stop foot transfers;
-//! [`network::TransitNetwork`] is the routable view over them.
+//! [`network::TransitNetwork`] is the routable view over them. The
+//! stop-derived half, [`network::StopTables`], owns the
+//! [`access_cache::AccessCache`] every router over those stops shares.
 
+pub mod access_cache;
 pub mod cost;
 pub mod fare;
 pub mod journey;
@@ -34,12 +37,11 @@ pub mod mmdijkstra;
 pub mod network;
 pub mod pareto;
 pub mod raptor;
-pub mod shared_cache;
 
+pub use access_cache::AccessCache;
 pub use cost::{AccessCost, CostKind, GacWeights};
 pub use fare::FareModel;
 pub use journey::{Journey, Leg};
-pub use network::{AccessCache, NetworkTables, RouterConfig, TransitNetwork};
+pub use network::{NetworkTables, RouterConfig, StopTables, TransitNetwork};
 pub use pareto::{Bag, ParetoLabel};
 pub use raptor::Raptor;
-pub use shared_cache::{QueryCache, SharedAccessCache, SharedCacheHandle};

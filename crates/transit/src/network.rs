@@ -7,27 +7,24 @@
 //!
 //! That feed-derived state lives in [`NetworkTables`]: owned, borrowing
 //! nothing, `Send + Sync`, so an engine prepares it once per feed state and
-//! keeps it across requests behind an `Arc`. A [`TransitNetwork`] is a
+//! keeps it across requests behind an `Arc`. Its stop-derived half — stop
+//! snapping, foot transfers and the [`AccessCache`] over them — is a
+//! separate [`StopTables`], which depends on the stop positions alone and
+//! so is shared by every feed state over the same stops
+//! ([`NetworkTables::with_stops`]). A [`TransitNetwork`] is a
 //! **view** pairing shared tables with the road graph and feed they were
 //! built from: [`NetworkTables::view`] costs one `Arc` clone, and
 //! [`TransitNetwork::new`] builds fresh tables for one-shot callers.
 
+use crate::access_cache::AccessCache;
 use serde::{Deserialize, Serialize};
 use staq_geom::{KdTree, Point};
 use staq_gtfs::model::{RouteId, StopId, TripId};
 use staq_gtfs::time::{DayOfWeek, Stime};
 use staq_gtfs::FeedIndex;
-use staq_obs::Counter;
 use staq_road::{dijkstra, NodeId, NodeSnapper, RoadGraph};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Access-isochrone memo lookups answered from the cache.
-pub(crate) static ACCESS_CACHE_HIT: Counter = Counter::new("transit.access_cache.hit");
-/// Access-isochrone memo lookups that ran the road-graph Dijkstra.
-pub(crate) static ACCESS_CACHE_MISS: Counter = Counter::new("transit.access_cache.miss");
-/// Memoized isochrones dropped to stay inside the entry budget.
-pub(crate) static ACCESS_CACHE_EVICTIONS: Counter = Counter::new("transit.access_cache.evictions");
 
 /// Router parameters. Defaults mirror the paper's walking parameters
 /// (τ = 600 s, ω = 4.5 km/h) and a standard 3-transfer search depth.
@@ -178,49 +175,34 @@ pub struct Transfer {
     pub walk_secs: u32,
 }
 
-/// The feed-derived routing tables of one feed state: trip patterns,
-/// per-stop topology (patterns-at-stop, stop snapping, foot transfers) and
-/// the [`RouterConfig`] they were prepared under. Owns everything and
-/// borrows nothing, so a long-lived holder (the engine's artifacts) keeps
-/// one across requests and routes through [`view`](Self::view)s of it.
-pub struct NetworkTables {
+/// The stop-derived half of a network's tables: stop snapping, the stops
+/// at each road node, the foot transfers, and the [`AccessCache`] that
+/// memoizes access isochrones over them. They depend on the road graph,
+/// the [`RouterConfig`] and the stop positions alone, never on the
+/// timetable, so a holder keeps them across every feed change that moves
+/// no stop: a new stop set gets new tables, and with them a fresh cache.
+pub struct StopTables {
     cfg: RouterConfig,
-    patterns: Vec<Pattern>,
-    /// For each stop: `(pattern index, position within pattern)` pairs.
-    patterns_at_stop: Vec<Vec<(u32, u32)>>,
+    /// The stop positions these tables were built from, in stop-id order.
+    positions: Vec<Point>,
+    snapper: NodeSnapper,
     /// Stops snapped to a given road node.
     node_stops: HashMap<u32, Vec<StopId>>,
     /// Foot transfers per stop.
     transfers: Vec<Vec<Transfer>>,
-    snapper: NodeSnapper,
+    access_cache: Arc<AccessCache>,
 }
 
-impl NetworkTables {
-    /// Prepares the tables for `feed` over `road`. Errors (instead of
-    /// panicking a serving backend) when the feed is genuinely malformed —
-    /// a trip with non-monotonic call times, which no amount of pattern
-    /// splitting can make scannable.
-    ///
-    /// Inter-trip overtaking (e.g. a delayed trip passing its successor) is
-    /// *not* an error: `build_patterns` splits such trips into separate
-    /// non-overtaking patterns.
-    pub fn build(road: &RoadGraph, feed: &FeedIndex, cfg: RouterConfig) -> Result<Self, String> {
-        let patterns = build_patterns(feed)?;
-        for p in &patterns {
-            check_no_overtaking(p)?;
-        }
+impl StopTables {
+    /// Snaps `feed`'s stops to `road` and finds their foot transfers under
+    /// `cfg`, with an empty access cache.
+    pub fn build(road: &RoadGraph, feed: &FeedIndex, cfg: RouterConfig) -> Self {
         let n_stops = feed.n_stops();
-        let mut patterns_at_stop: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_stops];
-        for (pi, p) in patterns.iter().enumerate() {
-            for (pos, s) in p.stops.iter().enumerate() {
-                patterns_at_stop[s.idx()].push((pi as u32, pos as u32));
-            }
-        }
-
+        let positions: Vec<Point> = (0..n_stops).map(|s| feed.stop_pos(StopId(s as u32))).collect();
         let snapper = NodeSnapper::new(road);
         let mut node_stops: HashMap<u32, Vec<StopId>> = HashMap::new();
-        for s in 0..n_stops {
-            let node = snapper.snap_unchecked(&feed.stop_pos(StopId(s as u32)));
+        for (s, pos) in positions.iter().enumerate() {
+            let node = snapper.snap_unchecked(pos);
             node_stops.entry(node.0).or_default().push(StopId(s as u32));
         }
 
@@ -229,8 +211,7 @@ impl NetworkTables {
         let max_walk_m = cfg.transfer_walk_secs * cfg.omega_mps / cfg.walk_detour;
         let mut transfers: Vec<Vec<Transfer>> = vec![Vec::new(); n_stops];
         for (s, out) in transfers.iter_mut().enumerate() {
-            let pos = feed.stop_pos(StopId(s as u32));
-            for nb in stop_tree.within_radius(&pos, max_walk_m) {
+            for nb in stop_tree.within_radius(&positions[s], max_walk_m) {
                 if nb.item == s as u32 {
                     continue;
                 }
@@ -239,7 +220,96 @@ impl NetworkTables {
             }
         }
 
-        Ok(NetworkTables { cfg, patterns, patterns_at_stop, node_stops, transfers, snapper })
+        StopTables {
+            cfg,
+            positions,
+            snapper,
+            node_stops,
+            transfers,
+            access_cache: Arc::new(AccessCache::new()),
+        }
+    }
+
+    /// True when these tables are what [`build`](Self::build) would return
+    /// for `feed` under `cfg` over the same road graph: the config and
+    /// every stop position (compared by `f64::to_bits`) are equal.
+    pub fn matches(&self, feed: &FeedIndex, cfg: RouterConfig) -> bool {
+        self.cfg == cfg
+            && self.positions.len() == feed.n_stops()
+            && self.positions.iter().enumerate().all(|(s, p)| {
+                let q = feed.stop_pos(StopId(s as u32));
+                (p.x.to_bits(), p.y.to_bits()) == (q.x.to_bits(), q.y.to_bits())
+            })
+    }
+
+    /// The memo of access isochrones over these stops, shared by every
+    /// router that routes over them.
+    pub fn access_cache(&self) -> &Arc<AccessCache> {
+        &self.access_cache
+    }
+}
+
+/// Compares the tables, not the memo: the access cache only holds values
+/// the tables determine.
+impl PartialEq for StopTables {
+    fn eq(&self, other: &Self) -> bool {
+        self.cfg == other.cfg
+            && self.positions == other.positions
+            && self.snapper == other.snapper
+            && self.node_stops == other.node_stops
+            && self.transfers == other.transfers
+    }
+}
+
+/// The feed-derived routing tables of one feed state: trip patterns and
+/// patterns-at-stop from the timetable, plus the [`StopTables`] of its
+/// stops, shared with every other feed state over the same stops. Owns
+/// everything and borrows nothing, so a long-lived holder (the engine's
+/// artifacts) keeps one across requests and routes through
+/// [`view`](Self::view)s of it.
+#[derive(PartialEq)]
+pub struct NetworkTables {
+    patterns: Vec<Pattern>,
+    /// For each stop: `(pattern index, position within pattern)` pairs.
+    patterns_at_stop: Vec<Vec<(u32, u32)>>,
+    stops: Arc<StopTables>,
+}
+
+impl NetworkTables {
+    /// Prepares the tables for `feed` over `road`, stop tables included.
+    /// Errors (instead of panicking a serving backend) when the feed is
+    /// genuinely malformed — a trip with non-monotonic call times, which no
+    /// amount of pattern splitting can make scannable.
+    ///
+    /// Inter-trip overtaking (e.g. a delayed trip passing its successor) is
+    /// *not* an error: `build_patterns` splits such trips into separate
+    /// non-overtaking patterns.
+    pub fn build(road: &RoadGraph, feed: &FeedIndex, cfg: RouterConfig) -> Result<Self, String> {
+        Self::with_stops(feed, Arc::new(StopTables::build(road, feed, cfg)))
+    }
+
+    /// Prepares `feed`'s timetable tables over `stops`, which must
+    /// [match](StopTables::matches) `feed`: the trip patterns are built
+    /// afresh, the stop tables and their access cache are shared. Errors
+    /// like [`build`](Self::build).
+    pub fn with_stops(feed: &FeedIndex, stops: Arc<StopTables>) -> Result<Self, String> {
+        debug_assert_eq!(stops.positions.len(), feed.n_stops(), "stop tables of another stop set");
+        let patterns = build_patterns(feed)?;
+        for p in &patterns {
+            check_no_overtaking(p)?;
+        }
+        let mut patterns_at_stop: Vec<Vec<(u32, u32)>> = vec![Vec::new(); feed.n_stops()];
+        for (pi, p) in patterns.iter().enumerate() {
+            for (pos, s) in p.stops.iter().enumerate() {
+                patterns_at_stop[s.idx()].push((pi as u32, pos as u32));
+            }
+        }
+        Ok(NetworkTables { patterns, patterns_at_stop, stops })
+    }
+
+    /// The stop-derived half of these tables.
+    pub fn stops(&self) -> &Arc<StopTables> {
+        &self.stops
     }
 
     /// A routable view of these tables over the road graph and feed they
@@ -249,7 +319,7 @@ impl NetworkTables {
         road: &'a RoadGraph,
         feed: &'a FeedIndex,
     ) -> TransitNetwork<'a> {
-        TransitNetwork { road, feed, cfg: self.cfg, tables: Arc::clone(self) }
+        TransitNetwork { road, feed, cfg: self.stops.cfg, tables: Arc::clone(self) }
     }
 }
 
@@ -313,10 +383,15 @@ impl<'a> TransitNetwork<'a> {
         &self.tables.patterns_at_stop[stop.idx()]
     }
 
+    /// The access cache of this network's stop tables.
+    pub(crate) fn access_cache(&self) -> &Arc<AccessCache> {
+        &self.tables.stops.access_cache
+    }
+
     /// Foot transfers out of `stop`.
     #[inline]
     pub fn transfers_from(&self, stop: StopId) -> &[Transfer] {
-        &self.tables.transfers[stop.idx()]
+        &self.tables.stops.transfers[stop.idx()]
     }
 
     /// Stops reachable on foot from `point` within the access budget, as
@@ -339,8 +414,8 @@ impl<'a> TransitNetwork<'a> {
         out: &mut Vec<(StopId, u32)>,
     ) {
         out.clear();
-        let tables = &self.tables;
-        let Some((root, gap_m)) = tables.snapper.snap(point) else {
+        let stops = &self.tables.stops;
+        let Some((root, gap_m)) = stops.snapper.snap(point) else {
             return;
         };
         let entry = gap_m / self.cfg.omega_mps;
@@ -350,36 +425,12 @@ impl<'a> TransitNetwork<'a> {
         }
         dijkstra::bounded_walk_times_into(self.road, root, remaining, walk, nodes);
         for &(node, t) in nodes.iter() {
-            if let Some(stops) = tables.node_stops.get(&node.0) {
-                for &s in stops {
+            if let Some(at_node) = stops.node_stops.get(&node.0) {
+                for &s in at_node {
                     out.push((s, (entry + t).round() as u32));
                 }
             }
         }
-    }
-
-    /// [`access_stops_into`](Self::access_stops_into) through a memo: the
-    /// cached stop list for `point` when present, the freshly computed (and
-    /// now cached) one otherwise. Returns an arena range; resolve it with
-    /// [`AccessCache::slice`].
-    pub fn access_stops_cached(
-        &self,
-        point: &Point,
-        cache: &mut AccessCache,
-        walk: &mut dijkstra::WalkScratch,
-        nodes: &mut Vec<(NodeId, f64)>,
-        tmp: &mut Vec<(StopId, u32)>,
-    ) -> AccessRange {
-        if let Some(range) = cache.get(point) {
-            ACCESS_CACHE_HIT.inc();
-            return range;
-        }
-        ACCESS_CACHE_MISS.inc();
-        // Only the miss path gets a span: a hit is a hash probe and would
-        // drown the ring in sub-microsecond records.
-        let _span = staq_obs::trace::span("network.access_isochrone");
-        self.access_stops_into(point, walk, nodes, tmp);
-        cache.insert(point, tmp)
     }
 
     /// Direct walking time from `o` to `d` in seconds: the walk-only
@@ -412,145 +463,6 @@ impl<'a> TransitNetwork<'a> {
                 patterns.iter().map(|p| p.stops.len()).sum::<usize>() as f64 / patterns.len() as f64
             },
         }
-    }
-}
-
-/// An entry handle into an [`AccessCache`] arena: `(start, len)`.
-pub type AccessRange = (u32, u32);
-
-/// Memo of access/egress stop isochrones, keyed by quantized query point.
-///
-/// Labeling routes every trip of a zone from the *same* origin centroid to
-/// one of a handful of POI destinations, so the bounded road-graph Dijkstra
-/// behind [`TransitNetwork::access_stops_into`] recomputes identical
-/// isochrones thousands of times per pass. The memo collapses those to one
-/// computation each: keys are points snapped to a millimeter grid (an
-/// identity in practice — distinct zone centroids, POIs, and request points
-/// sit meters apart), and results live in a single arena so hits are
-/// allocation-free.
-///
-/// The cache is per-router (routers are per-worker), so no synchronization
-/// is needed. Eviction is **second-chance** (a clock over insertion order):
-/// [`begin_query`](Self::begin_query) pops the oldest entries whose
-/// referenced bit is clear — a hit since the last sweep earns one reprieve —
-/// until the window's (up to two) inserts fit the budget, then compacts the
-/// arena. A window is a point query's origin and egress lookups, or one
-/// egress lookup of a one-to-many pass. Because eviction happens only
-/// between windows, ranges handed out within one are never invalidated
-/// mid-window. Evictions are counted in `transit.access_cache.evictions`.
-pub struct AccessCache {
-    map: HashMap<(i64, i64), CacheEntry>,
-    /// Insertion-ordered key queue the clock hand sweeps. Keys are unique:
-    /// [`insert`](Self::insert) only runs on a miss.
-    order: std::collections::VecDeque<(i64, i64)>,
-    arena: Vec<(StopId, u32)>,
-    max_entries: usize,
-}
-
-struct CacheEntry {
-    range: AccessRange,
-    /// Set on every hit, cleared when the clock hand passes — a hot entry
-    /// survives exactly one sweep beyond a cold one.
-    referenced: bool,
-}
-
-impl Default for AccessCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AccessCache {
-    /// Default entry budget: generous for a labeling pass (zones + POIs),
-    /// small next to the router's own scratch.
-    const DEFAULT_MAX_ENTRIES: usize = 4096;
-
-    /// An empty cache with the default entry budget.
-    pub fn new() -> Self {
-        Self::with_max_entries(Self::DEFAULT_MAX_ENTRIES)
-    }
-
-    /// An empty cache holding at most `max_entries` memoized isochrones.
-    pub fn with_max_entries(max_entries: usize) -> Self {
-        AccessCache {
-            map: HashMap::new(),
-            order: std::collections::VecDeque::new(),
-            arena: Vec::new(),
-            max_entries: max_entries.max(2),
-        }
-    }
-
-    /// Millimeter-grid key: exact for any two points that aren't within
-    /// 1 mm of a shared grid line, i.e. all real origins/destinations.
-    pub(crate) fn key(point: &Point) -> (i64, i64) {
-        ((point.x * 1000.0).round() as i64, (point.y * 1000.0).round() as i64)
-    }
-
-    /// Call before each window of at most two lookups: second-chance-evicts
-    /// until the window's inserts fit the budget, so ranges returned within
-    /// a window always stay valid.
-    pub fn begin_query(&mut self) {
-        let mut evicted = 0u64;
-        while self.map.len() + 2 > self.max_entries {
-            let Some(key) = self.order.pop_front() else { break };
-            let entry = self.map.get_mut(&key).expect("queued key must be mapped");
-            if entry.referenced {
-                entry.referenced = false;
-                self.order.push_back(key);
-            } else {
-                self.map.remove(&key);
-                evicted += 1;
-            }
-        }
-        if evicted > 0 {
-            ACCESS_CACHE_EVICTIONS.add(evicted);
-            // Compact the arena so evicted isochrones release their bytes;
-            // survivors keep their relative (insertion) order.
-            let mut arena = Vec::with_capacity(self.arena.len());
-            for key in &self.order {
-                let entry = self.map.get_mut(key).expect("queued key must be mapped");
-                let (start, len) = entry.range;
-                let new_start = arena.len() as u32;
-                arena.extend_from_slice(&self.arena[start as usize..(start + len) as usize]);
-                entry.range = (new_start, len);
-            }
-            self.arena = arena;
-        }
-    }
-
-    /// Cached range for `point`, if present; marks the entry referenced.
-    fn get(&mut self, point: &Point) -> Option<AccessRange> {
-        self.map.get_mut(&Self::key(point)).map(|e| {
-            e.referenced = true;
-            e.range
-        })
-    }
-
-    /// Memoizes `stops` as the isochrone of `point`.
-    fn insert(&mut self, point: &Point, stops: &[(StopId, u32)]) -> AccessRange {
-        let start = self.arena.len() as u32;
-        self.arena.extend_from_slice(stops);
-        let range = (start, stops.len() as u32);
-        let key = Self::key(point);
-        if self.map.insert(key, CacheEntry { range, referenced: false }).is_none() {
-            self.order.push_back(key);
-        }
-        range
-    }
-
-    /// Resolves a range returned by [`TransitNetwork::access_stops_cached`].
-    pub fn slice(&self, (start, len): AccessRange) -> &[(StopId, u32)] {
-        &self.arena[start as usize..(start + len) as usize]
-    }
-
-    /// Number of memoized isochrones.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -886,61 +798,6 @@ mod tests {
         assert_eq!(s.n_trips, city.feed.feed().trips.len());
         assert!(s.mean_pattern_length >= 2.0);
         assert!(s.to_string().contains("patterns"));
-    }
-
-    #[test]
-    fn access_cache_returns_identical_stop_lists() {
-        let city = city();
-        let net = TransitNetwork::with_defaults(&city.road, &city.feed);
-        let mut cache = AccessCache::new();
-        let mut walk = dijkstra::WalkScratch::new();
-        let (mut nodes, mut tmp) = (Vec::new(), Vec::new());
-        for p in [city.cores[0], city.zones[3].centroid, city.zones[7].centroid] {
-            cache.begin_query();
-            let miss = net.access_stops_cached(&p, &mut cache, &mut walk, &mut nodes, &mut tmp);
-            let first: Vec<_> = cache.slice(miss).to_vec();
-            let hit = net.access_stops_cached(&p, &mut cache, &mut walk, &mut nodes, &mut tmp);
-            assert_eq!(cache.slice(hit), &first[..]);
-            assert_eq!(first, net.access_stops(&p), "cached list diverged from direct compute");
-        }
-        assert_eq!(cache.len(), 3);
-    }
-
-    #[test]
-    fn access_cache_evicts_in_second_chance_order_at_budget() {
-        let city = city();
-        let net = TransitNetwork::with_defaults(&city.road, &city.feed);
-        let mut cache = AccessCache::with_max_entries(5);
-        let mut walk = dijkstra::WalkScratch::new();
-        let (mut nodes, mut tmp) = (Vec::new(), Vec::new());
-        let evictions_before = ACCESS_CACHE_EVICTIONS.get();
-        let pts: Vec<Point> = (0..5).map(|z| city.zones[z].centroid).collect();
-        let mut lookup = |cache: &mut AccessCache, p: &Point| {
-            cache.begin_query();
-            net.access_stops_cached(p, cache, &mut walk, &mut nodes, &mut tmp)
-        };
-        // Warm three entries, then re-touch pts[0] so its referenced bit
-        // is set, then fill to the budget.
-        for p in &pts[..3] {
-            lookup(&mut cache, p);
-        }
-        lookup(&mut cache, &pts[0]);
-        lookup(&mut cache, &pts[3]);
-        // The next query overflows the budget: the clock hand reaches the
-        // referenced pts[0] first, grants it a second chance, and evicts
-        // the cold pts[1] instead — never the whole arena.
-        let r = lookup(&mut cache, &pts[4]);
-        assert_eq!(cache.slice(r), &net.access_stops(&pts[4])[..]);
-        assert!(cache.get(&pts[0]).is_some(), "referenced entry must get a second chance");
-        assert!(cache.get(&pts[1]).is_none(), "oldest cold entry is evicted first");
-        // A range surviving arena compaction still resolves correctly.
-        let r0 = cache.get(&pts[0]).expect("still cached");
-        assert_eq!(cache.slice(r0), &net.access_stops(&pts[0])[..]);
-        assert!(
-            ACCESS_CACHE_EVICTIONS.get() > evictions_before,
-            "selective eviction must be counted"
-        );
-        assert!(cache.len() <= 5 && !cache.is_empty());
     }
 
     /// Earliest arrivals over a grid of probe queries.

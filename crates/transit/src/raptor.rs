@@ -52,10 +52,13 @@
 //!   bitmask deduplicates `marked` so a stop improved twice in one round is
 //!   processed once.
 //!
-//! Access/egress isochrones go through the per-router
-//! [`AccessCache`](crate::network::AccessCache): labeling re-routes the
-//! same zone centroids and POI destinations thousands of times per pass,
-//! so the bounded road-graph Dijkstra memoizes by (quantized) point.
+//! Access/egress isochrones go through the [`AccessCache`] of the
+//! network's stop tables: labeling re-routes the same zone centroids and
+//! POI destinations thousands of times per pass, so the bounded road-graph
+//! Dijkstra memoizes by (quantized) point, and every router over the same
+//! stops — each labeling worker, each `plan` — warms the one cache.
+//!
+//! [`AccessCache`]: crate::access_cache::AccessCache
 //!
 //! [`Raptor::reference`] builds the same router with every pruning rule
 //! disabled — the oracle `tests/prune_equivalence.rs` compares against.
@@ -64,10 +67,10 @@
 //! the destination — patterns idle on the query day, boarding at a
 //! pattern's last stop — so its journeys equal the reference's too.
 
+use crate::access_cache::{AccessRange, CacheHandle};
 use crate::journey::{Journey, Leg};
-use crate::network::{AccessCache, AccessRange, TransitNetwork};
+use crate::network::TransitNetwork;
 use crate::pareto::{Bag, ParetoLabel};
-use crate::shared_cache::{QueryCache, SharedAccessCache};
 use staq_geom::Point;
 use staq_gtfs::model::StopId;
 use staq_gtfs::time::{DayOfWeek, Stime};
@@ -164,13 +167,13 @@ struct Scratch {
     walk_nodes: Vec<(NodeId, f64)>,
     /// Staging buffer for isochrones on a cache miss.
     access_tmp: Vec<(StopId, u32)>,
-    /// Memoized access/egress isochrones (quantized-point keyed): this
-    /// router's private arena, or a handle onto the fleet-shared cache.
-    cache: QueryCache,
+    /// This router's handle on the access cache of the network's stop
+    /// tables.
+    cache: CacheHandle,
 }
 
 impl Scratch {
-    fn new(rounds: usize, n_stops: usize, n_patterns: usize, cache: QueryCache) -> Self {
+    fn new(rounds: usize, n_stops: usize, n_patterns: usize, cache: CacheHandle) -> Self {
         Scratch {
             tau_star: vec![INF; n_stops],
             tau_prev: vec![INF; n_stops],
@@ -227,27 +230,12 @@ impl<'n, 'a> Raptor<'n, 'a> {
         Self::with_pruning(net, false)
     }
 
-    /// Production router whose access/egress isochrones go through the
-    /// fleet-shared cache instead of a private one. Results are
-    /// bit-identical to [`Raptor::new`] — the memo changes who computes an
-    /// isochrone, never its value.
-    pub fn with_shared_cache(
-        net: &'n TransitNetwork<'a>,
-        shared: &std::sync::Arc<SharedAccessCache>,
-    ) -> Self {
-        Self::with_cache(net, true, QueryCache::Shared(shared.handle()))
-    }
-
     fn with_pruning(net: &'n TransitNetwork<'a>, pruning: bool) -> Self {
-        Self::with_cache(net, pruning, QueryCache::Private(AccessCache::new()))
-    }
-
-    fn with_cache(net: &'n TransitNetwork<'a>, pruning: bool, cache: QueryCache) -> Self {
         let scratch = RefCell::new(Scratch::new(
             net.cfg.max_boardings,
             net.n_stops(),
             net.n_patterns(),
-            cache,
+            net.access_cache().handle(),
         ));
         Raptor { net, scratch, pruning }
     }

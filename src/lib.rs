@@ -30,8 +30,8 @@ pub use staq_transit as transit;
 pub mod prelude {
     pub use staq_access::{AccessQuery, DemographicWeight, QueryAnswer, ZoneMeasures};
     pub use staq_core::{
-        evaluate, AccessEngine, EngineOptions, EvalReport, NaiveResult, OfflineArtifacts,
-        PipelineConfig, SsrPipeline,
+        evaluate, AccessEngine, EvalReport, NaiveResult, OfflineArtifacts, PipelineConfig,
+        SsrPipeline,
     };
     pub use staq_geom::Point;
     pub use staq_gtfs::time::TimeInterval;
