@@ -76,7 +76,7 @@ use staq_gtfs::Delta;
 use staq_obs::Counter;
 use staq_synth::{City, Poi, PoiCategory, PoiId, ZoneId};
 use staq_todam::{LabelEngine, Todam, ZoneStats};
-use staq_transit::{AccessCost, CostKind, Journey, Raptor, StopTables};
+use staq_transit::{AccessCost, Journey, Raptor, StopTables};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -296,21 +296,6 @@ impl AccessEngine {
         id
     }
 
-    /// Adds a new bus route calling at `stops_at` (in order) with the given
-    /// peak headway, weekdays only. Returns the number of zones whose hop
-    /// trees were incrementally rebuilt.
-    ///
-    /// Compatibility wrapper over [`apply_delta`](Self::apply_delta) with
-    /// [`Delta::AddRoute`] — serve/shard and the streaming path share one
-    /// edit implementation. Panics on fewer than two stops (the historical
-    /// contract; the delta path returns `Err` instead).
-    pub fn add_bus_route(&self, stops_at: &[Point], peak_headway_s: u32) -> usize {
-        assert!(stops_at.len() >= 2, "a route needs at least two stops");
-        self.apply_delta(&Delta::AddRoute { stops: stops_at.to_vec(), headway_s: peak_headway_s })
-            .expect("add_bus_route delta rejected")
-            .zones_rebuilt
-    }
-
     /// Applies one streaming delta to the live world, **incrementally**: the
     /// feed index is mutated in place (no rebuild), then exactly the state
     /// the delta invalidates is refreshed.
@@ -400,10 +385,7 @@ impl AccessEngine {
         let state = self.state.read();
         let base = self.measures_in(&state, category);
         let bus_speed = state.city.config.bus_speed_mps;
-        let cost_model = match self.config.cost {
-            CostKind::Jt => AccessCost::jt(),
-            CostKind::Gac => AccessCost::gac(),
-        };
+        let cost_model = AccessCost::of(self.config.cost);
         let mut out = Vec::with_capacity(scenarios.len());
         for deltas in scenarios {
             let mut feed = state.city.feed.clone();
@@ -600,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn add_bus_route_rebuilds_affected_zones() {
+    fn a_new_bus_route_rebuilds_affected_zones() {
         let e = engine();
         let _ = e.measures(PoiCategory::School);
         let (a, b) = {
@@ -608,7 +590,8 @@ mod tests {
             (city.zones[0].centroid, city.cores[0])
         };
         let mid = a.midpoint(&b);
-        let n = e.add_bus_route(&[a, mid, b], 600);
+        let route = Delta::AddRoute { stops: vec![a, mid, b], headway_s: 600 };
+        let n = e.apply_delta(&route).expect("a three-stop route applies").zones_rebuilt;
         assert!(n > 0, "route through the city must touch some walkshed");
         assert!(e.cached_categories().is_empty(), "schedule edits invalidate all caches");
         // Engine still answers queries afterwards.
@@ -617,10 +600,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least two stops")]
     fn route_needs_two_stops() {
         let e = engine();
-        e.add_bus_route(&[Point::new(0.0, 0.0)], 600);
+        let route = Delta::AddRoute { stops: vec![Point::new(0.0, 0.0)], headway_s: 600 };
+        let err = e.apply_delta(&route).expect_err("a one-stop route is refused");
+        assert!(err.contains("two stops"), "{err}");
     }
 
     #[test]

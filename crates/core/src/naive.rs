@@ -32,10 +32,7 @@ impl NaiveResult {
         cost: CostKind,
     ) -> NaiveResult {
         let matrix = spec.build(city, category);
-        let cost_model = match cost {
-            CostKind::Jt => AccessCost::jt(),
-            CostKind::Gac => AccessCost::gac(),
-        };
+        let cost_model = AccessCost::of(cost);
         let engine = LabelEngine::new(city, cost_model, spec.interval.clone());
         let t0 = Instant::now();
         let stats = engine.label_all(&matrix);

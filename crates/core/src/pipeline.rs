@@ -34,7 +34,7 @@ use staq_ml::{Matrix, SparseAdj, SsrTask};
 use staq_obs::{trace, AtomicHistogram, Counter};
 use staq_synth::{City, PoiCategory, ZoneId};
 use staq_todam::{LabelEngine, Todam, ZoneStats};
-use staq_transit::{AccessCost, CostKind};
+use staq_transit::AccessCost;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -257,10 +257,7 @@ impl<'a> SsrPipeline<'a> {
             });
 
         // 4. Label L with real SPQs.
-        let cost_model = match cfg.cost {
-            CostKind::Jt => AccessCost::jt(),
-            CostKind::Gac => AccessCost::gac(),
-        };
+        let cost_model = AccessCost::of(cfg.cost);
         let net = self.artifacts.network.view(&self.city.road, &self.city.feed);
         let engine =
             LabelEngine::with_network(self.city, net, cost_model, cfg.todam.interval.clone());

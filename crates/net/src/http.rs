@@ -184,7 +184,12 @@ fn read_request(
         let Some((name, value)) = line.split_once(':') else { continue };
         let value = value.trim();
         match name.to_ascii_lowercase().as_str() {
-            "content-length" => content_len = value.parse().unwrap_or(0),
+            // Unparsable: where the body ends is unknown, so the rest of
+            // the stream cannot be framed.
+            "content-length" => match value.parse() {
+                Ok(n) => content_len = n,
+                Err(_) => return Ok(None),
+            },
             "connection" => connection_close = value.eq_ignore_ascii_case("close"),
             _ => {}
         }
@@ -424,6 +429,23 @@ mod tests {
 
     fn parse_next(stream: &mut Chunked, buf: &mut Vec<u8>) -> Option<(HttpRequest, bool)> {
         read_request(stream, buf).expect("in-memory reads never fail")
+    }
+
+    #[test]
+    fn an_unparsable_content_length_ends_the_connection() {
+        for len in ["x", "-1"] {
+            let data = format!(
+                "POST /a HTTP/1.1\r\nContent-Length: {len}\r\n\r\nGET /b HTTP/1.1\r\nHost: x\r\n\r\n"
+            );
+            let mut stream = Chunked { data: data.into_bytes(), sizes: vec![4096], reads: 0 };
+            let mut buf = Vec::new();
+            while let Some((req, _)) = parse_next(&mut stream, &mut buf) {
+                assert_ne!(
+                    req.path, "/b",
+                    "the body of `Content-Length: {len}` was read as a request"
+                );
+            }
+        }
     }
 
     proptest! {

@@ -15,7 +15,7 @@
 //! instead of redrawing in place, which is what logs want.
 
 use staq_obs::{fmt_dur, OpsReport, SlowTrace};
-use staq_serve::Client;
+use staq_serve::MuxClient;
 use std::time::Duration;
 
 struct Args {
@@ -64,7 +64,7 @@ fn usage(msg: &str) -> ! {
 
 fn main() {
     let args = parse_args();
-    let mut client = Client::connect(&args.addr).unwrap_or_else(|e| {
+    let client = MuxClient::connect(&args.addr).unwrap_or_else(|e| {
         eprintln!("error: cannot connect to {}: {e}", args.addr);
         std::process::exit(1);
     });

@@ -25,7 +25,7 @@
 //! and `--top N` keeps only the first N after sorting.
 
 use staq_obs::{fmt_dur, OwnedSpan};
-use staq_serve::Client;
+use staq_serve::MuxClient;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -121,7 +121,7 @@ fn usage(msg: &str) -> ! {
 
 fn main() {
     let args = parse_args();
-    let mut client = Client::connect(&args.addr).unwrap_or_else(|e| {
+    let client = MuxClient::connect(&args.addr).unwrap_or_else(|e| {
         eprintln!("error: cannot connect to {}: {e}", args.addr);
         std::process::exit(1);
     });

@@ -30,8 +30,8 @@
 //! payload. The ID is what makes a connection multiplexable: many
 //! requests in flight, each response matched by ID rather than arrival
 //! order, so the server answers in completion order. Clients that
-//! pipeline MUST use distinct IDs; a strictly sequential client may send
-//! 0 throughout. The trace context (both words zero when untraced) is
+//! pipeline MUST use distinct IDs; a peer with one request in flight may
+//! send 0 throughout. The trace context (both words zero when untraced) is
 //! the calling thread's current [`SpanContext`] — [`encode_request`]
 //! stamps it automatically, so a client running inside a span propagates
 //! it without any API change. The optional deadline is the client's
@@ -137,8 +137,8 @@ pub struct DecodedRequest {
     /// The trace context the peer propagated (`SpanContext::NONE` when
     /// untraced).
     pub ctx: SpanContext,
-    /// The request ID to echo on the response (sequential clients send
-    /// 0 throughout).
+    /// The request ID to echo on the response (0 from a peer that never
+    /// has two requests in flight).
     pub req_id: u64,
     /// The client's total time budget for this request, if it set one.
     /// Measured from decode; the server sheds the request once the
@@ -818,7 +818,7 @@ impl Wire for Leg {
 /// Appends one encoded request frame (header included) to `buf`,
 /// carrying the calling thread's current span context — propagation is
 /// automatic for any client running inside a span. Request ID 0 and no
-/// deadline: the sequential-client form.
+/// deadline: the form for a peer with one request in flight.
 pub fn encode_request(req: &Request, buf: &mut BytesMut) {
     encode_request_mux(req, 0, None, buf)
 }
@@ -828,8 +828,8 @@ pub fn encode_request(req: &Request, buf: &mut BytesMut) {
 const FLAG_DEADLINE: u8 = 0x01;
 
 /// [`encode_request`] with an explicit request ID and optional deadline
-/// budget — the multiplexed-client form. IDs on one connection must be
-/// distinct while their requests are in flight.
+/// budget — the form [`MuxClient`](crate::MuxClient) sends. IDs on one
+/// connection must be distinct while their requests are in flight.
 pub fn encode_request_mux(
     req: &Request,
     req_id: u64,
@@ -902,7 +902,7 @@ pub fn encode_request_mux(
 }
 
 /// Appends one encoded response frame (header included) to `buf`,
-/// echoing request ID 0 — the reply to a sequential client.
+/// echoing request ID 0 — the reply to [`encode_request`]'s frame.
 pub fn encode_response(resp: &Response, buf: &mut BytesMut) {
     encode_response_to(resp, 0, buf)
 }
@@ -1071,8 +1071,8 @@ pub fn decode_request_full(buf: &mut BytesMut) -> Result<Option<DecodedRequest>,
 }
 
 /// Decodes one response from `buf` if a complete frame is buffered,
-/// discarding the frame identity — the sequential-client form.
-/// Multiplexing clients use [`decode_response_full`].
+/// discarding the frame identity. Multiplexing clients use
+/// [`decode_response_full`].
 pub fn decode_response(buf: &mut BytesMut) -> Result<Option<Response>, CodecError> {
     Ok(decode_response_full(buf)?.map(|d| d.response))
 }

@@ -43,9 +43,8 @@
 //! `Unavailable` → 503, `Overloaded` → 429, transport failures → 502,
 //! deadline expiry → 504. The body is always `{"error": "..."}`.
 
-use crate::client::ClientError;
+use crate::client::{ClientError, MuxClient};
 use crate::codec::{ErrorCode, Request, Response, StatsReply};
-use crate::mux::MuxClient;
 use parking_lot::Mutex;
 use staq_access::measures::ZoneMeasures;
 use staq_access::{AccessClass, AccessQuery, DemographicWeight, QueryAnswer};

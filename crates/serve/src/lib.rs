@@ -3,13 +3,14 @@
 //! A concurrent access-query serving subsystem: the paper's dynamic
 //! spatio-temporal access queries (§I, §IV) exposed as a network service.
 //! Planners' tools connect over TCP, issue [`AccessQuery`]s, scenario
-//! edits (`add_poi`, `add_bus_route`), live timetable deltas
-//! (`apply_delta`, `delta_batch`) and counterfactual `what_if` requests,
-//! and share one [`staq_core::AccessEngine`] whose per-category SSR
-//! results are computed at most once per edit generation no matter how
-//! many clients demand them concurrently (single-flight caching). Every
-//! mutation flows through one sequenced [`staq_rt::RtEngine`] delta log,
-//! so a server's edit history is replayable onto a fresh replica.
+//! edits (`add_poi`; a new bus route is an `AddRoute` delta), live
+//! timetable deltas (`apply_delta`, `delta_batch`) and counterfactual
+//! `what_if` requests, and share one [`staq_core::AccessEngine`] whose
+//! per-category SSR results are computed at most once per edit
+//! generation no matter how many clients demand them concurrently
+//! (single-flight caching). Every mutation flows through one sequenced
+//! [`staq_rt::RtEngine`] delta log, so a server's edit history is
+//! replayable onto a fresh replica.
 //!
 //! Layers, bottom up:
 //!
@@ -20,8 +21,8 @@
 //! * [`server`] — the front end: a reactor decoding frames, gating
 //!   admission and queueing jobs, with graceful shutdown. The shard
 //!   router runs the same front end over its own executor.
-//! * [`client`] / [`mux`] — blocking one-request-at-a-time client, and
-//!   the multiplexed one-socket-many-callers client.
+//! * [`client`] — the one client, [`MuxClient`]: one socket, any number
+//!   of concurrent callers, responses matched to callers by request ID.
 //! * [`gateway`] — HTTP/JSON in front of any of the above.
 //!
 //! Binaries: `serve` (the daemon), `staq-gateway`, `staq-trace` and
@@ -33,14 +34,12 @@
 pub mod client;
 pub mod codec;
 pub mod gateway;
-pub mod mux;
 pub mod pool;
 pub mod presets;
 pub mod server;
 
-pub use client::{Client, ClientConfig, ClientError};
+pub use client::{ClientError, MuxClient};
 pub use codec::{DeltaAck, Request, Response, StatsReply, WhatIfAnswer, WIRE_VERSION};
-pub use mux::MuxClient;
 pub use pool::InFlight;
 pub use server::{
     serve, serve_front, serve_rt, serve_shared, FrontNames, ServerConfig, ServerHandle,

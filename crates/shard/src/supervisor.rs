@@ -49,7 +49,7 @@ use parking_lot::Mutex;
 use staq_gtfs::Delta;
 use staq_obs::trace;
 use staq_serve::codec::{DeltaAck, ErrorCode, Request, Response};
-use staq_serve::{Client, ClientConfig};
+use staq_serve::MuxClient;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -467,15 +467,12 @@ fn sync_shard(inner: &Inner, shard: usize) {
 /// accept a connection — the listener comes up before the worker pool.
 fn probe(addr: SocketAddr, timeout: Duration) -> io::Result<()> {
     let deadline = Instant::now() + timeout;
-    // A bounded read timeout keeps a half-open backend (accepts, never
-    // answers) from wedging the probe loop past its own deadline.
-    let cfg = ClientConfig {
-        read_timeout: Some(Duration::from_secs(1)),
-        write_timeout: Some(Duration::from_secs(1)),
-    };
     loop {
-        if let Ok(mut c) = Client::connect_with(addr, &cfg) {
-            if c.stats().is_ok() {
+        // A bounded call keeps a half-open backend (accepts, never
+        // answers) from wedging the probe loop past its own deadline.
+        if let Ok(c) = MuxClient::connect(addr) {
+            let stats = c.call_timeout(&Request::Stats, Duration::from_secs(1));
+            if matches!(stats, Ok(Response::Stats(_))) {
                 return Ok(());
             }
         }

@@ -94,14 +94,19 @@ pub struct AccessCost {
 }
 
 impl AccessCost {
+    /// The `kind` cost model with default TAG weights (which JT ignores).
+    pub fn of(kind: CostKind) -> Self {
+        AccessCost { kind, weights: GacWeights::default() }
+    }
+
     /// Journey-time cost model.
     pub fn jt() -> Self {
-        AccessCost { kind: CostKind::Jt, weights: GacWeights::default() }
+        AccessCost::of(CostKind::Jt)
     }
 
     /// Generalized-access-cost model with default TAG weights.
     pub fn gac() -> Self {
-        AccessCost { kind: CostKind::Gac, weights: GacWeights::default() }
+        AccessCost::of(CostKind::Gac)
     }
 
     /// Cost of `journey`, minutes (JT) or generalized minutes (GAC).

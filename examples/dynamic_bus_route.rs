@@ -9,6 +9,7 @@
 //! cargo run --release --example dynamic_bus_route
 //! ```
 
+use staq_repro::gtfs::Delta;
 use staq_repro::prelude::*;
 
 fn main() {
@@ -39,8 +40,11 @@ fn main() {
     );
     let a = engine.city().zone_centroid(worst.zone);
     let b = engine.city().cores[0];
-    let stops = [a, a.lerp(&b, 0.25), a.midpoint(&b), a.lerp(&b, 0.75), b];
-    let rebuilt = engine.add_bus_route(&stops, 600);
+    let stops = vec![a, a.lerp(&b, 0.25), a.midpoint(&b), a.lerp(&b, 0.75), b];
+    let rebuilt = engine
+        .apply_delta(&Delta::AddRoute { stops, headway_s: 600 })
+        .expect("a five-stop route applies")
+        .zones_rebuilt;
     println!(
         "added a 5-stop route to the center (10 min headway); {} zone hop-trees rebuilt incrementally",
         rebuilt

@@ -11,7 +11,7 @@
 
 use staq_repro::prelude::*;
 use staq_serve::presets::CityPreset;
-use staq_serve::{Client, ServerConfig};
+use staq_serve::{MuxClient, ServerConfig};
 
 fn main() {
     // A server over the scaled test city, 4 worker threads, ephemeral port.
@@ -28,7 +28,7 @@ fn main() {
     .expect("bind loopback server");
     println!("serving on {}", server.addr());
 
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let c = MuxClient::connect(server.addr()).expect("connect");
 
     // Cold query: this runs the SSR pipeline once, no matter how many
     // clients ask concurrently (see tests/serve_integration.rs for the

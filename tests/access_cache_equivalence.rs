@@ -138,7 +138,8 @@ fn scenario_edits_match_a_fresh_engine() {
     assert!(Arc::ptr_eq(&stops, &e.stop_tables()), "add_poi leaves the network alone");
     assert_matches_fresh_engine(&e, "after add_poi");
 
-    e.add_bus_route(&[Point::new(side * 0.1, side * 0.1), Point::new(side * 0.9, side * 0.9)], 900);
+    let route = vec![Point::new(side * 0.1, side * 0.1), Point::new(side * 0.9, side * 0.9)];
+    e.apply_delta(&Delta::AddRoute { stops: route, headway_s: 900 }).expect("route applies");
     assert!(!Arc::ptr_eq(&stops, &e.stop_tables()), "a new route brings new stop tables");
-    assert_matches_fresh_engine(&e, "after add_bus_route");
+    assert_matches_fresh_engine(&e, "after a new route");
 }

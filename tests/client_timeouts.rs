@@ -1,18 +1,21 @@
-//! Client behaviour against a half-open peer: a server that accepts the
-//! connection (the TCP handshake succeeds) but never answers. Without a
-//! configured timeout a caller would block forever; with one, the plain
-//! client must fail in bounded time and poison the connection, while
-//! the mux client must fail the one call and stay usable.
+//! Client behaviour against peers that stop cooperating. A half-open
+//! peer accepts the connection (the TCP handshake succeeds) and drains
+//! requests but never answers: a timed call must fail in bounded time
+//! and leave the client usable. A deaf peer accepts and never reads: a
+//! timed call whose frame outgrows the socket buffers must fail in
+//! bounded time too, and poison the client, since a partial frame is
+//! left on the stream.
 
-use staq_repro::prelude::*;
-use staq_serve::{Client, ClientConfig, ClientError, MuxClient, Request};
+use staq_repro::gtfs::model::RouteId;
+use staq_repro::gtfs::Delta;
+use staq_serve::{ClientError, MuxClient, Request};
 use std::io::Read;
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
 /// Accepts connections and reads (so requests are drained off the
 /// socket) but never writes a byte back — a stalled or wedged server.
-fn half_open_peer() -> std::net::SocketAddr {
+fn half_open_peer() -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
     std::thread::spawn(move || {
@@ -27,31 +30,19 @@ fn half_open_peer() -> std::net::SocketAddr {
     addr
 }
 
-#[test]
-fn a_half_open_peer_cannot_wedge_a_timeout_configured_client() {
-    let addr = half_open_peer();
-    let cfg = ClientConfig {
-        read_timeout: Some(Duration::from_millis(150)),
-        write_timeout: Some(Duration::from_millis(150)),
-    };
-    let mut c = Client::connect_with(addr, &cfg).expect("connect");
-
-    let t0 = Instant::now();
-    let outcome = c.query(&AccessQuery::MeanAccess, PoiCategory::School);
-    assert!(matches!(outcome, Err(ClientError::TimedOut)), "{outcome:?}");
-    assert!(
-        t0.elapsed() < Duration::from_secs(5),
-        "the timeout must bound the stall: {:?}",
-        t0.elapsed()
-    );
-
-    // The request reached the wire; a late response could still arrive
-    // and would pair with the *next* request. The connection is
-    // poisoned, and every further call fails fast without touching it.
-    assert!(c.is_poisoned());
-    let t1 = Instant::now();
-    assert!(matches!(c.stats(), Err(ClientError::Poisoned)));
-    assert!(t1.elapsed() < Duration::from_millis(50), "fail fast, not after another timeout");
+/// Accepts connections and holds them open without reading a byte, so
+/// a large enough request fills both socket buffers and stalls.
+fn deaf_peer() -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let mut held = Vec::new();
+        for stream in listener.incoming() {
+            let Ok(s) = stream else { return };
+            held.push(s);
+        }
+    });
+    addr
 }
 
 #[test]
@@ -69,4 +60,36 @@ fn a_half_open_peer_times_out_mux_calls_without_poisoning_them() {
         assert!(t0.elapsed() < Duration::from_secs(5));
         assert!(!mux.is_poisoned(), "a timeout is not a transport failure");
     }
+}
+
+#[test]
+fn a_timed_call_bounds_its_write_to_a_peer_that_never_reads() {
+    let addr = deaf_peer();
+    let mux = MuxClient::connect(addr).expect("connect");
+    // About 12 MB of advisories: well past what loopback socket buffers
+    // absorb, well under the 16 MiB frame limit.
+    let message = "x".repeat(60_000);
+    let deltas: Vec<Delta> = (0..200)
+        .map(|_| Delta::ServiceAlert { route: RouteId(0), message: message.clone() })
+        .collect();
+    let batch = Request::DeltaBatch { first_seq: 1, deltas };
+
+    // The call runs on its own thread so that a write that never returns
+    // fails this test at the watchdog instead of hanging the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let caller = mux.clone();
+    std::thread::spawn(move || {
+        let t0 = Instant::now();
+        let outcome = caller.call_timeout(&batch, Duration::from_millis(150));
+        let _ = tx.send((outcome, t0.elapsed()));
+    });
+    let (outcome, took) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the timed call is still blocked writing to a peer that never reads");
+    assert!(matches!(outcome, Err(ClientError::TimedOut)), "{outcome:?}");
+    assert!(took < Duration::from_secs(5), "the timeout must bound the write: {took:?}");
+
+    // Part of the frame may be on the wire; the stream cannot be trusted.
+    assert!(mux.is_poisoned(), "a write that timed out must poison the client");
+    assert!(matches!(mux.call(&Request::Stats), Err(ClientError::Poisoned)));
 }

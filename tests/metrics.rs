@@ -13,7 +13,7 @@
 use staq_obs::MetricsSnapshot;
 use staq_repro::prelude::*;
 use staq_serve::presets::CityPreset;
-use staq_serve::{Client, ServerConfig};
+use staq_serve::{MuxClient, ServerConfig};
 
 fn counter(m: &MetricsSnapshot, name: &str) -> u64 {
     m.counter(name).unwrap_or(0)
@@ -36,7 +36,7 @@ fn stats_frame_carries_server_side_latency_histograms() {
         },
     )
     .expect("bind loopback server");
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let c = MuxClient::connect(server.addr()).expect("connect");
 
     // Baseline before this test's own traffic (the frame itself also
     // proves the snapshot codec round-trips over the wire).

@@ -2,15 +2,14 @@
 //! one [`MuxClient`] connection must observe responses *bit-identical*
 //! to N callers with private connections — success and error frames
 //! alike — and a connection dying mid-stream must fail every in-flight
-//! caller and leave the client poisoned, matching the plain client's
-//! contract.
+//! caller and leave the client poisoned.
 
 use bytes::BytesMut;
 use staq_repro::gtfs::Delta;
 use staq_repro::prelude::*;
 use staq_serve::codec::encode_response;
 use staq_serve::presets::CityPreset;
-use staq_serve::{Client, ClientError, MuxClient, Request, Response, ServerConfig};
+use staq_serve::{ClientError, MuxClient, Request, Response, ServerConfig};
 use std::io::Read;
 use std::net::TcpListener;
 
@@ -97,12 +96,13 @@ fn mux_callers_match_private_connection_callers_bit_for_bit() {
     })
     .unwrap();
 
-    // Path B: every caller dials its own private connection.
+    // Path B: every caller dials its own private connection (its own
+    // client, with one request in flight at a time).
     let private: Vec<Vec<Vec<u8>>> = crossbeam::scope(|scope| {
         let handles: Vec<_> = (0..CALLERS)
             .map(|_| {
                 scope.spawn(move |_| {
-                    let mut c = Client::connect(addr).expect("connect");
+                    let c = MuxClient::connect(addr).expect("connect");
                     script().iter().map(|req| canon(&c.call(req))).collect::<Vec<_>>()
                 })
             })
@@ -149,20 +149,13 @@ fn abrupt_backend() -> std::net::SocketAddr {
 }
 
 #[test]
-fn mid_stream_death_poisons_the_mux_like_a_serial_client() {
+fn mid_stream_death_fails_every_in_flight_caller_and_poisons_the_mux() {
     let addr = abrupt_backend();
     let req = Request::Stats;
 
-    // Plain client: the call fails, the connection is poisoned, and the
-    // next call fails fast without touching the socket.
-    let mut plain = Client::connect(addr).expect("connect");
-    assert!(plain.call(&req).is_err());
-    assert!(plain.is_poisoned());
-    assert!(matches!(plain.call(&req), Err(ClientError::Poisoned)));
-
-    // Mux client with concurrent in-flight callers: every waiter gets an
-    // error (none hangs), the client reports poisoned, and later calls
-    // fail fast with `Poisoned` — the same contract.
+    // Concurrent in-flight callers: every waiter gets an error (none
+    // hangs), the client reports poisoned, and later calls fail fast
+    // with `Poisoned` without touching the socket.
     let mux = MuxClient::connect(addr).expect("connect mux");
     let outcomes: Vec<Result<Response, ClientError>> = crossbeam::scope(|scope| {
         let handles: Vec<_> = (0..4).map(|_| scope.spawn(|_| mux.call(&Request::Stats))).collect();

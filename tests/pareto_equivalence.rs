@@ -6,7 +6,7 @@
 use staq_gtfs::time::{DayOfWeek, Stime};
 use staq_serve::codec::ErrorCode;
 use staq_serve::presets::CityPreset;
-use staq_serve::{Client, ClientError, ServerConfig, ServerHandle};
+use staq_serve::{ClientError, MuxClient, ServerConfig, ServerHandle};
 use staq_synth::City;
 use staq_transit::{Raptor, TransitNetwork};
 
@@ -27,7 +27,7 @@ fn start_server(workers: usize) -> ServerHandle {
 #[test]
 fn served_plan_frontier_matches_local_router() {
     let mut server = start_server(4);
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let c = MuxClient::connect(server.addr()).expect("connect");
 
     // The same city the `Test` preset serves, rebuilt locally as the oracle.
     let city = CityPreset::Test.generate(0.05, 42);

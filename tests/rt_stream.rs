@@ -9,7 +9,7 @@ use staq_gtfs::Delta;
 use staq_repro::prelude::*;
 use staq_serve::codec::ErrorCode;
 use staq_serve::presets::CityPreset;
-use staq_serve::{Client, ClientError, Request, Response, ServerConfig, ServerHandle};
+use staq_serve::{ClientError, MuxClient, Request, Response, ServerConfig, ServerHandle};
 
 fn start_server(seed: u64) -> ServerHandle {
     let engine = CityPreset::Test.engine(0.05, seed);
@@ -30,7 +30,7 @@ fn server_error(e: ClientError) -> (ErrorCode, String) {
 #[test]
 fn deltas_stream_with_server_assigned_sequence_numbers() {
     let mut server = start_server(42);
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let c = MuxClient::connect(server.addr()).expect("connect");
 
     // seq 0 asks the server to assign the next sequence number.
     let d1 = Delta::TripDelay { trip: TripId(0), delay_secs: 300 };
@@ -62,7 +62,7 @@ fn deltas_stream_with_server_assigned_sequence_numbers() {
 #[test]
 fn a_structural_delta_changes_served_measures() {
     let mut server = start_server(42);
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let c = MuxClient::connect(server.addr()).expect("connect");
 
     let before = c.measures(PoiCategory::School).expect("cold measures");
     let ack =
@@ -79,8 +79,8 @@ fn a_structural_delta_changes_served_measures() {
 fn a_delta_batch_converges_a_lagging_replica_bit_for_bit() {
     let mut leader = start_server(42);
     let mut replica = start_server(42); // same seed → identical city
-    let mut lc = Client::connect(leader.addr()).expect("connect leader");
-    let mut rc = Client::connect(replica.addr()).expect("connect replica");
+    let lc = MuxClient::connect(leader.addr()).expect("connect leader");
+    let rc = MuxClient::connect(replica.addr()).expect("connect replica");
 
     let deltas = vec![
         Delta::TripDelay { trip: TripId(0), delay_secs: 240 },
@@ -118,7 +118,7 @@ fn a_delta_batch_converges_a_lagging_replica_bit_for_bit() {
 #[test]
 fn what_if_answers_match_the_committed_future() {
     let mut server = start_server(42);
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let c = MuxClient::connect(server.addr()).expect("connect");
 
     let cut = Delta::RouteRemove { route: RouteId(0) };
     let query = AccessQuery::MeanAccess;
@@ -155,7 +155,7 @@ fn what_if_answers_match_the_committed_future() {
 
 /// The served `PointAccess` answer at `p`, its measures as raw bits so
 /// that comparisons are bit for bit rather than float equality.
-fn point_bits(c: &mut Client, p: Point, approx: bool) -> (ZoneId, u64, u64) {
+fn point_bits(c: &MuxClient, p: Point, approx: bool) -> (ZoneId, u64, u64) {
     let query = AccessQuery::PointAccess { x: p.x, y: p.y };
     let request = Request::Query { category: PoiCategory::School, query, approx };
     match c.call(&request).expect("point answer") {
@@ -170,31 +170,31 @@ fn point_bits(c: &mut Client, p: Point, approx: bool) -> (ZoneId, u64, u64) {
 #[test]
 fn approx_flagged_point_queries_answer_exactly_across_a_delta() {
     let mut server = start_server(42);
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let c = MuxClient::connect(server.addr()).expect("connect");
     let centroids: Vec<Point> =
         CityPreset::Test.generate(0.05, 42).zones.iter().map(|z| z.centroid).collect();
     let midpoints = centroids.windows(2).map(|w| w[0].midpoint(&w[1]));
     let points: Vec<Point> =
         centroids.iter().copied().chain(midpoints).chain([Point::new(400.0, 300.0)]).collect();
-    let check = |c: &mut Client, when: &str| {
+    let check = |c: &MuxClient, when: &str| {
         for &p in &points {
             let (flagged, plain) = (point_bits(c, p, true), point_bits(c, p, false));
             assert_eq!(flagged, plain, "{when}: the approx-flagged reply differs at {p:?}");
         }
     };
 
-    check(&mut c, "before the delta");
+    check(&c, "before the delta");
     // The delta recomputes the measures; a flagged reply follows them at
     // once, with nothing of its own to refresh.
     c.apply_delta(0, &Delta::TripDelay { trip: TripId(0), delay_secs: 300 }).expect("delta");
-    check(&mut c, "after the delta");
+    check(&c, "after the delta");
     server.shutdown();
 }
 
 #[test]
 fn streaming_counters_are_visible_through_stats() {
     let mut server = start_server(42);
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let c = MuxClient::connect(server.addr()).expect("connect");
 
     // Warm one category first: engine-cache invalidation only counts
     // published results, so a delta on a cold server invalidates nothing.

@@ -34,7 +34,8 @@ fn added_route_keeps_feed_valid() {
     let e = engine();
     let a = e.city().zones[3].centroid;
     let b = e.city().cores[0];
-    e.add_bus_route(&[a, a.midpoint(&b), b], 480);
+    e.apply_delta(&Delta::AddRoute { stops: vec![a, a.midpoint(&b), b], headway_s: 480 })
+        .expect("route applies");
     let violations = validate::validate(e.city().feed.feed());
     assert!(violations.is_empty(), "{violations:?}");
 }
@@ -63,7 +64,8 @@ fn added_route_shortens_journeys_from_its_terminus() {
             .query(&far.centroid, &center, Stime::hms(8, 0, 0), DayOfWeek::Tuesday)
             .jt_secs()
     };
-    e.add_bus_route(&[far.centroid, far.centroid.midpoint(&center), center], 300);
+    let stops = vec![far.centroid, far.centroid.midpoint(&center), center];
+    e.apply_delta(&Delta::AddRoute { stops, headway_s: 300 }).expect("route applies");
     let after = {
         let city = e.city();
         let net = TransitNetwork::with_defaults(&city.road, &city.feed);
@@ -105,14 +107,12 @@ fn queries_work_after_many_edits() {
         e.add_poi(PoiCategory::VaxCenter, p);
     }
     let side = e.city().config.side_m;
-    e.add_bus_route(
-        &[
-            staq_repro::geom::Point::new(side * 0.1, side * 0.1),
-            staq_repro::geom::Point::new(side * 0.5, side * 0.5),
-            staq_repro::geom::Point::new(side * 0.9, side * 0.9),
-        ],
-        600,
-    );
+    let stops = vec![
+        Point::new(side * 0.1, side * 0.1),
+        Point::new(side * 0.5, side * 0.5),
+        Point::new(side * 0.9, side * 0.9),
+    ];
+    e.apply_delta(&Delta::AddRoute { stops, headway_s: 600 }).expect("route applies");
     for cat in [PoiCategory::VaxCenter, PoiCategory::School] {
         match e.query(&AccessQuery::MeanAccess, cat) {
             QueryAnswer::MeanAccess { mean_mac, .. } => {

@@ -3,10 +3,11 @@
 //! observable through `Stats.pipeline_runs`, scenario edits over the
 //! wire, protocol error handling, and graceful shutdown.
 
+use staq_repro::gtfs::Delta;
 use staq_repro::prelude::*;
 use staq_serve::codec::{self, ErrorCode};
 use staq_serve::presets::CityPreset;
-use staq_serve::{Client, ClientError, Response, ServerConfig, ServerHandle};
+use staq_serve::{ClientError, MuxClient, Response, ServerConfig, ServerHandle};
 use staq_shard::{route, Backend, RouterConfig, ShardSupervisor, SupervisorConfig, ThreadBackend};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -20,6 +21,11 @@ fn start_server(workers: usize) -> ServerHandle {
     .expect("bind loopback server")
 }
 
+/// A route the delta validator refuses: it needs at least two stops.
+fn one_stop_route() -> Delta {
+    Delta::AddRoute { stops: vec![Point::new(0.0, 0.0)], headway_s: 600 }
+}
+
 #[test]
 fn sixty_four_concurrent_connections_share_one_pipeline_run() {
     let mut server = start_server(8);
@@ -31,7 +37,7 @@ fn sixty_four_concurrent_connections_share_one_pipeline_run() {
         let handles: Vec<_> = (0..CONNS)
             .map(|_| {
                 scope.spawn(move |_| {
-                    let mut c = Client::connect(addr).expect("connect");
+                    let c = MuxClient::connect(addr).expect("connect");
                     c.query(&AccessQuery::MeanAccess, PoiCategory::School).expect("query answered")
                 })
             })
@@ -54,7 +60,7 @@ fn sixty_four_concurrent_connections_share_one_pipeline_run() {
 
     // The single-flight guarantee, asserted over the wire: 64 concurrent
     // cold queries ran the SSR pipeline exactly once.
-    let mut control = Client::connect(addr).expect("connect");
+    let control = MuxClient::connect(addr).expect("connect");
     let stats = control.stats().expect("stats");
     assert_eq!(
         stats.pipeline_runs, 1,
@@ -77,7 +83,7 @@ fn sixty_four_concurrent_connections_share_one_pipeline_run() {
 #[test]
 fn edits_over_the_wire_invalidate_precisely() {
     let mut server = start_server(4);
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let c = MuxClient::connect(server.addr()).expect("connect");
 
     // Warm two categories: two pipeline runs.
     let school = c.measures(PoiCategory::School).expect("school");
@@ -89,7 +95,7 @@ fn edits_over_the_wire_invalidate_precisely() {
         // Any in-city position: reuse a zone centroid shipped in measures
         // is not possible (measures carry no coordinates), so probe via a
         // route-agnostic point near the origin corner of the synth grid.
-        staq_repro::geom::Point::new(1000.0, 1000.0)
+        Point::new(1000.0, 1000.0)
     };
     c.add_poi(PoiCategory::School, pos).expect("add_poi acked");
     let stats = c.stats().unwrap();
@@ -104,14 +110,8 @@ fn edits_over_the_wire_invalidate_precisely() {
     assert_ne!(school, school_after, "an added school must change the measures");
 
     // A bus-route edit invalidates everything.
-    c.add_bus_route(
-        &[
-            staq_repro::geom::Point::new(1000.0, 1000.0),
-            staq_repro::geom::Point::new(4000.0, 4000.0),
-        ],
-        600,
-    )
-    .expect("route acked");
+    let stops = vec![Point::new(1000.0, 1000.0), Point::new(4000.0, 4000.0)];
+    c.apply_delta(0, &Delta::AddRoute { stops, headway_s: 600 }).expect("route acked");
     assert!(c.stats().unwrap().cached.is_empty(), "schedule edits drop all categories");
 
     server.shutdown();
@@ -120,10 +120,10 @@ fn edits_over_the_wire_invalidate_precisely() {
 #[test]
 fn semantic_errors_keep_the_connection_usable() {
     let mut server = start_server(2);
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let c = MuxClient::connect(server.addr()).expect("connect");
 
     // A one-stop route is rejected with an error frame, not a hangup.
-    match c.add_bus_route(&[staq_repro::geom::Point::new(0.0, 0.0)], 600) {
+    match c.apply_delta(0, &one_stop_route()) {
         Err(ClientError::Server { code, message }) => {
             assert_eq!(code, ErrorCode::Invalid);
             assert!(message.contains("two stops"), "{message}");
@@ -140,7 +140,7 @@ fn semantic_errors_keep_the_connection_usable() {
 #[test]
 fn non_finite_point_coordinates_are_rejected_not_answered() {
     let mut server = start_server(2);
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let c = MuxClient::connect(server.addr()).expect("connect");
     // Every distance to a NaN or infinite point is NaN or infinite, so a
     // nearest-centroid scan would keep its first candidate and answer
     // with that zone's measures.
@@ -182,7 +182,7 @@ fn malformed_frames_get_an_error_and_a_hangup() {
     assert_eq!(reply[5], 0xFF, "reply must be an error frame");
 
     // A fresh, well-behaved connection is unaffected.
-    let mut c = Client::connect(addr).expect("connect");
+    let c = MuxClient::connect(addr).expect("connect");
     c.stats().expect("stats");
 
     server.shutdown();
@@ -211,7 +211,7 @@ fn old_version_frame_gets_one_error_frame_then_eof(addr: SocketAddr) {
     }
     assert!(buf.is_empty(), "exactly one frame precedes the hangup: {buf:?}");
 
-    let mut c = Client::connect(addr).expect("connect");
+    let c = MuxClient::connect(addr).expect("connect");
     c.stats().expect("the next connection is served normally");
 }
 
@@ -235,7 +235,7 @@ fn old_version_frames_are_refused_by_the_router() {
 #[test]
 fn shutdown_disconnects_idle_clients_cleanly() {
     let mut server = start_server(2);
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let c = MuxClient::connect(server.addr()).expect("connect");
     c.stats().expect("stats");
     assert!(!c.is_poisoned(), "a healthy request/response must not poison");
     server.shutdown();
@@ -256,8 +256,8 @@ fn shutdown_disconnects_idle_clients_cleanly() {
 #[test]
 fn semantic_error_frames_do_not_poison() {
     let mut server = start_server(2);
-    let mut c = Client::connect(server.addr()).expect("connect");
-    match c.add_bus_route(&[staq_repro::geom::Point::new(0.0, 0.0)], 600) {
+    let c = MuxClient::connect(server.addr()).expect("connect");
+    match c.apply_delta(0, &one_stop_route()) {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Invalid),
         other => panic!("expected server error, got {other:?}"),
     }

@@ -11,7 +11,7 @@ use staq_repro::gtfs::Delta;
 use staq_repro::prelude::*;
 use staq_serve::codec::ErrorCode;
 use staq_serve::presets::CityPreset;
-use staq_serve::{Client, ClientError, ServerConfig};
+use staq_serve::{ClientError, MuxClient, ServerConfig};
 use staq_shard::{
     route, shard_for, Backend, RouterConfig, RouterHandle, ShardSupervisor, SupervisorConfig,
     ThreadBackend,
@@ -55,7 +55,7 @@ fn killing_one_shard_mid_burst_fails_only_its_categories_until_respawn() {
 
     // Warm every category so the burst measures the steady state, not
     // four concurrent pipeline runs.
-    let mut warm = Client::connect(addr).expect("connect");
+    let warm = MuxClient::connect(addr).expect("connect");
     for cat in PoiCategory::ALL {
         warm.measures(cat).expect("warm sweep");
     }
@@ -71,7 +71,7 @@ fn killing_one_shard_mid_burst_fails_only_its_categories_until_respawn() {
                 let stop = Arc::clone(&stop);
                 let respawned = Arc::clone(&respawned);
                 scope.spawn(move |_| {
-                    let mut c = Client::connect(addr).expect("connect");
+                    let c = MuxClient::connect(addr).expect("connect");
                     let (mut ok, mut unavailable, mut ok_after) = (0u64, 0u64, 0u64);
                     while !stop.load(Ordering::SeqCst) {
                         match c.measures(cat) {
@@ -116,13 +116,13 @@ fn killing_one_shard_mid_burst_fails_only_its_categories_until_respawn() {
 
     // Post-respawn sweep, byte-for-byte against a single-process server
     // over the same deterministic city.
-    let mut sharded = Client::connect(addr).expect("connect");
+    let sharded = MuxClient::connect(addr).expect("connect");
     let mut single_server = staq_serve::serve(
         CityPreset::Test.engine(0.05, SEED),
         &ServerConfig { addr: "127.0.0.1:0".into(), workers: 2, ..Default::default() },
     )
     .expect("single server");
-    let mut single = Client::connect(single_server.addr()).expect("connect single");
+    let single = MuxClient::connect(single_server.addr()).expect("connect single");
     for cat in PoiCategory::ALL {
         assert_eq!(
             sharded.measures(cat).expect("sharded measures"),
@@ -138,7 +138,7 @@ fn killing_one_shard_mid_burst_fails_only_its_categories_until_respawn() {
 #[test]
 fn stats_scatter_gathers_and_bus_routes_broadcast() {
     let mut router = start_fleet();
-    let mut c = Client::connect(router.addr()).expect("connect");
+    let c = MuxClient::connect(router.addr()).expect("connect");
 
     // Workers sum across the fleet; warming all categories unions the
     // per-shard cache listings back into the full set.
@@ -152,13 +152,14 @@ fn stats_scatter_gathers_and_bus_routes_broadcast() {
 
     // A schedule edit lands on every shard: afterwards no shard has any
     // category cached.
-    c.add_bus_route(&[Point::new(1000.0, 1000.0), Point::new(4000.0, 4000.0)], 600)
-        .expect("broadcast acked");
+    let stops = vec![Point::new(1000.0, 1000.0), Point::new(4000.0, 4000.0)];
+    c.apply_delta(0, &Delta::AddRoute { stops, headway_s: 600 }).expect("broadcast acked");
     assert!(c.stats().unwrap().cached.is_empty(), "broadcast invalidated every shard");
 
     // A semantic rejection (one-stop route) is relayed, not wrapped, and
     // the front connection stays usable.
-    match c.add_bus_route(&[Point::new(0.0, 0.0)], 600) {
+    let one_stop = Delta::AddRoute { stops: vec![Point::new(0.0, 0.0)], headway_s: 600 };
+    match c.apply_delta(0, &one_stop) {
         Err(ClientError::Server { code, message }) => {
             assert_eq!(code, ErrorCode::Invalid);
             assert!(message.contains("two stops"), "{message}");
@@ -173,7 +174,7 @@ fn stats_scatter_gathers_and_bus_routes_broadcast() {
 #[test]
 fn delta_broadcasts_carry_fleet_sequence_numbers_and_gate_on_all_acks() {
     let mut router = start_fleet();
-    let mut c = Client::connect(router.addr()).expect("connect");
+    let c = MuxClient::connect(router.addr()).expect("connect");
     let sup = router.supervisor();
 
     // The router is the sequencing authority: whatever seq the client
@@ -240,7 +241,7 @@ fn delta_broadcasts_carry_fleet_sequence_numbers_and_gate_on_all_acks() {
         &ServerConfig { addr: "127.0.0.1:0".into(), workers: 2, ..Default::default() },
     )
     .expect("single server");
-    let mut single = Client::connect(single_server.addr()).expect("connect single");
+    let single = MuxClient::connect(single_server.addr()).expect("connect single");
     let last = single.delta_batch(1, &[d1, d2, d3]).expect("replay history");
     assert_eq!(last, 3);
     for cat in PoiCategory::ALL {

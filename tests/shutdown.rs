@@ -7,7 +7,7 @@ use bytes::BytesMut;
 use staq_repro::prelude::*;
 use staq_serve::codec::{self, ErrorCode};
 use staq_serve::presets::CityPreset;
-use staq_serve::{Client, MuxClient, Request, Response, ServerConfig};
+use staq_serve::{MuxClient, Request, Response, ServerConfig};
 use staq_shard::{route, Backend, RouterConfig, ShardSupervisor, SupervisorConfig, ThreadBackend};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -67,7 +67,7 @@ fn shard_router_shutdown_is_idempotent_and_closes_the_listener() {
     let mut router = route(fleet(2), &RouterConfig::default()).expect("bind router");
     let addr = router.addr();
 
-    let mut c = Client::connect(addr).expect("connect");
+    let c = MuxClient::connect(addr).expect("connect");
     c.query(&AccessQuery::MeanAccess, PoiCategory::School).expect("routed query");
 
     router.shutdown();
@@ -124,7 +124,7 @@ fn flood(addr: SocketAddr, all_written: &Barrier) -> Flooded {
 /// exactly one `Unavailable`. Returns how many such replies were seen.
 fn flood_through_shutdown(addr: SocketAddr, shutdown: impl FnOnce()) -> usize {
     // Warm the category so admitted queries are cheap.
-    Client::connect(addr)
+    MuxClient::connect(addr)
         .expect("connect")
         .query(&AccessQuery::MeanAccess, PoiCategory::School)
         .expect("warm-up query");

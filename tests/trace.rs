@@ -15,7 +15,7 @@ use staq_obs::trace;
 use staq_obs::OwnedSpan;
 use staq_repro::prelude::*;
 use staq_serve::presets::CityPreset;
-use staq_serve::Client;
+use staq_serve::MuxClient;
 use staq_shard::{route, Backend, RouterConfig, ShardSupervisor, SupervisorConfig, ThreadBackend};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -45,7 +45,7 @@ fn traced_query_dumps_one_connected_tree_across_router_and_backends() {
     };
     let sup = ShardSupervisor::start(backends, cfg).expect("fleet start");
     let mut router = route(sup, &RouterConfig::default()).expect("router bind");
-    let mut c = Client::connect(router.addr()).expect("connect");
+    let c = MuxClient::connect(router.addr()).expect("connect");
 
     // Raise the capture threshold fleet-wide before sending the traced
     // query (the dump itself is discarded — only the knob matters here).
