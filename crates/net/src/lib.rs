@@ -3,8 +3,8 @@
 //! A std-only networking layer shared by `staq-serve` and the
 //! `staq-shard` router:
 //!
-//! - [`poll`]: level-triggered readiness poller (`epoll` on Linux,
-//!   `poll(2)` everywhere else).
+//! - [`poll`]: level-triggered readiness poller over `poll(2)`, declared
+//!   against the libc that std already links (no external crates).
 //! - [`reactor`]: one event-loop thread driving every connection —
 //!   nonblocking framed reads into a protocol handler, per-connection
 //!   outbound queues, generation-checked [`reactor::ConnId`]s, two-phase
@@ -13,15 +13,12 @@
 //!   pool (EWMA-estimated queue wait, `Overloaded` shedding).
 //! - [`http`] + [`json`]: the minimal HTTP/1.1 + JSON surface behind the
 //!   `staq-gateway` binary.
-//! - [`sys`]: the raw libc declarations all of it stands on (no external
-//!   crates; std already links libc).
 
 pub mod admission;
 pub mod http;
 pub mod json;
 pub mod poll;
 pub mod reactor;
-pub mod sys;
 
 pub use admission::{Admission, AdmissionConfig, ShedReason};
 pub use poll::{Event, Interest, Poller};

@@ -1,14 +1,39 @@
-//! Readiness poller with two interchangeable backends: `epoll` on Linux
-//! (O(ready) wakeups) and `poll(2)` everywhere else (O(registered)
-//! scans). The platform picks; no caller does. Both are level-triggered
-//! and expose the same register/reregister/deregister/wait surface, so
-//! the reactor is backend-agnostic, and this crate's own tests drive the
-//! portable path on Linux too to keep it honest.
+//! Level-triggered readiness poller over `poll(2)`, declared directly
+//! against the libc that std already links (no external crate). The
+//! registration table lives in user space and goes to the kernel whole
+//! on every wait, so one wait costs O(registered): a reactor here
+//! registers its listener, its waker and its open connections.
 
-use crate::sys;
+use std::ffi::{c_int, c_short};
 use std::io;
 use std::os::unix::io::RawFd;
 use std::time::Duration;
+
+/// `nfds_t` as `<poll.h>` declares it.
+#[cfg(target_os = "linux")]
+#[allow(non_camel_case_types)]
+type nfds_t = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+#[allow(non_camel_case_types)]
+type nfds_t = std::ffi::c_uint;
+
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+const POLLERR: c_short = 0x008;
+const POLLHUP: c_short = 0x010;
+
+#[repr(C)]
+#[derive(Clone, Copy)]
+#[allow(non_camel_case_types)]
+struct pollfd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+extern "C" {
+    fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: c_int) -> c_int;
+}
 
 /// What a registration wants to hear about.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -19,9 +44,6 @@ pub struct Interest {
 
 impl Interest {
     pub const READ: Interest = Interest { readable: true, writable: false };
-    pub const WRITE: Interest = Interest { readable: false, writable: true };
-    pub const BOTH: Interest = Interest { readable: true, writable: true };
-    pub const NONE: Interest = Interest { readable: false, writable: false };
 }
 
 /// One readiness notification.
@@ -31,225 +53,74 @@ pub struct Event {
     pub readable: bool,
     pub writable: bool,
     /// Peer hangup or socket error; the owner should read to EOF / close.
+    /// A half-closed peer shows up as `readable` (the read sees EOF).
     pub hup: bool,
 }
 
-pub enum Poller {
-    #[cfg(target_os = "linux")]
-    Epoll(EpollPoller),
-    Poll(PollPoller),
+/// The registration table: `fds[i]` is registered under `tokens[i]`.
+#[derive(Default)]
+pub struct Poller {
+    fds: Vec<pollfd>,
+    tokens: Vec<usize>,
 }
 
 impl Poller {
-    /// The platform's poller: epoll on Linux, `poll(2)` elsewhere.
-    pub fn new() -> io::Result<Poller> {
-        #[cfg(target_os = "linux")]
-        return Ok(Poller::Epoll(EpollPoller::new()?));
-        #[cfg(not(target_os = "linux"))]
-        return Ok(Poller::portable());
+    fn slot(&self, fd: RawFd) -> io::Result<usize> {
+        self.fds
+            .iter()
+            .position(|p| p.fd == fd)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
     }
 
-    /// The `poll(2)` backend whatever the platform — how this crate's
-    /// tests exercise the non-Linux path on Linux.
-    #[cfg(any(test, not(target_os = "linux")))]
-    pub(crate) fn portable() -> Poller {
-        Poller::Poll(PollPoller::new())
-    }
-
-    pub fn backend_name(&self) -> &'static str {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(_) => "epoll",
-            Poller::Poll(_) => "poll",
+    fn events_for(interest: Interest) -> c_short {
+        let mut e = 0;
+        if interest.readable {
+            e |= POLLIN;
         }
+        if interest.writable {
+            e |= POLLOUT;
+        }
+        e
     }
 
     pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.ctl(sys::epoll::EPOLL_CTL_ADD, fd, token, interest),
-            Poller::Poll(p) => p.register(fd, token, interest),
+        if self.slot(fd).is_ok() {
+            return Err(io::Error::new(io::ErrorKind::AlreadyExists, "fd already registered"));
         }
+        self.fds.push(pollfd { fd, events: Self::events_for(interest), revents: 0 });
+        self.tokens.push(token);
+        Ok(())
     }
 
     pub fn reregister(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.ctl(sys::epoll::EPOLL_CTL_MOD, fd, token, interest),
-            Poller::Poll(p) => p.reregister(fd, interest),
-        }
+        let i = self.slot(fd)?;
+        self.fds[i].events = Self::events_for(interest);
+        self.tokens[i] = token;
+        Ok(())
     }
 
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.ctl(sys::epoll::EPOLL_CTL_DEL, fd, 0, Interest::NONE),
-            Poller::Poll(p) => p.deregister(fd),
-        }
+        let i = self.slot(fd)?;
+        self.fds.swap_remove(i);
+        self.tokens.swap_remove(i);
+        Ok(())
     }
 
     /// Blocks until at least one registration is ready or `timeout`
     /// passes, appending to `events` (cleared first).
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         events.clear();
-        let timeout_ms: sys::c_int = match timeout {
+        let timeout_ms = match timeout {
             // Round up so a 1ns timeout doesn't busy-spin.
-            Some(d) => d.as_millis().min(i32::MAX as u128).max(1) as sys::c_int,
+            Some(d) => d.as_millis().min(i32::MAX as u128).max(1) as c_int,
             None => -1,
         };
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.wait(events, timeout_ms),
-            Poller::Poll(p) => p.wait(events, timeout_ms),
-        }
-    }
-}
-
-// ---------------------------------------------------------------- epoll
-
-#[cfg(target_os = "linux")]
-pub struct EpollPoller {
-    epfd: RawFd,
-    buf: Vec<sys::epoll::epoll_event>,
-}
-
-#[cfg(target_os = "linux")]
-impl EpollPoller {
-    fn new() -> io::Result<EpollPoller> {
-        let epfd = unsafe { sys::epoll::epoll_create1(sys::epoll::EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(EpollPoller { epfd, buf: vec![sys::epoll::epoll_event { events: 0, u64: 0 }; 1024] })
-    }
-
-    fn ctl(
-        &mut self,
-        op: sys::c_int,
-        fd: RawFd,
-        token: usize,
-        interest: Interest,
-    ) -> io::Result<()> {
-        use sys::epoll::*;
-        let mut events = EPOLLRDHUP;
-        if interest.readable {
-            events |= EPOLLIN;
-        }
-        if interest.writable {
-            events |= EPOLLOUT;
-        }
-        let mut ev = epoll_event { events, u64: token as u64 };
-        let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: sys::c_int) -> io::Result<()> {
-        use sys::epoll::*;
         let n = loop {
-            let n = unsafe {
-                epoll_wait(
-                    self.epfd,
-                    self.buf.as_mut_ptr(),
-                    self.buf.len() as sys::c_int,
-                    timeout_ms,
-                )
-            };
-            if n >= 0 {
-                break n as usize;
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-        };
-        for ev in &self.buf[..n] {
-            let bits = ev.events; // copy out of the packed struct
-            let token = ev.u64 as usize;
-            events.push(Event {
-                token,
-                readable: bits & EPOLLIN != 0,
-                writable: bits & EPOLLOUT != 0,
-                hup: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
-            });
-        }
-        if n == self.buf.len() {
-            // Saturated the event buffer: grow so one busy tick doesn't
-            // starve the registrations past the buffer's end.
-            self.buf.resize(self.buf.len() * 2, sys::epoll::epoll_event { events: 0, u64: 0 });
-        }
-        Ok(())
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Drop for EpollPoller {
-    fn drop(&mut self) {
-        unsafe { sys::close(self.epfd) };
-    }
-}
-
-// ----------------------------------------------------------------- poll
-
-/// Portable backend: keeps the registration table in user space and
-/// hands the whole thing to `poll(2)` per wait.
-pub struct PollPoller {
-    fds: Vec<sys::pollfd>,
-    tokens: Vec<usize>,
-}
-
-impl PollPoller {
-    #[cfg(any(test, not(target_os = "linux")))]
-    fn new() -> PollPoller {
-        PollPoller { fds: Vec::new(), tokens: Vec::new() }
-    }
-
-    fn slot(&self, fd: RawFd) -> Option<usize> {
-        self.fds.iter().position(|p| p.fd == fd)
-    }
-
-    fn events_for(interest: Interest) -> sys::c_short {
-        let mut e = 0;
-        if interest.readable {
-            e |= sys::POLLIN;
-        }
-        if interest.writable {
-            e |= sys::POLLOUT;
-        }
-        e
-    }
-
-    fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        if self.slot(fd).is_some() {
-            return Err(io::Error::new(io::ErrorKind::AlreadyExists, "fd already registered"));
-        }
-        self.fds.push(sys::pollfd { fd, events: Self::events_for(interest), revents: 0 });
-        self.tokens.push(token);
-        Ok(())
-    }
-
-    fn reregister(&mut self, fd: RawFd, interest: Interest) -> io::Result<()> {
-        let i = self
-            .slot(fd)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-        self.fds[i].events = Self::events_for(interest);
-        Ok(())
-    }
-
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        let i = self
-            .slot(fd)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-        self.fds.swap_remove(i);
-        self.tokens.swap_remove(i);
-        Ok(())
-    }
-
-    fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: sys::c_int) -> io::Result<()> {
-        let n = loop {
-            let n = unsafe { sys::poll(self.fds.as_mut_ptr(), self.fds.len(), timeout_ms) };
+            // SAFETY: `fds` is an exclusively borrowed, initialised buffer
+            // of `repr(C)` `pollfd`s and `nfds` is its length, so the
+            // kernel reads and writes (only `revents`) within it; it keeps
+            // no pointer past the return.
+            let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as nfds_t, timeout_ms) };
             if n >= 0 {
                 break n;
             }
@@ -267,9 +138,9 @@ impl PollPoller {
             }
             events.push(Event {
                 token,
-                readable: p.revents & sys::POLLIN != 0,
-                writable: p.revents & sys::POLLOUT != 0,
-                hup: p.revents & (sys::POLLERR | sys::POLLHUP) != 0,
+                readable: p.revents & POLLIN != 0,
+                writable: p.revents & POLLOUT != 0,
+                hup: p.revents & (POLLERR | POLLHUP) != 0,
             });
         }
         Ok(())
@@ -282,23 +153,22 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
+    use std::os::unix::net::UnixStream;
 
-    fn pair() -> (TcpStream, TcpStream) {
+    #[test]
+    fn register_wait_reregister_deregister_roundtrip() {
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
         let a = TcpStream::connect(l.local_addr().unwrap()).unwrap();
-        let (b, _) = l.accept().unwrap();
-        (a, b)
-    }
-
-    fn backend_roundtrip(mut poller: Poller) {
-        let (a, mut b) = pair();
+        let (mut b, _) = l.accept().unwrap();
         a.set_nonblocking(true).unwrap();
+        let mut poller = Poller::default();
         poller.register(a.as_raw_fd(), 7, Interest::READ).unwrap();
+        assert!(poller.register(a.as_raw_fd(), 8, Interest::READ).is_err(), "double register");
 
         // Nothing to read yet: a short wait times out empty.
         let mut events = Vec::new();
         poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
-        assert!(events.is_empty(), "{}: spurious readiness", poller.backend_name());
+        assert!(events.is_empty(), "spurious readiness");
 
         b.write_all(b"ping").unwrap();
         poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
@@ -314,33 +184,76 @@ mod tests {
         assert_eq!(&buf[..n], b"ping");
 
         // Write interest on an idle socket reports writable immediately.
-        poller.reregister(a.as_raw_fd(), 7, Interest::BOTH).unwrap();
+        let both = Interest { readable: true, writable: true };
+        poller.reregister(a.as_raw_fd(), 7, both).unwrap();
         poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
         assert!(events.iter().any(|e| e.token == 7 && e.writable));
 
         // Peer close surfaces as readable (EOF) and/or hup.
         drop(b);
+        poller.reregister(a.as_raw_fd(), 7, Interest::READ).unwrap();
         poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
         assert!(events.iter().any(|e| e.token == 7 && (e.readable || e.hup)));
 
         poller.deregister(a.as_raw_fd()).unwrap();
+        assert!(poller.deregister(a.as_raw_fd()).is_err(), "double deregister");
         poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
         assert!(events.is_empty());
     }
 
+    /// Deregistration swaps the last entry into the freed slot; the fd
+    /// and token tables must move together or a wait reports readiness
+    /// under the wrong token.
     #[test]
-    fn portable_poll_backend_roundtrip() {
-        backend_roundtrip(Poller::portable());
-    }
+    fn churned_table_reports_exactly_the_live_tokens() {
+        // splitmix64: a fixed seed replays the same churn everywhere.
+        let mut state = 0x5EED_C0FF_EE00_0039u64;
+        let mut rand = move |n: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
 
-    #[test]
-    fn platform_backend_roundtrip() {
-        backend_roundtrip(Poller::new().unwrap());
-    }
+        let mut poller = Poller::default();
+        // (token, registered end, peer end), in registration order.
+        let mut live: Vec<(usize, UnixStream, UnixStream)> = Vec::new();
+        let mut next_token = 0;
+        let mut add = |poller: &mut Poller, live: &mut Vec<_>| {
+            let (ours, peer) = UnixStream::pair().unwrap();
+            poller.register(ours.as_raw_fd(), next_token, Interest::READ).unwrap();
+            live.push((next_token, ours, peer));
+            next_token += 1;
+        };
+        for _ in 0..64 {
+            add(&mut poller, &mut live);
+        }
+        // Drop a random half in random order, with 16 registrations
+        // interleaved among the removals.
+        let (mut removed, mut added) = (0, 0);
+        while removed < 32 || added < 16 {
+            if added < 16 && (removed == 32 || rand(3) == 0) {
+                add(&mut poller, &mut live);
+                added += 1;
+            } else {
+                let (_, ours, _) = live.swap_remove(rand(live.len()));
+                poller.deregister(ours.as_raw_fd()).unwrap();
+                removed += 1;
+            }
+        }
 
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn platform_backend_is_epoll_on_linux() {
-        assert_eq!(Poller::new().unwrap().backend_name(), "epoll");
+        for (_, _, peer) in &mut live {
+            peer.write_all(&[1]).unwrap();
+        }
+        let mut events = Vec::new();
+        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        let mut got: Vec<usize> = events.iter().filter(|e| e.readable).map(|e| e.token).collect();
+        got.sort_unstable();
+        let mut want: Vec<usize> = live.iter().map(|(t, _, _)| *t).collect();
+        want.sort_unstable();
+        assert_eq!(want.len(), 48);
+        assert_eq!(got, want);
+        assert_eq!(events.len(), want.len(), "only live registrations report");
     }
 }

@@ -249,17 +249,7 @@ pub fn spawn(
     handler: Box<dyn ConnHandler>,
     cfg: ReactorConfig,
 ) -> io::Result<ReactorHandle> {
-    spawn_on(Poller::new()?, listener, handler, cfg)
-}
-
-/// [`spawn`] over a caller-chosen poller; tests use it to run the
-/// portable backend on Linux.
-fn spawn_on(
-    mut poller: Poller,
-    listener: TcpListener,
-    handler: Box<dyn ConnHandler>,
-    cfg: ReactorConfig,
-) -> io::Result<ReactorHandle> {
+    let mut poller = Poller::default();
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
@@ -458,8 +448,10 @@ impl Reactor {
             return;
         }
         if ev.hup {
-            // Peer went away (or half-closed): finish writing what we
-            // have, then close. A dead peer fails the write promptly.
+            // Peer went away or the socket errored: finish writing what
+            // we have, then close. A dead peer fails the write promptly.
+            // (A half-closed peer arrives as a readable EOF instead, and
+            // the read path closes on it.)
             let conn = self.conns[idx].as_mut().unwrap();
             if conn.out.is_empty() {
                 self.close_conn(idx);
@@ -613,10 +605,10 @@ mod tests {
         }
     }
 
-    fn echo_roundtrip(poller: Poller) {
+    #[test]
+    fn echo_roundtrip() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut handle = spawn_on(
-            poller,
+        let mut handle = spawn(
             listener,
             Box::new(Echo),
             ReactorConfig { name: "test-echo", max_frame: 1 << 16 },
@@ -642,16 +634,6 @@ mod tests {
         }
         assert_eq!(handle.conn_count(), 0);
         handle.finish(Duration::from_secs(1));
-    }
-
-    #[test]
-    fn echo_roundtrip_platform_backend() {
-        echo_roundtrip(Poller::new().unwrap());
-    }
-
-    #[test]
-    fn echo_roundtrip_portable_backend() {
-        echo_roundtrip(Poller::portable());
     }
 
     /// Echo that reports each decoded frame, so tests can sequence

@@ -39,6 +39,11 @@
 //! shed the request instead of executing it after the caller has given
 //! up; the gateway itself gives up at the same instant with `504`.
 //!
+//! Integer fields (`depart`, `max_transfers`, `deadline_ms`, a
+//! `worst_zones` query's `k`) must be non-negative integers that fit
+//! their wire field (`u8` for `max_transfers`, `u32` for the rest);
+//! anything else is a `400` naming the field, never a cast.
+//!
 //! Error mapping: backend `BadRequest`/`Invalid` → 400, `SeqGap` → 409,
 //! `Unavailable` → 503, `Overloaded` → 429, transport failures → 502,
 //! deadline expiry → 504. The body is always `{"error": "..."}`.
@@ -218,8 +223,12 @@ fn query(state: &GatewayState, req: &HttpRequest) -> HttpResponse {
         Some(Err(msg)) => return error_response(400, &msg),
         None => return error_response(400, "missing query object"),
     };
+    let deadline = match body_deadline(&body) {
+        Ok(d) => d,
+        Err(resp) => return resp,
+    };
     let request = Request::Query { category, query, approx: false };
-    forward(state, &request, body_deadline(&body), |resp| match resp {
+    forward(state, &request, deadline, |resp| match resp {
         Response::Query(answer) => Some(answer_json(&answer)),
         _ => None,
     })
@@ -234,8 +243,10 @@ fn plan(state: &GatewayState, req: &HttpRequest) -> HttpResponse {
         (Some(o), Some(d)) => (o, d),
         _ => return error_response(400, "origin and dest must be {x, y} objects"),
     };
-    let Some(depart) = body.get("depart").and_then(Json::as_f64) else {
-        return error_response(400, "missing depart (seconds since midnight)");
+    let depart = match wire_uint::<u32>(&body, "depart") {
+        Ok(Some(d)) => d,
+        Ok(None) => return error_response(400, "missing depart (seconds since midnight)"),
+        Err(msg) => return error_response(400, &msg),
     };
     let day = match body.get("day").and_then(Json::as_str) {
         Some(name) => match parse_day(name) {
@@ -244,9 +255,14 @@ fn plan(state: &GatewayState, req: &HttpRequest) -> HttpResponse {
         },
         None => DayOfWeek::Monday,
     };
-    let max_transfers = body.get("max_transfers").and_then(Json::as_f64).map(|n| n as u8);
-    let request = Request::Plan { origin, dest, depart: Stime(depart as u32), day, max_transfers };
-    forward(state, &request, body_deadline(&body), |resp| match resp {
+    let (max_transfers, deadline) = match (wire_uint(&body, "max_transfers"), body_deadline(&body))
+    {
+        (Ok(m), Ok(d)) => (m, d),
+        (Err(msg), _) => return error_response(400, &msg),
+        (_, Err(resp)) => return resp,
+    };
+    let request = Request::Plan { origin, dest, depart: Stime(depart), day, max_transfers };
+    forward(state, &request, deadline, |resp| match resp {
         Response::Plan(journeys) => Some(Json::obj(vec![(
             "journeys",
             Json::Arr(journeys.iter().map(journey_json).collect()),
@@ -269,8 +285,12 @@ fn add_poi(state: &GatewayState, req: &HttpRequest) -> HttpResponse {
         (Some(x), Some(y)) => (x, y),
         _ => return error_response(400, "missing x/y coordinates"),
     };
+    let deadline = match body_deadline(&body) {
+        Ok(d) => d,
+        Err(resp) => return resp,
+    };
     let request = Request::AddPoi { category, pos: Point::new(x, y) };
-    forward(state, &request, body_deadline(&body), |resp| match resp {
+    forward(state, &request, deadline, |resp| match resp {
         Response::AddPoi { poi_id } => Some(Json::obj(vec![("poi_id", Json::Num(poi_id as f64))])),
         _ => None,
     })
@@ -430,16 +450,40 @@ fn body_json(req: &HttpRequest) -> Result<Json, HttpResponse> {
     Json::parse(text).map_err(|e| error_response(400, &format!("bad JSON body: {e}")))
 }
 
-fn body_deadline(body: &Json) -> Option<Duration> {
-    body.get("deadline_ms").and_then(Json::as_f64).map(|ms| Duration::from_millis(ms as u64))
+/// The integer field `name` of a JSON object, refused unless it is a
+/// non-negative integer that fits `T`, its wire field: an `as` cast
+/// would silently change what the caller asked for. Absent is `None`.
+fn wire_uint<T: TryFrom<u64>>(obj: &Json, name: &str) -> Result<Option<T>, String> {
+    let Some(value) = obj.get(name) else { return Ok(None) };
+    value
+        .as_f64()
+        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+        .and_then(|n| T::try_from(n as u64).ok())
+        .map(Some)
+        .ok_or_else(|| {
+            format!(
+                "{name} must be a non-negative integer that fits a {}",
+                std::any::type_name::<T>()
+            )
+        })
+}
+
+fn body_deadline(body: &Json) -> Result<Option<Duration>, HttpResponse> {
+    match wire_uint::<u32>(body, "deadline_ms") {
+        Ok(ms) => Ok(ms.map(|ms| Duration::from_millis(ms.into()))),
+        Err(msg) => Err(error_response(400, &msg)),
+    }
 }
 
 fn query_deadline(req: &HttpRequest) -> Result<Option<Duration>, HttpResponse> {
     match req.param("deadline_ms") {
         None => Ok(None),
-        Some(v) => match v.parse::<u64>() {
-            Ok(ms) => Ok(Some(Duration::from_millis(ms))),
-            Err(_) => Err(error_response(400, "deadline_ms must be an integer")),
+        Some(v) => match v.parse::<u32>() {
+            Ok(ms) => Ok(Some(Duration::from_millis(ms.into()))),
+            Err(_) => Err(error_response(
+                400,
+                "deadline_ms must be a non-negative integer that fits a u32",
+            )),
         },
     }
 }
@@ -513,7 +557,7 @@ fn parse_access_query(q: &Json) -> Result<AccessQuery, String> {
             Ok(AccessQuery::Fairness { weight })
         }
         "worst_zones" => {
-            let k = q.get("k").and_then(Json::as_f64).unwrap_or(10.0);
+            let k = wire_uint::<u32>(q, "k")?.unwrap_or(10);
             Ok(AccessQuery::WorstZones { k: k as usize })
         }
         "point_access" => {
@@ -726,6 +770,11 @@ mod tests {
 
         let q = Json::parse(r#"{"kind":"worst_zones","k":3}"#).unwrap();
         assert_eq!(parse_access_query(&q).unwrap(), AccessQuery::WorstZones { k: 3 });
+        for bad in ["-3", "2.5", "4294967296"] {
+            let q = Json::parse(&format!(r#"{{"kind":"worst_zones","k":{bad}}}"#)).unwrap();
+            let err = parse_access_query(&q).unwrap_err();
+            assert!(err.starts_with("k must be"), "k = {bad}: {err}");
+        }
 
         let q = Json::parse(r#"{"kind":"point_access","x":1.5,"y":-2.0}"#).unwrap();
         assert_eq!(parse_access_query(&q).unwrap(), AccessQuery::PointAccess { x: 1.5, y: -2.0 });

@@ -44,9 +44,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded job-queue depth (backpressure point).
     pub queue_depth: usize,
-    /// Admission budget: requests whose estimated queue wait exceeds
-    /// this are shed with `Overloaded` instead of queued.
-    pub queue_budget: Duration,
     /// How long shutdown waits for outbound queues to flush.
     pub flush_timeout: Duration,
 }
@@ -57,7 +54,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             queue_depth: 256,
-            queue_budget: Duration::from_millis(500),
             flush_timeout: Duration::from_secs(1),
         }
     }
@@ -157,10 +153,10 @@ where
 {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    let admission = Arc::new(Admission::new(AdmissionConfig {
-        queue_budget: cfg.queue_budget,
-        workers: cfg.workers,
-    }));
+    // The default budget (500 ms): requests whose estimated queue wait
+    // exceeds it are shed with `Overloaded` instead of queued.
+    let admission =
+        Arc::new(Admission::new(AdmissionConfig { workers: cfg.workers, ..Default::default() }));
     let pool = WorkerPool::spawn(names, cfg.workers, cfg.queue_depth, Arc::clone(&admission), exec);
     let handler = FrontHandler { jobs: pool.jobs(), admission };
     let reactor = reactor::spawn(

@@ -114,17 +114,18 @@ pub struct ProcessBackend {
     serve_bin: PathBuf,
     /// Extra daemon args (`--city`, `--scale`, `--seed`, `--workers`...).
     args: Vec<String>,
-    /// How long to wait for the child to report its port; covers the city
-    /// build, which dominates startup.
-    pub start_timeout: Duration,
     child: Option<Child>,
 }
+
+/// How long to wait for a child to report its port; covers the city
+/// build, which dominates startup.
+const START_TIMEOUT: Duration = Duration::from_secs(600);
 
 impl ProcessBackend {
     /// A backend running `serve_bin` with `args` appended after the
     /// addressing flags.
     pub fn new(serve_bin: PathBuf, args: Vec<String>) -> Self {
-        ProcessBackend { serve_bin, args, start_timeout: Duration::from_secs(600), child: None }
+        ProcessBackend { serve_bin, args, child: None }
     }
 
     /// The `serve` binary next to the currently running executable —
@@ -161,7 +162,7 @@ impl Backend for ProcessBackend {
             .spawn()?;
         self.child = Some(child);
 
-        let deadline = Instant::now() + self.start_timeout;
+        let deadline = Instant::now() + START_TIMEOUT;
         loop {
             if let Ok(text) = std::fs::read_to_string(&port_file) {
                 if let Ok(addr) = text.trim().parse::<SocketAddr>() {

@@ -28,7 +28,7 @@
 
 use crate::hash::{shard_for, shard_for_key};
 use crate::metrics;
-use crate::supervisor::ShardSupervisor;
+use crate::supervisor::{fan_out, ShardSupervisor};
 use staq_obs::{trace, MetricsSnapshot, OpsReport, OwnedSpan};
 use staq_serve::codec::{ErrorCode, Request, Response, StatsReply};
 use staq_serve::{serve_front, FrontNames, ServerHandle};
@@ -139,22 +139,7 @@ pub fn dispatch(sup: &ShardSupervisor, request: Request) -> Response {
 
 /// Scatter-gathers `Stats` from every live shard into one reply.
 fn gather_stats(sup: &ShardSupervisor) -> Response {
-    let n = sup.n_shards();
-    let ctx = trace::current();
-    let replies: Vec<Response> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                scope.spawn(move |_| {
-                    let _ctx = trace::attach(ctx);
-                    sup.call(i, &Request::Stats)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("stats thread panicked")).collect()
-    })
-    .expect("stats scope");
-
-    let stats: Vec<StatsReply> = replies
+    let stats: Vec<StatsReply> = fan_out(sup.n_shards(), |i| sup.call(i, &Request::Stats))
         .into_iter()
         .filter_map(|r| match r {
             Response::Stats(s) => Some(s),
@@ -180,23 +165,8 @@ fn gather_ops(sup: &ShardSupervisor) -> Response {
     if sup.any_in_process() {
         return Response::OpsReport(staq_obs::ops::report(staq_obs::slow::SLOW_KEEP));
     }
-    let n = sup.n_shards();
-    let ctx = trace::current();
-    let replies: Vec<Response> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                scope.spawn(move |_| {
-                    let _ctx = trace::attach(ctx);
-                    sup.call(i, &Request::OpsReport)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("ops report thread panicked")).collect()
-    })
-    .expect("ops report scope");
-
     let mut merged: OpsReport = staq_obs::ops::report(staq_obs::slow::SLOW_KEEP);
-    for r in replies {
+    for r in fan_out(sup.n_shards(), |i| sup.call(i, &Request::OpsReport)) {
         if let Response::OpsReport(report) = r {
             merged.merge(&report);
         }
@@ -216,25 +186,9 @@ fn gather_traces(sup: &ShardSupervisor, min_dur_ns: u64, set_capture_ns: Option<
     if sup.any_in_process() {
         return Response::TraceDump(trace::dump(min_dur_ns));
     }
-    let n = sup.n_shards();
     let request = Request::TraceDump { min_dur_ns, set_capture_ns };
-    let ctx = trace::current();
-    let replies: Vec<Response> = crossbeam::scope(|scope| {
-        let request = &request;
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                scope.spawn(move |_| {
-                    let _ctx = trace::attach(ctx);
-                    sup.call(i, request)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("trace dump thread panicked")).collect()
-    })
-    .expect("trace dump scope");
-
     let mut spans: Vec<OwnedSpan> = trace::dump(min_dur_ns);
-    for r in replies {
+    for r in fan_out(sup.n_shards(), |i| sup.call(i, &request)) {
         if let Response::TraceDump(s) = r {
             spans.extend(s);
         }

@@ -62,8 +62,6 @@ use std::time::{Duration, Instant};
 pub struct SupervisorConfig {
     /// Delay between a backend being marked down and the respawn attempt.
     pub respawn_backoff: Duration,
-    /// Readiness-probe window per backend start.
-    pub probe_timeout: Duration,
     /// Monitor thread tick.
     pub poll_interval: Duration,
     /// Per-backend connection pool settings.
@@ -74,12 +72,14 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             respawn_backoff: Duration::from_millis(500),
-            probe_timeout: Duration::from_secs(600),
             poll_interval: Duration::from_millis(50),
             pool: PoolConfig::default(),
         }
     }
 }
+
+/// Readiness-probe window per backend start; covers a city build.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(600);
 
 struct Slot {
     backend: Mutex<Box<dyn Backend>>,
@@ -121,26 +121,16 @@ impl ShardSupervisor {
     ) -> io::Result<ShardSupervisor> {
         assert!(!backends.is_empty(), "a shard fleet needs at least one backend");
         let in_process = backends.iter().any(|b| b.in_process());
-        let probe_timeout = cfg.probe_timeout;
         let slots: Vec<Slot> = backends
             .into_iter()
             .map(|b| Slot { backend: Mutex::new(b), pool: BackendPool::new(cfg.pool.clone()) })
             .collect();
 
-        let addrs: Vec<io::Result<SocketAddr>> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = slots
-                .iter()
-                .map(|slot| {
-                    scope.spawn(move |_| -> io::Result<SocketAddr> {
-                        let addr = slot.backend.lock().start()?;
-                        probe(addr, probe_timeout)?;
-                        Ok(addr)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("backend start panicked")).collect()
-        })
-        .expect("backend start scope");
+        let addrs = fan_out(slots.len(), |i| -> io::Result<SocketAddr> {
+            let addr = slots[i].backend.lock().start()?;
+            probe(addr)?;
+            Ok(addr)
+        });
 
         for (slot, addr) in slots.iter().zip(addrs) {
             match addr {
@@ -268,6 +258,27 @@ impl ShardSupervisor {
     }
 }
 
+/// Runs `f(shard)` for every shard in `0..n`, each on its own scoped
+/// thread, and returns the results in shard order. Scope threads are new
+/// stacks: each gets the caller's span context, so per-shard calls stay
+/// inside the request's trace.
+pub(crate) fn fan_out<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let ctx = trace::current();
+    let f = &f;
+    crossbeam::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .map(|i| {
+                scope.spawn(move |_| {
+                    let _ctx = trace::attach(ctx);
+                    f(i)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("shard fan-out thread panicked")).collect()
+    })
+    .expect("shard fan-out scope")
+}
+
 /// The routed call path (see [`ShardSupervisor::call`]); free-standing so
 /// the monitor thread and the broadcast fan-out can use it too.
 fn call_inner(inner: &Inner, shard: usize, request: &Request) -> Response {
@@ -328,25 +339,8 @@ fn broadcast_one(inner: &Inner, edits: &mut EditLog, delta: Delta) -> Result<Del
     let seq = edits.log.len() as u64;
     let n = inner.slots.len();
     let log = &edits.log[..];
-    let acked = edits.acked.clone();
-    let delta = &delta;
-    let ctx = trace::current();
-
-    // Scope threads are new stacks: hand each the caller's span context
-    // so per-shard calls stay inside the request's trace.
-    let outcomes: Vec<(u64, Result<DeltaAck, Response>)> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let acked_i = acked[i];
-                scope.spawn(move |_| {
-                    let _ctx = trace::attach(ctx);
-                    apply_on_shard(inner, i, log, acked_i, seq, delta)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("broadcast thread panicked")).collect()
-    })
-    .expect("broadcast scope");
+    let acked = &edits.acked;
+    let outcomes = fan_out(n, |i| apply_on_shard(inner, i, log, acked[i], seq, &delta));
 
     let mut first_ack = None;
     let mut first_err = None;
@@ -465,8 +459,8 @@ fn sync_shard(inner: &Inner, shard: usize) {
 
 /// Readiness: the backend must answer a real `Stats` request, not merely
 /// accept a connection — the listener comes up before the worker pool.
-fn probe(addr: SocketAddr, timeout: Duration) -> io::Result<()> {
-    let deadline = Instant::now() + timeout;
+fn probe(addr: SocketAddr) -> io::Result<()> {
+    let deadline = Instant::now() + PROBE_TIMEOUT;
     loop {
         // A bounded call keeps a half-open backend (accepts, never
         // answers) from wedging the probe loop past its own deadline.
@@ -511,7 +505,7 @@ fn monitor_loop(inner: &Inner) {
             let started = {
                 let mut backend = slot.backend.lock();
                 backend.start().and_then(|addr| {
-                    probe(addr, inner.cfg.probe_timeout)?;
+                    probe(addr)?;
                     Ok(addr)
                 })
             };

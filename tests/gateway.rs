@@ -159,6 +159,27 @@ fn hostile_bodies_are_400s_and_approx_changes_no_answer() {
     );
     assert_eq!(status, 400, "{body}");
 
+    // A number outside its wire field is refused by name, not cast: -60
+    // would plan from 00:00, 300 transfers would become 255, a -5 ms
+    // deadline would become a zero budget (504), and k = 2^32 would
+    // truncate to 0 zones.
+    let plan = r#""origin":{"x":1000,"y":1000},"dest":{"x":4000,"y":4000}"#;
+    let mean = r#""category":"school","query":{"kind":"mean_access"}"#;
+    for (path, body, field) in [
+        ("/v1/plan", format!(r#"{{{plan},"depart":-60}}"#), "depart"),
+        ("/v1/plan", format!(r#"{{{plan},"depart":28800,"max_transfers":300}}"#), "max_transfers"),
+        ("/v1/query", format!(r#"{{{mean},"deadline_ms":-5}}"#), "deadline_ms"),
+        (
+            "/v1/query",
+            r#"{"category":"school","query":{"kind":"worst_zones","k":4294967296}}"#.to_string(),
+            "k",
+        ),
+    ] {
+        let (status, reply) = http(addr, "POST", path, Some(&body));
+        assert_eq!(status, 400, "{body}: {reply}");
+        assert!(reply.contains(&format!("{field} must be")), "{body}: {reply}");
+    }
+
     // The approx key is accepted and changes no byte of the answer.
     let point = r#""query":{"kind":"point_access","x":1234.5,"y":2345.5}"#;
     let plain =
