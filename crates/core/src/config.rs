@@ -9,7 +9,7 @@ use staq_transit::CostKind;
 /// How the labeled set `L` is drawn from the eligible zones (§IV-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SamplingStrategy {
-    /// Uniform random sampling — the paper's method ("we assume [this]
+    /// Uniform random sampling — the paper's method ("we assume \[this\]
     /// gives a reasonable level of geographic coverage").
     Random,
     /// Greedy k-center (farthest-point) sampling over zone centroids — the

@@ -13,9 +13,10 @@
 //! * **scenario edits** — [`AccessEngine::add_poi`] (no network change: hop
 //!   trees stay valid, only that category's TODAM/labels refresh) and
 //!   [`AccessEngine::apply_delta`] (schedule change: the GTFS feed is
-//!   mutated, only the zones whose walkshed holds a touched stop whose
-//!   in-interval hops changed get their hop trees rebuilt, and the
-//!   prepared transit network is rebuilt once);
+//!   mutated, only the zones whose walkshed holds a stop of the delta's
+//!   footprint whose in-interval hops changed get their hop trees rebuilt,
+//!   and the prepared transit network is rebuilt once; a delta that
+//!   changed no call row changes nothing);
 //! * **kept pipeline stages** — each category's TODAM and origin feature
 //!   rows (stages 1–2, [`crate::pipeline::Prepared`]) outlive its result.
 //!   The TODAM depends only on zones and POIs, so only `add_poi` of that
@@ -298,17 +299,20 @@ impl AccessEngine {
 
     /// Applies one streaming delta to the live world, **incrementally**: the
     /// feed index is mutated in place (no rebuild), then exactly the state
-    /// the delta invalidates is refreshed.
+    /// the delta's [`staq_gtfs::Footprint`] says it changed is refreshed.
     ///
     /// Invalidation matrix:
     ///
     /// * `ServiceAlert` — advisory; nothing structural changed, no caches
     ///   touched, no locks taken, the prepared network kept.
-    /// * All structural deltas — the prepared transit network's trip
+    /// * An empty footprint (a repeated cancel or route removal, a zero
+    ///   delay) — no call row changed, so the network, the hop trees and
+    ///   every published result are kept.
+    /// * Every other delta — the prepared transit network's trip
     ///   patterns are rebuilt from the mutated feed (once, under the write
     ///   lock), and its stop tables and access cache are kept unless the
-    ///   stop positions changed (see `prepare_network`); each touched
-    ///   stop's hops in the interval are rescanned, and hop trees are
+    ///   stop positions changed (see `prepare_network`); the hops of each
+    ///   footprint stop in the interval are rescanned, and hop trees are
     ///   rebuilt only for zones whose walkshed holds a stop whose hops
     ///   changed; and every category's published result is retired to
     ///   `previous` (the next cold read reuses its fit when the fit inputs
@@ -326,21 +330,26 @@ impl AccessEngine {
     /// untouched.
     pub fn apply_delta(&self, delta: &Delta) -> Result<DeltaApplied, String> {
         let mut span = staq_obs::trace::span("engine.apply_delta");
-        span.attr("structural", delta.is_structural() as u64);
+        // An alert changes no call row: it skips the write lock.
         if !delta.is_structural() {
-            return Ok(DeltaApplied { structural: false, zones_rebuilt: 0, invalidated: 0 });
+            span.attr("structural", 0);
+            return Ok(DeltaApplied::default());
         }
         let mut state = self.state.write();
         let state = &mut *state;
         let bus_speed = state.city.config.bus_speed_mps;
-        let outcome = state.city.feed.apply_delta(delta, bus_speed)?;
+        let footprint = state.city.feed.apply_delta(delta, bus_speed)?;
+        span.attr("structural", !footprint.is_empty() as u64);
+        if footprint.is_empty() {
+            return Ok(DeltaApplied::default());
+        }
         // The one place the feed changes: re-prepare the network here
         // so no reader ever routes over tables of an older feed.
         state.artifacts.rebuild_network(&state.city);
 
         // Incremental hop-tree rebuild: only the trees of zones whose
-        // walkshed holds a touched stop whose hops changed.
-        let rebuilt = state.artifacts.store.rebuild_stops(&state.city, &outcome.touched_stops);
+        // walkshed holds a footprint stop whose hops changed.
+        let rebuilt = state.artifacts.store.rebuild_stops(&state.city, &footprint.stops());
         let mut invalidated = 0;
         for derived in &mut state.derived {
             if let Some(result) = derived.result.take() {
@@ -442,10 +451,13 @@ impl AccessEngine {
     }
 }
 
-/// What [`AccessEngine::apply_delta`] did — the invalidation receipt.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What [`AccessEngine::apply_delta`] did — the invalidation receipt. The
+/// default is the receipt of a delta that changed nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeltaApplied {
-    /// False for advisory deltas (nothing below changed).
+    /// True when the delta's footprint is non-empty: it changed a call
+    /// row. False for alerts and for no-op edits, which change nothing
+    /// below.
     pub structural: bool,
     /// Zones whose hop trees were incrementally rebuilt.
     pub zones_rebuilt: usize,
@@ -620,6 +632,29 @@ mod tests {
         let after = tables(&e);
         assert!(!Arc::ptr_eq(&before, &after), "a structural delta must rebuild them");
         assert!(Arc::ptr_eq(before.stops(), after.stops()), "a delay must keep the stop tables");
+    }
+
+    /// A repeated cancel or route removal changes no call row: its empty
+    /// footprint keeps the network, the hop trees and every published
+    /// result, so the next read relabels nothing.
+    #[test]
+    fn a_no_op_delta_keeps_the_network_and_every_published_result() {
+        use staq_gtfs::model::{RouteId, TripId};
+        let e = engine();
+        let network = |e: &AccessEngine| Arc::clone(&e.state.read().artifacts.network);
+        for delta in
+            [Delta::TripCancel { trip: TripId(0) }, Delta::RouteRemove { route: RouteId(1) }]
+        {
+            assert!(e.apply_delta(&delta).expect("first apply").structural);
+            let _ = e.measures(PoiCategory::School);
+            let (runs, before) = (e.pipeline_runs(), network(&e));
+            let again = e.apply_delta(&delta).expect("a repeat applies");
+            assert_eq!(again, DeltaApplied::default(), "{delta:?} changed nothing");
+            assert_eq!(e.cached_categories(), vec![PoiCategory::School], "{delta:?}");
+            let _ = e.measures(PoiCategory::School);
+            assert_eq!(e.pipeline_runs(), runs, "{delta:?} must not relabel");
+            assert!(Arc::ptr_eq(&before, &network(&e)), "{delta:?} must keep the network");
+        }
     }
 
     #[test]

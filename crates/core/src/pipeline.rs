@@ -215,7 +215,7 @@ impl<'a> SsrPipeline<'a> {
     ///
     /// `previous` is an earlier result for the same category, from any
     /// world. Labeling always runs; when the fit inputs then equal
-    /// `previous`'s bit for bit (see [`PipelineResult::reuse_fit`]), its
+    /// `previous`'s bit for bit (see `PipelineResult::reuse_fit`), its
     /// `predicted` is taken instead of training, and `train_secs` is 0.
     pub fn solve(&self, prepared: &Prepared, previous: Option<&PipelineResult>) -> PipelineResult {
         let cfg = &self.config;

@@ -11,7 +11,7 @@
 //!
 //! Contents:
 //!
-//! * [`point`] — [`Point`](point::Point), distances.
+//! * [`point`] — [`Point`], distances.
 //! * [`bbox`] — axis-aligned bounding boxes.
 //! * [`kdtree`] — a 2-d tree supporting nearest-neighbour and radius
 //!   queries; used for interchange identification and stop snapping.

@@ -8,8 +8,14 @@
 //! detour-level route removals, advisory alerts) plus the repo's original
 //! scenario edit — adding a bus route — recast as a delta so every edit
 //! flows through one path.
+//!
+//! Applying a delta yields its [`Footprint`]: the trips whose call rows
+//! changed, each with its rows before and after. It is the one answer to
+//! "what did this edit touch"; consumers derive what they need from it
+//! (`stops()` for the hop-tree store, `is_empty()` for whether anything
+//! changed at all) instead of keeping their own lists.
 
-use crate::model::{RouteId, StopId, TripId};
+use crate::model::{RouteId, StopId, StopTime, TripId};
 use serde::{Deserialize, Serialize};
 use staq_geom::Point;
 
@@ -33,8 +39,9 @@ pub enum Delta {
 }
 
 impl Delta {
-    /// True when the delta changes schedule structure (and therefore
-    /// invalidates routing artifacts); advisory alerts do not.
+    /// False only for an advisory alert, which never changes a call row:
+    /// the cheap check that lets an alert skip applying anything. Whether
+    /// a structural kind changed anything is its [`Footprint`]'s to say.
     pub fn is_structural(&self) -> bool {
         !matches!(self, Delta::ServiceAlert { .. })
     }
@@ -112,15 +119,46 @@ pub(crate) fn dyn_route_timetable(
     Ok(DynTimetable { starts, offsets: [fwd, rev] })
 }
 
-/// What applying a delta touched — the inputs downstream cache invalidation
-/// needs to stay *precise* (only zones whose walkshed reaches a touched
-/// stop get their hop trees rebuilt).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DeltaOutcome {
-    /// Every stop whose departure board changed (call stops of
-    /// delayed/cancelled trips, stops of an added route). Empty for
-    /// advisory deltas.
-    pub touched_stops: Vec<StopId>,
-    /// False only for advisory deltas: nothing structural changed.
-    pub structural: bool,
+/// What a delta changed, by value: every trip whose call rows differ,
+/// with its rows on both sides of the edit.
+/// [`crate::FeedIndex::apply_delta`] builds it in one place by copying the
+/// rows of the trips the delta names (and of any trip it appends) before
+/// and after the mutation and keeping the pairs that differ, so no mutator
+/// has to say what it touched. An alert, a repeated cancel or removal and
+/// a zero delay change no row: their footprint is empty.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Footprint {
+    /// The changed trips, ascending by id.
+    pub trips: Vec<TripRows>,
+}
+
+/// One changed trip's call rows, in call order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TripRows {
+    pub trip: TripId,
+    /// Rows before the delta; empty for a trip it added.
+    pub before: Vec<StopTime>,
+    /// Rows after the delta; empty for a trip it cancelled.
+    pub after: Vec<StopTime>,
+}
+
+impl Footprint {
+    /// True when the delta changed no call row.
+    pub fn is_empty(&self) -> bool {
+        self.trips.is_empty()
+    }
+
+    /// The stops whose departure rows changed: every stop of a changed
+    /// call row, sorted and deduplicated.
+    pub fn stops(&self) -> Vec<StopId> {
+        let mut stops: Vec<StopId> = self
+            .trips
+            .iter()
+            .flat_map(|t| t.before.iter().chain(&t.after))
+            .map(|c| c.stop)
+            .collect();
+        stops.sort_unstable();
+        stops.dedup();
+        stops
+    }
 }

@@ -9,8 +9,13 @@
 //!   during `v_i`", and for each such service the subsequent (or preceding)
 //!   stops. [`FeedIndex::departures_at`] and [`FeedIndex::trip_calls`]
 //!   provide exactly these.
+//!
+//! A streaming [`Delta`] patches the index in place through
+//! [`FeedIndex::apply_delta`], which also reports its [`Footprint`]: the
+//! trips whose call rows changed, before and after. The mutators only
+//! mutate; what they touched is read off the rows, not listed by hand.
 
-use crate::delta::{Delta, DeltaOutcome};
+use crate::delta::{Delta, Footprint, TripRows};
 use crate::model::{
     Feed, Route, RouteId, RouteType, Service, ServiceId, Stop, StopId, StopTime, Trip, TripId,
 };
@@ -166,40 +171,57 @@ impl FeedIndex {
     // contract.
     // ------------------------------------------------------------------
 
-    /// Applies one streaming [`Delta`] incrementally. Returns what was
-    /// touched so callers can invalidate precisely; `Err` on unknown ids or
-    /// invalid route geometry (the index is unchanged on error).
+    /// Applies one streaming [`Delta`] incrementally and returns its
+    /// [`Footprint`] so callers can invalidate precisely; `Err` on unknown
+    /// ids or invalid route geometry (the index is unchanged on error).
+    ///
+    /// The footprint is worked out here and nowhere else, by value: the
+    /// call rows of the trips the delta names are copied, the mutation
+    /// runs, the rows are read again (with those of the trips an
+    /// `AddRoute` appended), and every pair whose rows are equal drops out.
     ///
     /// `bus_speed_mps` parameterizes the run times of [`Delta::AddRoute`]
     /// (the city's bus speed; unused by the other kinds).
-    pub fn apply_delta(
-        &mut self,
-        delta: &Delta,
-        bus_speed_mps: f64,
-    ) -> Result<DeltaOutcome, String> {
-        let touched_stops = match delta {
+    pub fn apply_delta(&mut self, delta: &Delta, bus_speed_mps: f64) -> Result<Footprint, String> {
+        let n_trips = self.trip_ranges.len();
+        let named: Vec<TripId> = match delta {
+            Delta::TripDelay { trip, .. } | Delta::TripCancel { trip } if trip.idx() < n_trips => {
+                vec![*trip]
+            }
+            Delta::RouteRemove { route } => {
+                (0..n_trips as u32).map(TripId).filter(|&t| self.trip_route(t) == *route).collect()
+            }
+            _ => Vec::new(),
+        };
+        let before: Vec<(TripId, Vec<StopTime>)> =
+            named.into_iter().map(|t| (t, self.trip_calls(t).to_vec())).collect();
+        match delta {
             Delta::TripDelay { trip, delay_secs } => self.delay_trip(*trip, *delay_secs)?,
             Delta::TripCancel { trip } => self.cancel_trip(*trip)?,
-            Delta::RouteRemove { route } => self.remove_route(*route)?,
-            Delta::ServiceAlert { .. } => {
-                return Ok(DeltaOutcome { touched_stops: Vec::new(), structural: false })
-            }
+            Delta::RouteRemove { route } => self.remove_route(*route, &before)?,
+            Delta::ServiceAlert { .. } => {}
             Delta::AddRoute { stops, headway_s } => {
                 self.append_route(stops, *headway_s, bus_speed_mps)?
             }
-        };
-        Ok(DeltaOutcome { touched_stops, structural: true })
+        }
+        let added = (n_trips..self.trip_ranges.len()).map(|t| (TripId(t as u32), Vec::new()));
+        let trips = before
+            .into_iter()
+            .chain(added)
+            .map(|(trip, before)| TripRows { trip, before, after: self.trip_calls(trip).to_vec() })
+            .filter(|t| t.before != t.after)
+            .collect();
+        Ok(Footprint { trips })
     }
 
     /// Shifts every call of `trip` `delay_secs` later (uniform holding
-    /// delay). Returns the touched stops.
-    fn delay_trip(&mut self, trip: TripId, delay_secs: u32) -> Result<Vec<StopId>, String> {
+    /// delay).
+    fn delay_trip(&mut self, trip: TripId, delay_secs: u32) -> Result<(), String> {
         let (a, b) =
             *self.trip_ranges.get(trip.idx()).ok_or_else(|| format!("unknown trip #{}", trip.0))?;
         if a == b {
             return Err(format!("trip #{} has no calls to delay", trip.0));
         }
-        let mut touched = Vec::with_capacity((b - a) as usize);
         for i in a as usize..b as usize {
             let st = self.feed.stop_times[i];
             // Re-slot the departure in its stop's sorted row: remove the old
@@ -218,22 +240,20 @@ impl FeedIndex {
             let stm = &mut self.feed.stop_times[i];
             stm.arrival = stm.arrival.plus(delay_secs);
             stm.departure = stm.departure.plus(delay_secs);
-            touched.push(st.stop);
         }
-        Ok(touched)
+        Ok(())
     }
 
     /// Cancels `trip`: its calls are removed from the feed and every
     /// departure row. A trip that already makes no calls is a no-op (so
     /// replaying a delta log is idempotent per entry). The trip record
     /// itself remains — dense ids stay stable.
-    fn cancel_trip(&mut self, trip: TripId) -> Result<Vec<StopId>, String> {
+    fn cancel_trip(&mut self, trip: TripId) -> Result<(), String> {
         let (a, b) =
             *self.trip_ranges.get(trip.idx()).ok_or_else(|| format!("unknown trip #{}", trip.0))?;
         if a == b {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        let mut touched = Vec::with_capacity((b - a) as usize);
         for i in a as usize..b as usize {
             let st = self.feed.stop_times[i];
             let row = &mut self.stop_departures[st.stop.idx()];
@@ -242,7 +262,6 @@ impl FeedIndex {
                 .position(|d| d.trip == trip && d.seq == st.seq)
                 .expect("departure rows track the feed");
             row.remove(pos);
-            touched.push(st.stop);
         }
         self.feed.stop_times.drain(a as usize..b as usize);
         let removed = b - a;
@@ -253,28 +272,29 @@ impl FeedIndex {
                 r.1 -= removed;
             }
         }
-        Ok(touched)
+        Ok(())
     }
 
     /// Cancels every trip of `route` in one pass: one retain over
-    /// `stop_times` and over each touched departure row, then one walk of
-    /// the trip ranges. Equal to cancelling the trips one by one in id
-    /// order, touched-stop list included. The route (and its
-    /// trips/services) stay as records; only calls disappear.
-    fn remove_route(&mut self, route: RouteId) -> Result<Vec<StopId>, String> {
+    /// `stop_times` and over the departure row of each stop in `calls`
+    /// (the route's trips with their call rows), then one walk of the trip
+    /// ranges. Equal to cancelling the trips one by one in id order. The
+    /// route (and its trips/services) stay as records; only calls
+    /// disappear.
+    fn remove_route(
+        &mut self,
+        route: RouteId,
+        calls: &[(TripId, Vec<StopTime>)],
+    ) -> Result<(), String> {
         if route.idx() >= self.feed.routes.len() {
             return Err(format!("unknown route #{}", route.0));
         }
+        let mut rows: Vec<StopId> = calls.iter().flat_map(|(_, c)| c).map(|st| st.stop).collect();
+        if rows.is_empty() {
+            return Ok(());
+        }
         let removed: Vec<bool> = self.trip_route.iter().map(|&r| r == route).collect();
-        let mut touched = Vec::new();
-        for (t, _) in removed.iter().enumerate().filter(|(_, &gone)| gone) {
-            touched.extend(self.trip_calls(TripId(t as u32)).iter().map(|st| st.stop));
-        }
-        if touched.is_empty() {
-            return Ok(touched);
-        }
         self.feed.stop_times.retain(|st| !removed[st.trip.idx()]);
-        let mut rows = touched.clone();
         rows.sort_unstable();
         rows.dedup();
         for stop in rows {
@@ -292,7 +312,7 @@ impl FeedIndex {
                 r.1 -= shift;
             }
         }
-        Ok(touched)
+        Ok(())
     }
 
     /// Appends a new weekday bus route calling at `stops_at` in order with
@@ -304,7 +324,7 @@ impl FeedIndex {
         stops_at: &[Point],
         peak_headway_s: u32,
         bus_speed_mps: f64,
-    ) -> Result<Vec<StopId>, String> {
+    ) -> Result<(), String> {
         if stops_at.iter().any(|p| !p.is_finite()) {
             return Err("route stops must be finite".into());
         }
@@ -404,7 +424,7 @@ impl FeedIndex {
             row.sort_by_key(|d| (d.departure, d.trip, d.seq));
         }
         debug_assert!(self.feed.is_normalized());
-        Ok(new_stops)
+        Ok(())
     }
 }
 
@@ -485,25 +505,36 @@ mod tests {
 
     #[test]
     fn append_route_matches_rebuild_and_validates() {
-        let base_trips = index().feed().trips.len();
-        let ix = mutable_index();
+        let mut ix = index();
+        let (base_trips, base_stops) = (ix.feed().trips.len(), ix.n_stops());
+        let stops = vec![Point::new(0.0, 0.0), Point::new(900.0, 0.0), Point::new(1800.0, 600.0)];
+        let fp = ix.apply_delta(&Delta::AddRoute { stops, headway_s: 1800 }, 8.0).unwrap();
         crate::validate::assert_valid(ix.feed());
         assert_matches_rebuild(&ix);
         // Both directions, 6:00–22:00 at the (clamped) headway.
         let n_new_trips = ix.feed().trips.len() - base_trips;
         assert_eq!(n_new_trips, 2 * 32, "32 departures per direction over 6:00-22:00 at 1800s");
+        assert_eq!(fp.trips.len(), n_new_trips);
+        assert!(fp.trips.iter().all(|t| t.before.is_empty() && t.after.len() == 3));
+        assert_eq!(
+            fp.stops(),
+            (base_stops as u32..ix.n_stops() as u32).map(StopId).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn delay_trip_matches_rebuild() {
         let mut ix = mutable_index();
         let trip = TripId(2); // first appended trip
-        let before: Vec<Stime> = ix.trip_calls(trip).iter().map(|c| c.departure).collect();
-        let out = ix.apply_delta(&Delta::TripDelay { trip, delay_secs: 420 }, 8.0).unwrap();
-        assert_eq!(out.touched_stops.len(), 3);
-        let after: Vec<Stime> = ix.trip_calls(trip).iter().map(|c| c.departure).collect();
-        for (b, a) in before.iter().zip(&after) {
-            assert_eq!(b.plus(420), *a);
+        let rows = ix.trip_calls(trip).to_vec();
+        let fp = ix.apply_delta(&Delta::TripDelay { trip, delay_secs: 420 }, 8.0).unwrap();
+        assert_eq!(
+            fp.trips,
+            vec![TripRows { trip, before: rows, after: ix.trip_calls(trip).to_vec() }]
+        );
+        assert_eq!(fp.stops().len(), 3);
+        for (b, a) in fp.trips[0].before.iter().zip(&fp.trips[0].after) {
+            assert_eq!(b.departure.plus(420), a.departure);
         }
         assert_matches_rebuild(&ix);
         crate::validate::assert_valid(ix.feed());
@@ -515,14 +546,16 @@ mod tests {
         let trip = TripId(3);
         let stop = ix.trip_calls(trip)[0].stop;
         let deps_before = ix.stop_departures[stop.idx()].len();
-        let out = ix.apply_delta(&Delta::TripCancel { trip }, 8.0).unwrap();
-        assert_eq!(out.touched_stops.len(), 3);
+        let rows = ix.trip_calls(trip).to_vec();
+        let fp = ix.apply_delta(&Delta::TripCancel { trip }, 8.0).unwrap();
+        assert_eq!(fp.trips, vec![TripRows { trip, before: rows, after: Vec::new() }]);
+        assert_eq!(fp.stops().len(), 3);
         assert!(ix.trip_calls(trip).is_empty());
         assert_eq!(ix.stop_departures[stop.idx()].len(), deps_before - 1);
         assert_matches_rebuild(&ix);
         crate::validate::assert_valid(ix.feed());
-        // Cancelling again is a structural no-op.
-        assert!(ix.apply_delta(&Delta::TripCancel { trip }, 8.0).unwrap().touched_stops.is_empty());
+        // Cancelling again changes no row.
+        assert!(ix.apply_delta(&Delta::TripCancel { trip }, 8.0).unwrap().is_empty());
         assert_matches_rebuild(&ix);
     }
 
@@ -530,10 +563,14 @@ mod tests {
     fn remove_route_cancels_every_trip_and_matches_rebuild() {
         let mut ix = mutable_index();
         let route = ix.feed().routes.last().unwrap().id;
-        ix.apply_delta(&Delta::RouteRemove { route }, 8.0).unwrap();
-        for t in ix.feed().trips.iter().filter(|t| t.route == route) {
-            assert!(ix.trip_calls(t.id).is_empty());
+        let fp = ix.apply_delta(&Delta::RouteRemove { route }, 8.0).unwrap();
+        let trips: Vec<TripId> =
+            ix.feed().trips.iter().filter(|t| t.route == route).map(|t| t.id).collect();
+        assert_eq!(fp.trips.iter().map(|t| t.trip).collect::<Vec<_>>(), trips);
+        for t in &trips {
+            assert!(ix.trip_calls(*t).is_empty());
         }
+        assert!(ix.apply_delta(&Delta::RouteRemove { route }, 8.0).unwrap().is_empty());
         // The original trips are untouched.
         assert_eq!(ix.trip_calls(TripId(0)).len(), 2);
         assert_matches_rebuild(&ix);
@@ -541,17 +578,19 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_dispatches_and_reports_structure() {
+    fn apply_delta_dispatches_and_reports_the_footprint() {
         let mut ix = mutable_index();
         let alert = ix
             .apply_delta(&Delta::ServiceAlert { route: RouteId(0), message: "slow".into() }, 8.0)
             .unwrap();
-        assert!(!alert.structural);
-        assert!(alert.touched_stops.is_empty());
+        assert!(alert.is_empty());
+        let still = ix.clone();
+        let zero = Delta::TripDelay { trip: TripId(2), delay_secs: 0 };
+        assert!(ix.apply_delta(&zero, 8.0).unwrap().is_empty());
+        assert_eq!(ix, still, "a zero delay changes nothing");
         let out =
             ix.apply_delta(&Delta::TripDelay { trip: TripId(2), delay_secs: 60 }, 8.0).unwrap();
-        assert!(out.structural);
-        assert!(!out.touched_stops.is_empty());
+        assert!(!out.is_empty());
         assert_matches_rebuild(&ix);
     }
 

@@ -20,7 +20,7 @@
 //! * [`model`] — typed records: agencies, stops, routes, trips, stop times,
 //!   calendars, with `u32` newtype ids.
 //! * [`csv`] — minimal RFC-4180 reader/writer.
-//! * [`parse`] / [`write`] — feed ⇄ text tables.
+//! * [`parse`] / [`write`](mod@write) — feed ⇄ text tables.
 //! * [`index`] — `FeedIndex`: departures-at-stop, trip stop sequences,
 //!   stops-by-route, spatial stop lookup inputs.
 //! * [`validate`] — referential integrity and monotonicity checks.
@@ -34,7 +34,7 @@ pub mod time;
 pub mod validate;
 pub mod write;
 
-pub use delta::{Delta, DeltaOutcome};
+pub use delta::{Delta, Footprint, TripRows};
 pub use index::FeedIndex;
 pub use model::{Feed, Route, RouteId, Stop, StopId, StopTime, Trip, TripId};
 pub use time::{DayOfWeek, Stime, TimeInterval};

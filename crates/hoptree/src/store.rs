@@ -5,8 +5,8 @@
 //!
 //! It also keeps each stop's hops (see `build`) and the stops of each
 //! walkshed, so an edit costs what it touched: [`HopTreeStore::rebuild_stops`]
-//! rescans the stops an edit touched and re-merges only the trees of the
-//! zones whose walksheds hold a stop whose hops changed.
+//! rescans the stops of an edit's footprint and re-merges only the trees of
+//! the zones whose walksheds hold a stop whose hops changed.
 
 use crate::build::{StopHops, TreeBuilder};
 use crate::tree::HopTree;
@@ -124,10 +124,11 @@ impl HopTreeStore {
     }
 
     /// The incremental path for a feed edit: rescans the stops whose
-    /// departure boards it `touched` (an added route's new stops included)
-    /// and re-merges the trees of the zones whose walksheds hold a stop
-    /// whose hops changed. A stop's hops depend only on the trips calling
-    /// at it, so every other tree is unchanged.
+    /// departure rows it `touched` (a delta's [`staq_gtfs::Footprint::stops`],
+    /// an added route's new stops included) and re-merges the trees of the
+    /// zones whose walksheds hold a stop whose hops changed. A stop's hops
+    /// depend only on the trips calling at it, so every other tree is
+    /// unchanged.
     pub fn rebuild_stops(&mut self, city: &City, touched: &[StopId]) -> TreeRebuild {
         let mut b = self.builder(city);
         self.add_new_stops(&b, city.feed.n_stops());
@@ -235,10 +236,10 @@ mod tests {
         let (mut city, mut by_zone, _) = small_city();
         let (_, mut by_stop, _) = small_city();
         let delta = pick(&city, &by_zone.interval);
-        let out = city.feed.apply_delta(&delta, city.config.bus_speed_mps).expect("delta applies");
+        let fp = city.feed.apply_delta(&delta, city.config.bus_speed_mps).expect("delta applies");
         let zones: Vec<ZoneId> = (0..by_zone.n_zones() as u32).map(ZoneId).collect();
         let changed = by_zone.rebuild_zones(&city, &zones);
-        let rebuilt = by_stop.rebuild_stops(&city, &out.touched_stops);
+        let rebuilt = by_stop.rebuild_stops(&city, &fp.stops());
         let fresh = HopTreeStore::build(&city, &by_zone.interval, &by_zone.params);
         for s in [&by_zone, &by_stop] {
             for &z in &zones {

@@ -8,7 +8,7 @@
 //! writer, used by load generators and snapshots) and
 //! [`AtomicHistogram`](crate::registry::AtomicHistogram) (many concurrent
 //! writers on the serving hot path). They stay mergeable with each other
-//! because they share [`bucket`]/[`bucket_value`].
+//! because they share `bucket`/`bucket_value`.
 
 use std::time::Duration;
 

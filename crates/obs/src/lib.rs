@@ -13,7 +13,7 @@
 //!   registry's state on demand without blocking writers.
 //! * [`hist`] — the log-bucketed mergeable [`LatencyHistogram`] plus
 //!   the bucket math shared with the atomic variant.
-//! * [`snapshot`] — [`MetricsSnapshot`], the plain-data view of the
+//! * [`snapshot`](mod@snapshot) — [`MetricsSnapshot`], the plain-data view of the
 //!   registry that the serve `Stats` frame carries (staq-serve's wire
 //!   codec is its one interchange format).
 //! * [`trace`] — staq-trace: per-query spans in a lock-free seqlock ring,

@@ -15,7 +15,7 @@
 //! folds them with [`OpsReport::merge`].
 //!
 //! Burn rates follow the fast/slow multi-window convention (see
-//! [`slo`](crate::slo)): the fast window pages on sudden breakage, the
+//! [`slo`]): the fast window pages on sudden breakage, the
 //! slow window catches budget leaks. Both are sums over the same ring's
 //! trailing windows.
 

@@ -38,8 +38,9 @@ static DELTAS_APPLIED: Counter = Counter::new("rt.deltas_applied");
 static INVAL_ENGINE: Counter = Counter::new("rt.invalidations.engine");
 /// Access-artifact invalidations: zones whose hop trees were rebuilt.
 static INVAL_ACCESS: Counter = Counter::new("rt.invalidations.access");
-/// Pattern invalidations: structural deltas that make the engine rebuild
-/// its prepared RAPTOR network from the changed feed.
+/// Pattern invalidations: deltas with a non-empty footprint (they changed
+/// a call row), which make the engine rebuild its prepared RAPTOR network
+/// from the changed feed. Alerts and no-op edits do not count.
 static INVAL_PATTERN: Counter = Counter::new("rt.invalidations.pattern");
 
 /// Why a streamed delta was not applied.

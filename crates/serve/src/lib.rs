@@ -41,6 +41,4 @@ pub mod server;
 pub use client::{ClientError, MuxClient};
 pub use codec::{DeltaAck, Request, Response, StatsReply, WhatIfAnswer, WIRE_VERSION};
 pub use pool::InFlight;
-pub use server::{
-    serve, serve_front, serve_rt, serve_shared, FrontNames, ServerConfig, ServerHandle,
-};
+pub use server::{serve, serve_front, serve_rt, FrontNames, ServerConfig, ServerHandle};

@@ -1,16 +1,16 @@
 //! Fixed-size worker pool over a bounded request queue, and the
 //! backend's request executor.
 //!
-//! The front end ([`crate::server`]) enqueues [`Job`]s; `N` workers run
+//! The front end ([`crate::server`]) enqueues `Job`s; `N` workers run
 //! each admitted one through the pool's executor and hand the
 //! [`Response`] to the job's reply callback. The pool is the same for
 //! every front end — what differs is the executor: a backend runs
-//! [`backend_executor`] ([`execute`] against the shared [`RtEngine`], a
+//! `backend_executor` ([`execute`] against the shared [`RtEngine`], a
 //! sequenced delta log wrapping the [`AccessEngine`], so replicas can
 //! replay a server's edits deterministically); the shard router plugs in
 //! its dispatch. The queue is bounded, so a flood of requests is shed at
 //! the front instead of growing memory without limit.
-//! [`WorkerPool::shutdown`] (or dropping the pool) revokes the queue's
+//! `WorkerPool::shutdown` (or dropping the pool) revokes the queue's
 //! sender; workers drain what is left and exit.
 
 use crate::codec::{DeltaAck, ErrorCode, Request, Response, StatsReply, WhatIfAnswer};

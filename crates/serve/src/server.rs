@@ -115,24 +115,16 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Binds `cfg.addr` and serves `engine` until shutdown.
-pub fn serve(engine: AccessEngine, cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
-    serve_shared(Arc::new(engine), cfg)
-}
-
-/// Like [`serve`], for an engine that is already shared. The server's
+/// Binds `cfg.addr` and serves `engine` until shutdown. The server's
 /// delta log starts empty; to serve an [`RtEngine`] whose log must
 /// survive a server restart, use [`serve_rt`].
 ///
 /// [`RtEngine`]: staq_rt::RtEngine
-pub fn serve_shared(
-    engine: Arc<AccessEngine>,
-    cfg: &ServerConfig,
-) -> std::io::Result<ServerHandle> {
-    serve_rt(Arc::new(staq_rt::RtEngine::new(engine)), cfg)
+pub fn serve(engine: AccessEngine, cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
+    serve_rt(Arc::new(staq_rt::RtEngine::new(Arc::new(engine))), cfg)
 }
 
-/// Like [`serve_shared`], over an existing [`RtEngine`] — the sequenced
+/// Like [`serve`], over an existing [`RtEngine`] — the sequenced
 /// delta log is shared with (and survives) the server.
 ///
 /// [`RtEngine`]: staq_rt::RtEngine

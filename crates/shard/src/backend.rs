@@ -19,7 +19,8 @@
 //! must not sum per-backend snapshots that are all the same registry.
 
 use staq_core::AccessEngine;
-use staq_serve::{serve_shared, ServerConfig, ServerHandle};
+use staq_rt::RtEngine;
+use staq_serve::{serve_rt, ServerConfig, ServerHandle};
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -84,7 +85,7 @@ impl ThreadBackend {
 impl Backend for ThreadBackend {
     fn start(&mut self) -> io::Result<SocketAddr> {
         self.kill();
-        let handle = serve_shared((self.factory)(), &self.cfg)?;
+        let handle = serve_rt(Arc::new(RtEngine::new((self.factory)())), &self.cfg)?;
         let addr = handle.addr();
         self.server = Some(handle);
         Ok(addr)

@@ -3,7 +3,7 @@
 //! The obs registry is statics-only (no dynamic metric names), so the
 //! per-backend latency histograms are a fixed bank of eight; fleets larger
 //! than eight shards fold the tail into `shard.backend.7plus.latency`.
-//! Everything here rides the normal [`staq_obs::snapshot`] path, so the
+//! Everything here rides the normal [`staq_obs::snapshot()`] path, so the
 //! router's own numbers appear in the merged `Stats` reply next to the
 //! backends'.
 

@@ -35,7 +35,7 @@ fn keep_probability(alpha: f64, gamma: f64) -> f64 {
     (gamma * alpha).clamp(0.0, 1.0)
 }
 
-/// Thins `R` for one pair: binomial selection at [`keep_probability`],
+/// Thins `R` for one pair: binomial selection at `keep_probability`,
 /// deterministic in `(seed, zone, poi)` so construction order (and
 /// parallelism) never changes the matrix.
 pub fn thin_for_pair(

@@ -100,7 +100,7 @@ mod tests {
             let o = city.zones[(i * 11) % city.zones.len()].centroid;
             let d = city.zones[(i * 17 + 3) % city.zones.len()].centroid;
             let dij = earliest_arrival(&net, &o, &d, depart, DayOfWeek::Tuesday);
-            let rap = raptor.earliest_arrival(&o, &d, depart, DayOfWeek::Tuesday);
+            let rap = raptor.query(&o, &d, depart, DayOfWeek::Tuesday).arrive;
             assert!(dij <= rap, "unbounded Dijkstra ({dij}) must not lose to RAPTOR ({rap})");
             if dij == rap {
                 equal += 1;

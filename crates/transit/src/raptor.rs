@@ -654,18 +654,6 @@ impl<'n, 'a> Raptor<'n, 'a> {
         }
     }
 
-    /// Earliest arrival time only (no journey construction) — used by tests
-    /// to cross-check against the Dijkstra baseline cheaply.
-    pub fn earliest_arrival(
-        &self,
-        origin: &Point,
-        dest: &Point,
-        depart: Stime,
-        day: DayOfWeek,
-    ) -> Stime {
-        self.query(origin, dest, depart, day).arrive
-    }
-
     /// The Pareto frontier over **(arrival time, transfers)**: every
     /// returned journey is undominated — no other journey arrives no later
     /// with no more transfers — and together they cover every trade-off the

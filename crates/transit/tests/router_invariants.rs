@@ -37,7 +37,7 @@ fn more_boardings_never_hurt() {
     for (o, d) in od_pairs(&city, 20) {
         let arrivals: Vec<Stime> = nets
             .iter()
-            .map(|n| Raptor::new(n).earliest_arrival(&o, &d, depart, DayOfWeek::Tuesday))
+            .map(|n| Raptor::new(n).query(&o, &d, depart, DayOfWeek::Tuesday).arrive)
             .collect();
         for w in arrivals.windows(2) {
             assert!(w[1] <= w[0], "extra boarding budget worsened arrival: {:?}", arrivals);
@@ -60,8 +60,8 @@ fn wider_access_budget_never_hurts() {
     );
     let depart = Stime::hms(8, 0, 0);
     for (o, d) in od_pairs(&city, 20) {
-        let a_tight = Raptor::new(&tight).earliest_arrival(&o, &d, depart, DayOfWeek::Tuesday);
-        let a_wide = Raptor::new(&wide).earliest_arrival(&o, &d, depart, DayOfWeek::Tuesday);
+        let a_tight = Raptor::new(&tight).query(&o, &d, depart, DayOfWeek::Tuesday).arrive;
+        let a_wide = Raptor::new(&wide).query(&o, &d, depart, DayOfWeek::Tuesday).arrive;
         assert!(a_wide <= a_tight, "more walk budget worsened {a_wide} > {a_tight}");
     }
 }

@@ -232,9 +232,10 @@ fn incremental_apply_matches_a_from_scratch_rebuild() {
 }
 
 /// Removing a route in one pass lands on the index that cancelling its
-/// trips one by one (in id order) gives, with the same touched-stop list,
-/// for every route of the city — after one of its trips was already
-/// cancelled, so a removal also walks past empty ranges.
+/// trips one by one (in id order) gives, and its footprint's rows are the
+/// per-trip cancel footprints' rows concatenated, for every route of the
+/// city — after one of its trips was already cancelled, so a removal also
+/// walks past empty ranges.
 #[test]
 fn route_removal_equals_cancelling_its_trips_one_by_one() {
     let city = City::generate(&CityConfig::small(42));
@@ -248,17 +249,17 @@ fn route_removal_equals_cancelling_its_trips_one_by_one() {
             base.apply_delta(&Delta::TripCancel { trip: first }, speed).expect("cancel applies");
         }
         let mut one_pass = base.clone();
-        let touched = one_pass
+        let removed = one_pass
             .apply_delta(&Delta::RouteRemove { route }, speed)
             .expect("removal applies")
-            .touched_stops;
+            .trips;
         let mut by_trip = base;
         let mut expected = Vec::new();
         for &trip in &trips {
             let out = by_trip.apply_delta(&Delta::TripCancel { trip }, speed);
-            expected.extend(out.expect("cancel applies").touched_stops);
+            expected.extend(out.expect("cancel applies").trips);
         }
-        assert_eq!(touched, expected, "touched stops of route {}", route.0);
+        assert_eq!(removed, expected, "footprint rows of route {}", route.0);
         assert!(one_pass == by_trip, "route {} removal diverged from per-trip cancels", route.0);
         assert!(one_pass == FeedIndex::build(one_pass.feed().clone()), "diverged from a rebuild");
     }
