@@ -681,6 +681,7 @@ mod tests {
             (route(vec![a]), "two stops"),
             (route(vec![a, a, b]), "coincide"),
             (route(vec![a, Point::new(f64::NAN, 0.0)]), "finite"),
+            (route(vec![a, Point::new(1e12, 0.0)]), "overflow"),
         ];
         for (delta, why) in bad {
             // A valid delta first: a rejected scenario must leave no trace

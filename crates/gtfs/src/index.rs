@@ -10,15 +10,17 @@
 //!   stops. [`FeedIndex::departures_at`] and [`FeedIndex::trip_calls`]
 //!   provide exactly these.
 //!
-//! A streaming [`Delta`] patches the index in place through
-//! [`FeedIndex::apply_delta`], which also reports its [`Footprint`]: the
-//! trips whose call rows changed, before and after. The mutators only
-//! mutate; what they touched is read off the rows, not listed by hand.
+//! A streaming [`Delta`] edits the index in place through
+//! [`FeedIndex::apply_delta`] in one step: the delta becomes the new call
+//! rows of the trips it changes, the rows they replace are read, the pairs
+//! that differ are its [`Footprint`], and those rows are written — the
+//! feed's `stop_times`, the trip ranges and the departure rows of the
+//! footprint's stops. [`FeedIndex::build`] is that step's helpers applied
+//! over every trip and every stop, so an edited index and a rebuilt one
+//! follow the same rules.
 
-use crate::delta::{Delta, Footprint, TripRows};
-use crate::model::{
-    Feed, Route, RouteId, RouteType, Service, ServiceId, Stop, StopId, StopTime, Trip, TripId,
-};
+use crate::delta::{append_route, Delta, Footprint, TripRows};
+use crate::model::{Feed, RouteId, ServiceId, StopId, StopTime, TripId};
 use crate::time::{DayOfWeek, Stime, TimeInterval};
 use staq_geom::Point;
 
@@ -37,10 +39,10 @@ pub struct Departure {
 /// are binary searches plus slice scans.
 ///
 /// The index is also *incrementally mutable*: [`FeedIndex::apply_delta`]
-/// applies a streaming schedule [`Delta`] by patching only the touched
-/// ranges and departure rows — never a full rebuild — and is exact:
-/// equality (`PartialEq`) with `FeedIndex::build` over the equivalently
-/// mutated feed is test-gated.
+/// applies a streaming schedule [`Delta`] by rewriting only the changed
+/// trips' rows and the departure rows of their stops — never a full
+/// rebuild — and is exact: equality (`PartialEq`) with `FeedIndex::build`
+/// over the equivalently mutated feed is test-gated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeedIndex {
     feed: Feed,
@@ -62,37 +64,18 @@ impl FeedIndex {
         if !feed.is_normalized() {
             feed.normalize();
         }
-        let n_trips = feed.trips.len();
-        let mut trip_ranges = vec![(0u32, 0u32); n_trips];
-        let mut i = 0usize;
-        while i < feed.stop_times.len() {
-            let trip = feed.stop_times[i].trip;
-            let start = i;
-            while i < feed.stop_times.len() && feed.stop_times[i].trip == trip {
-                i += 1;
-            }
-            trip_ranges[trip.idx()] = (start as u32, i as u32);
-        }
-
-        let mut stop_departures: Vec<Vec<Departure>> = vec![Vec::new(); feed.stops.len()];
-        for st in &feed.stop_times {
-            stop_departures[st.stop.idx()].push(Departure {
-                trip: st.trip,
-                departure: st.departure,
-                seq: st.seq,
-            });
-        }
-        for deps in &mut stop_departures {
-            // Total order: the `(trip, seq)` tie-break matches the stable
-            // sort over canonical stop_time order this used to be, and makes
-            // incremental departure edits land at the same slot a rebuild
-            // would.
-            deps.sort_by_key(|d| (d.departure, d.trip, d.seq));
-        }
-
-        let trip_route = feed.trips.iter().map(|t| t.route).collect();
-        let trip_service = feed.trips.iter().map(|t| t.service).collect();
-        FeedIndex { feed, trip_ranges, stop_departures, trip_route, trip_service }
+        let mut ix = FeedIndex {
+            feed,
+            trip_ranges: Vec::new(),
+            stop_departures: Vec::new(),
+            trip_route: Vec::new(),
+            trip_service: Vec::new(),
+        };
+        ix.extend_to_records();
+        derive_trip_ranges(&mut ix.trip_ranges, &ix.feed.stop_times);
+        let every_stop = (0..ix.n_stops() as u32).map(StopId);
+        push_departures(&mut ix.stop_departures, &ix.feed.stop_times, every_stop);
+        ix
     }
 
     /// The underlying feed.
@@ -165,266 +148,162 @@ impl FeedIndex {
     }
 
     // ------------------------------------------------------------------
-    // Incremental mutation: the live-delta path. Every method patches the
-    // feed *and* the inverted indexes in place; equality with a
-    // from-scratch `build` over the mutated feed is the test-gated
-    // contract.
+    // Incremental mutation: the live-delta path. A delta is lowered to new
+    // call rows and one step writes them; equality with a from-scratch
+    // `build` over the mutated feed is the test-gated contract.
     // ------------------------------------------------------------------
 
     /// Applies one streaming [`Delta`] incrementally and returns its
     /// [`Footprint`] so callers can invalidate precisely; `Err` on unknown
-    /// ids or invalid route geometry (the index is unchanged on error).
-    ///
-    /// The footprint is worked out here and nowhere else, by value: the
-    /// call rows of the trips the delta names are copied, the mutation
-    /// runs, the rows are read again (with those of the trips an
-    /// `AddRoute` appended), and every pair whose rows are equal drops out.
+    /// ids, a delay of a trip without calls or invalid route geometry (the
+    /// index is unchanged on error).
     ///
     /// `bus_speed_mps` parameterizes the run times of [`Delta::AddRoute`]
     /// (the city's bus speed; unused by the other kinds).
     pub fn apply_delta(&mut self, delta: &Delta, bus_speed_mps: f64) -> Result<Footprint, String> {
-        let n_trips = self.trip_ranges.len();
-        let named: Vec<TripId> = match delta {
-            Delta::TripDelay { trip, .. } | Delta::TripCancel { trip } if trip.idx() < n_trips => {
-                vec![*trip]
-            }
-            Delta::RouteRemove { route } => {
-                (0..n_trips as u32).map(TripId).filter(|&t| self.trip_route(t) == *route).collect()
-            }
-            _ => Vec::new(),
+        let rows = self.lower(delta, bus_speed_mps)?;
+        Ok(self.write_rows(rows))
+    }
+
+    /// The new call rows of the trips `delta` changes, ascending by trip
+    /// id: a delay shifts the trip's rows, a cancellation empties them, a
+    /// route removal empties every trip of the route, an alert changes
+    /// none. An added route appends its records to the feed (and nothing
+    /// else) and returns its trips' rows. Every error is raised before
+    /// anything is mutated.
+    fn lower(
+        &mut self,
+        delta: &Delta,
+        bus_speed_mps: f64,
+    ) -> Result<Vec<(TripId, Vec<StopTime>)>, String> {
+        let known = |trip: TripId| {
+            (trip.idx() < self.trip_ranges.len())
+                .then_some(trip)
+                .ok_or_else(|| format!("unknown trip #{}", trip.0))
         };
-        let before: Vec<(TripId, Vec<StopTime>)> =
-            named.into_iter().map(|t| (t, self.trip_calls(t).to_vec())).collect();
-        match delta {
-            Delta::TripDelay { trip, delay_secs } => self.delay_trip(*trip, *delay_secs)?,
-            Delta::TripCancel { trip } => self.cancel_trip(*trip)?,
-            Delta::RouteRemove { route } => self.remove_route(*route, &before)?,
-            Delta::ServiceAlert { .. } => {}
-            Delta::AddRoute { stops, headway_s } => {
-                self.append_route(stops, *headway_s, bus_speed_mps)?
+        Ok(match delta {
+            Delta::TripDelay { trip, delay_secs } => {
+                let calls = self.trip_calls(known(*trip)?);
+                if calls.is_empty() {
+                    return Err(format!("trip #{} has no calls to delay", trip.0));
+                }
+                let delay = |c: &StopTime| StopTime {
+                    arrival: c.arrival.plus(*delay_secs),
+                    departure: c.departure.plus(*delay_secs),
+                    ..*c
+                };
+                vec![(*trip, calls.iter().map(delay).collect())]
             }
-        }
-        let added = (n_trips..self.trip_ranges.len()).map(|t| (TripId(t as u32), Vec::new()));
-        let trips = before
+            Delta::TripCancel { trip } => vec![(known(*trip)?, Vec::new())],
+            Delta::RouteRemove { route } => {
+                if route.idx() >= self.feed.routes.len() {
+                    return Err(format!("unknown route #{}", route.0));
+                }
+                let trips = (0..self.trip_route.len() as u32).map(TripId);
+                trips.filter(|&t| self.trip_route(t) == *route).map(|t| (t, Vec::new())).collect()
+            }
+            Delta::ServiceAlert { .. } => Vec::new(),
+            Delta::AddRoute { stops, headway_s } => {
+                append_route(&mut self.feed, stops, *headway_s, bus_speed_mps)?
+            }
+        })
+    }
+
+    /// The one edit step: gives each trip of `rows` (ascending by id) its
+    /// new call rows and returns the footprint, the pairs whose rows
+    /// differ. Rows that keep their length are written in place; a change
+    /// of length re-packs `stop_times` in one pass and re-derives the trip
+    /// ranges. Each footprint stop's departure row then drops the changed
+    /// trips' departures and takes those of their new rows.
+    fn write_rows(&mut self, rows: Vec<(TripId, Vec<StopTime>)>) -> Footprint {
+        self.extend_to_records();
+        let trips: Vec<TripRows> = rows
             .into_iter()
-            .chain(added)
-            .map(|(trip, before)| TripRows { trip, before, after: self.trip_calls(trip).to_vec() })
+            .map(|(trip, after)| TripRows { trip, before: self.trip_calls(trip).to_vec(), after })
             .filter(|t| t.before != t.after)
             .collect();
-        Ok(Footprint { trips })
+        if trips.iter().all(|t| t.before.len() == t.after.len()) {
+            for t in &trips {
+                let (a, b) = self.trip_ranges[t.trip.idx()];
+                self.feed.stop_times[a as usize..b as usize].copy_from_slice(&t.after);
+            }
+        } else {
+            let old = std::mem::take(&mut self.feed.stop_times);
+            let mut changed = trips.iter().peekable();
+            for (t, &(a, b)) in self.trip_ranges.iter().enumerate() {
+                let calls = match changed.next_if(|c| c.trip.idx() == t) {
+                    Some(c) => &c.after[..],
+                    None => &old[a as usize..b as usize],
+                };
+                self.feed.stop_times.extend_from_slice(calls);
+            }
+            derive_trip_ranges(&mut self.trip_ranges, &self.feed.stop_times);
+        }
+        let footprint = Footprint { trips };
+        let stops = footprint.stops();
+        let replaced =
+            |trip: TripId| footprint.trips.binary_search_by_key(&trip, |t| t.trip).is_ok();
+        for s in &stops {
+            self.stop_departures[s.idx()].retain(|d| !replaced(d.trip));
+        }
+        let calls = footprint.trips.iter().flat_map(|t| &t.after);
+        push_departures(&mut self.stop_departures, calls, stops);
+        footprint
     }
 
-    /// Shifts every call of `trip` `delay_secs` later (uniform holding
-    /// delay).
-    fn delay_trip(&mut self, trip: TripId, delay_secs: u32) -> Result<(), String> {
-        let (a, b) =
-            *self.trip_ranges.get(trip.idx()).ok_or_else(|| format!("unknown trip #{}", trip.0))?;
-        if a == b {
-            return Err(format!("trip #{} has no calls to delay", trip.0));
-        }
-        for i in a as usize..b as usize {
-            let st = self.feed.stop_times[i];
-            // Re-slot the departure in its stop's sorted row: remove the old
-            // event, insert the shifted one at its total-order position.
-            let row = &mut self.stop_departures[st.stop.idx()];
-            let pos = row
-                .iter()
-                .position(|d| d.trip == trip && d.seq == st.seq)
-                .expect("departure rows track the feed");
-            row.remove(pos);
-            let nd = Departure { trip, departure: st.departure.plus(delay_secs), seq: st.seq };
-            let at = row.partition_point(|d| {
-                (d.departure, d.trip, d.seq) < (nd.departure, nd.trip, nd.seq)
-            });
-            row.insert(at, nd);
-            let stm = &mut self.feed.stop_times[i];
-            stm.arrival = stm.arrival.plus(delay_secs);
-            stm.departure = stm.departure.plus(delay_secs);
-        }
-        Ok(())
+    /// Extends the per-trip and per-stop vectors to the feed's record
+    /// counts — a no-op except after [`Delta::AddRoute`] appended records,
+    /// or from empty in [`FeedIndex::build`]. A new trip has no calls yet.
+    fn extend_to_records(&mut self) {
+        let trips = &self.feed.trips;
+        self.trip_route.extend(trips[self.trip_route.len()..].iter().map(|t| t.route));
+        self.trip_service.extend(trips[self.trip_service.len()..].iter().map(|t| t.service));
+        self.trip_ranges.resize(trips.len(), (0, 0));
+        self.stop_departures.resize(self.feed.stops.len(), Vec::new());
     }
+}
 
-    /// Cancels `trip`: its calls are removed from the feed and every
-    /// departure row. A trip that already makes no calls is a no-op (so
-    /// replaying a delta log is idempotent per entry). The trip record
-    /// itself remains — dense ids stay stable.
-    fn cancel_trip(&mut self, trip: TripId) -> Result<(), String> {
-        let (a, b) =
-            *self.trip_ranges.get(trip.idx()).ok_or_else(|| format!("unknown trip #{}", trip.0))?;
-        if a == b {
-            return Ok(());
-        }
-        for i in a as usize..b as usize {
-            let st = self.feed.stop_times[i];
-            let row = &mut self.stop_departures[st.stop.idx()];
-            let pos = row
-                .iter()
-                .position(|d| d.trip == trip && d.seq == st.seq)
-                .expect("departure rows track the feed");
-            row.remove(pos);
-        }
-        self.feed.stop_times.drain(a as usize..b as usize);
-        let removed = b - a;
-        self.trip_ranges[trip.idx()] = (0, 0);
-        for r in &mut self.trip_ranges {
-            if r.0 >= b {
-                r.0 -= removed;
-                r.1 -= removed;
-            }
-        }
-        Ok(())
+/// Sets each trip's range into `stop_times` (which is `(trip, seq)`-sorted),
+/// `(0, 0)` for a trip without calls.
+fn derive_trip_ranges(ranges: &mut [(u32, u32)], stop_times: &[StopTime]) {
+    ranges.fill((0, 0));
+    let mut start = 0;
+    for calls in stop_times.chunk_by(|a, b| a.trip == b.trip) {
+        let end = start + calls.len() as u32;
+        ranges[calls[0].trip.idx()] = (start, end);
+        start = end;
     }
+}
 
-    /// Cancels every trip of `route` in one pass: one retain over
-    /// `stop_times` and over the departure row of each stop in `calls`
-    /// (the route's trips with their call rows), then one walk of the trip
-    /// ranges. Equal to cancelling the trips one by one in id order. The
-    /// route (and its trips/services) stay as records; only calls
-    /// disappear.
-    fn remove_route(
-        &mut self,
-        route: RouteId,
-        calls: &[(TripId, Vec<StopTime>)],
-    ) -> Result<(), String> {
-        if route.idx() >= self.feed.routes.len() {
-            return Err(format!("unknown route #{}", route.0));
-        }
-        let mut rows: Vec<StopId> = calls.iter().flat_map(|(_, c)| c).map(|st| st.stop).collect();
-        if rows.is_empty() {
-            return Ok(());
-        }
-        let removed: Vec<bool> = self.trip_route.iter().map(|&r| r == route).collect();
-        self.feed.stop_times.retain(|st| !removed[st.trip.idx()]);
-        rows.sort_unstable();
-        rows.dedup();
-        for stop in rows {
-            self.stop_departures[stop.idx()].retain(|d| !removed[d.trip.idx()]);
-        }
-        // `stop_times` is trip-sorted, so ranges ascend with the trip id:
-        // each kept range moves down by the calls removed before it.
-        let mut shift = 0;
-        for (r, &gone) in self.trip_ranges.iter_mut().zip(&removed) {
-            if gone {
-                shift += r.1 - r.0;
-                *r = (0, 0);
-            } else if r.0 != r.1 {
-                r.0 -= shift;
-                r.1 -= shift;
-            }
-        }
-        Ok(())
+/// Pushes the departure of each of `calls` onto its stop's row, keeping the
+/// rows of `stops` sorted (they must be sorted on entry and include every
+/// stop of `calls`).
+fn push_departures<'a>(
+    rows: &mut [Vec<Departure>],
+    calls: impl IntoIterator<Item = &'a StopTime>,
+    stops: impl IntoIterator<Item = StopId>,
+) {
+    // Total order: the `(trip, seq)` tie-break makes an edited row sort
+    // exactly as a rebuilt one.
+    let key = |d: &Departure| (d.departure, d.trip, d.seq);
+    let sorted: Vec<(StopId, usize)> =
+        stops.into_iter().map(|s| (s, rows[s.idx()].len())).collect();
+    for st in calls {
+        rows[st.stop.idx()].push(Departure { trip: st.trip, departure: st.departure, seq: st.seq });
     }
-
-    /// Appends a new weekday bus route calling at `stops_at` in order with
-    /// the given peak headway, extending the index incrementally: new trips
-    /// get fresh (maximal) ids, so their stop_times append in canonical
-    /// order and no existing departure row is touched.
-    fn append_route(
-        &mut self,
-        stops_at: &[Point],
-        peak_headway_s: u32,
-        bus_speed_mps: f64,
-    ) -> Result<(), String> {
-        if stops_at.iter().any(|p| !p.is_finite()) {
-            return Err("route stops must be finite".into());
-        }
-        // Validate geometry (stop count, zero-length hops) before touching
-        // the feed, so a rejected route leaves the index unchanged.
-        let tt = crate::delta::dyn_route_timetable(stops_at, peak_headway_s, bus_speed_mps)?;
-        let feed = &mut self.feed;
-        let first_new_stop = feed.stops.len();
-        let first_new_trip = feed.trips.len();
-        let first_new_st = feed.stop_times.len();
-
-        // New stops at the given points.
-        let mut new_stops: Vec<StopId> = Vec::with_capacity(stops_at.len());
-        for (k, p) in stops_at.iter().enumerate() {
-            let id = StopId(feed.stops.len() as u32);
-            feed.stops.push(Stop {
-                id,
-                gtfs_id: format!("DYN_S{}_{}", feed.routes.len(), k),
-                name: format!("Dynamic stop {k}"),
-                pos: *p,
-            });
-            new_stops.push(id);
-        }
-
-        // Weekday service dedicated to dynamic routes.
-        let svc = ServiceId(feed.services.len() as u32);
-        feed.services.push(Service {
-            id: svc,
-            gtfs_id: format!("DYN_WK{}", svc.0),
-            days: [true, true, true, true, true, false, false],
-        });
-        let route = RouteId(feed.routes.len() as u32);
-        feed.routes.push(Route {
-            id: route,
-            gtfs_id: format!("DYN_R{}", route.0),
-            agency: feed.agencies[0].id,
-            short_name: format!("D{}", route.0),
-            route_type: RouteType::Bus,
-        });
-
-        // All-day service at the peak headway (scenario routes are
-        // what-ifs; a flat headway keeps the experiment interpretable),
-        // on the schedule convention of `dyn_route_timetable`.
-        for dir in 0..2usize {
-            let ordered: Vec<StopId> = if dir == 0 {
-                new_stops.clone()
-            } else {
-                new_stops.iter().rev().copied().collect()
-            };
-            for (k, &start) in tt.starts.iter().enumerate() {
-                let trip = TripId(feed.trips.len() as u32);
-                feed.trips.push(Trip {
-                    id: trip,
-                    gtfs_id: format!("DYN_T{}_{dir}_{k}", route.0),
-                    route,
-                    service: svc,
-                });
-                for (i, &stop) in ordered.iter().enumerate() {
-                    let (arr, dep) = tt.offsets[dir][i];
-                    feed.stop_times.push(StopTime {
-                        trip,
-                        stop,
-                        arrival: Stime(start + arr),
-                        departure: Stime(start + dep),
-                        seq: i as u32,
-                    });
-                }
+    for (s, n) in sorted {
+        // Sort the pushed tail, then move each of its departures down to
+        // its slot: `build` sorts whole rows and moves nothing, an edit
+        // sorts a few departures into a long row without re-sorting it.
+        let row = &mut rows[s.idx()];
+        row[n..].sort_by_key(key);
+        for j in n.max(1)..row.len() {
+            let k = key(&row[j]);
+            if key(&row[j - 1]) > k {
+                let at = row[..j].partition_point(|d| key(d) < k);
+                row[at..=j].rotate_right(1);
             }
         }
-
-        // Incremental index extension. New trips carry maximal ids, so the
-        // appended stop_times keep the feed `(trip, seq)`-normalized and
-        // their ranges scan off the tail.
-        self.trip_route.extend(feed.trips[first_new_trip..].iter().map(|t| t.route));
-        self.trip_service.extend(feed.trips[first_new_trip..].iter().map(|t| t.service));
-        self.trip_ranges.resize(feed.trips.len(), (0, 0));
-        let mut i = first_new_st;
-        while i < feed.stop_times.len() {
-            let trip = feed.stop_times[i].trip;
-            let start = i;
-            while i < feed.stop_times.len() && feed.stop_times[i].trip == trip {
-                i += 1;
-            }
-            self.trip_ranges[trip.idx()] = (start as u32, i as u32);
-        }
-        // New trips call only at new stops: existing departure rows are
-        // untouched, the fresh rows sort like a rebuild would.
-        self.stop_departures.resize(feed.stops.len(), Vec::new());
-        for st in &feed.stop_times[first_new_st..] {
-            self.stop_departures[st.stop.idx()].push(Departure {
-                trip: st.trip,
-                departure: st.departure,
-                seq: st.seq,
-            });
-        }
-        for row in &mut self.stop_departures[first_new_stop..] {
-            row.sort_by_key(|d| (d.departure, d.trip, d.seq));
-        }
-        debug_assert!(self.feed.is_normalized());
-        Ok(())
     }
 }
 

@@ -557,16 +557,39 @@ mod tests {
 
     #[test]
     fn invalid_edits_become_error_frames_not_panics() {
-        let pool = spawn(engine(), 1, 4);
-        let one_stop =
-            Delta::AddRoute { stops: vec![staq_geom::Point::new(0.0, 0.0)], headway_s: 600 };
-        match roundtrip(&pool, Request::ApplyDelta { seq: 0, delta: one_stop }) {
-            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Invalid),
+        use staq_geom::Point;
+        let e = engine();
+        let pool = spawn(Arc::clone(&e), 1, 4);
+        let measures = |pool: &WorkerPool| match roundtrip(
+            pool,
+            Request::Measures { category: PoiCategory::School, approx: false },
+        ) {
+            Response::Measures(ms) => assert!(!ms.is_empty()),
+            other => panic!("{other:?}"),
+        };
+        let route = |stops: Vec<Point>, headway_s| Delta::AddRoute { stops, headway_s };
+        let (a, b) = (Point::new(100.0, 100.0), Point::new(900.0, 900.0));
+        // One stop, and a stop so far out that its run time overflows the
+        // service clock.
+        for bad in [route(vec![a], 600), route(vec![a, Point::new(1e12, 100.0)], 600)] {
+            match roundtrip(&pool, Request::ApplyDelta { seq: 0, delta: bad }) {
+                Response::Error { code, .. } => assert_eq!(code, ErrorCode::Invalid),
+                other => panic!("{other:?}"),
+            }
+            // The worker survived and keeps serving.
+            measures(&pool);
+        }
+        // A headway longer than the day is one trip each way, not a
+        // wrapped clock.
+        let trips = |e: &AccessEngine| e.city().feed.feed().trips.len();
+        let before = trips(&e);
+        match roundtrip(&pool, Request::ApplyDelta { seq: 0, delta: route(vec![a, b], u32::MAX) }) {
+            Response::ApplyDelta(_) => assert_eq!(trips(&e), before + 2),
             other => panic!("{other:?}"),
         }
-        // The worker survived and keeps serving.
+        measures(&pool);
         match roundtrip(&pool, Request::Stats) {
-            Response::Stats(s) => assert_eq!(s.requests_served, 1),
+            Response::Stats(s) => assert_eq!(s.requests_served, 6),
             other => panic!("{other:?}"),
         }
     }

@@ -120,9 +120,8 @@ fn delays_and_route_removals_keep_the_access_cache() {
         Delta::RouteRemove { route: RouteId(1) },
     ] {
         e.apply_delta(&delta).expect("delta applies");
-        let kind = delta.kind();
-        assert!(Arc::ptr_eq(&stops, &e.stop_tables()), "{kind} adds no stop: tables must stay");
-        assert_matches_fresh_engine(&e, &format!("after {kind}"));
+        assert!(Arc::ptr_eq(&stops, &e.stop_tables()), "{delta:?} adds no stop: tables must stay");
+        assert_matches_fresh_engine(&e, &format!("after {delta:?}"));
     }
 }
 

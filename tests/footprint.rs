@@ -11,6 +11,7 @@ use staq_gtfs::model::RouteId;
 use staq_gtfs::{DayOfWeek, Delta, FeedIndex, Footprint, Stime, StopId, TimeInterval};
 use staq_gtfs::{TripId, TripRows};
 use staq_synth::{City, CityConfig};
+use staq_transit::{NetworkTables, RouterConfig};
 
 /// The trips the delays and cancels draw from: few enough that a
 /// sequence repeats cancels and delays cancelled trips.
@@ -18,15 +19,27 @@ const TRIP_POOL: u32 = 6;
 
 /// Every stop's departure row over `0..n_stops`, seen through the public
 /// per-day view over the whole service clock (empty past `ix`'s stops).
+/// No interval holds the clock's last second, where a saturating delay
+/// leaves a trip, so those departures are read off the trips' call rows.
 /// Every trip runs on some day (asserted below), so two rows are equal
 /// exactly when their seven views are.
 fn departure_rows(ix: &FeedIndex, n_stops: usize) -> Vec<Vec<Vec<Departure>>> {
     let clock = |day| TimeInterval::new(Stime(0), Stime(u32::MAX), day, "all");
+    let mut last = vec![Vec::new(); n_stops];
+    for t in 0..ix.feed().trips.len() as u32 {
+        for c in ix.trip_calls(TripId(t)).iter().filter(|c| c.departure == Stime(u32::MAX)) {
+            last[c.stop.idx()].push(Departure { trip: c.trip, departure: c.departure, seq: c.seq });
+        }
+    }
     (0..n_stops)
         .map(|s| {
             let stop = StopId(s as u32);
             let days = if s < ix.n_stops() { &DayOfWeek::ALL[..] } else { &[] };
-            days.iter().map(|&day| ix.departures_at(stop, &clock(day)).collect()).collect()
+            let row = |day| {
+                let at_last = last[s].iter().filter(move |d| ix.trip_runs_on(d.trip, day));
+                ix.departures_at(stop, &clock(day)).chain(at_last.copied()).collect()
+            };
+            days.iter().map(|&day| row(day)).collect()
         })
         .collect()
 }
@@ -51,12 +64,17 @@ fn diff(before: &FeedIndex, after: &FeedIndex) -> (Vec<TripRows>, Vec<StopId>) {
     (trips, stops)
 }
 
-/// One delta from a drawn `(kind, id, delay, points)` tuple.
-fn delta(
-    ix: &FeedIndex,
-    side: f64,
-    (kind, id, delay, pts): (u8, u32, u32, Vec<(f64, f64)>),
-) -> Delta {
+/// One drawn delta: `(kind, id, (extreme, delay), (far, points))`.
+type Draw = (u8, u32, (u8, u32), (u32, Vec<(f64, f64)>));
+
+/// One delta from a [`Draw`]. An `extreme` of 0 puts the delay (and the
+/// headway) within `delay` seconds of `u32::MAX`; a `far` in 8..=12
+/// spreads the route's points over `10^far` m instead of the city's side,
+/// far enough out from 10^10 m on for run times to overflow the service
+/// clock.
+fn delta(ix: &FeedIndex, side: f64, (kind, id, (extreme, delay), (far, pts)): Draw) -> Delta {
+    let delay = if extreme == 0 { u32::MAX - delay } else { delay };
+    let scale = if (8..=12).contains(&far) { 10f64.powi(far as i32) } else { side };
     let trip = TripId((id % TRIP_POOL) * (ix.feed().trips.len() as u32 / TRIP_POOL));
     let route = RouteId(id % ix.feed().routes.len() as u32);
     match kind {
@@ -65,8 +83,8 @@ fn delta(
         2 => Delta::RouteRemove { route },
         3 => Delta::ServiceAlert { route, message: "advisory".into() },
         _ => Delta::AddRoute {
-            stops: pts.into_iter().map(|(x, y)| Point::new(x * side, y * side)).collect(),
-            headway_s: 600 + delay,
+            stops: pts.into_iter().map(|(x, y)| Point::new(x * scale, y * scale)).collect(),
+            headway_s: delay.saturating_add(600),
         },
     }
 }
@@ -76,7 +94,12 @@ proptest! {
 
     #[test]
     fn the_footprint_equals_a_field_diff_of_the_index(ops in proptest::collection::vec(
-        (0u8..5, 0u32..1_000, 0u32..5_401, proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..5)),
+        (
+            0u8..5,
+            0u32..1_000,
+            (0u8..4, 0u32..5_401),
+            (0u32..20, proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..5)),
+        ),
         1..16,
     )) {
         let city = City::generate(&CityConfig::tiny(42));
@@ -94,6 +117,9 @@ proptest! {
             prop_assert_eq!(&fp, &Footprint { trips }, "trips of {:?}", delta);
             prop_assert_eq!(fp.stops(), stops, "stops of {:?}", delta);
             prop_assert!(delta.is_structural() || fp.is_empty(), "{delta:?} is advisory");
+            prop_assert!(ix == FeedIndex::build(ix.feed().clone()), "{delta:?}: edit != rebuild");
+            let network = NetworkTables::build(&city.road, &ix, RouterConfig::default());
+            prop_assert!(network.is_ok(), "{delta:?} left a malformed feed: {:?}", network.err());
         }
     }
 }

@@ -203,7 +203,7 @@ fn incremental_apply_matches_a_from_scratch_rebuild() {
             })
         };
         let held = plans(&ods, |o, d, cap| incremental.plan(*o, *d, PLAN_DEPART, PLAN_DAY, cap));
-        assert!(held == expected, "plans over the held network went stale after {}", delta.kind());
+        assert!(held == expected, "plans over the held network went stale after {delta:?}");
     }
 
     // Rebuild path: the same deltas mutate the raw feed first, then a
