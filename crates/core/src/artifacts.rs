@@ -17,6 +17,7 @@ use std::time::Instant;
 static STAGE_ARTIFACTS: AtomicHistogram = AtomicHistogram::new("pipeline.stage.artifacts");
 
 /// Precomputed structures for one `(city, interval)`.
+#[derive(Clone)]
 pub struct OfflineArtifacts {
     /// Hop trees + isochrones + zone index.
     pub store: HopTreeStore,
@@ -45,10 +46,9 @@ impl OfflineArtifacts {
 }
 
 /// The transit network of `feed` over `road` under the default router
-/// config: what the artifacts start from (`previous` is `None`), what a
-/// commit routes over after its deltas land, and what a what-if scenario
-/// routes over after its deltas land on a copy of the feed (`previous` is
-/// the current network in both).
+/// config: what the artifacts start from (`previous` is `None`) and what
+/// a world routes over after a delta lands (`previous` is the network it
+/// routed over before).
 ///
 /// The trip patterns are always built afresh. `previous`'s stop tables,
 /// access cache included, are reused when they [match](StopTables::matches)
@@ -57,7 +57,7 @@ impl OfflineArtifacts {
 /// cache ever needs invalidating. `previous` must be a network over
 /// `road`. Panics on a trip whose call times run backwards; neither
 /// `City::generate` nor `FeedIndex::apply_delta` produces one.
-pub(crate) fn prepare_network(
+fn prepare_network(
     road: &RoadGraph,
     feed: &FeedIndex,
     previous: Option<&NetworkTables>,

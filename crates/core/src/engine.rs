@@ -33,9 +33,9 @@
 //!   answer still depends only on the world, never on which reads ran;
 //! * journey planning ([`AccessEngine::plan`]) over that same prepared
 //!   network, never a per-request copy;
-//! * counterfactual scenarios ([`AccessEngine::what_if`]), each routed
-//!   over a network built from a copy of the feed with its deltas
-//!   applied — the way a commit builds one.
+//! * counterfactual scenarios ([`AccessEngine::what_if`]): each scenario
+//!   is the commit step run on a copy of the world, then measured there,
+//!   so its answer is exactly what committing it would answer.
 //!
 //! # Concurrency model
 //!
@@ -44,7 +44,8 @@
 //! and everything derived from it:
 //!
 //! * Reads take the read lock and run concurrently; scenario edits take
-//!   the write lock.
+//!   the write lock. A what-if holds the read lock only while it measures
+//!   the base and copies the world; its scenarios run on the copy.
 //! * Each category's TODAM, feature rows and published result are cells
 //!   in the world, each filled at most once per world state. A cold read
 //!   fills them under the read lock, and no edit can land while it holds
@@ -64,11 +65,9 @@
 //! std `RwLock` behind the `parking_lot` stand-in prefers writers, so a
 //! nested read deadlocks once an edit waits.
 
-use crate::artifacts::{prepare_network, OfflineArtifacts};
+use crate::artifacts::OfflineArtifacts;
 use crate::config::PipelineConfig;
-use crate::pipeline::{
-    ssr_train_infer, FeatureRows, PipelineResult, Prepared, SsrPipeline, StageTimings,
-};
+use crate::pipeline::{FeatureRows, PipelineResult, Prepared, SsrPipeline, StageTimings};
 use parking_lot::{RwLock, RwLockReadGuard};
 use staq_access::{AccessQuery, QueryAnswer, ZoneMeasures};
 use staq_geom::{KdTree, Point};
@@ -76,8 +75,8 @@ use staq_gtfs::time::{DayOfWeek, Stime};
 use staq_gtfs::Delta;
 use staq_obs::Counter;
 use staq_synth::{City, Poi, PoiCategory, PoiId, ZoneId};
-use staq_todam::{LabelEngine, Todam, ZoneStats};
-use staq_transit::{AccessCost, Journey, Raptor, StopTables};
+use staq_todam::{Todam, ZoneStats};
+use staq_transit::{Journey, Raptor, StopTables};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -97,7 +96,9 @@ static CACHE_INVALIDATIONS: Counter = Counter::new("engine.cache.invalidations")
 /// that changes the feed) rebuilds the hop trees of the zones it touched
 /// and re-prepares the transit network under the same write lock, so
 /// every reader's `plan` and labeling pass routes over tables that match
-/// the feed it reads.
+/// the feed it reads. A what-if scenario is a clone of it that the same
+/// edit step ([`EngineState::apply`]) changes and nothing publishes.
+#[derive(Clone)]
 struct EngineState {
     city: City,
     artifacts: OfflineArtifacts,
@@ -109,7 +110,7 @@ struct EngineState {
 /// One category's pipeline stages 1–2 and its published result. Cells
 /// are filled only inside `result`'s initializer, so a feature row cell
 /// is only ever full beside the TODAM cell it was built from.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Derived {
     todam: OnceLock<Arc<Todam>>,
     features: OnceLock<Arc<FeatureRows>>,
@@ -195,7 +196,8 @@ impl AccessEngine {
     /// Number of SSR pipeline executions so far (one per solve, whether or
     /// not its TODAM and features were kept). Single-flight means this
     /// advances once per (category, edit-generation), no matter how many
-    /// threads demand the result concurrently.
+    /// threads demand the result concurrently. A what-if scenario whose
+    /// deltas changed a call row is a solve too, and counts one.
     pub fn pipeline_runs(&self) -> u64 {
         self.pipeline_runs.load(Ordering::Relaxed)
     }
@@ -326,8 +328,8 @@ impl AccessEngine {
     /// * `add_poi(c)` (not a delta) drops `c`'s result, retired result,
     ///   TODAM and feature rows, and nothing else.
     ///
-    /// Rejected deltas (unknown ids, bad geometry) leave the world
-    /// untouched.
+    /// Rejected deltas (unknown ids, a delay off the service clock, bad
+    /// geometry) leave the world untouched.
     pub fn apply_delta(&self, delta: &Delta) -> Result<DeltaApplied, String> {
         let mut span = staq_obs::trace::span("engine.apply_delta");
         // An alert changes no call row: it skips the write lock.
@@ -335,55 +337,28 @@ impl AccessEngine {
             span.attr("structural", 0);
             return Ok(DeltaApplied::default());
         }
-        let mut state = self.state.write();
-        let state = &mut *state;
-        let bus_speed = state.city.config.bus_speed_mps;
-        let footprint = state.city.feed.apply_delta(delta, bus_speed)?;
-        span.attr("structural", !footprint.is_empty() as u64);
-        if footprint.is_empty() {
-            return Ok(DeltaApplied::default());
-        }
-        // The one place the feed changes: re-prepare the network here
-        // so no reader ever routes over tables of an older feed.
-        state.artifacts.rebuild_network(&state.city);
-
-        // Incremental hop-tree rebuild: only the trees of zones whose
-        // walkshed holds a footprint stop whose hops changed.
-        let rebuilt = state.artifacts.store.rebuild_stops(&state.city, &footprint.stops());
-        let mut invalidated = 0;
-        for derived in &mut state.derived {
-            if let Some(result) = derived.result.take() {
-                derived.previous = Some(result);
-                invalidated += 1;
-            }
-            if rebuilt.changed {
-                derived.features.take();
-            }
-        }
-        CACHE_INVALIDATIONS.add(invalidated as u64);
-        Ok(DeltaApplied { structural: true, zones_rebuilt: rebuilt.zones, invalidated })
+        let applied = self.state.write().apply(delta)?;
+        span.attr("structural", applied.structural as u64);
+        CACHE_INVALIDATIONS.add(applied.invalidated as u64);
+        Ok(applied)
     }
 
     /// Evaluates `scenarios` (each a list of deltas) against the current
     /// world for one category, side by side, **without mutating anything**.
     ///
-    /// A scenario's network is built the way a commit builds it: the
-    /// deltas land on a copy of the feed through [`FeedIndex::apply_delta`]
-    /// (so they are accepted, rejected and scheduled exactly as a commit
-    /// would), and the scenario routes over tables prepared from that copy,
-    /// sharing the live network's stop tables and warm access cache unless
-    /// its deltas moved the stops. Everything else comes from the one
-    /// shared base: the cached base measures supply the TODAM, the L/U
-    /// split and the feature matrices (demand is POI-driven, so the TODAM
-    /// is exact under schedule deltas; reusing base hop-tree features is
-    /// the documented approximation). Per scenario, only labeling `L` over
-    /// its network and retraining the SSR model run. Retraining is skipped
-    /// when the scenario's targets equal the base's bit for bit (its L, U
-    /// and features are the base's): the base fit is what it would return.
+    /// Each scenario is the commit path run on a copy of the world: under
+    /// the read lock the base is measured and the world copied once, then
+    /// the lock is released; each scenario clones that copy, applies its
+    /// deltas with the step [`Self::apply_delta`] runs, and measures the
+    /// result. So a scenario is accepted or rejected, and answers, exactly
+    /// as committing its deltas and then reading would. The copy shares
+    /// every `Arc` part (the network's stop tables and warm access cache,
+    /// each category's TODAM, feature rows and result) until a delta
+    /// replaces it, and the base result it holds is the retired fit the
+    /// scenario's solve reuses when its fit inputs match bit for bit.
     ///
-    /// An empty scenario reproduces the base measures bit-for-bit.
-    ///
-    /// [`FeedIndex::apply_delta`]: staq_gtfs::FeedIndex::apply_delta
+    /// An empty scenario, or one that changes no call row, is the base
+    /// result and runs no solve.
     pub fn what_if(
         &self,
         category: PoiCategory,
@@ -391,37 +366,24 @@ impl AccessEngine {
     ) -> Result<Vec<ScenarioOutcome>, String> {
         let mut span = staq_obs::trace::span("engine.what_if");
         span.attr("scenarios", scenarios.len() as u64);
-        let state = self.state.read();
-        let base = self.measures_in(&state, category);
-        let bus_speed = state.city.config.bus_speed_mps;
-        let cost_model = AccessCost::of(self.config.cost);
-        let mut out = Vec::with_capacity(scenarios.len());
-        for deltas in scenarios {
-            let mut feed = state.city.feed.clone();
-            for delta in deltas {
-                feed.apply_delta(delta, bus_speed)?;
-            }
-            let tables = prepare_network(&state.city.road, &feed, Some(&state.artifacts.network));
-            let net = tables.view(&state.city.road, &feed);
-            let labeler = LabelEngine::with_network(
-                &state.city,
-                net,
-                cost_model,
-                self.config.todam.interval.clone(),
-            );
-            let labeled_stats: Vec<ZoneStats> = labeler
-                .label_zones(&base.matrix, &base.labeled)
-                .into_iter()
-                .map(|s| s.expect("base-labeled zone must relabel under the scenario"))
-                .collect();
-            let (l, u, x_l, x_u) =
-                (&base.labeled, &base.unlabeled, &base.x_labeled, &base.x_unlabeled);
-            let predicted = base.reuse_fit(l, u, x_l, x_u, &labeled_stats).unwrap_or_else(|| {
-                ssr_train_infer(&state.city, &self.config, l, u, x_l, x_u, &labeled_stats)
-            });
-            out.push(ScenarioOutcome { predicted, labeled_stats });
-        }
-        Ok(out)
+        let snapshot = {
+            let state = self.state.read();
+            self.measures_in(&state, category);
+            state.clone()
+        };
+        scenarios
+            .iter()
+            .map(|deltas| {
+                let mut world = snapshot.clone();
+                for delta in deltas {
+                    world.apply(delta)?;
+                }
+                let result = self.measures_in(&world, category);
+                let (predicted, labeled_stats) =
+                    (result.predicted.clone(), result.labeled_stats.clone());
+                Ok(ScenarioOutcome { predicted, labeled_stats })
+            })
+            .collect()
     }
 
     /// Point-to-point journey planning against the live timetable (the
@@ -448,6 +410,37 @@ impl AccessEngine {
         };
         span.attr("journeys", journeys.len() as u64);
         journeys
+    }
+}
+
+impl EngineState {
+    /// The one edit step, shared by a commit and a what-if scenario: the
+    /// feed takes the delta, and exactly the state its
+    /// [`staq_gtfs::Footprint`] says changed is refreshed (see
+    /// [`AccessEngine::apply_delta`]). An empty footprint changes nothing.
+    fn apply(&mut self, delta: &Delta) -> Result<DeltaApplied, String> {
+        let footprint = self.city.feed.apply_delta(delta, self.city.config.bus_speed_mps)?;
+        if footprint.is_empty() {
+            return Ok(DeltaApplied::default());
+        }
+        // The one place the feed changes: re-prepare the network here
+        // so no reader ever routes over tables of an older feed.
+        self.artifacts.rebuild_network(&self.city);
+
+        // Incremental hop-tree rebuild: only the trees of zones whose
+        // walkshed holds a footprint stop whose hops changed.
+        let rebuilt = self.artifacts.store.rebuild_stops(&self.city, &footprint.stops());
+        let mut invalidated = 0;
+        for derived in &mut self.derived {
+            if let Some(result) = derived.result.take() {
+                derived.previous = Some(result);
+                invalidated += 1;
+            }
+            if rebuilt.changed {
+                derived.features.take();
+            }
+        }
+        Ok(DeltaApplied { structural: true, zones_rebuilt: rebuilt.zones, invalidated })
     }
 }
 
@@ -682,6 +675,7 @@ mod tests {
             (route(vec![a, a, b]), "coincide"),
             (route(vec![a, Point::new(f64::NAN, 0.0)]), "finite"),
             (route(vec![a, Point::new(1e12, 0.0)]), "overflow"),
+            (Delta::TripDelay { trip: TripId(0), delay_secs: u32::MAX - 1 }, "overflow"),
         ];
         for (delta, why) in bad {
             // A valid delta first: a rejected scenario must leave no trace

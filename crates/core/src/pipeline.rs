@@ -48,7 +48,7 @@ static STAGE_SAMPLING: AtomicHistogram = AtomicHistogram::new("pipeline.stage.sa
 static STAGE_LABELING: AtomicHistogram = AtomicHistogram::new("pipeline.stage.labeling");
 static STAGE_TRAIN: AtomicHistogram = AtomicHistogram::new("pipeline.stage.train");
 /// Fits taken from an earlier result whose fit inputs matched bit for bit
-/// (stage 5 skipped), by `solve` or by a what-if scenario.
+/// (stage 5 skipped by `solve`, for a read or a what-if scenario alike).
 static FITS_REUSED: Counter = Counter::new("pipeline.fits_reused");
 
 /// Wall-clock seconds per stage.
@@ -99,7 +99,7 @@ pub struct PipelineResult {
     /// model-inferred for `unlabeled`.
     pub predicted: Vec<ZoneMeasures>,
     /// Feature matrix of the labeled zones (row order = `labeled`), retained
-    /// so what-if scenarios can retrain without re-extracting features.
+    /// so a later solve can compare its fit inputs with this result's.
     pub x_labeled: Matrix,
     /// Feature matrix of the unlabeled zones (row order = `unlabeled`).
     pub x_unlabeled: Matrix,
@@ -114,7 +114,7 @@ impl PipelineResult {
     /// targets (`mac`, `acsd`) compared by `f64::to_bits`. Comparing
     /// values rather than provenance means no invalidation rule has to be
     /// right for the reuse to be exact.
-    pub(crate) fn reuse_fit(
+    fn reuse_fit(
         &self,
         labeled: &[ZoneId],
         unlabeled: &[ZoneId],
@@ -346,8 +346,7 @@ fn farthest_point_sample(city: &City, eligible: &[ZoneId], k: usize, seed: u64) 
 /// Stage 5 proper: train the configured SSR model on `(x_labeled,
 /// labeled_stats)`, infer the unlabeled zones, and assemble the full
 /// per-zone measure list (truth for `L`, clamped inference for `U`), sorted
-/// by zone. Shared by the pipeline and the what-if engine, which retrains
-/// on counterfactual labels over the *same* feature matrices.
+/// by zone.
 pub fn ssr_train_infer(
     city: &City,
     cfg: &PipelineConfig,

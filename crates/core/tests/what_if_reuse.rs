@@ -1,5 +1,6 @@
 //! A what-if scenario whose relabeled targets equal the base's bit for bit
-//! takes the base fit instead of retraining. One test in this binary:
+//! takes the base fit instead of retraining, and one that changes no call
+//! row takes the base result and runs no solve. One test in this binary:
 //! `pipeline.fits_reused` is process-global, so no other test may move it
 //! while this one reads it.
 
@@ -49,9 +50,14 @@ fn scenarios_that_move_no_label_run_no_fit() {
 
     let engine = AccessEngine::new(city.clone(), config);
     let base = engine.measures(PoiCategory::School);
-    let before = fits_reused();
+    let (runs, before) = (engine.pipeline_runs(), fits_reused());
+    let empty = engine.what_if(PoiCategory::School, &scenarios[..1]).expect("empty scenario");
+    assert_eq!(engine.pipeline_runs(), runs, "the empty scenario runs no solve");
+    assert_eq!(fits_reused(), before, "the empty scenario takes the base result, not a fit");
     let out = engine.what_if(PoiCategory::School, &scenarios).expect("valid scenarios");
-    assert_eq!(fits_reused() - before, 2, "the empty and the late-delay scenario reuse the fit");
+    assert_eq!(engine.pipeline_runs() - runs, 2, "the delay and the cancel each run a solve");
+    assert_eq!(fits_reused() - before, 1, "the late-delay scenario reuses the fit");
+    assert_eq!(empty, out[..1], "the empty scenario answers alike alone and beside others");
 
     let bits = |m: &[staq_access::ZoneMeasures]| {
         m.iter().map(|m| (m.zone, m.mac.to_bits(), m.acsd.to_bits())).collect::<Vec<_>>()

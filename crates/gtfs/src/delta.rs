@@ -32,7 +32,8 @@ use staq_geom::Point;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Delta {
     /// Every call of `trip` shifts `delay_secs` later (a uniform holding
-    /// delay, the common GTFS-RT `TripUpdate` shape).
+    /// delay, the common GTFS-RT `TripUpdate` shape). Refused when a
+    /// shifted time would run off the service clock.
     TripDelay { trip: TripId, delay_secs: u32 },
     /// `trip` is cancelled: it makes no calls today or any other day.
     TripCancel { trip: TripId },
@@ -104,7 +105,7 @@ pub(crate) fn append_route(
             arr = dep.checked_add(run)?;
         }
         offsets.push((arr, arr));
-        let at = |t: u32, offset: u32| t.checked_add(offset).map(Stime);
+        let at = |t: u32, offset: u32| Stime(t).checked_plus(offset);
         starts
             .iter()
             .map(|&t| offsets.iter().map(|&(a, d)| Some((at(t, a)?, at(t, d)?))).collect())

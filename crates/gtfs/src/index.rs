@@ -155,8 +155,9 @@ impl FeedIndex {
 
     /// Applies one streaming [`Delta`] incrementally and returns its
     /// [`Footprint`] so callers can invalidate precisely; `Err` on unknown
-    /// ids, a delay of a trip without calls or invalid route geometry (the
-    /// index is unchanged on error).
+    /// ids, a delay of a trip without calls, a delay that shifts a call
+    /// past the service clock ([`Stime::checked_plus`]) or invalid route
+    /// geometry (the index is unchanged on error).
     ///
     /// `bus_speed_mps` parameterizes the run times of [`Delta::AddRoute`]
     /// (the city's bus speed; unused by the other kinds).
@@ -187,12 +188,19 @@ impl FeedIndex {
                 if calls.is_empty() {
                     return Err(format!("trip #{} has no calls to delay", trip.0));
                 }
-                let delay = |c: &StopTime| StopTime {
-                    arrival: c.arrival.plus(*delay_secs),
-                    departure: c.departure.plus(*delay_secs),
-                    ..*c
+                let shift = |t: Stime| {
+                    t.checked_plus(*delay_secs).ok_or_else(|| {
+                        format!("delaying trip #{} overflows the service clock", trip.0)
+                    })
                 };
-                vec![(*trip, calls.iter().map(delay).collect())]
+                let delay = |c: &StopTime| {
+                    Ok(StopTime {
+                        arrival: shift(c.arrival)?,
+                        departure: shift(c.departure)?,
+                        ..*c
+                    })
+                };
+                vec![(*trip, calls.iter().map(delay).collect::<Result<_, String>>()?)]
             }
             Delta::TripCancel { trip } => vec![(known(*trip)?, Vec::new())],
             Delta::RouteRemove { route } => {
@@ -478,6 +486,7 @@ mod tests {
         let mut ix = index();
         for bad in [
             Delta::TripDelay { trip: TripId(99), delay_secs: 60 },
+            Delta::TripDelay { trip: TripId(0), delay_secs: u32::MAX - 1 },
             Delta::TripCancel { trip: TripId(99) },
             Delta::RouteRemove { route: RouteId(99) },
             Delta::AddRoute { stops: vec![Point::new(0.0, 0.0)], headway_s: 600 },

@@ -36,6 +36,15 @@ impl Stime {
         Stime(self.0.saturating_add(dur))
     }
 
+    /// `self + dur` seconds, or `None` when the sum overflows the clock or
+    /// lands on its last second, `u32::MAX`: no half-open [`TimeInterval`]
+    /// holds that second, so a call parked there would never depart. A
+    /// timetable edit shifts its times with this, never with [`Self::plus`].
+    #[inline]
+    pub fn checked_plus(self, dur: u32) -> Option<Stime> {
+        self.0.checked_add(dur).filter(|&t| t != u32::MAX).map(Stime)
+    }
+
     /// Seconds from `self` to `later`; 0 when `later` precedes `self`.
     #[inline]
     pub fn until(self, later: Stime) -> u32 {
@@ -219,6 +228,14 @@ mod tests {
         assert_eq!(Stime(u32::MAX).plus(10), Stime(u32::MAX));
         assert_eq!(Stime(100).until(Stime(40)), 0);
         assert_eq!(Stime(40).until(Stime(100)), 60);
+    }
+
+    #[test]
+    fn checked_shift_refuses_the_last_second_and_overflow() {
+        assert_eq!(Stime(100).checked_plus(20), Some(Stime(120)));
+        assert_eq!(Stime(u32::MAX - 2).checked_plus(1), Some(Stime(u32::MAX - 1)));
+        assert_eq!(Stime(u32::MAX - 2).checked_plus(2), None);
+        assert_eq!(Stime(u32::MAX - 2).checked_plus(3), None);
     }
 
     #[test]

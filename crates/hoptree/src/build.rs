@@ -65,7 +65,7 @@ impl Accum {
 
 /// What one stop adds to the outbound and inbound trees of every zone
 /// whose walkshed holds it: the hops of its departures in the interval.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct StopHops {
     outbound: Leaves,
     inbound: Leaves,

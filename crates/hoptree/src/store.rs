@@ -17,7 +17,7 @@ use staq_road::{Isochrone, IsochroneParams, NodeSnapper};
 use staq_synth::{City, ZoneId};
 
 /// All per-zone offline artifacts for one `(city, interval)`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HopTreeStore {
     pub interval: TimeInterval,
     pub params: IsochroneParams,

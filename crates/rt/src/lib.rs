@@ -20,8 +20,10 @@
 //!   payload (`DeltaBatch` on the wire).
 //!
 //! The what-if half ([`RtEngine::what_if`]) forwards to
-//! [`AccessEngine::what_if`], which evaluates each scenario over a copy of
-//! the feed and leaves the log untouched.
+//! [`AccessEngine::what_if`], which runs each scenario's deltas through
+//! the commit step on a copy of the world, so a scenario answers exactly
+//! what committing it would, and leaves the live world and the log
+//! untouched.
 
 use parking_lot::Mutex;
 use staq_core::engine::{DeltaApplied, ScenarioOutcome};

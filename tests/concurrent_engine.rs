@@ -212,21 +212,32 @@ fn read_until<T>(edited: &AtomicBool, read: impl Fn() -> T) -> Vec<T> {
 #[test]
 fn every_answer_comes_from_exactly_one_world() {
     let city = City::generate(&CityConfig::small(42));
-    let deltas = in_interval_delays(&city, 4);
+    let mut deltas = in_interval_delays(&city, 5);
+    // The what-if cancels one more in-interval trip, which no delta moves.
+    let Some(Delta::TripDelay { trip, .. }) = deltas.pop() else { unreachable!() };
+    let cancel = vec![Delta::TripCancel { trip }];
     let (cat, q) = (PoiCategory::School, AccessQuery::MeanAccess);
 
     // What each world the live engine passes through answers: a fresh
-    // engine on every prefix of the deltas.
-    let worlds: Vec<(Vec<ZoneMeasures>, QueryAnswer)> = (0..=deltas.len())
+    // engine on every prefix of the deltas, and one that also commits the
+    // cancel.
+    let committed = |deltas: &[Delta]| {
+        let e = AccessEngine::new(city.clone(), config());
+        for d in deltas {
+            e.apply_delta(d).expect("delta applies");
+        }
+        e
+    };
+    let worlds: Vec<(Vec<ZoneMeasures>, Vec<ZoneMeasures>, QueryAnswer)> = (0..=deltas.len())
         .map(|k| {
-            let e = AccessEngine::new(city.clone(), config());
-            for d in &deltas[..k] {
-                e.apply_delta(d).expect("delay applies");
-            }
-            (e.measures(cat).predicted.clone(), e.query(&q, cat))
+            let (e, cancelled) =
+                (committed(&deltas[..k]), committed(&[&deltas[..k], &cancel[..]].concat()));
+            let predicted = e.measures(cat).predicted.clone();
+            (predicted, cancelled.measures(cat).predicted.clone(), e.query(&q, cat))
         })
         .collect();
-    assert!(worlds.windows(2).any(|w| w[0].1 != w[1].1), "the deltas must move the answer");
+    assert!(worlds.windows(2).any(|w| w[0].2 != w[1].2), "the deltas must move the answer");
+    assert!(worlds.iter().all(|w| w.0 != w.1), "the cancel must move the measures");
 
     let live = AccessEngine::new(city, config());
     let edited = AtomicBool::new(false);
@@ -239,24 +250,36 @@ fn every_answer_comes_from_exactly_one_world() {
             edited.store(true, Ordering::SeqCst);
         });
         let what_ifs = s.spawn(|| {
-            // The empty scenario reproduces the base bit for bit.
-            read_until(&edited, || live.what_if(cat, &[vec![]]).expect("empty").remove(0).predicted)
+            // Both scenarios answer from one snapshot: the empty one is
+            // that world, the other is that world with the cancel committed.
+            read_until(&edited, || {
+                let mut out = live.what_if(cat, &[vec![], cancel.clone()]).expect("what-if");
+                let cancelled = out.pop().expect("two outcomes").predicted;
+                (out.pop().expect("two outcomes").predicted, cancelled)
+            })
         });
         let queries = s.spawn(|| read_until(&edited, || live.query(&q, cat)));
         (what_ifs.join().unwrap(), queries.join().unwrap())
     });
 
-    for (i, p) in predicted.iter().enumerate() {
-        assert!(worlds.iter().any(|(w, _)| w == p), "what-if read {i} matches no single world");
+    for (i, (p, c)) in predicted.iter().enumerate() {
+        assert!(
+            worlds.iter().any(|(w, wc, _)| w == p && wc == c),
+            "what-if read {i} matches no single world with and without the cancel"
+        );
     }
     for (i, a) in answers.iter().enumerate() {
         assert!(
-            worlds.iter().any(|(_, w)| w == a),
+            worlds.iter().any(|(_, _, w)| w == a),
             "query read {i} matches no single world: {a:?}"
         );
     }
-    assert_eq!(predicted.last(), Some(&worlds[deltas.len()].0), "the last read sees every delta");
+    let last = predicted.last().expect("one what-if read");
+    assert_eq!(last.0, worlds[deltas.len()].0, "the last read sees every delta");
+    // Every cancel scenario is one solve of its own; the rest are the
+    // live engine's.
     let runs = live.pipeline_runs() as usize;
+    let runs = runs.checked_sub(predicted.len()).expect("one solve per cancel scenario");
     assert!(runs <= deltas.len() + 1, "{runs} pipeline runs over {} worlds", deltas.len() + 1);
     assert!(runs <= predicted.len() + answers.len(), "more runs than reads");
 }

@@ -19,27 +19,16 @@ const TRIP_POOL: u32 = 6;
 
 /// Every stop's departure row over `0..n_stops`, seen through the public
 /// per-day view over the whole service clock (empty past `ix`'s stops).
-/// No interval holds the clock's last second, where a saturating delay
-/// leaves a trip, so those departures are read off the trips' call rows.
-/// Every trip runs on some day (asserted below), so two rows are equal
-/// exactly when their seven views are.
+/// No interval holds the clock's last second, but no accepted delta leaves
+/// a call there (asserted below). Every trip runs on some day (asserted
+/// below too), so two rows are equal exactly when their seven views are.
 fn departure_rows(ix: &FeedIndex, n_stops: usize) -> Vec<Vec<Vec<Departure>>> {
     let clock = |day| TimeInterval::new(Stime(0), Stime(u32::MAX), day, "all");
-    let mut last = vec![Vec::new(); n_stops];
-    for t in 0..ix.feed().trips.len() as u32 {
-        for c in ix.trip_calls(TripId(t)).iter().filter(|c| c.departure == Stime(u32::MAX)) {
-            last[c.stop.idx()].push(Departure { trip: c.trip, departure: c.departure, seq: c.seq });
-        }
-    }
     (0..n_stops)
         .map(|s| {
             let stop = StopId(s as u32);
             let days = if s < ix.n_stops() { &DayOfWeek::ALL[..] } else { &[] };
-            let row = |day| {
-                let at_last = last[s].iter().filter(move |d| ix.trip_runs_on(d.trip, day));
-                ix.departures_at(stop, &clock(day)).chain(at_last.copied()).collect()
-            };
-            days.iter().map(|&day| row(day)).collect()
+            days.iter().map(|&day| ix.departures_at(stop, &clock(day)).collect()).collect()
         })
         .collect()
 }
@@ -113,6 +102,8 @@ proptest! {
                 continue;
             };
             prop_assert!(ix.feed().services.iter().all(|s| s.days.contains(&true)));
+            let parked = ix.feed().stop_times.iter().find(|c| c.departure == Stime(u32::MAX));
+            prop_assert!(parked.is_none(), "{delta:?} parked {parked:?} on the clock's last second");
             let (trips, stops) = diff(&before, &ix);
             prop_assert_eq!(&fp, &Footprint { trips }, "trips of {:?}", delta);
             prop_assert_eq!(fp.stops(), stops, "stops of {:?}", delta);
