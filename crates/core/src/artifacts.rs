@@ -28,11 +28,13 @@ pub struct OfflineArtifacts {
 }
 
 impl OfflineArtifacts {
-    /// Builds hop trees, isochrones and the prepared transit network.
+    /// Builds the prepared transit network, then the hop trees and
+    /// isochrones over a view of it, so boot builds the patterns once.
     pub fn build(city: &City, interval: &TimeInterval, params: &IsochroneParams) -> Self {
         let t0 = Instant::now();
-        let store = HopTreeStore::build(city, interval, params);
         let network = prepare_network(&city.road, &city.feed, None);
+        let store =
+            HopTreeStore::over(city, &network.view(&city.road, &city.feed), interval, params);
         STAGE_ARTIFACTS.record(t0.elapsed());
         OfflineArtifacts { store, network }
     }

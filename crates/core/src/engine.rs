@@ -427,9 +427,11 @@ impl EngineState {
         // so no reader ever routes over tables of an older feed.
         self.artifacts.rebuild_network(&self.city);
 
-        // Incremental hop-tree rebuild: only the trees of zones whose
-        // walkshed holds a footprint stop whose hops changed.
-        let rebuilt = self.artifacts.store.rebuild_stops(&self.city, &footprint.stops());
+        // Incremental hop-tree rebuild over the network just prepared:
+        // only the trees of zones whose walkshed holds a footprint stop
+        // whose hops changed.
+        let net = self.artifacts.network.view(&self.city.road, &self.city.feed);
+        let rebuilt = self.artifacts.store.rebuild_stops(&net, &footprint.stops());
         let mut invalidated = 0;
         for derived in &mut self.derived {
             if let Some(result) = derived.result.take() {

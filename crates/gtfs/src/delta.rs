@@ -192,8 +192,9 @@ impl Footprint {
         self.trips.is_empty()
     }
 
-    /// The stops whose departure rows changed: every stop of a changed
-    /// call row, sorted and deduplicated.
+    /// The stops of a changed call row, before or after the edit, sorted
+    /// and deduplicated: every stop at which the trips calling there, or
+    /// their times, changed.
     pub fn stops(&self) -> Vec<StopId> {
         let mut stops: Vec<StopId> = self
             .trips

@@ -7,49 +7,39 @@
 //!   index; the intersection itself happens in `staq-road`/`staq-hoptree`.
 //! * `F_trips` — "for each bus stop, all the services that pass through it
 //!   during `v_i`", and for each such service the subsequent (or preceding)
-//!   stops. [`FeedIndex::departures_at`] and [`FeedIndex::trip_calls`]
-//!   provide exactly these.
+//!   stops. That view is the trip patterns `staq-transit` prepares from
+//!   [`FeedIndex::trip_calls`]: per stop, the patterns calling there, each
+//!   with a sorted departure column. The hop trees and the router both
+//!   read it, so the index keeps no per-stop copy of the timetable.
 //!
 //! A streaming [`Delta`] edits the index in place through
 //! [`FeedIndex::apply_delta`] in one step: the delta becomes the new call
 //! rows of the trips it changes, the rows they replace are read, the pairs
 //! that differ are its [`Footprint`], and those rows are written — the
-//! feed's `stop_times`, the trip ranges and the departure rows of the
-//! footprint's stops. [`FeedIndex::build`] is that step's helpers applied
-//! over every trip and every stop, so an edited index and a rebuilt one
-//! follow the same rules.
+//! feed's `stop_times` and the trip ranges. [`FeedIndex::build`] is that
+//! step's helpers applied over every trip, so an edited index and a
+//! rebuilt one follow the same rules.
 
 use crate::delta::{append_route, Delta, Footprint, TripRows};
 use crate::model::{Feed, RouteId, ServiceId, StopId, StopTime, TripId};
-use crate::time::{DayOfWeek, Stime, TimeInterval};
+use crate::time::{DayOfWeek, Stime};
 use staq_geom::Point;
 
-/// A departure event at a stop: `trip` leaves at `departure`, being call
-/// number `seq` of that trip.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Departure {
-    pub trip: TripId,
-    pub departure: Stime,
-    pub seq: u32,
-}
-
-/// Precomputed inverted indexes over a [`Feed`].
+/// A [`Feed`] with each trip's range of calls and its route and service.
 ///
-/// Construction is O(|stop_times| log |stop_times|); all queries afterwards
-/// are binary searches plus slice scans.
+/// Construction is O(|stop_times|) on a normalized feed; every query
+/// afterwards is a slice or a lookup.
 ///
 /// The index is also *incrementally mutable*: [`FeedIndex::apply_delta`]
 /// applies a streaming schedule [`Delta`] by rewriting only the changed
-/// trips' rows and the departure rows of their stops — never a full
-/// rebuild — and is exact: equality (`PartialEq`) with `FeedIndex::build`
-/// over the equivalently mutated feed is test-gated.
+/// trips' call rows — never a full rebuild — and is exact: equality
+/// (`PartialEq`) with `FeedIndex::build` over the equivalently mutated feed
+/// is test-gated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeedIndex {
     feed: Feed,
     /// Per-trip ranges into `feed.stop_times` (which is `(trip, seq)`-sorted).
     trip_ranges: Vec<(u32, u32)>,
-    /// Departures at each stop, sorted by time.
-    stop_departures: Vec<Vec<Departure>>,
     /// Route of each trip (dense copy for cache-friendly lookups).
     trip_route: Vec<RouteId>,
     /// Service of each trip.
@@ -67,14 +57,11 @@ impl FeedIndex {
         let mut ix = FeedIndex {
             feed,
             trip_ranges: Vec::new(),
-            stop_departures: Vec::new(),
             trip_route: Vec::new(),
             trip_service: Vec::new(),
         };
         ix.extend_to_records();
         derive_trip_ranges(&mut ix.trip_ranges, &ix.feed.stop_times);
-        let every_stop = (0..ix.n_stops() as u32).map(StopId);
-        push_departures(&mut ix.stop_departures, &ix.feed.stop_times, every_stop);
         ix
     }
 
@@ -118,33 +105,6 @@ impl FeedIndex {
     #[inline]
     pub fn trip_runs_on(&self, trip: TripId, day: DayOfWeek) -> bool {
         self.feed.services[self.trip_service[trip.idx()].idx()].runs_on(day)
-    }
-
-    /// Departures from `stop` within the interval `v`, filtered to services
-    /// operating on `v.day` — the paper's `F_trips` retrieval.
-    pub fn departures_at<'a>(
-        &'a self,
-        stop: StopId,
-        v: &'a TimeInterval,
-    ) -> impl Iterator<Item = Departure> + 'a {
-        let deps = &self.stop_departures[stop.idx()];
-        let lo = deps.partition_point(|d| d.departure < v.start);
-        deps[lo..]
-            .iter()
-            .take_while(move |d| d.departure < v.end)
-            .filter(move |d| self.trip_runs_on(d.trip, v.day))
-            .copied()
-    }
-
-    /// Mean scheduled headway (seconds between consecutive departures) at
-    /// `stop` within `v`; `None` with fewer than two departures.
-    pub fn mean_headway(&self, stop: StopId, v: &TimeInterval) -> Option<f64> {
-        let times: Vec<Stime> = self.departures_at(stop, v).map(|d| d.departure).collect();
-        if times.len() < 2 {
-            return None;
-        }
-        let total: u32 = times.windows(2).map(|w| w[0].until(w[1])).sum();
-        Some(total as f64 / (times.len() - 1) as f64)
     }
 
     // ------------------------------------------------------------------
@@ -221,8 +181,7 @@ impl FeedIndex {
     /// new call rows and returns the footprint, the pairs whose rows
     /// differ. Rows that keep their length are written in place; a change
     /// of length re-packs `stop_times` in one pass and re-derives the trip
-    /// ranges. Each footprint stop's departure row then drops the changed
-    /// trips' departures and takes those of their new rows.
+    /// ranges.
     fn write_rows(&mut self, rows: Vec<(TripId, Vec<StopTime>)>) -> Footprint {
         self.extend_to_records();
         let trips: Vec<TripRows> = rows
@@ -247,27 +206,17 @@ impl FeedIndex {
             }
             derive_trip_ranges(&mut self.trip_ranges, &self.feed.stop_times);
         }
-        let footprint = Footprint { trips };
-        let stops = footprint.stops();
-        let replaced =
-            |trip: TripId| footprint.trips.binary_search_by_key(&trip, |t| t.trip).is_ok();
-        for s in &stops {
-            self.stop_departures[s.idx()].retain(|d| !replaced(d.trip));
-        }
-        let calls = footprint.trips.iter().flat_map(|t| &t.after);
-        push_departures(&mut self.stop_departures, calls, stops);
-        footprint
+        Footprint { trips }
     }
 
-    /// Extends the per-trip and per-stop vectors to the feed's record
-    /// counts — a no-op except after [`Delta::AddRoute`] appended records,
-    /// or from empty in [`FeedIndex::build`]. A new trip has no calls yet.
+    /// Extends the per-trip vectors to the feed's trip count — a no-op
+    /// except after [`Delta::AddRoute`] appended records, or from empty in
+    /// [`FeedIndex::build`]. A new trip has no calls yet.
     fn extend_to_records(&mut self) {
         let trips = &self.feed.trips;
         self.trip_route.extend(trips[self.trip_route.len()..].iter().map(|t| t.route));
         self.trip_service.extend(trips[self.trip_service.len()..].iter().map(|t| t.service));
         self.trip_ranges.resize(trips.len(), (0, 0));
-        self.stop_departures.resize(self.feed.stops.len(), Vec::new());
     }
 }
 
@@ -280,38 +229,6 @@ fn derive_trip_ranges(ranges: &mut [(u32, u32)], stop_times: &[StopTime]) {
         let end = start + calls.len() as u32;
         ranges[calls[0].trip.idx()] = (start, end);
         start = end;
-    }
-}
-
-/// Pushes the departure of each of `calls` onto its stop's row, keeping the
-/// rows of `stops` sorted (they must be sorted on entry and include every
-/// stop of `calls`).
-fn push_departures<'a>(
-    rows: &mut [Vec<Departure>],
-    calls: impl IntoIterator<Item = &'a StopTime>,
-    stops: impl IntoIterator<Item = StopId>,
-) {
-    // Total order: the `(trip, seq)` tie-break makes an edited row sort
-    // exactly as a rebuilt one.
-    let key = |d: &Departure| (d.departure, d.trip, d.seq);
-    let sorted: Vec<(StopId, usize)> =
-        stops.into_iter().map(|s| (s, rows[s.idx()].len())).collect();
-    for st in calls {
-        rows[st.stop.idx()].push(Departure { trip: st.trip, departure: st.departure, seq: st.seq });
-    }
-    for (s, n) in sorted {
-        // Sort the pushed tail, then move each of its departures down to
-        // its slot: `build` sorts whole rows and moves nothing, an edit
-        // sorts a few departures into a long row without re-sorting it.
-        let row = &mut rows[s.idx()];
-        row[n..].sort_by_key(key);
-        for j in n.max(1)..row.len() {
-            let k = key(&row[j]);
-            if key(&row[j - 1]) > k {
-                let at = row[..j].partition_point(|d| key(d) < k);
-                row[at..=j].rotate_right(1);
-            }
-        }
     }
 }
 
@@ -331,30 +248,6 @@ mod tests {
         assert_eq!(calls.len(), 2);
         assert!(calls[0].seq < calls[1].seq);
         assert_eq!(calls[0].stop, StopId(0));
-    }
-
-    #[test]
-    fn departures_filtered_by_interval_and_day() {
-        let ix = index();
-        let am = TimeInterval::am_peak();
-        let deps: Vec<_> = ix.departures_at(StopId(0), &am).collect();
-        assert_eq!(deps.len(), 1);
-        assert_eq!(deps[0].departure, Stime::hms(7, 0, 30));
-
-        // Sunday: weekday-only service doesn't run.
-        let sunday = TimeInterval::new(Stime::hours(7), Stime::hours(9), DayOfWeek::Sunday, "sun");
-        assert_eq!(ix.departures_at(StopId(0), &sunday).count(), 0);
-
-        // Window after the departure.
-        let late =
-            TimeInterval::new(Stime::hours(10), Stime::hours(12), DayOfWeek::Tuesday, "late");
-        assert_eq!(ix.departures_at(StopId(0), &late).count(), 0);
-    }
-
-    #[test]
-    fn mean_headway_requires_two_departures() {
-        let ix = index();
-        assert!(ix.mean_headway(StopId(0), &TimeInterval::am_peak()).is_none());
     }
 
     #[test]
@@ -431,14 +324,11 @@ mod tests {
     fn cancel_trip_matches_rebuild_and_clears_calls() {
         let mut ix = mutable_index();
         let trip = TripId(3);
-        let stop = ix.trip_calls(trip)[0].stop;
-        let deps_before = ix.stop_departures[stop.idx()].len();
         let rows = ix.trip_calls(trip).to_vec();
         let fp = ix.apply_delta(&Delta::TripCancel { trip }, 8.0).unwrap();
         assert_eq!(fp.trips, vec![TripRows { trip, before: rows, after: Vec::new() }]);
         assert_eq!(fp.stops().len(), 3);
         assert!(ix.trip_calls(trip).is_empty());
-        assert_eq!(ix.stop_departures[stop.idx()].len(), deps_before - 1);
         assert_matches_rebuild(&ix);
         crate::validate::assert_valid(ix.feed());
         // Cancelling again changes no row.

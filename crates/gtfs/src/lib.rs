@@ -7,8 +7,10 @@
 //! The paper (§III-A) calls this data `F`: "information about stops, routes,
 //! and individual departure and arrival times", consumed through two views —
 //! `F_stops` (stops near a location) and `F_trips` (services through a stop
-//! within a time interval). [`index::FeedIndex`] provides exactly those
-//! views over a parsed [`model::Feed`].
+//! within a time interval). [`index::FeedIndex`] holds a parsed
+//! [`model::Feed`] with its stop positions and each trip's ordered calls;
+//! `F_trips` is the trip patterns `staq-transit` prepares from those calls,
+//! which the hop trees and the router both read.
 //!
 //! Feeds are parsed from GTFS's CSV text format by a purpose-built reader in
 //! [`csv`] (GTFS's dialect is plain RFC-4180), and can be serialized back,
@@ -21,8 +23,8 @@
 //!   calendars, with `u32` newtype ids.
 //! * [`csv`] — minimal RFC-4180 reader/writer.
 //! * [`parse`] / [`write`](mod@write) — feed ⇄ text tables.
-//! * [`index`] — `FeedIndex`: departures-at-stop, trip stop sequences,
-//!   stops-by-route, spatial stop lookup inputs.
+//! * [`index`] — `FeedIndex`: trip call sequences, trip routes and
+//!   services, spatial stop lookup inputs, and the in-place delta edit.
 //! * [`validate`] — referential integrity and monotonicity checks.
 
 pub mod csv;

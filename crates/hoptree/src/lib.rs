@@ -17,8 +17,8 @@
 //! vector describes the pair without running a single shortest-path query.
 //!
 //! * [`tree`] — the tree structure and leaf connectivity data.
-//! * `build` — generation from isochrones + GTFS (paper's §IV-A
-//!   procedure), one scan per stop.
+//! * `build` — generation from isochrones + the trip patterns of the
+//!   prepared transit network (paper's §IV-A procedure), one scan per stop.
 //! * [`store`] — all trees for one interval, plus isochrones and the zone
 //!   index; supports incremental rebuilds after network edits.
 //! * `interchange` — k-NN + isochrone-overlap interchange identification

@@ -5,8 +5,10 @@
 //!
 //! It also keeps each stop's hops (see `build`) and the stops of each
 //! walkshed, so an edit costs what it touched: [`HopTreeStore::rebuild_stops`]
-//! rescans the stops of an edit's footprint and re-merges only the trees of
-//! the zones whose walksheds hold a stop whose hops changed.
+//! rescans the stops of an edit's footprint over the [`TransitNetwork`] the
+//! edit re-prepared (the trees read the trip patterns RAPTOR routes over)
+//! and re-merges only the trees of the zones whose walksheds hold a stop
+//! whose hops changed in value.
 
 use crate::build::{StopHops, TreeBuilder};
 use crate::tree::HopTree;
@@ -15,6 +17,7 @@ use staq_gtfs::time::TimeInterval;
 use staq_gtfs::StopId;
 use staq_road::{Isochrone, IsochroneParams, NodeSnapper};
 use staq_synth::{City, ZoneId};
+use staq_transit::TransitNetwork;
 
 /// All per-zone offline artifacts for one `(city, interval)`.
 #[derive(Debug, Clone)]
@@ -35,7 +38,8 @@ pub struct HopTreeStore {
 /// What [`HopTreeStore::rebuild_stops`] did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeRebuild {
-    /// Zones whose trees were re-merged.
+    /// Zones whose trees were re-merged: those whose walkshed holds a
+    /// stop whose hops changed in value.
     pub zones: usize,
     /// True when any re-merged OB or IB tree differs from the one it
     /// replaced (bitwise; see [`HopTreeStore::rebuild_zones`]).
@@ -43,13 +47,19 @@ pub struct TreeRebuild {
 }
 
 impl HopTreeStore {
-    /// Builds isochrones and both tree families for every zone.
+    /// Builds isochrones and both tree families for every zone, reading
+    /// the trips of `net`, a network prepared from `city`'s current feed.
     ///
     /// Cost is the paper's offline pre-processing step; it is linear in
     /// |Z| x isochrone size plus the departures scanned once per stop, and
     /// far cheaper than labeling (`hoptree.build_s` beside `todam.label_s`
     /// in `staq-e2e`).
-    pub fn build(city: &City, interval: &TimeInterval, params: &IsochroneParams) -> Self {
+    pub fn over(
+        city: &City,
+        net: &TransitNetwork<'_>,
+        interval: &TimeInterval,
+        params: &IsochroneParams,
+    ) -> Self {
         let snapper = NodeSnapper::new(&city.road);
         let isochrones = city
             .zones
@@ -68,12 +78,20 @@ impl HopTreeStore {
             hops: Vec::new(),
             zone_tree: KdTree::build(&city.zone_points()),
         };
-        let mut b = store.builder(city);
+        let mut b = store.builder(net);
         store.zone_stops = store.isochrones.iter().map(|w| b.stops_in(w)).collect();
-        store.hops = (0..city.feed.n_stops() as u32).map(|s| b.scan(StopId(s))).collect();
+        store.hops = (0..net.n_stops() as u32).map(|s| b.scan(StopId(s))).collect();
         (store.outbound, store.inbound) =
             store.zone_stops.iter().map(|stops| b.merge(stops, &store.hops)).unzip();
         store
+    }
+
+    /// [`over`](Self::over) a network it prepares from `city`'s feed under
+    /// the default router config. Kept for callers that hold no prepared
+    /// network: the `staq-e2e` layer probes and the tests.
+    pub fn build(city: &City, interval: &TimeInterval, params: &IsochroneParams) -> Self {
+        let net = TransitNetwork::with_defaults(&city.road, &city.feed);
+        Self::over(city, &net, interval, params)
     }
 
     /// Number of zones covered.
@@ -101,9 +119,10 @@ impl HopTreeStore {
     }
 
     /// Rebuilds the trees of a subset of zones in place from `city`'s
-    /// current feed, rescanning every stop in their walksheds. Walksheds
-    /// are kept: an isochrone depends only on the road graph, the centroid
-    /// and the params, and no edit changes any of them.
+    /// current feed, rescanning every stop in their walksheds over a
+    /// network it prepares. Walksheds are kept: an isochrone depends only
+    /// on the road graph, the centroid and the params, and no edit changes
+    /// any of them.
     ///
     /// Returns true when any rebuilt OB or IB tree differs from the one it
     /// replaced. The comparison is bitwise: every JT is a `u32` from
@@ -111,8 +130,9 @@ impl HopTreeStore {
     /// in any order, so no tree holds a NaN or a −0.0 and `==` on the
     /// floats means equal bits.
     pub fn rebuild_zones(&mut self, city: &City, zones: &[ZoneId]) -> bool {
-        let mut b = self.builder(city);
-        self.add_new_stops(&b, city.feed.n_stops());
+        let net = TransitNetwork::with_defaults(&city.road, &city.feed);
+        let mut b = self.builder(&net);
+        self.add_new_stops(&b, net.n_stops());
         let mut stops: Vec<StopId> =
             zones.iter().flat_map(|z| self.zone_stops[z.idx()].iter().copied()).collect();
         stops.sort_unstable();
@@ -123,15 +143,15 @@ impl HopTreeStore {
         self.merge(&mut b, zones)
     }
 
-    /// The incremental path for a feed edit: rescans the stops whose
-    /// departure rows it `touched` (a delta's [`staq_gtfs::Footprint::stops`],
-    /// an added route's new stops included) and re-merges the trees of the
-    /// zones whose walksheds hold a stop whose hops changed. A stop's hops
-    /// depend only on the trips calling at it, so every other tree is
-    /// unchanged.
-    pub fn rebuild_stops(&mut self, city: &City, touched: &[StopId]) -> TreeRebuild {
-        let mut b = self.builder(city);
-        self.add_new_stops(&b, city.feed.n_stops());
+    /// The incremental path for a feed edit: rescans the stops of its
+    /// changed call rows (a delta's [`staq_gtfs::Footprint::stops`], an
+    /// added route's new stops included) over `net`, prepared from the
+    /// edited feed, and re-merges the trees of the zones whose walksheds
+    /// hold a stop whose hops changed in value. A stop's hops depend only
+    /// on the trips calling at it, so every other tree is unchanged.
+    pub fn rebuild_stops(&mut self, net: &TransitNetwork<'_>, touched: &[StopId]) -> TreeRebuild {
+        let mut b = self.builder(net);
+        self.add_new_stops(&b, net.n_stops());
         let mut dirty = vec![false; self.n_zones()];
         for &s in touched {
             let hops = b.scan(s);
@@ -147,8 +167,8 @@ impl HopTreeStore {
         TreeRebuild { zones: zones.len(), changed: self.merge(&mut b, &zones) }
     }
 
-    fn builder<'c>(&self, city: &'c City) -> TreeBuilder<'c> {
-        TreeBuilder::new(&city.feed, &self.zone_tree, self.params.max_radius_m(), &self.interval)
+    fn builder<'n>(&self, net: &'n TransitNetwork<'n>) -> TreeBuilder<'n> {
+        TreeBuilder::new(net, &self.zone_tree, self.params.max_radius_m(), &self.interval)
     }
 
     /// Catches up with a feed that gained stops: walkshed membership is
@@ -239,7 +259,8 @@ mod tests {
         let fp = city.feed.apply_delta(&delta, city.config.bus_speed_mps).expect("delta applies");
         let zones: Vec<ZoneId> = (0..by_zone.n_zones() as u32).map(ZoneId).collect();
         let changed = by_zone.rebuild_zones(&city, &zones);
-        let rebuilt = by_stop.rebuild_stops(&city, &fp.stops());
+        let net = TransitNetwork::with_defaults(&city.road, &city.feed);
+        let rebuilt = by_stop.rebuild_stops(&net, &fp.stops());
         let fresh = HopTreeStore::build(&city, &by_zone.interval, &by_zone.params);
         for s in [&by_zone, &by_stop] {
             for &z in &zones {
@@ -289,6 +310,19 @@ mod tests {
         });
         assert!(!changed, "no departure crossed an edge and in-vehicle JTs are unchanged");
         assert_eq!(zones, 0);
+    }
+
+    #[test]
+    fn a_delay_that_only_reorders_departures_changes_no_tree() {
+        // 1 500 s moves the trip past others on its pattern but keeps each
+        // departure in the interval and each in-vehicle JT: every stop's
+        // hops are equal in value, though scanned in another order.
+        let (changed, zones) = rebuild_after(|city, v| Delta::TripDelay {
+            trip: in_interval_trip(city, v, 1500),
+            delay_secs: 1500,
+        });
+        assert!(!changed);
+        assert_eq!(zones, 0, "hops equal in value re-merge no zone");
     }
 
     #[test]

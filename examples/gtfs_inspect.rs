@@ -7,7 +7,7 @@
 //! cargo run --release --example gtfs_inspect
 //! ```
 
-use staq_repro::gtfs::{validate, FeedIndex, StopId};
+use staq_repro::gtfs::{validate, FeedIndex, StopId, StopTime};
 use staq_repro::prelude::*;
 
 fn main() {
@@ -36,17 +36,21 @@ fn main() {
     // Departure board for the busiest stop in the AM peak.
     let ix = FeedIndex::build(reread);
     let am = TimeInterval::am_peak();
-    let busiest = (0..ix.n_stops() as u32)
-        .map(StopId)
-        .max_by_key(|&s| ix.departures_at(s, &am).count())
-        .unwrap();
-    println!(
-        "\ndeparture board, stop {} ({} departures in {}):",
-        busiest.0,
-        ix.departures_at(busiest, &am).count(),
-        am
-    );
-    for dep in ix.departures_at(busiest, &am).take(12) {
+    // Each stop's calls departing in the interval, in departure order.
+    let mut board: Vec<Vec<&StopTime>> = vec![Vec::new(); ix.n_stops()];
+    for c in &ix.feed().stop_times {
+        if am.contains(c.departure) && ix.trip_runs_on(c.trip, am.day) {
+            board[c.stop.idx()].push(c);
+        }
+    }
+    for calls in &mut board {
+        calls.sort_by_key(|c| (c.departure, c.trip, c.seq));
+    }
+    let busiest =
+        (0..ix.n_stops() as u32).map(StopId).max_by_key(|s| board[s.idx()].len()).unwrap();
+    let deps = &board[busiest.idx()];
+    println!("\ndeparture board, stop {} ({} departures in {}):", busiest.0, deps.len(), am);
+    for dep in deps.iter().take(12) {
         let route = ix.trip_route(dep.trip);
         let calls = ix.trip_calls(dep.trip);
         let last = calls.last().unwrap();
@@ -58,7 +62,8 @@ fn main() {
             last.arrival
         );
     }
-    if let Some(h) = ix.mean_headway(busiest, &am) {
-        println!("mean headway: {:.0} s", h);
+    if let [first, .., last] = deps[..] {
+        let headway = first.departure.until(last.departure) as f64 / (deps.len() - 1) as f64;
+        println!("mean headway: {:.0} s", headway);
     }
 }

@@ -2,35 +2,32 @@
 //! delta of a random sequence, the [`Footprint`] `FeedIndex::apply_delta`
 //! returns must equal a field diff of the index cloned before it — exactly
 //! the trips whose call rows differ, with both rows, and through
-//! `stops()` exactly the stops whose departure rows differ.
+//! `stops()` exactly the stops whose calls differ. The hop-tree store
+//! edited with those stops must then equal a fresh build, tree for tree.
 
 use proptest::prelude::*;
 use staq_geom::Point;
-use staq_gtfs::index::Departure;
 use staq_gtfs::model::RouteId;
-use staq_gtfs::{DayOfWeek, Delta, FeedIndex, Footprint, Stime, StopId, TimeInterval};
+use staq_gtfs::{Delta, FeedIndex, Footprint, Stime, StopId, StopTime, TimeInterval};
 use staq_gtfs::{TripId, TripRows};
-use staq_synth::{City, CityConfig};
+use staq_hoptree::HopTreeStore;
+use staq_road::IsochroneParams;
+use staq_synth::{City, CityConfig, ZoneId};
 use staq_transit::{NetworkTables, RouterConfig};
+use std::sync::Arc;
 
 /// The trips the delays and cancels draw from: few enough that a
 /// sequence repeats cancels and delays cancelled trips.
 const TRIP_POOL: u32 = 6;
 
-/// Every stop's departure row over `0..n_stops`, seen through the public
-/// per-day view over the whole service clock (empty past `ix`'s stops).
-/// No interval holds the clock's last second, but no accepted delta leaves
-/// a call there (asserted below). Every trip runs on some day (asserted
-/// below too), so two rows are equal exactly when their seven views are.
-fn departure_rows(ix: &FeedIndex, n_stops: usize) -> Vec<Vec<Vec<Departure>>> {
-    let clock = |day| TimeInterval::new(Stime(0), Stime(u32::MAX), day, "all");
-    (0..n_stops)
-        .map(|s| {
-            let stop = StopId(s as u32);
-            let days = if s < ix.n_stops() { &DayOfWeek::ALL[..] } else { &[] };
-            days.iter().map(|&day| ix.departures_at(stop, &clock(day)).collect()).collect()
-        })
-        .collect()
+/// Every stop's calls over `0..n_stops`, in `stop_times` order (empty
+/// past `ix`'s stops).
+fn stop_calls(ix: &FeedIndex, n_stops: usize) -> Vec<Vec<StopTime>> {
+    let mut calls = vec![Vec::new(); n_stops];
+    for c in &ix.feed().stop_times {
+        calls[c.stop.idx()].push(*c);
+    }
+    calls
 }
 
 /// What changed from `before` to `after`, field by field.
@@ -48,7 +45,7 @@ fn diff(before: &FeedIndex, after: &FeedIndex) -> (Vec<TripRows>, Vec<StopId>) {
         .filter(|t| t.before != t.after)
         .collect();
     let n = after.n_stops();
-    let (b, a) = (departure_rows(before, n), departure_rows(after, n));
+    let (b, a) = (stop_calls(before, n), stop_calls(after, n));
     let stops = (0..n as u32).map(StopId).filter(|s| b[s.idx()] != a[s.idx()]).collect();
     (trips, stops)
 }
@@ -78,9 +75,19 @@ fn delta(ix: &FeedIndex, side: f64, (kind, id, (extreme, delay), (far, pts)): Dr
     }
 }
 
+/// The store's trees, zone by zone.
+fn trees(store: &HopTreeStore) -> Vec<(ZoneId, staq_hoptree::HopTree, staq_hoptree::HopTree)> {
+    let zones = (0..store.n_zones() as u32).map(ZoneId);
+    zones.map(|z| (z, store.outbound(z).clone(), store.inbound(z).clone())).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// The store edited by `rebuild_stops` with each footprint's stops
+    /// rests on the rule that only those stops' hops can change; a
+    /// `Footprint::stops` that read only the `after` rows would miss every
+    /// stop a cancel or a removal empties, and this comparison fails.
     #[test]
     fn the_footprint_equals_a_field_diff_of_the_index(ops in proptest::collection::vec(
         (
@@ -91,26 +98,32 @@ proptest! {
         ),
         1..16,
     )) {
-        let city = City::generate(&CityConfig::tiny(42));
+        let mut city = City::generate(&CityConfig::tiny(42));
         let (side, speed) = (city.config.side_m, city.config.bus_speed_mps);
-        let mut ix = city.feed;
+        let (v, params) = (TimeInterval::am_peak(), IsochroneParams::default());
+        let mut store = HopTreeStore::build(&city, &v, &params);
         for op in ops {
-            let delta = delta(&ix, side, op);
+            let ix = &mut city.feed;
+            let delta = delta(ix, side, op);
             let before = ix.clone();
             let Ok(fp) = ix.apply_delta(&delta, speed) else {
-                prop_assert!(ix == before, "a rejected {delta:?} changed the index");
+                prop_assert!(*ix == before, "a rejected {delta:?} changed the index");
                 continue;
             };
             prop_assert!(ix.feed().services.iter().all(|s| s.days.contains(&true)));
             let parked = ix.feed().stop_times.iter().find(|c| c.departure == Stime(u32::MAX));
             prop_assert!(parked.is_none(), "{delta:?} parked {parked:?} on the clock's last second");
-            let (trips, stops) = diff(&before, &ix);
+            let (trips, stops) = diff(&before, ix);
             prop_assert_eq!(&fp, &Footprint { trips }, "trips of {:?}", delta);
             prop_assert_eq!(fp.stops(), stops, "stops of {:?}", delta);
             prop_assert!(delta.is_structural() || fp.is_empty(), "{delta:?} is advisory");
-            prop_assert!(ix == FeedIndex::build(ix.feed().clone()), "{delta:?}: edit != rebuild");
-            let network = NetworkTables::build(&city.road, &ix, RouterConfig::default());
+            prop_assert!(*ix == FeedIndex::build(ix.feed().clone()), "{delta:?}: edit != rebuild");
+            let network = NetworkTables::build(&city.road, &city.feed, RouterConfig::default());
             prop_assert!(network.is_ok(), "{delta:?} left a malformed feed: {:?}", network.err());
+            let network = Arc::new(network.unwrap());
+            store.rebuild_stops(&network.view(&city.road, &city.feed), &fp.stops());
+            let fresh = HopTreeStore::build(&city, &v, &params);
+            prop_assert_eq!(trees(&store), trees(&fresh), "hop trees after {:?}", delta);
         }
     }
 }
